@@ -1,10 +1,11 @@
 """Walk states and the one-step evolution U' = S * C'.
 
 The state is a complex128 array indexed (direction, vertex).  One step
-costs O(coin_dim * N): the Grover coin needs one column sum per vertex
-and the shift is a cyclic roll (torus), a bit flip (hypercube), a
-register swap (complete graph), or the two half-moves of the
-two-dimensional coin walk.
+costs O(coin_dim * N) and allocates no state-sized array.  The Grover coin
+works in place from one column sum per vertex.  The shift copies the moved
+amplitudes into a spare buffer that each state owns: slices with
+wrap-around on tori, halves per hypercube bit, a blocked transpose for the
+complete graph's register swap.  The state and the spare then swap roles.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import numpy as np
 
 from .graphs import ConfigurationError, Graph
 
-_SQRT2 = np.sqrt(2.0)
+# numpy divides complex by real sqrt(2) as a product with this reciprocal:
+# multiplying gives the same bits without the cost of complex division
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _MAGIC = b"WLKSTAT1"
 
 MARKINGS = ("minus_identity", "minus_c0", "projector_flip")
@@ -73,13 +76,14 @@ def default_coin(graph: Graph, marked=()) -> CoinConfig:
 class WalkState:
     """Complex amplitudes over (direction, vertex) for one arena."""
 
-    __slots__ = ("graph", "amps")
+    __slots__ = ("graph", "amps", "_spare")
 
     def __init__(self, graph: Graph, amps: np.ndarray):
         if amps.shape != (graph.coin_dim, graph.n):
             raise ValueError(f"amplitude array must have shape {(graph.coin_dim, graph.n)}")
         self.graph = graph
         self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        self._spare = None
 
     def copy(self) -> "WalkState":
         return WalkState(self.graph, self.amps.copy())
@@ -97,21 +101,17 @@ class WalkState:
         """Flat view, index c*N + v."""
         return self.amps.reshape(-1)
 
-    def _grid(self) -> np.ndarray:
-        """View shaped (coin_dim, *vertex_shape); last axis is the fastest coordinate."""
-        return self.amps.reshape((self.graph.coin_dim,) + tuple(reversed(self.graph.vertex_shape)))
+    def _spare_buffer(self) -> np.ndarray:
+        """Scratch array shaped like amps, owned by this state alone."""
+        if self._spare is None:
+            self._spare = np.empty_like(self.amps)
+        return self._spare
 
 
 def uniform_state(graph: Graph) -> WalkState:
     """The walk's 1-eigenvector: every amplitude 1/sqrt(coin_dim*N)."""
     amp = 1.0 / np.sqrt(graph.coin_dim * graph.n)
     return WalkState(graph, np.full((graph.coin_dim, graph.n), amp, dtype=np.complex128))
-
-
-def basis_state(graph: Graph, vertex: int, direction: int) -> WalkState:
-    amps = np.zeros((graph.coin_dim, graph.n), dtype=np.complex128)
-    amps[direction, vertex] = 1.0
-    return WalkState(graph, amps)
 
 
 def marked_coin_state(graph: Graph, vertex: int) -> WalkState:
@@ -129,14 +129,6 @@ def overlap(a: WalkState, b: WalkState) -> complex:
 # -- coin ----------------------------------------------------------------
 
 
-def _flip_marked_coin_state(state: WalkState, vertex: int) -> None:
-    # rank-one reflection I - 2|s,v><s,v|
-    amps = state.amps
-    d = state.graph.coin_dim
-    c = amps[:, vertex].sum() / np.sqrt(d)
-    amps[:, vertex] -= (2.0 * c) / np.sqrt(d)
-
-
 def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
     """C': Grover coin everywhere, replaced by the marking at marked vertices.
 
@@ -144,21 +136,21 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
     the whole-state reflection about |s, v>.
     """
     amps = state.amps
+    d = state.graph.coin_dim
     if coin.marking == "projector_flip":
-        for v in coin.marked:
-            _flip_marked_coin_state(state, v)
+        for v in coin.marked:  # rank-one reflection I - 2|s,v><s,v|
+            c = amps[:, v].sum() / np.sqrt(d)
+            amps[:, v] -= (2.0 * c) / np.sqrt(d)
         return state
 
-    marked = coin.marked
-    saved = amps[:, list(marked)].copy() if marked else None
-    colsum = amps.sum(axis=0)
-    amps *= -1.0
-    amps += (2.0 / state.graph.coin_dim) * colsum
-    if marked:
-        if coin.marking == "minus_identity":
-            amps[:, list(marked)] = -saved
-        else:  # minus_c0: negate the Grover result
-            amps[:, list(marked)] *= -1.0
+    marked = list(coin.marked)
+    colsum = np.sum(amps, axis=0, out=state._spare_buffer()[0])
+    colsum *= 2.0 / d
+    if coin.marking == "minus_identity":
+        colsum[marked] = 0.0  # 0 - a: the marked blocks come out negated
+    np.subtract(colsum, amps, out=amps)
+    if marked and coin.marking == "minus_c0":  # negate the Grover result
+        amps[:, marked] *= -1.0
     return state
 
 
@@ -166,66 +158,87 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
 
 
 def apply_shift(state: WalkState, inverse: bool = False) -> WalkState:
-    """S: permute amplitudes along the edges (norm preserved exactly)."""
-    spec = state.graph.spec
-    if spec.shift == "dirac":
-        return _dirac_shift(state, inverse)
+    """S: permute amplitudes along the edges (norm preserved exactly).
+
+    The moved amplitudes are written into the state's spare buffer, which
+    then becomes the state; the old amplitude array becomes the spare.
+    """
+    graph = state.graph
+    spec = graph.spec
+    src, dst = state.amps, state._spare_buffer()
     if spec.shift == "swap":
-        state.amps = np.ascontiguousarray(state.amps.T)
-        return state
-    if spec.family == "hypercube":
-        grid = state._grid()
-        d = spec.dims[0]
-        for i in range(d):
-            axis = d - i  # vertex bit i, with axis 0 holding the coin
-            grid[i] = np.roll(grid[i], 1, axis=axis - 1)
-        return state
-    return _torus_shift(state, inverse)
+        # blocks of 32 rows keep the strided writes within few cache lines
+        for i in range(0, graph.n, 32):
+            dst[:, i:i + 32] = src[i:i + 32].T
+    elif spec.family == "hypercube":
+        # direction i flips vertex bit i: the middle axis of a (2^(d-1-i), 2, 2^i) view
+        for i in range(graph.coin_dim):
+            view = (-1, 2, 1 << i)
+            np.copyto(dst[i].reshape(view), src[i].reshape(view)[:, ::-1])
+    else:
+        # grid views (coin, *vertex axes); the last axis is the fastest coordinate
+        shape = (graph.coin_dim,) + tuple(reversed(graph.vertex_shape))
+        if spec.shift == "dirac":
+            _dirac_shift(dst.reshape(shape), src.reshape(shape), inverse)
+        else:
+            _torus_shift(dst.reshape(shape), src.reshape(shape), spec, inverse)
+    state.amps, state._spare = dst, src
+    return state
 
 
-def _torus_shift(state: WalkState, inverse: bool) -> WalkState:
-    grid = state._grid()
-    ndim = len(state.graph.spec.dims)
-    flip = state.graph.spec.shift == "flip_flop"
+def _roll_pairs(shape, shift: int, axis: int):
+    """(dst, src) index pairs that move every entry `shift` places along
+    `axis` with wrap-around, as np.roll does."""
+    n = shape[axis]
+    k = shift % n
+    lead = (slice(None),) * axis
+    return ((lead + (slice(k, n),), lead + (slice(0, n - k),)),
+            (lead + (slice(0, k),), lead + (slice(n - k, n),)))
+
+
+def _roll_into(dst: np.ndarray, src: np.ndarray, shift: int, axis: int) -> None:
+    for d, s in _roll_pairs(src.shape, shift, axis):
+        dst[d] = src[s]
+
+
+def _torus_shift(dst: np.ndarray, src: np.ndarray, spec, inverse: bool) -> None:
+    ndim = len(spec.dims)
+    flip = spec.shift == "flip_flop"
     # the flip-flop shift is an involution, so its inverse is itself
     sign = -1 if inverse and not flip else 1
     for axis in range(ndim):
-        np_axis = ndim - 1 - axis  # vertex axes of grid[c]
-        plus, minus = grid[2 * axis].copy(), grid[2 * axis + 1]
-        fwd = np.roll(plus, sign, axis=np_axis)
-        back = np.roll(minus, -sign, axis=np_axis)
-        if flip:
-            grid[2 * axis], grid[2 * axis + 1] = back, fwd
-        else:
-            grid[2 * axis], grid[2 * axis + 1] = fwd, back
-    return state
+        np_axis = ndim - 1 - axis  # vertex axes of src[c]
+        plus, minus = 2 * axis, 2 * axis + 1
+        _roll_into(dst[minus if flip else plus], src[plus], sign, np_axis)
+        _roll_into(dst[plus if flip else minus], src[minus], -sign, np_axis)
 
 
-def _dirac_shift(state: WalkState, inverse: bool) -> WalkState:
+def _dirac_shift(dst: np.ndarray, src: np.ndarray, inverse: bool) -> None:
     # half-move 1: coin basis moves along y; half-move 2: Hadamard basis
-    # moves along x.  Axes of the grid view: (coin, y, x).
-    grid = state._grid()
+    # moves along x.  Axes of the grid views: (coin, y, x).  Either order
+    # leaves the result in dst.
     sign = -1 if inverse else 1
 
-    def move_y():
-        grid[0] = np.roll(grid[0], -sign, axis=0)  # up: y -> y-1
-        grid[1] = np.roll(grid[1], sign, axis=0)
+    def move_y(a, b):  # a -> b
+        _roll_into(b[0], a[0], -sign, 0)  # up: y -> y-1
+        _roll_into(b[1], a[1], sign, 0)
 
-    def move_x():
-        left = (grid[0] + grid[1]) / _SQRT2
-        right = (grid[0] - grid[1]) / _SQRT2
-        left = np.roll(left, -sign, axis=1)  # left: x -> x-1
-        right = np.roll(right, sign, axis=1)
-        grid[0] = (left + right) / _SQRT2
-        grid[1] = (left - right) / _SQRT2
+    def move_x(a, b):  # a -> a, through b
+        for d, s in _roll_pairs(a.shape[1:], -sign, 1):  # left: x -> x-1
+            np.add(a[0][s], a[1][s], out=b[0][d])
+        for d, s in _roll_pairs(a.shape[1:], sign, 1):  # right
+            np.subtract(a[0][s], a[1][s], out=b[1][d])
+        b *= _INV_SQRT2
+        np.add(b[0], b[1], out=a[0])
+        np.subtract(b[0], b[1], out=a[1])
+        a *= _INV_SQRT2
 
     if inverse:
-        move_x()
-        move_y()
+        move_x(src, dst)
+        move_y(src, dst)
     else:
-        move_y()
-        move_x()
-    return state
+        move_y(src, dst)
+        move_x(dst, src)
 
 
 # -- steps ---------------------------------------------------------------
@@ -247,8 +260,7 @@ def reflect_about_uniform(state: WalkState) -> WalkState:
     amps = state.amps
     d_n = amps.size
     mean = amps.sum() / d_n  # <Phi0|state> / sqrt(dN)
-    amps *= -1.0
-    amps += 2.0 * mean
+    np.subtract(2.0 * mean, amps, out=amps)
     return state
 
 
@@ -261,10 +273,19 @@ def flip_marked_vertices(state: WalkState, marked) -> WalkState:
 # -- measurement -----------------------------------------------------------
 
 
-def vertex_probabilities(state: WalkState) -> np.ndarray:
-    """p(v) summed over the coin register."""
-    a = state.amps
-    return (a.real * a.real + a.imag * a.imag).sum(axis=0)
+def vertex_probabilities(state: WalkState, vertices=None) -> np.ndarray:
+    """p(v) summed over the coin register, for every vertex or for `vertices`."""
+    a = state.amps if vertices is None else state.amps.take(vertices, axis=1)
+    # accumulate adds the coin rows in order for any number of columns;
+    # sum(axis=0) would add a single column pairwise, in other bits
+    return np.add.accumulate(a.real * a.real + a.imag * a.imag, axis=0)[-1]
+
+
+def closed_neighborhood(graph: Graph, vertices) -> np.ndarray:
+    """Sorted union of `vertices` and all their neighbors."""
+    vs = [int(v) for v in vertices]
+    return np.unique(np.concatenate([np.array(vs, dtype=np.int64)]
+                                    + [graph.neighbors(v) for v in vs]))
 
 
 def measure_probabilities(state: WalkState, vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -274,21 +295,15 @@ def measure_probabilities(state: WalkState, vertices) -> tuple[np.ndarray, np.nd
     state concentrates on the marked vertex and its neighbors, so this is
     the success figure the experiment harness reports alongside p(v).
     """
-    p_all = vertex_probabilities(state)
-    vs = list(vertices)
-    p = np.array([p_all[v] for v in vs])
-    p_nb = np.array([p_all[v] + p_all[state.graph.neighbors(v)].sum() for v in vs])
-    return p, p_nb
+    vs = [int(v) for v in vertices]
+    p_nb = np.array([neighborhood_probability(state, [v]) for v in vs])
+    return vertex_probabilities(state, vs), p_nb
 
 
 def neighborhood_probability(state: WalkState, vertices) -> float:
     """Combined probability of the union of {v} and its neighbors over vertices."""
-    p_all = vertex_probabilities(state)
-    support: set[int] = set()
-    for v in vertices:
-        support.add(int(v))
-        support.update(int(u) for u in state.graph.neighbors(v))
-    return float(p_all[sorted(support)].sum())
+    support = closed_neighborhood(state.graph, vertices)
+    return float(vertex_probabilities(state, support).sum())
 
 
 # -- serialization ---------------------------------------------------------
@@ -309,7 +324,7 @@ def save_state(state: WalkState, path) -> None:
 def load_state(graph: Graph, path) -> WalkState:
     with open(path, "rb") as fh:
         header = fh.read(16)
-        if header[:8] != _MAGIC:
+        if len(header) < 16 or header[:8] != _MAGIC:
             raise ValueError("not a walklab state file")
         coin_dim, n = struct.unpack("<II", header[8:])
         if (coin_dim, n) != (graph.coin_dim, graph.n):
@@ -317,6 +332,13 @@ def load_state(graph: Graph, path) -> WalkState:
                 f"state file is for coin_dim={coin_dim}, N={n}; "
                 f"graph has coin_dim={graph.coin_dim}, N={graph.n}"
             )
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(-1, 2)
+        payload = fh.read()
+    expected = 16 * coin_dim * n
+    if len(payload) != expected:
+        raise ValueError(
+            f"state file payload is {len(payload)} bytes; a coin_dim={coin_dim}, "
+            f"N={n} state needs {expected}"
+        )
+    raw = np.frombuffer(payload, dtype="<f8").reshape(-1, 2)
     amps = (raw[:, 0] + 1j * raw[:, 1]).reshape(coin_dim, n)
     return WalkState(graph, amps)

@@ -11,19 +11,12 @@ register names the target vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 FAMILIES = ("torus", "hypercube", "complete")
 SHIFTS = ("flip_flop", "moving", "dirac", "swap")
 COINS = ("grover", "dirac2")
-
-#: Role labels for the two-dimensional coin.  Roles 0/1 are the coin basis
-#: states and move along y; roles 2/3 are their Hadamard combinations and
-#: move along x.  The composed step is not a basis permutation, so the two
-#: half-moves are exposed separately.
-DIRAC_ROLES = ("up", "down", "left", "right")
 
 
 class ConfigurationError(ValueError):
@@ -163,45 +156,28 @@ class Graph:
 
     # -- adjacency -----------------------------------------------------
 
-    @cached_property
-    def _neighbor_table(self) -> list[np.ndarray]:
-        table = []
-        for v in range(self.n):
-            table.append(np.array(sorted(self._neighbor_set(v)), dtype=np.int64))
-        return table
-
-    def _neighbor_set(self, vertex: int) -> set[int]:
-        spec = self.spec
-        if spec.family == "torus":
-            coords = self.vertex_coords(vertex)
-            out = set()
-            if spec.shift == "dirac":
-                # one step moves both coordinates, so the reachable set is
-                # the four diagonal sites
-                x, y = coords
-                for dx in (1, -1):
-                    for dy in (1, -1):
-                        out.add(self.vertex_index((x + dx, y + dy)))
-            else:
-                for axis in range(len(spec.dims)):
-                    for sign in (1, -1):
-                        c = list(coords)
-                        c[axis] += sign
-                        out.add(self.vertex_index(c))
-            out.discard(vertex)
-            return out
-        if spec.family == "hypercube":
-            return {vertex ^ (1 << i) for i in range(spec.dims[0])}
-        # complete graph: everything, plus a self-loop that we do not list
-        return set(range(self.n)) - {vertex}
-
     def neighbors(self, vertex: int) -> np.ndarray:
         """Vertices reachable from `vertex` in one walk step, sorted.
 
         This matches graph adjacency except for the two-dimensional coin,
         whose composed step lands on the diagonal sites.
         """
-        return self._neighbor_table[vertex]
+        if not 0 <= vertex < self.n:
+            raise IndexError(f"vertex {vertex} out of range for N={self.n}")
+        spec = self.spec
+        if spec.family == "complete":  # everything but the unlisted self-loop
+            return np.delete(np.arange(self.n, dtype=np.int64), vertex)
+        if spec.family == "hypercube":
+            out = {vertex ^ (1 << i) for i in range(spec.dims[0])}
+        elif spec.shift == "dirac":
+            # one step moves both coordinates: the four diagonal sites
+            x, y = self.vertex_coords(vertex)
+            out = {self.vertex_index((x + dx, y + dy)) for dx in (1, -1) for dy in (1, -1)}
+        else:
+            c = self.vertex_coords(vertex)
+            out = {self.vertex_index(c[:axis] + (c[axis] + sign,) + c[axis + 1:])
+                   for axis in range(len(spec.dims)) for sign in (1, -1)}
+        return np.array(sorted(out), dtype=np.int64)
 
     # -- shift map -------------------------------------------------------
 
@@ -227,7 +203,6 @@ class Graph:
             return vertex ^ (1 << direction), direction
         if spec.shift == "dirac":
             x, y = self.vertex_coords(vertex)
-            length = spec.dims[0]
             if direction == 0:  # up: y - 1
                 return self.vertex_index((x, y - 1)), 0
             if direction == 1:  # down: y + 1

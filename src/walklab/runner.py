@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (CoinConfig, WalkState, default_coin, flip_marked_vertices,
-                     reflect_about_uniform, step, uniform_state, unstep,
-                     vertex_probabilities)
+from .engine import (CoinConfig, WalkState, closed_neighborhood, default_coin,
+                     flip_marked_vertices, reflect_about_uniform, step, uniform_state,
+                     unstep, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 from .search import PredictionReport, predict
 
@@ -60,40 +60,64 @@ class PeakInfo:
     p_star_marked: float
 
 
-def _support_indices(graph: Graph, vertices) -> np.ndarray:
-    support: set[int] = set()
-    for v in vertices:
-        support.add(int(v))
-        support.update(int(u) for u in graph.neighbors(v))
-    return np.fromiter(sorted(support), dtype=np.int64)
+def evolve(state: WalkState, coin: CoinConfig, steps: int, observe=None,
+           inverse: bool = False) -> WalkState:
+    """Apply `steps` walk steps, or inverse steps, to `state` in place.
+
+    observe(t, state), if given, is called at t = 0 and after each step t.
+    """
+    advance = unstep if inverse else step
+    for t in range(steps + 1):
+        if t:
+            advance(state, coin)
+        if observe is not None:
+            observe(t, state)
+    return state
+
+
+class _Watch:
+    """Observer recording, per step, the probability on the marked set (vertex
+    0 if nothing is marked), on its closed neighborhood, and the state norm."""
+
+    def __init__(self, graph: Graph, coin: CoinConfig, t_max: int):
+        self.config = {
+            "graph": graph.spec.label(),
+            "marked": list(coin.marked),
+            "marking": coin.marking,
+            "t_max": t_max,
+        }
+        self.watch = np.array(coin.marked or (0,), dtype=np.int64)
+        self.support = closed_neighborhood(graph, self.watch)
+        # a neighborhood of every vertex (the complete graph) holds the total
+        # probability, which the norm gives without gathering every column
+        self.everything = len(self.support) == graph.n
+        self.at = np.searchsorted(self.support, self.watch)
+        self.p_marked = np.empty(t_max + 1)
+        self.p_nbhd = np.empty(t_max + 1)
+        self.norms = np.empty(t_max + 1)
+
+    def __call__(self, t: int, state: WalkState) -> None:
+        norm2 = np.vdot(state.amps, state.amps).real
+        if self.everything:
+            self.p_marked[t] = vertex_probabilities(state, self.watch).sum()
+            self.p_nbhd[t] = norm2
+        else:
+            p = vertex_probabilities(state, self.support)
+            self.p_marked[t] = p[self.at].sum()
+            self.p_nbhd[t] = p.sum()
+        self.norms[t] = math.sqrt(norm2)
+
+    def trace(self) -> RunTrace:
+        return RunTrace(np.arange(len(self.norms)), self.p_marked, self.p_nbhd,
+                        self.norms, self.config)
 
 
 def run_walk(graph: Graph, coin: CoinConfig, t_max: int) -> RunTrace:
     """Evolve t_max steps recording marked and neighborhood probability."""
     coin.validate_for(graph)
-    state = uniform_state(graph)
-    marked = np.fromiter(coin.marked, dtype=np.int64) if coin.marked else np.array([], dtype=np.int64)
-    nbhd = _support_indices(graph, coin.marked) if coin.marked else marked
-    watch = marked if coin.marked else np.array([0], dtype=np.int64)
-    watch_nbhd = nbhd if coin.marked else _support_indices(graph, [0])
-
-    p_marked = np.empty(t_max + 1)
-    p_nbhd = np.empty(t_max + 1)
-    norms = np.empty(t_max + 1)
-    for t in range(t_max + 1):
-        if t:
-            step(state, coin)
-        p = vertex_probabilities(state)
-        p_marked[t] = p[watch].sum()
-        p_nbhd[t] = p[watch_nbhd].sum()
-        norms[t] = math.sqrt(p.sum())
-    config = {
-        "graph": graph.spec.label(),
-        "marked": list(coin.marked),
-        "marking": coin.marking,
-        "t_max": t_max,
-    }
-    return RunTrace(np.arange(t_max + 1), p_marked, p_nbhd, norms, config)
+    watch = _Watch(graph, coin, t_max)
+    evolve(uniform_state(graph), coin, t_max, watch)
+    return watch.trace()
 
 
 def find_peak(trace: RunTrace) -> PeakInfo:
@@ -185,24 +209,20 @@ def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> Am
     if not coin.marked:
         raise ConfigurationError("amplification needs a marked set")
     ledger = CostLedger(graph.n, prep_cost=2.0 * math.sqrt(graph.n))
-    state = uniform_state(graph)
-    for _ in range(walk_length):
-        step(state, coin)
+    state = evolve(uniform_state(graph), coin, walk_length)
     ledger.step_count += walk_length
 
     marked = list(coin.marked)
     success = np.empty(rounds + 1)
-    success[0] = vertex_probabilities(state)[marked].sum()
+    success[0] = vertex_probabilities(state, marked).sum()
     for r in range(rounds):
         flip_marked_vertices(state, marked)
-        for _ in range(walk_length):
-            unstep(state, coin)
+        evolve(state, coin, walk_length, inverse=True)
         reflect_about_uniform(state)
-        for _ in range(walk_length):
-            step(state, coin)
+        evolve(state, coin, walk_length)
         ledger.step_count += 2 * walk_length
         ledger.amplification_rounds += 1
-        success[r + 1] = vertex_probabilities(state)[marked].sum()
+        success[r + 1] = vertex_probabilities(state, marked).sum()
     overshoot = bool(rounds > 0 and success[-1] < success[-2] - 1e-12)
     config = {
         "graph": graph.spec.label(),
@@ -233,10 +253,10 @@ class TwoMarkedResult:
     reflection_form_deviation: float  # fast two-coin walk vs rank-one form, worst t
 
 
-def _mirror_permutation(graph: Graph, v1: int, v2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid symmetry exchanging v1 and v2: point reflection through their
-    midpoint combined with direction reversal (the reversal keeps it commuting
-    with the flip-flop shift)."""
+def _mirror_index(graph: Graph, v1: int, v2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index into amps of the grid symmetry exchanging v1 and v2: point
+    reflection through their midpoint combined with direction reversal (the
+    reversal keeps it commuting with the flip-flop shift)."""
     spec = graph.spec
     c1 = graph.vertex_coords(v1)
     c2 = graph.vertex_coords(v2)
@@ -249,11 +269,7 @@ def _mirror_permutation(graph: Graph, v1: int, v2: int) -> tuple[np.ndarray, np.
     for axis in range(len(spec.dims)):
         cperm[2 * axis] = 2 * axis + 1
         cperm[2 * axis + 1] = 2 * axis
-    return cperm, vperm
-
-
-def _apply_mirror(state: WalkState, cperm: np.ndarray, vperm: np.ndarray) -> np.ndarray:
-    return state.amps[np.ix_(cperm, vperm)]
+    return np.ix_(cperm, vperm)
 
 
 def _flip_symmetric_pair(state: WalkState, v1: int, v2: int) -> None:
@@ -280,38 +296,24 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
     graph = build_graph(spec)
     coin = default_coin(graph, marked=(v1, v2))
     unmarked = default_coin(graph)
-    cperm, vperm = _mirror_permutation(graph, v1, v2)
+    mirror = _mirror_index(graph, v1, v2)
 
-    state = uniform_state(graph)
     twin = uniform_state(graph)  # rank-one reflection form
-    marked = np.array([v1, v2], dtype=np.int64)
-    nbhd = _support_indices(graph, [v1, v2])
-
-    p_marked = np.empty(t_max + 1)
-    p_nbhd = np.empty(t_max + 1)
-    norms = np.empty(t_max + 1)
+    watch = _Watch(graph, coin, t_max)
     worst_sym = 0.0
     worst_dev = 0.0
-    for t in range(t_max + 1):
+
+    def observe(t: int, state: WalkState) -> None:
+        nonlocal worst_sym, worst_dev
+        watch(t, state)
         if t:
-            step(state, coin)
             _flip_symmetric_pair(twin, v1, v2)
             step(twin, unmarked)
-        p = vertex_probabilities(state)
-        p_marked[t] = p[marked].sum()
-        p_nbhd[t] = p[nbhd].sum()
-        norms[t] = math.sqrt(p.sum())
-        worst_sym = max(worst_sym, float(np.max(np.abs(_apply_mirror(state, cperm, vperm)
-                                                       - state.amps))))
+        worst_sym = max(worst_sym, float(np.max(np.abs(state.amps[mirror] - state.amps))))
         worst_dev = max(worst_dev, float(np.max(np.abs(twin.amps - state.amps))))
-    config = {
-        "graph": spec.label(),
-        "marked": [int(v1), int(v2)],
-        "marking": coin.marking,
-        "t_max": t_max,
-    }
-    trace = RunTrace(np.arange(t_max + 1), p_marked, p_nbhd, norms, config)
-    return TwoMarkedResult(trace, worst_sym, worst_dev)
+
+    evolve(uniform_state(graph), coin, t_max, observe)
+    return TwoMarkedResult(watch.trace(), worst_sym, worst_dev)
 
 
 # -- sweeps --------------------------------------------------------------------

@@ -90,6 +90,83 @@ def test_flip_flop_shift_involution_on_states():
     assert np.max(np.abs(state.amps - ref)) < 1e-15
 
 
+PERMUTATION_FAMILIES = [torus_spec(2), torus_spec(5), torus_spec(6, 1),
+                        torus_spec(4, shift="moving"), torus_spec(3, 3, shift="moving"),
+                        torus_spec(2, 3), hypercube_spec(1), hypercube_spec(5),
+                        complete_spec(2), complete_spec(40)]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("spec", PERMUTATION_FAMILIES, ids=lambda s: s.label())
+def test_shift_equals_shift_permutation(spec, inverse):
+    g = build_graph(spec)
+    perm = g.shift_permutation()  # p[c*N+v] = c'*N+v', from the per-edge rule
+    state = random_state(g, seed=11)
+    before = state.vector.copy()
+    apply_shift(state, inverse=inverse)
+    if inverse:
+        expected = before[perm]
+    else:
+        expected = np.empty_like(before)
+        expected[perm] = before
+    assert np.array_equal(state.vector, expected)
+
+
+def _dirac_shift_by_rolls(amps, side, inverse):
+    """The dirac half-moves written with np.roll, as a reference."""
+    grid = amps.reshape(2, side, side).copy()
+    sign = -1 if inverse else 1
+
+    def move_y():
+        grid[0] = np.roll(grid[0], -sign, axis=0)
+        grid[1] = np.roll(grid[1], sign, axis=0)
+
+    def move_x():
+        left = np.roll((grid[0] + grid[1]) / np.sqrt(2.0), -sign, axis=1)
+        right = np.roll((grid[0] - grid[1]) / np.sqrt(2.0), sign, axis=1)
+        grid[0] = (left + right) / np.sqrt(2.0)
+        grid[1] = (left - right) / np.sqrt(2.0)
+
+    for move in ((move_x, move_y) if inverse else (move_y, move_x)):
+        move()
+    return grid.reshape(2, side * side)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("side", [2, 3, 7])
+def test_dirac_shift_matches_roll_reference(side, inverse):
+    g = build_graph(torus_spec(side, shift="dirac"))
+    state = random_state(g, seed=side)
+    expected = _dirac_shift_by_rolls(state.amps, side, inverse)
+    apply_shift(state, inverse=inverse)
+    assert np.array_equal(state.amps, expected)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES)
+def test_copy_does_not_follow_the_original(spec):
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(1,))
+    state = random_state(g, seed=12)
+    twin = state.copy()
+    ref = state.amps.copy()
+    for _ in range(3):
+        step(state, coin)
+    assert np.array_equal(twin.amps, ref)
+    for _ in range(3):
+        step(twin, coin)
+    assert np.array_equal(twin.amps, state.amps)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES + [hypercube_spec(10), complete_spec(40)])
+def test_vertex_probabilities_on_a_subset_is_exact(spec):
+    g = build_graph(spec)
+    state = random_state(g, seed=13)
+    full = vertex_probabilities(state)
+    for vs in [[v] for v in range(g.n)] + [[g.n - 1, 2], list(range(0, g.n, 3)),
+                                            list(range(g.n))]:
+        assert np.array_equal(vertex_probabilities(state, vs), full[vs])
+
+
 @pytest.mark.parametrize("spec", ALL_FAMILIES)
 def test_unstep_inverts_step(spec):
     g = build_graph(spec)
@@ -251,6 +328,18 @@ def test_neighborhood_probability_union_semantics():
     for v in (0, 1):
         union.update(int(u) for u in g.neighbors(v))
     assert value == pytest.approx(len(union) / 16, abs=1e-12)
+
+
+@pytest.mark.parametrize("change", [-24, 16])
+def test_load_state_rejects_wrong_payload_length(tmp_path, change):
+    g = build_graph(torus_spec(4))
+    path = tmp_path / "state.bin"
+    save_state(random_state(g, seed=14), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:change] if change < 0 else data + b"\x00" * change)
+    expected, actual = 16 * g.coin_dim * g.n, len(data) - 16 + change
+    with pytest.raises(ValueError, match=f"payload is {actual} bytes.*needs {expected}"):
+        load_state(g, path)
 
 
 def test_load_state_rejects_wrong_magic(tmp_path):

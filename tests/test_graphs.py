@@ -134,6 +134,38 @@ def test_neighbors():
     assert list(gc.neighbors(2)) == [0, 1, 3, 4]
 
 
+def _adjacent(g, u, v) -> bool:
+    """One-step reachability from the definitions, pair by pair."""
+    spec = g.spec
+    if u == v:
+        return False
+    if spec.family == "complete":
+        return True
+    if spec.family == "hypercube":
+        return bin(u ^ v).count("1") == 1
+    length = spec.dims[0]
+    gaps = [(a - b) % length for a, b in zip(g.vertex_coords(u), g.vertex_coords(v))]
+    unit = [gap in (1, length - 1) for gap in gaps]
+    if spec.shift == "dirac":  # both coordinates move
+        return all(unit)
+    return sum(unit) == 1 and sum(gap != 0 for gap in gaps) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    torus_spec(2), torus_spec(5), torus_spec(3, 1), torus_spec(4, shift="moving"),
+    torus_spec(2, 3), torus_spec(3, 3), torus_spec(2, shift="dirac"),
+    torus_spec(5, shift="dirac"), hypercube_spec(1), hypercube_spec(4),
+    complete_spec(2), complete_spec(7),
+], ids=lambda s: s.label())
+def test_neighbors_match_brute_force(spec):
+    g = build_graph(spec)
+    for v in range(g.n):
+        expected = [u for u in range(g.n) if _adjacent(g, u, v)]
+        assert list(g.neighbors(v)) == expected
+    with pytest.raises(IndexError):
+        g.neighbors(g.n)
+
+
 def test_side_two_torus_deduplicates_neighbors():
     g = build_graph(torus_spec(2))
     # +x and -x wrap to the same vertex on side 2

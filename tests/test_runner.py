@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from walklab import (ConfigurationError, RunTrace, amplify, build_graph,
                      complete_spec, default_coin, find_peak, fit_exponent,
+                     hypercube_spec, neighborhood_probability,
                      prepare_uniform_locally, predict, reflect_about_uniform,
                      reflect_via_preparation, repetition_schedule,
                      rounds_to_quarter, run_two_marked, run_walk, scaling_sweep,
-                     sweep_point, torus_spec, uniform_state)
+                     step, sweep_point, torus_spec, uniform_state,
+                     vertex_probabilities)
 
 from helpers import random_state
 
@@ -28,6 +30,24 @@ def test_trace_starts_uniform():
     g = build_graph(torus_spec(8))
     trace = run_walk(g, default_coin(g, marked=(5,)), 10)
     assert trace.p_marked[0] == pytest.approx(1 / 64, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [torus_spec(6), torus_spec(6, shift="dirac"),
+                                  hypercube_spec(5), complete_spec(12)],
+                         ids=lambda s: s.label())
+def test_trace_matches_stepwise_measurement(spec):
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(2, 3))
+    trace = run_walk(g, coin, 12)
+    state = uniform_state(g)
+    for t in range(13):
+        if t:
+            step(state, coin)
+        p = vertex_probabilities(state)
+        assert trace.p_marked[t] == p[[2, 3]].sum()
+        assert trace.p_nbhd[t] == pytest.approx(neighborhood_probability(state, [2, 3]),
+                                                abs=1e-14)
+        assert trace.norm[t] == pytest.approx(math.sqrt(p.sum()), abs=1e-14)
 
 
 def _synthetic_trace(p):
