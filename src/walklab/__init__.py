@@ -4,13 +4,13 @@ predictor, and a dense ground-truth oracle for cross-validation."""
 
 from .engine import (CoinConfig, WalkState, apply_coin, apply_shift, default_coin,
                      flip_marked_vertices, load_state, marked_coin_state,
-                     measure_probabilities, neighborhood_probability, overlap,
-                     reflect_about_uniform, save_state, step, uniform_state, unstep,
-                     vertex_probabilities)
+                     neighborhood_probability, overlap, reflect_about_uniform,
+                     save_state, step, uniform_state, unstep, vertex_probabilities)
 from .graphs import (ConfigurationError, Graph, GraphSpec, build_graph,
                      complete_spec, hypercube_spec, torus_spec)
-from .oracle import (DenseOperator, compare_traces, dense_eigens, dense_unitary,
-                     eigenspace_projection, evolve_dense, lift_principal_eigenvector)
+from .oracle import (DenseOperator, block_eigens, compare_traces, dense_eigens,
+                     dense_principal_pair, dense_unitary, eigenspace_projection,
+                     evolve_dense, lift_principal_eigenvector)
 from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, SweepResult,
                      TwoMarkedResult, amplify, find_peak, fit_exponent,
                      prepare_uniform_locally, reflect_via_preparation,
@@ -19,10 +19,9 @@ from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, SweepResult,
 from .search import (PredictionReport, alpha_bracket, build_principal_eigenvector,
                      predict, predict_overlaps, predict_runtime, secular_value,
                      solve_alpha)
-from .spectral import (ModeSpectrum, SpectrumEntry, block_eigens,
-                       closed_form_block_phases, closed_form_cos, coin_block,
-                       grover_coin, lift_block_vector, mode_spectrum,
-                       mode_vertex_wave, moving_shift_stationary_overlap,
+from .spectral import (ModeSpectrum, SpectrumEntry, closed_form_block_phases,
+                       closed_form_cos, coin_block, grover_coin, lift_block_vector,
+                       mode_spectrum, mode_vertex_wave, moving_shift_stationary_overlap,
                        spectral_sums, torus_modes)
 
 __version__ = "0.1.0"

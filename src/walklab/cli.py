@@ -16,9 +16,11 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from .engine import default_coin
-from .graphs import ConfigurationError, GraphSpec, build_graph
+from .graphs import (FAMILIES, ConfigurationError, GraphSpec, build_graph, complete_spec,
+                     hypercube_spec, torus_spec)
 from .runner import (amplify, find_peak, run_two_marked, run_walk,
                      scaling_sweep, sweep_point)
 from .search import predict
@@ -108,32 +110,53 @@ def _trace_csv(trace) -> str:
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        file_values = load_flat_toml(args.config)
-        for key, value in file_values.items():
-            if getattr(args, key, None) in (None, [], ()) and hasattr(args, key):
-                setattr(args, key, value)
+    """Fill the flags left unset from --config.  Every key must be a flag of
+    the subcommand being run, and an integer flag takes integers only."""
+    if not getattr(args, "config", None):
+        return args
+    flags = {action.dest: action for action in args.command_parser._actions
+             if action.option_strings and action.dest not in ("help", "config")}
+    for key, value in load_flat_toml(args.config).items():
+        action = flags.get(key)
+        if action is None:
+            raise ConfigurationError(
+                f"{args.config}: unknown key {key!r}; {args.command} takes {sorted(flags)}")
+        if action.type is int and not _is_int(value):
+            raise ConfigurationError(f"{args.config}: {key} takes an integer, got {value!r}")
+        if action.type is _int_list and not (isinstance(value, list)
+                                             and all(map(_is_int, value))):
+            raise ConfigurationError(
+                f"{args.config}: {key} takes a list of integers, got {value!r}")
+        if getattr(args, key) in (None, [], ()):
+            setattr(args, key, value)
     return args
 
 
-def build_spec(args: argparse.Namespace) -> GraphSpec:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_SIZE_FLAGS = {"torus": "side", "hypercube": "degree", "complete": "n"}
+
+
+def build_spec(args: argparse.Namespace, size: int | None = None) -> GraphSpec:
+    """The arena the graph flags describe; `size` stands in for the
+    family's own size flag (sweep).  An explicit --shift replaces the
+    family's shift and is validated by GraphSpec."""
     family = args.family or "torus"
-    shift = (args.shift or "flip_flop").replace("-", "_")
+    if family not in _SIZE_FLAGS:
+        raise ConfigurationError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if size is None:
+        size = getattr(args, _SIZE_FLAGS[family])
+        if size is None:
+            raise ConfigurationError(f"{family} needs --{_SIZE_FLAGS[family]}")
     if family == "torus":
-        if args.side is None:
-            raise ConfigurationError("torus needs --side")
-        ndim = args.dims if args.dims is not None else 2
-        coin = "dirac2" if shift == "dirac" else "grover"
-        return GraphSpec("torus", (args.side,) * ndim, shift=shift, coin=coin)
-    if family == "hypercube":
-        if args.degree is None:
-            raise ConfigurationError("hypercube needs --degree")
-        return GraphSpec("hypercube", (args.degree,))
-    if family == "complete":
-        if args.n is None:
-            raise ConfigurationError("complete graph needs --n")
-        return GraphSpec("complete", (args.n,), shift="swap")
-    raise ConfigurationError(f"unknown family {family!r}")
+        spec = torus_spec(size, args.dims if args.dims is not None else 2)
+    elif family == "hypercube":
+        spec = hypercube_spec(size)
+    else:
+        spec = complete_spec(size)
+    return replace(spec, shift=args.shift.replace("-", "_")) if args.shift else spec
 
 
 def parse_vertex(text: str, spec: GraphSpec) -> int:
@@ -210,28 +233,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.sizes:
-        raise ConfigurationError("sweep needs --sides (torus) or --degrees (hypercube)")
-    family = args.family or "torus"
-    shift = (args.shift or "flip_flop").replace("-", "_")
-    specs = []
-    for size in args.sizes:
-        if family == "torus":
-            coin = "dirac2" if shift == "dirac" else "grover"
-            specs.append(GraphSpec("torus", (size,) * (args.dims or 2),
-                                   shift=shift, coin=coin))
-        elif family == "hypercube":
-            specs.append(GraphSpec("hypercube", (size,)))
-        else:
-            specs.append(GraphSpec("complete", (size,), shift="swap"))
-    result = scaling_sweep(specs)
-    payload = {"family": family, "shift": shift, "sweep": result.to_json_dict()}
+    if not args.sides:
+        raise ConfigurationError("sweep needs --sides (torus sides, hypercube degrees "
+                                 "or complete-graph orders)")
+    result = scaling_sweep([build_spec(args, size) for size in args.sides])
+    payload = {"family": args.family or "torus",
+               "shift": (args.shift or "flip_flop").replace("-", "_"),
+               "sweep": result.to_json_dict()}
     _emit(_json_doc(payload), args.out)
     return EXIT_OK
 
 
 def cmd_two_marked(args) -> int:
-    spec = GraphSpec("torus", (args.side,) * 2)
+    spec = torus_spec(args.side)
     v1 = parse_vertex(args.v1, spec)
     v2 = parse_vertex(args.v2, spec)
     t_max = args.t_max if args.t_max is not None else 1000
@@ -275,7 +289,7 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_analyze_moving(args) -> int:
-    spec = GraphSpec("torus", (args.side,) * 2, shift="moving")
+    spec = torus_spec(args.side, shift="moving")
     overlap_sq = moving_shift_stationary_overlap(spec)
     payload = {
         "spec": spec.label(),
@@ -301,8 +315,6 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--shift", default=None,
                      choices=["flip-flop", "flip_flop", "moving", "dirac", "swap"])
     sub.add_argument("--config", default=None, help="flat TOML-style config file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="reserved; the dynamics are deterministic")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -332,7 +344,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sweep", help="scaling sweep with exponent fit")
     _add_graph_flags(sub)
-    sub.add_argument("--sides", dest="sizes", type=_int_list, default=None,
+    sub.add_argument("--sides", type=_int_list, default=None,
                      help="comma-separated sizes (sides/degrees/orders)")
     sub.set_defaults(handler=cmd_sweep)
 
@@ -363,6 +375,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=None)
     sub.set_defaults(handler=cmd_analyze_moving)
 
+    for sub in commands.choices.values():
+        sub.set_defaults(command_parser=sub)
     return parser
 
 

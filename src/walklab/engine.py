@@ -288,18 +288,6 @@ def closed_neighborhood(graph: Graph, vertices) -> np.ndarray:
                                     + [graph.neighbors(v) for v in vs]))
 
 
-def measure_probabilities(state: WalkState, vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Per requested vertex: p(v) and the neighborhood aggregate.
-
-    p_nbhd(v) = p(v) + sum of p over the neighbors of v; the walk's final
-    state concentrates on the marked vertex and its neighbors, so this is
-    the success figure the experiment harness reports alongside p(v).
-    """
-    vs = [int(v) for v in vertices]
-    p_nb = np.array([neighborhood_probability(state, [v]) for v in vs])
-    return vertex_probabilities(state, vs), p_nb
-
-
 def neighborhood_probability(state: WalkState, vertices) -> float:
     """Combined probability of the union of {v} and its neighbors over vertices."""
     support = closed_neighborhood(state.graph, vertices)

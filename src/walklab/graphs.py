@@ -10,13 +10,13 @@ register names the target vertex.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 FAMILIES = ("torus", "hypercube", "complete")
 SHIFTS = ("flip_flop", "moving", "dirac", "swap")
-COINS = ("grover", "dirac2")
 
 
 class ConfigurationError(ValueError):
@@ -28,21 +28,23 @@ class GraphSpec:
     """Immutable description of a walk arena.
 
     dims: torus -> d equal side lengths; hypercube -> (d,); complete -> (N,).
+    The shift fixes the coin (see `coin`).
     """
 
     family: str
     dims: tuple[int, ...]
     shift: str = "flip_flop"
-    coin: str = "grover"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            raise ConfigurationError(f"dims must be integers, got {self.dims!r}") from None
+        object.__setattr__(self, "dims", dims)
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.shift not in SHIFTS:
             raise ConfigurationError(f"unknown shift {self.shift!r}; choose from {SHIFTS}")
-        if self.coin not in COINS:
-            raise ConfigurationError(f"unknown coin {self.coin!r}; choose from {COINS}")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ConfigurationError("dims must be positive integers")
 
@@ -53,11 +55,8 @@ class GraphSpec:
                 raise ConfigurationError("torus side must be at least 2")
             if self.shift == "swap":
                 raise ConfigurationError("swap shift is only valid on the complete graph")
-            if self.shift == "dirac" or self.coin == "dirac2":
-                if self.shift != "dirac" or self.coin != "dirac2":
-                    raise ConfigurationError("dirac shift and dirac2 coin must be used together")
-                if len(self.dims) != 2:
-                    raise ConfigurationError("dirac walk is only defined on the 2D torus")
+            if self.shift == "dirac" and len(self.dims) != 2:
+                raise ConfigurationError("dirac walk is only defined on the 2D torus")
         elif self.family == "hypercube":
             if len(self.dims) != 1:
                 raise ConfigurationError("hypercube takes a single dimension entry")
@@ -66,15 +65,16 @@ class GraphSpec:
                     "hypercube uses the bit-flip shift (spell it flip_flop); "
                     f"{self.shift!r} is not valid here"
                 )
-            if self.coin != "grover":
-                raise ConfigurationError("hypercube walk uses the grover coin")
         else:  # complete
             if len(self.dims) != 1 or self.dims[0] < 2:
                 raise ConfigurationError("complete graph takes a single entry N >= 2")
             if self.shift != "swap":
                 raise ConfigurationError("complete graph uses the swap shift")
-            if self.coin != "grover":
-                raise ConfigurationError("complete graph walk uses the grover coin")
+
+    @property
+    def coin(self) -> str:
+        """The two-dimensional coin for the dirac shift, the Grover coin otherwise."""
+        return "dirac2" if self.shift == "dirac" else "grover"
 
     @property
     def n_vertices(self) -> int:
@@ -244,8 +244,7 @@ def build_graph(spec: GraphSpec) -> Graph:
 
 
 def torus_spec(side: int, ndim: int = 2, shift: str = "flip_flop") -> GraphSpec:
-    coin = "dirac2" if shift == "dirac" else "grover"
-    return GraphSpec("torus", (side,) * ndim, shift=shift, coin=coin)
+    return GraphSpec("torus", (side,) * ndim, shift=shift)
 
 
 def hypercube_spec(degree: int) -> GraphSpec:

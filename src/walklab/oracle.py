@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .engine import CoinConfig, WalkState, step
+from .engine import CoinConfig, WalkState, marked_coin_state, step, uniform_state
 from .graphs import Graph
+from .spectral import coin_block, lift_block_vector, mode_vertex_wave, torus_modes
 
 DIMENSION_CAP = 1024
 
@@ -54,17 +55,44 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
     return DenseOperator(graph, matrix)
 
 
-def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases (sorted by |phase|) and an orthonormal eigenbasis.
+def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and an orthonormal eigenbasis of a unitary matrix.
 
     Schur of a normal matrix is diagonal, so the Schur vectors are exact
     eigenvectors; plain eig would not hand back an orthonormal basis on
     the heavily degenerate spectra these walks have.
     """
-    t, z = scipy.linalg.schur(op.matrix, output="complex")
-    phases = np.angle(np.diag(t))
+    t, z = scipy.linalg.schur(np.asarray(block, dtype=np.complex128), output="complex")
+    return np.angle(np.diag(t)), z
+
+
+def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases (sorted by |phase|) and an orthonormal eigenbasis."""
+    phases, vectors = block_eigens(op.matrix)
     order = np.argsort(np.abs(phases), kind="stable")
-    return phases[order], z[:, order]
+    return phases[order], vectors[:, order]
+
+
+def dense_principal_pair(op: DenseOperator, marked_vertex: int) -> tuple[float, float, float]:
+    """(alpha, start_overlap, good_overlap) of the principal pair of `op`,
+    the walk perturbed at `marked_vertex`.
+
+    alpha is the smallest nonzero |eigenphase|.  The eigenvectors w+ and w-
+    for e^(+-i alpha) are phase-aligned so their projections on |s, v> are
+    real positive; the overlaps are those of the uniform start with
+    (w+ - w-)/sqrt(2) and of |s, v> with (w+ + w-)/sqrt(2).
+    """
+    phases, vectors = dense_eigens(op)
+    alpha = float(np.min(np.abs(phases[np.abs(phases) > 1e-8])))
+    i_plus = int(np.argmin(np.abs(phases - alpha)))
+    i_minus = int(np.argmin(np.abs(phases + alpha)))
+    sv = marked_coin_state(op.graph, marked_vertex).vector
+    phi0 = uniform_state(op.graph).vector
+    w_plus = vectors[:, i_plus] * np.exp(-1j * np.angle(np.vdot(sv, vectors[:, i_plus])))
+    w_minus = vectors[:, i_minus] * np.exp(-1j * np.angle(np.vdot(sv, vectors[:, i_minus])))
+    start = abs(np.vdot(phi0, (w_plus - w_minus) / np.sqrt(2)))
+    good = abs(np.vdot(sv, (w_plus + w_minus) / np.sqrt(2)))
+    return alpha, float(start), float(good)
 
 
 def eigenspace_projection(phases: np.ndarray, vectors: np.ndarray,
@@ -98,9 +126,6 @@ def lift_principal_eigenvector(graph: Graph, marked_vertex: int,
     the secular equation this is an eigenvector of U' for e^(i alpha) up to
     rounding, which is exactly what the residual tests check.
     """
-    from .spectral import (block_eigens, coin_block, lift_block_vector,
-                           mode_vertex_wave, torus_modes)
-
     spec = graph.spec
     n = graph.n
     sv = np.zeros(graph.coin_dim * n, dtype=np.complex128)
@@ -114,7 +139,7 @@ def lift_principal_eigenvector(graph: Graph, marked_vertex: int,
     def cot(x):
         return np.cos(x) / np.sin(x)
 
-    w_prime = np.sqrt(1.0 / n) * cot(alpha / 2) * _uniform_vector(graph)
+    w_prime = np.sqrt(1.0 / n) * cot(alpha / 2) * uniform_state(graph).vector
     for mode in modes:
         block = coin_block(spec, mode)
         phases, vecs = block_eigens(block)
@@ -140,11 +165,6 @@ def lift_principal_eigenvector(graph: Graph, marked_vertex: int,
                                   + cot((alpha + phase) / 2) * plus.conj())
     vec = sv + 1j * w_prime
     return vec / np.linalg.norm(vec)
-
-
-def _uniform_vector(graph: Graph) -> np.ndarray:
-    dim = graph.coin_dim * graph.n
-    return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
 
 
 def compare_traces(fast, dense) -> float:

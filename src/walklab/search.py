@@ -266,22 +266,12 @@ def predict(spec: GraphSpec, ms: ModeSpectrum | None = None) -> PredictionReport
 
 def _dense_overlap_fallback(spec: GraphSpec) -> tuple[float, float] | None:
     """Overlaps from the aligned dense principal eigenvectors (small N only)."""
-    from .engine import default_coin, marked_coin_state, uniform_state
+    from .engine import default_coin
     from .graphs import build_graph
-    from .oracle import DIMENSION_CAP, dense_eigens, dense_unitary
+    from .oracle import DIMENSION_CAP, dense_principal_pair, dense_unitary
 
     graph = build_graph(spec)
     if graph.coin_dim * graph.n > DIMENSION_CAP:
         return None
-    op = dense_unitary(graph, default_coin(graph, marked=(0,)))
-    phases, vectors = dense_eigens(op)
-    alpha = float(np.min(np.abs(phases[np.abs(phases) > 1e-8])))
-    i_plus = int(np.argmin(np.abs(phases - alpha)))
-    i_minus = int(np.argmin(np.abs(phases + alpha)))
-    sv = marked_coin_state(graph, 0).vector
-    phi0 = uniform_state(graph).vector
-    w_plus = vectors[:, i_plus] * np.exp(-1j * np.angle(np.vdot(sv, vectors[:, i_plus])))
-    w_minus = vectors[:, i_minus] * np.exp(-1j * np.angle(np.vdot(sv, vectors[:, i_minus])))
-    start = abs(np.vdot(phi0, (w_plus - w_minus) / np.sqrt(2)))
-    good = abs(np.vdot(sv, (w_plus + w_minus) / np.sqrt(2)))
-    return float(start), float(good)
+    _, start, good = dense_principal_pair(dense_unitary(graph, default_coin(graph, marked=(0,))), 0)
+    return start, good

@@ -14,13 +14,11 @@ coin blocks below exactly; hypercube modes are (-1)^(k.x)/sqrt(N).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 
@@ -125,12 +123,6 @@ def closed_form_block_phases(spec: GraphSpec, mode) -> list[float]:
     return [theta, -theta] + [0.0] * (ndim - 1) + [_PI] * (ndim - 1)
 
 
-def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases and an orthonormal eigenbasis of a small unitary block."""
-    t, z = scipy.linalg.schur(np.asarray(block, dtype=np.complex128), output="complex")
-    return np.angle(np.diag(t)), z
-
-
 def mode_vertex_wave(graph: Graph, mode) -> np.ndarray:
     """chi_mode as a length-N vertex vector (see module docstring)."""
     spec = graph.spec
@@ -226,9 +218,6 @@ class ModeSpectrum:
                 for e in self.entries
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 class _LevelAccumulator:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from walklab import (GraphSpec, WalkState, build_graph, default_coin, dense_eigens,
-                     dense_unitary, marked_coin_state, uniform_state)
+from walklab import (GraphSpec, WalkState, build_graph, default_coin,
+                     dense_principal_pair, dense_unitary)
 
 
 def random_state(graph, seed=0) -> WalkState:
@@ -17,36 +17,13 @@ def random_state(graph, seed=0) -> WalkState:
 
 
 def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:
-    """Dense ground truth for the perturbed walk's principal pair.
-
-    Aligns the two eigenvectors so their projections on |s, v> are real
-    positive, then forms w_start = (w+ - w-)/sqrt(2), w_good = (w+ + w-)/sqrt(2).
-    """
+    """Dense ground truth for the perturbed walk's principal pair
+    (see `dense_principal_pair`), with the arena and the operator."""
     graph = build_graph(spec)
-    coin = default_coin(graph, marked=(marked,))
-    op = dense_unitary(graph, coin)
-    phases, vectors = dense_eigens(op)
-    nonzero = np.abs(phases) > 1e-8
-    alpha_dense = float(np.min(np.abs(phases[nonzero])))
-    i_plus = int(np.argmin(np.abs(phases - alpha_dense)))
-    i_minus = int(np.argmin(np.abs(phases + alpha_dense)))
-    sv = marked_coin_state(graph, marked).vector
-    phi0 = uniform_state(graph).vector
-    w_plus = vectors[:, i_plus].copy()
-    w_minus = vectors[:, i_minus].copy()
-    w_plus *= np.exp(-1j * np.angle(np.vdot(sv, w_plus)))
-    w_minus *= np.exp(-1j * np.angle(np.vdot(sv, w_minus)))
-    w_start = (w_plus - w_minus) / np.sqrt(2)
-    w_good = (w_plus + w_minus) / np.sqrt(2)
-    return {
-        "graph": graph,
-        "op": op,
-        "phases": phases,
-        "vectors": vectors,
-        "alpha": alpha_dense,
-        "start_overlap": abs(np.vdot(phi0, w_start)),
-        "good_overlap": abs(np.vdot(sv, w_good)),
-    }
+    op = dense_unitary(graph, default_coin(graph, marked=(marked,)))
+    alpha, start, good = dense_principal_pair(op, marked)
+    return {"graph": graph, "op": op, "alpha": alpha,
+            "start_overlap": start, "good_overlap": good}
 
 
 def json_numbers_close(a, b, atol=1e-9, path="$") -> None:

@@ -214,3 +214,54 @@ def test_config_can_choose_family(tmp_path):
     out = tmp_path / "out.json"
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
     assert _read_json(out)["spectrum"]["family"] == "hypercube"
+
+
+@pytest.mark.parametrize("args", [
+    ["predict", "--family", "hypercube", "--degree", "4", "--shift", "moving"],
+    ["predict", "--family", "complete", "--n", "8", "--shift", "flip-flop"],
+    ["sweep", "--family", "hypercube", "--shift", "dirac", "--sides", "4,5"],
+], ids=["predict-hypercube-moving", "predict-complete-flip-flop", "sweep-hypercube-dirac"])
+def test_explicit_shift_is_validated_off_the_torus(args, capsys):
+    assert run_cli(args + ["--out", os.devnull]) == 2
+    assert "shift" in capsys.readouterr().err
+
+
+def _config_exit(tmp_path, capsys, command: str, text: str) -> tuple[int, str]:
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(text, encoding="utf-8")
+    code = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_config_unknown_family_rejected(tmp_path, capsys):
+    code, err = _config_exit(tmp_path, capsys, "sweep", 'family = "foo"\nsides = [4, 6]\n')
+    assert code == 2 and "'foo'" in err
+
+
+def test_config_sides_drive_a_sweep(tmp_path):
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text('family = "torus"\nsides = [8, 16]\n', encoding="utf-8")
+    out = tmp_path / "sweep.json"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [row["n_vertices"] for row in _read_json(out)["sweep"]["rows"]] == [64, 256]
+
+
+def test_config_unknown_key_rejected(tmp_path, capsys):
+    code, err = _config_exit(tmp_path, capsys, "spectrum", "side = 4\nsise = 32\n")
+    assert code == 2 and "'sise'" in err
+    # a flag of another subcommand is unknown here too
+    code, err = _config_exit(tmp_path, capsys, "spectrum", "side = 4\nt_max = 5\n")
+    assert code == 2 and "'t_max'" in err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("spectrum", "side = 4.7\n"),
+    ("spectrum", 'side = "4"\n'),
+    ("spectrum", "side = 4\ndims = true\n"),
+    ("run", "side = 4\nt_max = 5.5\n"),
+    ("sweep", "sides = [8, 16.5]\n"),
+    ("sweep", "sides = 8\n"),
+], ids=["side-float", "side-string", "dims-bool", "t_max-float", "sides-float", "sides-scalar"])
+def test_config_non_integer_values_rejected(tmp_path, capsys, command, text):
+    code, err = _config_exit(tmp_path, capsys, command, text)
+    assert code == 2 and "integer" in err

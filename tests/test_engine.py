@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
                      dense_unitary, evolve_dense, hypercube_spec, load_state,
-                     marked_coin_state, measure_probabilities, overlap,
+                     marked_coin_state, neighborhood_probability, overlap,
                      reflect_about_uniform, save_state, step, torus_spec,
                      uniform_state, unstep, vertex_probabilities)
 
@@ -214,7 +214,8 @@ def test_complete_graph_two_steps_equal_grover_iterate():
 def test_measure_probabilities():
     g = build_graph(torus_spec(4))
     state = uniform_state(g)
-    p, p_nb = measure_probabilities(state, range(g.n))
+    p = vertex_probabilities(state, range(g.n))
+    p_nb = np.array([neighborhood_probability(state, [v]) for v in range(g.n)])
     assert np.allclose(p, 1 / 16)
     assert np.allclose(p_nb, 5 / 16)
     assert abs(p.sum() - 1) < 1e-9
@@ -227,9 +228,9 @@ def test_peak_neighborhood_probability_exceeds_uniform():
     state = uniform_state(g)
     for _ in range(11):
         step(state, coin)
-    _, p_nb = measure_probabilities(state, [0])
-    assert p_nb[0] == pytest.approx(0.7383, abs=2e-4)
-    assert p_nb[0] > 10 / g.n
+    p_nb = neighborhood_probability(state, [0])
+    assert p_nb == pytest.approx(0.7383, abs=2e-4)
+    assert p_nb > 10 / g.n
 
 
 def test_overlap_values():

@@ -29,10 +29,10 @@ def test_complete_swap_rule():
 
 @pytest.mark.parametrize("bad", [
     dict(family="torus", dims=(4, 5)),                      # unequal sides
-    dict(family="torus", dims=(4, 4, 4), shift="dirac", coin="dirac2"),
+    dict(family="torus", dims=(4, 4, 4), shift="dirac"),    # dirac is 2D only
     dict(family="torus", dims=(4, 4), shift="swap"),
-    dict(family="torus", dims=(4, 4), shift="dirac"),       # dirac needs dirac2
-    dict(family="torus", dims=(4, 4), coin="dirac2"),       # dirac2 needs dirac
+    dict(family="torus", dims=(1, 1)),                      # side below 2
+    dict(family="ladder", dims=(4,)),                       # unknown family
     dict(family="hypercube", dims=(3, 3)),
     dict(family="hypercube", dims=(3,), shift="moving"),
     dict(family="complete", dims=(8,), shift="flip_flop"),
@@ -175,3 +175,20 @@ def test_side_two_torus_deduplicates_neighbors():
 def test_spec_accepts_list_dims():
     spec = GraphSpec("torus", [4, 4])
     assert spec.dims == (4, 4)
+
+
+def test_spec_rejects_non_integer_dims():
+    for dims in [(4.7, 4.7), (4.0, 4.0), ("4", "4")]:
+        with pytest.raises(ConfigurationError, match="integers"):
+            GraphSpec("torus", dims)
+    assert GraphSpec("torus", np.array([4, 4])).dims == (4, 4)
+
+
+def test_shift_fixes_the_coin():
+    assert torus_spec(4, shift="dirac").coin == "dirac2"
+    labels = [spec.label() for spec in (
+        torus_spec(4), torus_spec(4, shift="moving"), torus_spec(4, shift="dirac"),
+        torus_spec(3, 3), hypercube_spec(5), complete_spec(9))]
+    assert labels == ["torus(4x4,flip_flop,grover)", "torus(4x4,moving,grover)",
+                      "torus(4x4,dirac,dirac2)", "torus(3x3x3,flip_flop,grover)",
+                      "hypercube(5,flip_flop,grover)", "complete(9,swap,grover)"]
