@@ -39,11 +39,12 @@ EXIT_IO = 4
 
 def load_flat_toml(path: str) -> dict:
     """Parse the supported config subset: `key = value` lines with strings,
-    numbers, booleans, or flat numeric arrays; # starts a comment."""
+    numbers, booleans, or flat numeric arrays; # outside a string starts a
+    comment."""
     out: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _strip_comment(raw).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -51,6 +52,16 @@ def load_flat_toml(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             out[key.replace("-", "_")] = _parse_toml_value(value, f"{path}:{lineno}")
     return out
+
+
+def _strip_comment(line: str) -> str:
+    in_string = False
+    for i, char in enumerate(line):
+        if char == '"':
+            in_string = not in_string
+        elif char == "#" and not in_string:
+            return line[:i]
+    return line
 
 
 def _parse_toml_value(text: str, where: str):
@@ -62,7 +73,10 @@ def _parse_toml_value(text: str, where: str):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        return [_parse_toml_value(part.strip(), where) for part in inner.split(",")]
+        items = [_parse_toml_value(part.strip(), where) for part in inner.split(",")]
+        if any(isinstance(item, (str, bool, list)) for item in items):
+            raise ConfigurationError(f"{where}: arrays hold numbers only, got {text}")
+        return items
     try:
         return int(text)
     except ValueError:
@@ -111,7 +125,8 @@ def _trace_csv(trace) -> str:
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill the flags left unset from --config.  Every key must be a flag of
-    the subcommand being run, and an integer flag takes integers only."""
+    the subcommand being run, an integer flag takes integers only and a
+    string flag strings only; a repeatable flag takes one value."""
     if not getattr(args, "config", None):
         return args
     flags = {action.dest: action for action in args.command_parser._actions
@@ -127,6 +142,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                                              and all(map(_is_int, value))):
             raise ConfigurationError(
                 f"{args.config}: {key} takes a list of integers, got {value!r}")
+        if action.type is None and not isinstance(value, str):
+            raise ConfigurationError(f"{args.config}: {key} takes a string, got {value!r}")
+        if isinstance(action, argparse._AppendAction):
+            value = [value]
         if getattr(args, key) in (None, [], ()):
             setattr(args, key, value)
     return args

@@ -187,8 +187,8 @@ class Graph:
         For the dirac walk, directions 0..3 are the roles up/down/left/right;
         roles 0/1 describe the first half-move (coin basis) and roles 2/3 the
         second (Hadamard basis).  Each half is a permutation of its own
-        (role, vertex) domain; the composed step mixes bases and is applied
-        by the state engine, not by this map.
+        (role, vertex) domain; the composed step mixes bases, and the state
+        engine and the dense oracle compose it from the two halves.
         """
         spec = self.spec
         if not 0 <= vertex < self.n:

@@ -1,10 +1,12 @@
 """Ground truth for small instances: explicit unitaries and eigensystems.
 
 Everything here is validation machinery.  The fast engine is never
-checked against itself: dense matrices are built column by column from
-basis states, powered explicitly, and eigendecomposed via a complex
-Schur reduction (which hands back an orthonormal eigenbasis, since a
-unitary matrix is normal).
+checked against itself: the dense U' = S * C' is assembled from the
+explicit coin matrix and the shift rule of `graphs` (shift_permutation,
+or shift_target per dirac half-move), without calling the engine.  Every
+walk here is real, so U' is a float64 matrix; it is powered explicitly
+and eigendecomposed via a Schur reduction (which hands back an
+orthonormal eigenbasis, since a unitary matrix is normal).
 """
 
 from __future__ import annotations
@@ -14,16 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .engine import CoinConfig, WalkState, marked_coin_state, step, uniform_state
+from .engine import CoinConfig, marked_coin_state, uniform_state
 from .graphs import Graph
-from .spectral import coin_block, lift_block_vector, mode_vertex_wave, torus_modes
+from .spectral import (coin_block, grover_coin, lift_block_vector, mode_vertex_wave,
+                       torus_modes)
 
 DIMENSION_CAP = 1024
+# scaling by the reciprocal, as the engine's dirac shift does, rounds alike
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass
 class DenseOperator:
-    """A full (coin_dim*N)-dimensional unitary with its arena."""
+    """A full (coin_dim*N)-dimensional real unitary with its arena."""
 
     graph: Graph
     matrix: np.ndarray
@@ -38,7 +43,12 @@ class DenseOperator:
 
 
 def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
-    """Column c*N+v is one step applied to the basis state (c, v)."""
+    """U' = S * C' as a float64 matrix, index c*N + v.
+
+    The rows of the explicit coin matrix C' are scattered through the
+    shift permutation.  The dirac step is the coin-basis half-move along
+    y, then the half-move along x conjugated by the Hadamard.
+    """
     dim = graph.coin_dim * graph.n
     if dim > DIMENSION_CAP:
         raise ValueError(
@@ -46,13 +56,54 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
             f"requested coin_dim*N = {dim}"
         )
     coin.validate_for(graph)
-    matrix = np.empty((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[col] = 1.0
-        state = WalkState(graph, amps.reshape(graph.coin_dim, graph.n))
-        matrix[:, col] = step(state, coin).vector
+    c_prime = _coin_matrix(graph, coin)
+    matrix = np.empty_like(c_prime)
+    if graph.spec.shift != "dirac":
+        matrix[graph.shift_permutation()] = c_prime
+    else:
+        matrix[_half_move(graph, (0, 1))] = c_prime
+        _hadamard_rows(matrix, graph.n)
+        c_prime[_half_move(graph, (2, 3))] = matrix  # c_prime's buffer is free
+        matrix = _hadamard_rows(c_prime, graph.n)
     return DenseOperator(graph, matrix)
+
+
+def _coin_matrix(graph: Graph, coin: CoinConfig) -> np.ndarray:
+    """C': the unmarked coin on every vertex, the marking's block on marked ones."""
+    d, n = graph.coin_dim, graph.n
+    grover = grover_coin(d).real
+    if coin.marking == "projector_flip":  # the identity; I - 2|s><s| = -grover
+        unmarked, marked = np.eye(d), -grover
+    elif coin.marking == "minus_c0":
+        unmarked, marked = grover, -grover
+    else:
+        unmarked, marked = grover, -np.eye(d)
+    c_prime = np.kron(unmarked, np.eye(n))
+    for v in coin.marked:
+        block = np.arange(d) * n + v
+        c_prime[np.ix_(block, block)] = marked
+    return c_prime
+
+
+def _half_move(graph: Graph, roles: tuple[int, int]) -> np.ndarray:
+    """Row permutation of one dirac half-move: component c moves as roles[c]."""
+    n = graph.n
+    perm = np.empty(2 * n, dtype=np.int64)
+    for c, role in enumerate(roles):
+        for v in range(n):
+            target, _ = graph.shift_target(v, role)
+            perm[c * n + v] = c * n + target
+    return perm
+
+
+def _hadamard_rows(m: np.ndarray, n: int) -> np.ndarray:
+    """Apply the Hadamard to the coin index of the rows of `m`, in place."""
+    top, bottom = m[:n], m[n:]
+    total = (top + bottom) * _INV_SQRT2
+    np.subtract(top, bottom, out=bottom)
+    bottom *= _INV_SQRT2
+    top[...] = total
+    return m
 
 
 def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,9 +111,14 @@ def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Schur of a normal matrix is diagonal, so the Schur vectors are exact
     eigenvectors; plain eig would not hand back an orthonormal basis on
-    the heavily degenerate spectra these walks have.
+    the heavily degenerate spectra these walks have.  A real matrix takes
+    the real Schur form, whose 2x2 blocks rsf2csf then splits into
+    complex conjugate pairs.
     """
-    t, z = scipy.linalg.schur(np.asarray(block, dtype=np.complex128), output="complex")
+    if np.isrealobj(block):
+        t, z = scipy.linalg.rsf2csf(*scipy.linalg.schur(block, output="real"))
+    else:
+        t, z = scipy.linalg.schur(block, output="complex")
     return np.angle(np.diag(t)), z
 
 
@@ -107,11 +163,16 @@ def eigenspace_projection(phases: np.ndarray, vectors: np.ndarray,
 
 
 def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarray:
-    """Step-by-step matrix application; returns the (steps+1, dim) history."""
+    """Step-by-step matrix application; returns the complex (steps+1, dim) history.
+
+    The real matrix acts on the (dim, 2) float64 view of each state, its
+    real and imaginary parts, in one real product per step.
+    """
     out = np.empty((steps + 1, op.dim), dtype=np.complex128)
     out[0] = vector
+    pairs = out.view(np.float64).reshape(steps + 1, op.dim, 2)
     for t in range(steps):
-        out[t + 1] = op.matrix @ out[t]
+        np.matmul(op.matrix, pairs[t], out=pairs[t + 1])
     return out
 
 

@@ -1,11 +1,12 @@
-"""Shared test utilities: dense principal-pair extraction and state factories."""
+"""Shared test utilities: dense principal-pair extraction, a step-built
+reference unitary and state factories."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from walklab import (GraphSpec, WalkState, build_graph, default_coin,
-                     dense_principal_pair, dense_unitary)
+                     dense_principal_pair, dense_unitary, step)
 
 
 def random_state(graph, seed=0) -> WalkState:
@@ -14,6 +15,18 @@ def random_state(graph, seed=0) -> WalkState:
         + 1j * rng.normal(size=(graph.coin_dim, graph.n))
     amps /= np.linalg.norm(amps)
     return WalkState(graph, amps)
+
+
+def step_built_unitary(graph, coin) -> np.ndarray:
+    """U' column by column: column c*N+v is one engine step of the basis state (c, v)."""
+    dim = graph.coin_dim * graph.n
+    matrix = np.empty((dim, dim), dtype=np.complex128)
+    for col in range(dim):
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[col] = 1.0
+        state = WalkState(graph, amps.reshape(graph.coin_dim, graph.n))
+        matrix[:, col] = step(state, coin).vector
+    return matrix
 
 
 def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:

@@ -13,6 +13,7 @@ from walklab.cli import main
 from helpers import json_numbers_close
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args: list[str]) -> int:
@@ -140,10 +141,12 @@ def test_flags_override_config(tmp_path):
 
 
 def test_console_entry_point():
+    env = dict(os.environ)  # a checkout runs without an install
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "walklab.cli", "spectrum", "--family", "complete",
          "--n", "8"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=env)
     doc = json.loads(result.stdout)
     assert doc["schema"] == 1
     assert doc["spectrum"]["retained_dim"] == 2
@@ -265,3 +268,37 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 def test_config_non_integer_values_rejected(tmp_path, capsys, command, text):
     code, err = _config_exit(tmp_path, capsys, command, text)
     assert code == 2 and "integer" in err
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("spectrum", "side = 4\nshift = 3\n", "shift"),
+    ("spectrum", "side = 4\nfamily = true\n", "family"),
+    ("run", "side = 4\nt_max = 2\nmarked = 5\n", "marked"),
+    ("run", "side = 4\nt_max = 2\nmarked = [1, 2]\n", "marked"),
+], ids=["shift-int", "family-bool", "marked-int", "marked-list"])
+def test_config_non_string_values_rejected(tmp_path, capsys, command, text, key):
+    code, err = _config_exit(tmp_path, capsys, command, text)
+    assert code == 2 and f"{key} takes a string" in err
+
+
+def test_config_marked_is_one_vertex(tmp_path):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text('side = 4\nt_max = 3\nmarked = "1,2"\n', encoding="utf-8")
+    from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(from_config)]) == 0
+    assert run_cli(["run", "--side", "4", "--t-max", "3", "--marked", "1,2",
+                    "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+def test_config_hash_inside_string_is_not_a_comment(tmp_path):
+    out = tmp_path / "trace#1.csv"
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(f'side = 4\nt_max = 3\nout = "{out}"  # the trace\n', encoding="utf-8")
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    assert len(_csv_rows(out)) == 4
+
+
+def test_config_string_in_array_rejected(tmp_path, capsys):
+    code, err = _config_exit(tmp_path, capsys, "sweep", 'sides = [8, "16"]\n')
+    assert code == 2 and "numbers only" in err
