@@ -6,7 +6,7 @@ analyze-moving.  Flags override an optional flat TOML-style config file
 abstract-search structure (predict on the moving shift), 4 I/O failure.
 CSV traces always carry the columns (t, p_marked, p_nbhd, norm); JSON
 documents carry "schema": 1.  Identical configurations produce
-byte-identical output.  WALKLAB_THREADS caps sweep parallelism.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from dataclasses import replace
 from .engine import default_coin
 from .graphs import (FAMILIES, ConfigurationError, GraphSpec, build_graph, complete_spec,
                      hypercube_spec, torus_spec)
-from .runner import (amplify, find_peak, run_two_marked, run_walk,
-                     scaling_sweep, sweep_point)
+from .runner import amplify, find_peak, run_two_marked, run_walk, scaling_sweep
 from .search import predict
 from .spectral import mode_spectrum, moving_shift_stationary_overlap, spectral_sums
 
@@ -255,9 +254,9 @@ def cmd_sweep(args) -> int:
     if not args.sides:
         raise ConfigurationError("sweep needs --sides (torus sides, hypercube degrees "
                                  "or complete-graph orders)")
-    result = scaling_sweep([build_spec(args, size) for size in args.sides])
-    payload = {"family": args.family or "torus",
-               "shift": (args.shift or "flip_flop").replace("-", "_"),
+    specs = [build_spec(args, size) for size in args.sides]
+    result = scaling_sweep(specs)
+    payload = {"family": specs[0].family, "shift": specs[0].shift,
                "sweep": result.to_json_dict()}
     _emit(_json_doc(payload), args.out)
     return EXIT_OK

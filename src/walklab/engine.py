@@ -22,53 +22,28 @@ from .graphs import ConfigurationError, Graph
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _MAGIC = b"WLKSTAT1"
 
-MARKINGS = ("minus_identity", "minus_c0", "projector_flip")
-
 
 @dataclass(frozen=True)
 class CoinConfig:
-    """Which vertices are marked and how the marking acts.
-
-    minus_identity   C1 = -I per marked vertex (grids, hypercube)
-    minus_c0         C1 = -C0 per marked vertex (complete graph)
-    projector_flip   whole-state reflection I - 2|s,v><s,v| (dirac2 coin)
-    """
+    """Which vertices are marked; the arena's `GraphSpec.marking` says how
+    the coin acts on them."""
 
     marked: tuple[int, ...] = ()
-    marking: str = "minus_identity"
 
     def __post_init__(self):
         object.__setattr__(self, "marked", tuple(int(v) for v in self.marked))
-        if self.marking not in MARKINGS:
-            raise ConfigurationError(f"unknown marking {self.marking!r}")
         if len(set(self.marked)) != len(self.marked):
             raise ConfigurationError("marked vertices must be distinct")
 
     def validate_for(self, graph: Graph) -> None:
-        spec = graph.spec
         for v in self.marked:
             if not 0 <= v < graph.n:
                 raise ConfigurationError(f"marked vertex {v} out of range")
-        if self.marking == "minus_c0" and spec.family != "complete":
-            raise ConfigurationError("minus_c0 marking is specific to the complete graph")
-        if self.marking == "minus_identity" and spec.family == "complete":
-            raise ConfigurationError("complete graph uses the minus_c0 marking")
-        if spec.coin == "dirac2" and self.marked and self.marking != "projector_flip":
-            raise ConfigurationError("dirac2 walk marks via projector_flip")
-        if self.marking == "projector_flip" and spec.coin != "dirac2":
-            raise ConfigurationError("projector_flip marking requires the dirac2 coin")
 
 
 def default_coin(graph: Graph, marked=()) -> CoinConfig:
-    """Marking convention the arena expects, for the given marked set."""
-    spec = graph.spec
-    if spec.coin == "dirac2":
-        kind = "projector_flip"
-    elif spec.family == "complete":
-        kind = "minus_c0"
-    else:
-        kind = "minus_identity"
-    cfg = CoinConfig(marked=tuple(marked), marking=kind)
+    """The coin marking `marked`, checked against the arena."""
+    cfg = CoinConfig(marked=tuple(marked))
     cfg.validate_for(graph)
     return cfg
 
@@ -130,14 +105,11 @@ def overlap(a: WalkState, b: WalkState) -> complex:
 
 
 def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
-    """C': Grover coin everywhere, replaced by the marking at marked vertices.
-
-    For projector_flip the unmarked coin is the identity and the marking is
-    the whole-state reflection about |s, v>.
-    """
+    """C': the unmarked coin everywhere, the arena's marking at marked vertices."""
     amps = state.amps
     d = state.graph.coin_dim
-    if coin.marking == "projector_flip":
+    marking = state.graph.spec.marking
+    if marking == "projector_flip":
         for v in coin.marked:  # rank-one reflection I - 2|s,v><s,v|
             c = amps[:, v].sum() / np.sqrt(d)
             amps[:, v] -= (2.0 * c) / np.sqrt(d)
@@ -146,10 +118,10 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
     marked = list(coin.marked)
     colsum = np.sum(amps, axis=0, out=state._spare_buffer()[0])
     colsum *= 2.0 / d
-    if coin.marking == "minus_identity":
+    if marking == "minus_identity":
         colsum[marked] = 0.0  # 0 - a: the marked blocks come out negated
     np.subtract(colsum, amps, out=amps)
-    if marked and coin.marking == "minus_c0":  # negate the Grover result
+    if marked and marking == "minus_c0":  # negate the Grover result
         amps[:, marked] *= -1.0
     return state
 

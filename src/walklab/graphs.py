@@ -77,6 +77,20 @@ class GraphSpec:
         return "dirac2" if self.shift == "dirac" else "grover"
 
     @property
+    def marking(self) -> str:
+        """How the coin acts at a marked vertex; the arena fixes it.
+
+        minus_identity   C1 = -I per marked vertex (grids, hypercube)
+        minus_c0         C1 = -C0 per marked vertex (complete graph)
+        projector_flip   the two-dimensional coin: the unmarked coin is the
+                         identity and each marked vertex reflects the whole
+                         state, I - 2|s,v><s,v|
+        """
+        if self.coin == "dirac2":
+            return "projector_flip"
+        return "minus_c0" if self.family == "complete" else "minus_identity"
+
+    @property
     def n_vertices(self) -> int:
         if self.family == "torus":
             return int(np.prod(self.dims))

@@ -72,9 +72,10 @@ def _coin_matrix(graph: Graph, coin: CoinConfig) -> np.ndarray:
     """C': the unmarked coin on every vertex, the marking's block on marked ones."""
     d, n = graph.coin_dim, graph.n
     grover = grover_coin(d).real
-    if coin.marking == "projector_flip":  # the identity; I - 2|s><s| = -grover
+    marking = graph.spec.marking
+    if marking == "projector_flip":  # the identity; I - 2|s><s| = -grover
         unmarked, marked = np.eye(d), -grover
-    elif coin.marking == "minus_c0":
+    elif marking == "minus_c0":
         unmarked, marked = grover, -grover
     else:
         unmarked, marked = grover, -np.eye(d)

@@ -11,8 +11,6 @@ for side-by-side comparison.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +20,6 @@ from .engine import (CoinConfig, WalkState, closed_neighborhood, default_coin,
                      unstep, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 from .search import PredictionReport, predict
-
-
-def _max_threads() -> int:
-    value = os.environ.get("WALKLAB_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 # -- traces ------------------------------------------------------------------
@@ -60,6 +50,11 @@ class PeakInfo:
     p_star_marked: float
 
 
+def _check_count(name: str, value: int) -> None:
+    if value < 0:
+        raise ConfigurationError(f"{name} must be a non-negative count, got {value}")
+
+
 def evolve(state: WalkState, coin: CoinConfig, steps: int, observe=None,
            inverse: bool = False) -> WalkState:
     """Apply `steps` walk steps, or inverse steps, to `state` in place.
@@ -83,7 +78,7 @@ class _Watch:
         self.config = {
             "graph": graph.spec.label(),
             "marked": list(coin.marked),
-            "marking": coin.marking,
+            "marking": graph.spec.marking,
             "t_max": t_max,
         }
         self.watch = np.array(coin.marked or (0,), dtype=np.int64)
@@ -115,6 +110,7 @@ class _Watch:
 def run_walk(graph: Graph, coin: CoinConfig, t_max: int) -> RunTrace:
     """Evolve t_max steps recording marked and neighborhood probability."""
     coin.validate_for(graph)
+    _check_count("t_max", t_max)
     watch = _Watch(graph, coin, t_max)
     evolve(uniform_state(graph), coin, t_max, watch)
     return watch.trace()
@@ -208,6 +204,8 @@ def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> Am
     coin.validate_for(graph)
     if not coin.marked:
         raise ConfigurationError("amplification needs a marked set")
+    _check_count("walk_length", walk_length)
+    _check_count("rounds", rounds)
     ledger = CostLedger(graph.n, prep_cost=2.0 * math.sqrt(graph.n))
     state = evolve(uniform_state(graph), coin, walk_length)
     ledger.step_count += walk_length
@@ -293,6 +291,7 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
         raise ConfigurationError("two-marked analysis runs on flip-flop tori")
     if v1 == v2:
         raise ConfigurationError("marked vertices must differ")
+    _check_count("t_max", t_max)
     graph = build_graph(spec)
     coin = default_coin(graph, marked=(v1, v2))
     unmarked = default_coin(graph)
@@ -372,14 +371,14 @@ def _default_cap(spec: GraphSpec, report: PredictionReport | None) -> int:
     return max(10, 2 * report.peak_steps)
 
 
-def sweep_point(spec: GraphSpec, cap: int | None = None) -> SweepRow:
+def sweep_point(spec: GraphSpec) -> SweepRow:
     """One sweep entry: evolve to the cap, locate peaks, attach predictions."""
     graph = build_graph(spec)
     coin = default_coin(graph, marked=(0,))
     report = None
     if spec.shift != "moving":
         report = predict(spec)
-    cap = cap if cap is not None else _default_cap(spec, report)
+    cap = _default_cap(spec, report)
     trace = run_walk(graph, coin, cap)
     peak = find_peak(trace)
     return SweepRow(
@@ -394,14 +393,14 @@ def sweep_point(spec: GraphSpec, cap: int | None = None) -> SweepRow:
     )
 
 
-def fit_exponent(rows: list[SweepRow], use_marked_peak: bool = False) -> float | None:
+def fit_exponent(rows: list[SweepRow]) -> float | None:
     """Least-squares slope of log2(t_star) vs log2(N), smallest size dropped
     (finite-size transients distort it).  None when underdetermined or when
     some peak sits at t = 0 (a stalled walk has no scaling law to fit)."""
     if len(rows) < 3:
         return None
     rows = sorted(rows, key=lambda r: r.n_vertices)[1:]
-    peaks = [(r.t_star_marked if use_marked_peak else r.t_star) for r in rows]
+    peaks = [r.t_star for r in rows]
     if any(t < 1 for t in peaks):
         return None
     xs = np.log2([r.n_vertices for r in rows])
@@ -409,17 +408,9 @@ def fit_exponent(rows: list[SweepRow], use_marked_peak: bool = False) -> float |
     return float(slope)
 
 
-def scaling_sweep(specs: list[GraphSpec], caps: list[int] | None = None) -> SweepResult:
-    """Run sweep points (in parallel if WALKLAB_THREADS allows) and fit."""
-    if caps is None:
-        caps = [None] * len(specs)
-    workers = min(_max_threads(), len(specs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(sweep_point, specs, caps))
-    else:
-        rows = [sweep_point(s, c) for s, c in zip(specs, caps)]
-    rows.sort(key=lambda r: r.n_vertices)
+def scaling_sweep(specs: list[GraphSpec]) -> SweepResult:
+    """Run one sweep point per spec and fit the peak-time exponent."""
+    rows = sorted(map(sweep_point, specs), key=lambda r: r.n_vertices)
     return SweepResult(rows, fit_exponent(rows))
 
 

@@ -25,6 +25,7 @@ from .graphs import GraphSpec
 from .spectral import ModeSpectrum, mode_spectrum, spectral_sums
 
 _PI = math.pi
+_BISECTION_TOL = 1e-12  # final bracket width relative to its lower end
 
 
 def _cot(x: np.ndarray | float):
@@ -59,7 +60,7 @@ def alpha_bracket(ms: ModeSpectrum) -> tuple[float, float]:
     return 1.0 / math.sqrt(2.0 * sigma), 0.5 * _PI / math.sqrt(sigma)
 
 
-def solve_alpha(ms: ModeSpectrum, rel_tol: float = 1e-12) -> float:
+def solve_alpha(ms: ModeSpectrum) -> float:
     """Unique root of the secular equation in (0, theta_min), by bisection."""
     ms.validate()
     theta_min = ms.theta_min
@@ -79,7 +80,7 @@ def solve_alpha(ms: ModeSpectrum, rel_tol: float = 1e-12) -> float:
                 f"could not bracket the secular root: f({lo:.3e})={f_lo:.3e}, "
                 f"f({hi:.3e})={f_hi:.3e}, theta_min={theta_min:.6e}"
             )
-    while hi - lo > rel_tol * lo:
+    while hi - lo > _BISECTION_TOL * lo:
         mid = 0.5 * (lo + hi)
         if secular_value(ms, mid) > 0:
             lo = mid
@@ -224,7 +225,7 @@ class PredictionReport:
         }
 
 
-def predict(spec: GraphSpec, ms: ModeSpectrum | None = None) -> PredictionReport:
+def predict(spec: GraphSpec) -> PredictionReport:
     """Full spectral prediction for a single marked vertex on this arena.
 
     peak_steps is where the success probability should crest: the half
@@ -233,8 +234,7 @@ def predict(spec: GraphSpec, ms: ModeSpectrum | None = None) -> PredictionReport
     at or above theta_min/2 the closed-form overlap regime is gone; small
     instances then take their overlaps from the dense eigenvectors instead.
     """
-    if ms is None:
-        ms = mode_spectrum(spec)
+    ms = mode_spectrum(spec)
     alpha = solve_alpha(ms)
     start_overlap, good_overlap = predict_overlaps(ms, alpha)
     in_regime = alpha < 0.5 * ms.theta_min * (1.0 - 1e-9)

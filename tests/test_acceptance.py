@@ -77,8 +77,7 @@ def test_c03_spectrum_reproduction():
     for spec in [torus_spec(4), torus_spec(4, shift="moving"),
                  torus_spec(4, shift="dirac"), torus_spec(4, 3)]:
         g = build_graph(spec)
-        coin = CoinConfig(marking="projector_flip" if spec.coin == "dirac2"
-                          else "minus_identity")
+        coin = CoinConfig()
         phases, _ = dense_eigens(dense_unitary(g, coin))
         closed = []
         for mode in torus_modes(spec):

@@ -211,6 +211,14 @@ def test_sweep_hypercube_and_moving(tmp_path):
     assert all("prediction" not in row for row in doc["sweep"]["rows"])
 
 
+def test_sweep_document_names_the_shift_that_ran(tmp_path):
+    out = tmp_path / "complete.json"
+    assert run_cli(["sweep", "--family", "complete", "--sides", "16,32,64",
+                    "--out", str(out)]) == 0
+    doc = _read_json(out)
+    assert (doc["family"], doc["shift"]) == ("complete", "swap")
+
+
 def test_config_can_choose_family(tmp_path):
     cfg = tmp_path / "hc.toml"
     cfg.write_text('family = "hypercube"\ndegree = 4\n', encoding="utf-8")
@@ -227,6 +235,18 @@ def test_config_can_choose_family(tmp_path):
 def test_explicit_shift_is_validated_off_the_torus(args, capsys):
     assert run_cli(args + ["--out", os.devnull]) == 2
     assert "shift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,name", [
+    (["run", "--side", "4", "--t-max", "-1"], "t_max"),
+    (["run", "--side", "4", "--t-max", "-1", "--summary", os.devnull], "t_max"),
+    (["amplify", "--side", "4", "--walk-length", "-3"], "walk_length"),
+    (["amplify", "--side", "4", "--rounds", "-2"], "rounds"),
+    (["two-marked", "--side", "4", "--v1", "0", "--v2", "5", "--t-max", "-5"], "t_max"),
+], ids=["run", "run-summary", "amplify-walk-length", "amplify-rounds", "two-marked"])
+def test_negative_counts_rejected(args, name, capsys):
+    assert run_cli(args + ["--out", os.devnull]) == 2
+    assert name in capsys.readouterr().err
 
 
 def _config_exit(tmp_path, capsys, command: str, text: str) -> tuple[int, str]:

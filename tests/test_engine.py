@@ -288,12 +288,6 @@ def test_step_unitary_on_random_states(seed, spec_i):
 
 
 def test_marking_validation():
-    g = build_graph(complete_spec(8))
-    with pytest.raises(ConfigurationError):
-        CoinConfig(marked=(0,), marking="minus_identity").validate_for(g)
-    gd = build_graph(torus_spec(4, shift="dirac"))
-    with pytest.raises(ConfigurationError):
-        CoinConfig(marked=(0,), marking="minus_identity").validate_for(gd)
     gt = build_graph(torus_spec(4))
     with pytest.raises(ConfigurationError):
         CoinConfig(marked=(99,)).validate_for(gt)

@@ -192,3 +192,11 @@ def test_shift_fixes_the_coin():
     assert labels == ["torus(4x4,flip_flop,grover)", "torus(4x4,moving,grover)",
                       "torus(4x4,dirac,dirac2)", "torus(3x3x3,flip_flop,grover)",
                       "hypercube(5,flip_flop,grover)", "complete(9,swap,grover)"]
+
+
+def test_arena_fixes_the_marking():
+    markings = [spec.marking for spec in (
+        torus_spec(4), torus_spec(4, shift="moving"), torus_spec(4, shift="dirac"),
+        torus_spec(3, 3), hypercube_spec(5), complete_spec(9))]
+    assert markings == ["minus_identity", "minus_identity", "projector_flip",
+                        "minus_identity", "minus_identity", "minus_c0"]

@@ -7,10 +7,10 @@ import walklab.engine
 import walklab.oracle
 from walklab import (CoinConfig, block_eigens, build_graph, compare_traces, complete_spec,
                      default_coin, dense_eigens, dense_unitary,
-                     eigenspace_projection, hypercube_spec, run_walk, torus_spec,
+                     eigenspace_projection, hypercube_spec, run_walk, step, torus_spec,
                      uniform_state)
 
-from helpers import step_built_unitary
+from helpers import random_state, step_built_unitary
 
 FAMILIES_SMALL = [torus_spec(4), torus_spec(4, shift="moving"),
                   torus_spec(4, shift="dirac"), torus_spec(3, 3),
@@ -56,6 +56,18 @@ def test_unmarked_dense_fixes_uniform():
     op = dense_unitary(g, CoinConfig())
     vec = uniform_state(g).vector
     assert np.max(np.abs(op.matrix @ vec - vec)) < 1e-12
+
+
+def test_unmarked_dirac_coin_is_the_identity():
+    # a coin names only its marked set; the dirac arena fixes the identity coin
+    g = build_graph(torus_spec(4, shift="dirac"))
+    assert np.array_equal(dense_unitary(g, CoinConfig()).matrix,
+                          dense_unitary(g, default_coin(g)).matrix)
+    state = random_state(g, seed=11)
+    twin = state.copy()
+    step(state, CoinConfig())
+    step(twin, default_coin(g))
+    assert np.array_equal(state.amps, twin.amps)
 
 
 def test_dimension_cap():

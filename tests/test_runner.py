@@ -233,9 +233,3 @@ def test_prepare_rejects_other_arenas():
     with pytest.raises(ConfigurationError):
         prepare_uniform_locally(build_graph(torus_spec(4, 3)))
 
-
-def test_sweep_honors_thread_cap(monkeypatch):
-    monkeypatch.setenv("WALKLAB_THREADS", "3")
-    result = scaling_sweep([torus_spec(side) for side in (8, 16, 32)])
-    serial = [sweep_point(torus_spec(side)) for side in (8, 16, 32)]
-    assert [r.t_star for r in result.rows] == [r.t_star for r in serial]

@@ -151,8 +151,7 @@ def test_spectral_sum_bands_2d_and_3d():
 def test_dense_spectrum_equals_block_union():
     for spec in [TORUS4, torus_spec(4, shift="moving"), torus_spec(4, shift="dirac")]:
         g = build_graph(spec)
-        coin = CoinConfig(marking="projector_flip" if spec.coin == "dirac2"
-                          else "minus_identity")
+        coin = CoinConfig()
         op = dense_unitary(g, coin)
         dense_phases, _ = dense_eigens(op)
         closed = []
@@ -191,7 +190,7 @@ def test_weight_recovery_flip_flop():
 def test_block_lift_is_dense_eigenvector():
     spec = torus_spec(4, shift="dirac")
     g = build_graph(spec)
-    op = dense_unitary(g, CoinConfig(marking="projector_flip"))
+    op = dense_unitary(g, CoinConfig())
     for mode in [(0, 1), (2, 2), (3, 1)]:
         phases, vecs = block_eigens(coin_block(spec, mode))
         for j, phase in enumerate(phases):
