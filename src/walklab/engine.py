@@ -1,8 +1,11 @@
 """Walk states and the one-step evolution U' = S * C'.
 
-The state is a complex128 array indexed (direction, vertex).  One step
-costs O(coin_dim * N) and allocates no state-sized array.  The Grover coin
-works in place from one column sum per vertex.  The shift copies the moved
+The state is an array indexed (direction, vertex).  Every walk here is
+real (real orthogonal coins, permutation shifts, real start states), so
+the drivers run float64 states; a complex128 state takes the same code,
+and with zero imaginary parts steps to the same bits.  One step costs
+O(coin_dim * N) and allocates no state-sized array.  The Grover coin works
+in place from one column sum per vertex.  The shift copies the moved
 amplitudes into a spare buffer that each state owns: slices with
 wrap-around on tori, halves per hypercube bit, a blocked transpose for the
 complete graph's register swap.  The state and the spare then swap roles.
@@ -10,6 +13,7 @@ complete graph's register swap.  The state and the spare then swap roles.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -17,8 +21,8 @@ import numpy as np
 
 from .graphs import ConfigurationError, Graph
 
-# numpy divides complex by real sqrt(2) as a product with this reciprocal:
-# multiplying gives the same bits without the cost of complex division
+# numpy divides complex by a real as a product with its reciprocal, so
+# scaling by reciprocals steps a real state to the same bits as the complex one
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _MAGIC = b"WLKSTAT1"
 
@@ -49,7 +53,8 @@ def default_coin(graph: Graph, marked=()) -> CoinConfig:
 
 
 class WalkState:
-    """Complex amplitudes over (direction, vertex) for one arena."""
+    """Amplitudes over (direction, vertex) for one arena: float64 for real
+    input, complex128 for complex input."""
 
     __slots__ = ("graph", "amps", "_spare")
 
@@ -57,14 +62,15 @@ class WalkState:
         if amps.shape != (graph.coin_dim, graph.n):
             raise ValueError(f"amplitude array must have shape {(graph.coin_dim, graph.n)}")
         self.graph = graph
-        self.amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
+        self.amps = np.ascontiguousarray(amps, dtype=dtype)
         self._spare = None
 
     def copy(self) -> "WalkState":
         return WalkState(self.graph, self.amps.copy())
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return math.sqrt(squared_norm(self.amps))
 
     def check_normalized(self, tol: float = 1e-9) -> None:
         defect = abs(self.norm() - 1.0)
@@ -86,14 +92,24 @@ class WalkState:
 def uniform_state(graph: Graph) -> WalkState:
     """The walk's 1-eigenvector: every amplitude 1/sqrt(coin_dim*N)."""
     amp = 1.0 / np.sqrt(graph.coin_dim * graph.n)
-    return WalkState(graph, np.full((graph.coin_dim, graph.n), amp, dtype=np.complex128))
+    return WalkState(graph, np.full((graph.coin_dim, graph.n), amp))
 
 
 def marked_coin_state(graph: Graph, vertex: int) -> WalkState:
     """|s, v>: uniform coin at one vertex."""
-    amps = np.zeros((graph.coin_dim, graph.n), dtype=np.complex128)
+    amps = np.zeros((graph.coin_dim, graph.n))
     amps[:, vertex] = 1.0 / np.sqrt(graph.coin_dim)
     return WalkState(graph, amps)
+
+
+def squared_norm(amps: np.ndarray) -> float:
+    """sum |a|^2 of a state array, over the float64 (re, im) view if complex.
+
+    einsum sums in numpy's own loop, so unlike a BLAS dot its bits do not
+    depend on the thread count.
+    """
+    flat = amps.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def overlap(a: WalkState, b: WalkState) -> complex:
@@ -110,9 +126,10 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
     d = state.graph.coin_dim
     marking = state.graph.spec.marking
     if marking == "projector_flip":
+        inv_sqrt_d = 1.0 / np.sqrt(d)
         for v in coin.marked:  # rank-one reflection I - 2|s,v><s,v|
-            c = amps[:, v].sum() / np.sqrt(d)
-            amps[:, v] -= (2.0 * c) / np.sqrt(d)
+            c = amps[:, v].sum() * inv_sqrt_d
+            amps[:, v] -= (2.0 * c) * inv_sqrt_d
         return state
 
     marked = list(coin.marked)
@@ -248,9 +265,12 @@ def flip_marked_vertices(state: WalkState, marked) -> WalkState:
 def vertex_probabilities(state: WalkState, vertices=None) -> np.ndarray:
     """p(v) summed over the coin register, for every vertex or for `vertices`."""
     a = state.amps if vertices is None else state.amps.take(vertices, axis=1)
+    squares = a.real * a.real
+    if np.iscomplexobj(a):
+        squares += a.imag * a.imag
     # accumulate adds the coin rows in order for any number of columns;
     # sum(axis=0) would add a single column pairwise, in other bits
-    return np.add.accumulate(a.real * a.real + a.imag * a.imag, axis=0)[-1]
+    return np.add.accumulate(squares, axis=0)[-1]
 
 
 def closed_neighborhood(graph: Graph, vertices) -> np.ndarray:

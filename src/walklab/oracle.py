@@ -201,7 +201,9 @@ def lift_principal_eigenvector(graph: Graph, marked_vertex: int,
     def cot(x):
         return np.cos(x) / np.sin(x)
 
-    w_prime = np.sqrt(1.0 / n) * cot(alpha / 2) * uniform_state(graph).vector
+    # complex from the start: the modes below add complex terms in place
+    w_prime = (np.sqrt(1.0 / n) * cot(alpha / 2) * uniform_state(graph).vector
+               ).astype(np.complex128)
     for mode in modes:
         block = coin_block(spec, mode)
         phases, vecs = block_eigens(block)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (CoinConfig, WalkState, closed_neighborhood, default_coin,
-                     flip_marked_vertices, reflect_about_uniform, step, uniform_state,
-                     unstep, vertex_probabilities)
+                     flip_marked_vertices, reflect_about_uniform, squared_norm, step,
+                     uniform_state, unstep, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 from .search import PredictionReport, predict
 
@@ -92,7 +92,7 @@ class _Watch:
         self.norms = np.empty(t_max + 1)
 
     def __call__(self, t: int, state: WalkState) -> None:
-        norm2 = np.vdot(state.amps, state.amps).real
+        norm2 = squared_norm(state.amps)
         if self.everything:
             self.p_marked[t] = vertex_probabilities(state, self.watch).sum()
             self.p_nbhd[t] = norm2
@@ -504,7 +504,7 @@ def prepare_uniform_locally(graph: Graph) -> tuple[WalkState, CostLedger]:
     every column in parallel, then fanned out over the coin register; the
     ledger charges the standard 2 sqrt(N) preparation units.
     """
-    state = WalkState(graph, np.zeros((graph.coin_dim, graph.n), dtype=np.complex128))
+    state = WalkState(graph, np.zeros((graph.coin_dim, graph.n)))
     state.amps[0, 0] = 1.0
     for op in _preparation_circuit(graph):
         op.forward(state.amps)

@@ -98,6 +98,21 @@ def test_csv_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # large enough that a BLAS reduction would split across threads
+    args = ["run", "--family", "torus", "--side", "256", "--marked", "0,0",
+            "--t-max", "60"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.csv"
+        subprocess.run([sys.executable, "-m", "walklab.cli", *args, "--out", str(out)],
+                       check=True, env=env)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_predict_moving_exit_code():
     assert run_cli(["predict", "--family", "torus", "--side", "8",
                     "--shift", "moving", "--out", os.devnull]) == 3

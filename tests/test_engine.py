@@ -1,5 +1,7 @@
 """State evolution: coins, shifts, steps, reflections, and measurement."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,22 @@ from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
                      marked_coin_state, neighborhood_probability, overlap,
                      reflect_about_uniform, save_state, step, torus_spec,
                      uniform_state, unstep, vertex_probabilities)
+from walklab.engine import squared_norm
 
 from helpers import random_state
 
 ALL_FAMILIES = [torus_spec(4), torus_spec(4, shift="moving"),
                 torus_spec(4, shift="dirac"), torus_spec(3, 3),
                 hypercube_spec(4), complete_spec(8)]
+
+
+def real_random_state(graph, seed=0) -> WalkState:
+    amps = np.random.default_rng(seed).normal(size=(graph.coin_dim, graph.n))
+    return WalkState(graph, amps / math.sqrt(math.fsum(amps.ravel() ** 2)))
+
+
+def as_complex(state: WalkState) -> WalkState:
+    return WalkState(state.graph, state.amps.astype(np.complex128))
 
 
 def test_uniform_state_values():
@@ -342,3 +354,61 @@ def test_load_state_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"NOTAWALK" + b"\x00" * 24)
     with pytest.raises(ValueError, match="state file"):
         load_state(build_graph(torus_spec(4)), path)
+
+
+# -- real states ---------------------------------------------------------------
+
+
+def test_driver_states_are_real_and_complex_input_stays_complex():
+    g = build_graph(torus_spec(4))
+    assert uniform_state(g).amps.dtype == np.float64
+    assert marked_coin_state(g, 3).amps.dtype == np.float64
+    assert random_state(g).amps.dtype == np.complex128
+    assert WalkState(g, np.zeros((4, 16), dtype=np.complex64)).amps.dtype == np.complex128
+    assert WalkState(g, np.zeros((4, 16), dtype=np.float32)).amps.dtype == np.float64
+
+
+@pytest.mark.parametrize("marked", [(), (1,), (1, 5)], ids=["unmarked", "one", "two"])
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
+def test_real_state_steps_like_complex(spec, marked):
+    g = build_graph(spec)
+    coin = default_coin(g, marked=marked)
+    real = real_random_state(g, seed=7)
+    cplx = as_complex(real)
+    for advance in [step] * 9 + [unstep] * 9:
+        advance(real, coin)
+        advance(cplx, coin)
+        assert real.amps.dtype == np.float64
+        np.testing.assert_array_equal(real.amps, cplx.amps)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
+def test_vertex_probabilities_real_equals_complex(spec):
+    g = build_graph(spec)
+    real = real_random_state(g, seed=8)
+    cplx = as_complex(real)
+    for vs in (None, [2, 0, 5]):
+        assert (vertex_probabilities(real, vs).tobytes()
+                == vertex_probabilities(cplx, vs).tobytes())
+
+
+def test_real_state_roundtrips_through_the_complex_file_format(tmp_path):
+    g = build_graph(torus_spec(5, shift="dirac"))
+    state = real_random_state(g, seed=9)
+    path, complex_path = tmp_path / "real.bin", tmp_path / "complex.bin"
+    save_state(state, path)
+    save_state(as_complex(state), complex_path)
+    assert path.read_bytes() == complex_path.read_bytes()
+    assert path.stat().st_size == 16 + 16 * g.coin_dim * g.n
+    loaded = load_state(g, path)
+    assert loaded.amps.dtype == np.complex128
+    np.testing.assert_array_equal(loaded.amps, state.amps)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_squared_norm_is_the_sum_of_squares(seed):
+    g = build_graph(torus_spec(16))
+    for state in (random_state(g, seed), real_random_state(g, seed)):
+        exact = math.fsum(np.abs(state.vector) ** 2)
+        assert squared_norm(state.amps) == pytest.approx(exact, rel=1e-14)
+        assert state.norm() == math.sqrt(squared_norm(state.amps))

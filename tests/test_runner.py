@@ -233,3 +233,28 @@ def test_prepare_rejects_other_arenas():
     with pytest.raises(ConfigurationError):
         prepare_uniform_locally(build_graph(torus_spec(4, 3)))
 
+
+# -- no BLAS in the step loop -------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [torus_spec(8), torus_spec(8, shift="moving"),
+                                  torus_spec(8, shift="dirac"), torus_spec(4, 3),
+                                  hypercube_spec(5), complete_spec(16)],
+                         ids=lambda s: s.label())
+def test_step_loop_never_reaches_blas(spec, monkeypatch):
+    # a BLAS reduction splits its sum over threads, so its bits depend on
+    # the thread count; the traces must not
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(1,))
+    probe = random_state(g, seed=3)
+
+    def blas(*args, **kwargs):
+        raise AssertionError("the step loop called a BLAS routine")
+
+    monkeypatch.setattr(np, "vdot", blas)
+    monkeypatch.setattr(np, "dot", blas)
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    run_walk(g, coin, 12)
+    amplify(g, coin, 6, 2)
+    uniform_state(g).check_normalized()
+    probe.check_normalized()
