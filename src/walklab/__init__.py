@@ -8,20 +8,17 @@ from .engine import (CoinConfig, WalkState, apply_coin, apply_shift, default_coi
                      save_state, step, uniform_state, unstep, vertex_probabilities)
 from .graphs import (ConfigurationError, Graph, GraphSpec, build_graph,
                      complete_spec, hypercube_spec, torus_spec)
-from .oracle import (DenseOperator, block_eigens, compare_traces, dense_eigens,
+from .oracle import (DenseOperator, block_eigens, dense_eigens,
                      dense_principal_pair, dense_unitary, eigenspace_projection,
                      evolve_dense, lift_principal_eigenvector)
 from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, SweepResult,
                      TwoMarkedResult, amplify, find_peak, fit_exponent,
-                     prepare_uniform_locally, reflect_via_preparation,
-                     repetition_schedule, rounds_to_quarter, run_two_marked,
-                     run_walk, scaling_sweep, sweep_point)
-from .search import (PredictionReport, alpha_bracket, build_principal_eigenvector,
-                     predict, predict_overlaps, predict_runtime, secular_value,
-                     solve_alpha)
-from .spectral import (ModeSpectrum, SpectrumEntry, closed_form_block_phases,
-                       closed_form_cos, coin_block, grover_coin, lift_block_vector,
-                       mode_spectrum, mode_vertex_wave, moving_shift_stationary_overlap,
-                       spectral_sums, torus_modes)
+                     prepare_uniform_locally, reflect_via_preparation, rounds_to_quarter,
+                     run_two_marked, run_walk, scaling_sweep, sweep_point)
+from .search import (PredictionReport, alpha_bracket, predict, predict_overlaps,
+                     predict_runtime, secular_value, solve_alpha)
+from .spectral import (ModeSpectrum, closed_form_block_phases, closed_form_cos, coin_block,
+                       grover_coin, lift_block_vector, mode_spectrum, mode_vertex_wave,
+                       moving_shift_stationary_overlap, spectral_sums, torus_modes)
 
 __version__ = "0.1.0"

@@ -196,7 +196,7 @@ def lift_principal_eigenvector(graph: Graph, marked_vertex: int,
     if spec.family == "hypercube":
         modes = [m for m in np.ndindex(*(2,) * spec.dims[0]) if any(m)]
     else:
-        modes = [m for m in torus_modes(spec) if any(m)]
+        modes = torus_modes(spec)[1:]  # row 0 is the zero mode
 
     def cot(x):
         return np.cos(x) / np.sin(x)
@@ -230,13 +230,3 @@ def lift_principal_eigenvector(graph: Graph, marked_vertex: int,
     vec = sv + 1j * w_prime
     return vec / np.linalg.norm(vec)
 
-
-def compare_traces(fast, dense) -> float:
-    """Max absolute deviation between two equal-length probability traces."""
-    a = np.asarray(fast, dtype=float)
-    b = np.asarray(dense, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("traces must have equal length")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))

@@ -124,32 +124,6 @@ def find_peak(trace: RunTrace) -> PeakInfo:
                     int(trace.t[j]), float(trace.p_marked[j]))
 
 
-# -- repetition schedule -------------------------------------------------------
-
-
-def repetition_schedule(t_min: float, t_max: float, epsilon: float) -> list[int]:
-    """Geometric run-length ladder t_min, (1+eps) t_min, ... capped at t_max.
-
-    Both endpoints are included, so some entry is within a factor (1 +- eps)
-    of any time in [t_min, t_max].
-    """
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
-    if t_min <= 0 or t_max < t_min:
-        raise ConfigurationError("need 0 < t_min <= t_max")
-    ladder = []
-    value = float(t_min)
-    while value < t_max - 1e-9:
-        ladder.append(round(value))
-        value *= 1.0 + epsilon
-    ladder.append(round(t_max))
-    out = []
-    for entry in ladder:  # rounding can collide at small t
-        if not out or entry > out[-1]:
-            out.append(int(entry))
-    return out
-
-
 # -- amplitude amplification ---------------------------------------------------
 
 

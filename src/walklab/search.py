@@ -38,10 +38,14 @@ def _effective_a0_sq(ms: ModeSpectrum) -> float:
     return ms.a0_sq + ms.frozen_weight
 
 
+def _weight_mult(ms: ModeSpectrum) -> np.ndarray:
+    # a float column even where a hypercube's counts outgrow int64 (object ints)
+    return ms.entries.weight * ms.entries.multiplicity.astype(float)
+
+
 def secular_value(ms: ModeSpectrum, alpha: float) -> float:
     """Left side of the secular equation at a candidate eigenphase."""
-    thetas = np.array([e.theta for e in ms.entries])
-    wm = np.array([e.weight * e.multiplicity for e in ms.entries])
+    thetas, wm = ms.entries.theta, _weight_mult(ms)
     terms = wm * (_cot((alpha + thetas) / 2) + _cot((alpha - thetas) / 2))
     total = math.fsum(terms.tolist())
     return _effective_a0_sq(ms) * _cot(alpha / 2) + total
@@ -96,44 +100,6 @@ def solve_alpha(ms: ModeSpectrum) -> float:
     return alpha
 
 
-# -- principal eigenvectors -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrincipalVector:
-    """Coefficients of |w'_alpha> over (psi_start, Phi_j^+, Phi_j^-, frozen).
-
-    The eigenvector of U' for e^(i alpha) is |psi_good> + i |w'_alpha>.
-    Entries are aligned with the ModeSpectrum levels; each of the m_j pairs
-    in a level shares the same pair of cotangent coefficients.
-    """
-
-    c_start: float
-    c_plus: np.ndarray
-    c_minus: np.ndarray
-    c_frozen: float
-
-    def norm_sq(self, ms: ModeSpectrum) -> float:
-        mults = np.array([e.multiplicity for e in ms.entries], dtype=float)
-        # c_plus/c_minus already carry the per-pair weight a_j
-        pair_part = float(np.sum(mults * (self.c_plus ** 2 + self.c_minus ** 2)))
-        return self.c_start ** 2 + self.c_frozen ** 2 + pair_part
-
-
-def build_principal_eigenvector(ms: ModeSpectrum, alpha: float) -> PrincipalVector:
-    """Coefficient list of |w'_alpha> (unnormalized)."""
-    thetas = np.array([e.theta for e in ms.entries])
-    a = np.sqrt(np.array([e.weight for e in ms.entries]))
-    c_start = math.sqrt(ms.a0_sq) * _cot(alpha / 2)
-    c_frozen = math.sqrt(ms.frozen_weight) * _cot(alpha / 2)
-    return PrincipalVector(
-        c_start=c_start,
-        c_plus=a * _cot((alpha - thetas) / 2),
-        c_minus=a * _cot((alpha + thetas) / 2),
-        c_frozen=c_frozen,
-    )
-
-
 def predict_overlaps(ms: ModeSpectrum, alpha: float) -> tuple[float, float]:
     """(start_overlap, good_overlap) of the true start/target states with
     the normalized principal combinations w_start and w_good.
@@ -153,8 +119,7 @@ def predict_overlaps(ms: ModeSpectrum, alpha: float) -> tuple[float, float]:
     surrounding theory additionally wants alpha < theta_min/2; the report
     records whether that holds.
     """
-    thetas = np.array([e.theta for e in ms.entries])
-    wm = np.array([e.weight * e.multiplicity for e in ms.entries])
+    thetas, wm = ms.entries.theta, _weight_mult(ms)
     sum_mix = float(np.sum(wm * (_cot((alpha - thetas) / 2) + _cot((alpha + thetas) / 2)) ** 2))
     cot_half = _cot(alpha / 2)
     start_norm_sq = 2.0 * _effective_a0_sq(ms) * cot_half ** 2 + sum_mix

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress
 
 import numpy as np
 
-from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
+from .graphs import ConfigurationError, Graph, GraphSpec
 
 _PI = math.pi
 _MERGE_DECIMALS = 10  # eigenphases closer than this are one degenerate level
@@ -82,22 +82,21 @@ def coin_block(spec: GraphSpec, mode) -> np.ndarray:
     return diag @ grover_coin(d)
 
 
-def closed_form_cos(spec: GraphSpec, mode) -> float:
-    """cos(theta) of the non-trivial eigenphase pair on one mode."""
+def closed_form_cos(spec: GraphSpec, mode) -> float | np.ndarray:
+    """cos(theta) of the non-trivial eigenphase pair on one mode, or on each
+    row of an (M, d) array of modes."""
+    mode = np.asarray(mode)
     if spec.family == "hypercube":
-        d = spec.dims[0]
-        w = sum(mode)
-        return 1.0 - 2.0 * w / d
+        return 1.0 - 2.0 * mode.sum(axis=-1) / spec.dims[0]
     length = spec.dims[0]
-    angles = [2 * _PI * k / length for k in mode]
     if spec.shift == "flip_flop":
-        return float(np.mean(np.cos(angles)))
+        return np.mean(np.cos(2 * _PI * mode / length), axis=-1)
     if spec.shift == "moving":
-        return float(-np.mean(np.cos(angles)))
+        return -np.mean(np.cos(2 * _PI * mode / length), axis=-1)
     if spec.shift == "dirac":
-        k, el = mode
-        return 0.5 * (math.cos(2 * _PI * (k + el) / length)
-                      + math.cos(2 * _PI * (k - el) / length))
+        k, el = mode[..., 0], mode[..., 1]
+        return 0.5 * (np.cos(2 * _PI * (k + el) / length)
+                      + np.cos(2 * _PI * (k - el) / length))
     raise ConfigurationError(f"no closed form for shift {spec.shift!r}")
 
 
@@ -149,24 +148,16 @@ def lift_block_vector(graph: Graph, mode, coin_vec: np.ndarray) -> np.ndarray:
 # -- mode spectrum ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One degenerate level of conjugate eigenphase pairs.
-
-    theta is in (0, pi]; weight is the squared projection of the marked
-    coin state onto one member of each pair (theta = pi levels carry the
-    full projection split as two half-weight virtual pair members, which
-    keeps every downstream formula uniform).
-    """
-
-    theta: float
-    weight: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSpectrum:
     """Abstract-search input: start weight a0^2 plus the rotating levels.
+
+    entries is a record array with one row per degenerate level of
+    conjugate eigenphase pairs, sorted by theta, and the columns theta,
+    weight and multiplicity.  theta is in (0, pi]; weight is the squared
+    projection of the marked coin state onto one member of each pair
+    (theta = pi levels carry the full projection split as two half-weight
+    virtual pair members, which keeps every downstream formula uniform).
 
     frozen_weight is the squared projection of the marked coin state onto
     +1-eigenvectors of the walk other than the uniform state (nonzero only
@@ -175,29 +166,29 @@ class ModeSpectrum:
     """
 
     a0_sq: float
-    entries: tuple[SpectrumEntry, ...]
+    entries: np.recarray
     n_vertices: int
     family: str
     frozen_weight: float = 0.0
 
     @property
     def theta_min(self) -> float:
-        return self.entries[0].theta
+        return float(self.entries.theta[0])
 
     @property
     def retained_dim(self) -> int:
-        dim = 1 + (1 if self.frozen_weight > 0 else 0)
-        for e in self.entries:
-            dim += e.multiplicity if e.theta > _PI - 1e-12 else 2 * e.multiplicity
-        return dim
+        # Python ints: a hypercube's level counts outgrow int64
+        mult = self.entries.multiplicity.tolist()
+        single = compress(mult, self.entries.theta > _PI - 1e-12)  # pi levels are not pairs
+        return 1 + (1 if self.frozen_weight > 0 else 0) + 2 * sum(mult) - sum(single)
 
     def completeness_defect(self) -> float:
         total = self.a0_sq + self.frozen_weight
-        total += sum(2.0 * e.weight * e.multiplicity for e in self.entries)
+        total += float(np.sum(2.0 * self.entries.weight * self.entries.multiplicity))
         return abs(total - 1.0)
 
     def validate(self, tol: float = 1e-9) -> None:
-        if not self.entries:
+        if len(self.entries) == 0:
             raise ConfigurationError("empty mode spectrum")
         if self.theta_min <= 0:
             raise ConfigurationError("theta_min must be positive")
@@ -213,33 +204,28 @@ class ModeSpectrum:
             "retained_dim": self.retained_dim,
             "n_vertices": self.n_vertices,
             "family": self.family,
-            "entries": [
-                {"theta": e.theta, "weight": e.weight, "multiplicity": e.multiplicity}
-                for e in self.entries
-            ],
+            "entries": [dict(zip(self.entries.dtype.names, row))
+                        for row in self.entries.tolist()],
         }
 
 
-class _LevelAccumulator:
-    """Groups eigenphases that agree to _MERGE_DECIMALS, keeping exact values."""
-
-    def __init__(self):
-        self._levels: dict[float, list] = {}
-
-    def add(self, theta: float, multiplicity: int = 1) -> None:
-        key = round(theta, _MERGE_DECIMALS)
-        slot = self._levels.setdefault(key, [theta, 0])
-        slot[1] += multiplicity
-
-    def entries(self, weight: float) -> tuple[SpectrumEntry, ...]:
-        levels = sorted(self._levels.values())
-        return tuple(SpectrumEntry(theta, weight, mult) for theta, mult in levels)
+def _levels(theta, weight: float, multiplicity) -> np.recarray:
+    return np.rec.fromarrays([theta, np.full(len(theta), weight), multiplicity],
+                             names="theta,weight,multiplicity")
 
 
-def torus_modes(spec: GraphSpec):
+def _acos(cos_values: np.ndarray) -> list[float]:
+    # math.acos, not np.arccos: the two differ in the last bits
+    return [math.acos(c) for c in cos_values.tolist()]
+
+
+def torus_modes(spec: GraphSpec) -> np.ndarray:
+    """Every Fourier mode of the torus as an (M, d) int array, one row per
+    mode in itertools.product order; C order, so that reductions along a row
+    round as they do on a single mode."""
     length = spec.dims[0]
     ndim = 2 if spec.shift == "dirac" else len(spec.dims)
-    yield from product(range(length), repeat=ndim)
+    return np.ascontiguousarray(np.indices((length,) * ndim).reshape(ndim, -1).T)
 
 
 def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
@@ -258,39 +244,41 @@ def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
         )
 
     if spec.family == "complete":
-        entry = SpectrumEntry(_PI, (n - 1) / (2.0 * n), 1)
-        ms = ModeSpectrum(1.0 / n, (entry,), n, spec.family)
+        ms = ModeSpectrum(1.0 / n, _levels([_PI], (n - 1) / (2.0 * n), [1]), n, spec.family)
         ms.validate()
         return ms
 
     if spec.family == "hypercube":
         d = spec.dims[0]
-        acc = _LevelAccumulator()
-        for w in range(1, d + 1):
-            acc.add(math.acos(1.0 - 2.0 * w / d), math.comb(d, w))
-        ms = ModeSpectrum(1.0 / n, acc.entries(1.0 / (2 * n)), n, spec.family)
+        # row w-1 of the lower triangle is a mode of Hamming weight w
+        cos_theta = closed_form_cos(spec, np.tri(d, dtype=np.int64))
+        mult = [math.comb(d, w) for w in range(1, d + 1)]
+        ms = ModeSpectrum(1.0 / n, _levels(_acos(cos_theta), 1.0 / (2 * n), mult),
+                          n, spec.family)
         ms.validate()
         return ms
 
-    # tori: flip-flop any dimension, dirac in two
-    frozen = 0.0
-    acc = _LevelAccumulator()
-    for mode in torus_modes(spec):
-        if all(k == 0 for k in mode):
-            continue
-        cos_theta = closed_form_cos(spec, mode)
-        if cos_theta > 1.0 - 1e-12:
-            # an extra +1 block: its share of |s,v> never rotates
-            frozen += 1.0 / n
-            continue
-        acc.add(math.acos(max(-1.0, cos_theta)))
-    ms = ModeSpectrum(1.0 / n, acc.entries(1.0 / (2 * n)), n,
-                      spec.family, frozen_weight=frozen)
+    # tori: flip-flop any dimension, dirac in two; row 0 is the zero mode
+    cos_theta = closed_form_cos(spec, torus_modes(spec)[1:])
+    rotating = cos_theta <= 1.0 - 1e-12
+    # each extra +1 block keeps its share of |s,v> from rotating
+    frozen = np.count_nonzero(~rotating) / n
+    cos_theta = np.maximum(cos_theta[rotating], -1.0)
+    # one level per eigenphase to _MERGE_DECIMALS, valued at its first mode
+    _, first, mult = np.unique(np.round(np.arccos(cos_theta), _MERGE_DECIMALS),
+                               return_index=True, return_counts=True)
+    ms = ModeSpectrum(1.0 / n, _levels(_acos(cos_theta[first]), 1.0 / (2 * n), mult),
+                      n, spec.family, frozen_weight=frozen)
     ms.validate()
     return ms
 
 
 # -- spectral sums ---------------------------------------------------------
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """Left-to-right float sum; np.sum adds pairwise and rounds differently."""
+    return float(np.add.accumulate(terms)[-1])
 
 
 def spectral_sums(ms: ModeSpectrum) -> tuple[float, float, float]:
@@ -300,14 +288,13 @@ def spectral_sums(ms: ModeSpectrum) -> tuple[float, float, float]:
     S2 = sum (a_j^2/a_0^2) m_j / (1-cos theta_j)^2 -- sets the start overlap
     Scot = sum a_j^2 m_j cot^2(theta_j/4)          -- sets the good overlap
     """
-    s1 = s2 = scot = 0.0
-    for e in ms.entries:
-        gap = 1.0 - math.cos(e.theta)
-        ratio = e.weight / ms.a0_sq * e.multiplicity
-        s1 += ratio / gap
-        s2 += ratio / gap ** 2
-        scot += e.weight * e.multiplicity / math.tan(e.theta / 4.0) ** 2
-    return s1, s2, scot
+    lv = ms.entries
+    gap = 1.0 - np.cos(lv.theta)
+    ratio = lv.weight / ms.a0_sq * lv.multiplicity
+    # math.tan, not np.tan: the two differ in the last bits
+    tan_quarter = np.array([math.tan(t / 4.0) for t in lv.theta.tolist()])
+    return (_sum_in_order(ratio / gap), _sum_in_order(ratio / gap ** 2),
+            _sum_in_order(lv.weight * lv.multiplicity / tan_quarter ** 2))
 
 
 # -- moving shift ------------------------------------------------------------
@@ -324,21 +311,27 @@ def moving_shift_stationary_overlap(spec: GraphSpec, marked_vertex: int = 0) -> 
     if spec.family != "torus" or len(spec.dims) != 2 or spec.shift != "moving":
         raise ConfigurationError("stationary overlap analysis is for the 2D moving shift")
     n = spec.n_vertices
-    graph = build_graph(spec)
     if not 0 <= marked_vertex < n:
         raise ConfigurationError(f"marked vertex {marked_vertex} out of range")
 
     length = spec.dims[0]
-    omega = np.exp(2j * _PI / length)
-    total = 0.0
-    for k, el in torus_modes(spec):
-        wk, wl = omega ** k, omega ** el
-        u1 = np.array([wk * (1 + wl), 1 + wl, wl * (1 + wk), 1 + wk])
-        nrm = np.linalg.norm(u1)
-        if nrm < 1e-12:
-            continue  # degenerate mode; its 1-eigenvectors are orthogonal to |s>
-        # <s|u1> = (1+w^k)(1+w^l) for s = (1,1,1,1)/2, and |<v|chi_k chi_l>| = 1/sqrt(N)
-        total += (abs((1 + wk) * (1 + wl)) / nrm) ** 2 / n
+    w = np.exp(2j * _PI / length) ** np.arange(length)  # omega^k
+    ck, sk = w.real[:, None], w.imag[:, None]  # w^k = ck + i sk, k along axis 0
+    cl, sl = w.real[None, :], w.imag[None, :]  # w^l = cl + i sl, l along axis 1
+    pk, pl = 1 + ck, 1 + cl  # real parts of 1 + w^k and 1 + w^l
+    # complex products spelled out as (ac - bd) + i(ad + bc): numpy rounds a
+    # complex scalar product so, while its complex array loops fuse the terms
+    a_re, a_im = ck * pl - sk * sl, ck * sl + sk * pl  # w^k (1+w^l)
+    b_re, b_im = cl * pk - sl * sk, cl * sk + sl * pk  # w^l (1+w^k)
+    # |u1|^2 added per part in the pairs (0, 2), (1, 3), as the dot product
+    # inside np.linalg.norm adds one 4-vector
+    nrm = np.sqrt(((a_re ** 2 + b_re ** 2) + (pl ** 2 + pk ** 2))
+                  + ((a_im ** 2 + b_im ** 2) + (sl ** 2 + sk ** 2)))
+    # <s|u1> = (1+w^k)(1+w^l) for s = (1,1,1,1)/2, and |<v|chi_k chi_l>| = 1/sqrt(N);
+    # np.hypot rounds as abs() of a complex scalar does, np.abs of an array does not
+    s_proj = np.hypot(pk * pl - sk * sl, pk * sl + sk * pl)
+    # a degenerate mode's 1-eigenvectors are orthogonal to |s>
+    total = _sum_in_order(((s_proj / nrm) ** 2 / n)[nrm >= 1e-12])
     alpha00_sq = 1.0 / n
     overlap_sq = float(1.0 - alpha00_sq / total)
     if overlap_sq < 1.0 - 16.0 / n:

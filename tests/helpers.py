@@ -1,11 +1,15 @@
 """Shared test utilities: dense principal-pair extraction, a step-built
-reference unitary and state factories."""
+reference unitary, per-mode references for the spectral layer and state
+factories."""
 
 from __future__ import annotations
 
+import math
+from itertools import product
+
 import numpy as np
 
-from walklab import (GraphSpec, WalkState, build_graph, default_coin,
+from walklab import (GraphSpec, WalkState, build_graph, closed_form_cos, default_coin,
                      dense_principal_pair, dense_unitary, step)
 
 
@@ -27,6 +31,55 @@ def step_built_unitary(graph, coin) -> np.ndarray:
         state = WalkState(graph, amps.reshape(graph.coin_dim, graph.n))
         matrix[:, col] = step(state, coin).vector
     return matrix
+
+
+def levels(*rows) -> np.recarray:
+    """ModeSpectrum.entries from (theta, weight, multiplicity) rows."""
+    return np.rec.fromarrays(list(zip(*rows)) or [[], [], []],
+                             names="theta,weight,multiplicity")
+
+
+def per_mode_levels(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """(theta, multiplicity, frozen_weight) of mode_spectrum, one mode at a time.
+
+    closed_form_cos is called per mode; eigenphases are grouped on
+    round(theta, 10) and each level keeps the theta of its first mode in
+    itertools.product order.
+    """
+    if spec.family == "hypercube":
+        modes = product((0, 1), repeat=spec.dims[0])
+    else:
+        ndim = 2 if spec.shift == "dirac" else len(spec.dims)
+        modes = product(range(spec.dims[0]), repeat=ndim)
+    n = spec.n_vertices
+    frozen = 0.0
+    found: dict[float, list] = {}
+    for mode in modes:
+        if not any(mode):
+            continue
+        cos_theta = float(closed_form_cos(spec, mode))
+        if cos_theta > 1.0 - 1e-12:
+            frozen += 1.0 / n
+            continue
+        theta = math.acos(max(-1.0, cos_theta))
+        found.setdefault(round(theta, 10), [theta, 0])[1] += 1
+    theta, mult = zip(*sorted(found.values()))
+    return np.array(theta), np.array(mult), frozen
+
+
+def per_mode_stationary_overlap(spec: GraphSpec) -> float:
+    """moving_shift_stationary_overlap with one complex 4-vector per mode."""
+    length, n = spec.dims[0], spec.n_vertices
+    omega = np.exp(2j * math.pi / length)
+    total = 0.0
+    for k, el in product(range(length), repeat=2):
+        wk, wl = omega ** k, omega ** el
+        u1 = np.array([wk * (1 + wl), 1 + wl, wl * (1 + wk), 1 + wk])
+        nrm = np.linalg.norm(u1)
+        if nrm < 1e-12:
+            continue
+        total += (abs((1 + wk) * (1 + wl)) / nrm) ** 2 / n
+    return float(1.0 - (1.0 / n) / total)
 
 
 def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:

@@ -4,7 +4,11 @@ Run `python tests/regen_golden.py` from the repository root after an
 intentional output-format change, then review the diff before committing.
 """
 
+import sys
 from pathlib import Path
+
+# a checkout runs without an install
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from walklab.cli import main
 

@@ -11,6 +11,7 @@ import pytest
 from walklab.cli import main
 
 from helpers import json_numbers_close
+from regen_golden import CASES as GOLDEN_JSON_CASES
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,27 +39,6 @@ def _csv_close(a, b, atol=1e-9):
         assert len(ra) == len(rb)
         for x, y in zip(ra, rb):
             assert abs(x - y) <= atol * max(1.0, abs(x), abs(y))
-
-
-GOLDEN_JSON_CASES = [
-    ("spectrum_torus4.json",
-     ["spectrum", "--family", "torus", "--side", "4", "--dims", "2",
-      "--shift", "flip-flop"]),
-    ("predict_torus16.json",
-     ["predict", "--family", "torus", "--side", "16", "--dims", "2"]),
-    ("predict_complete64.json",
-     ["predict", "--family", "complete", "--n", "64"]),
-    ("sweep_2d.json",
-     ["sweep", "--family", "torus", "--dims", "2", "--sides", "8,16,32"]),
-    ("two_marked8.json",
-     ["two-marked", "--side", "8", "--v1", "0,0", "--v2", "3,5",
-      "--t-max", "50"]),
-    ("amplify8.json",
-     ["amplify", "--family", "torus", "--side", "8", "--dims", "2",
-      "--marked", "0,0", "--rounds", "2"]),
-    ("analyze_moving8.json",
-     ["analyze-moving", "--side", "8"]),
-]
 
 
 @pytest.mark.parametrize("golden_name,args", GOLDEN_JSON_CASES,

@@ -1,20 +1,17 @@
-"""Experiment harness: traces, peaks, schedules, amplification, sweeps, prep."""
+"""Experiment harness: traces, peaks, amplification, sweeps, prep."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from walklab import (ConfigurationError, RunTrace, amplify, build_graph,
                      complete_spec, default_coin, find_peak, fit_exponent,
                      hypercube_spec, neighborhood_probability,
                      prepare_uniform_locally, predict, reflect_about_uniform,
-                     reflect_via_preparation, repetition_schedule,
-                     rounds_to_quarter, run_two_marked, run_walk, scaling_sweep,
-                     step, sweep_point, torus_spec, uniform_state,
-                     vertex_probabilities)
+                     reflect_via_preparation, rounds_to_quarter, run_two_marked,
+                     run_walk, scaling_sweep, step, sweep_point, torus_spec,
+                     uniform_state, vertex_probabilities)
 
 from helpers import random_state
 
@@ -84,30 +81,6 @@ def test_side16_argmax_within_quarter_turn_factor_two():
     row = sweep_point(torus_spec(16))
     t_star_pred = row.prediction.t_star
     assert t_star_pred / 2 <= row.t_star <= 2 * t_star_pred
-
-
-def test_repetition_schedule_examples():
-    assert repetition_schedule(10, 40, 1.0) == [10, 20, 40]
-    assert repetition_schedule(8, 27, 0.5) == [8, 12, 18, 27]
-
-
-@given(t_min=st.integers(2, 50), factor=st.floats(1.1, 8.0),
-       eps=st.floats(0.05, 1.0))
-@settings(max_examples=60, deadline=None)
-def test_repetition_schedule_covers_interval(t_min, factor, eps):
-    t_max = t_min * factor
-    ladder = repetition_schedule(t_min, t_max, eps)
-    assert ladder[0] == round(t_min) and ladder[-1] == round(t_max)
-    for target in np.linspace(t_min, t_max, 37):
-        # one rung within (1 +- eps), with a unit of rounding slack
-        assert any(abs(r - target) <= eps * target + 1 for r in ladder)
-
-
-def test_repetition_schedule_validation():
-    with pytest.raises(ConfigurationError):
-        repetition_schedule(10, 5, 0.5)
-    with pytest.raises(ConfigurationError):
-        repetition_schedule(10, 20, 0.0)
 
 
 # -- amplification ---------------------------------------------------------

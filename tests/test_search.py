@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import (ConfigurationError, ModeSpectrum, SpectrumEntry,
-                     alpha_bracket, build_graph, build_principal_eigenvector,
+from walklab import (ConfigurationError, ModeSpectrum, alpha_bracket, build_graph,
                      complete_spec, hypercube_spec, lift_principal_eigenvector,
                      mode_spectrum, predict, predict_overlaps, predict_runtime,
                      secular_value, solve_alpha, spectral_sums, torus_spec)
 
-from helpers import principal_dense_data
+from helpers import levels, principal_dense_data
 
 DENSE_SPECS = [torus_spec(4), torus_spec(6), torus_spec(4, shift="dirac"),
                torus_spec(5, shift="dirac"), hypercube_spec(5), torus_spec(4, 3),
@@ -66,7 +65,7 @@ def test_secular_value_signs_at_ends():
 
 
 def test_empty_spectrum_rejected():
-    ms = ModeSpectrum(a0_sq=1.0, entries=(), n_vertices=4, family="torus")
+    ms = ModeSpectrum(a0_sq=1.0, entries=levels(), n_vertices=4, family="torus")
     with pytest.raises(ConfigurationError):
         solve_alpha(ms)
 
@@ -74,11 +73,18 @@ def test_empty_spectrum_rejected():
 def test_principal_vector_orthogonal_to_good_state():
     ms = mode_spectrum(torus_spec(4))
     alpha = solve_alpha(ms)
-    vec = build_principal_eigenvector(ms, alpha)
+    lv = ms.entries
+
+    def cot(x):
+        return np.cos(x) / np.sin(x)
+
+    # coefficients of |w'_alpha> over psi_start and each pair's Phi_j^+ and Phi_j^-
+    c_start = math.sqrt(ms.a0_sq) * cot(alpha / 2)
+    c_plus = np.sqrt(lv.weight) * cot((alpha - lv.theta) / 2)
+    c_minus = np.sqrt(lv.weight) * cot((alpha + lv.theta) / 2)
     # <psi_good | w'_alpha> is exactly the secular value
-    inner = math.sqrt(ms.a0_sq) * vec.c_start
-    for entry, cp, cm in zip(ms.entries, vec.c_plus, vec.c_minus):
-        inner += math.sqrt(entry.weight) * entry.multiplicity * (cp + cm)
+    inner = math.sqrt(ms.a0_sq) * c_start
+    inner += np.sum(np.sqrt(lv.weight) * lv.multiplicity * (c_plus + c_minus))
     assert abs(inner) < 1e-10
 
 
@@ -161,7 +167,7 @@ def test_report_fields_finite_and_regime():
 
 def test_alpha_can_leave_small_angle_regime():
     # a dominant start weight pushes the root toward theta_min
-    ms = ModeSpectrum(a0_sq=0.98, entries=(SpectrumEntry(0.1, 0.01, 1),),
+    ms = ModeSpectrum(a0_sq=0.98, entries=levels((0.1, 0.01, 1)),
                       n_vertices=100, family="torus")
     alpha = solve_alpha(ms)
     assert ms.theta_min / 2 < alpha < ms.theta_min
@@ -178,7 +184,7 @@ def test_dirac_even_side_prediction_halves_peak():
 def test_theta_pi_entry_contributes_tangent_term():
     # a pure theta = pi spectrum reduces the secular equation to
     # a0^2 cot(a/2) = 2 w tan(a/2), the two-phase rotation angle
-    ms = ModeSpectrum(a0_sq=0.1, entries=(SpectrumEntry(math.pi, 0.45, 1),),
+    ms = ModeSpectrum(a0_sq=0.1, entries=levels((math.pi, 0.45, 1)),
                       n_vertices=10, family="complete")
     alpha = solve_alpha(ms)
     assert math.tan(alpha / 2) ** 2 == pytest.approx(0.1 / 0.9, rel=1e-10)
@@ -225,7 +231,7 @@ def test_frozen_dirac_even_overlaps():
 @settings(max_examples=50, deadline=None)
 def test_secular_function_decreases_between_poles(a0_sq, thetas):
     rest = (1.0 - a0_sq) / (2 * len(thetas))
-    entries = tuple(SpectrumEntry(theta, rest, 1) for theta in sorted(thetas))
+    entries = levels(*[(theta, rest, 1) for theta in sorted(thetas)])
     ms = ModeSpectrum(a0_sq=a0_sq, entries=entries, n_vertices=10, family="torus")
     grid = np.linspace(ms.theta_min * 1e-6, ms.theta_min * (1 - 1e-6), 200)
     values = [secular_value(ms, a) for a in grid]

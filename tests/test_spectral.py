@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from walklab import (CoinConfig, ConfigurationError, block_eigens, build_graph,
                      closed_form_block_phases, closed_form_cos, coin_block,
@@ -13,6 +14,8 @@ from walklab import (CoinConfig, ConfigurationError, block_eigens, build_graph,
                      lift_block_vector, marked_coin_state, mode_spectrum,
                      moving_shift_stationary_overlap, spectral_sums, torus_modes,
                      torus_spec, uniform_state)
+
+from helpers import per_mode_levels, per_mode_stationary_overlap
 
 TORUS4 = torus_spec(4)
 ALL_MODES_4 = [m for m in product(range(4), repeat=2)]
@@ -114,6 +117,23 @@ def test_mode_spectrum_completeness_all_families():
                  torus_spec(5, shift="dirac"), torus_spec(4, 3),
                  hypercube_spec(6), complete_spec(12)]:
         assert mode_spectrum(spec).completeness_defect() < 1e-9
+
+
+REFERENCE_SPECS = ([torus_spec(side) for side in (2, 3, 4, 5, 8, 16)]
+                   + [torus_spec(4, 3), torus_spec(5, 3), torus_spec(3, 4),
+                      torus_spec(3, 8)]  # 8 axes: np.mean adds pairwise
+                   + [torus_spec(side, shift="dirac") for side in (4, 5, 6, 8)]
+                   + [hypercube_spec(d) for d in range(1, 13)])
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda spec: spec.label())
+def test_mode_spectrum_equals_per_mode_reference(spec):
+    theta, mult, frozen = per_mode_levels(spec)
+    ms = mode_spectrum(spec)
+    assert len(ms.entries) == len(theta)
+    assert_array_equal(ms.entries.theta, theta)
+    assert_array_equal(ms.entries.multiplicity, mult)
+    assert ms.frozen_weight == frozen
 
 
 def test_dirac_even_side_frozen_weight():
@@ -231,6 +251,13 @@ def test_stationary_overlap_matches_dense_projection():
                                             uniform_state(g).vector)
         assert moving_shift_stationary_overlap(spec) == pytest.approx(
             dense_value, abs=1e-8)
+
+
+# side 11 is where complex array arithmetic would round the result differently
+@pytest.mark.parametrize("side", [4, 8, 11, 33])
+def test_stationary_overlap_equals_per_mode_reference(side):
+    spec = torus_spec(side, shift="moving")
+    assert moving_shift_stationary_overlap(spec) == per_mode_stationary_overlap(spec)
 
 
 def test_stationary_overlap_grows_toward_one():
