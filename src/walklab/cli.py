@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .engine import default_coin
 from .graphs import (FAMILIES, ConfigurationError, GraphSpec, build_graph, complete_spec,
@@ -219,7 +219,7 @@ def cmd_predict(args) -> int:
               "use analyze-moving", file=sys.stderr)
         return EXIT_NO_STRUCTURE
     report = predict(spec)
-    payload = {"spec": spec.label(), "prediction": report.to_json_dict()}
+    payload = {"spec": spec.label(), "prediction": asdict(report)}
     _emit(_json_doc(payload), args.out)
     return EXIT_OK
 
@@ -234,18 +234,9 @@ def cmd_run(args) -> int:
     trace = run_walk(graph, coin, args.t_max)
     _emit(_trace_csv(trace), args.out)
     if args.summary:
-        peak = find_peak(trace)
-        payload = {
-            "config": trace.config,
-            "peak": {
-                "t_star": peak.t_star,
-                "p_star": peak.p_star,
-                "t_star_marked": peak.t_star_marked,
-                "p_star_marked": peak.p_star_marked,
-            },
-        }
+        payload = {"config": trace.config, "peak": asdict(find_peak(trace))}
         if spec.shift != "moving" and len(marked) == 1:
-            payload["prediction"] = predict(spec).to_json_dict()
+            payload["prediction"] = asdict(predict(spec))
         _emit(_json_doc(payload), args.summary)
     return EXIT_OK
 
@@ -268,17 +259,11 @@ def cmd_two_marked(args) -> int:
     v2 = parse_vertex(args.v2, spec)
     t_max = args.t_max if args.t_max is not None else 1000
     result = run_two_marked(spec, v1, v2, t_max)
-    peak = find_peak(result.trace)
     payload = {
         "config": result.trace.config,
         "symmetry_residual": result.symmetry_residual,
         "reflection_form_deviation": result.reflection_form_deviation,
-        "peak": {
-            "t_star": peak.t_star,
-            "p_star": peak.p_star,
-            "t_star_marked": peak.t_star_marked,
-            "p_star_marked": peak.p_star_marked,
-        },
+        "peak": asdict(find_peak(result.trace)),
     }
     _emit(_json_doc(payload), args.out)
     if args.trace:

@@ -25,6 +25,7 @@ from .graphs import ConfigurationError, Graph
 # scaling by reciprocals steps a real state to the same bits as the complex one
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _MAGIC = b"WLKSTAT1"
+_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,10 @@ class WalkState:
     def norm(self) -> float:
         return math.sqrt(squared_norm(self.amps))
 
-    def check_normalized(self, tol: float = 1e-9) -> None:
+    def check_normalized(self) -> None:
         defect = abs(self.norm() - 1.0)
-        if defect > tol:
-            raise ValueError(f"state norm off by {defect:.3e} (tolerance {tol:.1e})")
+        if defect > _NORM_TOL:
+            raise ValueError(f"state norm off by {defect:.3e} (tolerance {_NORM_TOL:.1e})")
 
     @property
     def vector(self) -> np.ndarray:

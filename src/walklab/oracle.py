@@ -22,6 +22,7 @@ from .spectral import (coin_block, grover_coin, lift_block_vector, mode_vertex_w
                        torus_modes)
 
 DIMENSION_CAP = 1024
+_PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
 # scaling by the reciprocal, as the engine's dirac shift does, rounds alike
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -153,10 +154,9 @@ def dense_principal_pair(op: DenseOperator, marked_vertex: int) -> tuple[float, 
 
 
 def eigenspace_projection(phases: np.ndarray, vectors: np.ndarray,
-                          target_phase: float, vector: np.ndarray,
-                          tol: float = 1e-9) -> float:
-    """Squared norm of the projection of `vector` onto one eigenphase space."""
-    sel = np.abs(np.angle(np.exp(1j * (phases - target_phase)))) < tol
+                          vector: np.ndarray) -> float:
+    """Squared norm of the projection of `vector` onto the +1 eigenspace."""
+    sel = np.abs(phases) < _PHASE_TOL
     if not np.any(sel):
         return 0.0
     coeffs = vectors[:, sel].conj().T @ vector
@@ -164,16 +164,12 @@ def eigenspace_projection(phases: np.ndarray, vectors: np.ndarray,
 
 
 def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarray:
-    """Step-by-step matrix application; returns the complex (steps+1, dim) history.
-
-    The real matrix acts on the (dim, 2) float64 view of each state, its
-    real and imaginary parts, in one real product per step.
-    """
-    out = np.empty((steps + 1, op.dim), dtype=np.complex128)
+    """Step-by-step matrix application; returns the (steps+1, dim) history,
+    float64 for a real start and complex for a complex one."""
+    out = np.empty((steps + 1, op.dim), dtype=np.result_type(vector, op.matrix))
     out[0] = vector
-    pairs = out.view(np.float64).reshape(steps + 1, op.dim, 2)
     for t in range(steps):
-        np.matmul(op.matrix, pairs[t], out=pairs[t + 1])
+        np.matmul(op.matrix, out[t], out=out[t + 1])
     return out
 
 

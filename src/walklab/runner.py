@@ -11,7 +11,7 @@ for side-by-side comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .engine import (CoinConfig, WalkState, closed_neighborhood, default_coin,
                      uniform_state, unstep, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 from .search import PredictionReport, predict
+
+_PEAK_REL_TOL = 1e-9  # values this close to a maximum are rounding ties
 
 
 # -- traces ------------------------------------------------------------------
@@ -117,11 +119,16 @@ def run_walk(graph: Graph, coin: CoinConfig, t_max: int) -> RunTrace:
 
 
 def find_peak(trace: RunTrace) -> PeakInfo:
-    """Argmax of the neighborhood figure (ties to the earliest step)."""
-    i = int(np.argmax(trace.p_nbhd))
-    j = int(np.argmax(trace.p_marked))
+    """The earliest step within _PEAK_REL_TOL of each figure's maximum.  A bare
+    argmax would move on rounding-level ties, such as the complete graph's
+    p_nbhd, which is the norm squared and 1 at every step."""
+    i, j = _earliest_peak(trace.p_nbhd), _earliest_peak(trace.p_marked)
     return PeakInfo(int(trace.t[i]), float(trace.p_nbhd[i]),
                     int(trace.t[j]), float(trace.p_marked[j]))
+
+
+def _earliest_peak(values: np.ndarray) -> int:
+    return int(np.argmax(values >= values.max() * (1.0 - _PEAK_REL_TOL)))
 
 
 # -- amplitude amplification ---------------------------------------------------
@@ -314,7 +321,7 @@ class SweepRow:
             "cap": self.cap,
         }
         if self.prediction is not None:
-            out["prediction"] = self.prediction.to_json_dict()
+            out["prediction"] = asdict(self.prediction)
         return out
 
 

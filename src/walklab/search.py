@@ -8,10 +8,13 @@ alpha is the root of the secular equation
 
 on (0, theta_min), where (th_j, w_j, m_j) come from the mode spectrum and
 a0_eff^2 folds in any stationary (+1) weight.  The left side decreases
-strictly from +inf to -inf, so bisection is exact and unconditionally
-safe.  From alpha follow the two principal eigenvectors, the overlaps of
-start and target states with them, and the step count to the probability
-peak.
+strictly from +inf to -inf.  Each pair term is evaluated in its sine form
+-sin(a) / (sin((th+a)/2) sin((th-a)/2)), which does not cancel two
+O(1/th) cotangents down to O(a), so the sign of the sum holds however
+small a is.  Bisection runs inside the rigorous two-sided bound on the
+root (alpha_bracket), with one sign check at its ends as the guard.
+From alpha follow the two principal eigenvectors, the overlaps of start
+and target states with them, and the step count to the probability peak.
 """
 
 from __future__ import annotations
@@ -43,11 +46,14 @@ def _weight_mult(ms: ModeSpectrum) -> np.ndarray:
     return ms.entries.weight * ms.entries.multiplicity.astype(float)
 
 
+def _pair_term(alpha: float, thetas: np.ndarray) -> np.ndarray:
+    """cot((a+th)/2) + cot((a-th)/2), in its sine form, free of cancellation."""
+    return -np.sin(alpha) / (np.sin((thetas + alpha) / 2) * np.sin((thetas - alpha) / 2))
+
+
 def secular_value(ms: ModeSpectrum, alpha: float) -> float:
     """Left side of the secular equation at a candidate eigenphase."""
-    thetas, wm = ms.entries.theta, _weight_mult(ms)
-    terms = wm * (_cot((alpha + thetas) / 2) + _cot((alpha - thetas) / 2))
-    total = math.fsum(terms.tolist())
+    total = math.fsum((_weight_mult(ms) * _pair_term(alpha, ms.entries.theta)).tolist())
     return _effective_a0_sq(ms) * _cot(alpha / 2) + total
 
 
@@ -65,39 +71,27 @@ def alpha_bracket(ms: ModeSpectrum) -> tuple[float, float]:
 
 
 def solve_alpha(ms: ModeSpectrum) -> float:
-    """Unique root of the secular equation in (0, theta_min), by bisection."""
+    """Unique root of the secular equation in (0, theta_min), by bisection
+    inside alpha_bracket.  Its lower end is proven only for roots below
+    theta_min/2, so the search starts at the smaller of the two."""
     ms.validate()
     theta_min = ms.theta_min
-    lo = theta_min * 1e-15
-    hi = theta_min * (1.0 - 1e-15)
+    blo, bhi = alpha_bracket(ms)
+    lo = min(blo, 0.5 * theta_min) * (1.0 - 1e-9)
+    hi = min(bhi * (1.0 + 1e-9), theta_min * (1.0 - 1e-15))
     f_lo, f_hi = secular_value(ms, lo), secular_value(ms, hi)
-    shrink = 0
-    while not (f_lo > 0 > f_hi):
-        # poles at both ends guarantee a sign change; shrink inward if the
-        # end evaluations ever land on the wrong side of a rounding cliff
-        lo *= 10.0
-        hi = theta_min - (theta_min - hi) * 10.0
-        f_lo, f_hi = secular_value(ms, lo), secular_value(ms, hi)
-        shrink += 1
-        if shrink > 12 or lo >= hi:
-            raise ArithmeticError(
-                f"could not bracket the secular root: f({lo:.3e})={f_lo:.3e}, "
-                f"f({hi:.3e})={f_hi:.3e}, theta_min={theta_min:.6e}"
-            )
+    if not f_lo > 0 > f_hi:
+        raise ArithmeticError(
+            f"the secular root is not inside its bracket: f({lo:.3e})={f_lo:.3e}, "
+            f"f({hi:.3e})={f_hi:.3e}, theta_min={theta_min:.6e}"
+        )
     while hi - lo > _BISECTION_TOL * lo:
         mid = 0.5 * (lo + hi)
         if secular_value(ms, mid) > 0:
             lo = mid
         else:
             hi = mid
-    alpha = 0.5 * (lo + hi)
-
-    blo, bhi = alpha_bracket(ms)
-    if alpha > bhi * (1 + 1e-9):
-        raise AssertionError(f"alpha {alpha:.6e} above rigorous bound {bhi:.6e}")
-    if alpha < 0.5 * theta_min and alpha < blo * (1 - 1e-9):
-        raise AssertionError(f"alpha {alpha:.6e} below rigorous bound {blo:.6e}")
-    return alpha
+    return 0.5 * (lo + hi)
 
 
 def predict_overlaps(ms: ModeSpectrum, alpha: float) -> tuple[float, float]:
@@ -120,7 +114,7 @@ def predict_overlaps(ms: ModeSpectrum, alpha: float) -> tuple[float, float]:
     records whether that holds.
     """
     thetas, wm = ms.entries.theta, _weight_mult(ms)
-    sum_mix = float(np.sum(wm * (_cot((alpha - thetas) / 2) + _cot((alpha + thetas) / 2)) ** 2))
+    sum_mix = float(np.sum(wm * _pair_term(alpha, thetas) ** 2))
     cot_half = _cot(alpha / 2)
     start_norm_sq = 2.0 * _effective_a0_sq(ms) * cot_half ** 2 + sum_mix
     start_overlap = math.sqrt(2.0 * ms.a0_sq) * cot_half / math.sqrt(start_norm_sq)
@@ -172,22 +166,6 @@ class PredictionReport:
     good_overlap: float
     predicted_peak_probability: float
     alpha_bracket: tuple[float, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_vertices": self.n_vertices,
-            "alpha": self.alpha,
-            "theta_min": self.theta_min,
-            "in_small_angle_regime": self.in_small_angle_regime,
-            "t_star": self.t_star,
-            "t_bracket": list(self.t_bracket),
-            "peak_steps": self.peak_steps,
-            "start_overlap": self.start_overlap,
-            "good_overlap": self.good_overlap,
-            "predicted_peak_probability": self.predicted_peak_probability,
-            "alpha_bracket": list(self.alpha_bracket),
-        }
 
 
 def predict(spec: GraphSpec) -> PredictionReport:

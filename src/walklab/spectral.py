@@ -15,6 +15,7 @@ coin blocks below exactly; hypercube modes are (-1)^(k.x)/sqrt(N).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import compress
 
@@ -24,6 +25,7 @@ from .graphs import ConfigurationError, Graph, GraphSpec
 
 _PI = math.pi
 _MERGE_DECIMALS = 10  # eigenphases closer than this are one degenerate level
+_COMPLETENESS_TOL = 1e-9  # largest |sum of all weights - 1| a spectrum may have
 
 
 def grover_coin(d: int) -> np.ndarray:
@@ -187,13 +189,13 @@ class ModeSpectrum:
         total += float(np.sum(2.0 * self.entries.weight * self.entries.multiplicity))
         return abs(total - 1.0)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         if len(self.entries) == 0:
             raise ConfigurationError("empty mode spectrum")
         if self.theta_min <= 0:
             raise ConfigurationError("theta_min must be positive")
         defect = self.completeness_defect()
-        if defect > tol:
+        if defect > _COMPLETENESS_TOL:
             raise ConfigurationError(f"mode weights are incomplete (defect {defect:.3e})")
 
     def to_json_dict(self) -> dict:
@@ -250,6 +252,10 @@ def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
 
     if spec.family == "hypercube":
         d = spec.dims[0]
+        if 2 * n > sys.float_info.max:
+            raise ConfigurationError(
+                f"hypercube degree {d} is beyond the spectral route: the level weight "
+                f"1/(2N) needs 2N = 2^{d + 1} as a float64, which stops at degree 1022")
         # row w-1 of the lower triangle is a mode of Hamming weight w
         cos_theta = closed_form_cos(spec, np.tri(d, dtype=np.int64))
         mult = [math.comb(d, w) for w in range(1, d + 1)]
@@ -300,19 +306,18 @@ def spectral_sums(ms: ModeSpectrum) -> tuple[float, float, float]:
 # -- moving shift ------------------------------------------------------------
 
 
-def moving_shift_stationary_overlap(spec: GraphSpec, marked_vertex: int = 0) -> float:
+def moving_shift_stationary_overlap(spec: GraphSpec) -> float:
     """Squared overlap of the uniform start with the 1-eigenspace of U'.
 
     Computed exactly from the closed-form 1-eigenvectors of the moving-shift
     blocks, u1_kl = (w^k(1+w^l), 1+w^l, w^l(1+w^k), 1+w^k).  The result
     approaches 1 as N grows, which is what stalls this walk: nearly all of
-    the start state is stationary under the perturbed evolution.
+    the start state is stationary under the perturbed evolution.  By
+    translation symmetry it does not depend on which vertex is marked.
     """
     if spec.family != "torus" or len(spec.dims) != 2 or spec.shift != "moving":
         raise ConfigurationError("stationary overlap analysis is for the 2D moving shift")
     n = spec.n_vertices
-    if not 0 <= marked_vertex < n:
-        raise ConfigurationError(f"marked vertex {marked_vertex} out of range")
 
     length = spec.dims[0]
     w = np.exp(2j * _PI / length) ** np.arange(length)  # omega^k

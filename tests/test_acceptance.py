@@ -171,7 +171,7 @@ def test_c07_moving_shift_mechanism():
     spec = torus_spec(4, shift="moving")
     g = build_graph(spec)
     phases, vectors = dense_eigens(dense_unitary(g, default_coin(g, marked=(0,))))
-    dense_value = eigenspace_projection(phases, vectors, 0.0, uniform_state(g).vector)
+    dense_value = eigenspace_projection(phases, vectors, uniform_state(g).vector)
     formula = moving_shift_stationary_overlap(spec)
     assert abs(formula - dense_value) < 1e-8
 

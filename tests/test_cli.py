@@ -105,6 +105,31 @@ def test_invalid_configuration_exit_code(capsys):
     assert "2D torus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", [110, 500, 1022])
+def test_predict_reaches_large_hypercubes(tmp_path, degree):
+    out = tmp_path / "predict.json"
+    assert run_cli(["predict", "--family", "hypercube", "--degree", str(degree),
+                    "--out", str(out)]) == 0
+    prediction = _read_json(out)["prediction"]
+    assert 0 < prediction["alpha"] < prediction["theta_min"]
+
+
+@pytest.mark.parametrize("command", ["predict", "spectrum"])
+@pytest.mark.parametrize("degree", [1023, 1100])
+def test_hypercube_beyond_float_range_exit_code(command, degree, capsys):
+    code = run_cli([command, "--family", "hypercube", "--degree", str(degree),
+                    "--out", os.devnull])
+    assert code == 2
+    assert "degree 1022" in capsys.readouterr().err
+
+
+def test_complete_graph_summary_peak_is_not_rounding_noise(tmp_path):
+    summary = tmp_path / "summary.json"
+    assert run_cli(["run", "--family", "complete", "--n", "1024", "--marked", "0",
+                    "--t-max", "50", "--out", os.devnull, "--summary", str(summary)]) == 0
+    assert _read_json(summary)["peak"]["t_star"] == 0
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as info:
         run_cli(["predict", "--family", "torus", "--side", "4", "--frobnicate"])

@@ -131,7 +131,7 @@ def test_moving_one_eigenspace_projection_matches_formula():
     g = build_graph(spec)
     op = dense_unitary(g, CoinConfig(marked=(0,)))
     phases, vectors = dense_eigens(op)
-    proj = eigenspace_projection(phases, vectors, 0.0, uniform_state(g).vector)
+    proj = eigenspace_projection(phases, vectors, uniform_state(g).vector)
     assert proj == pytest.approx(moving_shift_stationary_overlap(spec), abs=1e-10)
 
 
@@ -152,3 +152,17 @@ def test_compare_traces_flip_flop_vs_dense_and_negative_control():
     gm = build_graph(torus_spec(4, shift="moving"))
     moving = run_walk(gm, default_coin(gm, marked=(0,)), 50)
     assert np.max(np.abs(trace.p_marked - moving.p_marked)) > 1e-3
+
+
+def test_evolve_dense_keeps_a_real_history_for_a_real_start():
+    from walklab import evolve_dense
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(0,)))
+    start = random_state(g).vector.real.copy()
+    real = evolve_dense(op, start, 20)
+    cplx = evolve_dense(op, start.astype(np.complex128), 20)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert real.shape == cplx.shape == (21, op.dim)
+    # the real and the complex matrix-vector products may add in other orders
+    np.testing.assert_allclose(cplx.real, real, rtol=0, atol=1e-14)
+    assert not np.any(cplx.imag)

@@ -60,6 +60,16 @@ def test_find_peak_monotone_and_constant():
     assert find_peak(flat).t_star == 0  # earliest tie wins
 
 
+def test_find_peak_ignores_rounding_level_ties():
+    # the complete graph's p_nbhd: 1 at every step up to rounding
+    noisy = _synthetic_trace(1.0 + np.array([-3e-13, 1e-13, 4e-13, 2e-13, -1e-13]))
+    peak = find_peak(noisy)
+    assert (peak.t_star, peak.t_star_marked) == (0, 0)
+    assert peak.p_star == noisy.p_nbhd[0]
+    # a real crest, above the tolerance, still wins
+    assert find_peak(_synthetic_trace([0.5, 0.5 + 1e-6, 0.5])).t_star == 1
+
+
 def test_peak_inside_bracket_L16():
     spec = torus_spec(16)
     row = sweep_point(spec)

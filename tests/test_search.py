@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walklab.search
 from walklab import (ConfigurationError, ModeSpectrum, alpha_bracket, build_graph,
                      complete_spec, hypercube_spec, lift_principal_eigenvector,
                      mode_spectrum, predict, predict_overlaps, predict_runtime,
@@ -217,6 +218,36 @@ def test_frozen_alpha_values():
         FROZEN_ALPHAS["dirac5"], abs=1e-11)
     assert solve_alpha(mode_spectrum(hypercube_spec(6))) == pytest.approx(
         FROZEN_ALPHAS["hypercube6"], abs=1e-11)
+
+
+# roots of the exact hypercube secular equation, found with 60-digit mpmath
+# arithmetic; the pair term's cotangent form, which cancels two O(1/theta)
+# numbers down to O(alpha), misses them by 3.6e-11 at d=40 and more beyond
+HYPERCUBE_ALPHAS = {
+    40: 1.3307782806392327e-06,
+    50: 4.1704660454195659e-08,
+    60: 1.3056707220415527e-09,
+    80: 1.2779423787379028e-12,
+    105: 2.2096366388769507e-16,
+    110: 3.9070100071507125e-17,
+    200: 1.112796714004758e-30,
+}
+
+
+@pytest.mark.parametrize("degree", sorted(HYPERCUBE_ALPHAS))
+def test_hypercube_alpha_matches_high_precision_root(degree):
+    alpha = solve_alpha(mode_spectrum(hypercube_spec(degree)))
+    assert alpha == pytest.approx(HYPERCUBE_ALPHAS[degree], rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("factors", [(0.2, 0.5), (1.5, 3.0)], ids=["below", "above"])
+def test_bracket_guard_raises_when_the_root_is_outside(monkeypatch, factors):
+    ms = mode_spectrum(torus_spec(8))
+    alpha = solve_alpha(ms)
+    wrong = (factors[0] * alpha, factors[1] * alpha)
+    monkeypatch.setattr(walklab.search, "alpha_bracket", lambda _ms: wrong)
+    with pytest.raises(ArithmeticError, match="not inside its bracket"):
+        solve_alpha(ms)
 
 
 def test_frozen_dirac_even_overlaps():

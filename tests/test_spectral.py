@@ -247,8 +247,7 @@ def test_stationary_overlap_matches_dense_projection():
         g = build_graph(spec)
         op = dense_unitary(g, CoinConfig(marked=(0,)))
         phases, vectors = dense_eigens(op)
-        dense_value = eigenspace_projection(phases, vectors, 0.0,
-                                            uniform_state(g).vector)
+        dense_value = eigenspace_projection(phases, vectors, uniform_state(g).vector)
         assert moving_shift_stationary_overlap(spec) == pytest.approx(
             dense_value, abs=1e-8)
 
