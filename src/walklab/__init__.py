@@ -4,21 +4,18 @@ predictor, and a dense ground-truth oracle for cross-validation."""
 
 from .engine import (CoinConfig, WalkState, apply_coin, apply_shift, default_coin,
                      flip_marked_vertices, load_state, marked_coin_state,
-                     neighborhood_probability, overlap, reflect_about_uniform,
-                     save_state, step, uniform_state, unstep, vertex_probabilities)
+                     reflect_about_uniform, save_state, step, uniform_state, unstep,
+                     vertex_probabilities)
 from .graphs import (ConfigurationError, Graph, GraphSpec, build_graph,
                      complete_spec, hypercube_spec, torus_spec)
-from .oracle import (DenseOperator, block_eigens, dense_eigens,
-                     dense_principal_pair, dense_unitary, eigenspace_projection,
-                     evolve_dense, lift_principal_eigenvector)
+from .oracle import (DenseOperator, block_eigens, dense_eigens, dense_principal_pair,
+                     dense_unitary, evolve_dense, grover_coin)
 from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, SweepResult,
-                     TwoMarkedResult, amplify, find_peak, fit_exponent,
-                     prepare_uniform_locally, reflect_via_preparation, rounds_to_quarter,
-                     run_two_marked, run_walk, scaling_sweep, sweep_point)
+                     TwoMarkedResult, amplify, find_peak, fit_exponent, run_two_marked,
+                     run_walk, scaling_sweep, sweep_point)
 from .search import (PredictionReport, alpha_bracket, predict, predict_overlaps,
                      predict_runtime, secular_value, solve_alpha)
-from .spectral import (ModeSpectrum, closed_form_block_phases, closed_form_cos, coin_block,
-                       grover_coin, lift_block_vector, mode_spectrum, mode_vertex_wave,
+from .spectral import (ModeSpectrum, closed_form_cos, mode_spectrum,
                        moving_shift_stationary_overlap, spectral_sums, torus_modes)
 
 __version__ = "0.1.0"

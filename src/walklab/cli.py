@@ -154,6 +154,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require(args: argparse.Namespace, *dests: str) -> None:
+    """Fail unless each named flag was given, on the command line or in --config."""
+    for dest in dests:
+        if getattr(args, dest) is None:
+            raise ConfigurationError(
+                f"{args.command} needs --{dest.replace('_', '-')} (flag or config)")
+
+
 _SIZE_FLAGS = {"torus": "side", "hypercube": "degree", "complete": "n"}
 
 
@@ -190,6 +198,11 @@ def parse_vertex(text: str, spec: GraphSpec) -> int:
             raise ConfigurationError(f"vertex {vertex} out of range for N={graph.n}")
         return vertex
     if spec.family == "torus" and len(coords) == len(spec.dims):
+        side = spec.dims[0]
+        for c in coords:
+            if not 0 <= c < side:
+                raise ConfigurationError(
+                    f"vertex {text!r}: coordinate {c} is outside 0..{side - 1}")
         return graph.vertex_index(coords)
     raise ConfigurationError(
         f"vertex {text!r} does not match the {spec.family} coordinate form"
@@ -226,8 +239,7 @@ def cmd_predict(args) -> int:
 
 def cmd_run(args) -> int:
     spec = build_spec(args)
-    if args.t_max is None:
-        raise ConfigurationError("run needs --t-max (flag or config)")
+    _require(args, "t_max")
     graph = build_graph(spec)
     marked = tuple(parse_vertex(m, spec) for m in (args.marked or ["0"]))
     coin = default_coin(graph, marked=marked)
@@ -254,6 +266,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_two_marked(args) -> int:
+    _require(args, "side", "v1", "v2")
     spec = torus_spec(args.side)
     v1 = parse_vertex(args.v1, spec)
     v2 = parse_vertex(args.v2, spec)
@@ -292,6 +305,7 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_analyze_moving(args) -> int:
+    _require(args, "side")
     spec = torus_spec(args.side, shift="moving")
     overlap_sq = moving_shift_stationary_overlap(spec)
     payload = {
@@ -352,9 +366,9 @@ def make_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_sweep)
 
     sub = commands.add_parser("two-marked", help="two marked vertices diagnostics")
-    sub.add_argument("--side", type=int, required=True)
-    sub.add_argument("--v1", required=True)
-    sub.add_argument("--v2", required=True)
+    sub.add_argument("--side", type=int, default=None)
+    sub.add_argument("--v1", default=None)
+    sub.add_argument("--v2", default=None)
     sub.add_argument("--t-max", type=int, default=None,
                      help="number of steps (default 1000)")
     sub.add_argument("--config", default=None)
@@ -373,7 +387,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("analyze-moving",
                               help="stationary overlap of the moving-shift walk")
-    sub.add_argument("--side", type=int, required=True)
+    sub.add_argument("--side", type=int, default=None)
     sub.add_argument("--config", default=None)
     sub.add_argument("--out", default=None)
     sub.set_defaults(handler=cmd_analyze_moving)

@@ -113,11 +113,6 @@ def squared_norm(amps: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def overlap(a: WalkState, b: WalkState) -> complex:
-    """<a|b>."""
-    return complex(np.vdot(a.amps, b.amps))
-
-
 # -- coin ----------------------------------------------------------------
 
 
@@ -279,12 +274,6 @@ def closed_neighborhood(graph: Graph, vertices) -> np.ndarray:
     vs = [int(v) for v in vertices]
     return np.unique(np.concatenate([np.array(vs, dtype=np.int64)]
                                     + [graph.neighbors(v) for v in vs]))
-
-
-def neighborhood_probability(state: WalkState, vertices) -> float:
-    """Combined probability of the union of {v} and its neighbors over vertices."""
-    support = closed_neighborhood(state.graph, vertices)
-    return float(vertex_probabilities(state, support).sum())
 
 
 # -- serialization ---------------------------------------------------------

@@ -161,13 +161,6 @@ class Graph:
             return tuple((vertex >> i) & 1 for i in range(d))
         return (int(vertex),)
 
-    def translate(self, vertex: int, offset) -> int:
-        """Torus vertex translated componentwise mod L."""
-        if self.spec.family != "torus":
-            raise ConfigurationError("translate is only defined on tori")
-        coords = self.vertex_coords(vertex)
-        return self.vertex_index(tuple(c + o for c, o in zip(coords, offset)))
-
     # -- adjacency -----------------------------------------------------
 
     def neighbors(self, vertex: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Ground truth for small instances: explicit unitaries and eigensystems.
 
-Everything here is validation machinery.  The fast engine is never
-checked against itself: the dense U' = S * C' is assembled from the
-explicit coin matrix and the shift rule of `graphs` (shift_permutation,
-or shift_target per dirac half-move), without calling the engine.  Every
-walk here is real, so U' is a float64 matrix; it is powered explicitly
-and eigendecomposed via a Schur reduction (which hands back an
-orthonormal eigenbasis, since a unitary matrix is normal).
+Everything here is validation machinery, and none of it rests on the
+code it validates.  The dense U' = S * C' is assembled from the explicit
+coin matrix (the Grover coin is defined here) and the shift rule of
+`graphs` (shift_permutation, or shift_target per dirac half-move),
+without stepping a state through the engine and without the closed-form
+spectra of `spectral`.  Every walk here is real, so U' is a float64
+matrix; it is powered explicitly and eigendecomposed via a Schur
+reduction (which hands back an orthonormal eigenbasis, since a unitary
+matrix is normal).  From the engine it takes only the two start states,
+the uniform state and |s, v>.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ import scipy.linalg
 
 from .engine import CoinConfig, marked_coin_state, uniform_state
 from .graphs import Graph
-from .spectral import (coin_block, grover_coin, lift_block_vector, mode_vertex_wave,
-                       torus_modes)
 
 DIMENSION_CAP = 1024
-_PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
 # scaling by the reciprocal, as the engine's dirac shift does, rounds alike
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -41,6 +41,11 @@ class DenseOperator:
     def unitarity_defect(self) -> float:
         m = self.matrix
         return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim))))
+
+
+def grover_coin(d: int) -> np.ndarray:
+    """2|s><s| - I on the coin register, as a float64 matrix."""
+    return (2.0 / d) * np.ones((d, d)) - np.eye(d)
 
 
 def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
@@ -72,7 +77,7 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
 def _coin_matrix(graph: Graph, coin: CoinConfig) -> np.ndarray:
     """C': the unmarked coin on every vertex, the marking's block on marked ones."""
     d, n = graph.coin_dim, graph.n
-    grover = grover_coin(d).real
+    grover = grover_coin(d)
     marking = graph.spec.marking
     if marking == "projector_flip":  # the identity; I - 2|s><s| = -grover
         unmarked, marked = np.eye(d), -grover
@@ -153,16 +158,6 @@ def dense_principal_pair(op: DenseOperator, marked_vertex: int) -> tuple[float, 
     return alpha, float(start), float(good)
 
 
-def eigenspace_projection(phases: np.ndarray, vectors: np.ndarray,
-                          vector: np.ndarray) -> float:
-    """Squared norm of the projection of `vector` onto the +1 eigenspace."""
-    sel = np.abs(phases) < _PHASE_TOL
-    if not np.any(sel):
-        return 0.0
-    coeffs = vectors[:, sel].conj().T @ vector
-    return float(np.sum(np.abs(coeffs) ** 2))
-
-
 def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarray:
     """Step-by-step matrix application; returns the (steps+1, dim) history,
     float64 for a real start and complex for a complex one."""
@@ -171,58 +166,4 @@ def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarra
     for t in range(steps):
         np.matmul(op.matrix, out[t], out=out[t + 1])
     return out
-
-
-def lift_principal_eigenvector(graph: Graph, marked_vertex: int,
-                               alpha: float) -> np.ndarray:
-    """|psi_good> + i |w'_alpha> assembled in the full space, normalized.
-
-    Built mode by mode from the coin blocks: each block's conjugate pair is
-    phase-aligned so its projection on |s, v> is real positive, theta = pi
-    levels enter through the |s, v>-carrying direction of the -1 eigenspace,
-    and stationary +1 blocks enter like the uniform state.  If alpha solves
-    the secular equation this is an eigenvector of U' for e^(i alpha) up to
-    rounding, which is exactly what the residual tests check.
-    """
-    spec = graph.spec
-    n = graph.n
-    sv = np.zeros(graph.coin_dim * n, dtype=np.complex128)
-    sv[marked_vertex::n] = 1.0 / np.sqrt(graph.coin_dim)  # layout is c*N + v
-
-    if spec.family == "hypercube":
-        modes = [m for m in np.ndindex(*(2,) * spec.dims[0]) if any(m)]
-    else:
-        modes = torus_modes(spec)[1:]  # row 0 is the zero mode
-
-    def cot(x):
-        return np.cos(x) / np.sin(x)
-
-    # complex from the start: the modes below add complex terms in place
-    w_prime = (np.sqrt(1.0 / n) * cot(alpha / 2) * uniform_state(graph).vector
-               ).astype(np.complex128)
-    for mode in modes:
-        block = coin_block(spec, mode)
-        phases, vecs = block_eigens(block)
-        phases = np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases)
-        s_coin = np.full(graph.coin_dim, 1.0 / np.sqrt(graph.coin_dim))
-        wave_at_v = mode_vertex_wave(graph, mode)[marked_vertex].conj()
-        for j, phase in enumerate(phases):
-            if phase < -1e-9:
-                continue  # conjugate partners are added explicitly below
-            coin_vec = vecs[:, j]
-            amp = np.vdot(coin_vec, s_coin) * wave_at_v  # <Phi_mode,j | s,v>
-            if abs(amp) < 1e-13:
-                continue
-            coin_vec = coin_vec * (amp / abs(amp))  # align: projection real > 0
-            a_j = abs(amp)
-            plus = lift_block_vector(graph, mode, coin_vec)
-            if phase > np.pi - 1e-9:  # -1 level: a single real direction
-                w_prime += a_j * cot((alpha - np.pi) / 2) * plus
-            elif phase < 1e-9:  # stationary +1 block beyond the uniform state
-                w_prime += a_j * cot(alpha / 2) * plus
-            else:
-                w_prime += a_j * (cot((alpha - phase) / 2) * plus
-                                  + cot((alpha + phase) / 2) * plus.conj())
-    vec = sv + 1j * w_prime
-    return vec / np.linalg.norm(vec)
 

@@ -1,11 +1,14 @@
-"""End-to-end experiments: traces, peaks, schedules, amplification, sweeps.
+"""End-to-end experiments: traces, peaks, amplification, sweeps.
 
 A run starts in the uniform state, applies the marked walk step by step,
 and records two success figures per step: the probability on the marked
 set and the probability on the marked set plus its graph neighborhood
 (the final state concentrates on both).  Sweeps fan out over sizes,
 fit the peak-time exponent, and carry the spectral predictions along
-for side-by-side comparison.
+for side-by-side comparison.  Amplitude amplification reruns the walk
+between reflections and charges its cost to a CostLedger, which holds
+the locality model's preparation and reflection charges; the local
+circuit that realizes them is a test reference (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -136,12 +139,17 @@ def _earliest_peak(values: np.ndarray) -> int:
 
 @dataclass
 class CostLedger:
-    """Locality-model accounting: prep 2 sqrt(N), each reflection 4 sqrt(N)."""
+    """Locality-model accounting (Aaronson & Ambainis, quant-ph/0303041):
+    preparing the uniform state by local moves costs 2 sqrt(N), and each
+    reflection about it (unprepare, flip, re-prepare) 4 sqrt(N)."""
 
     n_vertices: int
-    prep_cost: float = 0.0
     step_count: int = 0
     amplification_rounds: int = 0
+
+    @property
+    def prep_cost(self) -> float:
+        return 2.0 * math.sqrt(self.n_vertices)
 
     @property
     def reflection_unit(self) -> float:
@@ -187,7 +195,7 @@ def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> Am
         raise ConfigurationError("amplification needs a marked set")
     _check_count("walk_length", walk_length)
     _check_count("rounds", rounds)
-    ledger = CostLedger(graph.n, prep_cost=2.0 * math.sqrt(graph.n))
+    ledger = CostLedger(graph.n)
     state = evolve(uniform_state(graph), coin, walk_length)
     ledger.step_count += walk_length
 
@@ -210,16 +218,6 @@ def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> Am
         "rounds": rounds,
     }
     return AmplifyResult(success, ledger, overshoot, config)
-
-
-def rounds_to_quarter(gamma: float) -> int:
-    """Smallest round count with sin^2((2r+1) gamma) >= 1/4."""
-    if gamma <= 0:
-        raise ConfigurationError("need a positive initial amplitude")
-    r = 0
-    while math.sin((2 * r + 1) * gamma) ** 2 < 0.25:
-        r += 1
-    return r
 
 
 # -- two marked vertices -------------------------------------------------------
@@ -394,114 +392,3 @@ def scaling_sweep(specs: list[GraphSpec]) -> SweepResult:
     rows = sorted(map(sweep_point, specs), key=lambda r: r.n_vertices)
     return SweepResult(rows, fit_exponent(rows))
 
-
-# -- local state preparation ---------------------------------------------------
-
-
-class _LocalOp:
-    """One reversible layer of the local preparation circuit."""
-
-    def __init__(self, forward, inverse):
-        self.forward = forward
-        self.inverse = inverse
-
-
-def _rotation_layer(graph: Graph, vertices: np.ndarray, phi: float) -> _LocalOp:
-    c, s = math.cos(phi), math.sin(phi)
-
-    def fwd(amps):
-        a0, a1 = amps[0, vertices].copy(), amps[1, vertices].copy()
-        amps[0, vertices] = c * a0 - s * a1
-        amps[1, vertices] = s * a0 + c * a1
-
-    def inv(amps):
-        a0, a1 = amps[0, vertices].copy(), amps[1, vertices].copy()
-        amps[0, vertices] = c * a0 + s * a1
-        amps[1, vertices] = -s * a0 + c * a1
-
-    return _LocalOp(fwd, inv)
-
-
-def _carry_layer(graph: Graph, axis: int) -> _LocalOp:
-    ndim = len(graph.spec.dims)
-    np_axis = ndim - 1 - axis
-
-    def fwd(amps):
-        grid = amps.reshape((graph.coin_dim,) + tuple(reversed(graph.vertex_shape)))
-        grid[1] = np.roll(grid[1], 1, axis=np_axis)
-
-    def inv(amps):
-        grid = amps.reshape((graph.coin_dim,) + tuple(reversed(graph.vertex_shape)))
-        grid[1] = np.roll(grid[1], -1, axis=np_axis)
-
-    return _LocalOp(fwd, inv)
-
-
-def _fanout_layer(graph: Graph) -> _LocalOp:
-    d = graph.coin_dim
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    s = np.full(d, 1.0 / math.sqrt(d))
-    u = e0 - s
-    u /= np.linalg.norm(u)
-    house = np.eye(d) - 2.0 * np.outer(u, u)  # involution mapping e0 <-> s
-
-    def apply(amps):
-        amps[:, :] = house @ amps
-
-    return _LocalOp(apply, apply)
-
-
-def _preparation_circuit(graph: Graph) -> list[_LocalOp]:
-    spec = graph.spec
-    if spec.family != "torus" or len(spec.dims) != 2 or spec.coin != "grover":
-        raise ConfigurationError("local preparation is implemented for 2D grover tori")
-    length = spec.dims[0]
-    ops: list[_LocalOp] = []
-    for axis in range(2):
-        for j in range(1, length):
-            # frontier vertex (j-1, 0) on axis 0; whole row y = j-1 on axis 1
-            remaining = math.sqrt((length - j + 1) / length)
-            keep = math.sqrt(1.0 / length)
-            phi = math.acos(min(1.0, keep / remaining))
-            if axis == 0:
-                frontier = np.array([graph.vertex_index((j - 1, 0))])
-                landing = np.array([graph.vertex_index((j, 0))])
-            else:
-                frontier = np.array([graph.vertex_index((x, j - 1)) for x in range(length)])
-                landing = np.array([graph.vertex_index((x, j)) for x in range(length)])
-            ops.append(_rotation_layer(graph, frontier, phi))
-            ops.append(_carry_layer(graph, axis))
-            # park the carried amplitude back into coin 0 with positive sign
-            ops.append(_rotation_layer(graph, landing, -math.pi / 2))
-    ops.append(_fanout_layer(graph))
-    return ops
-
-
-def prepare_uniform_locally(graph: Graph) -> tuple[WalkState, CostLedger]:
-    """Build the uniform state from a point state by local moves.
-
-    Amplitude is spread down one row by rotate/carry/park rounds, then down
-    every column in parallel, then fanned out over the coin register; the
-    ledger charges the standard 2 sqrt(N) preparation units.
-    """
-    state = WalkState(graph, np.zeros((graph.coin_dim, graph.n)))
-    state.amps[0, 0] = 1.0
-    for op in _preparation_circuit(graph):
-        op.forward(state.amps)
-    ledger = CostLedger(graph.n, prep_cost=2.0 * math.sqrt(graph.n))
-    return state, ledger
-
-
-def reflect_via_preparation(graph: Graph, state: WalkState) -> tuple[WalkState, float]:
-    """I - 2|Phi0><Phi0| realized as unprepare, point flip, re-prepare.
-
-    Equals -reflect_about_uniform (a global phase); costs 4 sqrt(N) units.
-    """
-    ops = _preparation_circuit(graph)
-    for op in reversed(ops):
-        op.inverse(state.amps)
-    state.amps[0, 0] *= -1.0
-    for op in ops:
-        op.forward(state.amps)
-    return state, 4.0 * math.sqrt(graph.n)

@@ -1,15 +1,16 @@
-"""Fourier-mode block spectra of the unperturbed walk.
+"""Closed-form Fourier-mode spectra of the unperturbed walk.
 
 Translation-invariant shifts act mode by mode: on mode k the walk
-reduces to a coin-sized unitary block D_k * C0, whose eigenphases have
-closed cosine forms.  From those blocks this module assembles the
+reduces to a coin-sized unitary block D_k * C0, whose non-trivial
+eigenphase pair +-theta_k has a closed cosine form (`closed_form_cos`).
+This module evaluates that form on every mode at once and assembles the
 abstract-search input (eigenphases, projection weights of the marked
 coin state, multiplicities), the spectral sums that set the run-time
 scale, and the stationary overlap that stalls the moving-shift walk.
 
-Mode conventions: the vertex wave of torus mode k is chi_k(x) =
-omega^(-k.x)/sqrt(N) with omega = exp(2*pi*i/L), which reproduces the
-coin blocks below exactly; hypercube modes are (-1)^(k.x)/sqrt(N).
+Nothing here builds a block or a mode's vertex wave.  Those, with the
+lift of a block eigenvector to the full space, are the test references
+(tests/helpers.py) that check the closed forms against the dense oracle.
 """
 
 from __future__ import annotations
@@ -21,67 +22,11 @@ from itertools import compress
 
 import numpy as np
 
-from .graphs import ConfigurationError, Graph, GraphSpec
+from .graphs import ConfigurationError, GraphSpec
 
 _PI = math.pi
 _MERGE_DECIMALS = 10  # eigenphases closer than this are one degenerate level
 _COMPLETENESS_TOL = 1e-9  # largest |sum of all weights - 1| a spectrum may have
-
-
-def grover_coin(d: int) -> np.ndarray:
-    """2|s><s| - I on the coin register."""
-    return (2.0 / d) * np.ones((d, d), dtype=np.complex128) - np.eye(d, dtype=np.complex128)
-
-
-# -- coin blocks -----------------------------------------------------------
-
-
-def coin_block(spec: GraphSpec, mode) -> np.ndarray:
-    """The coin-sized unitary the walk reduces to on one Fourier mode.
-
-    mode: tuple of d integers for tori (k_i in 0..L-1), tuple of d bits for
-    the hypercube.
-    """
-    mode = tuple(int(m) for m in mode)
-    if spec.family == "complete":
-        raise ConfigurationError("the complete-graph walk has no Fourier mode structure")
-    if spec.family == "hypercube":
-        d = spec.dims[0]
-        if len(mode) != d or any(b not in (0, 1) for b in mode):
-            raise ConfigurationError("hypercube mode must be a tuple of d bits")
-        signs = np.array([1.0 if b == 0 else -1.0 for b in mode])
-        return np.diag(signs).astype(np.complex128) @ grover_coin(d)
-
-    length = spec.dims[0]
-    ndim = len(spec.dims)
-    if len(mode) != ndim or any(not 0 <= k < length for k in mode):
-        raise ConfigurationError(f"mode must lie in {{0..{length - 1}}}^{ndim}")
-    omega = np.exp(2j * _PI / length)
-
-    if spec.shift == "dirac":
-        # y-move is diagonal in the coin basis, x-move in the Hadamard basis;
-        # with chi_k(x) = omega^(-kx) the composed block on mode (k, l) is
-        # the (-k, -l) relabeling of the same two-parameter family.
-        k, el = mode
-        ck, sk = np.cos(2 * _PI * k / length), np.sin(2 * _PI * k / length)
-        wl = omega ** el
-        return np.array([[ck / wl, -1j * wl * sk],
-                         [-1j * sk / wl, wl * ck]], dtype=np.complex128)
-
-    d = 2 * ndim
-    diag = np.zeros((d, d), dtype=np.complex128)
-    for axis, k in enumerate(mode):
-        wk = omega ** k
-        i = 2 * axis
-        if spec.shift == "flip_flop":
-            diag[i, i + 1] = 1.0 / wk
-            diag[i + 1, i] = wk
-        elif spec.shift == "moving":
-            diag[i, i] = wk
-            diag[i + 1, i + 1] = 1.0 / wk
-        else:
-            raise ConfigurationError(f"no coin block for shift {spec.shift!r}")
-    return diag @ grover_coin(d)
 
 
 def closed_form_cos(spec: GraphSpec, mode) -> float | np.ndarray:
@@ -100,51 +45,6 @@ def closed_form_cos(spec: GraphSpec, mode) -> float | np.ndarray:
         return 0.5 * (np.cos(2 * _PI * (k + el) / length)
                       + np.cos(2 * _PI * (k - el) / length))
     raise ConfigurationError(f"no closed form for shift {spec.shift!r}")
-
-
-def closed_form_block_phases(spec: GraphSpec, mode) -> list[float]:
-    """All coin_dim eigenphases of the mode block, from the closed forms.
-
-    Tori contribute the +/-theta pair plus (d-1)-fold 1 and -1 levels; the
-    hypercube pair sits beside (w-1) ones and (d-w-1) minus-ones where w is
-    the mode weight; the two-dimensional coin has just the pair.
-    """
-    theta = math.acos(max(-1.0, min(1.0, closed_form_cos(spec, mode))))
-    if spec.shift == "dirac":
-        return [theta, -theta]
-    if spec.family == "hypercube":
-        d = spec.dims[0]
-        w = sum(mode)
-        if w == 0:
-            return [0.0] + [_PI] * (d - 1)
-        if w == d:
-            return [_PI] + [0.0] * (d - 1)
-        return [theta, -theta] + [0.0] * (w - 1) + [_PI] * (d - w - 1)
-    ndim = len(spec.dims)
-    return [theta, -theta] + [0.0] * (ndim - 1) + [_PI] * (ndim - 1)
-
-
-def mode_vertex_wave(graph: Graph, mode) -> np.ndarray:
-    """chi_mode as a length-N vertex vector (see module docstring)."""
-    spec = graph.spec
-    if spec.family == "hypercube":
-        mask = sum(1 << i for i, b in enumerate(mode) if b)
-        parity = np.array([bin(v & mask).count("1") & 1 for v in range(graph.n)])
-        wave = np.where(parity, -1.0, 1.0).astype(np.complex128)
-        return wave / math.sqrt(graph.n)
-    length = spec.dims[0]
-    omega = np.exp(-2j * _PI / length)
-    axes = [omega ** (k * np.arange(length)) for k in mode]
-    wave = axes[0]
-    for ax in axes[1:]:
-        wave = np.multiply.outer(ax, wave).reshape(-1)  # later coords vary slower
-    return wave / math.sqrt(graph.n)
-
-
-def lift_block_vector(graph: Graph, mode, coin_vec: np.ndarray) -> np.ndarray:
-    """coin_vec (x) chi_mode as a flat (coin_dim*N,) state vector."""
-    wave = mode_vertex_wave(graph, mode)
-    return np.kron(np.asarray(coin_vec, dtype=np.complex128), wave)
 
 
 # -- mode spectrum ---------------------------------------------------------

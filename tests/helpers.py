@@ -1,6 +1,14 @@
-"""Shared test utilities: dense principal-pair extraction, a step-built
-reference unitary, per-mode references for the spectral layer and state
-factories."""
+"""Shared test utilities and the references the package is checked against.
+
+- dense principal-pair extraction and a step-built reference unitary;
+- per-mode references for the columnar spectral layer;
+- the Fourier-mode chain behind the closed-form spectra (c03) and the
+  abstract-search eigenvector (c04): coin blocks, their closed-form phases
+  and their lifts to the full space;
+- the local preparation circuit, the executable check of the ledger's
+  preparation and reflection charges;
+- state factories and small measurement conveniences.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +17,13 @@ from itertools import product
 
 import numpy as np
 
-from walklab import (GraphSpec, WalkState, build_graph, closed_form_cos, default_coin,
-                     dense_principal_pair, dense_unitary, step)
+from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, block_eigens,
+                     build_graph, closed_form_cos, default_coin, dense_principal_pair,
+                     dense_unitary, grover_coin, step, torus_modes, uniform_state,
+                     vertex_probabilities)
+from walklab.engine import closed_neighborhood
+
+_PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
 
 
 def random_state(graph, seed=0) -> WalkState:
@@ -108,3 +121,308 @@ def json_numbers_close(a, b, atol=1e-9, path="$") -> None:
         assert abs(a - b) <= atol * max(1.0, abs(a), abs(b)), f"{path}: {a} != {b}"
     else:
         assert a == b, f"{path}: {a!r} != {b!r}"
+
+
+# -- measurement conveniences ------------------------------------------------
+
+
+def neighborhood_probability(state: WalkState, vertices) -> float:
+    """Combined probability of the union of {v} and its neighbors over vertices."""
+    support = closed_neighborhood(state.graph, vertices)
+    return float(vertex_probabilities(state, support).sum())
+
+
+def translate(graph, vertex: int, offset) -> int:
+    """Torus vertex translated componentwise mod L."""
+    coords = graph.vertex_coords(vertex)
+    return graph.vertex_index(tuple(c + o for c, o in zip(coords, offset)))
+
+
+def rounds_to_quarter(gamma: float) -> int:
+    """Smallest round count with sin^2((2r+1) gamma) >= 1/4."""
+    if gamma <= 0:
+        raise ConfigurationError("need a positive initial amplitude")
+    r = 0
+    while math.sin((2 * r + 1) * gamma) ** 2 < 0.25:
+        r += 1
+    return r
+
+
+def eigenspace_projection(phases: np.ndarray, vectors: np.ndarray,
+                          vector: np.ndarray) -> float:
+    """Squared norm of the projection of `vector` onto the +1 eigenspace."""
+    sel = np.abs(phases) < _PHASE_TOL
+    if not np.any(sel):
+        return 0.0
+    coeffs = vectors[:, sel].conj().T @ vector
+    return float(np.sum(np.abs(coeffs) ** 2))
+
+
+# -- Fourier-mode blocks ---------------------------------------------------------
+#
+# Translation-invariant shifts act mode by mode: on mode k the walk reduces
+# to a coin-sized unitary block D_k * C0.  The vertex wave of torus mode k
+# is chi_k(x) = omega^(-k.x)/sqrt(N) with omega = exp(2*pi*i/L), which
+# reproduces the blocks below exactly; hypercube modes are (-1)^(k.x)/sqrt(N).
+
+
+def coin_block(spec: GraphSpec, mode) -> np.ndarray:
+    """The coin-sized unitary the walk reduces to on one Fourier mode.
+
+    mode: tuple of d integers for tori (k_i in 0..L-1), tuple of d bits for
+    the hypercube.
+    """
+    mode = tuple(int(m) for m in mode)
+    if spec.family == "complete":
+        raise ConfigurationError("the complete-graph walk has no Fourier mode structure")
+    if spec.family == "hypercube":
+        d = spec.dims[0]
+        if len(mode) != d or any(b not in (0, 1) for b in mode):
+            raise ConfigurationError("hypercube mode must be a tuple of d bits")
+        signs = np.array([1.0 if b == 0 else -1.0 for b in mode])
+        return np.diag(signs).astype(np.complex128) @ grover_coin(d)
+
+    length = spec.dims[0]
+    ndim = len(spec.dims)
+    if len(mode) != ndim or any(not 0 <= k < length for k in mode):
+        raise ConfigurationError(f"mode must lie in {{0..{length - 1}}}^{ndim}")
+    omega = np.exp(2j * math.pi / length)
+
+    if spec.shift == "dirac":
+        # y-move is diagonal in the coin basis, x-move in the Hadamard basis;
+        # with chi_k(x) = omega^(-kx) the composed block on mode (k, l) is
+        # the (-k, -l) relabeling of the same two-parameter family.
+        k, el = mode
+        ck, sk = np.cos(2 * math.pi * k / length), np.sin(2 * math.pi * k / length)
+        wl = omega ** el
+        return np.array([[ck / wl, -1j * wl * sk],
+                         [-1j * sk / wl, wl * ck]], dtype=np.complex128)
+
+    d = 2 * ndim
+    diag = np.zeros((d, d), dtype=np.complex128)
+    for axis, k in enumerate(mode):
+        wk = omega ** k
+        i = 2 * axis
+        if spec.shift == "flip_flop":
+            diag[i, i + 1] = 1.0 / wk
+            diag[i + 1, i] = wk
+        elif spec.shift == "moving":
+            diag[i, i] = wk
+            diag[i + 1, i + 1] = 1.0 / wk
+        else:
+            raise ConfigurationError(f"no coin block for shift {spec.shift!r}")
+    return diag @ grover_coin(d)
+
+
+def closed_form_block_phases(spec: GraphSpec, mode) -> list[float]:
+    """All coin_dim eigenphases of the mode block, from the closed forms.
+
+    Tori contribute the +/-theta pair plus (d-1)-fold 1 and -1 levels; the
+    hypercube pair sits beside (w-1) ones and (d-w-1) minus-ones where w is
+    the mode weight; the two-dimensional coin has just the pair.
+    """
+    theta = math.acos(max(-1.0, min(1.0, closed_form_cos(spec, mode))))
+    if spec.shift == "dirac":
+        return [theta, -theta]
+    if spec.family == "hypercube":
+        d = spec.dims[0]
+        w = sum(mode)
+        if w == 0:
+            return [0.0] + [math.pi] * (d - 1)
+        if w == d:
+            return [math.pi] + [0.0] * (d - 1)
+        return [theta, -theta] + [0.0] * (w - 1) + [math.pi] * (d - w - 1)
+    ndim = len(spec.dims)
+    return [theta, -theta] + [0.0] * (ndim - 1) + [math.pi] * (ndim - 1)
+
+
+def mode_vertex_wave(graph, mode) -> np.ndarray:
+    """chi_mode as a length-N vertex vector."""
+    spec = graph.spec
+    if spec.family == "hypercube":
+        mask = sum(1 << i for i, b in enumerate(mode) if b)
+        parity = np.array([bin(v & mask).count("1") & 1 for v in range(graph.n)])
+        wave = np.where(parity, -1.0, 1.0).astype(np.complex128)
+        return wave / math.sqrt(graph.n)
+    length = spec.dims[0]
+    omega = np.exp(-2j * math.pi / length)
+    axes = [omega ** (k * np.arange(length)) for k in mode]
+    wave = axes[0]
+    for ax in axes[1:]:
+        wave = np.multiply.outer(ax, wave).reshape(-1)  # later coords vary slower
+    return wave / math.sqrt(graph.n)
+
+
+def lift_block_vector(graph, mode, coin_vec: np.ndarray) -> np.ndarray:
+    """coin_vec (x) chi_mode as a flat (coin_dim*N,) state vector."""
+    wave = mode_vertex_wave(graph, mode)
+    return np.kron(np.asarray(coin_vec, dtype=np.complex128), wave)
+
+
+def lift_principal_eigenvector(graph, marked_vertex: int, alpha: float) -> np.ndarray:
+    """|psi_good> + i |w'_alpha> assembled in the full space, normalized.
+
+    Built mode by mode from the coin blocks: each block's conjugate pair is
+    phase-aligned so its projection on |s, v> is real positive, theta = pi
+    levels enter through the |s, v>-carrying direction of the -1 eigenspace,
+    and stationary +1 blocks enter like the uniform state.  If alpha solves
+    the secular equation this is an eigenvector of U' for e^(i alpha) up to
+    rounding, which is exactly what the residual tests check.
+    """
+    spec = graph.spec
+    n = graph.n
+    sv = np.zeros(graph.coin_dim * n, dtype=np.complex128)
+    sv[marked_vertex::n] = 1.0 / np.sqrt(graph.coin_dim)  # layout is c*N + v
+
+    if spec.family == "hypercube":
+        modes = [m for m in np.ndindex(*(2,) * spec.dims[0]) if any(m)]
+    else:
+        modes = torus_modes(spec)[1:]  # row 0 is the zero mode
+
+    def cot(x):
+        return np.cos(x) / np.sin(x)
+
+    # complex from the start: the modes below add complex terms in place
+    w_prime = (np.sqrt(1.0 / n) * cot(alpha / 2) * uniform_state(graph).vector
+               ).astype(np.complex128)
+    for mode in modes:
+        block = coin_block(spec, mode)
+        phases, vecs = block_eigens(block)
+        phases = np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases)
+        s_coin = np.full(graph.coin_dim, 1.0 / np.sqrt(graph.coin_dim))
+        wave_at_v = mode_vertex_wave(graph, mode)[marked_vertex].conj()
+        for j, phase in enumerate(phases):
+            if phase < -1e-9:
+                continue  # conjugate partners are added explicitly below
+            coin_vec = vecs[:, j]
+            amp = np.vdot(coin_vec, s_coin) * wave_at_v  # <Phi_mode,j | s,v>
+            if abs(amp) < 1e-13:
+                continue
+            coin_vec = coin_vec * (amp / abs(amp))  # align: projection real > 0
+            a_j = abs(amp)
+            plus = lift_block_vector(graph, mode, coin_vec)
+            if phase > np.pi - 1e-9:  # -1 level: a single real direction
+                w_prime += a_j * cot((alpha - np.pi) / 2) * plus
+            elif phase < 1e-9:  # stationary +1 block beyond the uniform state
+                w_prime += a_j * cot(alpha / 2) * plus
+            else:
+                w_prime += a_j * (cot((alpha - phase) / 2) * plus
+                                  + cot((alpha + phase) / 2) * plus.conj())
+    vec = sv + 1j * w_prime
+    return vec / np.linalg.norm(vec)
+
+
+# -- local state preparation (Aaronson & Ambainis, quant-ph/0303041) -----------
+#
+# Too slow to drive `amplify` (one reflection took 113 ms at L=128 on a
+# 2-vCPU VM, against 0.2 ms for `reflect_about_uniform`); kept as the
+# executable check of the CostLedger's locality charges.
+
+
+class _LocalOp:
+    """One reversible layer of the local preparation circuit."""
+
+    def __init__(self, forward, inverse):
+        self.forward = forward
+        self.inverse = inverse
+
+
+def _rotation_layer(graph, vertices: np.ndarray, phi: float) -> _LocalOp:
+    c, s = math.cos(phi), math.sin(phi)
+
+    def fwd(amps):
+        a0, a1 = amps[0, vertices].copy(), amps[1, vertices].copy()
+        amps[0, vertices] = c * a0 - s * a1
+        amps[1, vertices] = s * a0 + c * a1
+
+    def inv(amps):
+        a0, a1 = amps[0, vertices].copy(), amps[1, vertices].copy()
+        amps[0, vertices] = c * a0 + s * a1
+        amps[1, vertices] = -s * a0 + c * a1
+
+    return _LocalOp(fwd, inv)
+
+
+def _carry_layer(graph, axis: int) -> _LocalOp:
+    ndim = len(graph.spec.dims)
+    np_axis = ndim - 1 - axis
+
+    def fwd(amps):
+        grid = amps.reshape((graph.coin_dim,) + tuple(reversed(graph.vertex_shape)))
+        grid[1] = np.roll(grid[1], 1, axis=np_axis)
+
+    def inv(amps):
+        grid = amps.reshape((graph.coin_dim,) + tuple(reversed(graph.vertex_shape)))
+        grid[1] = np.roll(grid[1], -1, axis=np_axis)
+
+    return _LocalOp(fwd, inv)
+
+
+def _fanout_layer(graph) -> _LocalOp:
+    d = graph.coin_dim
+    e0 = np.zeros(d)
+    e0[0] = 1.0
+    s = np.full(d, 1.0 / math.sqrt(d))
+    u = e0 - s
+    u /= np.linalg.norm(u)
+    house = np.eye(d) - 2.0 * np.outer(u, u)  # involution mapping e0 <-> s
+
+    def apply(amps):
+        amps[:, :] = house @ amps
+
+    return _LocalOp(apply, apply)
+
+
+def _preparation_circuit(graph) -> list[_LocalOp]:
+    spec = graph.spec
+    if spec.family != "torus" or len(spec.dims) != 2 or spec.coin != "grover":
+        raise ConfigurationError("local preparation is implemented for 2D grover tori")
+    length = spec.dims[0]
+    ops: list[_LocalOp] = []
+    for axis in range(2):
+        for j in range(1, length):
+            # frontier vertex (j-1, 0) on axis 0; whole row y = j-1 on axis 1
+            remaining = math.sqrt((length - j + 1) / length)
+            keep = math.sqrt(1.0 / length)
+            phi = math.acos(min(1.0, keep / remaining))
+            if axis == 0:
+                frontier = np.array([graph.vertex_index((j - 1, 0))])
+                landing = np.array([graph.vertex_index((j, 0))])
+            else:
+                frontier = np.array([graph.vertex_index((x, j - 1)) for x in range(length)])
+                landing = np.array([graph.vertex_index((x, j)) for x in range(length)])
+            ops.append(_rotation_layer(graph, frontier, phi))
+            ops.append(_carry_layer(graph, axis))
+            # park the carried amplitude back into coin 0 with positive sign
+            ops.append(_rotation_layer(graph, landing, -math.pi / 2))
+    ops.append(_fanout_layer(graph))
+    return ops
+
+
+def prepare_uniform_locally(graph) -> tuple[WalkState, CostLedger]:
+    """Build the uniform state from a point state by local moves.
+
+    Amplitude is spread down one row by rotate/carry/park rounds, then down
+    every column in parallel, then fanned out over the coin register; the
+    returned ledger carries the preparation charge, CostLedger.prep_cost.
+    """
+    state = WalkState(graph, np.zeros((graph.coin_dim, graph.n)))
+    state.amps[0, 0] = 1.0
+    for op in _preparation_circuit(graph):
+        op.forward(state.amps)
+    return state, CostLedger(graph.n)
+
+
+def reflect_via_preparation(graph, state: WalkState) -> tuple[WalkState, float]:
+    """I - 2|Phi0><Phi0| realized as unprepare, point flip, re-prepare.
+
+    Equals -reflect_about_uniform (a global phase); costs one
+    CostLedger.reflection_unit.
+    """
+    ops = _preparation_circuit(graph)
+    for op in reversed(ops):
+        op.inverse(state.amps)
+    state.amps[0, 0] *= -1.0
+    for op in ops:
+        op.forward(state.amps)
+    return state, CostLedger(graph.n).reflection_unit

@@ -16,12 +16,13 @@ import pytest
 
 from walklab import (CoinConfig, build_graph, complete_spec, default_coin,
                      dense_eigens, dense_unitary, evolve_dense, find_peak,
-                     hypercube_spec, lift_principal_eigenvector,
-                     mode_spectrum, moving_shift_stationary_overlap, predict,
-                     rounds_to_quarter, run_two_marked, run_walk, amplify,
-                     solve_alpha, spectral_sums, step, sweep_point, torus_spec,
-                     torus_modes, uniform_state, vertex_probabilities,
-                     closed_form_block_phases, eigenspace_projection)
+                     hypercube_spec, mode_spectrum, moving_shift_stationary_overlap,
+                     predict, run_two_marked, run_walk, amplify, solve_alpha,
+                     spectral_sums, step, sweep_point, torus_spec, torus_modes,
+                     uniform_state, vertex_probabilities)
+
+from helpers import (closed_form_block_phases, eigenspace_projection,
+                     lift_principal_eigenvector, rounds_to_quarter)
 
 
 def _verdict(num: int, name: str, started: float, limit: float, detail: str = ""):

@@ -342,3 +342,43 @@ def test_config_hash_inside_string_is_not_a_comment(tmp_path):
 def test_config_string_in_array_rejected(tmp_path, capsys):
     code, err = _config_exit(tmp_path, capsys, "sweep", 'sides = [8, "16"]\n')
     assert code == 2 and "numbers only" in err
+
+
+@pytest.mark.parametrize("args,config", [
+    (["run", "--side", "4", "--t-max", "3", "--marked", "5,0"], None),
+    (["run", "--side", "4", "--t-max", "3", "--marked=-1,0"], None),
+    (["two-marked", "--side", "4", "--v1", "0,0", "--v2", "4,0"], None),
+    (["run", "--side", "4", "--t-max", "3"], 'marked = "9,9"\n'),
+], ids=["run-too-large", "run-negative", "two-marked", "run-config"])
+def test_torus_coordinates_outside_the_side_rejected(tmp_path, capsys, args, config):
+    if config is not None:
+        cfg = tmp_path / "c.toml"
+        cfg.write_text(config, encoding="utf-8")
+        args = args + ["--config", str(cfg)]
+    assert run_cli(args + ["--out", os.devnull]) == 2
+    assert "outside 0..3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,flags", [
+    ("two-marked", 'side = 8\nv1 = "0,0"\nv2 = "3,5"\nt_max = 20\n',
+     ["--side", "8", "--v1", "0,0", "--v2", "3,5", "--t-max", "20"]),
+    ("analyze-moving", "side = 4\n", ["--side", "4"]),
+], ids=["two-marked", "analyze-moving"])
+def test_config_supplies_required_flags(tmp_path, command, text, flags):
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(text, encoding="utf-8")
+    from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+    assert run_cli([command, "--config", str(cfg), "--out", str(from_config)]) == 0
+    assert run_cli([command] + flags + ["--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["two-marked", "--v1", "0", "--v2", "5"], "two-marked needs --side (flag or config)"),
+    (["two-marked", "--side", "4", "--v1", "0"], "two-marked needs --v2 (flag or config)"),
+    (["analyze-moving"], "analyze-moving needs --side (flag or config)"),
+    (["run", "--side", "4"], "run needs --t-max (flag or config)"),
+], ids=["two-marked-side", "two-marked-v2", "analyze-moving-side", "run-t-max"])
+def test_missing_required_flag_is_named(capsys, args, message):
+    assert run_cli(args + ["--out", os.devnull]) == 2
+    assert message in capsys.readouterr().err

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
                      dense_unitary, evolve_dense, hypercube_spec, load_state,
-                     marked_coin_state, neighborhood_probability, overlap,
-                     reflect_about_uniform, save_state, step, torus_spec,
-                     uniform_state, unstep, vertex_probabilities)
+                     marked_coin_state, reflect_about_uniform, save_state, step,
+                     torus_spec, uniform_state, unstep, vertex_probabilities)
 from walklab.engine import squared_norm
 
-from helpers import random_state
+from helpers import neighborhood_probability, random_state, translate
 
 ALL_FAMILIES = [torus_spec(4), torus_spec(4, shift="moving"),
                 torus_spec(4, shift="dirac"), torus_spec(3, 3),
@@ -196,7 +195,7 @@ def test_reflect_about_uniform():
     assert np.allclose(phi0.amps, uniform_state(g).amps)
 
     perp = random_state(g, seed=5)
-    c = overlap(uniform_state(g), perp)
+    c = np.vdot(uniform_state(g).amps, perp.amps)
     perp.amps -= c * uniform_state(g).amps
     perp.amps /= np.linalg.norm(perp.amps)
     ref = perp.amps.copy()
@@ -247,14 +246,14 @@ def test_peak_neighborhood_probability_exceeds_uniform():
 
 def test_overlap_values():
     g = build_graph(torus_spec(4))
-    assert overlap(uniform_state(g), uniform_state(g)) == pytest.approx(1.0)
+    assert np.vdot(uniform_state(g).amps, uniform_state(g).amps) == pytest.approx(1.0)
     sv = marked_coin_state(g, 0)
-    assert overlap(uniform_state(g), sv) == pytest.approx(1 / 4)
+    assert np.vdot(uniform_state(g).amps, sv.amps) == pytest.approx(1 / 4)
     a = WalkState(g, np.zeros((4, 16), dtype=complex))
     b = WalkState(g, np.zeros((4, 16), dtype=complex))
     a.amps[0, 0] = 1
     b.amps[1, 0] = 1
-    assert overlap(a, b) == 0
+    assert np.vdot(a.amps, b.amps) == 0
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILIES)
@@ -275,7 +274,7 @@ def test_translation_covariance():
     spec = torus_spec(6)
     g = build_graph(spec)
     offset = (2, 5)
-    shifted_vertex = g.translate(0, offset)
+    shifted_vertex = translate(g, 0, offset)
     a = uniform_state(g)
     b = uniform_state(g)
     ca = default_coin(g, marked=(0,))
@@ -285,7 +284,7 @@ def test_translation_covariance():
         step(b, cb)
     translated = np.empty_like(a.amps)
     for v in range(g.n):
-        translated[:, g.translate(v, offset)] = a.amps[:, v]
+        translated[:, translate(g, v, offset)] = a.amps[:, v]
     assert np.max(np.abs(translated - b.amps)) < 1e-12
 
 
@@ -326,7 +325,6 @@ def test_check_normalized():
 
 
 def test_neighborhood_probability_union_semantics():
-    from walklab import neighborhood_probability
     g = build_graph(torus_spec(4))
     state = uniform_state(g)
     # adjacent marked pair: closed neighborhoods overlap, union counts once

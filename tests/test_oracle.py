@@ -1,16 +1,19 @@
 """Dense oracle self-checks and its cross-validation duties."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import walklab.engine
 import walklab.oracle
+import walklab.spectral
 from walklab import (CoinConfig, block_eigens, build_graph, complete_spec,
-                     default_coin, dense_eigens, dense_unitary,
-                     eigenspace_projection, hypercube_spec, run_walk, step, torus_spec,
-                     uniform_state)
+                     default_coin, dense_eigens, dense_unitary, hypercube_spec,
+                     run_walk, step, torus_spec, uniform_state)
 
-from helpers import random_state, step_built_unitary
+from helpers import eigenspace_projection, random_state, step_built_unitary
 
 FAMILIES_SMALL = [torus_spec(4), torus_spec(4, shift="moving"),
                   torus_spec(4, shift="dirac"), torus_spec(3, 3),
@@ -166,3 +169,35 @@ def test_evolve_dense_keeps_a_real_history_for_a_real_start():
     # the real and the complex matrix-vector products may add in other orders
     np.testing.assert_allclose(cplx.real, real, rtol=0, atol=1e-14)
     assert not np.any(cplx.imag)
+
+
+# engine functions that step a state; the oracle builds U' without them
+_STEPPING = {"step", "unstep", "apply_coin", "apply_shift"}
+
+
+def _oracle_imports():
+    """(module, name) per name oracle.py imports, relative imports resolved."""
+    tree = ast.parse(Path(walklab.oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "walklab" + (f".{module}" if module else "")
+            for alias in node.names:
+                yield module, alias.name
+
+
+def test_oracle_imports_neither_spectral_nor_the_step():
+    imports = list(_oracle_imports())
+    assert ("walklab.engine", "marked_coin_state") in imports  # the parse sees them
+    for module, name in imports:
+        full = f"{module}.{name}" if name else module
+        assert not full.startswith("walklab.spectral"), f"oracle imports {full}"
+        if module == "walklab":  # a spectral name the package re-exports
+            defined_in = getattr(getattr(walklab.spectral, name, None), "__module__", None)
+            assert defined_in != "walklab.spectral", f"oracle imports {full}"
+        if module in ("walklab", "walklab.engine"):
+            assert name not in _STEPPING, f"oracle imports {full}"

@@ -7,13 +7,12 @@ import pytest
 
 from walklab import (ConfigurationError, RunTrace, amplify, build_graph,
                      complete_spec, default_coin, find_peak, fit_exponent,
-                     hypercube_spec, neighborhood_probability,
-                     prepare_uniform_locally, predict, reflect_about_uniform,
-                     reflect_via_preparation, rounds_to_quarter, run_two_marked,
+                     hypercube_spec, predict, reflect_about_uniform, run_two_marked,
                      run_walk, scaling_sweep, step, sweep_point, torus_spec,
                      uniform_state, vertex_probabilities)
 
-from helpers import random_state
+from helpers import (neighborhood_probability, prepare_uniform_locally, random_state,
+                     reflect_via_preparation, rounds_to_quarter)
 
 
 def test_unmarked_trace_is_flat():

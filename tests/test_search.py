@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import walklab.search
 from walklab import (ConfigurationError, ModeSpectrum, alpha_bracket, build_graph,
-                     complete_spec, hypercube_spec, lift_principal_eigenvector,
-                     mode_spectrum, predict, predict_overlaps, predict_runtime,
-                     secular_value, solve_alpha, spectral_sums, torus_spec)
+                     complete_spec, hypercube_spec, mode_spectrum, predict,
+                     predict_overlaps, predict_runtime, secular_value, solve_alpha,
+                     spectral_sums, torus_spec)
 
-from helpers import levels, principal_dense_data
+from helpers import levels, lift_principal_eigenvector, principal_dense_data
 
 DENSE_SPECS = [torus_spec(4), torus_spec(6), torus_spec(4, shift="dirac"),
                torus_spec(5, shift="dirac"), hypercube_spec(5), torus_spec(4, 3),

@@ -8,14 +8,13 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from walklab import (CoinConfig, ConfigurationError, block_eigens, build_graph,
-                     closed_form_block_phases, closed_form_cos, coin_block,
-                     complete_spec, dense_eigens, dense_unitary,
-                     eigenspace_projection, grover_coin, hypercube_spec,
-                     lift_block_vector, marked_coin_state, mode_spectrum,
+                     closed_form_cos, complete_spec, dense_eigens, dense_unitary,
+                     grover_coin, hypercube_spec, marked_coin_state, mode_spectrum,
                      moving_shift_stationary_overlap, spectral_sums, torus_modes,
                      torus_spec, uniform_state)
 
-from helpers import per_mode_levels, per_mode_stationary_overlap
+from helpers import (closed_form_block_phases, coin_block, eigenspace_projection,
+                     lift_block_vector, per_mode_levels, per_mode_stationary_overlap)
 
 TORUS4 = torus_spec(4)
 ALL_MODES_4 = [m for m in product(range(4), repeat=2)]
