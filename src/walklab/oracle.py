@@ -6,9 +6,11 @@ coin matrix (the Grover coin is defined here) and the shift rule of
 `graphs` (shift_permutation, or shift_target per dirac half-move),
 without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
-matrix; it is powered explicitly and eigendecomposed via a Schur
-reduction (which hands back an orthonormal eigenbasis, since a unitary
-matrix is normal).  From the engine it takes only the two start states,
+matrix; it is powered explicitly and eigendecomposed through its
+symmetric part U' + U'^T, whose eigenvectors the skew part U' - U'^T
+then splits into complex pairs level by level (see block_eigens; a level
+that the skew part does not keep, which only a non-normal matrix has,
+raises).  From the engine it takes only the two start states,
 the uniform state and |s, v>.
 """
 
@@ -25,6 +27,12 @@ from .graphs import Graph
 DIMENSION_CAP = 1024
 # scaling by the reciprocal, as the engine's dirac shift does, rounds alike
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# eigenvalues of U + U^T closer than this belong to one level
+_LEVEL_GAP = 2e-9
+# a level that the skew part maps to within this of zero has theta = 0 or pi
+_SKEW_ZERO = 1e-12
+# how far the skew part may map a level out of itself before U counts as not normal
+_INVARIANCE_TOL = 1e-10
 
 
 @dataclass
@@ -114,19 +122,51 @@ def _hadamard_rows(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases and an orthonormal eigenbasis of a unitary matrix.
+    """Eigenphases and an orthonormal eigenbasis of a real orthogonal matrix.
 
-    Schur of a normal matrix is diagonal, so the Schur vectors are exact
-    eigenvectors; plain eig would not hand back an orthonormal basis on
-    the heavily degenerate spectra these walks have.  A real matrix takes
-    the real Schur form, whose 2x2 blocks rsf2csf then splits into
-    complex conjugate pairs.
+    An orthogonal U is normal, so its symmetric part U + U^T (eigenvalues
+    2 cos theta) and its skew part U - U^T (eigenvalues 2i sin theta)
+    commute and share U's eigenvectors.  A divide-and-conquer symmetric
+    solve of U + U^T, which deflates on the heavily degenerate spectra
+    these walks have, gives a real orthonormal basis X; its eigenvalues
+    split into levels at gaps above _LEVEL_GAP.  The skew part maps each
+    level's span into itself, as the small skew matrix B = x^T (U - U^T) x.
+    Where it maps the level to zero (theta = 0 or pi, the big +-1
+    eigenspaces) the real basis is kept.  Elsewhere the Hermitian -iB is
+    diagonalised: its eigenvalues are 2 sin theta, its vectors v lift the
+    level to the eigenvectors x v, and theta = atan2(2 sin theta,
+    2 cos theta).  A level that the skew part maps out of itself by more
+    than _INVARIANCE_TOL (U is not normal) raises ArithmeticError instead
+    of returning a wrong basis.  Complex input is refused.
     """
-    if np.isrealobj(block):
-        t, z = scipy.linalg.rsf2csf(*scipy.linalg.schur(block, output="real"))
-    else:
-        t, z = scipy.linalg.schur(block, output="complex")
-    return np.angle(np.diag(t)), z
+    if np.iscomplexobj(block):
+        raise TypeError("block_eigens takes a real orthogonal matrix, "
+                        f"not a {block.dtype} one")
+    n = block.shape[0]
+    sym_eigs, basis = scipy.linalg.eigh(block + block.T, overwrite_a=True, driver="evd")
+    skewed = (block - block.T) @ basis
+    phases = np.empty(n)
+    vectors = np.empty((n, n), dtype=np.complex128)
+    cuts = [0, *(np.flatnonzero(np.diff(sym_eigs) > _LEVEL_GAP) + 1), n]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        x, y = basis[:, lo:hi], skewed[:, lo:hi]
+        if np.max(np.abs(y)) <= _SKEW_ZERO:  # B = x^T y is zero too
+            phases[lo:hi] = np.where(sym_eigs[lo:hi] > 0, 0.0, np.pi)
+            vectors[:, lo:hi] = x
+            continue
+        skew = x.T @ y
+        leak = float(np.max(np.abs(y - x @ skew)))
+        if leak > _INVARIANCE_TOL:
+            raise ArithmeticError(
+                f"the skew part maps the level at 2cos(theta)={sym_eigs[lo]:.6f} "
+                f"(width {hi - lo}) {leak:.3e} out of itself: the matrix is not normal"
+            )
+        sines, v = np.linalg.eigh(-1j * skew)
+        cosines = (v.real ** 2 + v.imag ** 2).T @ sym_eigs[lo:hi]
+        phases[lo:hi] = np.arctan2(sines, cosines)
+        vectors.real[:, lo:hi] = x @ v.real
+        vectors.imag[:, lo:hi] = x @ v.imag
+    return phases, vectors
 
 
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,7 @@ from .spectral import ModeSpectrum, mode_spectrum, spectral_sums
 
 _PI = math.pi
 _BISECTION_TOL = 1e-12  # final bracket width relative to its lower end
+_UNIT_ROUNDOFF = 2.0 ** -53  # float64, round to nearest
 
 
 def _cot(x: np.ndarray | float):
@@ -52,9 +53,23 @@ def _pair_term(alpha: float, thetas: np.ndarray) -> np.ndarray:
 
 
 def secular_value(ms: ModeSpectrum, alpha: float) -> float:
-    """Left side of the secular equation at a candidate eigenphase."""
-    total = math.fsum((_weight_mult(ms) * _pair_term(alpha, ms.entries.theta)).tolist())
-    return _effective_a0_sq(ms) * _cot(alpha / 2) + total
+    """Left side of the secular equation at a candidate eigenphase.
+
+    The level terms are summed by np.sum.  Where the result is larger
+    than that sum's rigorous error bound (gamma_n * sum |t_j|, doubled
+    to cover the rounding of the bound and of the pole term's addition),
+    its sign is the sign of the exactly rounded sum; only inside the bound,
+    near the root, are the terms summed again exactly by math.fsum.  So
+    bisection on the sign takes the same steps as with an exact sum.
+    """
+    terms = _weight_mult(ms) * _pair_term(alpha, ms.entries.theta)
+    pole = _effective_a0_sq(ms) * _cot(alpha / 2)
+    fast = float(terms.sum())
+    value = pole + fast
+    gamma = terms.size * _UNIT_ROUNDOFF / (1.0 - terms.size * _UNIT_ROUNDOFF)
+    if abs(value) > 2.0 * gamma * float(np.abs(terms).sum()) + 2.0 * _UNIT_ROUNDOFF * abs(fast):
+        return value
+    return pole + math.fsum(terms.tolist())
 
 
 def alpha_bracket(ms: ModeSpectrum) -> tuple[float, float]:

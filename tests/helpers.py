@@ -1,6 +1,7 @@
 """Shared test utilities and the references the package is checked against.
 
-- dense principal-pair extraction and a step-built reference unitary;
+- dense principal-pair extraction, a step-built reference unitary and a
+  complex-Schur reference eigensolver;
 - per-mode references for the columnar spectral layer;
 - the Fourier-mode chain behind the closed-form spectra (c03) and the
   abstract-search eigenvector (c04): coin blocks, their closed-form phases
@@ -16,11 +17,11 @@ import math
 from itertools import product
 
 import numpy as np
+import scipy.linalg
 
-from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, block_eigens,
-                     build_graph, closed_form_cos, default_coin, dense_principal_pair,
-                     dense_unitary, grover_coin, step, torus_modes, uniform_state,
-                     vertex_probabilities)
+from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build_graph,
+                     closed_form_cos, default_coin, dense_principal_pair, dense_unitary,
+                     grover_coin, step, torus_modes, uniform_state, vertex_probabilities)
 from walklab.engine import closed_neighborhood
 
 _PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
@@ -146,6 +147,17 @@ def rounds_to_quarter(gamma: float) -> int:
     while math.sin((2 * r + 1) * gamma) ** 2 < 0.25:
         r += 1
     return r
+
+
+def schur_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and an orthonormal eigenbasis of a unitary matrix, real or
+    complex, by the complex Schur form: the reference the package's real
+    orthogonal solver is checked against, and the solver of the complex
+    mode blocks.  The Schur form of a normal matrix is diagonal, so the Schur
+    vectors are exact eigenvectors; plain eig would not hand back an
+    orthonormal basis on degenerate spectra."""
+    t, z = scipy.linalg.schur(block, output="complex")
+    return np.angle(np.diag(t)), z
 
 
 def eigenspace_projection(phases: np.ndarray, vectors: np.ndarray,
@@ -287,7 +299,7 @@ def lift_principal_eigenvector(graph, marked_vertex: int, alpha: float) -> np.nd
                ).astype(np.complex128)
     for mode in modes:
         block = coin_block(spec, mode)
-        phases, vecs = block_eigens(block)
+        phases, vecs = schur_eigens(block)
         phases = np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases)
         s_coin = np.full(graph.coin_dim, 1.0 / np.sqrt(graph.coin_dim))
         wave_at_v = mode_vertex_wave(graph, mode)[marked_vertex].conj()

@@ -11,9 +11,10 @@ import walklab.oracle
 import walklab.spectral
 from walklab import (CoinConfig, block_eigens, build_graph, complete_spec,
                      default_coin, dense_eigens, dense_unitary, hypercube_spec,
-                     run_walk, step, torus_spec, uniform_state)
+                     mode_spectrum, run_walk, solve_alpha, step, torus_spec,
+                     uniform_state)
 
-from helpers import eigenspace_projection, random_state, step_built_unitary
+from helpers import eigenspace_projection, random_state, schur_eigens, step_built_unitary
 
 FAMILIES_SMALL = [torus_spec(4), torus_spec(4, shift="moving"),
                   torus_spec(4, shift="dirac"), torus_spec(3, 3),
@@ -83,8 +84,9 @@ def _assert_orthonormal_eigensystem(op):
     phases, vectors = dense_eigens(op)
     assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(op.dim))) < 1e-10
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)  # sorted by |phase|
-    recon = vectors @ np.diag(np.exp(1j * phases)) @ vectors.conj().T
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
     assert np.max(np.abs(recon - op.matrix)) < 1e-9
+    return phases
 
 
 def test_eigens_orthonormal_basis():
@@ -103,22 +105,69 @@ def test_eigens_orthonormal_basis_every_family(spec, marked):
     _assert_orthonormal_eigensystem(dense_unitary(g, default_coin(g, marked=marked)))
 
 
+def test_dense_eigens_at_the_dimension_cap():
+    spec = torus_spec(16)  # 4 * 256 = 1024, the cap
+    g = build_graph(spec)
+    phases = _assert_orthonormal_eigensystem(dense_unitary(g, CoinConfig(marked=(0,))))
+    principal = np.min(np.abs(phases[np.abs(phases) > 1e-8]))
+    assert principal == pytest.approx(solve_alpha(mode_spectrum(spec)), rel=1e-9, abs=0)
+
+
+def _fold(phases):
+    # -1 comes out as pi or, by rounding, as -pi: count it as pi
+    return np.sort(np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases))
+
+
+def _orthogonal_with_known_phases(seed):
+    """Q D Q^T for a seeded random orthogonal Q and a block-diagonal D of
+    rotations and +-1 singletons, with the eigenphases of D."""
+    angles = [0.0, np.pi, 1e-6, np.pi - 1e-6, *[0.7] * 4, 2.0]  # 0.7 is fourfold
+    singletons = [1.0, 1.0, 1.0, -1.0, -1.0]
+    n = 2 * len(angles) + len(singletons)
+    d = np.zeros((n, n))
+    for i, a in enumerate(angles):
+        d[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+    d[2 * len(angles):, 2 * len(angles):] = np.diag(singletons)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    phases = [*angles, *(-a for a in angles), *(0.0 if s > 0 else np.pi for s in singletons)]
+    return q @ d @ q.T, _fold(np.array(phases))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_eigens_recovers_known_phases(seed):
+    matrix, expected = _orthogonal_with_known_phases(seed)
+    phases, vectors = block_eigens(matrix)
+    assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(phases)))) < 1e-12
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    assert np.max(np.abs(recon - matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_eigens_refuses_a_non_normal_matrix(seed):
+    matrix, _ = _orthogonal_with_known_phases(seed)
+    matrix[0, 1] += 1e-6
+    with pytest.raises(ArithmeticError, match="not normal"):
+        block_eigens(matrix)
+
+
+def test_block_eigens_refuses_complex_input():
+    matrix, _ = _orthogonal_with_known_phases(0)
+    with pytest.raises(TypeError, match="real orthogonal"):
+        block_eigens(matrix.astype(np.complex128))
+
+
 @pytest.mark.parametrize("spec", FAMILIES_SMALL, ids=lambda spec: spec.label())
 def test_block_eigens_real_matches_complex(spec):
     g = build_graph(spec)
     matrix = dense_unitary(g, default_coin(g, marked=(1,))).matrix
 
-    def sorted_phases(m):
-        # -1 comes out as pi or, by rounding, as -pi: count it as pi
-        phases, _ = block_eigens(m)
-        return np.sort(np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases))
-
-    real, complex_ = sorted_phases(matrix), sorted_phases(matrix.astype(np.complex128))
-    assert np.max(np.abs(real - complex_)) < 1e-12
+    real = _fold(block_eigens(matrix)[0])
+    reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
+    assert np.max(np.abs(real - reference)) < 1e-12
 
 
 def test_exactly_two_phases_inside_arc():
-    from walklab import mode_spectrum
     spec = torus_spec(4)
     g = build_graph(spec)
     op = dense_unitary(g, CoinConfig(marked=(0,)))

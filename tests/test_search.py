@@ -65,6 +65,54 @@ def test_secular_value_signs_at_ends():
     assert secular_value(ms, ms.theta_min * (1 - 1e-9)) < 0
 
 
+def _exactly_summed_secular_value(ms, alpha):
+    """The reference: the same level terms, every one summed exactly."""
+    s = walklab.search
+    terms = s._weight_mult(ms) * s._pair_term(alpha, ms.entries.theta)
+    return s._effective_a0_sq(ms) * s._cot(alpha / 2) + math.fsum(terms.tolist())
+
+
+EXACT_SUM_SPECS = [torus_spec(16), torus_spec(128), torus_spec(22, shift="dirac"),
+                   torus_spec(10, 3), hypercube_spec(30), hypercube_spec(110),
+                   complete_spec(64)]
+
+
+def _float_root(ms):
+    """The largest float at which the exactly summed secular value is positive."""
+    alpha = solve_alpha(ms)
+    lo, hi = alpha * (1 - 1e-9), alpha * (1 + 1e-9)
+    assert _exactly_summed_secular_value(ms, lo) > 0 > _exactly_summed_secular_value(ms, hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _exactly_summed_secular_value(ms, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("spec", EXACT_SUM_SPECS, ids=lambda spec: spec.label())
+def test_secular_value_has_the_sign_of_the_exact_sum(spec):
+    ms = mode_spectrum(spec)
+    root = _float_root(ms)
+    # the ulps next to the root, where a plain np.sum can take the wrong
+    # sign (it does one ulp above the root of torus 128 and hypercube 30),
+    # then out to 1e-4
+    near = root + np.arange(-16, 17) * math.ulp(root)
+    far = root * (1.0 + np.concatenate([np.geomspace(1e-14, 1e-4, 11),
+                                        -np.geomspace(1e-14, 1e-4, 11)]))
+    for a in np.concatenate([near, far]):
+        assert np.sign(secular_value(ms, a)) == np.sign(_exactly_summed_secular_value(ms, a))
+
+
+@pytest.mark.parametrize("spec", EXACT_SUM_SPECS, ids=lambda spec: spec.label())
+def test_solve_alpha_is_bit_identical_to_the_exact_sum(monkeypatch, spec):
+    ms = mode_spectrum(spec)
+    alpha = solve_alpha(ms)
+    monkeypatch.setattr(walklab.search, "secular_value", _exactly_summed_secular_value)
+    assert solve_alpha(ms) == alpha
+
+
 def test_empty_spectrum_rejected():
     ms = ModeSpectrum(a0_sq=1.0, entries=levels(), n_vertices=4, family="torus")
     with pytest.raises(ConfigurationError):

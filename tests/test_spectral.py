@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from walklab import (CoinConfig, ConfigurationError, block_eigens, build_graph,
+from walklab import (CoinConfig, ConfigurationError, build_graph,
                      closed_form_cos, complete_spec, dense_eigens, dense_unitary,
                      grover_coin, hypercube_spec, marked_coin_state, mode_spectrum,
                      moving_shift_stationary_overlap, spectral_sums, torus_modes,
                      torus_spec, uniform_state)
 
 from helpers import (closed_form_block_phases, coin_block, eigenspace_projection,
-                     lift_block_vector, per_mode_levels, per_mode_stationary_overlap)
+                     lift_block_vector, per_mode_levels, per_mode_stationary_overlap,
+                     schur_eigens)
 
 TORUS4 = torus_spec(4)
 ALL_MODES_4 = [m for m in product(range(4), repeat=2)]
@@ -38,12 +39,12 @@ def test_zero_mode_block_is_plain_coin():
     # D at the zero mode swaps each axis pair, which fixes |s>
     s = np.full(4, 0.5)
     assert np.allclose(block @ s, s)
-    phases, _ = block_eigens(block)
+    phases, _ = schur_eigens(block)
     assert sum(abs(p) < 1e-12 for p in phases) == 3  # triple eigenvalue 1
 
 
 def test_block_eigenphases_match_cosine_form():
-    phases, _ = block_eigens(coin_block(TORUS4, (0, 1)))
+    phases, _ = schur_eigens(coin_block(TORUS4, (0, 1)))
     expected = [0.0, math.pi, math.pi / 3, -math.pi / 3]
     a = np.sort(np.mod(phases + np.pi, 2 * np.pi))
     b = np.sort(np.mod(np.array(expected) + np.pi, 2 * np.pi))
@@ -61,7 +62,7 @@ def test_block_eigenphases_match_cosine_form():
 ])
 def test_closed_forms_match_numeric_blocks(spec, modes):
     for mode in modes:
-        numeric, _ = block_eigens(coin_block(spec, mode))
+        numeric, _ = schur_eigens(coin_block(spec, mode))
         closed = closed_form_block_phases(spec, mode)
         a = np.sort(np.mod(numeric + 2 * np.pi, 2 * np.pi))
         b = np.sort(np.mod(np.array(closed) + 2 * np.pi, 2 * np.pi))
@@ -69,7 +70,7 @@ def test_closed_forms_match_numeric_blocks(spec, modes):
 
 
 def test_moving_zero_mode_has_minus_one():
-    phases, _ = block_eigens(coin_block(torus_spec(4, shift="moving"), (0, 0)))
+    phases, _ = schur_eigens(coin_block(torus_spec(4, shift="moving"), (0, 0)))
     assert any(abs(abs(p) - math.pi) < 1e-12 for p in phases)
     assert closed_form_cos(torus_spec(4, shift="moving"), (0, 0)) == pytest.approx(-1.0)
 
@@ -83,7 +84,7 @@ def test_hypercube_level_degeneracy():
 
 @pytest.mark.parametrize("mode", [m for m in ALL_MODES_4 if m != (0, 0)])
 def test_one_eigenvectors_orthogonal_to_s(mode):
-    phases, vecs = block_eigens(coin_block(TORUS4, mode))
+    phases, vecs = schur_eigens(coin_block(TORUS4, mode))
     s = np.full(4, 0.5)
     for j, phase in enumerate(phases):
         if abs(phase) < 1e-12:
@@ -94,7 +95,7 @@ def test_minus_one_eigenvectors_orthogonal_to_s_flip_flop():
     for mode in ALL_MODES_4:
         if closed_form_cos(TORUS4, mode) <= -1 + 1e-12:
             continue  # theta = pi levels carry the |s> component by construction
-        phases, vecs = block_eigens(coin_block(TORUS4, mode))
+        phases, vecs = schur_eigens(coin_block(TORUS4, mode))
         s = np.full(4, 0.5)
         for j, phase in enumerate(phases):
             if abs(abs(phase) - math.pi) < 1e-12:
@@ -199,7 +200,7 @@ def test_weight_recovery_flip_flop():
     for mode in ALL_MODES_4:
         if mode == (0, 0):
             continue
-        phases, vecs = block_eigens(coin_block(TORUS4, mode))
+        phases, vecs = schur_eigens(coin_block(TORUS4, mode))
         for j, phase in enumerate(phases):
             if 1e-9 < abs(phase) < math.pi - 1e-9:
                 full = lift_block_vector(g, mode, vecs[:, j])
@@ -211,7 +212,7 @@ def test_block_lift_is_dense_eigenvector():
     g = build_graph(spec)
     op = dense_unitary(g, CoinConfig())
     for mode in [(0, 1), (2, 2), (3, 1)]:
-        phases, vecs = block_eigens(coin_block(spec, mode))
+        phases, vecs = schur_eigens(coin_block(spec, mode))
         for j, phase in enumerate(phases):
             full = lift_block_vector(g, mode, vecs[:, j])
             resid = np.linalg.norm(op.matrix @ full - np.exp(1j * phase) * full)
@@ -296,7 +297,7 @@ def test_retained_subspace_is_closed_under_perturbed_walk(spec):
     s_coin = np.full(g.coin_dim, 1 / np.sqrt(g.coin_dim))
     collected = [uniform_state(g).vector]
     for mode in modes:
-        phases, vecs = block_eigens(coin_block(spec, mode))
+        phases, vecs = schur_eigens(coin_block(spec, mode))
         phases = np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases)
         for phase in np.unique(np.round(phases, 9)):
             cluster = np.abs(phases - phase) < 1e-8
