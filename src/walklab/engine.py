@@ -292,6 +292,8 @@ def save_state(state: WalkState, path) -> None:
 
 
 def load_state(graph: Graph, path) -> WalkState:
+    """Read a save_state file: a float64 state if every stored imaginary
+    part is zero, a complex128 one otherwise."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:8] != _MAGIC:
@@ -310,5 +312,5 @@ def load_state(graph: Graph, path) -> WalkState:
             f"N={n} state needs {expected}"
         )
     raw = np.frombuffer(payload, dtype="<f8").reshape(-1, 2)
-    amps = (raw[:, 0] + 1j * raw[:, 1]).reshape(coin_dim, n)
-    return WalkState(graph, amps)
+    amps = raw[:, 0] + 1j * raw[:, 1] if raw[:, 1].any() else raw[:, 0]
+    return WalkState(graph, amps.reshape(coin_dim, n))

@@ -7,11 +7,12 @@ coin matrix (the Grover coin is defined here) and the shift rule of
 without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix; it is powered explicitly and eigendecomposed through its
-symmetric part U' + U'^T, whose eigenvectors the skew part U' - U'^T
-then splits into complex pairs level by level (see block_eigens; a level
-that the skew part does not keep, which only a non-normal matrix has,
-raises).  From the engine it takes only the two start states,
-the uniform state and |s, v>.
+symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
+own BLAS: walklab loads no second one).  The skew part U' - U'^T then
+splits those eigenvectors into complex pairs level by level (see
+block_eigens; a level that the skew part does not keep, which only a
+non-normal matrix has, raises).  From the engine it takes only the two
+start states, the uniform state and |s, v>.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .engine import CoinConfig, marked_coin_state, uniform_state
 from .graphs import Graph
@@ -47,8 +47,10 @@ class DenseOperator:
         return self.matrix.shape[0]
 
     def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim))))
+        """max |M^H M - I|, formed in the one product's buffer."""
+        gram = self.matrix.conj().T @ self.matrix
+        gram.reshape(-1)[::self.dim + 1] -= 1.0
+        return float(np.max(np.abs(gram, out=gram)))
 
 
 def grover_coin(d: int) -> np.ndarray:
@@ -126,11 +128,12 @@ def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     An orthogonal U is normal, so its symmetric part U + U^T (eigenvalues
     2 cos theta) and its skew part U - U^T (eigenvalues 2i sin theta)
-    commute and share U's eigenvectors.  A divide-and-conquer symmetric
-    solve of U + U^T, which deflates on the heavily degenerate spectra
-    these walks have, gives a real orthonormal basis X; its eigenvalues
-    split into levels at gaps above _LEVEL_GAP.  The skew part maps each
-    level's span into itself, as the small skew matrix B = x^T (U - U^T) x.
+    commute and share U's eigenvectors.  numpy.linalg.eigh of U + U^T
+    (LAPACK syevd, a divide-and-conquer solve that deflates on the
+    heavily degenerate spectra these walks have) gives a real orthonormal
+    basis X; its eigenvalues split into levels at gaps above _LEVEL_GAP.
+    The skew part maps each level's span into itself, as the small skew
+    matrix B = x^T (U - U^T) x.
     Where it maps the level to zero (theta = 0 or pi, the big +-1
     eigenspaces) the real basis is kept.  Elsewhere the Hermitian -iB is
     diagonalised: its eigenvalues are 2 sin theta, its vectors v lift the
@@ -143,7 +146,10 @@ def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise TypeError("block_eigens takes a real orthogonal matrix, "
                         f"not a {block.dtype} one")
     n = block.shape[0]
-    sym_eigs, basis = scipy.linalg.eigh(block + block.T, overwrite_a=True, driver="evd")
+    sym_eigs, basis = np.linalg.eigh(block + block.T)
+    # column-major, as LAPACK leaves it: each level is one contiguous block of
+    # columns, and the level products below round as they do on that layout
+    basis = np.asfortranarray(basis)
     skewed = (block - block.T) @ basis
     phases = np.empty(n)
     vectors = np.empty((n, n), dtype=np.complex128)

@@ -42,11 +42,6 @@ def _effective_a0_sq(ms: ModeSpectrum) -> float:
     return ms.a0_sq + ms.frozen_weight
 
 
-def _weight_mult(ms: ModeSpectrum) -> np.ndarray:
-    # a float column even where a hypercube's counts outgrow int64 (object ints)
-    return ms.entries.weight * ms.entries.multiplicity.astype(float)
-
-
 def _pair_term(alpha: float, thetas: np.ndarray) -> np.ndarray:
     """cot((a+th)/2) + cot((a-th)/2), in its sine form, free of cancellation."""
     return -np.sin(alpha) / (np.sin((thetas + alpha) / 2) * np.sin((thetas - alpha) / 2))
@@ -62,7 +57,8 @@ def secular_value(ms: ModeSpectrum, alpha: float) -> float:
     near the root, are the terms summed again exactly by math.fsum.  So
     bisection on the sign takes the same steps as with an exact sum.
     """
-    terms = _weight_mult(ms) * _pair_term(alpha, ms.entries.theta)
+    thetas, wm = ms.level_columns
+    terms = wm * _pair_term(alpha, thetas)
     pole = _effective_a0_sq(ms) * _cot(alpha / 2)
     fast = float(terms.sum())
     value = pole + fast
@@ -128,7 +124,7 @@ def predict_overlaps(ms: ModeSpectrum, alpha: float) -> tuple[float, float]:
     surrounding theory additionally wants alpha < theta_min/2; the report
     records whether that holds.
     """
-    thetas, wm = ms.entries.theta, _weight_mult(ms)
+    thetas, wm = ms.level_columns
     sum_mix = float(np.sum(wm * _pair_term(alpha, thetas) ** 2))
     cot_half = _cot(alpha / 2)
     start_norm_sq = 2.0 * _effective_a0_sq(ms) * cot_half ** 2 + sum_mix

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -65,6 +66,9 @@ class ModeSpectrum:
     +1-eigenvectors of the walk other than the uniform state (nonzero only
     for the two-dimensional coin on even sides); that amplitude never
     rotates and is accounted separately.
+
+    A spectrum is not changed after construction: level_columns is formed
+    from entries on first use and kept.
     """
 
     a0_sq: float
@@ -76,6 +80,12 @@ class ModeSpectrum:
     @property
     def theta_min(self) -> float:
         return float(self.entries.theta[0])
+
+    @cached_property
+    def level_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, weight * multiplicity) as float64 arrays."""
+        # a float column even where a hypercube's counts outgrow int64 (object ints)
+        return self.entries.theta, self.entries.weight * self.entries.multiplicity.astype(float)
 
     @property
     def retained_dim(self) -> int:

@@ -172,6 +172,37 @@ def test_console_entry_point():
     assert doc["spectrum"]["retained_dim"] == 2
 
 
+_NO_SCIPY_CHILD = """
+import sys
+from walklab import build_graph, default_coin, torus_spec
+from walklab.cli import main
+from walklab.oracle import dense_principal_pair, dense_unitary
+
+out = sys.argv[1]
+for argv in (
+    ["run", "--family", "torus", "--side", "8", "--marked", "0,0", "--t-max", "10"],
+    ["sweep", "--family", "torus", "--dims", "2", "--sides", "4,8"],
+    ["predict", "--family", "torus", "--side", "2", "--dims", "2"],  # dense overlaps
+    ["predict", "--family", "hypercube", "--degree", "40"],
+    ["amplify", "--family", "torus", "--side", "8", "--marked", "0,0", "--rounds", "1"],
+    ["two-marked", "--side", "8", "--v1", "0,0", "--v2", "3,5", "--t-max", "10"],
+):
+    assert main([*argv, "--out", out]) == 0, argv
+graph = build_graph(torus_spec(4))
+dense_principal_pair(dense_unitary(graph, default_coin(graph, marked=(0,))), 0)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_command_and_no_oracle_call_loads_scipy(tmp_path):
+    # one BLAS per process: scipy would load a second OpenBLAS thread pool
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path / "out")],
+                            capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"
+
+
 def test_config_can_supply_t_max(tmp_path):
     cfg = tmp_path / "run.toml"
     cfg.write_text('family = "torus"\nside = 4\ndims = 2\nt_max = 5\n',

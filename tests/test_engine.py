@@ -310,6 +310,7 @@ def test_state_serialization_roundtrip(tmp_path):
     path = tmp_path / "state.bin"
     save_state(state, path)
     loaded = load_state(g, path)
+    assert loaded.amps.dtype == np.complex128
     assert np.array_equal(loaded.amps, state.amps)
     other = build_graph(torus_spec(4))
     with pytest.raises(ValueError):
@@ -399,8 +400,22 @@ def test_real_state_roundtrips_through_the_complex_file_format(tmp_path):
     assert path.read_bytes() == complex_path.read_bytes()
     assert path.stat().st_size == 16 + 16 * g.coin_dim * g.n
     loaded = load_state(g, path)
-    assert loaded.amps.dtype == np.complex128
-    np.testing.assert_array_equal(loaded.amps, state.amps)
+    assert loaded.amps.dtype == np.float64
+    assert loaded.amps.tobytes() == state.amps.tobytes()
+
+
+@pytest.mark.parametrize("imag, dtype", [(-0.0, np.float64), (5e-324, np.complex128)],
+                         ids=["negative-zero", "smallest-subnormal"])
+def test_load_state_is_complex_iff_an_imaginary_part_is_nonzero(tmp_path, imag, dtype):
+    g = build_graph(torus_spec(4))
+    amps = as_complex(real_random_state(g, seed=10)).amps
+    amps.imag[:] = -0.0
+    amps.imag[3, 5] = imag
+    path = tmp_path / "state.bin"
+    save_state(WalkState(g, amps), path)
+    loaded = load_state(g, path)
+    assert loaded.amps.dtype == dtype
+    np.testing.assert_array_equal(loaded.amps, amps)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

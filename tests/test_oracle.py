@@ -28,6 +28,19 @@ def test_dense_unitarity(spec):
     assert op.unitarity_defect() < 1e-10
 
 
+@pytest.mark.parametrize("spec", FAMILIES_SMALL, ids=lambda spec: spec.label())
+def test_unitarity_defect_equals_the_explicit_formula(spec):
+    g = build_graph(spec)
+    exact = dense_unitary(g, default_coin(g, marked=(1,)))
+    noise = np.random.default_rng(5).normal(scale=1e-9, size=exact.matrix.shape)
+    for op in (exact, walklab.oracle.DenseOperator(g, exact.matrix + noise)):
+        before = op.matrix.copy()
+        m = op.matrix
+        reference = float(np.max(np.abs(m.conj().T @ m - np.eye(op.dim))))
+        assert op.unitarity_defect().hex() == reference.hex()
+        assert np.array_equal(op.matrix, before)
+
+
 @pytest.mark.parametrize("marked", [(), (1,)], ids=["unmarked", "marked"])
 @pytest.mark.parametrize("spec", FAMILIES_SMALL, ids=lambda spec: spec.label())
 def test_dense_unitary_equals_step_built(spec, marked):

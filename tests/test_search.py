@@ -68,7 +68,8 @@ def test_secular_value_signs_at_ends():
 def _exactly_summed_secular_value(ms, alpha):
     """The reference: the same level terms, every one summed exactly."""
     s = walklab.search
-    terms = s._weight_mult(ms) * s._pair_term(alpha, ms.entries.theta)
+    lv = ms.entries
+    terms = lv.weight * lv.multiplicity.astype(float) * s._pair_term(alpha, lv.theta)
     return s._effective_a0_sq(ms) * s._cot(alpha / 2) + math.fsum(terms.tolist())
 
 
@@ -111,6 +112,30 @@ def test_solve_alpha_is_bit_identical_to_the_exact_sum(monkeypatch, spec):
     alpha = solve_alpha(ms)
     monkeypatch.setattr(walklab.search, "secular_value", _exactly_summed_secular_value)
     assert solve_alpha(ms) == alpha
+
+
+# solve_alpha's bits and its secular_value call count on fixed spectra
+SOLVE_ALPHA_BITS = [
+    (torus_spec(16), "0x1.006eaabb3118fp-4"),
+    (torus_spec(5, 3), "0x1.cd4015f88d3eep-4"),
+    (hypercube_spec(40), "0x1.653a6318cc200p-20"),
+]
+
+
+@pytest.mark.parametrize("spec, alpha_hex", SOLVE_ALPHA_BITS,
+                         ids=[spec.label() for spec, _ in SOLVE_ALPHA_BITS])
+def test_solve_alpha_bits_and_secular_call_count(monkeypatch, spec, alpha_hex):
+    ms = mode_spectrum(spec)
+    calls = []
+    original = walklab.search.secular_value
+
+    def counted(ms_, alpha):
+        calls.append(alpha)
+        return original(ms_, alpha)
+
+    monkeypatch.setattr(walklab.search, "secular_value", counted)
+    assert solve_alpha(ms).hex() == alpha_hex
+    assert len(calls) == 42
 
 
 def test_empty_spectrum_rejected():
