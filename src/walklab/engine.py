@@ -142,7 +142,7 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
 # -- shift ---------------------------------------------------------------
 
 
-def apply_shift(state: WalkState, inverse: bool = False) -> WalkState:
+def apply_shift(state: WalkState) -> WalkState:
     """S: permute amplitudes along the edges (norm preserved exactly).
 
     The moved amplitudes are written into the state's spare buffer, which
@@ -164,9 +164,9 @@ def apply_shift(state: WalkState, inverse: bool = False) -> WalkState:
         # grid views (coin, *vertex axes); the last axis is the fastest coordinate
         shape = (graph.coin_dim,) + tuple(reversed(graph.vertex_shape))
         if spec.shift == "dirac":
-            _dirac_shift(dst.reshape(shape), src.reshape(shape), inverse)
+            _dirac_shift(dst.reshape(shape), src.reshape(shape))
         else:
-            _torus_shift(dst.reshape(shape), src.reshape(shape), spec, inverse)
+            _torus_shift(dst.reshape(shape), src.reshape(shape), spec)
     state.amps, state._spare = dst, src
     return state
 
@@ -186,44 +186,30 @@ def _roll_into(dst: np.ndarray, src: np.ndarray, shift: int, axis: int) -> None:
         dst[d] = src[s]
 
 
-def _torus_shift(dst: np.ndarray, src: np.ndarray, spec, inverse: bool) -> None:
+def _torus_shift(dst: np.ndarray, src: np.ndarray, spec) -> None:
     ndim = len(spec.dims)
     flip = spec.shift == "flip_flop"
-    # the flip-flop shift is an involution, so its inverse is itself
-    sign = -1 if inverse and not flip else 1
     for axis in range(ndim):
         np_axis = ndim - 1 - axis  # vertex axes of src[c]
         plus, minus = 2 * axis, 2 * axis + 1
-        _roll_into(dst[minus if flip else plus], src[plus], sign, np_axis)
-        _roll_into(dst[plus if flip else minus], src[minus], -sign, np_axis)
+        _roll_into(dst[minus if flip else plus], src[plus], 1, np_axis)
+        _roll_into(dst[plus if flip else minus], src[minus], -1, np_axis)
 
 
-def _dirac_shift(dst: np.ndarray, src: np.ndarray, inverse: bool) -> None:
-    # half-move 1: coin basis moves along y; half-move 2: Hadamard basis
-    # moves along x.  Axes of the grid views: (coin, y, x).  Either order
-    # leaves the result in dst.
-    sign = -1 if inverse else 1
-
-    def move_y(a, b):  # a -> b
-        _roll_into(b[0], a[0], -sign, 0)  # up: y -> y-1
-        _roll_into(b[1], a[1], sign, 0)
-
-    def move_x(a, b):  # a -> a, through b
-        for d, s in _roll_pairs(a.shape[1:], -sign, 1):  # left: x -> x-1
-            np.add(a[0][s], a[1][s], out=b[0][d])
-        for d, s in _roll_pairs(a.shape[1:], sign, 1):  # right
-            np.subtract(a[0][s], a[1][s], out=b[1][d])
-        b *= _INV_SQRT2
-        np.add(b[0], b[1], out=a[0])
-        np.subtract(b[0], b[1], out=a[1])
-        a *= _INV_SQRT2
-
-    if inverse:
-        move_x(src, dst)
-        move_y(src, dst)
-    else:
-        move_y(src, dst)
-        move_x(dst, src)
+def _dirac_shift(dst: np.ndarray, src: np.ndarray) -> None:
+    # half-move 1 moves the coin basis along y, from src into dst; half-move
+    # 2 moves the Hadamard basis along x, through src, back into dst.  Axes
+    # of the grid views: (coin, y, x).
+    _roll_into(dst[0], src[0], -1, 0)  # up: y -> y-1
+    _roll_into(dst[1], src[1], 1, 0)
+    for d, s in _roll_pairs(dst.shape[1:], -1, 1):  # left: x -> x-1
+        np.add(dst[0][s], dst[1][s], out=src[0][d])
+    for d, s in _roll_pairs(dst.shape[1:], 1, 1):  # right
+        np.subtract(dst[0][s], dst[1][s], out=src[1][d])
+    src *= _INV_SQRT2
+    np.add(src[0], src[1], out=dst[0])
+    np.subtract(src[0], src[1], out=dst[1])
+    dst *= _INV_SQRT2
 
 
 # -- steps ---------------------------------------------------------------
@@ -234,18 +220,15 @@ def step(state: WalkState, coin: CoinConfig) -> WalkState:
     return apply_shift(apply_coin(state, coin))
 
 
-def unstep(state: WalkState, coin: CoinConfig) -> WalkState:
-    """Inverse step C'^-1 * S^-1; every coin here is an involution."""
-    apply_shift(state, inverse=True)
-    return apply_coin(state, coin)
+def reflect_about(state: WalkState, axis: WalkState) -> WalkState:
+    """state -> 2 <axis|state> axis - state, for a unit `axis`.
 
-
-def reflect_about_uniform(state: WalkState) -> WalkState:
-    """state -> 2 <Phi0|state> |Phi0> - state."""
-    amps = state.amps
-    d_n = amps.size
-    mean = amps.sum() / d_n  # <Phi0|state> / sqrt(dN)
-    np.subtract(2.0 * mean, amps, out=amps)
+    einsum takes the overlap in numpy's own loop, so its bits do not depend
+    on the BLAS thread count.
+    """
+    a, s = axis.amps.reshape(-1), state.amps.reshape(-1)
+    overlap = np.einsum("i,i->", a.conj(), s)
+    np.subtract((2.0 * overlap) * axis.amps, state.amps, out=state.amps)
     return state
 
 

@@ -166,24 +166,16 @@ class Graph:
     def neighbors(self, vertex: int) -> np.ndarray:
         """Vertices reachable from `vertex` in one walk step, sorted.
 
-        This matches graph adjacency except for the two-dimensional coin,
-        whose composed step lands on the diagonal sites.
+        Read off `shift_target`: every direction's target, less `vertex`
+        itself (the complete graph's self-loop).  The two-dimensional coin's
+        step composes its half-moves, so it lands on the diagonal sites.
         """
-        if not 0 <= vertex < self.n:
-            raise IndexError(f"vertex {vertex} out of range for N={self.n}")
-        spec = self.spec
-        if spec.family == "complete":  # everything but the unlisted self-loop
-            return np.delete(np.arange(self.n, dtype=np.int64), vertex)
-        if spec.family == "hypercube":
-            out = {vertex ^ (1 << i) for i in range(spec.dims[0])}
-        elif spec.shift == "dirac":
-            # one step moves both coordinates: the four diagonal sites
-            x, y = self.vertex_coords(vertex)
-            out = {self.vertex_index((x + dx, y + dy)) for dx in (1, -1) for dy in (1, -1)}
+        if self.spec.shift == "dirac":
+            out = {self.shift_target(self.shift_target(vertex, r)[0], r2)[0]
+                   for r in (0, 1) for r2 in (2, 3)}
         else:
-            c = self.vertex_coords(vertex)
-            out = {self.vertex_index(c[:axis] + (c[axis] + sign,) + c[axis + 1:])
-                   for axis in range(len(spec.dims)) for sign in (1, -1)}
+            out = {self.shift_target(vertex, c)[0] for c in range(self.coin_dim)}
+        out.discard(vertex)
         return np.array(sorted(out), dtype=np.int64)
 
     # -- shift map -------------------------------------------------------

@@ -5,10 +5,13 @@ and records two success figures per step: the probability on the marked
 set and the probability on the marked set plus its graph neighborhood
 (the final state concentrates on both).  Sweeps fan out over sizes,
 fit the peak-time exponent, and carry the spectral predictions along
-for side-by-side comparison.  Amplitude amplification reruns the walk
-between reflections and charges its cost to a CostLedger, which holds
-the locality model's preparation and reflection charges; the local
-circuit that realizes them is a test reference (tests/helpers.py).
+for side-by-side comparison.  Amplitude amplification walks once and
+then alternates the marked flip with a reflection about the walked state,
+which equals the algorithm's undo-walk, reflect-about-uniform, redo-walk
+round.  A CostLedger charges what the algorithm runs: the walk steps of
+every round and the locality model's preparation and reflection charges;
+the local circuit that realizes those is a test reference
+(tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .engine import (CoinConfig, WalkState, closed_neighborhood, default_coin,
-                     flip_marked_vertices, reflect_about_uniform, squared_norm, step,
-                     uniform_state, unstep, vertex_probabilities)
+                     flip_marked_vertices, reflect_about, squared_norm, step,
+                     uniform_state, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 from .search import PredictionReport, predict
 
@@ -60,16 +63,14 @@ def _check_count(name: str, value: int) -> None:
         raise ConfigurationError(f"{name} must be a non-negative count, got {value}")
 
 
-def evolve(state: WalkState, coin: CoinConfig, steps: int, observe=None,
-           inverse: bool = False) -> WalkState:
-    """Apply `steps` walk steps, or inverse steps, to `state` in place.
+def evolve(state: WalkState, coin: CoinConfig, steps: int, observe=None) -> WalkState:
+    """Apply `steps` walk steps to `state` in place.
 
     observe(t, state), if given, is called at t = 0 and after each step t.
     """
-    advance = unstep if inverse else step
     for t in range(steps + 1):
         if t:
-            advance(state, coin)
+            step(state, coin)
         if observe is not None:
             observe(t, state)
     return state
@@ -184,11 +185,14 @@ class AmplifyResult:
 def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> AmplifyResult:
     """Amplitude amplification with the walk as the inner algorithm.
 
-    One round reflects about the marked vertices, undoes the walk, reflects
-    about the uniform state, and reruns the walk; each round therefore costs
-    2*walk_length steps plus one 4*sqrt(N) reflection.  Success probability
-    follows the exact sin^2((2r+1) gamma) law with gamma set by the walk's
-    end-of-run marked probability.
+    The algorithm's round flips the marked vertices, undoes the walk U'^t,
+    reflects about the uniform state |u>, and reruns the walk; the ledger
+    charges each round those 2*walk_length steps plus one 4*sqrt(N)
+    reflection.  As an operator, U'^t (2|u><u| - I) U'^-t is the reflection
+    about the walked state U'^t|u>, so the simulation walks once, keeps that
+    state, and applies each round as a flip and a reflection about it.
+    Success probability follows the exact sin^2((2r+1) gamma) law with gamma
+    set by the walk's end-of-run marked probability.
     """
     coin.validate_for(graph)
     if not coin.marked:
@@ -197,6 +201,7 @@ def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> Am
     _check_count("rounds", rounds)
     ledger = CostLedger(graph.n)
     state = evolve(uniform_state(graph), coin, walk_length)
+    walked = state.copy()
     ledger.step_count += walk_length
 
     marked = list(coin.marked)
@@ -204,9 +209,7 @@ def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> Am
     success[0] = vertex_probabilities(state, marked).sum()
     for r in range(rounds):
         flip_marked_vertices(state, marked)
-        evolve(state, coin, walk_length, inverse=True)
-        reflect_about_uniform(state)
-        evolve(state, coin, walk_length)
+        reflect_about(state, walked)
         ledger.step_count += 2 * walk_length
         ledger.amplification_rounds += 1
         success[r + 1] = vertex_probabilities(state, marked).sum()

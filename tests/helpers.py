@@ -327,8 +327,8 @@ def lift_principal_eigenvector(graph, marked_vertex: int, alpha: float) -> np.nd
 # -- local state preparation (Aaronson & Ambainis, quant-ph/0303041) -----------
 #
 # Too slow to drive `amplify` (one reflection took 113 ms at L=128 on a
-# 2-vCPU VM, against 0.2 ms for `reflect_about_uniform`); kept as the
-# executable check of the CostLedger's locality charges.
+# 2-vCPU VM, against 0.15 ms for `reflect_about` with the uniform axis);
+# kept as the executable check of the CostLedger's locality charges.
 
 
 class _LocalOp:
@@ -428,8 +428,8 @@ def prepare_uniform_locally(graph) -> tuple[WalkState, CostLedger]:
 def reflect_via_preparation(graph, state: WalkState) -> tuple[WalkState, float]:
     """I - 2|Phi0><Phi0| realized as unprepare, point flip, re-prepare.
 
-    Equals -reflect_about_uniform (a global phase); costs one
-    CostLedger.reflection_unit.
+    Equals -reflect_about(state, uniform_state(graph)) (a global phase);
+    costs one CostLedger.reflection_unit.
     """
     ops = _preparation_circuit(graph)
     for op in reversed(ops):

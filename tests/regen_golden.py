@@ -2,6 +2,7 @@
 
 Run `python tests/regen_golden.py` from the repository root after an
 intentional output-format change, then review the diff before committing.
+It takes no arguments; given any, it prints its usage and writes nothing.
 """
 
 import sys
@@ -51,4 +52,7 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:]:
+        sys.exit("usage: python tests/regen_golden.py (no arguments): "
+                 "rewrite every file in tests/golden/")
     regenerate()

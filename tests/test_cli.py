@@ -49,6 +49,15 @@ def test_json_commands_match_golden(tmp_path, golden_name, args):
     json_numbers_close(_read_json(out), _read_json(GOLDEN / golden_name))
 
 
+def test_regen_golden_with_arguments_writes_nothing():
+    before = {f.name: f.stat().st_mtime_ns for f in GOLDEN.iterdir()}
+    result = subprocess.run([sys.executable, str(Path(__file__).parent / "regen_golden.py"),
+                             "--help"], capture_output=True, text=True)
+    assert result.returncode != 0
+    assert result.stderr.startswith("usage:")
+    assert {f.name: f.stat().st_mtime_ns for f in GOLDEN.iterdir()} == before
+
+
 def test_two_marked_reports_tiny_symmetry_residual(tmp_path):
     out = tmp_path / "pair.json"
     assert run_cli(["two-marked", "--side", "8", "--v1", "0,0", "--v2", "3,5",
@@ -78,18 +87,33 @@ def test_csv_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_THREADS_CHILD = """
+import sys
+from walklab.cli import main
+
+for i, argv in enumerate(sys.argv[2:]):
+    assert main([*argv.split(), "--out", f"{sys.argv[1]}{i}"]) == 0, argv
+"""
+
+
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # large enough that a BLAS reduction would split across threads
-    args = ["run", "--family", "torus", "--side", "256", "--marked", "0,0",
-            "--t-max", "60"]
+    commands = [
+        # large enough that a BLAS reduction would split across threads
+        "run --family torus --side 256 --marked 0,0 --t-max 60",
+        # arenas whose prediction takes the dense eigenvectors; 1D tori do
+        # too, but from side ~110 their bits follow the thread count (README)
+        "predict --family torus --side 2 --shift flip-flop",
+        "predict --family torus --side 2 --shift dirac",
+        "predict --family hypercube --degree 2",
+    ]
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        out = tmp_path / f"threads{threads}.csv"
-        subprocess.run([sys.executable, "-m", "walklab.cli", *args, "--out", str(out)],
+        prefix = tmp_path / f"threads{threads}-"
+        subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(prefix), *commands],
                        check=True, env=env)
-        outputs.append(out.read_bytes())
+        outputs.append([Path(f"{prefix}{i}").read_bytes() for i in range(len(commands))])
     assert outputs[0] == outputs[1]
 
 

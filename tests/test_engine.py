@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
                      dense_unitary, evolve_dense, hypercube_spec, load_state,
-                     marked_coin_state, reflect_about_uniform, save_state, step,
-                     torus_spec, uniform_state, unstep, vertex_probabilities)
+                     marked_coin_state, reflect_about, save_state, step,
+                     torus_spec, uniform_state, vertex_probabilities)
 from walklab.engine import squared_norm
 
 from helpers import neighborhood_probability, random_state, translate
@@ -107,49 +107,38 @@ PERMUTATION_FAMILIES = [torus_spec(2), torus_spec(5), torus_spec(6, 1),
                         complete_spec(2), complete_spec(40)]
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-@pytest.mark.parametrize("spec", PERMUTATION_FAMILIES, ids=lambda s: s.label())
-def test_shift_equals_shift_permutation(spec, inverse):
+# "-False" in the ids keeps the case names from when apply_shift had an
+# inverse flag
+@pytest.mark.parametrize("spec", PERMUTATION_FAMILIES, ids=lambda s: f"{s.label()}-False")
+def test_shift_equals_shift_permutation(spec):
     g = build_graph(spec)
     perm = g.shift_permutation()  # p[c*N+v] = c'*N+v', from the per-edge rule
     state = random_state(g, seed=11)
     before = state.vector.copy()
-    apply_shift(state, inverse=inverse)
-    if inverse:
-        expected = before[perm]
-    else:
-        expected = np.empty_like(before)
-        expected[perm] = before
+    apply_shift(state)
+    expected = np.empty_like(before)
+    expected[perm] = before
     assert np.array_equal(state.vector, expected)
 
 
-def _dirac_shift_by_rolls(amps, side, inverse):
+def _dirac_shift_by_rolls(amps, side):
     """The dirac half-moves written with np.roll, as a reference."""
     grid = amps.reshape(2, side, side).copy()
-    sign = -1 if inverse else 1
-
-    def move_y():
-        grid[0] = np.roll(grid[0], -sign, axis=0)
-        grid[1] = np.roll(grid[1], sign, axis=0)
-
-    def move_x():
-        left = np.roll((grid[0] + grid[1]) / np.sqrt(2.0), -sign, axis=1)
-        right = np.roll((grid[0] - grid[1]) / np.sqrt(2.0), sign, axis=1)
-        grid[0] = (left + right) / np.sqrt(2.0)
-        grid[1] = (left - right) / np.sqrt(2.0)
-
-    for move in ((move_x, move_y) if inverse else (move_y, move_x)):
-        move()
+    grid[0] = np.roll(grid[0], -1, axis=0)
+    grid[1] = np.roll(grid[1], 1, axis=0)
+    left = np.roll((grid[0] + grid[1]) / np.sqrt(2.0), -1, axis=1)
+    right = np.roll((grid[0] - grid[1]) / np.sqrt(2.0), 1, axis=1)
+    grid[0] = (left + right) / np.sqrt(2.0)
+    grid[1] = (left - right) / np.sqrt(2.0)
     return grid.reshape(2, side * side)
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-@pytest.mark.parametrize("side", [2, 3, 7])
-def test_dirac_shift_matches_roll_reference(side, inverse):
+@pytest.mark.parametrize("side", [2, 3, 7], ids=lambda side: f"{side}-False")
+def test_dirac_shift_matches_roll_reference(side):
     g = build_graph(torus_spec(side, shift="dirac"))
     state = random_state(g, seed=side)
-    expected = _dirac_shift_by_rolls(state.amps, side, inverse)
-    apply_shift(state, inverse=inverse)
+    expected = _dirac_shift_by_rolls(state.amps, side)
+    apply_shift(state)
     assert np.array_equal(state.amps, expected)
 
 
@@ -178,34 +167,30 @@ def test_vertex_probabilities_on_a_subset_is_exact(spec):
         assert np.array_equal(vertex_probabilities(state, vs), full[vs])
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES)
-def test_unstep_inverts_step(spec):
-    g = build_graph(spec)
-    state = random_state(g, seed=4)
-    ref = state.amps.copy()
-    coin = default_coin(g, marked=(1,))
-    unstep(step(state, coin), coin)
-    assert np.max(np.abs(state.amps - ref)) < 1e-12
-
-
-def test_reflect_about_uniform():
+@pytest.mark.parametrize("axis", ["uniform", "random"])
+def test_reflect_about_uniform(axis):
     g = build_graph(torus_spec(4))
-    phi0 = uniform_state(g)
-    reflect_about_uniform(phi0)
-    assert np.allclose(phi0.amps, uniform_state(g).amps)
+    a = uniform_state(g) if axis == "uniform" else random_state(g, seed=4)
+    fixed = a.copy()
+    reflect_about(fixed, a)
+    assert np.max(np.abs(fixed.amps - a.amps)) < 1e-12
 
     perp = random_state(g, seed=5)
-    c = np.vdot(uniform_state(g).amps, perp.amps)
-    perp.amps -= c * uniform_state(g).amps
+    c = np.vdot(a.amps, perp.amps)
+    perp.amps -= c * a.amps
     perp.amps /= np.linalg.norm(perp.amps)
     ref = perp.amps.copy()
-    reflect_about_uniform(perp)
+    reflect_about(perp, a)
     assert np.max(np.abs(perp.amps + ref)) < 1e-12
 
     anything = random_state(g, seed=6)
     ref = anything.amps.copy()
-    reflect_about_uniform(reflect_about_uniform(anything))
+    reflect_about(reflect_about(anything, a), a)
     assert np.max(np.abs(anything.amps - ref)) < 1e-12
+
+    expected = 2.0 * np.vdot(a.amps, ref) * a.amps - ref
+    reflect_about(anything, a)
+    assert np.max(np.abs(anything.amps - expected)) < 1e-12
 
 
 def test_complete_graph_two_steps_equal_grover_iterate():
@@ -374,7 +359,7 @@ def test_real_state_steps_like_complex(spec, marked):
     coin = default_coin(g, marked=marked)
     real = real_random_state(g, seed=7)
     cplx = as_complex(real)
-    for advance in [step] * 9 + [unstep] * 9:
+    for advance in [step] * 18:
         advance(real, coin)
         advance(cplx, coin)
         assert real.amps.dtype == np.float64

@@ -234,7 +234,7 @@ def test_evolve_dense_keeps_a_real_history_for_a_real_start():
 
 
 # engine functions that step a state; the oracle builds U' without them
-_STEPPING = {"step", "unstep", "apply_coin", "apply_shift"}
+_STEPPING = {"step", "apply_coin", "apply_shift"}
 
 
 def _oracle_imports():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import walklab.runner
 from walklab import (ConfigurationError, RunTrace, amplify, build_graph,
-                     complete_spec, default_coin, find_peak, fit_exponent,
-                     hypercube_spec, predict, reflect_about_uniform, run_two_marked,
+                     complete_spec, default_coin, dense_unitary, find_peak, fit_exponent,
+                     hypercube_spec, predict, reflect_about, run_two_marked,
                      run_walk, scaling_sweep, step, sweep_point, torus_spec,
                      uniform_state, vertex_probabilities)
 
@@ -142,6 +143,49 @@ def test_ledger_arithmetic():
     assert ledger.total == ledger.prep_cost + ledger.step_count + ledger.reflection_cost
 
 
+AMPLIFY_ARENAS = [(torus_spec(4), (1, 6)), (torus_spec(3, 3), (1, 13)),
+                  (torus_spec(4, shift="moving"), (1, 6)),
+                  (torus_spec(4, shift="dirac"), (1, 6)),
+                  (hypercube_spec(4), (1,)), (complete_spec(8), (1,))]
+
+
+@pytest.mark.parametrize("spec, marked", AMPLIFY_ARENAS,
+                         ids=[spec.label() for spec, _ in AMPLIFY_ARENAS])
+def test_amplify_matches_dense_route(spec, marked, monkeypatch):
+    # the algorithm's rounds, as dense matrices: flip, undo the walk with the
+    # transpose, reflect about the uniform state, redo the walk
+    g = build_graph(spec)
+    coin = default_coin(g, marked=marked)
+    u = dense_unitary(g, coin).matrix
+    uniform = uniform_state(g).vector
+    flip = np.ones((g.coin_dim, g.n))
+    flip[:, list(marked)] = -1.0
+    walk_length, rounds = 6, 3
+
+    def walk(vec, matrix):
+        for _ in range(walk_length):
+            vec = matrix @ vec
+        return vec
+
+    def p_marked(vec):
+        return float(np.sum(vec.reshape(g.coin_dim, g.n)[:, list(marked)] ** 2))
+
+    psi = walk(uniform, u)
+    expected = [p_marked(psi)]
+    for _ in range(rounds):
+        psi = walk(flip.reshape(-1) * psi, u.T)
+        psi = walk(2.0 * (uniform @ psi) * uniform - psi, u)
+        expected.append(p_marked(psi))
+
+    steps = []
+    monkeypatch.setattr(walklab.runner, "step",
+                        lambda state, c: steps.append(1) or step(state, c))
+    result = amplify(g, coin, walk_length, rounds)
+    np.testing.assert_allclose(result.success, expected, rtol=0, atol=1e-12)
+    assert len(steps) == walk_length  # the simulation walks once
+    assert result.ledger.step_count == walk_length * (1 + 2 * rounds)
+
+
 def test_amplify_flags_overshoot():
     n = 64
     g = build_graph(complete_spec(n))
@@ -205,7 +249,7 @@ def test_reflection_via_preparation_matches_direct():
     state = random_state(g, seed=11)
     twin = state.copy()
     state, cost = reflect_via_preparation(g, state)
-    reflect_about_uniform(twin)
+    reflect_about(twin, uniform_state(g))
     # the prepared route realizes the same reflection up to a global sign
     assert np.max(np.abs(state.amps + twin.amps)) < 1e-10
     assert cost == 4 * math.sqrt(g.n)
