@@ -3,8 +3,8 @@ complete graphs: a fast structured simulator, a spectral run-time
 predictor, and a dense ground-truth oracle for cross-validation."""
 
 from .engine import (CoinConfig, WalkState, apply_coin, apply_shift, default_coin,
-                     flip_marked_vertices, load_state, marked_coin_state, reflect_about,
-                     save_state, step, uniform_state, vertex_probabilities)
+                     flip_marked_vertices, marked_coin_state, reflect_about, step,
+                     uniform_state, vertex_probabilities)
 from .graphs import (ConfigurationError, Graph, GraphSpec, build_graph,
                      complete_spec, hypercube_spec, torus_spec)
 from .oracle import (DenseOperator, block_eigens, dense_eigens, dense_principal_pair,

@@ -14,7 +14,6 @@ complete graph's register swap.  The state and the spare then swap roles.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from .graphs import ConfigurationError, Graph
 # numpy divides complex by a real as a product with its reciprocal, so
 # scaling by reciprocals steps a real state to the same bits as the complex one
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_MAGIC = b"WLKSTAT1"
 _NORM_TOL = 1e-9
 
 
@@ -257,43 +255,3 @@ def closed_neighborhood(graph: Graph, vertices) -> np.ndarray:
     vs = [int(v) for v in vertices]
     return np.unique(np.concatenate([np.array(vs, dtype=np.int64)]
                                     + [graph.neighbors(v) for v in vs]))
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def save_state(state: WalkState, path) -> None:
-    """Raw little-endian dump: 16-byte header (magic, coin_dim, N) + re/im pairs."""
-    header = _MAGIC + struct.pack("<II", state.graph.coin_dim, state.graph.n)
-    data = np.empty((state.amps.size, 2), dtype="<f8")
-    flat = state.vector
-    data[:, 0] = flat.real
-    data[:, 1] = flat.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
-
-
-def load_state(graph: Graph, path) -> WalkState:
-    """Read a save_state file: a float64 state if every stored imaginary
-    part is zero, a complex128 one otherwise."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16 or header[:8] != _MAGIC:
-            raise ValueError("not a walklab state file")
-        coin_dim, n = struct.unpack("<II", header[8:])
-        if (coin_dim, n) != (graph.coin_dim, graph.n):
-            raise ValueError(
-                f"state file is for coin_dim={coin_dim}, N={n}; "
-                f"graph has coin_dim={graph.coin_dim}, N={graph.n}"
-            )
-        payload = fh.read()
-    expected = 16 * coin_dim * n
-    if len(payload) != expected:
-        raise ValueError(
-            f"state file payload is {len(payload)} bytes; a coin_dim={coin_dim}, "
-            f"N={n} state needs {expected}"
-        )
-    raw = np.frombuffer(payload, dtype="<f8").reshape(-1, 2)
-    amps = raw[:, 0] + 1j * raw[:, 1] if raw[:, 1].any() else raw[:, 0]
-    return WalkState(graph, amps.reshape(coin_dim, n))

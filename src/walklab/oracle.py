@@ -8,11 +8,12 @@ without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix; it is powered explicitly and eigendecomposed through its
 symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
-own BLAS: walklab loads no second one).  The skew part U' - U'^T then
-splits those eigenvectors into complex pairs level by level (see
-block_eigens; a level that the skew part does not keep, which only a
-non-normal matrix has, raises).  From the engine it takes only the two
-start states, the uniform state and |s, v>.
+own BLAS: walklab loads no second one), split in two half-size blocks
+where the shift S is an involution (then S C' + C' S commutes with S; this
+is checked).  The skew part U' - U'^T then splits those eigenvectors into
+complex pairs level by level (see block_eigens; a level that the skew part
+does not keep, which only a non-normal matrix has, raises).  From the
+engine it takes only the two start states, the uniform state and |s, v>.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ _INVARIANCE_TOL = 1e-10
 
 @dataclass
 class DenseOperator:
-    """A full (coin_dim*N)-dimensional real unitary with its arena."""
+    """A full (coin_dim*N)-dimensional real unitary with its arena, and the
+    shift permutation as `reflection` where it is an involution."""
 
     graph: Graph
     matrix: np.ndarray
+    reflection: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -74,14 +77,18 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
     coin.validate_for(graph)
     c_prime = _coin_matrix(graph, coin)
     matrix = np.empty_like(c_prime)
+    reflection = None
     if graph.spec.shift != "dirac":
-        matrix[graph.shift_permutation()] = c_prime
+        perm = graph.shift_permutation()
+        matrix[perm] = c_prime
+        if np.array_equal(perm[perm], np.arange(dim)):
+            reflection = perm
     else:
         matrix[_half_move(graph, (0, 1))] = c_prime
         _hadamard_rows(matrix, graph.n)
         c_prime[_half_move(graph, (2, 3))] = matrix  # c_prime's buffer is free
         matrix = _hadamard_rows(c_prime, graph.n)
-    return DenseOperator(graph, matrix)
+    return DenseOperator(graph, matrix, reflection)
 
 
 def _coin_matrix(graph: Graph, coin: CoinConfig) -> np.ndarray:
@@ -123,7 +130,8 @@ def _hadamard_rows(m: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
-def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def block_eigens(block: np.ndarray,
+                 reflection: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases and an orthonormal eigenbasis of a real orthogonal matrix.
 
     An orthogonal U is normal, so its symmetric part U + U^T (eigenvalues
@@ -132,6 +140,9 @@ def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (LAPACK syevd, a divide-and-conquer solve that deflates on the
     heavily degenerate spectra these walks have) gives a real orthonormal
     basis X; its eigenvalues split into levels at gaps above _LEVEL_GAP.
+    Given a `reflection` (an involutive index permutation), eigh runs on
+    the halves of U + U^T on its two eigenspaces (_reflection_eigh), and
+    raises ArithmeticError if U + U^T does not commute with it.
     The skew part maps each level's span into itself, as the small skew
     matrix B = x^T (U - U^T) x.
     Where it maps the level to zero (theta = 0 or pi, the big +-1
@@ -146,13 +157,21 @@ def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise TypeError("block_eigens takes a real orthogonal matrix, "
                         f"not a {block.dtype} one")
     n = block.shape[0]
-    sym_eigs, basis = np.linalg.eigh(block + block.T)
-    # column-major, as LAPACK leaves it: each level is one contiguous block of
-    # columns, and the level products below round as they do on that layout
-    basis = np.asfortranarray(basis)
-    skewed = (block - block.T) @ basis
-    phases = np.empty(n)
+    if reflection is None:
+        sym_eigs, basis = np.linalg.eigh(block + block.T)
+        # column-major, as LAPACK leaves it: each level is one contiguous block of
+        # columns, and the level products below round as they do on that layout
+        basis = np.asfortranarray(basis)
     vectors = np.empty((n, n), dtype=np.complex128)
+    # The levels below write every entry of `vectors`; until then its buffer,
+    # two float64 n x n halves, holds the n x n temporaries.  The whole eigh
+    # above runs first: its LAPACK workspace (about 3 n^2 floats) is freed
+    # before the buffer is touched.  The halves need far less.
+    scratch = vectors.reshape(-1).view(np.float64).reshape(2, n, n)
+    if reflection is not None:
+        sym_eigs, basis = _reflection_eigh(block, reflection, scratch)
+    skewed = np.subtract(block, block.T, out=scratch[0]) @ basis
+    phases = np.empty(n)
     cuts = [0, *(np.flatnonzero(np.diff(sym_eigs) > _LEVEL_GAP) + 1), n]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         x, y = basis[:, lo:hi], skewed[:, lo:hi]
@@ -175,9 +194,72 @@ def block_eigens(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phases, vectors
 
 
+def _reflection_eigh(block: np.ndarray, reflection: np.ndarray,
+                     scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of U + U^T (ascending, column-major basis) by one half-size eigh
+    per eigenspace of the involution `reflection`.
+
+    With (p, q) its 2-cycles and f its fixed points, (e_p + e_q)/sqrt(2) and
+    e_f span the +1 eigenspace and (e_p - e_q)/sqrt(2) the -1 one.  The
+    spectra of the two halves merge by a stable sort.
+    """
+    n = block.shape[0]
+    index = np.arange(n)
+    if reflection.shape != (n,) or not np.array_equal(reflection[reflection], index):
+        raise ValueError("reflection must be an involutive permutation of the indices")
+    p = np.flatnonzero(reflection > index)
+    q, fixed, k = reflection[p], np.flatnonzero(reflection == index), p.size
+    plus, minus = _reflection_halves(block, np.concatenate([p, q, fixed]), k, scratch)
+    plus_eigs, plus_vecs = np.linalg.eigh(plus)
+    del plus
+    minus_eigs, minus_vecs = np.linalg.eigh(minus)
+    del minus
+    sym_eigs = np.concatenate([plus_eigs, minus_eigs])
+    merge = np.argsort(sym_eigs, kind="stable")
+    column = np.empty(n, dtype=np.int64)
+    column[merge] = index  # where each eigenvector of [+ | -] lands
+    plus_cols, minus_cols = column[:n - k], column[n - k:]
+    basis = np.empty((n, n), order="F")
+    rows = basis.T  # row j is eigenvector j
+    lift = np.ascontiguousarray(plus_vecs.T)  # row i is + eigenvector i
+    lift[:, :k] *= _INV_SQRT2
+    rows[np.ix_(plus_cols, p)] = rows[np.ix_(plus_cols, q)] = lift[:, :k]
+    rows[np.ix_(plus_cols, fixed)] = lift[:, k:]
+    lift = np.ascontiguousarray(minus_vecs.T) * _INV_SQRT2
+    rows[np.ix_(minus_cols, p)] = lift
+    rows[np.ix_(minus_cols, q)] = -lift
+    rows[np.ix_(minus_cols, fixed)] = 0.0
+    return sym_eigs[merge], basis
+
+
+def _reflection_halves(block: np.ndarray, order: np.ndarray, k: int,
+                       scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The +1 block (size n-k) and the -1 block (size k) of U + U^T, from one
+    copy reordered as [p, q, fixed] in `scratch` (two n x n float64 buffers);
+    raises if the mixed block between them is not zero."""
+    n = block.shape[0]
+    np.add(block, block.T, out=scratch[0])
+    # mode="clip" writes straight into `out` (the indices are a permutation)
+    np.take(scratch[0], order, axis=0, out=scratch[1], mode="clip")
+    sym = np.take(scratch[1], order, axis=1, out=scratch[0], mode="clip")
+    P, Q, F = slice(0, k), slice(k, 2 * k), slice(2 * k, n)
+    mixed = max(np.max(np.abs((sym[P, P] - sym[Q, Q]) + (sym[P, Q] - sym[Q, P])), initial=0.0) / 2,
+                np.max(np.abs(sym[P, F] - sym[Q, F]), initial=0.0) * _INV_SQRT2)
+    if mixed > _INVARIANCE_TOL:
+        raise ArithmeticError(f"U + U^T does not commute with the reflection: "
+                              f"the mixed block reaches {mixed:.3e}")
+    diag, cross = sym[P, P] + sym[Q, Q], sym[P, Q] + sym[Q, P]  # exactly symmetric
+    plus = np.empty((n - k, n - k))
+    plus[:k, :k] = (diag + cross) * 0.5
+    plus[:k, k:] = (sym[P, F] + sym[Q, F]) * _INV_SQRT2
+    plus[k:, :k] = plus[:k, k:].T
+    plus[k:, k:] = sym[F, F]
+    return plus, (diag - cross) * 0.5
+
+
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases (sorted by |phase|) and an orthonormal eigenbasis."""
-    phases, vectors = block_eigens(op.matrix)
+    phases, vectors = block_eigens(op.matrix, op.reflection)
     order = np.argsort(np.abs(phases), kind="stable")
     return phases[order], vectors[:, order]
 

@@ -8,12 +8,14 @@
   and their lifts to the full space;
 - the local preparation circuit, the executable check of the ledger's
   preparation and reflection charges;
-- state factories and small measurement conveniences.
+- state factories, the raw state-file format and small measurement
+  conveniences.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from itertools import product
 
 import numpy as np
@@ -25,6 +27,7 @@ from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build
 from walklab.engine import closed_neighborhood
 
 _PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
+_MAGIC = b"WLKSTAT1"
 
 
 def random_state(graph, seed=0) -> WalkState:
@@ -122,6 +125,46 @@ def json_numbers_close(a, b, atol=1e-9, path="$") -> None:
         assert abs(a - b) <= atol * max(1.0, abs(a), abs(b)), f"{path}: {a} != {b}"
     else:
         assert a == b, f"{path}: {a!r} != {b!r}"
+
+
+# -- state files -------------------------------------------------------------
+
+
+def save_state(state: WalkState, path) -> None:
+    """Raw little-endian dump: 16-byte header (magic, coin_dim, N) + re/im pairs."""
+    header = _MAGIC + struct.pack("<II", state.graph.coin_dim, state.graph.n)
+    data = np.empty((state.amps.size, 2), dtype="<f8")
+    flat = state.vector
+    data[:, 0] = flat.real
+    data[:, 1] = flat.imag
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data.tobytes())
+
+
+def load_state(graph, path) -> WalkState:
+    """Read a save_state file: a float64 state if every stored imaginary
+    part is zero, a complex128 one otherwise."""
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16 or header[:8] != _MAGIC:
+            raise ValueError("not a walklab state file")
+        coin_dim, n = struct.unpack("<II", header[8:])
+        if (coin_dim, n) != (graph.coin_dim, graph.n):
+            raise ValueError(
+                f"state file is for coin_dim={coin_dim}, N={n}; "
+                f"graph has coin_dim={graph.coin_dim}, N={graph.n}"
+            )
+        payload = fh.read()
+    expected = 16 * coin_dim * n
+    if len(payload) != expected:
+        raise ValueError(
+            f"state file payload is {len(payload)} bytes; a coin_dim={coin_dim}, "
+            f"N={n} state needs {expected}"
+        )
+    raw = np.frombuffer(payload, dtype="<f8").reshape(-1, 2)
+    amps = raw[:, 0] + 1j * raw[:, 1] if raw[:, 1].any() else raw[:, 0]
+    return WalkState(graph, amps.reshape(coin_dim, n))
 
 
 # -- measurement conveniences ------------------------------------------------

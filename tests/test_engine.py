@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
-                     dense_unitary, evolve_dense, hypercube_spec, load_state,
-                     marked_coin_state, reflect_about, save_state, step,
-                     torus_spec, uniform_state, vertex_probabilities)
+                     dense_unitary, evolve_dense, hypercube_spec, marked_coin_state,
+                     reflect_about, step, torus_spec, uniform_state,
+                     vertex_probabilities)
 from walklab.engine import squared_norm
 
-from helpers import neighborhood_probability, random_state, translate
+from helpers import (load_state, neighborhood_probability, random_state, save_state,
+                     translate)
 
 ALL_FAMILIES = [torus_spec(4), torus_spec(4, shift="moving"),
                 torus_spec(4, shift="dirac"), torus_spec(3, 3),

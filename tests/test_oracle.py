@@ -1,6 +1,7 @@
 """Dense oracle self-checks and its cross-validation duties."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,111 @@ def test_block_eigens_real_matches_complex(spec):
     real = _fold(block_eigens(matrix)[0])
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(real - reference)) < 1e-12
+
+
+# arenas whose shift is a symmetric involution, so dense_eigens splits U + U^T
+SPLIT_CASES = [
+    pytest.param(torus_spec(32, 1), (1,), id="torus(32)-1D"),
+    pytest.param(torus_spec(4), (1,), id="torus(4x4)"),
+    pytest.param(torus_spec(3, 3), (1,), id="torus(3x3x3)"),
+    pytest.param(hypercube_spec(5), (1,), id="hypercube(5)"),
+    pytest.param(complete_spec(16), (1,), id="complete(16)"),
+    pytest.param(torus_spec(6), (0, 14), id="torus(6x6)-two-marked"),
+    # unmarked, both spectra are heavily degenerate
+    pytest.param(hypercube_spec(6), (), id="hypercube(6)-unmarked"),
+    pytest.param(complete_spec(16), (), id="complete(16)-unmarked"),
+]
+
+
+@pytest.mark.parametrize("spec,marked", SPLIT_CASES)
+def test_split_eigensolve_matches_the_whole_one_and_schur(spec, marked):
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=marked))
+    assert op.reflection is not None
+    split = _fold(block_eigens(op.matrix, op.reflection)[0])
+    whole = _fold(block_eigens(op.matrix)[0])
+    reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+    assert np.max(np.abs(split - whole)) < 1e-12
+    assert np.max(np.abs(split - reference)) < 1e-12
+    _assert_orthonormal_eigensystem(op)  # dense_eigens takes the split route
+
+
+@pytest.mark.parametrize("spec,involutive", [
+    (torus_spec(32, 1), True), (torus_spec(4), True), (torus_spec(3, 3), True),
+    (torus_spec(2), True), (hypercube_spec(4), True), (complete_spec(16), True),
+    (torus_spec(2, shift="moving"), True),  # +1 and -1 are one move on side 2
+    (torus_spec(3, shift="moving"), False), (torus_spec(4, shift="moving"), False),
+    (torus_spec(4, shift="dirac"), False),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(spec, involutive):
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    if not involutive:
+        assert op.reflection is None
+        return
+    perm = g.shift_permutation()
+    assert np.array_equal(op.reflection, perm)
+    assert np.array_equal(perm[perm], np.arange(op.dim))
+
+
+def _random_pairing(n, seed):
+    """An involution of range(n) with n // 2 random 2-cycles."""
+    shuffled = np.random.default_rng(seed).permutation(n)
+    pairing = np.arange(n)
+    a, b = shuffled[0:n - 1:2], shuffled[1::2]
+    pairing[a], pairing[b] = b, a
+    return pairing
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_eigens_refuses_a_reflection_it_does_not_commute_with(seed):
+    matrix, _ = _orthogonal_with_known_phases(seed)
+    with pytest.raises(ArithmeticError, match="does not commute"):
+        block_eigens(matrix, reflection=_random_pairing(len(matrix), seed + 10))
+
+
+def test_block_eigens_refuses_a_reflection_that_is_not_an_involution():
+    matrix, _ = _orthogonal_with_known_phases(0)
+    with pytest.raises(ValueError, match="involutive"):
+        block_eigens(matrix, reflection=np.roll(np.arange(len(matrix)), 1))
+
+
+def test_block_eigens_with_the_identity_as_reflection():
+    # every index is fixed: the -1 half is empty and the +1 half is the whole
+    matrix, expected = _orthogonal_with_known_phases(0)
+    phases, vectors = block_eigens(matrix, reflection=np.arange(len(matrix)))
+    assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    assert np.max(np.abs(recon - matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [torus_spec(16), complete_spec(32)],
+                         ids=lambda spec: spec.label())
+def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec):
+    """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
+    float64s (34.1 and 35.7 MiB, 4.26 and 4.46 dim^2 * 8 B, with numpy 2.4).
+
+    numpy registers every array buffer with tracemalloc, so this counts
+    each array the eigensolve holds at once.  It does not count LAPACK's
+    workspace inside numpy.linalg.eigh, which numpy allocates untraced,
+    nor memory that the C allocator keeps after a free: the process's
+    resident size can still differ for the same traced peak.
+    """
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(0,)))
+    assert op.dim == walklab.oracle.DIMENSION_CAP
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        dense_eigens(op)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 4.5 * op.dim ** 2 * 8
 
 
 def test_exactly_two_phases_inside_arc():
