@@ -8,12 +8,15 @@ without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix; it is powered explicitly and eigendecomposed through its
 symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
-own BLAS: walklab loads no second one), split in two half-size blocks
-where the shift S is an involution (then S C' + C' S commutes with S; this
-is checked).  The skew part U' - U'^T then splits those eigenvectors into
-complex pairs level by level (see block_eigens; a level that the skew part
-does not keep, which only a non-normal matrix has, raises).  From the
-engine it takes only the two start states, the uniform state and |s, v>.
+own BLAS: walklab loads no second one).  The skew part U' - U'^T then
+splits those eigenvectors into complex pairs level by level (see
+block_eigens; a level that the skew part does not keep, which only a
+non-normal matrix has, raises).  Where the shift S is an involution it is
+a time reversal, S U' S = C' S = U'^T (C' is symmetric; this is checked),
+and the whole eigensolve runs in the eigenbasis of S: there U' + U'^T is
+two half-size blocks and U' - U'^T only maps each half into the other.
+From the engine it takes only the two start states, the uniform state
+and |s, v>.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ _LEVEL_GAP = 2e-9
 _SKEW_ZERO = 1e-12
 # how far the skew part may map a level out of itself before U counts as not normal
 _INVARIANCE_TOL = 1e-10
+# the split route maps this many eigenvectors at a time back to the original rows
+_ROW_CHUNK = 16
 
 
 @dataclass
@@ -84,10 +89,12 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
         if np.array_equal(perm[perm], np.arange(dim)):
             reflection = perm
     else:
+        n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
         matrix[_half_move(graph, (0, 1))] = c_prime
-        _hadamard_rows(matrix, graph.n)
+        _butterfly(matrix[:n], matrix[n:])
         c_prime[_half_move(graph, (2, 3))] = matrix  # c_prime's buffer is free
-        matrix = _hadamard_rows(c_prime, graph.n)
+        matrix = c_prime
+        _butterfly(matrix[:n], matrix[n:])
     return DenseOperator(graph, matrix, reflection)
 
 
@@ -120,19 +127,19 @@ def _half_move(graph: Graph, roles: tuple[int, int]) -> np.ndarray:
     return perm
 
 
-def _hadamard_rows(m: np.ndarray, n: int) -> np.ndarray:
-    """Apply the Hadamard to the coin index of the rows of `m`, in place."""
-    top, bottom = m[:n], m[n:]
-    total = (top + bottom) * _INV_SQRT2
+def _butterfly(top: np.ndarray, bottom: np.ndarray, total: np.ndarray | None = None) -> None:
+    """(top, bottom) <- ((top + bottom), (top - bottom)) / sqrt(2), in place;
+    the sum passes through `total` (top's shape) if given."""
+    total = np.add(top, bottom, out=total)
     np.subtract(top, bottom, out=bottom)
+    np.multiply(total, _INV_SQRT2, out=top)
     bottom *= _INV_SQRT2
-    top[...] = total
-    return m
 
 
 def block_eigens(block: np.ndarray,
                  reflection: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases and an orthonormal eigenbasis of a real orthogonal matrix.
+    """Eigenphases, sorted by |phase| (stably), and an orthonormal eigenbasis
+    of a real orthogonal matrix.
 
     An orthogonal U is normal, so its symmetric part U + U^T (eigenvalues
     2 cos theta) and its skew part U - U^T (eigenvalues 2i sin theta)
@@ -140,128 +147,224 @@ def block_eigens(block: np.ndarray,
     (LAPACK syevd, a divide-and-conquer solve that deflates on the
     heavily degenerate spectra these walks have) gives a real orthonormal
     basis X; its eigenvalues split into levels at gaps above _LEVEL_GAP.
-    Given a `reflection` (an involutive index permutation), eigh runs on
-    the halves of U + U^T on its two eigenspaces (_reflection_eigh), and
-    raises ArithmeticError if U + U^T does not commute with it.
     The skew part maps each level's span into itself, as the small skew
     matrix B = x^T (U - U^T) x.
     Where it maps the level to zero (theta = 0 or pi, the big +-1
     eigenspaces) the real basis is kept.  Elsewhere the Hermitian -iB is
     diagonalised: its eigenvalues are 2 sin theta, its vectors v lift the
     level to the eigenvectors x v, and theta = atan2(2 sin theta,
-    2 cos theta).  A level that the skew part maps out of itself by more
-    than _INVARIANCE_TOL (U is not normal) raises ArithmeticError instead
-    of returning a wrong basis.  Complex input is refused.
+    2 cos theta).  All phases are found before any level is lifted, so each
+    level goes straight to its sorted columns.  A level that the skew part
+    maps out of itself by more than _INVARIANCE_TOL (U is not normal)
+    raises ArithmeticError instead of returning a wrong basis.  Complex
+    input is refused.
+
+    A `reflection` (an involutive index permutation S) with 2-cycles must
+    be a time reversal of U, S U S = U^T (as for S C' with a symmetric
+    coin), and the whole solve runs in its eigenbasis (_reversal_eigens);
+    else ArithmeticError.  A reflection without 2-cycles splits nothing.
     """
     if np.iscomplexobj(block):
         raise TypeError("block_eigens takes a real orthogonal matrix, "
                         f"not a {block.dtype} one")
     n = block.shape[0]
-    if reflection is None:
-        sym_eigs, basis = np.linalg.eigh(block + block.T)
-        # column-major, as LAPACK leaves it: each level is one contiguous block of
-        # columns, and the level products below round as they do on that layout
-        basis = np.asfortranarray(basis)
-    vectors = np.empty((n, n), dtype=np.complex128)
-    # The levels below write every entry of `vectors`; until then its buffer,
-    # two float64 n x n halves, holds the n x n temporaries.  The whole eigh
-    # above runs first: its LAPACK workspace (about 3 n^2 floats) is freed
-    # before the buffer is touched.  The halves need far less.
-    scratch = vectors.reshape(-1).view(np.float64).reshape(2, n, n)
     if reflection is not None:
-        sym_eigs, basis = _reflection_eigh(block, reflection, scratch)
-    skewed = np.subtract(block, block.T, out=scratch[0]) @ basis
-    phases = np.empty(n)
-    cuts = [0, *(np.flatnonzero(np.diff(sym_eigs) > _LEVEL_GAP) + 1), n]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        index = np.arange(n)
+        if reflection.shape != (n,) or not np.array_equal(reflection[reflection], index):
+            raise ValueError("reflection must be an involutive permutation of the indices")
+        p = np.flatnonzero(reflection > index)
+        if p.size:
+            fixed = np.flatnonzero(reflection == index)
+            return _reversal_eigens(block, np.concatenate([p, fixed, reflection[p]]), p.size)
+    sym_eigs, basis = np.linalg.eigh(block + block.T)
+    # column-major, as LAPACK leaves it: each level is one contiguous block of
+    # columns, and the level products below round as they do on that layout
+    basis = np.asfortranarray(basis)
+    # The whole eigh above runs before the eigenvector buffer is allocated: its
+    # LAPACK workspace (about 3 n^2 floats) is freed by then.
+    vectors, scratch = _eigenvector_buffer(n)
+    skewed = np.matmul(np.subtract(block, block.T, out=scratch[0]), basis, out=scratch[1])
+    levels, phases = [], np.empty(n)
+    for lo, hi in _levels(sym_eigs):
         x, y = basis[:, lo:hi], skewed[:, lo:hi]
-        if np.max(np.abs(y)) <= _SKEW_ZERO:  # B = x^T y is zero too
-            phases[lo:hi] = np.where(sym_eigs[lo:hi] > 0, 0.0, np.pi)
-            vectors[:, lo:hi] = x
-            continue
-        skew = x.T @ y
-        leak = float(np.max(np.abs(y - x @ skew)))
-        if leak > _INVARIANCE_TOL:
-            raise ArithmeticError(
-                f"the skew part maps the level at 2cos(theta)={sym_eigs[lo]:.6f} "
-                f"(width {hi - lo}) {leak:.3e} out of itself: the matrix is not normal"
-            )
-        sines, v = np.linalg.eigh(-1j * skew)
-        cosines = (v.real ** 2 + v.imag ** 2).T @ sym_eigs[lo:hi]
-        phases[lo:hi] = np.arctan2(sines, cosines)
-        vectors.real[:, lo:hi] = x @ v.real
-        vectors.imag[:, lo:hi] = x @ v.imag
+        if _max_abs(y, copy=True) <= _SKEW_ZERO:  # B = x^T y is zero too
+            phases[lo:hi], v = _still_phases(sym_eigs[lo:hi]), None
+        else:
+            skew = x.T @ y
+            _check_level(_max_abs(y - x @ skew), sym_eigs[lo], hi - lo)
+            phases[lo:hi], v = _turn(skew, sym_eigs[lo:hi])
+        levels.append((lo, hi, [(slice(None), x)], v))
+    phases, columns = _sorted_columns(phases)
+    _lift(vectors, levels, columns)
     return phases, vectors
 
 
-def _reflection_eigh(block: np.ndarray, reflection: np.ndarray,
-                     scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of U + U^T (ascending, column-major basis) by one half-size eigh
-    per eigenspace of the involution `reflection`.
+def _reversal_eigens(block: np.ndarray, order: np.ndarray,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """block_eigens in the eigenbasis R of a reflection S with k 2-cycles (p, q).
 
-    With (p, q) its 2-cycles and f its fixed points, (e_p + e_q)/sqrt(2) and
-    e_f span the +1 eigenspace and (e_p - e_q)/sqrt(2) the -1 one.  The
-    spectra of the two halves merge by a stable sort.
+    (e_p + e_q)/sqrt(2) and the fixed e_f span the +1 half (size m = n - k),
+    (e_p - e_q)/sqrt(2) the -1 half; `order` lists [p, fixed, q].  In
+    V = R^T U R the time reversal D V D = V^T (D = diag(I_m, -I_k)) says that
+    V++ and V-- are symmetric and V+- = -V-+^T: this is checked.  The
+    symmetric part is then the two halves 2 V++ and 2 V--, one eigh each, and
+    the skew part only crosses between them, through A = V+- - V-+^T: it maps
+    + eigenvectors X+ to -A^T X+ in the - half and X- to A X- in the + half,
+    so every level is handled on half-length columns.  The levels are lifted
+    in these coordinates, and R maps the rows back at the end.
     """
     n = block.shape[0]
-    index = np.arange(n)
-    if reflection.shape != (n,) or not np.array_equal(reflection[reflection], index):
-        raise ValueError("reflection must be an involutive permutation of the indices")
-    p = np.flatnonzero(reflection > index)
-    q, fixed, k = reflection[p], np.flatnonzero(reflection == index), p.size
-    plus, minus = _reflection_halves(block, np.concatenate([p, q, fixed]), k, scratch)
+    m = n - k
+    vectors, (first, second) = _eigenvector_buffer(n)
+    # rotated = V: rows and columns taken in the order [p, fixed, q], then R's
+    # butterflies between the p and q rows and columns; mode="clip" writes
+    # straight into `out` (the indices are a permutation)
+    np.take(block, order, axis=0, out=second, mode="clip")
+    rotated = np.take(second, order, axis=1, out=first, mode="clip")
+    _butterfly(rotated[:k], rotated[m:], second[:k])
+    _butterfly(rotated[:, :k], rotated[:, m:], second.reshape(-1)[:n * k].reshape(n, k))
+    pp, mm = rotated[:m, :m], rotated[m:, m:]
+    pm, mp = rotated[:m, m:], rotated[m:, :m]
+    plus, minus, cross = _carve(second, (m, m), (k, k), (m, k))
+    np.add(pp, pp.T, out=plus)
+    np.add(mm, mm.T, out=minus)
+    np.subtract(pm, mp.T, out=cross)
+    # V++ - V++^T = 2 V++ - plus, V-- likewise, V+- + V-+^T = 2 V+- - cross,
+    # formed in V's buffer (only the three results are read from here on)
+    defect = max(_max_abs(np.subtract(np.multiply(part, 2.0, out=part), half, out=part))
+                 for part, half in ((pp, plus), (mm, minus), (pm, cross)))
+    if defect > _INVARIANCE_TOL:
+        raise ArithmeticError(f"the reflection S is no time reversal of U (U does not commute "
+                              f"with S up to transposition): S U S - U^T reaches {defect:.3e} "
+                              f"in the eigenbasis of S")
+    # column-major, so that each level's columns are contiguous, images included
     plus_eigs, plus_vecs = np.linalg.eigh(plus)
-    del plus
+    plus_vecs = np.asfortranarray(plus_vecs)
     minus_eigs, minus_vecs = np.linalg.eigh(minus)
-    del minus
+    minus_vecs = np.asfortranarray(minus_vecs)
+    to_minus, to_plus = (image.T for image in _carve(first, (m, k), (k, m)))
+    np.negative(np.matmul(plus_vecs.T, cross, out=to_minus.T), out=to_minus.T)
+    np.matmul(minus_vecs.T, cross.T, out=to_plus.T)
+
     sym_eigs = np.concatenate([plus_eigs, minus_eigs])
     merge = np.argsort(sym_eigs, kind="stable")
-    column = np.empty(n, dtype=np.int64)
-    column[merge] = index  # where each eigenvector of [+ | -] lands
-    plus_cols, minus_cols = column[:n - k], column[n - k:]
-    basis = np.empty((n, n), order="F")
-    rows = basis.T  # row j is eigenvector j
-    lift = np.ascontiguousarray(plus_vecs.T)  # row i is + eigenvector i
-    lift[:, :k] *= _INV_SQRT2
-    rows[np.ix_(plus_cols, p)] = rows[np.ix_(plus_cols, q)] = lift[:, :k]
-    rows[np.ix_(plus_cols, fixed)] = lift[:, k:]
-    lift = np.ascontiguousarray(minus_vecs.T) * _INV_SQRT2
-    rows[np.ix_(minus_cols, p)] = lift
-    rows[np.ix_(minus_cols, q)] = -lift
-    rows[np.ix_(minus_cols, fixed)] = 0.0
-    return sym_eigs[merge], basis
+    # the spectra ascend, so a level's + and - columns are contiguous in each half
+    plus_before = np.concatenate([[0], np.cumsum(merge < m)])
+    levels, phases = [], np.empty(n)
+    for lo, hi in _levels(sym_eigs[merge]):
+        a0, a1 = plus_before[lo], plus_before[hi]
+        a, b = slice(a0, a1), slice(lo - a0, hi - a1)
+        eigs = np.concatenate([plus_eigs[a], minus_eigs[b]])
+        xa, xb, ya, yb = plus_vecs[:, a], minus_vecs[:, b], to_minus[:, a], to_plus[:, b]
+        if max(_max_abs(ya, copy=True), _max_abs(yb, copy=True)) <= _SKEW_ZERO:
+            phases[lo:hi], v = _still_phases(eigs), None
+        else:
+            na = a1 - a0
+            skew = np.zeros((hi - lo, hi - lo))
+            skew[:na, na:] = xa.T @ yb
+            skew[na:, :na] = xb.T @ ya
+            leak = max(_max_abs(yb - xa @ skew[:na, na:]), _max_abs(ya - xb @ skew[na:, :na]))
+            _check_level(leak, eigs[0], hi - lo)
+            phases[lo:hi], v = _turn(skew, eigs)
+        levels.append((lo, hi, [(slice(0, m), xa), (slice(m, n), xb)], v))
+    phases, columns = _sorted_columns(phases)
+    _lift(vectors, levels, columns)
+    # R maps the rows back: the butterfly gives the rows [p, fixed, q], and
+    # original row r is row back[r] of those
+    back = np.empty_like(order)
+    back[order] = np.arange(n)
+    eigenrows = vectors.T  # row j is eigenvector j
+    buffer = np.empty((_ROW_CHUNK, n), dtype=np.complex128)
+    for lo in range(0, n, _ROW_CHUNK):
+        chunk = eigenrows[lo:lo + _ROW_CHUNK]
+        moved = buffer[:len(chunk)]
+        _butterfly(chunk[:, :k], chunk[:, m:], moved[:, :k])
+        np.take(chunk, back, axis=1, out=moved, mode="clip")
+        chunk[...] = moved
+    return phases, vectors
 
 
-def _reflection_halves(block: np.ndarray, order: np.ndarray, k: int,
-                       scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The +1 block (size n-k) and the -1 block (size k) of U + U^T, from one
-    copy reordered as [p, q, fixed] in `scratch` (two n x n float64 buffers);
-    raises if the mixed block between them is not zero."""
-    n = block.shape[0]
-    np.add(block, block.T, out=scratch[0])
-    # mode="clip" writes straight into `out` (the indices are a permutation)
-    np.take(scratch[0], order, axis=0, out=scratch[1], mode="clip")
-    sym = np.take(scratch[1], order, axis=1, out=scratch[0], mode="clip")
-    P, Q, F = slice(0, k), slice(k, 2 * k), slice(2 * k, n)
-    mixed = max(np.max(np.abs((sym[P, P] - sym[Q, Q]) + (sym[P, Q] - sym[Q, P])), initial=0.0) / 2,
-                np.max(np.abs(sym[P, F] - sym[Q, F]), initial=0.0) * _INV_SQRT2)
-    if mixed > _INVARIANCE_TOL:
-        raise ArithmeticError(f"U + U^T does not commute with the reflection: "
-                              f"the mixed block reaches {mixed:.3e}")
-    diag, cross = sym[P, P] + sym[Q, Q], sym[P, Q] + sym[Q, P]  # exactly symmetric
-    plus = np.empty((n - k, n - k))
-    plus[:k, :k] = (diag + cross) * 0.5
-    plus[:k, k:] = (sym[P, F] + sym[Q, F]) * _INV_SQRT2
-    plus[k:, :k] = plus[:k, k:].T
-    plus[k:, k:] = sym[F, F]
-    return plus, (diag - cross) * 0.5
+def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A column-major n x n complex array for the eigenvectors, and its buffer
+    as two n x n float64 arrays.  The lift writes every entry of the array;
+    until then the buffer holds the n x n temporaries (U - U^T and its image
+    of the basis, or V, the halves and the images)."""
+    flat = np.empty(n * n, dtype=np.complex128)
+    return flat.reshape(n, n, order="F"), flat.view(np.float64).reshape(2, n, n)
+
+
+def _lift(vectors: np.ndarray, levels: list, columns: np.ndarray) -> None:
+    """Write each level's eigenvectors into its sorted columns of `vectors`.
+
+    A level is (lo, hi, parts, v): each part (rows, x) is the level's real
+    basis on a slice of the rows (zero on the other parts' rows), and the
+    rows of its rotation v follow the parts' columns in turn; v None keeps
+    the basis.  The columns are whole columns of the column-major array.
+    """
+    for lo, hi, parts, v in levels:
+        cols, start = columns[lo:hi], 0
+        for rows, x in parts:
+            stop = start + x.shape[1]
+            if v is None:
+                for other, _ in parts:
+                    vectors[other, cols[start:stop]] = x if other is rows else 0.0
+            else:
+                vectors.real[rows, cols] = x @ v.real[start:stop]
+                vectors.imag[rows, cols] = x @ v.imag[start:stop]
+            start = stop
+
+
+def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:
+    """Consecutive C-ordered arrays of the given shapes at the start of `buffer`."""
+    flat, start, out = buffer.reshape(-1), 0, []
+    for rows, cols in shapes:
+        out.append(flat[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return out
+
+
+def _max_abs(a: np.ndarray, copy: bool = False) -> float:
+    """max |a| (0 if empty); takes |a| in place unless `copy`."""
+    return float((np.abs(a) if copy else np.abs(a, out=a)).max(initial=0.0))
+
+
+def _levels(sym_eigs: np.ndarray) -> list[tuple[int, int]]:
+    """[lo, hi) of each level of ascending eigenvalues of U + U^T."""
+    cuts = [0, *(np.flatnonzero(np.diff(sym_eigs) > _LEVEL_GAP) + 1), sym_eigs.size]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _still_phases(sym_eigs: np.ndarray) -> np.ndarray:
+    """theta of a level the skew part maps to zero: 0 at 2cos = 2, pi at -2."""
+    return np.where(sym_eigs > 0, 0.0, np.pi)
+
+
+def _turn(skew: np.ndarray, sym_eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level's phases and its rotation v from its skew block B, by eigh of -iB."""
+    sines, v = np.linalg.eigh(-1j * skew)
+    cosines = (v.real ** 2 + v.imag ** 2).T @ sym_eigs
+    return np.arctan2(sines, cosines), v
+
+
+def _check_level(leak: float, sym_eig: float, width: int) -> None:
+    if leak > _INVARIANCE_TOL:
+        raise ArithmeticError(
+            f"the skew part maps the level at 2cos(theta)={sym_eig:.6f} "
+            f"(width {width}) {leak:.3e} out of itself: the matrix is not normal"
+        )
+
+
+def _sorted_columns(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phases sorted by |phase| (stably), and the sorted column of each."""
+    order = np.argsort(np.abs(phases), kind="stable")
+    columns = np.empty_like(order)
+    columns[order] = np.arange(order.size)
+    return phases[order], columns
 
 
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases (sorted by |phase|) and an orthonormal eigenbasis."""
-    phases, vectors = block_eigens(op.matrix, op.reflection)
-    order = np.argsort(np.abs(phases), kind="stable")
-    return phases[order], vectors[:, order]
+    return block_eigens(op.matrix, op.reflection)
 
 
 def dense_principal_pair(op: DenseOperator, marked_vertex: int) -> tuple[float, float, float]:

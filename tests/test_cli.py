@@ -100,12 +100,13 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
     commands = [
         # large enough that a BLAS reduction would split across threads
         "run --family torus --side 256 --marked 0,0 --t-max 60",
-        # arenas whose prediction takes the dense eigenvectors; 1D tori do
-        # too, but at a few sides (441 and 493 of 34 from 103 to 512) their
+        # arenas whose prediction takes the dense eigenvectors, 1D tori too;
+        # at a few of their sides (441 and 493 of 34 from 103 to 512) the
         # bits follow the thread count (README)
         "predict --family torus --side 2 --shift flip-flop",
         "predict --family torus --side 2 --shift dirac",
         "predict --family hypercube --degree 2",
+        "predict --family torus --dims 1 --side 100",
     ]
     outputs = []
     for threads in ("1", "2"):

@@ -181,7 +181,7 @@ def test_block_eigens_real_matches_complex(spec):
     assert np.max(np.abs(real - reference)) < 1e-12
 
 
-# arenas whose shift is a symmetric involution, so dense_eigens splits U + U^T
+# arenas whose shift is a symmetric involution, so dense_eigens runs in its eigenbasis
 SPLIT_CASES = [
     pytest.param(torus_spec(32, 1), (1,), id="torus(32)-1D"),
     pytest.param(torus_spec(4), (1,), id="torus(4x4)"),
@@ -208,6 +208,19 @@ def test_split_eigensolve_matches_the_whole_one_and_schur(spec, marked):
     _assert_orthonormal_eigensystem(op)  # dense_eigens takes the split route
 
 
+@pytest.mark.parametrize("spec,marked", SPLIT_CASES)
+def test_split_principal_pair_matches_the_whole_route(spec, marked):
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=marked))
+    vertex = marked[0] if marked else 0
+    split = walklab.oracle.dense_principal_pair(op, vertex)
+    whole = walklab.oracle.dense_principal_pair(
+        walklab.oracle.DenseOperator(g, op.matrix, None), vertex)
+    assert split[0] == pytest.approx(whole[0], rel=0, abs=1e-12)
+    if marked:  # unmarked, the principal level is degenerate: its overlaps depend on the basis
+        assert split[1:] == pytest.approx(whole[1:], rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize("spec,involutive", [
     (torus_spec(32, 1), True), (torus_spec(4), True), (torus_spec(3, 3), True),
     (torus_spec(2), True), (hypercube_spec(4), True), (complete_spec(16), True),
@@ -226,13 +239,35 @@ def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(sp
     assert np.array_equal(perm[perm], np.arange(op.dim))
 
 
-def _random_pairing(n, seed):
-    """An involution of range(n) with n // 2 random 2-cycles."""
+def _random_pairing(n, seed, pairs=None):
+    """An involution of range(n) with `pairs` (default n // 2) random 2-cycles."""
     shuffled = np.random.default_rng(seed).permutation(n)
     pairing = np.arange(n)
-    a, b = shuffled[0:n - 1:2], shuffled[1::2]
+    pairs = n // 2 if pairs is None else pairs
+    a, b = shuffled[0:2 * pairs:2], shuffled[1:2 * pairs:2]
     pairing[a], pairing[b] = b, a
     return pairing
+
+
+def _time_reversible(n, pairs):
+    """S C for a random symmetric orthogonal C and a random pairing S, which
+    is a time reversal of it: S (S C) S = C S = (S C)^T.  Returns (S C, S)."""
+    q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+    signs = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+    pairing = _random_pairing(n, n + pairs, pairs)
+    return ((q * signs) @ q.T)[pairing], pairing
+
+
+@pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (15, 4)])
+def test_split_eigensolve_with_fixed_points(n, pairs):
+    matrix, pairing = _time_reversible(n, pairs)
+    phases, vectors = block_eigens(matrix, reflection=pairing)
+    reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
+    assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
+    assert np.all(np.diff(np.abs(phases)) >= -1e-12)
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) < 1e-12
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    assert np.max(np.abs(recon - matrix)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -240,6 +275,59 @@ def test_block_eigens_refuses_a_reflection_it_does_not_commute_with(seed):
     matrix, _ = _orthogonal_with_known_phases(seed)
     with pytest.raises(ArithmeticError, match="does not commute"):
         block_eigens(matrix, reflection=_random_pairing(len(matrix), seed + 10))
+
+
+@pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (15, 4)])
+def test_split_eigensolve_refuses_a_non_normal_matrix(n, pairs):
+    # S (C + E) with E symmetric keeps S a time reversal, but is not normal
+    matrix, pairing = _time_reversible(n, pairs)
+    bump = np.random.default_rng(pairs).normal(scale=1e-6, size=(n, n))
+    matrix += (bump + bump.T)[pairing]
+    with pytest.raises(ArithmeticError, match="not normal"):
+        block_eigens(matrix, reflection=pairing)
+
+
+def _from_reflection_basis(pairing, inner):
+    """R inner R^T, with R the eigenbasis of the involution `pairing`: first
+    its +1 eigenvectors (e_p + e_q)/sqrt(2) and e_f, then its -1 ones
+    (e_p - e_q)/sqrt(2)."""
+    n = len(pairing)
+    index = np.arange(n)
+    p = np.flatnonzero(pairing > index)
+    q, fixed, k = pairing[p], np.flatnonzero(pairing == index), p.size
+    basis = np.zeros((n, n))
+    basis[p, index[:k]] = basis[q, index[:k]] = basis[p, n - k + index[:k]] = 1 / np.sqrt(2)
+    basis[q, n - k + index[:k]] = -1 / np.sqrt(2)
+    basis[fixed, k + index[:fixed.size]] = 1.0
+    return basis @ inner @ basis.T
+
+
+@pytest.mark.parametrize("kind", ["rotation-in-plus", "rotation-in-minus", "reflection-across"])
+@pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (12, 3)])
+def test_block_eigens_refuses_a_reflection_that_is_no_time_reversal(n, pairs, kind):
+    # In S's eigenbasis, a rotation inside the +1 or the -1 eigenspace
+    # commutes with S, so U + U^T does too, but is not symmetric there; a
+    # reflection across a +1 and a -1 eigenvector keeps both diagonal blocks
+    # symmetric, but its mixed blocks are equal, not opposite.  None has
+    # S U S = U^T.
+    pairing = _random_pairing(n, n + pairs, pairs)
+    c, s = np.cos(0.7), np.sin(0.7)
+    plane, turn = {"rotation-in-plus": ([0, 1], [[c, -s], [s, c]]),
+                   "rotation-in-minus": ([n - 2, n - 1], [[c, -s], [s, c]]),
+                   "reflection-across": ([0, n - 1], [[c, s], [s, -c]])}[kind]
+    inner = np.eye(n)
+    inner[np.ix_(plane, plane)] = turn
+    matrix = _from_reflection_basis(pairing, inner)
+    assert np.max(np.abs(matrix @ matrix.T - np.eye(n))) < 1e-14
+    if kind != "reflection-across":
+        sym = matrix + matrix.T
+        assert np.max(np.abs(sym[pairing][:, pairing] - sym)) < 1e-14
+    with pytest.raises(ArithmeticError, match="time reversal"):
+        block_eigens(matrix, reflection=pairing)
+    phases, _ = block_eigens(matrix)  # the whole route takes it
+    expected = [np.pi] if kind == "reflection-across" else [0.7, -0.7]
+    expected = _fold(np.array([*expected, *[0.0] * (n - len(expected))]))
+    assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
 
 
 def test_block_eigens_refuses_a_reflection_that_is_not_an_involution():
@@ -257,11 +345,14 @@ def test_block_eigens_with_the_identity_as_reflection():
     assert np.max(np.abs(recon - matrix)) < 1e-12
 
 
-@pytest.mark.parametrize("spec", [torus_spec(16), complete_spec(32)],
+@pytest.mark.parametrize("spec", [torus_spec(16), complete_spec(32), hypercube_spec(7),
+                                  torus_spec(22, shift="dirac")],
                          ids=lambda spec: spec.label())
 def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec):
     """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
-    float64s (34.1 and 35.7 MiB, 4.26 and 4.46 dim^2 * 8 B, with numpy 2.4).
+    float64s near the dimension cap (with numpy 2.4: 2.75 dim^2 on the split
+    route of 2D L=16, the complete graph N=32 and the hypercube d=7, 3.12 on
+    the whole route of dirac L=22).
 
     numpy registers every array buffer with tracemalloc, so this counts
     each array the eigensolve holds at once.  It does not count LAPACK's
@@ -271,7 +362,7 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec):
     """
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(0,)))
-    assert op.dim == walklab.oracle.DIMENSION_CAP
+    assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
