@@ -178,6 +178,35 @@ class Graph:
         out.discard(vertex)
         return np.array(sorted(out), dtype=np.int64)
 
+    def mirror(self, vertex: int) -> np.ndarray:
+        """An involutive automorphism g of the arena that fixes `vertex`, as
+        the vertex permutation g[v].
+
+        torus       the last axis reflected through `vertex`
+        hypercube   x -> w ^ pi(x ^ w), pi swapping the bit pairs (0 1)(2 3)...
+        complete    the other vertices paired up in index order
+        """
+        if not 0 <= vertex < self.n:
+            raise IndexError(f"vertex {vertex} out of range for N={self.n}")
+        index = np.arange(self.n, dtype=np.int64)
+        family = self.spec.family
+        if family == "torus":
+            length = self.spec.dims[0]
+            stride = self.n // length  # the last coordinate is the slowest
+            last = index // stride
+            return (2 * (vertex // stride) - last) % length * stride + index % stride
+        if family == "hypercube":
+            evens = sum(1 << b for b in range(0, self.spec.dims[0] - 1, 2))
+            flipped = index ^ vertex
+            swapped = ((flipped & evens) << 1) | ((flipped >> 1) & evens) \
+                | (flipped & ~(evens | evens << 1))
+            return swapped ^ vertex
+        others = index[index != vertex]
+        pairs = others.size // 2
+        index[others[0:2 * pairs:2]], index[others[1:2 * pairs:2]] = \
+            others[1:2 * pairs:2], others[0:2 * pairs:2]
+        return index
+
     # -- shift map -------------------------------------------------------
 
     def shift_target(self, vertex: int, direction: int) -> tuple[int, int]:

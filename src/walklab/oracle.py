@@ -15,8 +15,13 @@ non-normal matrix has, raises).  Where the shift S is an involution it is
 a time reversal, S U' S = C' S = U'^T (C' is symmetric; this is checked),
 and the whole eigensolve runs in the eigenbasis of S: there U' + U'^T is
 two half-size blocks and U' - U'^T only maps each half into the other.
-From the engine it takes only the two start states, the uniform state
-and |s, v>.
+With one marked vertex, the arena's mirror through it (Graph.mirror),
+lifted to the basis states, is a symmetry P of U' that commutes with S
+(checked).  The eigensolve then splits first into P's two eigenspaces,
+about n/2 each, solved as above on their own; each eigenvector lies in
+one of them, so undoing P's rotation only copies its entries, and the
+lift writes it straight into the original rows (_mirror_eigens).  From the engine it takes only
+the two start states, the uniform state and |s, v>.
 """
 
 from __future__ import annotations
@@ -39,16 +44,22 @@ _SKEW_ZERO = 1e-12
 _INVARIANCE_TOL = 1e-10
 # the split route maps this many eigenvectors at a time back to the original rows
 _ROW_CHUNK = 16
+# the mirror route lifts at most this many eigenvectors at a time: it bounds the
+# lift's tables, which hold about 2 dim complex numbers per eigenvector
+_LIFT_COLUMNS = 32
 
 
 @dataclass
 class DenseOperator:
-    """A full (coin_dim*N)-dimensional real unitary with its arena, and the
-    shift permutation as `reflection` where it is an involution."""
+    """A full (coin_dim*N)-dimensional real unitary with its arena, the
+    shift permutation as `reflection` where it is an involution, and as
+    `symmetry` the arena's mirror through the one marked vertex, lifted to
+    the basis states, where exactly one vertex is marked and it moves some."""
 
     graph: Graph
     matrix: np.ndarray
     reflection: np.ndarray | None = None
+    symmetry: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -84,18 +95,43 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
     matrix = np.empty_like(c_prime)
     reflection = None
     if graph.spec.shift != "dirac":
-        perm = graph.shift_permutation()
-        matrix[perm] = c_prime
-        if np.array_equal(perm[perm], np.arange(dim)):
-            reflection = perm
+        move = graph.shift_permutation()
+        matrix[move] = c_prime
+        if np.array_equal(move[move], np.arange(dim)):
+            reflection = move
     else:
         n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
-        matrix[_half_move(graph, (0, 1))] = c_prime
+        move = _half_move(graph, (0, 1))
+        matrix[move] = c_prime
         _butterfly(matrix[:n], matrix[n:])
         c_prime[_half_move(graph, (2, 3))] = matrix  # c_prime's buffer is free
         matrix = c_prime
         _butterfly(matrix[:n], matrix[n:])
-    return DenseOperator(graph, matrix, reflection)
+    symmetry = None
+    if len(coin.marked) == 1:
+        symmetry = _lift_mirror(graph.mirror(coin.marked[0]), move % graph.n)
+        if np.array_equal(symmetry, np.arange(dim)):
+            symmetry = None
+    return DenseOperator(graph, matrix, reflection, symmetry)
+
+
+def _lift_mirror(mirror: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The vertex automorphism g lifted to the index c*N + v: direction c at
+    v goes to the direction at g(v) whose target is g of c's target.
+
+    `targets` holds each direction's target vertex at index c*N + v (for
+    dirac, the first half-move's).  Where several directions at g(v) have
+    that target (the two senses of an axis of side 2), c keeps its label.
+    """
+    n = mirror.size
+    targets = targets.reshape(-1, n)
+    d = targets.shape[0]
+    hits = targets[None, :, mirror] == mirror[targets][:, None, :]  # [c, c', v]
+    if not hits.any(axis=1).all():
+        raise ValueError("the vertex map is no automorphism of the arena")
+    own = np.arange(d)
+    label = np.where(hits[own, own], own[:, None], hits.argmax(axis=1))
+    return (label * n + mirror).reshape(-1)
 
 
 def _coin_matrix(graph: Graph, coin: CoinConfig) -> np.ndarray:
@@ -136,8 +172,8 @@ def _butterfly(top: np.ndarray, bottom: np.ndarray, total: np.ndarray | None = N
     bottom *= _INV_SQRT2
 
 
-def block_eigens(block: np.ndarray,
-                 reflection: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
+                 symmetry: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases, sorted by |phase| (stably), and an orthonormal eigenbasis
     of a real orthogonal matrix.
 
@@ -161,71 +197,116 @@ def block_eigens(block: np.ndarray,
 
     A `reflection` (an involutive index permutation S) with 2-cycles must
     be a time reversal of U, S U S = U^T (as for S C' with a symmetric
-    coin), and the whole solve runs in its eigenbasis (_reversal_eigens);
-    else ArithmeticError.  A reflection without 2-cycles splits nothing.
+    coin), and the whole solve runs in its eigenbasis (_reversal_levels);
+    else ArithmeticError.  A `symmetry` (an involutive index permutation P)
+    with 2-cycles must commute with U, and with S if both are given; U then
+    splits into two blocks, one per eigenvalue of P, each solved as above
+    (_mirror_eigens).  A permutation without 2-cycles splits nothing.
     """
     if np.iscomplexobj(block):
         raise TypeError("block_eigens takes a real orthogonal matrix, "
                         f"not a {block.dtype} one")
     n = block.shape[0]
+    reflection = _involution(reflection, n, "reflection")
+    symmetry = _involution(symmetry, n, "symmetry")
+    if symmetry is not None:
+        return _mirror_eigens(block, reflection, symmetry)
     if reflection is not None:
-        index = np.arange(n)
-        if reflection.shape != (n,) or not np.array_equal(reflection[reflection], index):
-            raise ValueError("reflection must be an involutive permutation of the indices")
-        p = np.flatnonzero(reflection > index)
-        if p.size:
-            fixed = np.flatnonzero(reflection == index)
-            return _reversal_eigens(block, np.concatenate([p, fixed, reflection[p]]), p.size)
+        order, k, m = _split_order(reflection)
+        vectors, (first, second) = _eigenvector_buffer(n)
+        rotated = _rotate(block, order, [(0, k, n)], first, second)
+        phases, levels = _level_loop(*_reversal_levels(rotated, m, second))
+        phases, columns = _sorted_columns(phases)
+        _lift(vectors, levels, columns)
+        _rows_back(vectors, k, _inverse(order))
+        return phases, vectors
     sym_eigs, basis = np.linalg.eigh(block + block.T)
     # column-major, as LAPACK leaves it: each level is one contiguous block of
     # columns, and the level products below round as they do on that layout
     basis = np.asfortranarray(basis)
     # The whole eigh above runs before the eigenvector buffer is allocated: its
     # LAPACK workspace (about 3 n^2 floats) is freed by then.
-    vectors, scratch = _eigenvector_buffer(n)
-    skewed = np.matmul(np.subtract(block, block.T, out=scratch[0]), basis, out=scratch[1])
-    levels, phases = [], np.empty(n)
-    for lo, hi in _levels(sym_eigs):
-        x, y = basis[:, lo:hi], skewed[:, lo:hi]
-        if _max_abs(y, copy=True) <= _SKEW_ZERO:  # B = x^T y is zero too
-            phases[lo:hi], v = _still_phases(sym_eigs[lo:hi]), None
-        else:
-            skew = x.T @ y
-            _check_level(_max_abs(y - x @ skew), sym_eigs[lo], hi - lo)
-            phases[lo:hi], v = _turn(skew, sym_eigs[lo:hi])
-        levels.append((lo, hi, [(slice(None), x)], v))
+    vectors, (first, second) = _eigenvector_buffer(n)
+    phases, levels = _level_loop(*_whole_levels(block, sym_eigs, basis, first, second))
     phases, columns = _sorted_columns(phases)
     _lift(vectors, levels, columns)
     return phases, vectors
 
 
-def _reversal_eigens(block: np.ndarray, order: np.ndarray,
-                     k: int) -> tuple[np.ndarray, np.ndarray]:
-    """block_eigens in the eigenbasis R of a reflection S with k 2-cycles (p, q).
+def _involution(perm: np.ndarray | None, n: int, name: str) -> np.ndarray | None:
+    """`perm` if it is an involutive permutation of range(n) with a 2-cycle,
+    None if it is None or the identity; else ValueError."""
+    if perm is None:
+        return None
+    index = np.arange(n)
+    if perm.shape != (n,) or not np.array_equal(perm[perm], index):
+        raise ValueError(f"{name} must be an involutive permutation of the indices")
+    return None if np.array_equal(perm, index) else perm
 
-    (e_p + e_q)/sqrt(2) and the fixed e_f span the +1 half (size m = n - k),
-    (e_p - e_q)/sqrt(2) the -1 half; `order` lists [p, fixed, q].  In
-    V = R^T U R the time reversal D V D = V^T (D = diag(I_m, -I_k)) says that
-    V++ and V-- are symmetric and V+- = -V-+^T: this is checked.  The
-    symmetric part is then the two halves 2 V++ and 2 V--, one eigh each, and
-    the skew part only crosses between them, through A = V+- - V-+^T: it maps
-    + eigenvectors X+ to -A^T X+ in the - half and X- to A X- in the + half,
-    so every level is handled on half-length columns.  The levels are lifted
-    in these coordinates, and R maps the rows back at the end.
-    """
+
+def _split_order(pairing: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(order, k, m) of the eigenbasis of an involutive permutation: its k
+    2-cycles (p, q), p < q, give (e_p + e_q)/sqrt(2) to the +1 half and
+    (e_p - e_q)/sqrt(2) to the -1 half, and the fixed indices go to the +1
+    half.  `order` lists [p, fixed, q]; the +1 half is its first m."""
+    index = np.arange(pairing.size)
+    p = np.flatnonzero(pairing > index)
+    fixed = np.flatnonzero(pairing == index)
+    return np.concatenate([p, fixed, pairing[p]]), p.size, p.size + fixed.size
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    back = np.empty_like(order)
+    back[order] = np.arange(order.size)
+    return back
+
+
+def _rotate(block: np.ndarray, order: np.ndarray, turns: list,
+            out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """R^T block R in `out`: rows and columns taken in `order`, then each
+    butterfly (a, k, b) of `turns` between the rows, and the columns,
+    [a, a + k) and [b - k, b).  `work` (block's shape) is scratch;
+    mode="clip" writes straight into `out` (the indices are a permutation)."""
     n = block.shape[0]
-    m = n - k
-    vectors, (first, second) = _eigenvector_buffer(n)
-    # rotated = V: rows and columns taken in the order [p, fixed, q], then R's
-    # butterflies between the p and q rows and columns; mode="clip" writes
-    # straight into `out` (the indices are a permutation)
-    np.take(block, order, axis=0, out=second, mode="clip")
-    rotated = np.take(second, order, axis=1, out=first, mode="clip")
-    _butterfly(rotated[:k], rotated[m:], second[:k])
-    _butterfly(rotated[:, :k], rotated[:, m:], second.reshape(-1)[:n * k].reshape(n, k))
+    np.take(block, order, axis=0, out=work, mode="clip")
+    rotated = np.take(work, order, axis=1, out=out, mode="clip")
+    for a, k, b in turns:
+        _butterfly(rotated[a:a + k], rotated[b - k:b], work[:k])
+        _butterfly(rotated[:, a:a + k], rotated[:, b - k:b],
+                   work.reshape(-1)[:n * k].reshape(n, k))
+    return rotated
+
+
+def _whole_levels(block: np.ndarray, sym_eigs: np.ndarray, basis: np.ndarray,
+                  skew: np.ndarray, skewed: np.ndarray) -> tuple[tuple, list, tuple]:
+    """The whole route's levels: the eigenvalues, each level's columns
+    [(lo, hi)] and the one part (basis, images of the basis under
+    block - block^T, 0) for _level_loop; `skew` and `skewed` (block's
+    shape) are scratch."""
+    skewed = np.matmul(np.subtract(block, block.T, out=skew), basis, out=skewed)
+    return (sym_eigs,), [((lo, hi),) for lo, hi in _levels(sym_eigs)], ((basis, skewed, 0),)
+
+
+def _reversal_levels(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[tuple, list, tuple]:
+    """The levels of V = R^T U R, U's matrix in the eigenbasis R of a time
+    reversal S whose +1 half is the first m indices, for _level_loop: the
+    eigenvalues of each half, each level's columns on each, and the parts
+    (basis, its images, the part the images lie on).  `rotated` (V, which
+    must be contiguous) is overwritten, and `spare` (as large) is scratch.
+
+    The -1 half has size r = n - m.  The time reversal D V D = V^T
+    (D = diag(I_m, -I_r)) says that V++ and V-- are symmetric and
+    V+- = -V-+^T: this is checked.  The symmetric part is then the two
+    halves 2 V++ and 2 V--, one eigh each, and the skew part only crosses
+    between them, through A = V+- - V-+^T: it maps + eigenvectors X+ to
+    -A^T X+ in the - half and X- to A X- in the + half, so every level is
+    handled on half-length columns, and lifted in R's coordinates.
+    """
+    n = rotated.shape[0]
+    r = n - m
     pp, mm = rotated[:m, :m], rotated[m:, m:]
     pm, mp = rotated[:m, m:], rotated[m:, :m]
-    plus, minus, cross = _carve(second, (m, m), (k, k), (m, k))
+    plus, minus, cross = _carve(spare, (m, m), (r, r), (m, r))
     np.add(pp, pp.T, out=plus)
     np.add(mm, mm.T, out=minus)
     np.subtract(pm, mp.T, out=cross)
@@ -242,46 +323,273 @@ def _reversal_eigens(block: np.ndarray, order: np.ndarray,
     plus_vecs = np.asfortranarray(plus_vecs)
     minus_eigs, minus_vecs = np.linalg.eigh(minus)
     minus_vecs = np.asfortranarray(minus_vecs)
-    to_minus, to_plus = (image.T for image in _carve(first, (m, k), (k, m)))
+    to_minus, to_plus = (image.T for image in _carve(rotated, (m, r), (r, m)))
     np.negative(np.matmul(plus_vecs.T, cross, out=to_minus.T), out=to_minus.T)
     np.matmul(minus_vecs.T, cross.T, out=to_plus.T)
 
     sym_eigs = np.concatenate([plus_eigs, minus_eigs])
     merge = np.argsort(sym_eigs, kind="stable")
     # the spectra ascend, so a level's + and - columns are contiguous in each half
-    plus_before = np.concatenate([[0], np.cumsum(merge < m)])
-    levels, phases = [], np.empty(n)
-    for lo, hi in _levels(sym_eigs[merge]):
-        a0, a1 = plus_before[lo], plus_before[hi]
-        a, b = slice(a0, a1), slice(lo - a0, hi - a1)
-        eigs = np.concatenate([plus_eigs[a], minus_eigs[b]])
-        xa, xb, ya, yb = plus_vecs[:, a], minus_vecs[:, b], to_minus[:, a], to_plus[:, b]
-        if max(_max_abs(ya, copy=True), _max_abs(yb, copy=True)) <= _SKEW_ZERO:
-            phases[lo:hi], v = _still_phases(eigs), None
+    plus_before = np.concatenate([[0], np.cumsum(merge < m)]).tolist()
+    spans = [((plus_before[lo], plus_before[hi]), (lo - plus_before[lo], hi - plus_before[hi]))
+             for lo, hi in _levels(sym_eigs[merge])]
+    return (plus_eigs, minus_eigs), spans, ((plus_vecs, to_minus, 1), (minus_vecs, to_plus, 0))
+
+
+def _level_loop(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray, list]:
+    """Phases and levels (for _lift) from a route's levels (_whole_levels,
+    _reversal_levels), one level at a time.
+
+    Part p's basis lies on its own rows (the parts' rows follow in turn),
+    and the images of its columns under the skew part on part `target`'s.
+    A level is a run of columns on each part; its skew block B = X^T Y
+    pairs each part's images with the basis of the part they lie on.
+    """
+    rows = _part_rows(parts)
+    levels, phases, lo = [], np.empty(rows[-1].stop), 0
+    for span in spans:
+        xs = [basis[:, c0:c1] for (basis, _, _), (c0, c1) in zip(parts, span)]
+        ys = [image[:, c0:c1] for (_, image, _), (c0, c1) in zip(parts, span)]
+        level_eigs = np.concatenate([e[c0:c1] for e, (c0, c1) in zip(eigs, span)])
+        hi = lo + level_eigs.size
+        if max(_max_abs(y, copy=True) for y in ys) <= _SKEW_ZERO:  # B = X^T Y is zero too
+            phases[lo:hi], v = _still_phases(level_eigs), None
         else:
-            na = a1 - a0
-            skew = np.zeros((hi - lo, hi - lo))
-            skew[:na, na:] = xa.T @ yb
-            skew[na:, :na] = xb.T @ ya
-            leak = max(_max_abs(yb - xa @ skew[:na, na:]), _max_abs(ya - xb @ skew[na:, :na]))
-            _check_level(leak, eigs[0], hi - lo)
-            phases[lo:hi], v = _turn(skew, eigs)
-        levels.append((lo, hi, [(slice(0, m), xa), (slice(m, n), xb)], v))
-    phases, columns = _sorted_columns(phases)
-    _lift(vectors, levels, columns)
-    # R maps the rows back: the butterfly gives the rows [p, fixed, q], and
-    # original row r is row back[r] of those
-    back = np.empty_like(order)
-    back[order] = np.arange(n)
-    eigenrows = vectors.T  # row j is eigenvector j
-    buffer = np.empty((_ROW_CHUNK, n), dtype=np.complex128)
-    for lo in range(0, n, _ROW_CHUNK):
-        chunk = eigenrows[lo:lo + _ROW_CHUNK]
-        moved = buffer[:len(chunk)]
-        _butterfly(chunk[:, :k], chunk[:, m:], moved[:, :k])
-        np.take(chunk, back, axis=1, out=moved, mode="clip")
-        chunk[...] = moved
+            edges = np.cumsum([0] + [x.shape[1] for x in xs])
+            skew, leak = np.zeros((hi - lo, hi - lo)), 0.0
+            for q, (_, _, p) in enumerate(parts):
+                block = skew[edges[p]:edges[p + 1], edges[q]:edges[q + 1]]
+                block[...] = xs[p].T @ ys[q]
+                leak = max(leak, _max_abs(ys[q] - xs[p] @ block))
+            _check_level(leak, level_eigs[0], hi - lo)
+            phases[lo:hi], v = _turn(skew, level_eigs)
+        levels.append((lo, hi, list(zip(rows, xs)), v))
+        lo = hi
+    return phases, levels
+
+
+def _grouped_levels(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray, list]:
+    """_level_loop for a block of _mirror_eigens, run at once on all turning
+    levels of one shape (their widths on each part), at most _LIFT_COLUMNS
+    columns at a time: the same products, stacked.  (The routes without a
+    symmetry keep _level_loop, and with it their bits.)  Returns the phases
+    and the batches for _lift_batches: (positions, columns, v), the phases'
+    positions (L, w), each part's columns (L, width) and the levels'
+    rotations (L, w, w), or (positions (1, k), (p, columns), None) for a
+    run of still columns on part p.
+    """
+    widths = np.array([[c1 - c0 for c0, c1 in span] for span in spans])
+    firsts = np.array([[c0 for c0, _ in span] for span in spans])
+    starts = np.concatenate([[0], np.cumsum(widths.sum(axis=1))])
+    level_eigs = np.concatenate([e[c0:c1] for span in spans for e, (c0, c1) in zip(eigs, span)])
+    # the skew part's largest image on each level: the levels' columns run in
+    # turn on each part, so each level's maximum is a reduceat over them
+    largest = np.zeros(len(spans))
+    for p, (_, image, _) in enumerate(parts):
+        peaks = np.maximum.reduceat(np.append(np.abs(image).max(axis=0, initial=0.0), 0.0),
+                                    firsts[:, p])
+        largest = np.maximum(largest, np.where(widths[:, p] > 0, peaks, 0.0))
+    phases, batches = np.empty(starts[-1]), []
+    for level in np.flatnonzero(largest <= _SKEW_ZERO):  # B = X^T Y is zero too
+        lo, at = starts[level], starts[level]
+        phases[lo:starts[level + 1]] = _still_phases(level_eigs[lo:starts[level + 1]])
+        for p, (c0, c1) in enumerate(spans[level]):
+            for c in range(c0, c1, _LIFT_COLUMNS):
+                stop = min(c + _LIFT_COLUMNS, c1)
+                batches.append((np.arange(at, at + stop - c)[None], (p, np.arange(c, stop)), None))
+                at += stop - c
+    turning = np.flatnonzero(largest > _SKEW_ZERO)
+    for shape in sorted({tuple(row) for row in widths[turning].tolist()}):
+        alike = turning[(widths[turning] == shape).all(axis=1)]
+        shape = np.array(shape)
+        w, edges = shape.sum(), np.concatenate([[0], np.cumsum(shape)])
+        for chunk in np.array_split(alike, min(alike.size, -(-alike.size * w // _LIFT_COLUMNS))):
+            columns = [firsts[chunk, p][:, None] + np.arange(width) for p, width in enumerate(shape)]
+            xs = [basis.T[c] for (basis, _, _), c in zip(parts, columns)]  # (L, width, rows)
+            skew, leak = np.zeros((chunk.size, w, w)), np.zeros(chunk.size)
+            for q, (_, image, p) in enumerate(parts):
+                ys = image.T[columns[q]]
+                block = xs[p] @ ys.transpose(0, 2, 1)
+                skew[:, edges[p]:edges[p + 1], edges[q]:edges[q + 1]] = block
+                residue = np.abs(ys - block.transpose(0, 2, 1) @ xs[p])
+                leak = np.maximum(leak, residue.max(axis=(1, 2), initial=0.0))
+            positions = starts[chunk][:, None] + np.arange(w)
+            _check_level(leak.max(), level_eigs[starts[chunk[leak.argmax()]]], w)
+            sines, v = np.linalg.eigh(-1j * skew)
+            cosines = ((v.real ** 2 + v.imag ** 2).transpose(0, 2, 1)
+                       @ level_eigs[positions][:, :, None])[:, :, 0]
+            phases[positions] = np.arctan2(sines, cosines)
+            batches.append((positions, columns, v))
+    return phases, batches
+
+
+def _mirror_eigens(block: np.ndarray, reflection: np.ndarray | None,
+                   symmetry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """block_eigens split by a symmetry P (an involutive permutation with
+    2-cycles that commutes with U).
+
+    U is rotated once (_mirror_plan): into the eigenbasis of S where there
+    is a reflection, and then of P, which maps S's eigenvectors to
+    eigenvectors.  There U is two blocks, one per eigenvalue of P, and the
+    entries between them, which commuting with P zeroes, are checked.  Each
+    block is gathered and solved on its own: by the reversal route on its
+    S-halves, or by the whole route, its levels batched (_grouped_levels).
+    All phases of both blocks are merged by |phase| before any level is
+    lifted.  Each eigenvector lies in one block, so undoing P's butterflies
+    only copies its entries, and undoing S's adds them in pairs: the lift
+    takes each eigenvector whole, in the original order, from a table of
+    its entries, their pair sums and differences (_unfold).
+    """
+    n = block.shape[0]
+    if reflection is not None and not np.array_equal(reflection[symmetry], symmetry[reflection]):
+        raise ValueError("the reflection and the symmetry must commute")
+    order, outer, inner, blocks = _mirror_plan(symmetry, reflection)
+    vectors, (first, second) = _eigenvector_buffer(n)
+    rotated = _rotate(block, order, [(0, outer, n)] + inner, first, second)
+    (plus, _), (minus, _) = blocks
+    leak = max(max(_max_abs(rotated[a:b, c:d]), _max_abs(rotated[c:d, a:b]))
+               for a, b in plus for c, d in minus)
+    if leak > _INVARIANCE_TOL:
+        raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
+                              f"{leak:.3e} in the eigenbasis of P")
+    gathered = _carve(second, *((_span(ranges),) * 2 for ranges, _ in blocks))
+    for out, (ranges, _) in zip(gathered, blocks):
+        _gather(rotated, ranges, out)
+    # `rotated` is read no more: its buffer is each block's scratch in turn
+    phases, found, start = [], [], 0
+    for matrix, (ranges, m) in zip(gathered, blocks):
+        h = matrix.shape[0]
+        if 0 < m < h:
+            eigs, spans, parts = _reversal_levels(matrix, m, first)
+        else:
+            one, other = _carve(first, (h, h), (h, h))
+            sym_eigs, basis = np.linalg.eigh(np.add(matrix, matrix.T, out=one))
+            basis = np.asfortranarray(basis)
+            eigs, spans, parts = _whole_levels(matrix, sym_eigs, basis, one, other)
+        block_phases, batches = _grouped_levels(eigs, spans, parts)
+        phases.append(block_phases)
+        found.append((start, parts, batches, _unfold(ranges, inner, outer, n)))
+        start += h
+    phases, columns = _sorted_columns(np.concatenate(phases))
+    back = _inverse(order)
+    for start, parts, batches, (size, pairs, pick) in found:
+        _lift_batches(vectors, columns[start:], parts, batches, size, pairs, pick[back])
     return phases, vectors
+
+
+def _mirror_plan(symmetry: np.ndarray, reflection: np.ndarray | None):
+    """(order, outer, inner, blocks) of _mirror_eigens' rotation.
+
+    Rows and columns go in `order`, then S's butterflies between its outer
+    2-cycles' p's and q's, (0, outer, n), then P's butterflies `inner`.
+    Each block is ([(lo, hi), ...], m): the rotated indices it gathers, the
+    first m on S's +1 half.
+
+    Without S, `order` is P's [p, fixed, q] and the blocks are its halves,
+    each all on the +1 half.
+    With S, S's 2-cycles (p, S p) have p's that P maps to p's or to their
+    own partner (_paired_tops), and `order` is S's [p, fixed, S p] with
+    P's structure inside: the p's as [t, f1, f2, P t] (P swaps two
+    2-cycles, keeps one, swaps one's p and q), and the fixed indices as
+    [t', f', P t'].  P then maps S's eigenvectors to eigenvectors, and its
+    butterflies pair t with P t on both halves of S and t' with P t'.
+    On S's -1 half, P negates the f2 2-cycles' (e_p - e_q)/sqrt(2).
+    """
+    n = symmetry.size
+    if reflection is None:
+        order, k, m = _split_order(symmetry)
+        return order, 0, [(0, k, n)], [([(0, m)], m), ([(m, n)], k)]
+    index = np.arange(n)
+    tops = np.flatnonzero(_paired_tops(reflection, symmetry))
+    image = symmetry[tops]
+    kept, swapped = image == tops, image == reflection[tops]
+    t = tops[~kept & ~swapped & (tops < image)]
+    still = np.flatnonzero(reflection == index)
+    t2 = still[symmetry[still] > still]
+    p = np.concatenate([t, tops[kept], tops[swapped], symmetry[t]])
+    fixed = np.concatenate([t2, still[symmetry[still] == still], symmetry[t2]])
+    order = np.concatenate([p, fixed, reflection[p]])
+    k, m = p.size, p.size + fixed.size
+    f1, f2 = np.count_nonzero(kept), np.count_nonzero(swapped)
+    inner = [(0, t.size, k), (k, t2.size, m), (m, t.size, n)]
+    plus = [(0, t.size + f1 + f2), (k, m - t2.size), (m, m + t.size + f1)]
+    minus = [(k - t.size, k), (m - t2.size, m), (m + t.size + f1, n)]
+    return order, k, inner, [(plus, n - k - t.size - t2.size), (minus, t.size + t2.size)]
+
+
+def _paired_tops(pairing: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Flags one index p of each 2-cycle of `pairing` such that `other` (an
+    involution commuting with it) maps each p to a p or to its own partner:
+    p is the smallest index of its orbit under both, or `other` of that
+    unless that is the smallest index's partner."""
+    index = np.arange(pairing.size)
+    least = np.minimum.reduce([index, pairing, other, other[pairing]])
+    image = other[least]
+    return (pairing != index) & ((index == least) | ((index == image) & (image != pairing[least])))
+
+
+def _part_rows(parts: tuple) -> list[slice]:
+    """The rows of each part of a route's levels: they follow in turn."""
+    rows, at = [], 0
+    for basis, _, _ in parts:
+        rows.append(slice(at, at + basis.shape[0]))
+        at += basis.shape[0]
+    return rows
+
+
+def _span(ranges: list) -> int:
+    return sum(hi - lo for lo, hi in ranges)
+
+
+def _gather(matrix: np.ndarray, ranges: list, out: np.ndarray) -> None:
+    """out = matrix restricted to the rows and columns of `ranges`, in turn."""
+    at = np.cumsum([0] + [hi - lo for lo, hi in ranges])
+    for (a, b), r in zip(ranges, at):
+        for (c, d), s in zip(ranges, at):
+            out[r:r + b - a, s:s + d - c] = matrix[a:b, c:d]
+
+
+def _unfold(ranges: list, inner: list, outer: int, n: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """How a vector z on a block's coordinates (`ranges`) reads before the
+    rotation of _mirror_plan: (size, pairs, pick).
+
+    Undoing P's butterflies `inner` only copies a coordinate, scaled by
+    1/sqrt(2) and negated or not, or zeroes it: each of P's 2-cycles has one
+    row in each block.  Undoing S's butterfly (rows [0, outer) and
+    [n - outer, n)) then adds, within a block, coordinate i < pairs on S's
+    +1 half to coordinate h - pairs + i on its -1 half, or subtracts it.  So
+    entry r is an entry of the table [z * size, pair sums, pair differences,
+    0, and the first three negated]: the pick[r]th.
+    """
+    h = _span(ranges)
+    source, scale = np.zeros(n, dtype=np.intp), np.zeros(n)
+    at = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+    source[at], scale[at] = np.arange(h), 1.0
+    for a, k, b in inner:
+        top, bottom = slice(a, a + k), slice(b - k, b)
+        source[top] = source[bottom] = np.maximum(source[top], source[bottom])
+        _butterfly(scale[top], scale[bottom])
+    # S's butterfly: row i < outer is (y_i + y_j)/sqrt(2), row j = n - outer + i
+    # is (y_i - y_j)/sqrt(2); (source, scale) becomes y_i's term, (mate, weight) y_j's
+    mate, weight = np.zeros(n, dtype=np.intp), np.zeros(n)
+    top, bottom = slice(0, outer), slice(n - outer, n)
+    mate[top], mate[bottom] = source[bottom], source[bottom]
+    weight[top], weight[bottom] = scale[bottom] * _INV_SQRT2, scale[bottom] * -_INV_SQRT2
+    source[bottom], scale[bottom] = source[top], scale[top]
+    scale[:outer] *= _INV_SQRT2
+    scale[n - outer:] *= _INV_SQRT2
+    size = np.zeros(h)
+    for terms, weights in ((source, scale), (mate, weight)):
+        size[terms[weights != 0]] = np.abs(weights[weights != 0])
+    both = (scale != 0) & (weight != 0)
+    pairs = h - int(mate[both].min(initial=h))
+    alone = (scale == 0) & (weight != 0)
+    source[alone], scale[alone] = mate[alone], weight[alone]
+    width = h + 2 * pairs
+    pick = np.where(both, np.where((scale > 0) == (weight > 0), h, h + pairs) + source, source)
+    pick[scale < 0] += width + 1
+    pick[scale == 0] = width
+    return size, pairs, pick
 
 
 def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,9 +622,68 @@ def _lift(vectors: np.ndarray, levels: list, columns: np.ndarray) -> None:
             start = stop
 
 
+def _lift_batches(vectors: np.ndarray, columns: np.ndarray, parts: tuple, batches: list,
+                  size: np.ndarray, pairs: int, pick: np.ndarray) -> None:
+    """_lift for one block of _mirror_eigens, a batch of _grouped_levels at
+    a time: its eigenvectors z, formed on the block's coordinates, go whole
+    into their sorted columns (`columns`, by the block's phase positions),
+    taken in the original order from the table of _unfold."""
+    h = size.size
+    width = h + 2 * pairs
+    needed = int(pick.max()) + 1
+    rows = _part_rows(parts)
+    eigenrows = vectors.T  # row j is eigenvector j
+    for positions, part_columns, v in batches:
+        if v is None:  # a run of still columns: the real basis itself
+            p, cols = part_columns
+            table = np.zeros((cols.size, needed))
+            np.multiply(parts[p][0].T[cols], size[rows[p]], out=table[:, rows[p]])
+        else:
+            table = np.empty((*v.shape[:2], needed), dtype=np.complex128)
+            first = 0
+            for (basis, _, _), cols, part_rows in zip(parts, part_columns, rows):
+                last = first + cols.shape[1]
+                # the real product with v's (re, im) pairs gives z's
+                z = (basis.T[cols].transpose(0, 2, 1) @ v[:, first:last].view(np.float64))
+                np.multiply(z.view(np.complex128).transpose(0, 2, 1), size[part_rows],
+                            out=table[:, :, part_rows])
+                first = last
+            table = table.reshape(-1, needed)
+        np.add(table[:, :pairs], table[:, h - pairs:h], out=table[:, h:h + pairs])
+        np.subtract(table[:, :pairs], table[:, h - pairs:h], out=table[:, h + pairs:width])
+        if needed > width:
+            table[:, width] = 0.0
+            np.negative(table[:, :width], out=table[:, width + 1:])
+        # each level (each still run) takes straight into its columns where they run in order
+        for level, at in zip(table.reshape(*positions.shape, needed), positions):
+            targets = columns[at]
+            if level.dtype == np.complex128 and np.all(np.diff(targets) == 1):
+                np.take(level, pick, axis=1, out=eigenrows[targets[0]:targets[-1] + 1], mode="clip")
+            else:
+                eigenrows[targets] = np.take(level, pick, axis=1)
+
+
+def _rows_back(vectors: np.ndarray, k: int, back: np.ndarray) -> None:
+    """Map the eigenvectors' rows from a reflection's eigenbasis back to the
+    original indices: the butterfly between the rows [0, k) and [n - k, n),
+    then original row r is row back[r].  _ROW_CHUNK eigenvectors at a time."""
+    n = vectors.shape[0]
+    eigenrows = vectors.T  # row j is eigenvector j
+    buffer = np.empty((_ROW_CHUNK, n), dtype=np.complex128)
+    for lo in range(0, n, _ROW_CHUNK):
+        chunk = eigenrows[lo:lo + _ROW_CHUNK]
+        moved = buffer[:len(chunk)]
+        _butterfly(chunk[:, :k], chunk[:, n - k:], moved[:, :k])
+        np.take(chunk, back, axis=1, out=moved, mode="clip")
+        chunk[...] = moved
+
+
 def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:
-    """Consecutive C-ordered arrays of the given shapes at the start of `buffer`."""
+    """Consecutive C-ordered arrays of the given shapes at the start of
+    `buffer`, or of a new array where `buffer` is too small."""
     flat, start, out = buffer.reshape(-1), 0, []
+    if sum(rows * cols for rows, cols in shapes) > flat.size:
+        flat = np.empty(sum(rows * cols for rows, cols in shapes))
     for rows, cols in shapes:
         out.append(flat[start:start + rows * cols].reshape(rows, cols))
         start += rows * cols
@@ -364,7 +731,7 @@ def _sorted_columns(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases (sorted by |phase|) and an orthonormal eigenbasis."""
-    return block_eigens(op.matrix, op.reflection)
+    return block_eigens(op.matrix, op.reflection, op.symmetry)
 
 
 def dense_principal_pair(op: DenseOperator, marked_vertex: int) -> tuple[float, float, float]:
@@ -374,10 +741,18 @@ def dense_principal_pair(op: DenseOperator, marked_vertex: int) -> tuple[float, 
     alpha is the smallest nonzero |eigenphase|.  The eigenvectors w+ and w-
     for e^(+-i alpha) are phase-aligned so their projections on |s, v> are
     real positive; the overlaps are those of the uniform start with
-    (w+ - w-)/sqrt(2) and of |s, v> with (w+ + w-)/sqrt(2).
+    (w+ - w-)/sqrt(2) and of |s, v> with (w+ + w-)/sqrt(2).  A degenerate
+    principal level (more than one phase within _LEVEL_GAP of +alpha or of
+    -alpha) has no such pair, and raises ArithmeticError: its overlaps
+    would depend on the eigenbasis the solver returns.
     """
     phases, vectors = dense_eigens(op)
     alpha = float(np.min(np.abs(phases[np.abs(phases) > 1e-8])))
+    for sign in (1.0, -1.0):
+        width = np.count_nonzero(np.abs(phases - sign * alpha) <= _LEVEL_GAP)
+        if width > 1:
+            raise ArithmeticError(f"the principal level at {sign * alpha:+.6e} holds {width} "
+                                  f"eigenphases: no unique principal pair")
     i_plus = int(np.argmin(np.abs(phases - alpha)))
     i_minus = int(np.argmin(np.abs(phases + alpha)))
     sv = marked_coin_state(op.graph, marked_vertex).vector

@@ -184,18 +184,14 @@ def predict(spec: GraphSpec) -> PredictionReport:
 
     peak_steps is where the success probability should crest: the half
     rotation pi/(2 alpha), doubled on the complete graph where one
-    amplitude-amplification turn costs two swap-walk steps.  If alpha sits
-    at or above theta_min/2 the closed-form overlap regime is gone; small
-    instances then take their overlaps from the dense eigenvectors instead.
+    amplitude-amplification turn costs two swap-walk steps.  The overlaps
+    are exact at the secular root, so they hold outside the small-angle
+    regime too (alpha at or above theta_min/2), which the report flags.
     """
     ms = mode_spectrum(spec)
     alpha = solve_alpha(ms)
     start_overlap, good_overlap = predict_overlaps(ms, alpha)
     in_regime = alpha < 0.5 * ms.theta_min * (1.0 - 1e-9)
-    if not in_regime and spec.family != "complete":
-        dense = _dense_overlap_fallback(spec)
-        if dense is not None:
-            start_overlap, good_overlap = dense
     t_star, bracket = predict_runtime(ms, alpha, spec)
     if spec.family == "complete":
         # U'^2 advances the two-register rotation by alpha on each register
@@ -217,15 +213,3 @@ def predict(spec: GraphSpec) -> PredictionReport:
         alpha_bracket=alpha_bracket(ms),
     )
 
-
-def _dense_overlap_fallback(spec: GraphSpec) -> tuple[float, float] | None:
-    """Overlaps from the aligned dense principal eigenvectors (small N only)."""
-    from .engine import default_coin
-    from .graphs import build_graph
-    from .oracle import DIMENSION_CAP, dense_principal_pair, dense_unitary
-
-    graph = build_graph(spec)
-    if graph.coin_dim * graph.n > DIMENSION_CAP:
-        return None
-    _, start, good = dense_principal_pair(dense_unitary(graph, default_coin(graph, marked=(0,))), 0)
-    return start, good

@@ -100,13 +100,15 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
     commands = [
         # large enough that a BLAS reduction would split across threads
         "run --family torus --side 256 --marked 0,0 --t-max 60",
-        # arenas whose prediction takes the dense eigenvectors, 1D tori too;
-        # at a few of their sides (441 and 493 of 34 from 103 to 512) the
-        # bits follow the thread count (README)
+        # arenas outside the small-angle regime, 1D tori too; 441 and 493 are
+        # sides whose overlaps once came from the dense eigenvectors and
+        # followed the thread count
         "predict --family torus --side 2 --shift flip-flop",
         "predict --family torus --side 2 --shift dirac",
         "predict --family hypercube --degree 2",
         "predict --family torus --dims 1 --side 100",
+        "predict --family torus --dims 1 --side 441",
+        "predict --family torus --dims 1 --side 493",
     ]
     outputs = []
     for threads in ("1", "2"):
@@ -208,7 +210,7 @@ out = sys.argv[1]
 for argv in (
     ["run", "--family", "torus", "--side", "8", "--marked", "0,0", "--t-max", "10"],
     ["sweep", "--family", "torus", "--dims", "2", "--sides", "4,8"],
-    ["predict", "--family", "torus", "--side", "2", "--dims", "2"],  # dense overlaps
+    ["predict", "--family", "torus", "--side", "2", "--dims", "2"],  # outside the regime
     ["predict", "--family", "hypercube", "--degree", "40"],
     ["amplify", "--family", "torus", "--side", "8", "--marked", "0,0", "--rounds", "1"],
     ["two-marked", "--side", "8", "--v1", "0,0", "--v2", "3,5", "--t-max", "10"],
@@ -225,6 +227,29 @@ def test_no_command_and_no_oracle_call_loads_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path / "out")],
+                            capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"
+
+
+_PREDICT_IMPORTS_CHILD = """
+import sys
+from walklab.cli import main
+
+for argv in (["--family", "torus", "--side", "2", "--dims", "2"],
+             ["--family", "hypercube", "--degree", "2"],
+             ["--family", "complete", "--n", "16"]):
+    assert main(["predict", *argv, "--out", sys.argv[1]]) == 0, argv
+print(sorted(name for name in sys.modules
+             if name == "walklab.oracle" or name.split(".")[0] == "scipy"))
+"""
+
+
+def test_predict_imports_neither_the_oracle_nor_scipy(tmp_path):
+    # predict is a function of its input alone: no dense eigenvectors, whose
+    # bits follow the BLAS thread count, can reach its output
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _PREDICT_IMPORTS_CHILD, str(tmp_path / "out")],
                             capture_output=True, text=True, check=True, env=env)
     assert result.stdout.strip() == "[]"
 

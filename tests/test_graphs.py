@@ -202,3 +202,32 @@ def test_arena_fixes_the_marking():
         torus_spec(3, 3), hypercube_spec(5), complete_spec(9))]
     assert markings == ["minus_identity", "minus_identity", "projector_flip",
                         "minus_identity", "minus_identity", "minus_c0"]
+
+
+MIRROR_SPECS = [torus_spec(7, 1), torus_spec(6, 1), torus_spec(5), torus_spec(6),
+                torus_spec(3, 3), torus_spec(4, shift="moving"), torus_spec(5, shift="dirac"),
+                hypercube_spec(1), hypercube_spec(4), hypercube_spec(5),
+                complete_spec(2), complete_spec(7), complete_spec(8)]
+
+
+@pytest.mark.parametrize("spec", MIRROR_SPECS, ids=lambda spec: spec.label())
+def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
+    g = build_graph(spec)
+    for vertex in sorted({0, 3 % g.n, g.n - 1}):
+        mirror = g.mirror(vertex)
+        assert mirror[vertex] == vertex
+        assert np.array_equal(mirror[mirror], np.arange(g.n))
+        for u in range(g.n):  # every edge goes to an edge
+            assert np.array_equal(np.sort(mirror[g.neighbors(u)]), g.neighbors(int(mirror[u])))
+
+
+def test_mirror_maps_of_each_family():
+    torus = build_graph(torus_spec(5, 3))
+    vertex = torus.vertex_index((1, 2, 3))
+    for u in range(torus.n):
+        x, y, z = torus.vertex_coords(u)
+        assert torus.mirror(vertex)[u] == torus.vertex_index((x, y, 6 - z))
+    cube = build_graph(hypercube_spec(5))  # bits (0 1)(2 3) swap, bit 4 stays
+    assert cube.mirror(0b00110)[0b00110 ^ 0b00001] == 0b00110 ^ 0b00010
+    assert cube.mirror(0b00110)[0b00110 ^ 0b10100] == 0b00110 ^ 0b11000
+    assert list(build_graph(complete_spec(6)).mirror(2)) == [1, 0, 2, 4, 3, 5]

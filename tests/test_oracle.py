@@ -212,13 +212,16 @@ def test_split_eigensolve_matches_the_whole_one_and_schur(spec, marked):
 def test_split_principal_pair_matches_the_whole_route(spec, marked):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
+    whole = walklab.oracle.DenseOperator(g, op.matrix)
     vertex = marked[0] if marked else 0
+    if not marked:  # the principal level is degenerate: its overlaps would depend on the basis
+        for route in (op, whole):
+            with pytest.raises(ArithmeticError, match="no unique principal pair"):
+                walklab.oracle.dense_principal_pair(route, vertex)
+        return
     split = walklab.oracle.dense_principal_pair(op, vertex)
-    whole = walklab.oracle.dense_principal_pair(
-        walklab.oracle.DenseOperator(g, op.matrix, None), vertex)
-    assert split[0] == pytest.approx(whole[0], rel=0, abs=1e-12)
-    if marked:  # unmarked, the principal level is degenerate: its overlaps depend on the basis
-        assert split[1:] == pytest.approx(whole[1:], rel=0, abs=1e-12)
+    assert split == pytest.approx(walklab.oracle.dense_principal_pair(whole, vertex),
+                                  rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec,involutive", [
@@ -350,9 +353,9 @@ def test_block_eigens_with_the_identity_as_reflection():
                          ids=lambda spec: spec.label())
 def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec):
     """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
-    float64s near the dimension cap (with numpy 2.4: 2.75 dim^2 on the split
-    route of 2D L=16, the complete graph N=32 and the hypercube d=7, 3.12 on
-    the whole route of dirac L=22).
+    float64s near the dimension cap (with numpy 2.4, on the mirror split:
+    2.57 dim^2 at 2D L=16, 2.56 at the complete graph N=32, 2.63 at the
+    hypercube d=7 and 2.77 at dirac L=22).
 
     numpy registers every array buffer with tracemalloc, so this counts
     each array the eigensolve holds at once.  It does not count LAPACK's
@@ -363,6 +366,7 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(0,)))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
+    assert op.symmetry is not None
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -375,6 +379,159 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec):
         if not was_tracing:
             tracemalloc.stop()
     assert peak <= 4.5 * op.dim ** 2 * 8
+
+
+# one marked vertex: the arena's mirror through it splits the eigensolve
+MIRROR_CASES = [torus_spec(5, 1), torus_spec(6, 1), torus_spec(4), torus_spec(5),
+                torus_spec(3, 3), torus_spec(4, shift="moving"), torus_spec(5, shift="moving"),
+                torus_spec(4, shift="dirac"), torus_spec(5, shift="dirac"), hypercube_spec(3),
+                hypercube_spec(4), complete_spec(5), complete_spec(8)]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("spec", MIRROR_CASES, ids=lambda spec: spec.label())
+def test_lifted_mirror_commutes_with_the_walk(spec, where):
+    g = build_graph(spec)
+    vertex = {"first": 0, "middle": g.n // 2, "last": g.n - 1}[where]
+    op = dense_unitary(g, default_coin(g, marked=(vertex,)))
+    p = op.symmetry
+    assert p is not None and np.any(p != np.arange(op.dim))
+    assert np.array_equal(p[p], np.arange(op.dim))
+    assert np.array_equal(op.matrix[p][:, p], op.matrix)  # exactly
+    if op.reflection is not None:
+        assert np.array_equal(op.reflection[p], p[op.reflection])
+
+
+@pytest.mark.parametrize("spec", MIRROR_CASES, ids=lambda spec: spec.label())
+def test_mirror_split_matches_the_unsplit_eigensolve(spec):
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    phases, vectors = dense_eigens(op)
+    plain, _ = block_eigens(op.matrix, op.reflection)
+    assert np.max(np.abs(_fold(phases) - _fold(plain))) < 1e-13
+    assert np.all(np.diff(np.abs(phases)) >= -1e-12)
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(op.dim))) < 1e-12
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    assert np.max(np.abs(recon - op.matrix)) < 1e-12
+    if spec.shift == "moving":  # its smallest nonzero phase is degenerate: no principal pair
+        return
+    unsplit = walklab.oracle.DenseOperator(g, op.matrix, op.reflection)
+    assert walklab.oracle.dense_principal_pair(op, 1) == pytest.approx(
+        walklab.oracle.dense_principal_pair(unsplit, 1), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [torus_spec(3, 3), complete_spec(5), complete_spec(8)],
+                         ids=lambda spec: spec.label())
+def test_mirror_swaps_some_of_the_reflections_pairs(spec):
+    # where P swaps a 2-cycle (p, q) of S itself, P negates (e_p - e_q)/sqrt(2)
+    # on S's -1 half: the split must carry that sign (covered above)
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    index = np.arange(op.dim)
+    assert np.any((op.symmetry == op.reflection) & (op.reflection != index))
+
+
+def test_block_eigens_refuses_a_symmetry_it_does_not_commute_with():
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    row = int(np.flatnonzero(op.symmetry != np.arange(op.dim))[0])
+    matrix = op.matrix.copy()
+    matrix[row, int(np.flatnonzero(matrix[row])[0])] += 1e-6
+    with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
+        block_eigens(matrix, op.reflection, op.symmetry)
+
+
+def test_block_eigens_refuses_a_symmetry_that_is_not_an_involution():
+    matrix, _ = _orthogonal_with_known_phases(0)
+    with pytest.raises(ValueError, match="involutive"):
+        block_eigens(matrix, symmetry=np.roll(np.arange(len(matrix)), 1))
+
+
+@pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (15, 4)])
+def test_mirror_split_of_a_random_commuting_matrix(n, pairs):
+    # R diag(A, B) R^T, with R the eigenbasis of the pairing P, commutes with P
+    pairing = _random_pairing(n, n + pairs, pairs)
+    rng = np.random.default_rng(n)
+    inner = np.zeros((n, n))
+    inner[:n - pairs, :n - pairs] = np.linalg.qr(rng.normal(size=(n - pairs, n - pairs)))[0]
+    inner[n - pairs:, n - pairs:] = np.linalg.qr(rng.normal(size=(pairs, pairs)))[0]
+    matrix = _from_reflection_basis(pairing, inner)
+    phases, vectors = block_eigens(matrix, symmetry=pairing)
+    reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
+    assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) < 1e-12
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    assert np.max(np.abs(recon - matrix)) < 1e-12
+    # a perturbation that commutes with P too leaves a matrix that is not normal
+    bump = rng.normal(scale=1e-6, size=(n, n))
+    with pytest.raises(ArithmeticError, match="not normal"):
+        block_eigens(matrix + bump + bump[pairing][:, pairing], symmetry=pairing)
+
+
+def _commuting_pairings(seed, quads, p_pairs, s_pairs, shared, fixed):
+    """Commuting involutions P and S of a shuffled index set: `quads` orbits
+    (a b)(c d) under P and (a c)(b d) under S, `p_pairs` 2-cycles of P alone,
+    `s_pairs` of S alone, `shared` 2-cycles of both, and `fixed` points."""
+    n = 4 * quads + 2 * (p_pairs + s_pairs + shared) + fixed
+    index = np.random.default_rng(seed).permutation(n)
+    p, s = np.arange(n), np.arange(n)
+    a, b, c, d = index[:4 * quads].reshape(4, quads)
+    p[a], p[b], p[c], p[d] = b, a, d, c
+    s[a], s[b], s[c], s[d] = c, d, a, b
+    at = 4 * quads
+    for count, maps in ((p_pairs, (p,)), (s_pairs, (s,)), (shared, (p, s))):
+        x, y = index[at:at + 2 * count].reshape(2, count)
+        for pairing in maps:
+            pairing[x], pairing[y] = y, x
+        at += 2 * count
+    return p, s
+
+
+@pytest.mark.parametrize("counts", [(3, 2, 2, 2, 3), (4, 0, 0, 3, 0), (2, 3, 1, 0, 1),
+                                    (1, 1, 1, 1, 1)])
+def test_mirror_split_with_a_reflection_of_every_orbit_kind(counts):
+    # U = S C with C symmetric orthogonal and commuting with P: S is a time
+    # reversal of U and P a symmetry, for every kind of orbit of the two
+    p, s = _commuting_pairings(sum(counts), *counts)
+    n = p.size
+    rng = np.random.default_rng(n)
+    k = np.count_nonzero(p > np.arange(n))
+    halves = np.zeros((n, n))
+    for lo, hi in ((0, n - k), (n - k, n)):
+        q, _ = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))
+        halves[lo:hi, lo:hi] = (q * np.where(np.arange(hi - lo) % 3, 1.0, -1.0)) @ q.T
+    matrix = _from_reflection_basis(p, halves)[s]
+    phases, vectors = block_eigens(matrix, reflection=s, symmetry=p)
+    reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
+    assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) < 1e-12
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    assert np.max(np.abs(recon - matrix)) < 1e-12
+
+
+def test_block_eigens_refuses_a_symmetry_that_does_not_commute_with_the_reflection():
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    with pytest.raises(ValueError, match="must commute"):
+        block_eigens(op.matrix, op.reflection, _random_pairing(op.dim, 3))
+
+
+@pytest.mark.parametrize("marked", [(), (0, 5)], ids=["unmarked", "two-marked"])
+def test_no_symmetry_unless_one_vertex_is_marked(marked):
+    for spec in (torus_spec(4), hypercube_spec(4), complete_spec(8),
+                 torus_spec(4, shift="dirac")):
+        g = build_graph(spec)
+        assert dense_unitary(g, default_coin(g, marked=marked)).symmetry is None
+
+
+def test_every_oracle_benchmark_arena_takes_the_mirror_split():
+    # the arenas of perfbench's oracle workload, at their sizes
+    for spec in (torus_spec(16), torus_spec(12, shift="moving"), torus_spec(22, shift="dirac"),
+                 torus_spec(5, 3), hypercube_spec(7), complete_spec(32)):
+        g = build_graph(spec)
+        for vertex in (0, 7, g.n - 1):
+            p = dense_unitary(g, default_coin(g, marked=(vertex,))).symmetry
+            assert p is not None and np.count_nonzero(p != np.arange(p.size)) >= p.size // 3
 
 
 def test_exactly_two_phases_inside_arc():

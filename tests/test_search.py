@@ -264,15 +264,43 @@ def test_theta_pi_entry_contributes_tangent_term():
     assert math.tan(alpha / 2) ** 2 == pytest.approx(0.1 / 0.9, rel=1e-10)
 
 
-def test_outside_regime_uses_dense_overlaps():
+def test_outside_regime_overlaps_match_the_dense_route():
     # the side-2 torus root lands exactly on theta_min/2, outside the
     # strict small-angle regime; the report still carries valid overlaps
     report = predict(torus_spec(2))
     assert not report.in_small_angle_regime
-    from helpers import principal_dense_data
     data = principal_dense_data(torus_spec(2))
     assert report.start_overlap == pytest.approx(data["start_overlap"], abs=1e-9)
     assert report.good_overlap == pytest.approx(data["good_overlap"], abs=1e-9)
+
+
+# small arenas, all but the 3D one with their root outside the small-angle
+# regime (alpha >= theta_min/2), where the closed-form overlaps still hold
+SMALL_ARENAS = [hypercube_spec(1), hypercube_spec(2), torus_spec(2), torus_spec(2, shift="dirac"),
+                torus_spec(2, 3), *(torus_spec(side, 1) for side in (2, 3, 5, 16, 64, 200))]
+
+
+@pytest.mark.parametrize("spec", SMALL_ARENAS, ids=lambda spec: spec.label())
+def test_secular_prediction_matches_the_dense_route_on_small_arenas(spec):
+    report = predict(spec)
+    assert report.in_small_angle_regime == (spec.dims == (2, 2, 2))
+    data = principal_dense_data(spec)
+    assert report.alpha == pytest.approx(data["alpha"], rel=0, abs=1e-12)
+    assert report.start_overlap == pytest.approx(data["start_overlap"], rel=0, abs=1e-12)
+    assert report.good_overlap == pytest.approx(data["good_overlap"], rel=0, abs=1e-12)
+
+
+def test_1d_torus_matches_its_closed_form_past_the_dense_cap():
+    # the marked 1D walk is one signed cycle of length 2L (the two minus
+    # signs are the marked vertex's coin entries), so its phases are k pi/L
+    side = 10 ** 4
+    report = predict(torus_spec(side, 1))
+    assert report.alpha == pytest.approx(math.pi / side, rel=0, abs=1e-12)
+    # alpha's relative error grows about as side^2 here (7.8e-11 at this
+    # side, 3.9e-13 at side 1000), and the overlaps follow it
+    start = math.sqrt(2.0) / math.tan(math.pi / (2 * side)) / side
+    assert report.start_overlap == pytest.approx(start, rel=0, abs=5e-11)
+    assert report.good_overlap == pytest.approx(math.sqrt(2.0 / side), rel=0, abs=5e-11)
 
 
 # frozen regression constants, each verified against the dense oracle when
