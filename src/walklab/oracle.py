@@ -9,19 +9,19 @@ spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix; it is powered explicitly and eigendecomposed through its
 symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
 own BLAS: walklab loads no second one).  The skew part U' - U'^T then
-splits those eigenvectors into complex pairs level by level (see
-block_eigens; a level that the skew part does not keep, which only a
-non-normal matrix has, raises).  Where the shift S is an involution it is
-a time reversal, S U' S = C' S = U'^T (C' is symmetric; this is checked),
-and the whole eigensolve runs in the eigenbasis of S: there U' + U'^T is
+splits those eigenvectors into complex pairs, the levels of one shape
+at a time (see block_eigens; a level that the skew part does not keep,
+which only a non-normal matrix has, raises).  The eigensolve has one
+route, with two optional parts.  Where the shift S is an involution it
+is a time reversal, S U' S = C' S = U'^T (C' is symmetric; this is
+checked), and the solve runs in the eigenbasis of S: there U' + U'^T is
 two half-size blocks and U' - U'^T only maps each half into the other.
 With one marked vertex, the arena's mirror through it (Graph.mirror),
 lifted to the basis states, is a symmetry P of U' that commutes with S
-(checked).  The eigensolve then splits first into P's two eigenspaces,
-about n/2 each, solved as above on their own; each eigenvector lies in
-one of them, so undoing P's rotation only copies its entries, and the
-lift writes it straight into the original rows (_mirror_eigens).  From the engine it takes only
-the two start states, the uniform state and |s, v>.
+(checked), and the solve splits first into P's two eigenspaces, about
+n/2 each.  Without either, U' is solved as it stands.  Every
+eigenvector is lifted whole into the original rows.  From the engine it
+takes only the two start states, the uniform state and |s, v>.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ _LEVEL_GAP = 2e-9
 _SKEW_ZERO = 1e-12
 # how far the skew part may map a level out of itself before U counts as not normal
 _INVARIANCE_TOL = 1e-10
-# the split route maps this many eigenvectors at a time back to the original rows
-_ROW_CHUNK = 16
-# the mirror route lifts at most this many eigenvectors at a time: it bounds the
-# lift's tables, which hold about 2 dim complex numbers per eigenvector
+# the levels go through the batched products and the lift this many columns
+# at a time, a wider level alone: it bounds the lift's tables, which hold
+# about 2 dim complex numbers per eigenvector
 _LIFT_COLUMNS = 32
 
 
@@ -189,19 +188,30 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
     eigenspaces) the real basis is kept.  Elsewhere the Hermitian -iB is
     diagonalised: its eigenvalues are 2 sin theta, its vectors v lift the
     level to the eigenvectors x v, and theta = atan2(2 sin theta,
-    2 cos theta).  All phases are found before any level is lifted, so each
-    level goes straight to its sorted columns.  A level that the skew part
-    maps out of itself by more than _INVARIANCE_TOL (U is not normal)
-    raises ArithmeticError instead of returning a wrong basis.  Complex
-    input is refused.
+    2 cos theta), for all levels of one shape at once (_grouped_levels).
+    All phases are found before any level is lifted, so each level goes
+    straight to its sorted columns.  A level that the skew part maps out
+    of itself by more than _INVARIANCE_TOL (U is not normal) raises
+    ArithmeticError instead of returning a wrong basis.  Complex input is
+    refused.
 
-    A `reflection` (an involutive index permutation S) with 2-cycles must
-    be a time reversal of U, S U S = U^T (as for S C' with a symmetric
-    coin), and the whole solve runs in its eigenbasis (_reversal_levels);
-    else ArithmeticError.  A `symmetry` (an involutive index permutation P)
-    with 2-cycles must commute with U, and with S if both are given; U then
-    splits into two blocks, one per eigenvalue of P, each solved as above
-    (_mirror_eigens).  A permutation without 2-cycles splits nothing.
+    Two optional parts split the solve.  A `reflection` (an involutive
+    index permutation S) with 2-cycles must be a time reversal of U,
+    S U S = U^T (as for S C' with a symmetric coin), and the solve runs
+    in its eigenbasis (_reversal_levels); else ArithmeticError.  A
+    `symmetry` (an involutive index permutation P) with 2-cycles must
+    commute with U, and with S if both are given; U then splits into two
+    blocks, one per eigenvalue of P, and the entries between them, which
+    commuting with P zeroes, are checked.  A permutation without 2-cycles
+    splits nothing.  U is rotated once (_plan) into the eigenbasis of S
+    and then of P, which maps S's eigenvectors to eigenvectors; without
+    either, U is solved in place.  Each block is solved on its own: by
+    the reversal route on its S-halves, or by the whole route.  All phases
+    of all blocks are merged by |phase| before any level is lifted.  Each
+    eigenvector lies in one block, so undoing P's butterflies only copies
+    its entries, and undoing S's adds them in pairs: the lift takes each
+    eigenvector whole, in the original order, from a table of its
+    entries, their pair sums and differences (_unfold).
     """
     if np.iscomplexobj(block):
         raise TypeError("block_eigens takes a real orthogonal matrix, "
@@ -209,28 +219,56 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
     n = block.shape[0]
     reflection = _involution(reflection, n, "reflection")
     symmetry = _involution(symmetry, n, "symmetry")
-    if symmetry is not None:
-        return _mirror_eigens(block, reflection, symmetry)
-    if reflection is not None:
-        order, k, m = _split_order(reflection)
-        vectors, (first, second) = _eigenvector_buffer(n)
-        rotated = _rotate(block, order, [(0, k, n)], first, second)
-        phases, levels = _level_loop(*_reversal_levels(rotated, m, second))
-        phases, columns = _sorted_columns(phases)
-        _lift(vectors, levels, columns)
-        _rows_back(vectors, k, _inverse(order))
-        return phases, vectors
-    sym_eigs, basis = np.linalg.eigh(block + block.T)
-    # column-major, as LAPACK leaves it: each level is one contiguous block of
-    # columns, and the level products below round as they do on that layout
-    basis = np.asfortranarray(basis)
-    # The whole eigh above runs before the eigenvector buffer is allocated: its
-    # LAPACK workspace (about 3 n^2 floats) is freed by then.
-    vectors, (first, second) = _eigenvector_buffer(n)
-    phases, levels = _level_loop(*_whole_levels(block, sym_eigs, basis, first, second))
-    phases, columns = _sorted_columns(phases)
-    _lift(vectors, levels, columns)
+    if (reflection is not None and symmetry is not None
+            and not np.array_equal(reflection[symmetry], symmetry[reflection])):
+        raise ValueError("the reflection and the symmetry must commute")
+    order, outer, inner, blocks = _plan(reflection, symmetry, n)
+    turned = outer > 0 or len(inner) > 0
+    # an unturned U's eigh runs before the eigenvector buffer is allocated:
+    # its temporaries (U + U^T and the row-major basis) are freed by then
+    solved = None if turned else _symmetric_eigh(block)
+    vectors, buffer = _eigenvector_buffer(n)
+    first, second = buffer
+    rotated = _rotate(block, order, [(0, outer, n)] + inner, first, second) if turned else block
+    if len(blocks) == 1:  # no cross block to check and nothing to gather
+        matrices, scratch = [rotated], (second if turned else buffer)
+    else:
+        (plus, _), (minus, _) = blocks
+        leak = max(max(_max_abs(rotated[a:b, c:d]), _max_abs(rotated[c:d, a:b]))
+                   for a, b in plus for c, d in minus)
+        if leak > _INVARIANCE_TOL:
+            raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
+                                  f"{leak:.3e} in the eigenbasis of P")
+        matrices = _carve(second, *((_span(ranges),) * 2 for ranges, _ in blocks))
+        for out, (ranges, _) in zip(matrices, blocks):
+            _gather(rotated, ranges, out)
+        scratch = first  # `rotated` is read no more: each block's scratch in turn
+    phases, found, start = [], [], 0
+    for matrix, (ranges, m) in zip(matrices, blocks):
+        h = matrix.shape[0]
+        if 0 < m < h:
+            eigs, spans, parts = _reversal_levels(matrix, m, scratch)
+        else:
+            one, other = _carve(scratch, (h, h), (h, h))
+            sym_eigs, basis = solved or _symmetric_eigh(matrix, one)
+            eigs, spans, parts = _whole_levels(matrix, sym_eigs, basis, one, other)
+        block_phases, batches = _grouped_levels(eigs, spans, parts)
+        phases.append(block_phases)
+        found.append((start, parts, batches, _unfold(ranges, inner, outer, n)))
+        start += h
+    phases, columns = _sorted_columns(np.concatenate(phases))
+    back = _inverse(order)
+    for start, parts, batches, (size, pairs, pick) in found:
+        _lift_batches(vectors, columns[start:], parts, batches, size, pairs, pick[back])
     return phases, vectors
+
+
+def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """eigh of matrix + matrix^T (formed in `out` if given), its basis
+    column-major, as LAPACK leaves it: each level is then one contiguous
+    block of columns, and the level products round as they do on that layout."""
+    sym_eigs, basis = np.linalg.eigh(np.add(matrix, matrix.T, out=out))
+    return sym_eigs, np.asfortranarray(basis)
 
 
 def _involution(perm: np.ndarray | None, n: int, name: str) -> np.ndarray | None:
@@ -279,18 +317,18 @@ def _rotate(block: np.ndarray, order: np.ndarray, turns: list,
 
 def _whole_levels(block: np.ndarray, sym_eigs: np.ndarray, basis: np.ndarray,
                   skew: np.ndarray, skewed: np.ndarray) -> tuple[tuple, list, tuple]:
-    """The whole route's levels: the eigenvalues, each level's columns
-    [(lo, hi)] and the one part (basis, images of the basis under
-    block - block^T, 0) for _level_loop; `skew` and `skewed` (block's
-    shape) are scratch."""
+    """The whole route's levels for _grouped_levels: the eigenvalues, each
+    level's columns [(lo, hi)] and the one part (basis, images of the basis
+    under block - block^T, 0); `skew` and `skewed` (block's shape) are
+    scratch."""
     skewed = np.matmul(np.subtract(block, block.T, out=skew), basis, out=skewed)
     return (sym_eigs,), [((lo, hi),) for lo, hi in _levels(sym_eigs)], ((basis, skewed, 0),)
 
 
 def _reversal_levels(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[tuple, list, tuple]:
     """The levels of V = R^T U R, U's matrix in the eigenbasis R of a time
-    reversal S whose +1 half is the first m indices, for _level_loop: the
-    eigenvalues of each half, each level's columns on each, and the parts
+    reversal S whose +1 half is the first m indices, for _grouped_levels:
+    the eigenvalues of each half, each level's columns on each, and the parts
     (basis, its images, the part the images lie on).  `rotated` (V, which
     must be contiguous) is overwritten, and `spare` (as large) is scratch.
 
@@ -336,58 +374,33 @@ def _reversal_levels(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[tu
     return (plus_eigs, minus_eigs), spans, ((plus_vecs, to_minus, 1), (minus_vecs, to_plus, 0))
 
 
-def _level_loop(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray, list]:
-    """Phases and levels (for _lift) from a route's levels (_whole_levels,
-    _reversal_levels), one level at a time.
+def _grouped_levels(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray, list]:
+    """Phases and rotations of one block's levels (_whole_levels,
+    _reversal_levels), run at once on all turning levels of one shape
+    (their widths on each part), about _LIFT_COLUMNS columns at a time and
+    a wider level alone.
 
     Part p's basis lies on its own rows (the parts' rows follow in turn),
-    and the images of its columns under the skew part on part `target`'s.
+    and the images of its columns under the skew part on the rows of the
+    part that its third entry names.
     A level is a run of columns on each part; its skew block B = X^T Y
     pairs each part's images with the basis of the part they lie on.
-    """
-    rows = _part_rows(parts)
-    levels, phases, lo = [], np.empty(rows[-1].stop), 0
-    for span in spans:
-        xs = [basis[:, c0:c1] for (basis, _, _), (c0, c1) in zip(parts, span)]
-        ys = [image[:, c0:c1] for (_, image, _), (c0, c1) in zip(parts, span)]
-        level_eigs = np.concatenate([e[c0:c1] for e, (c0, c1) in zip(eigs, span)])
-        hi = lo + level_eigs.size
-        if max(_max_abs(y, copy=True) for y in ys) <= _SKEW_ZERO:  # B = X^T Y is zero too
-            phases[lo:hi], v = _still_phases(level_eigs), None
-        else:
-            edges = np.cumsum([0] + [x.shape[1] for x in xs])
-            skew, leak = np.zeros((hi - lo, hi - lo)), 0.0
-            for q, (_, _, p) in enumerate(parts):
-                block = skew[edges[p]:edges[p + 1], edges[q]:edges[q + 1]]
-                block[...] = xs[p].T @ ys[q]
-                leak = max(leak, _max_abs(ys[q] - xs[p] @ block))
-            _check_level(leak, level_eigs[0], hi - lo)
-            phases[lo:hi], v = _turn(skew, level_eigs)
-        levels.append((lo, hi, list(zip(rows, xs)), v))
-        lo = hi
-    return phases, levels
-
-
-def _grouped_levels(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray, list]:
-    """_level_loop for a block of _mirror_eigens, run at once on all turning
-    levels of one shape (their widths on each part), at most _LIFT_COLUMNS
-    columns at a time: the same products, stacked.  (The routes without a
-    symmetry keep _level_loop, and with it their bits.)  Returns the phases
-    and the batches for _lift_batches: (positions, columns, v), the phases'
-    positions (L, w), each part's columns (L, width) and the levels'
-    rotations (L, w, w), or (positions (1, k), (p, columns), None) for a
-    run of still columns on part p.
+    Returns the phases and the batches for _lift_batches: (positions,
+    columns, v), the phases' positions (L, w), each part's columns
+    (L, width) and the levels' rotations (L, w, w), or (positions (1, k),
+    (p, columns), None) for a run of still columns on part p.
     """
     widths = np.array([[c1 - c0 for c0, c1 in span] for span in spans])
     firsts = np.array([[c0 for c0, _ in span] for span in spans])
     starts = np.concatenate([[0], np.cumsum(widths.sum(axis=1))])
     level_eigs = np.concatenate([e[c0:c1] for span in spans for e, (c0, c1) in zip(eigs, span)])
     # the skew part's largest image on each level: the levels' columns run in
-    # turn on each part, so each level's maximum is a reduceat over them
+    # turn on each part, so each level's maximum is a reduceat over them (each
+    # column's max |y| is max(max y, -min y), which needs no |image| temporary)
     largest = np.zeros(len(spans))
     for p, (_, image, _) in enumerate(parts):
-        peaks = np.maximum.reduceat(np.append(np.abs(image).max(axis=0, initial=0.0), 0.0),
-                                    firsts[:, p])
+        column_peaks = np.maximum(image.max(axis=0, initial=0.0), -image.min(axis=0, initial=0.0))
+        peaks = np.maximum.reduceat(np.append(column_peaks, 0.0), firsts[:, p])
         largest = np.maximum(largest, np.where(widths[:, p] > 0, peaks, 0.0))
     phases, batches = np.empty(starts[-1]), []
     for level in np.flatnonzero(largest <= _SKEW_ZERO):  # B = X^T Y is zero too
@@ -423,71 +436,19 @@ def _grouped_levels(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray,
     return phases, batches
 
 
-def _mirror_eigens(block: np.ndarray, reflection: np.ndarray | None,
-                   symmetry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """block_eigens split by a symmetry P (an involutive permutation with
-    2-cycles that commutes with U).
-
-    U is rotated once (_mirror_plan): into the eigenbasis of S where there
-    is a reflection, and then of P, which maps S's eigenvectors to
-    eigenvectors.  There U is two blocks, one per eigenvalue of P, and the
-    entries between them, which commuting with P zeroes, are checked.  Each
-    block is gathered and solved on its own: by the reversal route on its
-    S-halves, or by the whole route, its levels batched (_grouped_levels).
-    All phases of both blocks are merged by |phase| before any level is
-    lifted.  Each eigenvector lies in one block, so undoing P's butterflies
-    only copies its entries, and undoing S's adds them in pairs: the lift
-    takes each eigenvector whole, in the original order, from a table of
-    its entries, their pair sums and differences (_unfold).
-    """
-    n = block.shape[0]
-    if reflection is not None and not np.array_equal(reflection[symmetry], symmetry[reflection]):
-        raise ValueError("the reflection and the symmetry must commute")
-    order, outer, inner, blocks = _mirror_plan(symmetry, reflection)
-    vectors, (first, second) = _eigenvector_buffer(n)
-    rotated = _rotate(block, order, [(0, outer, n)] + inner, first, second)
-    (plus, _), (minus, _) = blocks
-    leak = max(max(_max_abs(rotated[a:b, c:d]), _max_abs(rotated[c:d, a:b]))
-               for a, b in plus for c, d in minus)
-    if leak > _INVARIANCE_TOL:
-        raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
-                              f"{leak:.3e} in the eigenbasis of P")
-    gathered = _carve(second, *((_span(ranges),) * 2 for ranges, _ in blocks))
-    for out, (ranges, _) in zip(gathered, blocks):
-        _gather(rotated, ranges, out)
-    # `rotated` is read no more: its buffer is each block's scratch in turn
-    phases, found, start = [], [], 0
-    for matrix, (ranges, m) in zip(gathered, blocks):
-        h = matrix.shape[0]
-        if 0 < m < h:
-            eigs, spans, parts = _reversal_levels(matrix, m, first)
-        else:
-            one, other = _carve(first, (h, h), (h, h))
-            sym_eigs, basis = np.linalg.eigh(np.add(matrix, matrix.T, out=one))
-            basis = np.asfortranarray(basis)
-            eigs, spans, parts = _whole_levels(matrix, sym_eigs, basis, one, other)
-        block_phases, batches = _grouped_levels(eigs, spans, parts)
-        phases.append(block_phases)
-        found.append((start, parts, batches, _unfold(ranges, inner, outer, n)))
-        start += h
-    phases, columns = _sorted_columns(np.concatenate(phases))
-    back = _inverse(order)
-    for start, parts, batches, (size, pairs, pick) in found:
-        _lift_batches(vectors, columns[start:], parts, batches, size, pairs, pick[back])
-    return phases, vectors
-
-
-def _mirror_plan(symmetry: np.ndarray, reflection: np.ndarray | None):
-    """(order, outer, inner, blocks) of _mirror_eigens' rotation.
+def _plan(reflection: np.ndarray | None, symmetry: np.ndarray | None, n: int):
+    """(order, outer, inner, blocks) of block_eigens' rotation.
 
     Rows and columns go in `order`, then S's butterflies between its outer
     2-cycles' p's and q's, (0, outer, n), then P's butterflies `inner`.
     Each block is ([(lo, hi), ...], m): the rotated indices it gathers, the
     first m on S's +1 half.
 
-    Without S, `order` is P's [p, fixed, q] and the blocks are its halves,
-    each all on the +1 half.
-    With S, S's 2-cycles (p, S p) have p's that P maps to p's or to their
+    Without P there is one block, all n indices: with S, `order` is S's
+    [p, fixed, q] with outer = k; without S, the identity order.
+    With P but not S, `order` is P's [p, fixed, q] and the blocks are its
+    halves, each all on the +1 half.
+    With both, S's 2-cycles (p, S p) have p's that P maps to p's or to their
     own partner (_paired_tops), and `order` is S's [p, fixed, S p] with
     P's structure inside: the p's as [t, f1, f2, P t] (P swaps two
     2-cycles, keeps one, swaps one's p and q), and the fixed indices as
@@ -495,7 +456,9 @@ def _mirror_plan(symmetry: np.ndarray, reflection: np.ndarray | None):
     butterflies pair t with P t on both halves of S and t' with P t'.
     On S's -1 half, P negates the f2 2-cycles' (e_p - e_q)/sqrt(2).
     """
-    n = symmetry.size
+    if symmetry is None:
+        order, k, m = _split_order(np.arange(n) if reflection is None else reflection)
+        return order, k, [], [([(0, n)], m)]
     if reflection is None:
         order, k, m = _split_order(symmetry)
         return order, 0, [(0, k, n)], [([(0, m)], m), ([(m, n)], k)]
@@ -551,7 +514,7 @@ def _gather(matrix: np.ndarray, ranges: list, out: np.ndarray) -> None:
 
 def _unfold(ranges: list, inner: list, outer: int, n: int) -> tuple[np.ndarray, int, np.ndarray]:
     """How a vector z on a block's coordinates (`ranges`) reads before the
-    rotation of _mirror_plan: (size, pairs, pick).
+    rotation of _plan: (size, pairs, pick).
 
     Undoing P's butterflies `inner` only copies a coordinate, scaled by
     1/sqrt(2) and negated or not, or zeroes it: each of P's 2-cycles has one
@@ -595,38 +558,18 @@ def _unfold(ranges: list, inner: list, outer: int, n: int) -> tuple[np.ndarray, 
 def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     """A column-major n x n complex array for the eigenvectors, and its buffer
     as two n x n float64 arrays.  The lift writes every entry of the array;
-    until then the buffer holds the n x n temporaries (U - U^T and its image
-    of the basis, or V, the halves and the images)."""
+    until then the buffer holds the temporaries: V and its gathered blocks,
+    the skew part and its images of the basis, or the halves and the
+    images."""
     flat = np.empty(n * n, dtype=np.complex128)
     return flat.reshape(n, n, order="F"), flat.view(np.float64).reshape(2, n, n)
 
 
-def _lift(vectors: np.ndarray, levels: list, columns: np.ndarray) -> None:
-    """Write each level's eigenvectors into its sorted columns of `vectors`.
-
-    A level is (lo, hi, parts, v): each part (rows, x) is the level's real
-    basis on a slice of the rows (zero on the other parts' rows), and the
-    rows of its rotation v follow the parts' columns in turn; v None keeps
-    the basis.  The columns are whole columns of the column-major array.
-    """
-    for lo, hi, parts, v in levels:
-        cols, start = columns[lo:hi], 0
-        for rows, x in parts:
-            stop = start + x.shape[1]
-            if v is None:
-                for other, _ in parts:
-                    vectors[other, cols[start:stop]] = x if other is rows else 0.0
-            else:
-                vectors.real[rows, cols] = x @ v.real[start:stop]
-                vectors.imag[rows, cols] = x @ v.imag[start:stop]
-            start = stop
-
-
 def _lift_batches(vectors: np.ndarray, columns: np.ndarray, parts: tuple, batches: list,
                   size: np.ndarray, pairs: int, pick: np.ndarray) -> None:
-    """_lift for one block of _mirror_eigens, a batch of _grouped_levels at
-    a time: its eigenvectors z, formed on the block's coordinates, go whole
-    into their sorted columns (`columns`, by the block's phase positions),
+    """Write one block's eigenvectors, a batch of _grouped_levels at a
+    time: each eigenvector z, formed on the block's coordinates, goes whole
+    into its sorted column (`columns`, by the block's phase positions),
     taken in the original order from the table of _unfold."""
     h = size.size
     width = h + 2 * pairs
@@ -663,21 +606,6 @@ def _lift_batches(vectors: np.ndarray, columns: np.ndarray, parts: tuple, batche
                 eigenrows[targets] = np.take(level, pick, axis=1)
 
 
-def _rows_back(vectors: np.ndarray, k: int, back: np.ndarray) -> None:
-    """Map the eigenvectors' rows from a reflection's eigenbasis back to the
-    original indices: the butterfly between the rows [0, k) and [n - k, n),
-    then original row r is row back[r].  _ROW_CHUNK eigenvectors at a time."""
-    n = vectors.shape[0]
-    eigenrows = vectors.T  # row j is eigenvector j
-    buffer = np.empty((_ROW_CHUNK, n), dtype=np.complex128)
-    for lo in range(0, n, _ROW_CHUNK):
-        chunk = eigenrows[lo:lo + _ROW_CHUNK]
-        moved = buffer[:len(chunk)]
-        _butterfly(chunk[:, :k], chunk[:, n - k:], moved[:, :k])
-        np.take(chunk, back, axis=1, out=moved, mode="clip")
-        chunk[...] = moved
-
-
 def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:
     """Consecutive C-ordered arrays of the given shapes at the start of
     `buffer`, or of a new array where `buffer` is too small."""
@@ -690,9 +618,9 @@ def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:
     return out
 
 
-def _max_abs(a: np.ndarray, copy: bool = False) -> float:
-    """max |a| (0 if empty); takes |a| in place unless `copy`."""
-    return float((np.abs(a) if copy else np.abs(a, out=a)).max(initial=0.0))
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| (0 if empty), taking |a| in place."""
+    return float(np.abs(a, out=a).max(initial=0.0))
 
 
 def _levels(sym_eigs: np.ndarray) -> list[tuple[int, int]]:
@@ -704,13 +632,6 @@ def _levels(sym_eigs: np.ndarray) -> list[tuple[int, int]]:
 def _still_phases(sym_eigs: np.ndarray) -> np.ndarray:
     """theta of a level the skew part maps to zero: 0 at 2cos = 2, pi at -2."""
     return np.where(sym_eigs > 0, 0.0, np.pi)
-
-
-def _turn(skew: np.ndarray, sym_eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A level's phases and its rotation v from its skew block B, by eigh of -iB."""
-    sines, v = np.linalg.eigh(-1j * skew)
-    cosines = (v.real ** 2 + v.imag ** 2).T @ sym_eigs
-    return np.arctan2(sines, cosines), v
 
 
 def _check_level(leak: float, sym_eig: float, width: int) -> None:

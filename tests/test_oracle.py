@@ -2,6 +2,7 @@
 
 import ast
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,10 @@ def test_eigens_orthonormal_basis():
     # unmarked, both spectra are heavily degenerate
     pytest.param(hypercube_spec(6), (), id="hypercube(6)-unmarked"),
     pytest.param(complete_spec(16), (), id="complete(16)-unmarked"),
+    # turning levels wider than the lift's 32 columns: 42 and 70 wide unmarked,
+    # 36 wide in a mirror block when marked at vertex 0
+    pytest.param(hypercube_spec(7), (), id="hypercube(7)-unmarked"),
+    pytest.param(hypercube_spec(7), (0,), id="hypercube(7)-marked-0"),
 ])
 def test_eigens_orthonormal_basis_every_family(spec, marked):
     g = build_graph(spec)
@@ -348,14 +353,20 @@ def test_block_eigens_with_the_identity_as_reflection():
     assert np.max(np.abs(recon - matrix)) < 1e-12
 
 
-@pytest.mark.parametrize("spec", [torus_spec(16), complete_spec(32), hypercube_spec(7),
-                                  torus_spec(22, shift="dirac")],
-                         ids=lambda spec: spec.label())
-def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec):
+@pytest.mark.parametrize("spec,marked", [
+    *(pytest.param(spec, (0,), id=spec.label()) for spec in (
+        torus_spec(16), complete_spec(32), hypercube_spec(7), torus_spec(22, shift="dirac"))),
+    # no mirror: dirac has no reflection either, the 2D torus has one
+    pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
+    pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
+])
+def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
     float64s near the dimension cap (with numpy 2.4, on the mirror split:
     2.57 dim^2 at 2D L=16, 2.56 at the complete graph N=32, 2.63 at the
-    hypercube d=7 and 2.77 at dirac L=22).
+    hypercube d=7 and 2.77 at dirac L=22; without a mirror, 3.37 at
+    unmarked dirac L=22, solved in place, and 2.96 at 2D L=16 with two
+    marked vertices, split by the reflection alone).
 
     numpy registers every array buffer with tracemalloc, so this counts
     each array the eigensolve holds at once.  It does not count LAPACK's
@@ -364,9 +375,9 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec):
     resident size can still differ for the same traced peak.
     """
     g = build_graph(spec)
-    op = dense_unitary(g, default_coin(g, marked=(0,)))
+    op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
-    assert op.symmetry is not None
+    assert (op.symmetry is not None) == (len(marked) == 1)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -617,3 +628,12 @@ def test_oracle_imports_neither_spectral_nor_the_step():
             assert defined_in != "walklab.spectral", f"oracle imports {full}"
         if module in ("walklab", "walklab.engine"):
             assert name not in _STEPPING, f"oracle imports {full}"
+
+
+def test_the_package_exports_every_public_oracle_name_lazily():
+    public = {name for name, value in vars(walklab.oracle).items()
+              if not name.startswith("_") and isinstance(value, type | types.FunctionType)
+              and value.__module__ == "walklab.oracle"}
+    assert walklab._ORACLE_NAMES == public
+    for name in public:
+        assert getattr(walklab, name) is getattr(walklab.oracle, name)
