@@ -11,17 +11,19 @@ symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
 own BLAS: walklab loads no second one).  The skew part U' - U'^T then
 splits those eigenvectors into complex pairs, the levels of one shape
 at a time (see block_eigens; a level that the skew part does not keep,
-which only a non-normal matrix has, raises).  The eigensolve has one
-route, with two optional parts.  Where the shift S is an involution it
-is a time reversal, S U' S = C' S = U'^T (C' is symmetric; this is
-checked), and the solve runs in the eigenbasis of S: there U' + U'^T is
+which only a non-normal matrix has, raises).  Two involutions split the
+eigensolve, one at a time.  With one marked vertex, the arena's mirror
+through it (Graph.mirror), lifted to the basis states, is a symmetry P
+of U' (checked), and U' splits first into P's two eigenspaces, about n/2
+each.  A permutation time reversal S, S U' S = C' S = U'^T (C' is
+symmetric; this is checked), then splits each of them in two: S is the
+shift itself where the shift is an involution, and the shift after the
+direction reversal on the moving torus.  In S's eigenbasis U' + U'^T is
 two half-size blocks and U' - U'^T only maps each half into the other.
-With one marked vertex, the arena's mirror through it (Graph.mirror),
-lifted to the basis states, is a symmetry P of U' that commutes with S
-(checked), and the solve splits first into P's two eigenspaces, about
-n/2 each.  Without either, U' is solved as it stands.  Every
-eigenvector is lifted whole into the original rows.  From the engine it
-takes only the two start states, the uniform state and |s, v>.
+The dirac walk has no S, and without P it is solved as it stands.  Every
+eigenvector is lifted back through the two stages in turn.  From the
+engine the oracle takes only the two start states, the uniform state and
+|s, v>.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .graphs import Graph
 DIMENSION_CAP = 1024
 # scaling by the reciprocal, as the engine's dirac shift does, rounds alike
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_SQRT2 = np.sqrt(2.0)
 # eigenvalues of U + U^T closer than this belong to one level
 _LEVEL_GAP = 2e-9
 # a level that the skew part maps to within this of zero has theta = 0 or pi
@@ -43,17 +46,20 @@ _SKEW_ZERO = 1e-12
 # how far the skew part may map a level out of itself before U counts as not normal
 _INVARIANCE_TOL = 1e-10
 # the levels go through the batched products and the lift this many columns
-# at a time, a wider level alone: it bounds the lift's tables, which hold
-# about 2 dim complex numbers per eigenvector
+# at a time, a wider level alone: it bounds the lift's temporaries, which
+# hold about 2 dim complex numbers per eigenvector
 _LIFT_COLUMNS = 32
 
 
 @dataclass
 class DenseOperator:
-    """A full (coin_dim*N)-dimensional real unitary with its arena, the
-    shift permutation as `reflection` where it is an involution, and as
-    `symmetry` the arena's mirror through the one marked vertex, lifted to
-    the basis states, where exactly one vertex is marked and it moves some."""
+    """A full (coin_dim*N)-dimensional real unitary with its arena; as
+    `reflection`, a permutation time reversal S of it (S M S = M^T, an
+    involution: the shift itself where the shift is an involution, the
+    shift after the direction reversal on the moving torus, none on the
+    dirac walk); and as `symmetry` the arena's mirror through the one marked
+    vertex, lifted to the basis states, where exactly one vertex is marked
+    and it moves some."""
 
     graph: Graph
     matrix: np.ndarray
@@ -79,9 +85,12 @@ def grover_coin(d: int) -> np.ndarray:
 def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
     """U' = S * C' as a float64 matrix, index c*N + v.
 
-    The rows of the explicit coin matrix C' are scattered through the
-    shift permutation.  The dirac step is the coin-basis half-move along
-    y, then the half-move along x conjugated by the Hadamard.
+    Each entry of the explicit coin matrix C' goes straight to its row
+    under the shift permutation (_shifted_coin).  The dirac step is the
+    coin-basis half-move along y, then the half-move along x conjugated by
+    the Hadamard.  The moving shift S_m is no involution past side 2, but
+    with the direction reversal T (c <-> c^1) T S_m T = S_m^T, and T
+    commutes with C', so S_m T is a time reversal of U' = (S_m T)(T C').
     """
     dim = graph.coin_dim * graph.n
     if dim > DIMENSION_CAP:
@@ -90,22 +99,23 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
             f"requested coin_dim*N = {dim}"
         )
     coin.validate_for(graph)
-    c_prime = _coin_matrix(graph, coin)
-    matrix = np.empty_like(c_prime)
     reflection = None
     if graph.spec.shift != "dirac":
         move = graph.shift_permutation()
-        matrix[move] = c_prime
-        if np.array_equal(move[move], np.arange(dim)):
-            reflection = move
+        matrix = _shifted_coin(graph, coin, move)
+        reflection = move
+        if graph.spec.shift == "moving":  # after T: c*N + v -> (c^1)*N + v
+            reflection = move.reshape(graph.coin_dim, -1)[np.arange(graph.coin_dim) ^ 1].ravel()
+        if not np.array_equal(reflection[reflection], np.arange(dim)):
+            reflection = None
     else:
         n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
         move = _half_move(graph, (0, 1))
-        matrix[move] = c_prime
-        _butterfly(matrix[:n], matrix[n:])
-        c_prime[_half_move(graph, (2, 3))] = matrix  # c_prime's buffer is free
-        matrix = c_prime
-        _butterfly(matrix[:n], matrix[n:])
+        first = _shifted_coin(graph, coin, move)
+        _butterfly(first[:n], first[n:])
+        matrix = np.empty_like(first)
+        matrix[_half_move(graph, (2, 3))] = first
+        _butterfly(matrix[:n], matrix[n:], first[:n])  # first's buffer is free
     symmetry = None
     if len(coin.marked) == 1:
         symmetry = _lift_mirror(graph.mirror(coin.marked[0]), move % graph.n)
@@ -133,8 +143,11 @@ def _lift_mirror(mirror: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (label * n + mirror).reshape(-1)
 
 
-def _coin_matrix(graph: Graph, coin: CoinConfig) -> np.ndarray:
-    """C': the unmarked coin on every vertex, the marking's block on marked ones."""
+def _shifted_coin(graph: Graph, coin: CoinConfig, move: np.ndarray) -> np.ndarray:
+    """S C' for the row permutation S = `move`.  C' holds the unmarked coin
+    on every vertex and the marking's block on marked ones; each of its
+    d*N*d entries C'[c*N + v, c'*N + v] goes to row move[c*N + v] of a
+    zeroed matrix."""
     d, n = graph.coin_dim, graph.n
     grover = grover_coin(d)
     marking = graph.spec.marking
@@ -144,11 +157,11 @@ def _coin_matrix(graph: Graph, coin: CoinConfig) -> np.ndarray:
         unmarked, marked = grover, -grover
     else:
         unmarked, marked = grover, -np.eye(d)
-    c_prime = np.kron(unmarked, np.eye(n))
-    for v in coin.marked:
-        block = np.arange(d) * n + v
-        c_prime[np.ix_(block, block)] = marked
-    return c_prime
+    blocks = np.repeat(unmarked[:, :, None], n, axis=2)  # [c, c', v]
+    blocks[:, :, list(coin.marked)] = marked[:, :, None]
+    matrix = np.zeros((d * n, d * n))
+    matrix[move.reshape(d, 1, n), np.arange(d * n).reshape(1, d, n)] = blocks
+    return matrix
 
 
 def _half_move(graph: Graph, roles: tuple[int, int]) -> np.ndarray:
@@ -195,23 +208,21 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
     ArithmeticError instead of returning a wrong basis.  Complex input is
     refused.
 
-    Two optional parts split the solve.  A `reflection` (an involutive
-    index permutation S) with 2-cycles must be a time reversal of U,
-    S U S = U^T (as for S C' with a symmetric coin), and the solve runs
-    in its eigenbasis (_reversal_levels); else ArithmeticError.  A
-    `symmetry` (an involutive index permutation P) with 2-cycles must
-    commute with U, and with S if both are given; U then splits into two
-    blocks, one per eigenvalue of P, and the entries between them, which
-    commuting with P zeroes, are checked.  A permutation without 2-cycles
-    splits nothing.  U is rotated once (_plan) into the eigenbasis of S
-    and then of P, which maps S's eigenvectors to eigenvectors; without
-    either, U is solved in place.  Each block is solved on its own: by
-    the reversal route on its S-halves, or by the whole route.  All phases
-    of all blocks are merged by |phase| before any level is lifted.  Each
-    eigenvector lies in one block, so undoing P's butterflies only copies
-    its entries, and undoing S's adds them in pairs: the lift takes each
-    eigenvector whole, in the original order, from a table of its
-    entries, their pair sums and differences (_unfold).
+    Two optional involutions split the solve, one at a time.  A `symmetry`
+    (an involutive index permutation P) with 2-cycles must commute with U:
+    P U P = U is checked on every entry, else ArithmeticError, and U splits
+    into P's two blocks, gathered straight from U (_symmetry_blocks).  A
+    `reflection` (an involutive index permutation S) with 2-cycles must
+    commute with P and be a time reversal of U, S U S = U^T (as for S C'
+    with a symmetric coin).  In P's eigenbasis S is a signed permutation of
+    each block; a block on which it has a 2-cycle or a -1 is rotated into
+    S's eigenbasis and solved on its two halves (_reversal_levels, which
+    checks the time reversal, else ArithmeticError).  Any other block, and
+    U without either, is solved whole (U itself in place).  A permutation
+    without 2-cycles splits nothing.  All phases of all blocks are merged
+    by |phase| before any level is lifted, and the lift runs the stages
+    backwards: S's butterfly on a block's half-length vectors, then one
+    signed gather into the original rows (_lift_batches).
     """
     if np.iscomplexobj(block):
         raise TypeError("block_eigens takes a real orthogonal matrix, "
@@ -222,44 +233,38 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
     if (reflection is not None and symmetry is not None
             and not np.array_equal(reflection[symmetry], symmetry[reflection])):
         raise ValueError("the reflection and the symmetry must commute")
-    order, outer, inner, blocks = _plan(reflection, symmetry, n)
-    turned = outer > 0 or len(inner) > 0
-    # an unturned U's eigh runs before the eigenvector buffer is allocated:
+    # an unsplit U's eigh runs before the eigenvector buffer is allocated:
     # its temporaries (U + U^T and the row-major basis) are freed by then
-    solved = None if turned else _symmetric_eigh(block)
+    solved = _symmetric_eigh(block) if reflection is None and symmetry is None else None
     vectors, buffer = _eigenvector_buffer(n)
     first, second = buffer
-    rotated = _rotate(block, order, [(0, outer, n)] + inner, first, second) if turned else block
-    if len(blocks) == 1:  # no cross block to check and nothing to gather
-        matrices, scratch = [rotated], (second if turned else buffer)
-    else:
-        (plus, _), (minus, _) = blocks
-        leak = max(max(_max_abs(rotated[a:b, c:d]), _max_abs(rotated[c:d, a:b]))
-                   for a, b in plus for c, d in minus)
-        if leak > _INVARIANCE_TOL:
-            raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
-                                  f"{leak:.3e} in the eigenbasis of P")
-        matrices = _carve(second, *((_span(ranges),) * 2 for ranges, _ in blocks))
-        for out, (ranges, _) in zip(matrices, blocks):
-            _gather(rotated, ranges, out)
-        scratch = first  # `rotated` is read no more: each block's scratch in turn
+    if symmetry is None:  # one block, U itself
+        blocks, free = [(block, reflection, None)], buffer
+    else:  # P's blocks in `second`
+        blocks, free = _symmetry_blocks(block, symmetry, reflection, second, first), first
     phases, found, start = [], [], 0
-    for matrix, (ranges, m) in zip(matrices, blocks):
+    for matrix, pairing, flips in blocks:
         h = matrix.shape[0]
+        order, pairs, m, signed = _split_order(np.arange(h) if pairing is None else pairing, flips)
         if 0 < m < h:
-            eigs, spans, parts = _reversal_levels(matrix, m, scratch)
+            # U is rotated into `second`, a block of P where it lies
+            rotated, work = (second if matrix is block else matrix), _carve(first, (h, h))[0]
+            _rotate(matrix, order, pairs, signed, rotated, work)
+            eigs, spans, parts = _reversal_levels(rotated, m, work)
+            turn = order, pairs, signed
         else:
-            one, other = _carve(scratch, (h, h), (h, h))
+            one, other = _carve(free, (h, h), (h, h))
             sym_eigs, basis = solved or _symmetric_eigh(matrix, one)
             eigs, spans, parts = _whole_levels(matrix, sym_eigs, basis, one, other)
+            turn = None
         block_phases, batches = _grouped_levels(eigs, spans, parts)
         phases.append(block_phases)
-        found.append((start, parts, batches, _unfold(ranges, inner, outer, n)))
+        found.append((start, parts, batches, turn))
         start += h
     phases, columns = _sorted_columns(np.concatenate(phases))
-    back = _inverse(order)
-    for start, parts, batches, (size, pairs, pick) in found:
-        _lift_batches(vectors, columns[start:], parts, batches, size, pairs, pick[back])
+    ways = [(np.arange(n), None)] if symmetry is None else _symmetry_ways(symmetry)
+    for (start, *lift), way in zip(found, ways):
+        _lift_batches(vectors, columns[start:], *lift, *way)
     return phases, vectors
 
 
@@ -282,37 +287,92 @@ def _involution(perm: np.ndarray | None, n: int, name: str) -> np.ndarray | None
     return None if np.array_equal(perm, index) else perm
 
 
-def _split_order(pairing: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """(order, k, m) of the eigenbasis of an involutive permutation: its k
-    2-cycles (p, q), p < q, give (e_p + e_q)/sqrt(2) to the +1 half and
-    (e_p - e_q)/sqrt(2) to the -1 half, and the fixed indices go to the +1
-    half.  `order` lists [p, fixed, q]; the +1 half is its first m."""
+def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.ndarray | None,
+                     out: np.ndarray, work: np.ndarray) -> list[tuple]:
+    """P's two blocks of U, gathered straight from U into `out`, each as
+    (matrix, pairing, flips): S on the block's coordinates, a signed
+    involution (S e_j = -e_pairing[j] where flips[j]; None without S).
+
+    P U P = U is checked first, on every entry (`out` and `work`, both
+    U's shape, are the scratch).  P's 2-cycles (t, P t), t < P t, give
+    (e_t + e_Pt)/sqrt(2) to the + block and (e_t - e_Pt)/sqrt(2) to the
+    - block, and its fixed points f give e_f to the + block after them.
+    As P U P = U, the entries between two t's are U[t, t'] +- U[t, P t'],
+    and the rows and columns of the f's enter the + block as sqrt(2) U
+    (U between two f's).  S maps P's 2-cycles to 2-cycles and its fixed
+    points to fixed points, so it permutes the + block's coordinates, and
+    the - block's up to sign: S sends e_t - e_Pt to -(e_t' - e_Pt') where
+    S t = P t'.
+    """
+    np.take(block, symmetry, axis=0, out=work, mode="clip")
+    np.take(block, symmetry, axis=1, out=out, mode="clip")
+    leak = _max_abs(np.subtract(work, out, out=work))
+    if leak > _INVARIANCE_TOL:
+        raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
+                              f"{leak:.3e}")
+    order, k, h, _ = _split_order(symmetry)  # [t, f, P t]
+    tops = order[:k]
+    plus, minus = _carve(out, (h, h), (k, k))
+    head, mates = _carve(work, (h, order.size), (k, k))
+    np.take(block, order[:h], axis=0, out=head, mode="clip")
+    np.take(head[:k], tops, axis=1, out=minus, mode="clip")
+    np.take(head[:k], order[h:], axis=1, out=mates, mode="clip")
+    np.add(minus, mates, out=plus[:k, :k])
+    np.subtract(minus, mates, out=minus)
+    plus[:, k:] = head[:, order[k:h]]
+    plus[k:, :k] = head[k:, tops]
+    plus[:k, k:] *= _SQRT2
+    plus[k:, :k] *= _SQRT2
+    if reflection is None:
+        return [(plus, None, None), (minus, None, None)]
+    coordinate, image = np.argsort(order) % h, reflection[tops]
+    return [(plus, coordinate[reflection[order[:h]]], None),
+            (minus, coordinate[image], symmetry[image] < image)]
+
+
+def _symmetry_ways(symmetry: np.ndarray):
+    """(rows, scale) of P's + block, then of its - block, each made as the
+    block is lifted: its vectors y read x[r] = scale[r] * y[rows[r]] in the
+    original rows, so x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and x[f] = y
+    on the + block and 0 on the - block."""
+    order, k, h, _ = _split_order(symmetry)
+    place = np.argsort(order)  # the t's, the f's, then the P t's
+    rows, still = place % h, (place >= k) & (place < h)
+    yield rows, np.where(still, 1.0, _INV_SQRT2)
+    yield np.where(still, 0, rows), np.select([place < k, still], [_INV_SQRT2, 0.0], -_INV_SQRT2)
+
+
+def _split_order(pairing: np.ndarray, flips: np.ndarray | None = None) -> tuple:
+    """(order, k, m, signed) of the eigenbasis of an involutive permutation
+    S, signed where `flips` says: S e_i = -e_pairing[i].  Its k 2-cycles
+    (p, q), p < q, of sign s give (e_p + s e_q)/sqrt(2) to the +1 half and
+    (e_p - s e_q)/sqrt(2) to the -1 half, the `signed` ones (s = -1) last,
+    and its fixed indices go to the half of their sign.  `order` lists
+    [p, fixed, q]; the +1 half is its first m."""
     index = np.arange(pairing.size)
+    flips = np.zeros(pairing.size, dtype=bool) if flips is None else flips
     p = np.flatnonzero(pairing > index)
+    p = p[np.argsort(flips[p], kind="stable")]
     fixed = np.flatnonzero(pairing == index)
-    return np.concatenate([p, fixed, pairing[p]]), p.size, p.size + fixed.size
+    fixed = fixed[np.argsort(flips[fixed], kind="stable")]
+    return (np.concatenate([p, fixed, pairing[p]]), p.size,
+            p.size + np.count_nonzero(~flips[fixed]), np.count_nonzero(flips[p]))
 
 
-def _inverse(order: np.ndarray) -> np.ndarray:
-    back = np.empty_like(order)
-    back[order] = np.arange(order.size)
-    return back
-
-
-def _rotate(block: np.ndarray, order: np.ndarray, turns: list,
-            out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """R^T block R in `out`: rows and columns taken in `order`, then each
-    butterfly (a, k, b) of `turns` between the rows, and the columns,
-    [a, a + k) and [b - k, b).  `work` (block's shape) is scratch;
-    mode="clip" writes straight into `out` (the indices are a permutation)."""
+def _rotate(block: np.ndarray, order: np.ndarray, pairs: int, signed: int,
+            out: np.ndarray, work: np.ndarray) -> None:
+    """R^T block R in `out` (which may be `block`): rows and columns taken in
+    `order`, the last `signed` of them negated, then the butterfly between
+    the rows, and the columns, [0, pairs) and the last `pairs`.  `work`
+    (block's shape) is scratch; mode="clip" writes straight into `out` (the
+    indices are a permutation)."""
     n = block.shape[0]
     np.take(block, order, axis=0, out=work, mode="clip")
-    rotated = np.take(work, order, axis=1, out=out, mode="clip")
-    for a, k, b in turns:
-        _butterfly(rotated[a:a + k], rotated[b - k:b], work[:k])
-        _butterfly(rotated[:, a:a + k], rotated[:, b - k:b],
-                   work.reshape(-1)[:n * k].reshape(n, k))
-    return rotated
+    np.take(work, order, axis=1, out=out, mode="clip")
+    out[n - signed:] *= -1.0
+    out[:, n - signed:] *= -1.0
+    _butterfly(out[:pairs], out[n - pairs:], work[:pairs])
+    _butterfly(out[:, :pairs], out[:, n - pairs:], work.reshape(-1)[:n * pairs].reshape(n, pairs))
 
 
 def _whole_levels(block: np.ndarray, sym_eigs: np.ndarray, basis: np.ndarray,
@@ -345,8 +405,8 @@ def _reversal_levels(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[tu
     pp, mm = rotated[:m, :m], rotated[m:, m:]
     pm, mp = rotated[:m, m:], rotated[m:, :m]
     plus, minus, cross = _carve(spare, (m, m), (r, r), (m, r))
-    np.add(pp, pp.T, out=plus)
-    np.add(mm, mm.T, out=minus)
+    plus_eigs, plus_vecs = _symmetric_eigh(pp, plus)  # eigh copies its input
+    minus_eigs, minus_vecs = _symmetric_eigh(mm, minus)
     np.subtract(pm, mp.T, out=cross)
     # V++ - V++^T = 2 V++ - plus, V-- likewise, V+- + V-+^T = 2 V+- - cross,
     # formed in V's buffer (only the three results are read from here on)
@@ -356,11 +416,6 @@ def _reversal_levels(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[tu
         raise ArithmeticError(f"the reflection S is no time reversal of U (U does not commute "
                               f"with S up to transposition): S U S - U^T reaches {defect:.3e} "
                               f"in the eigenbasis of S")
-    # column-major, so that each level's columns are contiguous, images included
-    plus_eigs, plus_vecs = np.linalg.eigh(plus)
-    plus_vecs = np.asfortranarray(plus_vecs)
-    minus_eigs, minus_vecs = np.linalg.eigh(minus)
-    minus_vecs = np.asfortranarray(minus_vecs)
     to_minus, to_plus = (image.T for image in _carve(rotated, (m, r), (r, m)))
     np.negative(np.matmul(plus_vecs.T, cross, out=to_minus.T), out=to_minus.T)
     np.matmul(minus_vecs.T, cross.T, out=to_plus.T)
@@ -403,9 +458,10 @@ def _grouped_levels(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray,
         peaks = np.maximum.reduceat(np.append(column_peaks, 0.0), firsts[:, p])
         largest = np.maximum(largest, np.where(widths[:, p] > 0, peaks, 0.0))
     phases, batches = np.empty(starts[-1]), []
-    for level in np.flatnonzero(largest <= _SKEW_ZERO):  # B = X^T Y is zero too
+    # B = X^T Y is zero too on a still level: theta is 0 at 2cos = 2, pi at -2
+    for level in np.flatnonzero(largest <= _SKEW_ZERO):
         lo, at = starts[level], starts[level]
-        phases[lo:starts[level + 1]] = _still_phases(level_eigs[lo:starts[level + 1]])
+        phases[lo:starts[level + 1]] = np.where(level_eigs[lo:starts[level + 1]] > 0, 0.0, np.pi)
         for p, (c0, c1) in enumerate(spans[level]):
             for c in range(c0, c1, _LIFT_COLUMNS):
                 stop = min(c + _LIFT_COLUMNS, c1)
@@ -436,174 +492,61 @@ def _grouped_levels(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray,
     return phases, batches
 
 
-def _plan(reflection: np.ndarray | None, symmetry: np.ndarray | None, n: int):
-    """(order, outer, inner, blocks) of block_eigens' rotation.
-
-    Rows and columns go in `order`, then S's butterflies between its outer
-    2-cycles' p's and q's, (0, outer, n), then P's butterflies `inner`.
-    Each block is ([(lo, hi), ...], m): the rotated indices it gathers, the
-    first m on S's +1 half.
-
-    Without P there is one block, all n indices: with S, `order` is S's
-    [p, fixed, q] with outer = k; without S, the identity order.
-    With P but not S, `order` is P's [p, fixed, q] and the blocks are its
-    halves, each all on the +1 half.
-    With both, S's 2-cycles (p, S p) have p's that P maps to p's or to their
-    own partner (_paired_tops), and `order` is S's [p, fixed, S p] with
-    P's structure inside: the p's as [t, f1, f2, P t] (P swaps two
-    2-cycles, keeps one, swaps one's p and q), and the fixed indices as
-    [t', f', P t'].  P then maps S's eigenvectors to eigenvectors, and its
-    butterflies pair t with P t on both halves of S and t' with P t'.
-    On S's -1 half, P negates the f2 2-cycles' (e_p - e_q)/sqrt(2).
-    """
-    if symmetry is None:
-        order, k, m = _split_order(np.arange(n) if reflection is None else reflection)
-        return order, k, [], [([(0, n)], m)]
-    if reflection is None:
-        order, k, m = _split_order(symmetry)
-        return order, 0, [(0, k, n)], [([(0, m)], m), ([(m, n)], k)]
-    index = np.arange(n)
-    tops = np.flatnonzero(_paired_tops(reflection, symmetry))
-    image = symmetry[tops]
-    kept, swapped = image == tops, image == reflection[tops]
-    t = tops[~kept & ~swapped & (tops < image)]
-    still = np.flatnonzero(reflection == index)
-    t2 = still[symmetry[still] > still]
-    p = np.concatenate([t, tops[kept], tops[swapped], symmetry[t]])
-    fixed = np.concatenate([t2, still[symmetry[still] == still], symmetry[t2]])
-    order = np.concatenate([p, fixed, reflection[p]])
-    k, m = p.size, p.size + fixed.size
-    f1, f2 = np.count_nonzero(kept), np.count_nonzero(swapped)
-    inner = [(0, t.size, k), (k, t2.size, m), (m, t.size, n)]
-    plus = [(0, t.size + f1 + f2), (k, m - t2.size), (m, m + t.size + f1)]
-    minus = [(k - t.size, k), (m - t2.size, m), (m + t.size + f1, n)]
-    return order, k, inner, [(plus, n - k - t.size - t2.size), (minus, t.size + t2.size)]
-
-
-def _paired_tops(pairing: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Flags one index p of each 2-cycle of `pairing` such that `other` (an
-    involution commuting with it) maps each p to a p or to its own partner:
-    p is the smallest index of its orbit under both, or `other` of that
-    unless that is the smallest index's partner."""
-    index = np.arange(pairing.size)
-    least = np.minimum.reduce([index, pairing, other, other[pairing]])
-    image = other[least]
-    return (pairing != index) & ((index == least) | ((index == image) & (image != pairing[least])))
-
-
-def _part_rows(parts: tuple) -> list[slice]:
-    """The rows of each part of a route's levels: they follow in turn."""
-    rows, at = [], 0
-    for basis, _, _ in parts:
-        rows.append(slice(at, at + basis.shape[0]))
-        at += basis.shape[0]
-    return rows
-
-
-def _span(ranges: list) -> int:
-    return sum(hi - lo for lo, hi in ranges)
-
-
-def _gather(matrix: np.ndarray, ranges: list, out: np.ndarray) -> None:
-    """out = matrix restricted to the rows and columns of `ranges`, in turn."""
-    at = np.cumsum([0] + [hi - lo for lo, hi in ranges])
-    for (a, b), r in zip(ranges, at):
-        for (c, d), s in zip(ranges, at):
-            out[r:r + b - a, s:s + d - c] = matrix[a:b, c:d]
-
-
-def _unfold(ranges: list, inner: list, outer: int, n: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """How a vector z on a block's coordinates (`ranges`) reads before the
-    rotation of _plan: (size, pairs, pick).
-
-    Undoing P's butterflies `inner` only copies a coordinate, scaled by
-    1/sqrt(2) and negated or not, or zeroes it: each of P's 2-cycles has one
-    row in each block.  Undoing S's butterfly (rows [0, outer) and
-    [n - outer, n)) then adds, within a block, coordinate i < pairs on S's
-    +1 half to coordinate h - pairs + i on its -1 half, or subtracts it.  So
-    entry r is an entry of the table [z * size, pair sums, pair differences,
-    0, and the first three negated]: the pick[r]th.
-    """
-    h = _span(ranges)
-    source, scale = np.zeros(n, dtype=np.intp), np.zeros(n)
-    at = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
-    source[at], scale[at] = np.arange(h), 1.0
-    for a, k, b in inner:
-        top, bottom = slice(a, a + k), slice(b - k, b)
-        source[top] = source[bottom] = np.maximum(source[top], source[bottom])
-        _butterfly(scale[top], scale[bottom])
-    # S's butterfly: row i < outer is (y_i + y_j)/sqrt(2), row j = n - outer + i
-    # is (y_i - y_j)/sqrt(2); (source, scale) becomes y_i's term, (mate, weight) y_j's
-    mate, weight = np.zeros(n, dtype=np.intp), np.zeros(n)
-    top, bottom = slice(0, outer), slice(n - outer, n)
-    mate[top], mate[bottom] = source[bottom], source[bottom]
-    weight[top], weight[bottom] = scale[bottom] * _INV_SQRT2, scale[bottom] * -_INV_SQRT2
-    source[bottom], scale[bottom] = source[top], scale[top]
-    scale[:outer] *= _INV_SQRT2
-    scale[n - outer:] *= _INV_SQRT2
-    size = np.zeros(h)
-    for terms, weights in ((source, scale), (mate, weight)):
-        size[terms[weights != 0]] = np.abs(weights[weights != 0])
-    both = (scale != 0) & (weight != 0)
-    pairs = h - int(mate[both].min(initial=h))
-    alone = (scale == 0) & (weight != 0)
-    source[alone], scale[alone] = mate[alone], weight[alone]
-    width = h + 2 * pairs
-    pick = np.where(both, np.where((scale > 0) == (weight > 0), h, h + pairs) + source, source)
-    pick[scale < 0] += width + 1
-    pick[scale == 0] = width
-    return size, pairs, pick
-
-
 def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     """A column-major n x n complex array for the eigenvectors, and its buffer
     as two n x n float64 arrays.  The lift writes every entry of the array;
-    until then the buffer holds the temporaries: V and its gathered blocks,
-    the skew part and its images of the basis, or the halves and the
-    images."""
+    until then the buffer holds the temporaries: P's check and blocks, each
+    block's rotation, the skew part and its images of the basis, or the
+    halves and the images."""
     flat = np.empty(n * n, dtype=np.complex128)
     return flat.reshape(n, n, order="F"), flat.view(np.float64).reshape(2, n, n)
 
 
 def _lift_batches(vectors: np.ndarray, columns: np.ndarray, parts: tuple, batches: list,
-                  size: np.ndarray, pairs: int, pick: np.ndarray) -> None:
+                  turn: tuple | None, rows: np.ndarray, scale: np.ndarray | None) -> None:
     """Write one block's eigenvectors, a batch of _grouped_levels at a
-    time: each eigenvector z, formed on the block's coordinates, goes whole
-    into its sorted column (`columns`, by the block's phase positions),
-    taken in the original order from the table of _unfold."""
-    h = size.size
-    width = h + 2 * pairs
-    needed = int(pick.max()) + 1
-    rows = _part_rows(parts)
+    time, each whole into its sorted column (`columns`, by the block's phase
+    positions).  An eigenvector z is formed on the block's coordinates (the
+    parts' rows in turn) and taken back through S's rotation `turn`
+    ((order, pairs, signed) of _split_order, or None): its butterfly
+    between the first and the last `pairs` coordinates, then its order,
+    with the signed q's negated.  That gives the block's vector y, gathered
+    into the original rows as x[r] = scale[r] * y[rows[r]] (scale None: 1)."""
+    edges = np.cumsum([0] + [basis.shape[0] for basis, _, _ in parts])
+    h, pairs = edges[-1], 0
+    if turn is not None:
+        order, pairs, signed = turn
+        rows = np.argsort(order)[rows]
+        if signed:
+            scale = np.where(rows < h - signed, 1.0, -1.0) * (1.0 if scale is None else scale)
     eigenrows = vectors.T  # row j is eigenvector j
     for positions, part_columns, v in batches:
         if v is None:  # a run of still columns: the real basis itself
             p, cols = part_columns
-            table = np.zeros((cols.size, needed))
-            np.multiply(parts[p][0].T[cols], size[rows[p]], out=table[:, rows[p]])
+            z = np.zeros((cols.size, h))
+            z[:, edges[p]:edges[p + 1]] = parts[p][0].T[cols]
         else:
-            table = np.empty((*v.shape[:2], needed), dtype=np.complex128)
+            z = np.empty((*v.shape[:2], h), dtype=np.complex128)
             first = 0
-            for (basis, _, _), cols, part_rows in zip(parts, part_columns, rows):
+            for (basis, _, _), cols, lo, hi in zip(parts, part_columns, edges, edges[1:]):
                 last = first + cols.shape[1]
                 # the real product with v's (re, im) pairs gives z's
-                z = (basis.T[cols].transpose(0, 2, 1) @ v[:, first:last].view(np.float64))
-                np.multiply(z.view(np.complex128).transpose(0, 2, 1), size[part_rows],
-                            out=table[:, :, part_rows])
+                product = basis.T[cols].transpose(0, 2, 1) @ v[:, first:last].view(np.float64)
+                z[:, :, lo:hi] = product.view(np.complex128).transpose(0, 2, 1)
                 first = last
-            table = table.reshape(-1, needed)
-        np.add(table[:, :pairs], table[:, h - pairs:h], out=table[:, h:h + pairs])
-        np.subtract(table[:, :pairs], table[:, h - pairs:h], out=table[:, h + pairs:width])
-        if needed > width:
-            table[:, width] = 0.0
-            np.negative(table[:, :width], out=table[:, width + 1:])
-        # each level (each still run) takes straight into its columns where they run in order
-        for level, at in zip(table.reshape(*positions.shape, needed), positions):
+            z = z.reshape(-1, h)
+        _butterfly(z[:, :pairs], z[:, h - pairs:])
+        for level, at in zip(z.reshape(*positions.shape, h), positions):
             targets = columns[at]
-            if level.dtype == np.complex128 and np.all(np.diff(targets) == 1):
-                np.take(level, pick, axis=1, out=eigenrows[targets[0]:targets[-1] + 1], mode="clip")
-            else:
-                eigenrows[targets] = np.take(level, pick, axis=1)
+            # a turning level whose columns run in order is taken straight into them
+            straight = z.dtype == np.complex128 and np.all(np.diff(targets) == 1)
+            lifted = np.take(level, rows, axis=1, mode="clip",
+                             out=eigenrows[targets[0]:targets[-1] + 1] if straight else None)
+            if scale is not None:
+                lifted *= scale
+            if not straight:
+                eigenrows[targets] = lifted
+            del lifted  # before the next level's take
 
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:
@@ -629,11 +572,6 @@ def _levels(sym_eigs: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _still_phases(sym_eigs: np.ndarray) -> np.ndarray:
-    """theta of a level the skew part maps to zero: 0 at 2cos = 2, pi at -2."""
-    return np.where(sym_eigs > 0, 0.0, np.pi)
-
-
 def _check_level(leak: float, sym_eig: float, width: int) -> None:
     if leak > _INVARIANCE_TOL:
         raise ArithmeticError(
@@ -645,9 +583,7 @@ def _check_level(leak: float, sym_eig: float, width: int) -> None:
 def _sorted_columns(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The phases sorted by |phase| (stably), and the sorted column of each."""
     order = np.argsort(np.abs(phases), kind="stable")
-    columns = np.empty_like(order)
-    columns[order] = np.arange(order.size)
-    return phases[order], columns
+    return phases[order], np.argsort(order)
 
 
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -200,7 +200,19 @@ SPLIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("spec,marked", SPLIT_CASES)
+# the moving walk's reflection is the shift after the direction reversal; its
+# smallest nonzero phase is degenerate, so it has no principal pair to compare
+MOVING_SPLIT_CASES = [
+    pytest.param(torus_spec(8, 1, shift="moving"), (1,), id="moving(8)-1D"),
+    pytest.param(torus_spec(4, shift="moving"), (1,), id="moving(4x4)"),
+    pytest.param(torus_spec(5, shift="moving"), (1,), id="moving(5x5)"),
+    pytest.param(torus_spec(3, 3, shift="moving"), (1,), id="moving(3x3x3)"),
+    pytest.param(torus_spec(6, shift="moving"), (0, 14), id="moving(6x6)-two-marked"),
+    pytest.param(torus_spec(4, shift="moving"), (), id="moving(4x4)-unmarked"),
+]
+
+
+@pytest.mark.parametrize("spec,marked", SPLIT_CASES + MOVING_SPLIT_CASES)
 def test_split_eigensolve_matches_the_whole_one_and_schur(spec, marked):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
@@ -229,22 +241,27 @@ def test_split_principal_pair_matches_the_whole_route(spec, marked):
                                   rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec,involutive", [
-    (torus_spec(32, 1), True), (torus_spec(4), True), (torus_spec(3, 3), True),
-    (torus_spec(2), True), (hypercube_spec(4), True), (complete_spec(16), True),
-    (torus_spec(2, shift="moving"), True),  # +1 and -1 are one move on side 2
-    (torus_spec(3, shift="moving"), False), (torus_spec(4, shift="moving"), False),
-    (torus_spec(4, shift="dirac"), False),
-], ids=lambda v: v.label() if hasattr(v, "label") else None)
-def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(spec, involutive):
+@pytest.mark.parametrize("spec,kind", [
+    (torus_spec(32, 1), "shift"), (torus_spec(4), "shift"), (torus_spec(3, 3), "shift"),
+    (torus_spec(2), "shift"), (hypercube_spec(4), "shift"), (complete_spec(16), "shift"),
+    (torus_spec(2, shift="moving"), "reversed"), (torus_spec(3, shift="moving"), "reversed"),
+    (torus_spec(4, shift="moving"), "reversed"), (torus_spec(5, 3, shift="moving"), "reversed"),
+    (torus_spec(4, shift="dirac"), None),
+], ids=lambda v: v.label() if hasattr(v, "label") else str(v))
+def test_dense_operator_keeps_a_permutation_time_reversal_as_reflection(spec, kind):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
-    if not involutive:
+    if kind is None:  # the dirac step is no permutation
         assert op.reflection is None
         return
     perm = g.shift_permutation()
+    if kind == "reversed":  # the moving shift after the direction reversal c <-> c^1
+        reversal = (np.arange(g.coin_dim) ^ 1)[:, None] * g.n + np.arange(g.n)
+        perm = perm[reversal.reshape(-1)]
+        assert np.all(perm != np.arange(op.dim))  # no fixed point
     assert np.array_equal(op.reflection, perm)
     assert np.array_equal(perm[perm], np.arange(op.dim))
+    assert np.array_equal(op.matrix[perm][:, perm], op.matrix.T)  # S U S = U^T, exactly
 
 
 def _random_pairing(n, seed, pairs=None):
@@ -353,43 +370,66 @@ def test_block_eigens_with_the_identity_as_reflection():
     assert np.max(np.abs(recon - matrix)) < 1e-12
 
 
-@pytest.mark.parametrize("spec,marked", [
-    *(pytest.param(spec, (0,), id=spec.label()) for spec in (
-        torus_spec(16), complete_spec(32), hypercube_spec(7), torus_spec(22, shift="dirac"))),
-    # no mirror: dirac has no reflection either, the 2D torus has one
-    pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
-    pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
-])
-def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
-    """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
-    float64s near the dimension cap (with numpy 2.4, on the mirror split:
-    2.57 dim^2 at 2D L=16, 2.56 at the complete graph N=32, 2.63 at the
-    hypercube d=7 and 2.77 at dirac L=22; without a mirror, 3.37 at
-    unmarked dirac L=22, solved in place, and 2.96 at 2D L=16 with two
-    marked vertices, split by the reflection alone).
+def _traced_peak(call):
+    """numpy's peak traced allocation, in bytes above the start, while `call` runs.
 
     numpy registers every array buffer with tracemalloc, so this counts
-    each array the eigensolve holds at once.  It does not count LAPACK's
-    workspace inside numpy.linalg.eigh, which numpy allocates untraced,
-    nor memory that the C allocator keeps after a free: the process's
-    resident size can still differ for the same traced peak.
+    each array held at once.  It does not count LAPACK's workspace inside
+    numpy.linalg.eigh, which numpy allocates untraced, nor memory that the
+    C allocator keeps after a free: the process's resident size can still
+    differ for the same traced peak.
     """
-    g = build_graph(spec)
-    op = dense_unitary(g, default_coin(g, marked=marked))
-    assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
-    assert (op.symmetry is not None) == (len(marked) == 1)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        dense_eigens(op)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak <= 4.5 * op.dim ** 2 * 8
+
+
+@pytest.mark.parametrize("spec,marked", [
+    *(pytest.param(spec, (0,), id=spec.label()) for spec in (
+        torus_spec(16), complete_spec(32), hypercube_spec(7), torus_spec(22, shift="dirac"),
+        torus_spec(16, shift="moving"))),
+    # no mirror: dirac has no reflection either, the 2D torus has one
+    pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
+    pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
+])
+def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
+    """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
+    float64s near the dimension cap (with numpy 2.4, split by the mirror:
+    2.42 dim^2 at 2D L=16, 2.46 at the complete graph N=32, 2.54 at the
+    hypercube d=7 and 2.76 at dirac L=22, and by the mirror and then the
+    reflection 2.45 at moving L=16; without a mirror, 3.37 at unmarked dirac
+    L=22, solved in place, and 2.86 at 2D L=16 with two marked vertices,
+    split by the reflection alone).  See _traced_peak for what it counts."""
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=marked))
+    assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
+    assert (op.symmetry is not None) == (len(marked) == 1)
+    assert _traced_peak(lambda: dense_eigens(op)) <= 4.5 * op.dim ** 2 * 8
+
+
+@pytest.mark.parametrize("spec,bound", [
+    *(pytest.param(spec, 1.25, id=spec.label()) for spec in (
+        torus_spec(16), torus_spec(16, shift="moving"), complete_spec(32), hypercube_spec(7))),
+    pytest.param(torus_spec(22, shift="dirac"), 2.75, id="dirac(22)"),
+])
+def test_dense_unitary_allocation_peak_at_the_dimension_cap(spec, bound):
+    """dense_unitary's traced peak near the dimension cap, in dim^2 float64s:
+    a permutation shift places the coin's entries straight into the one
+    zeroed matrix (1.01-1.05 with numpy 2.4), and the dirac step needs a
+    second matrix for its second half-move (2.00)."""
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(0,))
+    dim = g.coin_dim * g.n
+    assert 0.85 * walklab.oracle.DIMENSION_CAP <= dim <= walklab.oracle.DIMENSION_CAP
+    assert _traced_peak(lambda: dense_unitary(g, coin)) <= bound * dim ** 2 * 8
 
 
 # one marked vertex: the arena's mirror through it splits the eigensolve
