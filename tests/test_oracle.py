@@ -241,24 +241,34 @@ def test_split_principal_pair_matches_the_whole_route(spec, marked):
                                   rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec,kind", [
-    (torus_spec(32, 1), "shift"), (torus_spec(4), "shift"), (torus_spec(3, 3), "shift"),
-    (torus_spec(2), "shift"), (hypercube_spec(4), "shift"), (complete_spec(16), "shift"),
-    (torus_spec(2, shift="moving"), "reversed"), (torus_spec(3, shift="moving"), "reversed"),
-    (torus_spec(4, shift="moving"), "reversed"), (torus_spec(5, 3, shift="moving"), "reversed"),
-    (torus_spec(4, shift="dirac"), None),
-], ids=lambda v: v.label() if hasattr(v, "label") else str(v))
-def test_dense_operator_keeps_a_permutation_time_reversal_as_reflection(spec, kind):
+@pytest.mark.parametrize("spec,involutive", [
+    (torus_spec(32, 1), True), (torus_spec(4), True), (torus_spec(3, 3), True),
+    (torus_spec(2), True), (hypercube_spec(4), True), (complete_spec(16), True),
+    (torus_spec(4, shift="dirac"), False),  # the dirac step is no permutation
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(spec, involutive):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
-    if kind is None:  # the dirac step is no permutation
+    if not involutive:
         assert op.reflection is None
         return
     perm = g.shift_permutation()
-    if kind == "reversed":  # the moving shift after the direction reversal c <-> c^1
-        reversal = (np.arange(g.coin_dim) ^ 1)[:, None] * g.n + np.arange(g.n)
-        perm = perm[reversal.reshape(-1)]
-        assert np.all(perm != np.arange(op.dim))  # no fixed point
+    assert np.array_equal(op.reflection, perm)
+    assert np.array_equal(perm[perm], np.arange(op.dim))
+    assert np.array_equal(op.matrix[perm][:, perm], op.matrix.T)  # S U S = U^T, exactly
+
+
+@pytest.mark.parametrize("spec", [
+    torus_spec(2, shift="moving"), torus_spec(3, shift="moving"),
+    torus_spec(4, shift="moving"), torus_spec(5, 3, shift="moving"),
+], ids=lambda spec: spec.label())
+def test_dense_operator_keeps_the_reversed_moving_shift_as_reflection(spec):
+    """The moving walk's reflection is its shift after the direction reversal c <-> c^1."""
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    reversal = (np.arange(g.coin_dim) ^ 1)[:, None] * g.n + np.arange(g.n)
+    perm = g.shift_permutation()[reversal.reshape(-1)]
+    assert np.all(perm != np.arange(op.dim))  # no fixed point
     assert np.array_equal(op.reflection, perm)
     assert np.array_equal(perm[perm], np.arange(op.dim))
     assert np.array_equal(op.matrix[perm][:, perm], op.matrix.T)  # S U S = U^T, exactly
