@@ -6,9 +6,13 @@ the drivers run float64 states; a complex128 state takes the same code,
 and with zero imaginary parts steps to the same bits.  One step costs
 O(coin_dim * N) and allocates no state-sized array.  The Grover coin works
 in place from one column sum per vertex.  The shift copies the moved
-amplitudes into a spare buffer that each state owns: slices with
-wrap-around on tori, halves per hypercube bit, a blocked transpose for the
-complete graph's register swap.  The state and the spare then swap roles.
+amplitudes into a spare buffer that each state owns, and the state and the
+spare then swap roles: slices with wrap-around on tori, neighbouring runs
+per hypercube bit.  The complete graph's register swap copies nothing: it
+holds `amps` as the transpose of the array it had, so `amps` is C-ordered
+after an even number of swaps and F-ordered after an odd number.  The
+kernels here take either order without copying the state; only
+`WalkState.vector` copies a transposed one.
 """
 
 from __future__ import annotations
@@ -78,13 +82,14 @@ class WalkState:
 
     @property
     def vector(self) -> np.ndarray:
-        """Flat view, index c*N + v."""
+        """The amplitudes flat, index c*N + v: a view of a C-ordered state,
+        a copy while the state is held transposed."""
         return self.amps.reshape(-1)
 
     def _spare_buffer(self) -> np.ndarray:
-        """Scratch array shaped like amps, owned by this state alone."""
+        """C-ordered scratch array shaped like amps, owned by this state alone."""
         if self._spare is None:
-            self._spare = np.empty_like(self.amps)
+            self._spare = np.empty(self.amps.shape, self.amps.dtype)
         return self._spare
 
 
@@ -104,10 +109,11 @@ def marked_coin_state(graph: Graph, vertex: int) -> WalkState:
 def squared_norm(amps: np.ndarray) -> float:
     """sum |a|^2 of a state array, over the float64 (re, im) view if complex.
 
-    einsum sums in numpy's own loop, so unlike a BLAS dot its bits do not
-    depend on the thread count.
+    The terms are summed in memory order, which a transposed state gives
+    without a copy.  einsum sums in numpy's own loop, so unlike a BLAS dot
+    its bits do not depend on the thread count.
     """
-    flat = amps.reshape(-1).view(np.float64)
+    flat = amps.ravel(order="K").view(np.float64)
     return float(np.einsum("i,i->", flat, flat))
 
 
@@ -127,7 +133,15 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
         return state
 
     marked = list(coin.marked)
-    colsum = np.sum(amps, axis=0, out=state._spare_buffer()[0])
+    colsum = state._spare_buffer()[0]
+    if np.iscomplexobj(amps) and not amps.flags.c_contiguous:
+        # along the contiguous axis numpy sums pairwise, and pairs complex
+        # terms unlike float64 ones; summing the float64 views keeps a real
+        # state and its complex copy on the same bits
+        np.sum(amps.real, axis=0, out=colsum.real)
+        np.sum(amps.imag, axis=0, out=colsum.imag)
+    else:
+        np.sum(amps, axis=0, out=colsum)
     colsum *= 2.0 / d
     if marking == "minus_identity":
         colsum[marked] = 0.0  # 0 - a: the marked blocks come out negated
@@ -143,21 +157,20 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
 def apply_shift(state: WalkState) -> WalkState:
     """S: permute amplitudes along the edges (norm preserved exactly).
 
-    The moved amplitudes are written into the state's spare buffer, which
-    then becomes the state; the old amplitude array becomes the spare.
+    The complete graph's swap, amps[c, v] -> amps[v, c], sets `amps` to its
+    transpose, a view; a second swap gives back the C-ordered array.  Every
+    other shift writes the moved amplitudes into the state's spare buffer,
+    which then becomes the state; the old amplitude array becomes the spare.
     """
     graph = state.graph
     spec = graph.spec
-    src, dst = state.amps, state._spare_buffer()
     if spec.shift == "swap":
-        # blocks of 32 rows keep the strided writes within few cache lines
-        for i in range(0, graph.n, 32):
-            dst[:, i:i + 32] = src[i:i + 32].T
-    elif spec.family == "hypercube":
-        # direction i flips vertex bit i: the middle axis of a (2^(d-1-i), 2, 2^i) view
+        state.amps = state.amps.T
+        return state
+    src, dst = state.amps, state._spare_buffer()
+    if spec.family == "hypercube":
         for i in range(graph.coin_dim):
-            view = (-1, 2, 1 << i)
-            np.copyto(dst[i].reshape(view), src[i].reshape(view)[:, ::-1])
+            _flip_bit(dst[i], src[i], i)
     else:
         # grid views (coin, *vertex axes); the last axis is the fastest coordinate
         shape = (graph.coin_dim,) + tuple(reversed(graph.vertex_shape))
@@ -167,6 +180,31 @@ def apply_shift(state: WalkState) -> WalkState:
             _torus_shift(dst.reshape(shape), src.reshape(shape), spec)
     state.amps, state._spare = dst, src
     return state
+
+
+# runs of amplitudes up to this many bytes move as one wide element each; the
+# cut-over was measured on the d=16 hypercube's float64 state
+_WIDE_RUN_BYTES = 32
+
+
+def _flip_bit(dst: np.ndarray, src: np.ndarray, i: int) -> None:
+    """dst[v] = src[v ^ 2^i] on one hypercube direction's row.
+
+    The row is a sequence of runs of 2^i amplitudes, and the flip swaps
+    neighbouring runs.  A reversed-axis copy of the (2^(d-1-i), 2, 2^i)
+    view moves only 2^i amplitudes per inner loop, so short runs are viewed
+    as one wide element each and swapped by two strided assignments.
+    """
+    run = src.itemsize << i
+    if run <= _WIDE_RUN_BYTES:
+        # numpy moves 8-byte integers on a faster loop than 8-byte voids
+        wide = np.dtype(np.int64) if run == 8 else np.dtype((np.void, run))
+        src_w, dst_w = src.view(wide), dst.view(wide)
+        dst_w[0::2] = src_w[1::2]
+        dst_w[1::2] = src_w[0::2]
+    else:
+        view = (-1, 2, 1 << i)
+        np.copyto(dst.reshape(view), src.reshape(view)[:, ::-1])
 
 
 def _roll_pairs(shape, shift: int, axis: int):
@@ -221,11 +259,11 @@ def step(state: WalkState, coin: CoinConfig) -> WalkState:
 def reflect_about(state: WalkState, axis: WalkState) -> WalkState:
     """state -> 2 <axis|state> axis - state, for a unit `axis`.
 
-    einsum takes the overlap in numpy's own loop, so its bits do not depend
-    on the BLAS thread count.
+    The overlap pairs the entries by (direction, vertex) whatever the memory
+    order of either state.  einsum takes it in numpy's own loop, so its bits
+    do not depend on the BLAS thread count.
     """
-    a, s = axis.amps.reshape(-1), state.amps.reshape(-1)
-    overlap = np.einsum("i,i->", a.conj(), s)
+    overlap = np.einsum("ij,ij->", axis.amps.conj(), state.amps)
     np.subtract((2.0 * overlap) * axis.amps, state.amps, out=state.amps)
     return state
 
@@ -241,7 +279,11 @@ def flip_marked_vertices(state: WalkState, marked) -> WalkState:
 
 def vertex_probabilities(state: WalkState, vertices=None) -> np.ndarray:
     """p(v) summed over the coin register, for every vertex or for `vertices`."""
-    a = state.amps if vertices is None else state.amps.take(vertices, axis=1)
+    a = state.amps
+    if vertices is not None:
+        # take copies a transposed array whole before it gathers; indexing
+        # gathers the columns alone, but costs more on a C-ordered one
+        a = a.take(vertices, axis=1) if a.flags.c_contiguous else a[:, vertices]
     squares = a.real * a.real
     if np.iscomplexobj(a):
         squares += a.imag * a.imag

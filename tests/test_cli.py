@@ -100,6 +100,9 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
     commands = [
         # large enough that a BLAS reduction would split across threads
         "run --family torus --side 256 --marked 0,0 --t-max 60",
+        # the complete graph's coin sums along the contiguous axis on odd steps
+        "run --family complete --n 256 --marked 7 --t-max 40",
+        "run --family hypercube --degree 12 --marked 37 --t-max 120",
         # arenas outside the small-angle regime, 1D tori too; 441 and 493 are
         # sides whose overlaps once came from the dense eigenvectors and
         # followed the thread count

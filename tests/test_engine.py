@@ -104,7 +104,8 @@ def test_flip_flop_shift_involution_on_states():
 
 PERMUTATION_FAMILIES = [torus_spec(2), torus_spec(5), torus_spec(6, 1),
                         torus_spec(4, shift="moving"), torus_spec(3, 3, shift="moving"),
-                        torus_spec(2, 3), hypercube_spec(1), hypercube_spec(5),
+                        torus_spec(2, 3), hypercube_spec(1), hypercube_spec(2),
+                        hypercube_spec(3), hypercube_spec(5), hypercube_spec(10),
                         complete_spec(2), complete_spec(40)]
 
 
@@ -112,14 +113,18 @@ PERMUTATION_FAMILIES = [torus_spec(2), torus_spec(5), torus_spec(6, 1),
 # inverse flag
 @pytest.mark.parametrize("spec", PERMUTATION_FAMILIES, ids=lambda s: f"{s.label()}-False")
 def test_shift_equals_shift_permutation(spec):
+    # three shifts in a row: the complete graph's swap holds the state
+    # transposed after the first and third, C-ordered after the second
     g = build_graph(spec)
     perm = g.shift_permutation()  # p[c*N+v] = c'*N+v', from the per-edge rule
-    state = random_state(g, seed=11)
-    before = state.vector.copy()
-    apply_shift(state)
-    expected = np.empty_like(before)
-    expected[perm] = before
-    assert np.array_equal(state.vector, expected)
+    for state in (random_state(g, seed=11), real_random_state(g, seed=11)):
+        expected = state.vector.copy()
+        for _ in range(3):
+            apply_shift(state)
+            moved = np.empty_like(expected)
+            moved[perm] = expected
+            expected = moved
+            assert np.array_equal(state.vector, expected)
 
 
 def _dirac_shift_by_rolls(amps, side):
@@ -160,12 +165,15 @@ def test_copy_does_not_follow_the_original(spec):
 
 @pytest.mark.parametrize("spec", ALL_FAMILIES + [hypercube_spec(10), complete_spec(40)])
 def test_vertex_probabilities_on_a_subset_is_exact(spec):
+    # after one shift the complete graph's state is held transposed
     g = build_graph(spec)
     state = random_state(g, seed=13)
-    full = vertex_probabilities(state)
-    for vs in [[v] for v in range(g.n)] + [[g.n - 1, 2], list(range(0, g.n, 3)),
-                                            list(range(g.n))]:
-        assert np.array_equal(vertex_probabilities(state, vs), full[vs])
+    for _ in range(2):
+        full = vertex_probabilities(state)
+        for vs in [[v] for v in range(g.n)] + [[g.n - 1, 2], list(range(0, g.n, 3)),
+                                                list(range(g.n))]:
+            assert np.array_equal(vertex_probabilities(state, vs), full[vs])
+        apply_shift(state)
 
 
 @pytest.mark.parametrize("axis", ["uniform", "random"])

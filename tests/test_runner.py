@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import walklab.engine
 import walklab.runner
 from walklab import (ConfigurationError, RunTrace, amplify, build_graph,
                      complete_spec, default_coin, dense_unitary, find_peak, fit_exponent,
@@ -143,15 +144,19 @@ def test_ledger_arithmetic():
     assert ledger.total == ledger.prep_cost + ledger.step_count + ledger.reflection_cost
 
 
-AMPLIFY_ARENAS = [(torus_spec(4), (1, 6)), (torus_spec(3, 3), (1, 13)),
-                  (torus_spec(4, shift="moving"), (1, 6)),
-                  (torus_spec(4, shift="dirac"), (1, 6)),
-                  (hypercube_spec(4), (1,)), (complete_spec(8), (1,))]
+# walk length 5 leaves the complete graph's amplified state held transposed,
+# while the walked copy it is reflected about is C-ordered
+AMPLIFY_ARENAS = [(torus_spec(4), (1, 6), 6), (torus_spec(3, 3), (1, 13), 6),
+                  (torus_spec(4, shift="moving"), (1, 6), 6),
+                  (torus_spec(4, shift="dirac"), (1, 6), 6),
+                  (hypercube_spec(4), (1,), 6), (complete_spec(8), (1,), 6),
+                  (complete_spec(8), (1,), 5)]
 
 
-@pytest.mark.parametrize("spec, marked", AMPLIFY_ARENAS,
-                         ids=[spec.label() for spec, _ in AMPLIFY_ARENAS])
-def test_amplify_matches_dense_route(spec, marked, monkeypatch):
+@pytest.mark.parametrize("spec, marked, walk_length", AMPLIFY_ARENAS,
+                         ids=[spec.label() + ("" if length == 6 else f"-length{length}")
+                              for spec, _, length in AMPLIFY_ARENAS])
+def test_amplify_matches_dense_route(spec, marked, walk_length, monkeypatch):
     # the algorithm's rounds, as dense matrices: flip, undo the walk with the
     # transpose, reflect about the uniform state, redo the walk
     g = build_graph(spec)
@@ -160,7 +165,7 @@ def test_amplify_matches_dense_route(spec, marked, monkeypatch):
     uniform = uniform_state(g).vector
     flip = np.ones((g.coin_dim, g.n))
     flip[:, list(marked)] = -1.0
-    walk_length, rounds = 6, 3
+    rounds = 3
 
     def walk(vec, matrix):
         for _ in range(walk_length):
@@ -260,13 +265,39 @@ def test_prepare_rejects_other_arenas():
         prepare_uniform_locally(build_graph(torus_spec(4, 3)))
 
 
-# -- no BLAS in the step loop -------------------------------------------------
+# -- the step loop -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", [torus_spec(8), torus_spec(8, shift="moving"),
-                                  torus_spec(8, shift="dirac"), torus_spec(4, 3),
-                                  hypercube_spec(5), complete_spec(16)],
-                         ids=lambda s: s.label())
+STEP_LOOP_ARENAS = [torus_spec(8), torus_spec(8, shift="moving"),
+                    torus_spec(8, shift="dirac"), torus_spec(4, 3),
+                    hypercube_spec(5), complete_spec(16)]
+ENGINE_KERNELS = ("apply_coin", "apply_shift", "vertex_probabilities")
+
+
+@pytest.mark.parametrize("spec", STEP_LOOP_ARENAS, ids=lambda s: s.label())
+def test_each_step_goes_through_the_engine_kernels(spec, monkeypatch):
+    # perfbench's trace wraps these module attributes and divides each
+    # kernel's time by its call count, so a step that fuses or bypasses
+    # them would leave it nothing to divide by
+    g = build_graph(spec)
+    calls = dict.fromkeys(ENGINE_KERNELS, 0)
+    for name in ENGINE_KERNELS:
+        kernel = getattr(walklab.engine, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        for module in (walklab, walklab.engine, walklab.runner):
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counted)
+    t_max = 7
+    run_walk(g, default_coin(g, marked=(1,)), t_max)
+    assert calls == {"apply_coin": t_max, "apply_shift": t_max,
+                     "vertex_probabilities": t_max + 1}
+
+
+@pytest.mark.parametrize("spec", STEP_LOOP_ARENAS, ids=lambda s: s.label())
 def test_step_loop_never_reaches_blas(spec, monkeypatch):
     # a BLAS reduction splits its sum over threads, so its bits depend on
     # the thread count; the traces must not
