@@ -134,10 +134,10 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
 
     marked = list(coin.marked)
     colsum = state._spare_buffer()[0]
-    if np.iscomplexobj(amps) and not amps.flags.c_contiguous:
-        # along the contiguous axis numpy sums pairwise, and pairs complex
-        # terms unlike float64 ones; summing the float64 views keeps a real
-        # state and its complex copy on the same bits
+    if np.iscomplexobj(amps):
+        # on a transposed state numpy sums along the contiguous axis
+        # pairwise, and pairs complex terms unlike float64 ones; summing the
+        # float64 views keeps a real state and its complex copy on the same bits
         np.sum(amps.real, axis=0, out=colsum.real)
         np.sum(amps.imag, axis=0, out=colsum.imag)
     else:
@@ -182,26 +182,23 @@ def apply_shift(state: WalkState) -> WalkState:
     return state
 
 
-# runs of amplitudes up to this many bytes move as one wide element each; the
-# cut-over was measured on the d=16 hypercube's float64 state
-_WIDE_RUN_BYTES = 32
-
-
 def _flip_bit(dst: np.ndarray, src: np.ndarray, i: int) -> None:
     """dst[v] = src[v ^ 2^i] on one hypercube direction's row.
 
     The row is a sequence of runs of 2^i amplitudes, and the flip swaps
     neighbouring runs.  A reversed-axis copy of the (2^(d-1-i), 2, 2^i)
-    view moves only 2^i amplitudes per inner loop, so short runs are viewed
-    as one wide element each and swapped by two strided assignments.
+    view moves only 2^i amplitudes per inner loop.  A run of one or two
+    8-byte words (float64 bits 0-1, complex bit 0) moves word by word
+    instead: two strided int64 assignments per word, whose inner loops
+    span the whole row.
     """
     run = src.itemsize << i
-    if run <= _WIDE_RUN_BYTES:
-        # numpy moves 8-byte integers on a faster loop than 8-byte voids
-        wide = np.dtype(np.int64) if run == 8 else np.dtype((np.void, run))
-        src_w, dst_w = src.view(wide), dst.view(wide)
-        dst_w[0::2] = src_w[1::2]
-        dst_w[1::2] = src_w[0::2]
+    if run <= 16:
+        k = run // 8
+        src_w, dst_w = src.view(np.int64), dst.view(np.int64)
+        for j in range(k):
+            dst_w[j::2 * k] = src_w[k + j::2 * k]
+            dst_w[k + j::2 * k] = src_w[j::2 * k]
     else:
         view = (-1, 2, 1 << i)
         np.copyto(dst.reshape(view), src.reshape(view)[:, ::-1])
@@ -281,9 +278,7 @@ def vertex_probabilities(state: WalkState, vertices=None) -> np.ndarray:
     """p(v) summed over the coin register, for every vertex or for `vertices`."""
     a = state.amps
     if vertices is not None:
-        # take copies a transposed array whole before it gathers; indexing
-        # gathers the columns alone, but costs more on a C-ordered one
-        a = a.take(vertices, axis=1) if a.flags.c_contiguous else a[:, vertices]
+        a = a[:, vertices]  # take would copy a transposed state whole first
     squares = a.real * a.real
     if np.iscomplexobj(a):
         squares += a.imag * a.imag
