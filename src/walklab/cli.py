@@ -2,8 +2,9 @@
 
 Subcommands: spectrum, predict, run, sweep, two-marked, amplify,
 analyze-moving.  Flags override an optional flat TOML-style config file
-(--config).  Exit codes: 0 success, 2 configuration violation, 3 no
-abstract-search structure (predict on the moving shift), 4 I/O failure.
+(--config).  Exit codes: 0 success, 2 configuration violation (an arena
+too large to hold included), 3 no abstract-search structure (predict on
+the moving shift), 4 I/O failure.
 CSV traces always carry the columns (t, p_marked, p_nbhd, norm); JSON
 documents carry "schema": 1.  Identical configurations produce
 byte-identical output.
@@ -412,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ConfigurationError as exc:
         print(f"walklab: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"walklab: configuration error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"walklab: i/o error: {exc}", file=sys.stderr)

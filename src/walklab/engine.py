@@ -173,7 +173,7 @@ def apply_shift(state: WalkState) -> WalkState:
             _flip_bit(dst[i], src[i], i)
     else:
         # grid views (coin, *vertex axes); the last axis is the fastest coordinate
-        shape = (graph.coin_dim,) + tuple(reversed(graph.vertex_shape))
+        shape = (graph.coin_dim, *graph.vertex_shape)
         if spec.shift == "dirac":
             _dirac_shift(dst.reshape(shape), src.reshape(shape))
         else:

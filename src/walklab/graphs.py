@@ -10,6 +10,7 @@ register names the target vertex.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ class GraphSpec:
     @property
     def n_vertices(self) -> int:
         if self.family == "torus":
-            return int(np.prod(self.dims))
+            return math.prod(self.dims)
         if self.family == "hypercube":
             return 2 ** self.dims[0]
         return self.dims[0]
@@ -102,8 +103,6 @@ class GraphSpec:
     def coin_dim(self) -> int:
         if self.family == "torus":
             return 2 if self.coin == "dirac2" else 2 * len(self.dims)
-        if self.family == "hypercube":
-            return self.dims[0]
         return self.dims[0]
 
     def label(self) -> str:
@@ -118,11 +117,15 @@ class Graph:
         self.spec = spec
         self.n = spec.n_vertices
         self.coin_dim = spec.coin_dim
+        # the float64 state is one numpy array; this also keeps 1 << bit in int64
+        if self.coin_dim * self.n > np.iinfo(np.intp).max // 8:
+            raise ConfigurationError(
+                f"{spec.label()} has {self.coin_dim} x {self.n} amplitudes, "
+                "more than one float64 array can hold"
+            )
         if spec.family == "torus":
-            d = len(spec.dims)
-            length = spec.dims[0]
             # numpy axes hold coordinates in reverse so x1 is the fastest index
-            self.vertex_shape = (length,) * d
+            self.vertex_shape = (spec.dims[0],) * len(spec.dims)
         elif spec.family == "hypercube":
             self.vertex_shape = (2,) * spec.dims[0]
         else:
@@ -130,53 +133,37 @@ class Graph:
 
     # -- coordinates ---------------------------------------------------
 
-    def vertex_index(self, coords) -> int:
-        """Flat index of a coordinate tuple (first coordinate fastest)."""
-        spec = self.spec
-        if spec.family == "torus":
-            length = spec.dims[0]
-            idx = 0
-            for c in reversed(coords):
-                idx = idx * length + (int(c) % length)
-            return idx
-        if spec.family == "hypercube":
-            idx = 0
-            for i, b in enumerate(coords):
-                idx |= (int(b) & 1) << i
-            return idx
-        return int(coords[0]) % self.n
+    def vertex_index(self, coords):
+        """Flat index of a coordinate tuple (first coordinate fastest), each
+        coordinate taken modulo its side; a (ndim, ...) array of coordinates
+        gives an array of indices."""
+        index = np.ravel_multi_index(tuple(coords)[::-1], self.vertex_shape, mode="wrap")
+        return int(index) if np.ndim(index) == 0 else index
 
     def vertex_coords(self, vertex: int) -> tuple[int, ...]:
-        spec = self.spec
-        if spec.family == "torus":
-            length = spec.dims[0]
-            coords = []
-            v = int(vertex)
-            for _ in spec.dims:
-                coords.append(v % length)
-                v //= length
-            return tuple(coords)
-        if spec.family == "hypercube":
-            d = spec.dims[0]
-            return tuple((vertex >> i) & 1 for i in range(d))
-        return (int(vertex),)
+        return tuple(int(c) for c in np.unravel_index(vertex, self.vertex_shape)[::-1])
+
+    def coordinates(self) -> np.ndarray:
+        """The (ndim, N) coordinates of every vertex."""
+        return np.array(np.unravel_index(np.arange(self.n), self.vertex_shape)[::-1])
 
     # -- adjacency -----------------------------------------------------
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """Vertices reachable from `vertex` in one walk step, sorted.
 
-        Read off `shift_target`: every direction's target, less `vertex`
+        Read off `shift_targets`: every direction's target, less `vertex`
         itself (the complete graph's self-loop).  The two-dimensional coin's
-        step composes its half-moves, so it lands on the diagonal sites.
+        step composes its half-moves, roles 0/1 and then 2/3, so it lands on
+        the diagonal sites.
         """
+        if not 0 <= vertex < self.n:
+            raise IndexError(f"vertex {vertex} out of range for N={self.n}")
+        targets = self.shift_targets([vertex])[:, 0]
         if self.spec.shift == "dirac":
-            out = {self.shift_target(self.shift_target(vertex, r)[0], r2)[0]
-                   for r in (0, 1) for r2 in (2, 3)}
-        else:
-            out = {self.shift_target(vertex, c)[0] for c in range(self.coin_dim)}
-        out.discard(vertex)
-        return np.array(sorted(out), dtype=np.int64)
+            targets = self.shift_targets(targets[:2])[2:]
+        targets = np.unique(targets)
+        return targets[targets != vertex]
 
     def mirror(self, vertex: int) -> np.ndarray:
         """An involutive automorphism g of the arena that fixes `vertex`, as
@@ -188,13 +175,12 @@ class Graph:
         """
         if not 0 <= vertex < self.n:
             raise IndexError(f"vertex {vertex} out of range for N={self.n}")
-        index = np.arange(self.n, dtype=np.int64)
         family = self.spec.family
         if family == "torus":
-            length = self.spec.dims[0]
-            stride = self.n // length  # the last coordinate is the slowest
-            last = index // stride
-            return (2 * (vertex // stride) - last) % length * stride + index % stride
+            coords = self.coordinates()
+            coords[-1] = 2 * coords[-1, vertex] - coords[-1]
+            return self.vertex_index(coords)
+        index = np.arange(self.n, dtype=np.int64)
         if family == "hypercube":
             evens = sum(1 << b for b in range(0, self.spec.dims[0] - 1, 2))
             flipped = index ^ vertex
@@ -209,65 +195,55 @@ class Graph:
 
     # -- shift map -------------------------------------------------------
 
-    def shift_target(self, vertex: int, direction: int) -> tuple[int, int]:
-        """Where the amplitude at (direction, vertex) moves in one shift.
+    def shift_targets(self, vertices=None) -> np.ndarray:
+        """Where each direction (row) moves the amplitude at each of
+        `vertices` (column; default all N) in one shift: the target vertex.
 
-        For the dirac walk, directions 0..3 are the roles up/down/left/right;
+        For the dirac walk the rows are the four roles up/down/left/right;
         roles 0/1 describe the first half-move (coin basis) and roles 2/3 the
         second (Hadamard basis).  Each half is a permutation of its own
-        (role, vertex) domain; the composed step mixes bases, and the state
-        engine and the dense oracle compose it from the two halves.
+        (role, vertex) domain that keeps the role; the composed step mixes
+        bases, and the state engine and the dense oracle compose it from the
+        two halves.  `shift_permutation` adds the direction labels.
         """
         spec = self.spec
-        if not 0 <= vertex < self.n:
-            raise IndexError(f"vertex {vertex} out of range for N={self.n}")
-        ndir = 4 if spec.shift == "dirac" else self.coin_dim
-        if not 0 <= direction < ndir:
-            raise IndexError(f"direction {direction} out of range")
-
-        if spec.shift == "swap":
-            return direction, vertex
-        if spec.family == "hypercube":
-            return vertex ^ (1 << direction), direction
-        if spec.shift == "dirac":
-            x, y = self.vertex_coords(vertex)
-            if direction == 0:  # up: y - 1
-                return self.vertex_index((x, y - 1)), 0
-            if direction == 1:  # down: y + 1
-                return self.vertex_index((x, y + 1)), 1
-            if direction == 2:  # left: x - 1
-                return self.vertex_index((x - 1, y)), 2
-            return self.vertex_index((x + 1, y)), 3
-
-        axis, sign = divmod(direction, 2)
-        coords = list(self.vertex_coords(vertex))
-        coords[axis] += 1 if sign == 0 else -1
-        new_vertex = self.vertex_index(coords)
-        if spec.shift == "flip_flop":
-            return new_vertex, axis * 2 + (1 - sign)
-        return new_vertex, direction  # moving shift keeps the label
+        vertices = np.arange(self.n) if vertices is None else np.asarray(vertices, np.int64)
+        if spec.shift == "swap":  # direction c goes to vertex c
+            return np.repeat(np.arange(self.n)[:, None], vertices.size, axis=1)
+        if spec.family == "hypercube":  # direction i flips bit i
+            return vertices ^ (1 << np.arange(self.coin_dim))[:, None]
+        if spec.shift == "dirac":  # (x, y) steps of up, down, left, right
+            steps = np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
+        else:  # axis pairs (axis 0 +, axis 0 -, axis 1 +, ...)
+            steps = np.kron(np.eye(len(spec.dims), dtype=np.int64), [1, -1])
+        coords = np.unravel_index(vertices, self.vertex_shape)[::-1]
+        return self.vertex_index(np.array(coords)[:, None, :] + steps[:, :, None])
 
     def shift_permutation(self) -> np.ndarray:
-        """Permutation p with p[c*N+v] = c'*N+v' under one shift.
+        """Permutation p with p[c*N+v] = c'*N+v' under one shift: v' is the
+        target vertex, and the direction c' is c^1 on flip-flop tori (the
+        reversal), c on moving tori and the hypercube, v on the swap.
 
         Not available for the dirac walk, whose step is not a permutation of
-        any single basis; use shift_target per role there.
+        any single basis; use shift_targets per role there.
         """
-        if self.spec.shift == "dirac":
+        spec = self.spec
+        if spec.shift == "dirac":
             raise ConfigurationError(
                 "dirac step is a composition of two basis-conditional moves, "
                 "not a basis permutation"
             )
-        perm = np.empty(self.coin_dim * self.n, dtype=np.int64)
-        for c in range(self.coin_dim):
-            for v in range(self.n):
-                v2, c2 = self.shift_target(v, c)
-                perm[c * self.n + v] = c2 * self.n + v2
-        return perm
+        targets = self.shift_targets()
+        labels = np.arange(self.coin_dim)[:, None]
+        if spec.shift == "swap":
+            labels = np.arange(self.n)
+        elif spec.family == "torus" and spec.shift == "flip_flop":
+            labels = labels ^ 1
+        return (labels * self.n + targets).ravel()
 
 
 def build_graph(spec: GraphSpec) -> Graph:
-    """Validate a spec and return the built arena."""
+    """The built arena of a spec (the spec validated itself when made)."""
     return Graph(spec)
 
 

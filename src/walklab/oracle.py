@@ -3,7 +3,7 @@
 Everything here is validation machinery, and none of it rests on the
 code it validates.  The dense U' = S * C' is assembled from the explicit
 coin matrix (the Grover coin is defined here) and the shift rule of
-`graphs` (shift_permutation, or shift_target per dirac half-move),
+`graphs` (shift_permutation, or shift_targets per dirac half-move),
 without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix; it is powered explicitly and eigendecomposed through its
@@ -166,13 +166,7 @@ def _shifted_coin(graph: Graph, coin: CoinConfig, move: np.ndarray) -> np.ndarra
 
 def _half_move(graph: Graph, roles: tuple[int, int]) -> np.ndarray:
     """Row permutation of one dirac half-move: component c moves as roles[c]."""
-    n = graph.n
-    perm = np.empty(2 * n, dtype=np.int64)
-    for c, role in enumerate(roles):
-        for v in range(n):
-            target, _ = graph.shift_target(v, role)
-            perm[c * n + v] = c * n + target
-    return perm
+    return (np.arange(2)[:, None] * graph.n + graph.shift_targets()[list(roles)]).ravel()
 
 
 def _butterfly(top: np.ndarray, bottom: np.ndarray, total: np.ndarray | None = None) -> None:

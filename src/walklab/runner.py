@@ -237,18 +237,9 @@ def _mirror_index(graph: Graph, v1: int, v2: int) -> tuple[np.ndarray, np.ndarra
     """Index into amps of the grid symmetry exchanging v1 and v2: point
     reflection through their midpoint combined with direction reversal (the
     reversal keeps it commuting with the flip-flop shift)."""
-    spec = graph.spec
-    c1 = graph.vertex_coords(v1)
-    c2 = graph.vertex_coords(v2)
-    sums = [a + b for a, b in zip(c1, c2)]
-    vperm = np.empty(graph.n, dtype=np.int64)
-    for v in range(graph.n):
-        coords = graph.vertex_coords(v)
-        vperm[v] = graph.vertex_index(tuple(s - c for s, c in zip(sums, coords)))
-    cperm = np.empty(graph.coin_dim, dtype=np.int64)
-    for axis in range(len(spec.dims)):
-        cperm[2 * axis] = 2 * axis + 1
-        cperm[2 * axis + 1] = 2 * axis
+    center = np.add(graph.vertex_coords(v1), graph.vertex_coords(v2))[:, None]
+    vperm = graph.vertex_index(center - graph.coordinates())
+    cperm = np.arange(graph.coin_dim) ^ 1
     return np.ix_(cperm, vperm)
 
 
@@ -312,17 +303,9 @@ class SweepRow:
     prediction: PredictionReport | None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "n_vertices": self.n_vertices,
-            "size": self.size,
-            "t_star": self.t_star,
-            "p_star": self.p_star,
-            "t_star_marked": self.t_star_marked,
-            "p_star_marked": self.p_star_marked,
-            "cap": self.cap,
-        }
-        if self.prediction is not None:
-            out["prediction"] = asdict(self.prediction)
+        out = asdict(self)
+        if self.prediction is None:
+            del out["prediction"]
         return out
 
 

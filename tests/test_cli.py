@@ -154,6 +154,39 @@ def test_hypercube_beyond_float_range_exit_code(command, degree, capsys):
     assert "degree 1022" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "hypercube", "--degree", "60"],
+    ["--family", "hypercube", "--degree", "100"],
+    ["--family", "torus", "--side", "4194304", "--dims", "3"],  # N = 2^66
+    ["--family", "torus", "--side", "10000000", "--dims", "3"],
+])
+def test_arena_too_large_for_one_array_exit_code(args, capsys):
+    assert run_cli(["run", *args, "--t-max", "1", "--out", os.devnull]) == 2
+    assert "more than one float64 array can hold" in capsys.readouterr().err
+
+
+_OUT_OF_MEMORY_CHILD = """
+import resource
+import sys
+from walklab.cli import main
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+sys.exit(main(["amplify", "--family", "torus", "--side", "60000", "--walk-length", "1",
+               "--out", sys.argv[1]]))
+"""
+
+
+def test_state_too_large_for_memory_exit_code(tmp_path):
+    # the address-space limit makes the 115 GB state fail to allocate wherever it runs
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY_CHILD, str(tmp_path / "out")],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 2, result.stderr
+    assert "out of memory" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_complete_graph_summary_peak_is_not_rounding_noise(tmp_path):
     summary = tmp_path / "summary.json"
     assert run_cli(["run", "--family", "complete", "--n", "1024", "--marked", "0",

@@ -24,9 +24,11 @@ def test_hypercube_sizes():
 def test_complete_swap_rule():
     g = build_graph(complete_spec(8))
     assert g.coin_dim == 8
+    targets, perm = g.shift_targets(), g.shift_permutation()
     for i in range(8):
-        for j in range(8):
-            assert g.shift_target(j, i) == (i, j)
+        for j in range(8):  # direction i at vertex j -> direction j at vertex i
+            assert targets[i, j] == i
+            assert perm[i * 8 + j] == j * 8 + i
 
 
 @pytest.mark.parametrize("bad", [
@@ -49,21 +51,21 @@ def test_invalid_specs_rejected(bad):
 def test_flip_flop_wraps_and_reverses():
     g = build_graph(torus_spec(4))
     v = g.vertex_index((3, 0))
-    assert g.shift_target(v, 0) == (g.vertex_index((0, 0)), 1)
+    assert g.shift_targets([v])[0, 0] == g.vertex_index((0, 0))
+    assert g.shift_permutation()[v] == 1 * g.n + g.vertex_index((0, 0))
 
 
 def test_moving_keeps_direction():
     g = build_graph(torus_spec(4, shift="moving"))
     v = g.vertex_index((3, 0))
-    assert g.shift_target(v, 0) == (g.vertex_index((0, 0)), 0)
+    assert g.shift_targets([v])[0, 0] == g.vertex_index((0, 0))
+    assert g.shift_permutation()[v] == 0 * g.n + g.vertex_index((0, 0))
 
 
 def test_flip_flop_shift_is_involution():
     g = build_graph(torus_spec(5, 3))
-    for v in range(g.n):
-        for c in range(g.coin_dim):
-            v2, c2 = g.shift_target(v, c)
-            assert g.shift_target(v2, c2) == (v, c)
+    perm = g.shift_permutation()
+    assert np.array_equal(perm[perm], np.arange(g.coin_dim * g.n))
 
 
 @pytest.mark.parametrize("spec", [
@@ -79,14 +81,13 @@ def test_shift_is_permutation(spec):
 
 def test_dirac_substeps_are_role_permutations():
     g = build_graph(torus_spec(5, shift="dirac"))
-    for roles in ((0, 1), (2, 3)):
-        seen = set()
-        for v in range(g.n):
-            for c in roles:
-                v2, c2 = g.shift_target(v, c)
-                assert c2 == c  # each half-move keeps its role
-                seen.add((v2, c2))
-        assert len(seen) == 2 * g.n
+    targets = g.shift_targets()
+    assert targets.shape == (4, g.n)
+    for role in range(4):  # each role moves every vertex to a distinct vertex
+        assert np.array_equal(np.sort(targets[role]), np.arange(g.n))
+    # up, down, left, right from (2, 2)
+    assert list(targets[:, g.vertex_index((2, 2))]) == [
+        g.vertex_index(c) for c in [(2, 1), (2, 3), (1, 2), (3, 2)]]
 
 
 def test_dirac_has_no_single_basis_permutation():
@@ -103,17 +104,19 @@ def test_torus_shift_commutes_with_translations(side, ndim, shift, data):
     v = data.draw(st.integers(0, g.n - 1))
     c = data.draw(st.integers(0, g.coin_dim - 1))
     offset = data.draw(st.tuples(*[st.integers(0, side - 1)] * ndim))
-    v2, c2 = g.shift_target(v, c)
-    v2t, c2t = g.shift_target(translate(g, v, offset), c)
+    perm = g.shift_permutation()
+    c2, v2 = divmod(int(perm[c * g.n + v]), g.n)
+    c2t, v2t = divmod(int(perm[c * g.n + translate(g, v, offset)]), g.n)
     assert (v2t, c2t) == (translate(g, v2, offset), c2)
 
 
 def test_out_of_range_indices():
     g = build_graph(torus_spec(4))
-    with pytest.raises(IndexError):
-        g.shift_target(16, 0)
-    with pytest.raises(IndexError):
-        g.shift_target(0, 4)
+    for vertex in (-1, 16):
+        with pytest.raises(IndexError):
+            g.neighbors(vertex)
+        with pytest.raises(IndexError):
+            g.mirror(vertex)
 
 
 def test_vertex_indexing_first_coordinate_fastest():
@@ -121,6 +124,34 @@ def test_vertex_indexing_first_coordinate_fastest():
     assert g.vertex_index((1, 0)) == 1
     assert g.vertex_index((0, 1)) == 4
     assert g.vertex_coords(7) == (3, 1)
+    assert g.vertex_index((-1, 5)) == g.vertex_index((3, 1))  # coordinates wrap
+
+
+FAMILY_SPECS = [torus_spec(2), torus_spec(5), torus_spec(6, 1), torus_spec(3, 3),
+                torus_spec(4, shift="moving"), torus_spec(3, 3, shift="moving"),
+                torus_spec(2, shift="dirac"), torus_spec(5, shift="dirac"),
+                hypercube_spec(1), hypercube_spec(5), complete_spec(2), complete_spec(7)]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.label())
+def test_coordinates_round_trip(spec):
+    g = build_graph(spec)
+    coords = g.coordinates()
+    assert coords.shape == (len(g.vertex_shape), g.n)
+    assert np.array_equal(g.vertex_index(coords), np.arange(g.n))
+    for v in range(g.n):
+        assert g.vertex_coords(v) == tuple(coords[:, v])
+        index = g.vertex_index(g.vertex_coords(v))
+        assert type(index) is int and index == v
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.label())
+def test_shift_targets_of_a_subset_are_columns_of_the_table(spec):
+    g = build_graph(spec)
+    table = g.shift_targets()
+    assert table.shape == (4 if spec.shift == "dirac" else g.coin_dim, g.n)
+    for subset in ([0], [g.n - 1, 0], list(range(g.n))[::-2]):
+        assert np.array_equal(g.shift_targets(subset), table[:, subset])
 
 
 def test_neighbors():
@@ -172,6 +203,17 @@ def test_side_two_torus_deduplicates_neighbors():
     g = build_graph(torus_spec(2))
     # +x and -x wrap to the same vertex on side 2
     assert list(g.neighbors(0)) == [1, 2]
+
+
+def test_arena_too_large_for_one_array_rejected():
+    spec = torus_spec(10**7, 3)
+    assert spec.n_vertices == 10**21  # exact, not wrapped at 2^64
+    with pytest.raises(ConfigurationError, match="float64 array"):
+        build_graph(spec)
+    with pytest.raises(ConfigurationError, match="float64 array"):
+        build_graph(hypercube_spec(55))
+    cube = build_graph(hypercube_spec(54))  # the largest degree whose state fits one array
+    assert np.array_equal(cube.shift_targets([0])[:, 0], [1 << i for i in range(54)])
 
 
 def test_spec_accepts_list_dims():
