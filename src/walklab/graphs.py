@@ -162,8 +162,9 @@ class Graph:
         targets = self.shift_targets([vertex])[:, 0]
         if self.spec.shift == "dirac":
             targets = self.shift_targets(targets[:2])[2:]
-        targets = np.unique(targets)
-        return targets[targets != vertex]
+        out = set(targets.ravel().tolist())  # np.unique would import numpy.ma
+        out.discard(vertex)
+        return np.array(sorted(out), dtype=np.int64)
 
     def mirror(self, vertex: int) -> np.ndarray:
         """An involutive automorphism g of the arena that fixes `vertex`, as
