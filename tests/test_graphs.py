@@ -127,33 +127,6 @@ def test_vertex_indexing_first_coordinate_fastest():
     assert g.vertex_index((-1, 5)) == g.vertex_index((3, 1))  # coordinates wrap
 
 
-FAMILY_SPECS = [torus_spec(2), torus_spec(5), torus_spec(6, 1), torus_spec(3, 3),
-                torus_spec(4, shift="moving"), torus_spec(3, 3, shift="moving"),
-                torus_spec(2, shift="dirac"), torus_spec(5, shift="dirac"),
-                hypercube_spec(1), hypercube_spec(5), complete_spec(2), complete_spec(7)]
-
-
-@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.label())
-def test_coordinates_round_trip(spec):
-    g = build_graph(spec)
-    coords = g.coordinates()
-    assert coords.shape == (len(g.vertex_shape), g.n)
-    assert np.array_equal(g.vertex_index(coords), np.arange(g.n))
-    for v in range(g.n):
-        assert g.vertex_coords(v) == tuple(coords[:, v])
-        index = g.vertex_index(g.vertex_coords(v))
-        assert type(index) is int and index == v
-
-
-@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.label())
-def test_shift_targets_of_a_subset_are_columns_of_the_table(spec):
-    g = build_graph(spec)
-    table = g.shift_targets()
-    assert table.shape == (4 if spec.shift == "dirac" else g.coin_dim, g.n)
-    for subset in ([0], [g.n - 1, 0], list(range(g.n))[::-2]):
-        assert np.array_equal(g.shift_targets(subset), table[:, subset])
-
-
 def test_neighbors():
     g = build_graph(torus_spec(4))
     assert list(g.neighbors(0)) == sorted([g.vertex_index(c)
@@ -246,13 +219,13 @@ def test_arena_fixes_the_marking():
                         "minus_identity", "minus_identity", "minus_c0"]
 
 
-MIRROR_SPECS = [torus_spec(7, 1), torus_spec(6, 1), torus_spec(5), torus_spec(6),
-                torus_spec(3, 3), torus_spec(4, shift="moving"), torus_spec(5, shift="dirac"),
-                hypercube_spec(1), hypercube_spec(4), hypercube_spec(5),
-                complete_spec(2), complete_spec(7), complete_spec(8)]
+ARENA_SPECS = [torus_spec(7, 1), torus_spec(6, 1), torus_spec(5), torus_spec(6),
+               torus_spec(3, 3), torus_spec(4, shift="moving"), torus_spec(5, shift="dirac"),
+               hypercube_spec(1), hypercube_spec(4), hypercube_spec(5),
+               complete_spec(2), complete_spec(7), complete_spec(8)]
 
 
-@pytest.mark.parametrize("spec", MIRROR_SPECS, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", ARENA_SPECS, ids=lambda spec: spec.label())
 def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
     g = build_graph(spec)
     for vertex in sorted({0, 3 % g.n, g.n - 1}):
@@ -273,3 +246,24 @@ def test_mirror_maps_of_each_family():
     assert cube.mirror(0b00110)[0b00110 ^ 0b00001] == 0b00110 ^ 0b00010
     assert cube.mirror(0b00110)[0b00110 ^ 0b10100] == 0b00110 ^ 0b11000
     assert list(build_graph(complete_spec(6)).mirror(2)) == [1, 0, 2, 4, 3, 5]
+
+
+@pytest.mark.parametrize("spec", ARENA_SPECS, ids=lambda spec: spec.label())
+def test_coordinates_round_trip(spec):
+    g = build_graph(spec)
+    coords = g.coordinates()
+    assert coords.shape == (len(g.vertex_shape), g.n)
+    assert np.array_equal(g.vertex_index(coords), np.arange(g.n))
+    for v in range(g.n):
+        assert g.vertex_coords(v) == tuple(coords[:, v])
+        index = g.vertex_index(g.vertex_coords(v))
+        assert type(index) is int and index == v
+
+
+@pytest.mark.parametrize("spec", ARENA_SPECS, ids=lambda spec: spec.label())
+def test_shift_targets_of_a_subset_are_columns_of_the_table(spec):
+    g = build_graph(spec)
+    table = g.shift_targets()
+    assert table.shape == (4 if spec.shift == "dirac" else g.coin_dim, g.n)
+    for subset in ([0], [g.n - 1, 0], list(range(g.n))[::-2]):
+        assert np.array_equal(g.shift_targets(subset), table[:, subset])
