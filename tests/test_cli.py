@@ -290,6 +290,29 @@ def test_predict_imports_neither_the_oracle_nor_scipy(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
+_NO_NUMPY_MA_CHILD = """
+import sys
+from walklab.cli import main
+
+for argv in (["run", "--family", "torus", "--side", "8", "--marked", "0,0", "--t-max", "4"],
+             ["sweep", "--family", "torus", "--dims", "2", "--sides", "4,8"],
+             ["amplify", "--family", "hypercube", "--degree", "4", "--marked", "3",
+              "--rounds", "1"]):
+    assert main([*argv, "--out", sys.argv[1]]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_walk_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 12 ms and 1.3 MiB
+    # in every process; the walk drivers dedupe through sets instead
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA_CHILD, str(tmp_path / "out")],
+                            capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"
+
+
 def test_config_can_supply_t_max(tmp_path):
     cfg = tmp_path / "run.toml"
     cfg.write_text('family = "torus"\nside = 4\ndims = 2\nt_max = 5\n',

@@ -12,7 +12,7 @@ from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
                      dense_unitary, evolve_dense, hypercube_spec, marked_coin_state,
                      reflect_about, step, torus_spec, uniform_state,
                      vertex_probabilities)
-from walklab.engine import squared_norm
+from walklab.engine import _settle, owed_index, squared_norm
 
 from helpers import (load_state, neighborhood_probability, random_state, save_state,
                      translate)
@@ -419,3 +419,71 @@ def test_squared_norm_is_the_sum_of_squares(seed):
         exact = math.fsum(np.abs(state.vector) ** 2)
         assert squared_norm(state.amps) == pytest.approx(exact, rel=1e-14)
         assert state.norm() == math.sqrt(squared_norm(state.amps))
+
+
+# -- the owed flip-flop shift -----------------------------------------------------
+
+OWED_ARENAS = ([torus_spec(side, ndim) for ndim in (1, 2, 3) for side in (2, 3, 5)]
+               + [hypercube_spec(d) for d in range(1, 11)])
+
+
+def _start_states(g, seed):
+    real = real_random_state(g, seed)
+    real.amps[:, ::3] = -0.0  # np.sum's start from +0.0 shows in the signs of zeros
+    return real, as_complex(real)
+
+
+@pytest.mark.parametrize("spec", OWED_ARENAS, ids=lambda s: s.label())
+def test_owed_steps_match_coin_and_settle(spec):
+    # the reference makes every shift as a copy and never owes one
+    g = build_graph(spec)
+    coin = default_coin(g, marked=sorted({0, g.n - 1}))
+    for start in _start_states(g, seed=12):
+        settled = start.copy()
+        for t in range(1, 10):
+            apply_coin(settled, coin)
+            _settle(settled)
+            owing = start.copy()
+            for _ in range(t):
+                step(owing, coin)
+            assert owing.amps.tobytes() == settled.amps.tobytes(), t
+
+
+@pytest.mark.parametrize("spec", OWED_ARENAS, ids=lambda s: s.label())
+def test_amps_after_an_odd_number_of_steps_is_the_shifted_array(spec):
+    # S moves the entry at flat index i to perm[i]; an owing state holds the
+    # buffer before that move, and reading amps makes it
+    g = build_graph(spec)
+    perm = g.shift_permutation()
+    coin = default_coin(g, marked=(g.n // 2,))
+    for state in _start_states(g, seed=13):
+        for _ in range(3):
+            step(state, coin)
+        buffer = state.buffer.copy()
+        shifted = np.empty_like(buffer.ravel())
+        shifted[perm] = buffer.ravel()
+        assert state.amps.tobytes() == shifted.tobytes()
+        assert state.buffer is state.amps  # paid: the buffer is the state again
+
+
+@pytest.mark.parametrize("spec", [torus_spec(5, 1), torus_spec(5), torus_spec(3, 3),
+                                  hypercube_spec(1), hypercube_spec(6)],
+                         ids=lambda s: s.label())
+def test_vertex_probabilities_of_an_owing_state_match_the_settled_state(spec):
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(1 % g.n,))
+    subsets = [[0], [g.n - 1, 0], np.arange(g.n)[::2], np.arange(g.n)]
+    for start in _start_states(g, seed=14):
+        owing, settled = start.copy(), start.copy()
+        step(owing, coin)
+        step(settled, coin)
+        settled.amps  # pays the shift
+        buffer = owing.buffer
+        for vs in subsets:
+            expected = vertex_probabilities(settled, vs).tobytes()
+            assert vertex_probabilities(owing, vs).tobytes() == expected
+            at = owed_index(g, vs)
+            assert vertex_probabilities(owing, vs, at).tobytes() == expected
+            assert owing.buffer is buffer  # read through the shift, not settled
+        assert (vertex_probabilities(owing).tobytes()
+                == vertex_probabilities(settled).tobytes())

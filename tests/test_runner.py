@@ -1,6 +1,7 @@
 """Experiment harness: traces, peaks, amplification, sweeps, prep."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,3 +316,21 @@ def test_step_loop_never_reaches_blas(spec, monkeypatch):
     amplify(g, coin, 6, 2)
     uniform_state(g).check_normalized()
     probe.check_normalized()
+
+
+@pytest.mark.parametrize("spec", [torus_spec(128), torus_spec(24, 3), hypercube_spec(13)],
+                         ids=lambda s: s.label())
+def test_flip_flop_run_holds_one_state_sized_array(spec):
+    # the flip-flop shift is owed, not copied, so no spare state is made;
+    # the two scratch rows are a fraction of the state (coin_dim > 2 here),
+    # and numpy's 64 KiB ufunc buffers a small one at these sizes
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(3,))
+    state_bytes = 8 * g.coin_dim * g.n
+    tracemalloc.start()
+    try:
+        run_walk(g, coin, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state_bytes <= peak < 2 * state_bytes
