@@ -66,8 +66,9 @@ def default_coin(graph: Graph, marked=()) -> CoinConfig:
 
 
 class WalkState:
-    """Amplitudes over (direction, vertex) for one arena: float64 for real
-    input, complex128 for complex input."""
+    """Amplitudes over (direction, vertex) for one arena, in an array of the
+    state's own (a copy of the input): float64 for real input, complex128
+    for complex input."""
 
     __slots__ = ("graph", "_amps", "_owed", "_spare", "_rows")
 
@@ -76,7 +77,7 @@ class WalkState:
             raise ValueError(f"amplitude array must have shape {(graph.coin_dim, graph.n)}")
         self.graph = graph
         dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
-        self.amps = np.ascontiguousarray(amps, dtype=dtype)
+        self.amps = np.array(amps, dtype=dtype, order="C")
         self._spare = None
         self._rows = None
 
@@ -99,7 +100,7 @@ class WalkState:
         return self._amps
 
     def copy(self) -> "WalkState":
-        return WalkState(self.graph, self.amps.copy())
+        return WalkState(self.graph, self.amps)
 
     def norm(self) -> float:
         return math.sqrt(squared_norm(self.amps))
@@ -132,7 +133,7 @@ class WalkState:
 def uniform_state(graph: Graph) -> WalkState:
     """The walk's 1-eigenvector: every amplitude 1/sqrt(coin_dim*N)."""
     amp = 1.0 / np.sqrt(graph.coin_dim * graph.n)
-    return WalkState(graph, np.full((graph.coin_dim, graph.n), amp))
+    return WalkState(graph, np.broadcast_to(amp, (graph.coin_dim, graph.n)))
 
 
 def marked_coin_state(graph: Graph, vertex: int) -> WalkState:

@@ -8,26 +8,28 @@ without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix; it is powered explicitly and eigendecomposed through its
 symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
-own BLAS: walklab loads no second one).  The skew part U' - U'^T then
-splits those eigenvectors into complex pairs, the levels of one shape
-at a time (see block_eigens; a level that the skew part does not keep,
-which only a non-normal matrix has, raises).  Two involutions split the
-eigensolve, one at a time.  With one marked vertex, the arena's mirror
-through it (Graph.mirror), lifted to the basis states, is a symmetry P
-of U' (checked), and U' splits first into P's two eigenspaces, about n/2
+own BLAS: walklab loads no second one), whose real eigenvectors its skew
+part U' - U'^T pairs into complex ones (see block_eigens; a matrix that
+is not normal raises).  Two involutions split the eigensolve, one at a
+time.  With one marked vertex, the arena's mirror through it
+(Graph.mirror), lifted to the basis states, is a symmetry P of U'
+(checked), and U' splits first into P's two eigenspaces, about n/2
 each.  A permutation time reversal S, S U' S = C' S = U'^T (C' is
 symmetric; this is checked), then splits each of them in two: S is the
 shift itself where the shift is an involution, and the shift after the
 direction reversal on the moving torus.  In S's eigenbasis U' + U'^T is
-two half-size blocks and U' - U'^T only maps each half into the other.
-The dirac walk has no S, and without P it is solved as it stands.  Every
-eigenvector is lifted back through the two stages in turn.  From the
-engine the oracle takes only the two start states, the uniform state and
-|s, v>.
+two half-size blocks and U' - U'^T only maps each half into the other,
+so each eigenvector of the +1 half and its image there make a pair of
+eigenvectors of U', with no further solve.  The dirac walk has no S: its
+eigenvalues of U' + U'^T are grouped into levels, and each level is
+solved on its own span.  Every eigenvector is lifted back through the
+two stages in turn.  From the engine the oracle takes only the two start
+states, the uniform state and |s, v>.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +43,13 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _SQRT2 = np.sqrt(2.0)
 # eigenvalues of U + U^T closer than this belong to one level
 _LEVEL_GAP = 2e-9
-# a level that the skew part maps to within this of zero has theta = 0 or pi
+# a level or eigenvector that the skew part maps to within this of zero has theta = 0 or pi
 _SKEW_ZERO = 1e-12
-# how far the skew part may map a level out of itself before U counts as not normal
+# how far the skew part may map a level out of itself, or an eigenvector off
+# its pair, before U counts as not normal
 _INVARIANCE_TOL = 1e-10
-# the levels go through the batched products and the lift this many columns
-# at a time, a wider level alone: it bounds the lift's temporaries, which
-# hold about 2 dim complex numbers per eigenvector
+# the lift takes this many eigenvectors at a time, a wider level alone: it
+# bounds the lift's temporaries, which hold about 2 dim complex numbers each
 _LIFT_COLUMNS = 32
 
 
@@ -185,22 +187,12 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
 
     An orthogonal U is normal, so its symmetric part U + U^T (eigenvalues
     2 cos theta) and its skew part U - U^T (eigenvalues 2i sin theta)
-    commute and share U's eigenvectors.  numpy.linalg.eigh of U + U^T
-    (LAPACK syevd, a divide-and-conquer solve that deflates on the
-    heavily degenerate spectra these walks have) gives a real orthonormal
-    basis X; its eigenvalues split into levels at gaps above _LEVEL_GAP.
-    The skew part maps each level's span into itself, as the small skew
-    matrix B = x^T (U - U^T) x.
-    Where it maps the level to zero (theta = 0 or pi, the big +-1
-    eigenspaces) the real basis is kept.  Elsewhere the Hermitian -iB is
-    diagonalised: its eigenvalues are 2 sin theta, its vectors v lift the
-    level to the eigenvectors x v, and theta = atan2(2 sin theta,
-    2 cos theta), for all levels of one shape at once (_grouped_levels).
-    All phases are found before any level is lifted, so each level goes
-    straight to its sorted columns.  A level that the skew part maps out
-    of itself by more than _INVARIANCE_TOL (U is not normal) raises
-    ArithmeticError instead of returning a wrong basis.  Complex input is
-    refused.
+    commute and share U's eigenvectors.  numpy.linalg.eigh (LAPACK syevd,
+    a divide-and-conquer solve that deflates on the heavily degenerate
+    spectra these walks have) diagonalises the symmetric part, and the
+    skew part pairs its real eigenvectors into complex ones.  A matrix
+    that is not normal raises ArithmeticError instead of returning a wrong
+    basis.  Complex input is refused.
 
     Two optional involutions split the solve, one at a time.  A `symmetry`
     (an involutive index permutation P) with 2-cycles must commute with U:
@@ -210,13 +202,15 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
     commute with P and be a time reversal of U, S U S = U^T (as for S C'
     with a symmetric coin).  In P's eigenbasis S is a signed permutation of
     each block; a block on which it has a 2-cycle or a -1 is rotated into
-    S's eigenbasis and solved on its two halves (_reversal_levels, which
-    checks the time reversal, else ArithmeticError).  Any other block, and
-    U without either, is solved whole (U itself in place).  A permutation
-    without 2-cycles splits nothing.  All phases of all blocks are merged
-    by |phase| before any level is lifted, and the lift runs the stages
-    backwards: S's butterfly on a block's half-length vectors, then one
-    signed gather into the original rows (_lift_batches).
+    S's eigenbasis, where each eigenvector of the +1 half and its image
+    under the skew part make a pair of U's eigenvectors (_reversal_eigens,
+    which checks the time reversal, else ArithmeticError).  Any other
+    block, and U without either, is solved level by level (_level_eigens,
+    U itself in place).  A permutation without 2-cycles splits nothing.
+    All phases of all blocks are merged by |phase| before any eigenvector
+    is formed, and the lift runs the stages backwards: S's butterfly on a
+    block's half-length vectors, then one signed gather into the original
+    rows (_lift_batches).
     """
     if np.iscomplexobj(block):
         raise TypeError("block_eigens takes a real orthogonal matrix, "
@@ -244,16 +238,15 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
             # U is rotated into `second`, a block of P where it lies
             rotated, work = (second if matrix is block else matrix), _carve(first, (h, h))[0]
             _rotate(matrix, order, pairs, signed, rotated, work)
-            eigs, spans, parts = _reversal_levels(rotated, m, work)
+            block_phases, batches = _reversal_eigens(rotated, m, work)
             turn = order, pairs, signed
         else:
             one, other = _carve(free, (h, h), (h, h))
-            sym_eigs, basis = solved or _symmetric_eigh(matrix, one)
-            eigs, spans, parts = _whole_levels(matrix, sym_eigs, basis, one, other)
+            block_phases, batches = _level_eigens(matrix, *(solved or _symmetric_eigh(matrix, one)),
+                                                  one, other)
             turn = None
-        block_phases, batches = _grouped_levels(eigs, spans, parts)
         phases.append(block_phases)
-        found.append((start, parts, batches, turn))
+        found.append((start, batches, turn))
         start += h
     phases, columns = _sorted_columns(np.concatenate(phases))
     ways = [(np.arange(n), None)] if symmetry is None else _symmetry_ways(symmetry)
@@ -264,8 +257,8 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
 
 def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple:
     """eigh of matrix + matrix^T (formed in `out` if given), its basis
-    column-major, as LAPACK leaves it: each level is then one contiguous
-    block of columns, and the level products round as they do on that layout."""
+    column-major, as LAPACK leaves it: basis.T holds each eigenvector as one
+    contiguous row."""
     sym_eigs, basis = np.linalg.eigh(np.add(matrix, matrix.T, out=out))
     return sym_eigs, np.asfortranarray(basis)
 
@@ -369,30 +362,76 @@ def _rotate(block: np.ndarray, order: np.ndarray, pairs: int, signed: int,
     _butterfly(out[:, :pairs], out[:, n - pairs:], work.reshape(-1)[:n * pairs].reshape(n, pairs))
 
 
-def _whole_levels(block: np.ndarray, sym_eigs: np.ndarray, basis: np.ndarray,
-                  skew: np.ndarray, skewed: np.ndarray) -> tuple[tuple, list, tuple]:
-    """The whole route's levels for _grouped_levels: the eigenvalues, each
-    level's columns [(lo, hi)] and the one part (basis, images of the basis
-    under block - block^T, 0); `skew` and `skewed` (block's shape) are
-    scratch."""
-    skewed = np.matmul(np.subtract(block, block.T, out=skew), basis, out=skewed)
-    return (sym_eigs,), [((lo, hi),) for lo, hi in _levels(sym_eigs)], ((basis, skewed, 0),)
+def _level_eigens(block: np.ndarray, sym_eigs: np.ndarray, basis: np.ndarray,
+                  skew: np.ndarray, skewed: np.ndarray) -> tuple[np.ndarray, Iterator]:
+    """Phases and eigenvector batches (_lift_batches) of a block that no
+    time reversal splits, from the eigenvalues and basis X of
+    block + block^T; `skew` and `skewed` (block's shape) are scratch.
+
+    The eigenvalues split into levels at gaps above _LEVEL_GAP.  The skew
+    part maps each level's span into itself, as the small skew matrix
+    B = x^T (U - U^T) x.  Where it maps the level to zero (theta = 0 or pi,
+    the big +-1 eigenspaces) the real basis is kept.  Elsewhere the
+    Hermitian -iB is diagonalised: its eigenvalues are 2 sin theta, its
+    vectors v lift the level to the eigenvectors x v, and
+    theta = atan2(2 sin theta, 2 cos theta).  A level that the skew part
+    maps out of itself by more than _INVARIANCE_TOL (U is not normal)
+    raises ArithmeticError.
+    """
+    # row j is the image of basis column j under the skew part
+    images = np.matmul(basis.T, np.subtract(block.T, block, out=skew), out=skewed)
+    phases, turns = np.empty(sym_eigs.size), []
+    for lo, hi in _levels(sym_eigs):
+        x, y = basis.T[lo:hi], images[lo:hi]
+        if np.abs(y).max() <= _SKEW_ZERO:  # theta is 0 at 2cos = 2, pi at -2
+            phases[lo:hi] = np.where(sym_eigs[lo:hi] > 0, 0.0, np.pi)
+            turns.append((lo, hi, None))
+            continue
+        b = x @ y.T
+        leak = _max_abs(y - b.T @ x)
+        if leak > _INVARIANCE_TOL:
+            raise ArithmeticError(f"the skew part maps the level at 2cos(theta)={sym_eigs[lo]:.6f} "
+                                  f"(width {hi - lo}) {leak:.3e} out of itself: the matrix is "
+                                  f"not normal")
+        sines, v = np.linalg.eigh(-1j * b)
+        phases[lo:hi] = np.arctan2(sines, (v.real ** 2 + v.imag ** 2).T @ sym_eigs[lo:hi])
+        turns.append((lo, hi, v))
+    return phases, _level_batches(basis, turns)
 
 
-def _reversal_levels(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[tuple, list, tuple]:
-    """The levels of V = R^T U R, U's matrix in the eigenbasis R of a time
-    reversal S whose +1 half is the first m indices, for _grouped_levels:
-    the eigenvalues of each half, each level's columns on each, and the parts
-    (basis, its images, the part the images lie on).  `rotated` (V, which
-    must be contiguous) is overwritten, and `spare` (as large) is scratch.
+def _level_batches(basis: np.ndarray, turns: list) -> Iterator:
+    """(positions, z) per turning level, z = (x v)^T, and per run of at most
+    _LIFT_COLUMNS columns of a still level, the real basis itself."""
+    for lo, hi, v in turns:
+        if v is not None:
+            yield np.arange(lo, hi), v.T @ basis.T[lo:hi]
+            continue
+        for c in range(lo, hi, _LIFT_COLUMNS):
+            stop = min(c + _LIFT_COLUMNS, hi)
+            yield np.arange(c, stop), basis.T[c:stop]
+
+
+def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np.ndarray, Iterator]:
+    """Phases and eigenvector batches (_lift_batches) of V = R^T U R, U's
+    matrix in the eigenbasis R of a time reversal S whose +1 half is the
+    first m indices.  `rotated` (V, which must be contiguous) is
+    overwritten, and `spare` (as large) is scratch.
 
     The -1 half has size r = n - m.  The time reversal D V D = V^T
     (D = diag(I_m, -I_r)) says that V++ and V-- are symmetric and
     V+- = -V-+^T: this is checked.  The symmetric part is then the two
     halves 2 V++ and 2 V--, one eigh each, and the skew part only crosses
-    between them, through A = V+- - V-+^T: it maps + eigenvectors X+ to
-    -A^T X+ in the - half and X- to A X- in the + half, so every level is
-    handled on half-length columns, and lifted in R's coordinates.
+    between them: it is [[0, A], [-A^T, 0]] with A = V+- - V-+^T.  As V is
+    orthogonal, A A^T = 4 - (2 V++)^2, so an eigenvector x of 2 V++ at
+    2 cos theta has the image y = A^T x of length 2 |sin theta|.  Where y is
+    not zero, V's eigenvectors at +-atan2(|y|, 2 cos theta) are
+    (x, +-i y/|y|)/sqrt(2), if U is normal: y/|y| must be an eigenvector of
+    2 V-- at the same 2 cos theta and A y/|y| = |y| x, and both halves must
+    have as many such turning columns (each checked, else ArithmeticError).
+    The x with y = 0, and the eigenvectors of 2 V-- that A maps to zero,
+    lie at 2 cos theta = +-2: they are real eigenvectors at theta = 0 or
+    pi.  One Newton-Schulz step, Y <- Y (3/2 I - Y^T Y / 2), over the
+    y/|y| and those -1 half columns keeps them orthonormal to rounding.
     """
     n = rotated.shape[0]
     r = n - m
@@ -410,137 +449,97 @@ def _reversal_levels(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[tu
         raise ArithmeticError(f"the reflection S is no time reversal of U (U does not commute "
                               f"with S up to transposition): S U S - U^T reaches {defect:.3e} "
                               f"in the eigenbasis of S")
-    to_minus, to_plus = (image.T for image in _carve(rotated, (m, r), (r, m)))
-    np.negative(np.matmul(plus_vecs.T, cross, out=to_minus.T), out=to_minus.T)
-    np.matmul(minus_vecs.T, cross.T, out=to_plus.T)
+    # in V's buffer, as rows: each y = A^T x, each A z of the -1 half's
+    # eigenvectors z, and the -1 half's new columns q, the y/|y| then the still z
+    ys, zs, q = _carve(rotated, (m, r), (r, m), (r, r))
+    np.matmul(plus_vecs.T, cross, out=ys)
+    np.matmul(minus_vecs.T, cross.T, out=zs)
+    lengths = np.sqrt(np.einsum("ij,ij->i", ys, ys))
+    turning = lengths > _SKEW_ZERO
+    still = np.einsum("ij,ij->i", zs, zs) <= _SKEW_ZERO ** 2
+    t, s = np.count_nonzero(turning), np.count_nonzero(still)
+    if t + s != r:
+        raise ArithmeticError(f"the skew part turns {t} columns of the +1 half of S but "
+                              f"{r - s} of its -1 half: the matrix is not normal")
+    np.divide(ys[turning], lengths[turning, None], out=q[:t])
+    q[t:] = minus_vecs.T[still]
+    # y/|y| against 2 V-- y/|y| and A y/|y| against |y| x, in the images' rows
+    level = np.matmul(q[:t], minus, out=_carve(zs, (t, r))[0])
+    level -= plus_eigs[turning, None] * q[:t]
+    pair = np.matmul(q[:t], cross.T, out=_carve(ys, (t, m))[0])
+    pair -= lengths[turning, None] * plus_vecs.T[turning]
+    leak = max(_max_abs(level), _max_abs(pair))
+    if leak > _INVARIANCE_TOL:
+        raise ArithmeticError(f"the skew part maps the +1 half of S {leak:.3e} off its "
+                              f"eigenvector pairs: the matrix is not normal")
+    gram = np.matmul(q, q.T, out=_carve(spare, (r, r))[0])
+    gram *= -0.5
+    gram.reshape(-1)[::r + 1] += 1.5
+    theta = np.arctan2(lengths[turning], plus_eigs[turning])
+    fixed = np.concatenate([plus_eigs[~turning], minus_eigs[still]])
+    return (np.concatenate([theta, -theta, np.where(fixed > 0, 0.0, np.pi)]),
+            _reversal_batches(plus_vecs, gram @ q, turning))
 
-    sym_eigs = np.concatenate([plus_eigs, minus_eigs])
-    merge = np.argsort(sym_eigs, kind="stable")
-    # the spectra ascend, so a level's + and - columns are contiguous in each half
-    plus_before = np.concatenate([[0], np.cumsum(merge < m)]).tolist()
-    spans = [((plus_before[lo], plus_before[hi]), (lo - plus_before[lo], hi - plus_before[hi]))
-             for lo, hi in _levels(sym_eigs[merge])]
-    return (plus_eigs, minus_eigs), spans, ((plus_vecs, to_minus, 1), (minus_vecs, to_plus, 0))
 
-
-def _grouped_levels(eigs: tuple, spans: list, parts: tuple) -> tuple[np.ndarray, list]:
-    """Phases and rotations of one block's levels (_whole_levels,
-    _reversal_levels), run at once on all turning levels of one shape
-    (their widths on each part), about _LIFT_COLUMNS columns at a time and
-    a wider level alone.
-
-    Part p's basis lies on its own rows (the parts' rows follow in turn),
-    and the images of its columns under the skew part on the rows of the
-    part that its third entry names.
-    A level is a run of columns on each part; its skew block B = X^T Y
-    pairs each part's images with the basis of the part they lie on.
-    Returns the phases and the batches for _lift_batches: (positions,
-    columns, v), the phases' positions (L, w), each part's columns
-    (L, width) and the levels' rotations (L, w, w), or (positions (1, k),
-    (p, columns), None) for a run of still columns on part p.
-    """
-    widths = np.array([[c1 - c0 for c0, c1 in span] for span in spans])
-    firsts = np.array([[c0 for c0, _ in span] for span in spans])
-    starts = np.concatenate([[0], np.cumsum(widths.sum(axis=1))])
-    level_eigs = np.concatenate([e[c0:c1] for span in spans for e, (c0, c1) in zip(eigs, span)])
-    # the skew part's largest image on each level: the levels' columns run in
-    # turn on each part, so each level's maximum is a reduceat over them (each
-    # column's max |y| is max(max y, -min y), which needs no |image| temporary)
-    largest = np.zeros(len(spans))
-    for p, (_, image, _) in enumerate(parts):
-        column_peaks = np.maximum(image.max(axis=0, initial=0.0), -image.min(axis=0, initial=0.0))
-        peaks = np.maximum.reduceat(np.append(column_peaks, 0.0), firsts[:, p])
-        largest = np.maximum(largest, np.where(widths[:, p] > 0, peaks, 0.0))
-    phases, batches = np.empty(starts[-1]), []
-    # B = X^T Y is zero too on a still level: theta is 0 at 2cos = 2, pi at -2
-    for level in np.flatnonzero(largest <= _SKEW_ZERO):
-        lo, at = starts[level], starts[level]
-        phases[lo:starts[level + 1]] = np.where(level_eigs[lo:starts[level + 1]] > 0, 0.0, np.pi)
-        for p, (c0, c1) in enumerate(spans[level]):
-            for c in range(c0, c1, _LIFT_COLUMNS):
-                stop = min(c + _LIFT_COLUMNS, c1)
-                batches.append((np.arange(at, at + stop - c)[None], (p, np.arange(c, stop)), None))
-                at += stop - c
-    turning = np.flatnonzero(largest > _SKEW_ZERO)
-    for shape in sorted({tuple(row) for row in widths[turning].tolist()}):
-        alike = turning[(widths[turning] == shape).all(axis=1)]
-        shape = np.array(shape)
-        w, edges = shape.sum(), np.concatenate([[0], np.cumsum(shape)])
-        for chunk in np.array_split(alike, min(alike.size, -(-alike.size * w // _LIFT_COLUMNS))):
-            columns = [firsts[chunk, p][:, None] + np.arange(width) for p, width in enumerate(shape)]
-            xs = [basis.T[c] for (basis, _, _), c in zip(parts, columns)]  # (L, width, rows)
-            skew, leak = np.zeros((chunk.size, w, w)), np.zeros(chunk.size)
-            for q, (_, image, p) in enumerate(parts):
-                ys = image.T[columns[q]]
-                block = xs[p] @ ys.transpose(0, 2, 1)
-                skew[:, edges[p]:edges[p + 1], edges[q]:edges[q + 1]] = block
-                residue = np.abs(ys - block.transpose(0, 2, 1) @ xs[p])
-                leak = np.maximum(leak, residue.max(axis=(1, 2), initial=0.0))
-            positions = starts[chunk][:, None] + np.arange(w)
-            _check_level(leak.max(), level_eigs[starts[chunk[leak.argmax()]]], w)
-            sines, v = np.linalg.eigh(-1j * skew)
-            cosines = ((v.real ** 2 + v.imag ** 2).transpose(0, 2, 1)
-                       @ level_eigs[positions][:, :, None])[:, :, 0]
-            phases[positions] = np.arctan2(sines, cosines)
-            batches.append((positions, columns, v))
-    return phases, batches
+def _reversal_batches(plus_vecs: np.ndarray, q: np.ndarray, turning: np.ndarray) -> Iterator:
+    """(positions, z) of _reversal_eigens' eigenvectors, in its phases'
+    order: (x, i y)/sqrt(2) and (x, -i y)/sqrt(2) for _LIFT_COLUMNS / 2
+    turning x at a time, then at most _LIFT_COLUMNS at a time the still x
+    and the still columns of the -1 half (the rows of `q` past the y's)."""
+    m, r, t = plus_vecs.shape[0], q.shape[0], np.count_nonzero(turning)
+    tops, still = plus_vecs.T[turning], plus_vecs.T[~turning]
+    for lo in range(0, t, _LIFT_COLUMNS // 2):
+        k = min(_LIFT_COLUMNS // 2, t - lo)
+        z = np.empty((2 * k, m + r), dtype=np.complex128)
+        z[:k, :m] = z[k:, :m] = tops[lo:lo + k] * _INV_SQRT2
+        np.multiply(q[lo:lo + k], 1j * _INV_SQRT2, out=z[:k, m:])
+        np.negative(z[:k, m:], out=z[k:, m:])
+        yield np.r_[lo:lo + k, t + lo:t + lo + k], z
+    for lo in range(0, m - t, _LIFT_COLUMNS):
+        z = np.zeros((min(_LIFT_COLUMNS, m - t - lo), m + r))
+        z[:, :m] = still[lo:lo + _LIFT_COLUMNS]
+        yield 2 * t + lo + np.arange(len(z)), z
+    for lo in range(t, r, _LIFT_COLUMNS):
+        z = np.zeros((min(_LIFT_COLUMNS, r - lo), m + r))
+        z[:, m:] = q[lo:lo + _LIFT_COLUMNS]
+        yield m + lo + np.arange(len(z)), z
 
 
 def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     """A column-major n x n complex array for the eigenvectors, and its buffer
     as two n x n float64 arrays.  The lift writes every entry of the array;
     until then the buffer holds the temporaries: P's check and blocks, each
-    block's rotation, the skew part and its images of the basis, or the
-    halves and the images."""
+    block's rotation, and the halves, their images and checks, or the skew
+    part and its images of the basis."""
     flat = np.empty(n * n, dtype=np.complex128)
     return flat.reshape(n, n, order="F"), flat.view(np.float64).reshape(2, n, n)
 
 
-def _lift_batches(vectors: np.ndarray, columns: np.ndarray, parts: tuple, batches: list,
-                  turn: tuple | None, rows: np.ndarray, scale: np.ndarray | None) -> None:
-    """Write one block's eigenvectors, a batch of _grouped_levels at a
-    time, each whole into its sorted column (`columns`, by the block's phase
-    positions).  An eigenvector z is formed on the block's coordinates (the
-    parts' rows in turn) and taken back through S's rotation `turn`
-    ((order, pairs, signed) of _split_order, or None): its butterfly
-    between the first and the last `pairs` coordinates, then its order,
-    with the signed q's negated.  That gives the block's vector y, gathered
-    into the original rows as x[r] = scale[r] * y[rows[r]] (scale None: 1)."""
-    edges = np.cumsum([0] + [basis.shape[0] for basis, _, _ in parts])
-    h, pairs = edges[-1], 0
+def _lift_batches(vectors: np.ndarray, columns: np.ndarray, batches: Iterator, turn: tuple | None,
+                  rows: np.ndarray, scale: np.ndarray | None) -> None:
+    """Write one block's eigenvectors, a batch (positions, z) at a time,
+    each into its sorted column (`columns`, by the block's phase
+    positions).  Each row of z is an eigenvector on the block's
+    coordinates, taken back through S's rotation `turn` ((order, pairs,
+    signed) of _split_order, or None): its butterfly between the first and
+    the last `pairs` coordinates, then its order, with the signed q's
+    negated.  That gives the block's vector y, gathered into the original
+    rows as x[r] = scale[r] * y[rows[r]] (scale None: 1)."""
+    pairs = 0
     if turn is not None:
         order, pairs, signed = turn
         rows = np.argsort(order)[rows]
         if signed:
-            scale = np.where(rows < h - signed, 1.0, -1.0) * (1.0 if scale is None else scale)
+            sign = np.where(rows < order.size - signed, 1.0, -1.0)
+            scale = sign if scale is None else sign * scale
     eigenrows = vectors.T  # row j is eigenvector j
-    for positions, part_columns, v in batches:
-        if v is None:  # a run of still columns: the real basis itself
-            p, cols = part_columns
-            z = np.zeros((cols.size, h))
-            z[:, edges[p]:edges[p + 1]] = parts[p][0].T[cols]
-        else:
-            z = np.empty((*v.shape[:2], h), dtype=np.complex128)
-            first = 0
-            for (basis, _, _), cols, lo, hi in zip(parts, part_columns, edges, edges[1:]):
-                last = first + cols.shape[1]
-                # the real product with v's (re, im) pairs gives z's
-                product = basis.T[cols].transpose(0, 2, 1) @ v[:, first:last].view(np.float64)
-                z[:, :, lo:hi] = product.view(np.complex128).transpose(0, 2, 1)
-                first = last
-            z = z.reshape(-1, h)
-        _butterfly(z[:, :pairs], z[:, h - pairs:])
-        for level, at in zip(z.reshape(*positions.shape, h), positions):
-            targets = columns[at]
-            # a turning level whose columns run in order is taken straight into them
-            straight = z.dtype == np.complex128 and np.all(np.diff(targets) == 1)
-            lifted = np.take(level, rows, axis=1, mode="clip",
-                             out=eigenrows[targets[0]:targets[-1] + 1] if straight else None)
-            if scale is not None:
-                lifted *= scale
-            if not straight:
-                eigenrows[targets] = lifted
-            del lifted  # before the next level's take
+    for positions, z in batches:
+        if pairs:
+            _butterfly(z[:, :pairs], z[:, z.shape[1] - pairs:])
+        lifted = np.take(z, rows, axis=1)
+        if scale is not None:
+            lifted *= scale
+        eigenrows[columns[positions]] = lifted
 
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:
@@ -564,14 +563,6 @@ def _levels(sym_eigs: np.ndarray) -> list[tuple[int, int]]:
     """[lo, hi) of each level of ascending eigenvalues of U + U^T."""
     cuts = [0, *(np.flatnonzero(np.diff(sym_eigs) > _LEVEL_GAP) + 1), sym_eigs.size]
     return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _check_level(leak: float, sym_eig: float, width: int) -> None:
-    if leak > _INVARIANCE_TOL:
-        raise ArithmeticError(
-            f"the skew part maps the level at 2cos(theta)={sym_eig:.6f} "
-            f"(width {width}) {leak:.3e} out of itself: the matrix is not normal"
-        )
 
 
 def _sorted_columns(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

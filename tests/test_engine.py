@@ -361,6 +361,20 @@ def test_driver_states_are_real_and_complex_input_stays_complex():
     assert WalkState(g, np.zeros((4, 16), dtype=np.float32)).amps.dtype == np.float64
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_state_leaves_the_array_it_was_built_from_alone(dtype):
+    g = build_graph(torus_spec(4))
+    a = np.zeros((4, 16), dtype=dtype)
+    a[:, 1] = 0.5
+    before = a.copy()
+    state = WalkState(g, a)
+    twin = state.copy()
+    step(state, default_coin(g, marked=(1,)))
+    assert not np.shares_memory(state.amps, a) and not np.shares_memory(twin.amps, state.amps)
+    assert np.array_equal(a, before)
+    assert np.array_equal(twin.amps, before)
+
+
 @pytest.mark.parametrize("marked", [(), (1,), (1, 5)], ids=["unmarked", "one", "two"])
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
 def test_real_state_steps_like_complex(spec, marked):

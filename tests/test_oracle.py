@@ -95,13 +95,13 @@ def test_dimension_cap():
         dense_unitary(g, CoinConfig())
 
 
-def _assert_orthonormal_eigensystem(op):
+def _assert_orthonormal_eigensystem(op, gram_tol=1e-10):
     phases, vectors = dense_eigens(op)
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(op.dim))) < 1e-10
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(op.dim))) < gram_tol
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)  # sorted by |phase|
     recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
     assert np.max(np.abs(recon - op.matrix)) < 1e-9
-    return phases
+    return phases, vectors
 
 
 def test_eigens_orthonormal_basis():
@@ -114,20 +114,30 @@ def test_eigens_orthonormal_basis():
     # unmarked, both spectra are heavily degenerate
     pytest.param(hypercube_spec(6), (), id="hypercube(6)-unmarked"),
     pytest.param(complete_spec(16), (), id="complete(16)-unmarked"),
-    # turning levels wider than the lift's 32 columns: 42 and 70 wide unmarked,
-    # 36 wide in a mirror block when marked at vertex 0
+    # wide turning cos-levels: 42 and 70 eigenvalues wide unmarked, 36 wide in
+    # a mirror block when marked at vertex 0
     pytest.param(hypercube_spec(7), (), id="hypercube(7)-unmarked"),
     pytest.param(hypercube_spec(7), (0,), id="hypercube(7)-marked-0"),
+    # close cos-levels of U + U^T (the moving tori) and arenas at the dimension
+    # cap: every eigenvector still holds to rounding
+    pytest.param(torus_spec(10, shift="moving"), (10,), id="moving(10x10)-marked-10"),
+    pytest.param(torus_spec(12, shift="moving"), (12,), id="moving(12x12)-marked-12"),
+    pytest.param(torus_spec(12, shift="moving"), (60,), id="moving(12x12)-marked-60"),
+    pytest.param(torus_spec(16), (7,), id="torus(16x16)-marked-7"),
+    pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
 ])
 def test_eigens_orthonormal_basis_every_family(spec, marked):
     g = build_graph(spec)
-    _assert_orthonormal_eigensystem(dense_unitary(g, default_coin(g, marked=marked)))
+    op = dense_unitary(g, default_coin(g, marked=marked))
+    phases, vectors = _assert_orthonormal_eigensystem(op, gram_tol=1e-14)
+    residuals = np.linalg.norm(op.matrix @ vectors - vectors * np.exp(1j * phases), axis=0)
+    assert residuals.max() <= 3e-14
 
 
 def test_dense_eigens_at_the_dimension_cap():
     spec = torus_spec(16)  # 4 * 256 = 1024, the cap
     g = build_graph(spec)
-    phases = _assert_orthonormal_eigensystem(dense_unitary(g, CoinConfig(marked=(0,))))
+    phases, _ = _assert_orthonormal_eigensystem(dense_unitary(g, CoinConfig(marked=(0,))))
     principal = np.min(np.abs(phases[np.abs(phases) > 1e-8]))
     assert principal == pytest.approx(solve_alpha(mode_spectrum(spec)), rel=1e-9, abs=0)
 
@@ -412,12 +422,12 @@ def _traced_peak(call):
 ])
 def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
-    float64s near the dimension cap (with numpy 2.4, split by the mirror:
-    2.42 dim^2 at 2D L=16, 2.46 at the complete graph N=32, 2.54 at the
-    hypercube d=7 and 2.76 at dirac L=22, and by the mirror and then the
-    reflection 2.45 at moving L=16; without a mirror, 3.37 at unmarked dirac
-    L=22, solved in place, and 2.86 at 2D L=16 with two marked vertices,
-    split by the reflection alone).  See _traced_peak for what it counts."""
+    float64s near the dimension cap (with numpy 2.4, split by the mirror and
+    then the reflection: 2.49 dim^2 at 2D L=16, 2.48 at the complete graph
+    N=32, 2.51 at the hypercube d=7 and 2.49 at moving L=16; by the mirror
+    alone 2.77 at dirac L=22; without a mirror, 3.33 at unmarked dirac L=22,
+    solved in place, and 2.98 at 2D L=16 with two marked vertices, split by
+    the reflection alone).  See _traced_peak for what it counts."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
