@@ -367,10 +367,14 @@ def reflect_about(state: WalkState, axis: WalkState) -> WalkState:
 
     The overlap pairs the entries by (direction, vertex) whatever the memory
     order of either state.  einsum takes it in numpy's own loop, so its bits
-    do not depend on the BLAS thread count.
+    do not depend on the BLAS thread count.  Each row of (2 overlap) axis
+    is formed in the state's first scratch row, so no state-sized
+    temporary is made.
     """
-    overlap = np.einsum("ij,ij->", axis.amps.conj(), state.amps)
-    np.subtract((2.0 * overlap) * axis.amps, state.amps, out=state.amps)
+    amps, row = state.amps, state._scratch_rows()[0]
+    scale = 2.0 * np.einsum("ij,ij->", axis.amps.conj(), amps)
+    for axis_row, state_row in zip(axis.amps, amps):
+        np.subtract(np.multiply(scale, axis_row, out=row), state_row, out=state_row)
     return state
 
 

@@ -194,6 +194,23 @@ class Graph:
             others[1:2 * pairs:2], others[0:2 * pairs:2]
         return index
 
+    def lift(self, vertex_map: np.ndarray) -> np.ndarray:
+        """An automorphism g of the arena (g[v] per vertex) lifted to the
+        basis index c*N + v: direction c at v goes to the direction at g(v)
+        whose target is g of c's target.
+
+        The targets are those of `shift_targets` (for dirac, the first
+        half-move's).  Where several directions at g(v) have that target (the
+        two senses of an axis of side 2), c keeps its label.
+        """
+        targets = self.shift_targets()[:self.coin_dim]
+        hits = targets[None, :, vertex_map] == vertex_map[targets][:, None, :]  # [c, c', v]
+        if not hits.any(axis=1).all():
+            raise ValueError("the vertex map is no automorphism of the arena")
+        own = np.arange(self.coin_dim)
+        label = np.where(hits[own, own], own[:, None], hits.argmax(axis=1))
+        return (label * self.n + vertex_map).reshape(-1)
+
     # -- shift map -------------------------------------------------------
 
     def shift_targets(self, vertices=None) -> np.ndarray:

@@ -11,20 +11,20 @@ symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
 own BLAS: walklab loads no second one), whose real eigenvectors its skew
 part U' - U'^T pairs into complex ones (see block_eigens; a matrix that
 is not normal raises).  Two involutions split the eigensolve, one at a
-time.  With one marked vertex, the arena's mirror through it
-(Graph.mirror), lifted to the basis states, is a symmetry P of U'
-(checked), and U' splits first into P's two eigenspaces, about n/2
-each.  A permutation time reversal S, S U' S = C' S = U'^T (C' is
-symmetric; this is checked), then splits each of them in two: S is the
-shift itself where the shift is an involution, and the shift after the
-direction reversal on the moving torus.  In S's eigenbasis U' + U'^T is
-two half-size blocks and U' - U'^T only maps each half into the other,
-so each eigenvector of the +1 half and its image there make a pair of
-eigenvectors of U', with no further solve.  The dirac walk has no S: its
-eigenvalues of U' + U'^T are grouped into levels, and each level is
-solved on its own span.  Every eigenvector is lifted back through the
-two stages in turn.  From the engine the oracle takes only the two start
-states, the uniform state and |s, v>.
+time, and U' enters each one's eigenbasis by the same butterfly.  With
+one marked vertex, the arena's mirror through it (Graph.mirror), lifted
+to the basis states (Graph.lift), is a symmetry P of U' (checked), and
+U' splits first into P's two eigenspaces, about n/2 each.  A permutation
+time reversal S, S U' S = C' S = U'^T (C' is symmetric; this is
+checked), then splits each of them in two: S is the shift itself, and
+the shift after the direction reversal on the moving torus.  In S's
+eigenbasis U' + U'^T is two half-size blocks and U' - U'^T only maps
+each half into the other, so each eigenvector of the +1 half and its
+image there make a pair of eigenvectors of U', with no further solve.
+The dirac walk has no S: its eigenvalues of U' + U'^T are grouped into
+levels, and each level is solved on its own span.  Every eigenvector is
+lifted back through the two stages in turn.  From the engine the oracle
+takes only the two start states, the uniform state and |s, v>.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .graphs import Graph
 DIMENSION_CAP = 1024
 # scaling by the reciprocal, as the engine's dirac shift does, rounds alike
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_SQRT2 = np.sqrt(2.0)
 # eigenvalues of U + U^T closer than this belong to one level
 _LEVEL_GAP = 2e-9
 # a level or eigenvector that the skew part maps to within this of zero has theta = 0 or pi
@@ -57,11 +56,10 @@ _LIFT_COLUMNS = 32
 class DenseOperator:
     """A full (coin_dim*N)-dimensional real unitary with its arena; as
     `reflection`, a permutation time reversal S of it (S M S = M^T, an
-    involution: the shift itself where the shift is an involution, the
-    shift after the direction reversal on the moving torus, none on the
-    dirac walk); and as `symmetry` the arena's mirror through the one marked
-    vertex, lifted to the basis states, where exactly one vertex is marked
-    and it moves some."""
+    involution: the shift itself, the shift after the direction reversal on
+    the moving torus, none on the dirac walk); and as `symmetry` the
+    arena's mirror through the one marked vertex, lifted to the basis states
+    (Graph.lift), where exactly one vertex is marked and it moves some."""
 
     graph: Graph
     matrix: np.ndarray
@@ -93,6 +91,8 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
     the Hadamard.  The moving shift S_m is no involution past side 2, but
     with the direction reversal T (c <-> c^1) T S_m T = S_m^T, and T
     commutes with C', so S_m T is a time reversal of U' = (S_m T)(T C').
+    Every other shift here is an involution, its own time reversal, kept
+    as `reflection` unchecked: block_eigens refuses one that is not.
     """
     dim = graph.coin_dim * graph.n
     if dim > DIMENSION_CAP:
@@ -108,41 +108,19 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
         reflection = move
         if graph.spec.shift == "moving":  # after T: c*N + v -> (c^1)*N + v
             reflection = move.reshape(graph.coin_dim, -1)[np.arange(graph.coin_dim) ^ 1].ravel()
-        if not np.array_equal(reflection[reflection], np.arange(dim)):
-            reflection = None
     else:
         n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
-        move = _half_move(graph, (0, 1))
-        first = _shifted_coin(graph, coin, move)
+        first = _shifted_coin(graph, coin, _half_move(graph, (0, 1)))
         _butterfly(first[:n], first[n:])
         matrix = np.empty_like(first)
         matrix[_half_move(graph, (2, 3))] = first
         _butterfly(matrix[:n], matrix[n:], first[:n])  # first's buffer is free
     symmetry = None
     if len(coin.marked) == 1:
-        symmetry = _lift_mirror(graph.mirror(coin.marked[0]), move % graph.n)
+        symmetry = graph.lift(graph.mirror(coin.marked[0]))
         if np.array_equal(symmetry, np.arange(dim)):
             symmetry = None
     return DenseOperator(graph, matrix, reflection, symmetry)
-
-
-def _lift_mirror(mirror: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The vertex automorphism g lifted to the index c*N + v: direction c at
-    v goes to the direction at g(v) whose target is g of c's target.
-
-    `targets` holds each direction's target vertex at index c*N + v (for
-    dirac, the first half-move's).  Where several directions at g(v) have
-    that target (the two senses of an axis of side 2), c keeps its label.
-    """
-    n = mirror.size
-    targets = targets.reshape(-1, n)
-    d = targets.shape[0]
-    hits = targets[None, :, mirror] == mirror[targets][:, None, :]  # [c, c', v]
-    if not hits.any(axis=1).all():
-        raise ValueError("the vertex map is no automorphism of the arena")
-    own = np.arange(d)
-    label = np.where(hits[own, own], own[:, None], hits.argmax(axis=1))
-    return (label * n + mirror).reshape(-1)
 
 
 def _shifted_coin(graph: Graph, coin: CoinConfig, move: np.ndarray) -> np.ndarray:
@@ -194,23 +172,24 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
     that is not normal raises ArithmeticError instead of returning a wrong
     basis.  Complex input is refused.
 
-    Two optional involutions split the solve, one at a time.  A `symmetry`
-    (an involutive index permutation P) with 2-cycles must commute with U:
-    P U P = U is checked on every entry, else ArithmeticError, and U splits
-    into P's two blocks, gathered straight from U (_symmetry_blocks).  A
-    `reflection` (an involutive index permutation S) with 2-cycles must
-    commute with P and be a time reversal of U, S U S = U^T (as for S C'
-    with a symmetric coin).  In P's eigenbasis S is a signed permutation of
-    each block; a block on which it has a 2-cycle or a -1 is rotated into
-    S's eigenbasis, where each eigenvector of the +1 half and its image
-    under the skew part make a pair of U's eigenvectors (_reversal_eigens,
-    which checks the time reversal, else ArithmeticError).  Any other
-    block, and U without either, is solved level by level (_level_eigens,
-    U itself in place).  A permutation without 2-cycles splits nothing.
-    All phases of all blocks are merged by |phase| before any eigenvector
-    is formed, and the lift runs the stages backwards: S's butterfly on a
-    block's half-length vectors, then one signed gather into the original
-    rows (_lift_batches).
+    Two optional involutions split the solve, one at a time, each through
+    its eigenbasis (_split_order, _rotate).  A `symmetry` (an involutive
+    index permutation P) with 2-cycles must commute with U: in P's
+    eigenbasis both off-diagonal blocks must vanish, on every entry, else
+    ArithmeticError, and U splits into the two diagonal blocks
+    (_symmetry_blocks).  A `reflection` (an involutive index permutation S)
+    with 2-cycles must commute with P and be a time reversal of U,
+    S U S = U^T (as for S C' with a symmetric coin).  In P's eigenbasis S
+    is a signed permutation of each block; a block on which it has a
+    2-cycle or a -1 is rotated into S's eigenbasis, where each eigenvector
+    of the +1 half and its image under the skew part make a pair of U's
+    eigenvectors (_reversal_eigens, which checks the time reversal, else
+    ArithmeticError).  Any other block, and U without either, is solved
+    level by level (_level_eigens, U itself in place).  A permutation
+    without 2-cycles splits nothing.  All phases of all blocks are merged
+    by |phase| before any eigenvector is formed, and the lift runs the
+    stages backwards: S's butterfly on a block's half-length vectors, then
+    one signed gather into the original rows (_lift_batches).
     """
     if np.iscomplexobj(block):
         raise TypeError("block_eigens takes a real orthogonal matrix, "
@@ -276,43 +255,33 @@ def _involution(perm: np.ndarray | None, n: int, name: str) -> np.ndarray | None
 
 def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.ndarray | None,
                      out: np.ndarray, work: np.ndarray) -> list[tuple]:
-    """P's two blocks of U, gathered straight from U into `out`, each as
-    (matrix, pairing, flips): S on the block's coordinates, a signed
-    involution (S e_j = -e_pairing[j] where flips[j]; None without S).
+    """P's two blocks of U, in `out`, each as (matrix, pairing, flips): S on
+    the block's coordinates, a signed involution (S e_j = -e_pairing[j]
+    where flips[j]; None without S).
 
-    P U P = U is checked first, on every entry (`out` and `work`, both
-    U's shape, are the scratch).  P's 2-cycles (t, P t), t < P t, give
-    (e_t + e_Pt)/sqrt(2) to the + block and (e_t - e_Pt)/sqrt(2) to the
-    - block, and its fixed points f give e_f to the + block after them.
-    As P U P = U, the entries between two t's are U[t, t'] +- U[t, P t'],
-    and the rows and columns of the f's enter the + block as sqrt(2) U
-    (U between two f's).  S maps P's 2-cycles to 2-cycles and its fixed
+    U is rotated into P's eigenbasis (_split_order, _rotate) in `work`, and
+    `out`, both U's shape, is the rotation's scratch.  P's 2-cycles
+    (t, P t), t < P t, give (e_t + e_Pt)/sqrt(2) to the + block and
+    (e_t - e_Pt)/sqrt(2) to the - block, and its fixed points f give e_f to
+    the + block after them.  P U P = U holds iff both off-diagonal blocks
+    vanish: this is checked on every entry.  The two diagonal blocks are
+    then copied into `out`.  S maps P's 2-cycles to 2-cycles and its fixed
     points to fixed points, so it permutes the + block's coordinates, and
     the - block's up to sign: S sends e_t - e_Pt to -(e_t' - e_Pt') where
     S t = P t'.
     """
-    np.take(block, symmetry, axis=0, out=work, mode="clip")
-    np.take(block, symmetry, axis=1, out=out, mode="clip")
-    leak = _max_abs(np.subtract(work, out, out=work))
+    order, k, h, _ = _split_order(symmetry)  # [t, f, P t]
+    _rotate(block, order, k, 0, work, out)
+    leak = max(_max_abs(work[:h, h:]), _max_abs(work[h:, :h]))
     if leak > _INVARIANCE_TOL:
         raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
                               f"{leak:.3e}")
-    order, k, h, _ = _split_order(symmetry)  # [t, f, P t]
-    tops = order[:k]
     plus, minus = _carve(out, (h, h), (k, k))
-    head, mates = _carve(work, (h, order.size), (k, k))
-    np.take(block, order[:h], axis=0, out=head, mode="clip")
-    np.take(head[:k], tops, axis=1, out=minus, mode="clip")
-    np.take(head[:k], order[h:], axis=1, out=mates, mode="clip")
-    np.add(minus, mates, out=plus[:k, :k])
-    np.subtract(minus, mates, out=minus)
-    plus[:, k:] = head[:, order[k:h]]
-    plus[k:, :k] = head[k:, tops]
-    plus[:k, k:] *= _SQRT2
-    plus[k:, :k] *= _SQRT2
+    plus[...] = work[:h, :h]
+    minus[...] = work[h:, h:]
     if reflection is None:
         return [(plus, None, None), (minus, None, None)]
-    coordinate, image = np.argsort(order) % h, reflection[tops]
+    coordinate, image = np.argsort(order) % h, reflection[order[:k]]
     return [(plus, coordinate[reflection[order[:h]]], None),
             (minus, coordinate[image], symmetry[image] < image)]
 
@@ -508,7 +477,7 @@ def _reversal_batches(plus_vecs: np.ndarray, q: np.ndarray, turning: np.ndarray)
 def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     """A column-major n x n complex array for the eigenvectors, and its buffer
     as two n x n float64 arrays.  The lift writes every entry of the array;
-    until then the buffer holds the temporaries: P's check and blocks, each
+    until then the buffer holds the temporaries: P's rotation and blocks, each
     block's rotation, and the halves, their images and checks, or the skew
     part and its images of the basis."""
     flat = np.empty(n * n, dtype=np.complex128)

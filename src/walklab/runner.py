@@ -239,16 +239,6 @@ class TwoMarkedResult:
     reflection_form_deviation: float  # fast two-coin walk vs rank-one form, worst t
 
 
-def _mirror_index(graph: Graph, v1: int, v2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index into amps of the grid symmetry exchanging v1 and v2: point
-    reflection through their midpoint combined with direction reversal (the
-    reversal keeps it commuting with the flip-flop shift)."""
-    center = np.add(graph.vertex_coords(v1), graph.vertex_coords(v2))[:, None]
-    vperm = graph.vertex_index(center - graph.coordinates())
-    cperm = np.arange(graph.coin_dim) ^ 1
-    return np.ix_(cperm, vperm)
-
-
 def _flip_symmetric_pair(state: WalkState, v1: int, v2: int) -> None:
     # reflection about (|s,v1> + |s,v2>)/sqrt(2)
     amps = state.amps
@@ -262,9 +252,10 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
     """Two-marked walk with its symmetry and reduction diagnostics.
 
     Tracks (a) invariance of the evolved state under the v1 <-> v2 grid
-    symmetry and (b) agreement between the two-marked-coin walk and the
-    walk whose marking is the single reflection about the symmetrized
-    state (|s,v1> + |s,v2>)/sqrt(2).
+    symmetry, the point reflection through their midpoint lifted to the
+    basis by Graph.lift (compared as state.vector[lift]), and (b) agreement
+    between the two-marked-coin walk and the walk whose marking is the
+    single reflection about the symmetrized state (|s,v1> + |s,v2>)/sqrt(2).
     """
     if spec.family != "torus" or spec.shift != "flip_flop":
         raise ConfigurationError("two-marked analysis runs on flip-flop tori")
@@ -274,7 +265,8 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
     graph = build_graph(spec)
     coin = default_coin(graph, marked=(v1, v2))
     unmarked = default_coin(graph)
-    mirror = _mirror_index(graph, v1, v2)
+    center = np.add(graph.vertex_coords(v1), graph.vertex_coords(v2))[:, None]
+    mirror = graph.lift(graph.vertex_index(center - graph.coordinates()))
 
     twin = uniform_state(graph)  # rank-one reflection form
     watch = _Watch(graph, coin, t_max)
@@ -287,7 +279,7 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
         if t:
             _flip_symmetric_pair(twin, v1, v2)
             step(twin, unmarked)
-        worst_sym = max(worst_sym, float(np.max(np.abs(state.amps[mirror] - state.amps))))
+        worst_sym = max(worst_sym, float(np.max(np.abs(state.vector[mirror] - state.vector))))
         worst_dev = max(worst_dev, float(np.max(np.abs(twin.amps - state.amps))))
 
     evolve(uniform_state(graph), coin, t_max, observe)

@@ -236,6 +236,33 @@ def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
             assert np.array_equal(np.sort(mirror[g.neighbors(u)]), g.neighbors(int(mirror[u])))
 
 
+@pytest.mark.parametrize("spec", ARENA_SPECS, ids=lambda spec: spec.label())
+def test_lift_sends_each_direction_to_the_image_of_its_target(spec):
+    g = build_graph(spec)
+    mirror = g.mirror(3 % g.n)
+    lift = g.lift(mirror).reshape(g.coin_dim, g.n)
+    targets = g.shift_targets()[:g.coin_dim]
+    assert np.array_equal(np.sort(lift.ravel()), np.arange(g.coin_dim * g.n))
+    assert np.array_equal(lift % g.n, np.broadcast_to(mirror, lift.shape))
+    assert np.array_equal(targets.ravel()[lift], mirror[targets])
+    if spec.shift != "dirac":  # the lift commutes with the shift
+        perm, flat = g.shift_permutation(), lift.ravel()
+        assert np.array_equal(perm[flat], flat[perm])
+
+
+@pytest.mark.parametrize("side", [2, 3, 4])
+def test_lift_of_a_point_reflection_reverses_directions_past_side_2(side):
+    g = build_graph(torus_spec(side, 3))
+    lift = g.lift(g.vertex_index(-g.coordinates())).reshape(g.coin_dim, g.n) // g.n
+    # on side 2 both senses of an axis reach the same vertex: the label stays
+    own = np.arange(g.coin_dim)[:, None]
+    assert np.array_equal(lift, np.broadcast_to(own if side == 2 else own ^ 1, lift.shape))
+    swap = np.arange(g.n)
+    swap[[0, 1]] = 1, 0  # moves one vertex onto a neighbour, no automorphism
+    with pytest.raises(ValueError, match="no automorphism"):
+        g.lift(swap)
+
+
 def test_mirror_maps_of_each_family():
     torus = build_graph(torus_spec(5, 3))
     vertex = torus.vertex_index((1, 2, 3))

@@ -202,11 +202,14 @@ def test_amplify_flags_overshoot():
 # -- two marked -------------------------------------------------------------
 
 
-def test_two_marked_symmetry_and_reduction():
-    res = run_two_marked(torus_spec(8), 0, build_graph(torus_spec(8)).vertex_index((3, 5)), 200)
+@pytest.mark.parametrize("side", [2, 3, 8])
+def test_two_marked_symmetry_and_reduction(side):
+    # on side 2 the two senses of an axis share a target, and the lift keeps the label
+    graph = build_graph(torus_spec(side))
+    res = run_two_marked(torus_spec(side), 0, graph.vertex_index((3, 5)), 200)
     assert res.symmetry_residual < 1e-10
     assert res.reflection_form_deviation < 1e-10
-    assert res.trace.p_marked[0] == pytest.approx(2 / 64, abs=1e-12)
+    assert res.trace.p_marked[0] == pytest.approx(2 / graph.n, abs=1e-12)
 
 
 def test_two_marked_rejects_same_vertex():
@@ -331,6 +334,10 @@ def test_flip_flop_run_holds_one_state_sized_array(spec):
     try:
         run_walk(g, coin, 9)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        amplify(g, coin, 8, 1)  # the state, the walked copy and the scratch rows
+        amplify_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert state_bytes <= peak < 2 * state_bytes
+    assert amplify_peak < 3 * state_bytes
