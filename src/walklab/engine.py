@@ -12,12 +12,23 @@ the reversed direction; c on the hypercube) is an involution, S^2 = I, so
 a state takes it without moving its amplitudes: `apply_shift` marks the
 shift owed, and the buffer P then holds psi = S P, psi[c, w] =
 P[label(c), target_c(w)].  The next coin acts on P as S C' S, in place and
-through two scratch rows, so the state holds C' psi and still owes the
-shift; the next `apply_shift` pays it by clearing the mark.  Reading
-`WalkState.amps` settles an owed shift first, by the copy the moving and
-dirac shifts always make: the moved amplitudes go into a spare buffer that
-the state owns, and the state and the spare swap roles (slices with
-wrap-around on tori, neighbouring runs per hypercube bit).  The complete
+through one scratch row for the column sums (and on the hypercube a
+second for a flipped row), so the state holds C' psi and still owes the
+shift; the next `apply_shift` pays it by clearing the
+mark.  Reading `WalkState.amps` settles an owed shift first, in place: each
+torus row pair (c, c^1) trades places through the scratch row, and each
+hypercube row flips its bit through it.
+
+A torus row is read through a move by its plan (`_build_plans`), built
+from `Graph.shift_targets` at the first step and held by the state: away
+from the faces a move is a flat offset, target(v) = v + k, so one ufunc
+over two contiguous views does most of the row, and the few vertices
+where the move wraps around are read through two small index arrays,
+written after the flat op from values taken before it.  The moving shift
+copies each row through its plan into a spare buffer that the state owns,
+and the two swap roles; the dirac shift reads both rows through its two
+composed half-moves straight into the Hadamard butterfly.  A hypercube
+row moves by swapping runs of amplitudes (`_flip_bit`).  The complete
 graph's register swap copies nothing either: it holds `amps` as the
 transpose of the array it had, so `amps` is C-ordered after an even number
 of swaps and F-ordered after an odd number.  The kernels here take either
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +82,7 @@ class WalkState:
     state's own (a copy of the input): float64 for real input, complex128
     for complex input."""
 
-    __slots__ = ("graph", "_amps", "_owed", "_spare", "_rows")
+    __slots__ = ("graph", "_amps", "_owed", "_spare", "_rows", "_plans")
 
     def __init__(self, graph: Graph, amps: np.ndarray):
         if amps.shape != (graph.coin_dim, graph.n):
@@ -80,6 +92,7 @@ class WalkState:
         self.amps = np.array(amps, dtype=dtype, order="C")
         self._spare = None
         self._rows = None
+        self._plans = None
 
     @property
     def amps(self) -> np.ndarray:
@@ -123,11 +136,26 @@ class WalkState:
         return self._spare
 
     def _scratch_rows(self) -> np.ndarray:
-        """Two vertex rows of the state's dtype, owned by this state alone:
-        the column sums and one moved row."""
+        """Vertex rows of the state's dtype, owned by this state alone: the
+        column sums and, on the hypercube, one flipped row."""
         if self._rows is None:
-            self._rows = np.empty((2, self.graph.n), self._amps.dtype)
+            count = 2 if self.graph.spec.family == "hypercube" else 1
+            self._rows = np.empty((count, self.graph.n), self._amps.dtype)
         return self._rows
+
+    def _free_row(self) -> np.ndarray:
+        """A vertex row free between steps: the spare buffer's first row
+        where the shift keeps a spare (moving, dirac), else a scratch row."""
+        if self.graph.spec.shift in ("moving", "dirac"):
+            return self._spare_buffer()[0]
+        return self._scratch_rows()[0]
+
+    def _move_plans(self) -> tuple:
+        """The torus's move plans (`_build_plans`), built at first use and
+        held, like the scratch rows, for the state's life."""
+        if self._plans is None:
+            self._plans = _build_plans(self.graph)
+        return self._plans
 
 
 def uniform_state(graph: Graph) -> WalkState:
@@ -176,7 +204,7 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
     marked = list(coin.marked)
     # the moving shift fills the spare every step, and its coin measured
     # faster with the column sums in the spare's first row
-    colsum = (state._spare_buffer() if spec.shift == "moving" else state._scratch_rows())[0]
+    colsum = state._free_row()
     if np.iscomplexobj(amps):
         # on a transposed state numpy sums along the contiguous axis
         # pairwise, and pairs complex terms unlike float64 ones; summing the
@@ -205,42 +233,128 @@ def _coin_through_shift(state: WalkState, coin: CoinConfig) -> None:
     (label(c), target_c(v)), which S sends to (c, v).  Every amplitude gets
     the bits the settled state would.
     """
-    graph = state.graph
     buf = state._amps
-    colsum, moved = state._scratch_rows()
-    d = graph.coin_dim
-    flip = graph.spec.family == "torus"  # label c^1; the hypercube keeps c
+    colsum = state._scratch_rows()[0]
+    d = state.graph.coin_dim
+    flip = state.graph.spec.family == "torus"  # label c^1; the hypercube keeps c
     for c in range(d):
-        for part, values in _moved_parts(colsum, buf[c ^ 1 if flip else c], c, graph, moved):
-            if c:
-                np.add(part, values, out=part)
-            else:
-                np.add(values, 0.0, out=part)  # np.sum starts from 0: -0.0 + 0 = 0.0
+        # np.sum starts from 0: -0.0 + 0 = 0.0
+        _through(state, np.add, colsum, c, buf[c ^ 1 if flip else c], colsum if c else 0.0)
     colsum *= 2.0 / d
     colsum[list(coin.marked)] = 0.0  # every flip-flop arena marks by -I
     for c in range(d):
-        for part, values in _moved_parts(buf[c], colsum, c, graph, moved):
-            np.subtract(values, part, out=part)
+        _through(state, np.subtract, buf[c], c, colsum, buf[c])
 
 
-def _moved_parts(dst: np.ndarray, row: np.ndarray, c: int, graph: Graph, scratch: np.ndarray):
-    """Pairs (part of dst, row read through direction c's move over that
-    part) that cover the row: values[j] = row[target_c(w_j)] for the
-    vertices w_j of the part.  A move along the slowest torus axis is a flat
-    rotation, read as two views of the row; any other move is copied into
-    `scratch` whole."""
-    if graph.spec.family == "hypercube":
-        _flip_bit(scratch, row, c)
-        return ((dst, scratch),)
-    axis, sign = c // 2, 1 - 2 * (c % 2)  # axis pairs (axis 0 +, axis 0 -, ...)
-    shape = graph.vertex_shape
-    np_axis = len(shape) - 1 - axis  # the last axis is the fastest coordinate
-    if np_axis == 0:
-        n = row.size
-        k = sign * (n // shape[0]) % n
-        return ((dst[:n - k], row[k:]), (dst[n - k:], row[:k]))
-    _roll_into(scratch.reshape(shape), row.reshape(shape), -sign, np_axis)
-    return ((dst, scratch),)
+def _through(state: WalkState, ufunc, out: np.ndarray, c: int, row: np.ndarray, other) -> None:
+    """out[v] = ufunc(row[target_c(v)], other[v]) over a whole row, `other` a
+    row (`out` itself, for an update in place) or a scalar: through the
+    direction's move plan on a torus, through the second scratch row on the
+    hypercube."""
+    if state.graph.spec.family == "hypercube":
+        moved = state._scratch_rows()[1]
+        _flip_bit(moved, row, c)
+        ufunc(moved, other, out=out)
+    else:
+        _apply(state._move_plans()[c], ufunc, out, (row,), other)
+
+
+# -- move plans ----------------------------------------------------------
+
+
+class _Plan(NamedTuple):
+    """Rows read through translations t_j of a torus, each a rotation of the
+    flat row, t_j(v) = (v + k_j) mod N, away from the faces: each part
+    (span, reads) is one flat op over `span` that reads row j over
+    `reads[j]`, a contiguous view, and the other vertices, `wrap`, read
+    row j at `ends[j]`."""
+
+    parts: tuple[tuple[slice, tuple[slice, ...]], ...]
+    wrap: np.ndarray  # the vertices where some move is no rotation, or in no part
+    ends: np.ndarray  # (move, wrap vertex): t_j at `wrap`
+
+
+def _apply(plan: _Plan, ufunc, out: np.ndarray, rows, other=None) -> None:
+    """out[v] = ufunc(rows[0][t_0(v)], rows[1][t_1(v)], ..., other[v]) over a
+    whole row; `other` is an unmoved row (`out` itself, for an update in
+    place), a scalar or absent, and with no ufunc out[v] = rows[0][t_0(v)].
+
+    The flat ops write `out` and so may write `other`: `other` is read at
+    the wrap vertices before them, and the wrap entries are written after
+    them over what they left there, so every entry gets the bits of one
+    elementwise op.
+    """
+    in_place = isinstance(other, np.ndarray)
+    if in_place and plan.wrap.size:
+        kept = other[plan.wrap]
+    for span, reads in plan.parts:
+        flat = [row[s] for row, s in zip(rows, reads)]
+        if ufunc is None:
+            out[span] = flat[0]
+            continue
+        if other is not None:
+            flat.append(other[span] if in_place else other)
+        ufunc(*flat, out=out[span])
+    if plan.wrap.size:
+        edge = [row[t] for row, t in zip(rows, plan.ends)]
+        if other is not None:
+            edge.append(kept if in_place else other)
+        out[plan.wrap] = edge[0] if ufunc is None else ufunc(*edge)
+
+
+def _build_plans(graph: Graph) -> tuple[_Plan, ...]:
+    """A torus's move plans, from `Graph.shift_targets` at an interior probe
+    vertex (every coordinate 1; on sides of 3 and more no move wraps there)
+    and at the face vertices, the only ones whose moves can wrap.  The faces
+    are read a face's worth (N / side vertices, and at least 256, so that a
+    small arena takes one call) at a time, so the target tables stay a
+    fraction ndim / side of the state.
+
+    A move's flat rotation is right also where it wraps along the slowest
+    axis, so only the faces of the faster axes are left to `wrap`: none
+    for a move along the slowest axis.  A part that holds only wrap
+    vertices (the one vertex past the row's end of a move by +-1) is
+    dropped.
+    """
+    n = graph.n
+    probe = graph.vertex_index((1,) * len(graph.spec.dims))
+    offsets = [(ends[:, 0] - probe) % n for ends in _move_images(graph, [probe])]
+    faces = graph.face_vertices()
+    chunk = max(n // graph.spec.dims[0], 256)
+    pieces = [[] for _ in offsets]  # per plan, (wrap vertices, their ends) per chunk
+    for lo in range(0, faces.size, chunk):
+        vertices = faces[lo:lo + chunk]
+        for found, k, ends in zip(pieces, offsets, _move_images(graph, vertices)):
+            wraps = (ends != (vertices + k[:, None]) % n).any(axis=0)
+            found.append((vertices[wraps], ends[:, wraps]))
+    plans = []
+    for found, k in zip(pieces, offsets):
+        wrap = np.concatenate([w for w, _ in found])
+        k = k.tolist()
+        cuts = sorted({0, n} | {n - x for x in k if x})
+        spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:])
+                 if np.searchsorted(wrap, hi) - np.searchsorted(wrap, lo) < hi - lo]
+        parts = tuple((slice(lo, hi), tuple(slice((lo + x) % n, (lo + x) % n + hi - lo) for x in k))
+                      for lo, hi in spans)
+        plans.append(_Plan(parts, wrap, np.concatenate([e for _, e in found], axis=1)))
+    return tuple(plans)
+
+
+def _move_images(graph: Graph, vertices) -> list[np.ndarray]:
+    """Per plan, where its moves take `vertices`: one row per move.
+
+    Flip-flop and moving tori have one plan per direction c, reading
+    through target_c.  Dirac has one plan per second half-move: role 2's
+    amplitude at v arrives from target_3(v) and role 3's from target_2(v),
+    and each of those reads row c of the state where the first half-move
+    brings it from, target_(c^1); so the two plans read (row 0, row 1)
+    through (target_1 target_3, target_0 target_3) and through
+    (target_1 target_2, target_0 target_2).
+    """
+    targets = graph.shift_targets(vertices)
+    if graph.spec.shift == "dirac":
+        return [graph.shift_targets(targets[role ^ 1])[[1, 0]] for role in (2, 3)]
+    return [targets[c:c + 1] for c in range(graph.coin_dim)]
 
 
 # -- shift ---------------------------------------------------------------
@@ -253,37 +367,63 @@ def apply_shift(state: WalkState) -> WalkState:
     amplitude moves (see the module docstring).  The complete graph's swap,
     amps[c, v] -> amps[v, c], sets `amps` to its transpose, a view; a second
     swap gives back the C-ordered array.  The moving and dirac shifts copy
-    (`_settle`).
+    through the state's spare buffer.
     """
     shift = state.graph.spec.shift
     if shift == "flip_flop":
         state._owed = not state._owed
     elif shift == "swap":
         state._amps = state._amps.T
+    elif shift == "moving":
+        _moving_shift(state)
     else:
-        _settle(state)
+        _dirac_step(state)
     return state
 
 
 def _settle(state: WalkState) -> None:
-    """Make the shift by copying: the moved amplitudes go into the state's
-    spare buffer, which then becomes the state, and the old amplitude array
-    becomes the spare.  This is the moving and dirac shifts, and a flip-flop
-    state's way to pay a shift it owes."""
-    graph = state.graph
-    spec = graph.spec
-    src, dst = state._amps, state._spare_buffer()
-    if spec.family == "hypercube":
-        for i in range(graph.coin_dim):
-            _flip_bit(dst[i], src[i], i)
+    """Make the flip-flop shift on the buffer in place and clear the mark:
+    the state's way to pay a shift it owes.  Each torus row pair (c, c^1)
+    trades places through one scratch row, each read through its move,
+    and each hypercube row flips its bit through it."""
+    buf, row = state._amps, state._scratch_rows()[0]
+    if state.graph.spec.family == "hypercube":
+        for c in range(state.graph.coin_dim):
+            _flip_bit(row, buf[c], c)
+            np.copyto(buf[c], row)
     else:
-        # grid views (coin, *vertex axes); the last axis is the fastest coordinate
-        shape = (graph.coin_dim, *graph.vertex_shape)
-        if spec.shift == "dirac":
-            _dirac_shift(dst.reshape(shape), src.reshape(shape))
-        else:
-            _torus_shift(dst.reshape(shape), src.reshape(shape), spec)
+        plans = state._move_plans()
+        for c in range(0, state.graph.coin_dim, 2):
+            np.copyto(row, buf[c])
+            _apply(plans[c], None, buf[c], (buf[c + 1],))
+            _apply(plans[c + 1], None, buf[c + 1], (row,))
+    state._owed = False
+
+
+def _moving_shift(state: WalkState) -> None:
+    """The moving shift S|c, v> = |c, target_c(v)>: row c arrives from
+    target_(c^1), the reverse direction, copied into the spare buffer, which
+    then becomes the state, and the old amplitude array becomes the spare."""
+    src, dst = state._amps, state._spare_buffer()
+    plans = state._move_plans()
+    for c in range(state.graph.coin_dim):
+        _apply(plans[c ^ 1], None, dst[c], (src[c],))
     state.amps, state._spare = dst, src
+
+
+def _dirac_step(state: WalkState) -> None:
+    """The dirac shift: the y half-move in the coin basis, then the x
+    half-move in the Hadamard basis.  The first is folded into the second's
+    reads (see `_build_plans`), whose butterflies go into the spare buffer;
+    the butterfly back to the coin basis writes the state."""
+    amps, spare = state._amps, state._spare_buffer()
+    left, right = state._move_plans()
+    _apply(left, np.add, spare[0], (amps[0], amps[1]))
+    _apply(right, np.subtract, spare[1], (amps[0], amps[1]))
+    spare *= _INV_SQRT2
+    np.add(spare[0], spare[1], out=amps[0])
+    np.subtract(spare[0], spare[1], out=amps[1])
+    amps *= _INV_SQRT2
 
 
 def _flip_bit(dst: np.ndarray, src: np.ndarray, i: int) -> None:
@@ -313,47 +453,6 @@ def _flip_bit(dst: np.ndarray, src: np.ndarray, i: int) -> None:
         np.copyto(dst.reshape(view), src.reshape(view)[:, ::-1])
 
 
-def _roll_pairs(shape, shift: int, axis: int):
-    """(dst, src) index pairs that move every entry `shift` places along
-    `axis` with wrap-around, as np.roll does."""
-    n = shape[axis]
-    k = shift % n
-    lead = (slice(None),) * axis
-    return ((lead + (slice(k, n),), lead + (slice(0, n - k),)),
-            (lead + (slice(0, k),), lead + (slice(n - k, n),)))
-
-
-def _roll_into(dst: np.ndarray, src: np.ndarray, shift: int, axis: int) -> None:
-    for d, s in _roll_pairs(src.shape, shift, axis):
-        dst[d] = src[s]
-
-
-def _torus_shift(dst: np.ndarray, src: np.ndarray, spec) -> None:
-    ndim = len(spec.dims)
-    flip = spec.shift == "flip_flop"
-    for axis in range(ndim):
-        np_axis = ndim - 1 - axis  # vertex axes of src[c]
-        plus, minus = 2 * axis, 2 * axis + 1
-        _roll_into(dst[minus if flip else plus], src[plus], 1, np_axis)
-        _roll_into(dst[plus if flip else minus], src[minus], -1, np_axis)
-
-
-def _dirac_shift(dst: np.ndarray, src: np.ndarray) -> None:
-    # half-move 1 moves the coin basis along y, from src into dst; half-move
-    # 2 moves the Hadamard basis along x, through src, back into dst.  Axes
-    # of the grid views: (coin, y, x).
-    _roll_into(dst[0], src[0], -1, 0)  # up: y -> y-1
-    _roll_into(dst[1], src[1], 1, 0)
-    for d, s in _roll_pairs(dst.shape[1:], -1, 1):  # left: x -> x-1
-        np.add(dst[0][s], dst[1][s], out=src[0][d])
-    for d, s in _roll_pairs(dst.shape[1:], 1, 1):  # right
-        np.subtract(dst[0][s], dst[1][s], out=src[1][d])
-    src *= _INV_SQRT2
-    np.add(src[0], src[1], out=dst[0])
-    np.subtract(src[0], src[1], out=dst[1])
-    dst *= _INV_SQRT2
-
-
 # -- steps ---------------------------------------------------------------
 
 
@@ -368,10 +467,10 @@ def reflect_about(state: WalkState, axis: WalkState) -> WalkState:
     The overlap pairs the entries by (direction, vertex) whatever the memory
     order of either state.  einsum takes it in numpy's own loop, so its bits
     do not depend on the BLAS thread count.  Each row of (2 overlap) axis
-    is formed in the state's first scratch row, so no state-sized
-    temporary is made.
+    is formed in a row the state keeps free between steps, so no
+    state-sized temporary is made.
     """
-    amps, row = state.amps, state._scratch_rows()[0]
+    amps, row = state.amps, state._free_row()
     scale = 2.0 * np.einsum("ij,ij->", axis.amps.conj(), amps)
     for axis_row, state_row in zip(axis.amps, amps):
         np.subtract(np.multiply(scale, axis_row, out=row), state_row, out=state_row)

@@ -147,6 +147,14 @@ class Graph:
         """The (ndim, N) coordinates of every vertex."""
         return np.array(np.unravel_index(np.arange(self.n), self.vertex_shape)[::-1])
 
+    def face_vertices(self) -> np.ndarray:
+        """The vertices with some coordinate at 0 or at its side's end,
+        sorted: on a torus, the only ones whose moves can wrap around."""
+        on_face = np.zeros(self.vertex_shape, dtype=bool)
+        for axis in range(on_face.ndim):
+            on_face.swapaxes(0, axis)[[0, -1]] = True
+        return np.flatnonzero(on_face)
+
     # -- adjacency -----------------------------------------------------
 
     def neighbors(self, vertex: int) -> np.ndarray:
@@ -233,7 +241,8 @@ class Graph:
         if spec.shift == "dirac":  # (x, y) steps of up, down, left, right
             steps = np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
         else:  # axis pairs (axis 0 +, axis 0 -, axis 1 +, ...)
-            steps = np.kron(np.eye(len(spec.dims), dtype=np.int64), [1, -1])
+            ndim = len(spec.dims)
+            steps = np.eye(ndim, dtype=np.int64).repeat(2, axis=1) * np.tile([1, -1], ndim)
         coords = np.unravel_index(vertices, self.vertex_shape)[::-1]
         return self.vertex_index(np.array(coords)[:, None, :] + steps[:, :, None])
 

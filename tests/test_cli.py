@@ -295,6 +295,12 @@ import sys
 from walklab.cli import main
 
 for argv in (["run", "--family", "torus", "--side", "8", "--marked", "0,0", "--t-max", "4"],
+             ["run", "--family", "torus", "--side", "8", "--dims", "3", "--marked", "0,0,0",
+              "--t-max", "4"],
+             ["run", "--family", "torus", "--side", "8", "--shift", "moving", "--marked", "0,0",
+              "--t-max", "4"],
+             ["run", "--family", "torus", "--side", "8", "--shift", "dirac", "--marked", "0,0",
+              "--t-max", "4"],
              ["sweep", "--family", "torus", "--dims", "2", "--sides", "4,8"],
              ["amplify", "--family", "hypercube", "--degree", "4", "--marked", "3",
               "--rounds", "1"]):

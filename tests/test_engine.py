@@ -12,7 +12,7 @@ from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
                      dense_unitary, evolve_dense, hypercube_spec, marked_coin_state,
                      reflect_about, step, torus_spec, uniform_state,
                      vertex_probabilities)
-from walklab.engine import _settle, owed_index, squared_norm
+from walklab.engine import _apply, _settle, owed_index, squared_norm
 
 from helpers import (load_state, neighborhood_probability, random_state, save_state,
                      translate)
@@ -102,50 +102,93 @@ def test_flip_flop_shift_involution_on_states():
     assert np.max(np.abs(state.amps - ref)) < 1e-15
 
 
-PERMUTATION_FAMILIES = [torus_spec(2), torus_spec(5), torus_spec(6, 1),
-                        torus_spec(4, shift="moving"), torus_spec(3, 3, shift="moving"),
-                        torus_spec(2, 3), hypercube_spec(1), hypercube_spec(2),
-                        hypercube_spec(3), hypercube_spec(5), hypercube_spec(10),
-                        complete_spec(2), complete_spec(40)]
+# one arena list for every move kernel: flip-flop and moving tori of sides 2
+# (both senses of an axis reach the same vertex) to 5 in 1D-3D, dirac from
+# side 2 to 16, every hypercube bit-flip route, and the swap at both ends
+MOVE_ARENAS = ([torus_spec(side, ndim, shift) for shift in ("flip_flop", "moving")
+                for ndim in (1, 2, 3) for side in (2, 3, 4, 5)]
+               + [torus_spec(6, 1)]
+               + [torus_spec(side, shift="dirac") for side in (2, 3, 4, 7, 16)]
+               + [hypercube_spec(d) for d in range(1, 11)]
+               + [complete_spec(2), complete_spec(40)])
+PLAN_ARENAS = [s for s in MOVE_ARENAS if s.family == "torus"]
+OWED_ARENAS = [s for s in MOVE_ARENAS if s.shift == "flip_flop"]
+
+
+def _start_states(g, seed):
+    real = real_random_state(g, seed)
+    real.amps[:, ::3] = -0.0  # np.sum's start from +0.0 shows in the signs of zeros
+    return real, as_complex(real)
 
 
 # "-False" in the ids keeps the case names from when apply_shift had an
 # inverse flag
-@pytest.mark.parametrize("spec", PERMUTATION_FAMILIES, ids=lambda s: f"{s.label()}-False")
+@pytest.mark.parametrize("spec", [s for s in MOVE_ARENAS if s.shift != "dirac"],
+                         ids=lambda s: f"{s.label()}-False")
 def test_shift_equals_shift_permutation(spec):
     # three shifts in a row: the complete graph's swap holds the state
     # transposed after the first and third, C-ordered after the second
     g = build_graph(spec)
     perm = g.shift_permutation()  # p[c*N+v] = c'*N+v', from the per-edge rule
-    for state in (random_state(g, seed=11), real_random_state(g, seed=11)):
+    for state in (_start_states(g, seed=11)[0], random_state(g, seed=11)):
         expected = state.vector.copy()
         for _ in range(3):
             apply_shift(state)
             moved = np.empty_like(expected)
             moved[perm] = expected
             expected = moved
-            assert np.array_equal(state.vector, expected)
+            assert state.vector.tobytes() == expected.tobytes()
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _dirac_shift_by_rolls(amps, side):
-    """The dirac half-moves written with np.roll, as a reference."""
+    """The dirac half-moves written with np.roll, as a reference; scaled by
+    the reciprocal of sqrt(2), as numpy divides a complex by a real."""
     grid = amps.reshape(2, side, side).copy()
     grid[0] = np.roll(grid[0], -1, axis=0)
     grid[1] = np.roll(grid[1], 1, axis=0)
-    left = np.roll((grid[0] + grid[1]) / np.sqrt(2.0), -1, axis=1)
-    right = np.roll((grid[0] - grid[1]) / np.sqrt(2.0), 1, axis=1)
-    grid[0] = (left + right) / np.sqrt(2.0)
-    grid[1] = (left - right) / np.sqrt(2.0)
+    left = np.roll((grid[0] + grid[1]) * _INV_SQRT2, -1, axis=1)
+    right = np.roll((grid[0] - grid[1]) * _INV_SQRT2, 1, axis=1)
+    grid[0] = (left + right) * _INV_SQRT2
+    grid[1] = (left - right) * _INV_SQRT2
     return grid.reshape(2, side * side)
 
 
-@pytest.mark.parametrize("side", [2, 3, 7], ids=lambda side: f"{side}-False")
-def test_dirac_shift_matches_roll_reference(side):
-    g = build_graph(torus_spec(side, shift="dirac"))
-    state = random_state(g, seed=side)
-    expected = _dirac_shift_by_rolls(state.amps, side)
-    apply_shift(state)
-    assert np.array_equal(state.amps, expected)
+@pytest.mark.parametrize("spec", [s for s in MOVE_ARENAS if s.shift == "dirac"],
+                         ids=lambda s: f"{s.dims[0]}-False")
+def test_dirac_shift_matches_roll_reference(spec):
+    g = build_graph(spec)
+    for state in (_start_states(g, seed=spec.dims[0])[0], random_state(g, seed=spec.dims[0])):
+        for _ in range(3):
+            expected = _dirac_shift_by_rolls(state.amps, spec.dims[0])
+            apply_shift(state)
+            assert state.amps.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", PLAN_ARENAS, ids=lambda s: s.label())
+def test_move_plans_agree_with_shift_targets(spec):
+    # every plan read over a row of vertex numbers gives its move's target at
+    # every vertex: one plan per direction; dirac's plans read row c where the
+    # first half-move brings it from, after the second half-move's read
+    # (role 2 at target_3, role 3 at target_2)
+    g = build_graph(spec)
+    targets = g.shift_targets()
+    if spec.shift == "dirac":
+        moves = [g.shift_targets(targets[role])[[1, 0]] for role in (3, 2)]
+    else:
+        moves = [targets[c:c + 1] for c in range(g.coin_dim)]
+    plans = uniform_state(g)._move_plans()
+    assert len(plans) == len(moves)
+    for plan, expected in zip(plans, moves):
+        assert plan.wrap.size <= g.n // spec.dims[0]  # one face: the rotation wraps the slowest axis
+        for j, move in enumerate(expected):
+            rows = [np.zeros(g.n) for _ in expected]
+            rows[j] = np.arange(g.n, dtype=np.float64)
+            read = np.full(g.n, -1.0)
+            _apply(plan, np.add if len(rows) > 1 else None, read, rows)
+            assert np.array_equal(read, move)
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILIES)
@@ -437,19 +480,9 @@ def test_squared_norm_is_the_sum_of_squares(seed):
 
 # -- the owed flip-flop shift -----------------------------------------------------
 
-OWED_ARENAS = ([torus_spec(side, ndim) for ndim in (1, 2, 3) for side in (2, 3, 5)]
-               + [hypercube_spec(d) for d in range(1, 11)])
-
-
-def _start_states(g, seed):
-    real = real_random_state(g, seed)
-    real.amps[:, ::3] = -0.0  # np.sum's start from +0.0 shows in the signs of zeros
-    return real, as_complex(real)
-
-
 @pytest.mark.parametrize("spec", OWED_ARENAS, ids=lambda s: s.label())
 def test_owed_steps_match_coin_and_settle(spec):
-    # the reference makes every shift as a copy and never owes one
+    # the reference makes every shift at once and never owes one
     g = build_graph(spec)
     coin = default_coin(g, marked=sorted({0, g.n - 1}))
     for start in _start_states(g, seed=12):
@@ -461,6 +494,27 @@ def test_owed_steps_match_coin_and_settle(spec):
             for _ in range(t):
                 step(owing, coin)
             assert owing.amps.tobytes() == settled.amps.tobytes(), t
+
+
+@pytest.mark.parametrize("spec", [torus_spec(3, 1), torus_spec(3), torus_spec(2, 3),
+                                  hypercube_spec(1), hypercube_spec(4)], ids=lambda s: s.label())
+def test_owed_coin_on_columns_of_negative_zeros(spec):
+    # no step leaves a -0.0 in an owing buffer, so set one up: the owed
+    # coin's column sums start from 0.0 as np.sum's do, and a column of -0.0
+    # comes out +0.0 on both routes
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(1,))
+    real, cplx = _start_states(g, seed=15)  # psi with a column of -0.0 at every third vertex
+    signed = as_complex(real)
+    signed.amps.imag[:, 1::2] = -0.0
+    for start in (real, cplx, signed):
+        owing = start.copy()
+        _settle(owing)  # the buffer S psi,
+        owing._owed = True  # of a state that owes S: it holds psi
+        settled = start.copy()
+        apply_coin(owing, coin)
+        apply_coin(settled, coin)
+        assert owing.amps.tobytes() == settled.amps.tobytes()
 
 
 @pytest.mark.parametrize("spec", OWED_ARENAS, ids=lambda s: s.label())
