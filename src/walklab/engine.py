@@ -1,23 +1,26 @@
 """Walk states and the one-step evolution U' = S * C'.
 
-The state is an array indexed (direction, vertex).  Every walk here is
-real (real orthogonal coins, permutation shifts, real start states), so
-the drivers run float64 states; a complex128 state takes the same code,
-and with zero imaginary parts steps to the same bits.  One step costs
-O(coin_dim * N) and allocates no state-sized array.  The Grover coin works
-in place from one column sum per vertex.
+A state is one amplitude array indexed (direction, vertex) plus a few
+vertex rows of scratch that it owns; every step runs inside that array.
+Every walk here is real (real orthogonal coins, permutation shifts, real
+start states), so the drivers run float64 states; a complex128 state takes
+the same code, and with zero imaginary parts steps to the same bits.  One
+step costs O(coin_dim * N) and allocates no state-sized array.  The Grover
+coin works in place from one column sum per vertex.
 
 The flip-flop shift S|c, v> = |label(c), target_c(v)> (label c^1 on tori,
 the reversed direction; c on the hypercube) is an involution, S^2 = I, so
 a state takes it without moving its amplitudes: `apply_shift` marks the
-shift owed, and the buffer P then holds psi = S P, psi[c, w] =
+shift owed, and the array P then holds psi = S P, psi[c, w] =
 P[label(c), target_c(w)].  The next coin acts on P as S C' S, in place and
 through one scratch row for the column sums (and on the hypercube a
 second for a flipped row), so the state holds C' psi and still owes the
-shift; the next `apply_shift` pays it by clearing the
-mark.  Reading `WalkState.amps` settles an owed shift first, in place: each
-torus row pair (c, c^1) trades places through the scratch row, and each
-hypercube row flips its bit through it.
+shift; the next `apply_shift` pays it by clearing the mark.  Only this
+module knows whether a state owes its shift: reading `WalkState.amps`
+pays it first, in place (each torus row pair (c, c^1) trades places
+through the scratch row, and each hypercube row flips its bit through
+it), while `vertex_probabilities` reads an owing state through the shift
+and `squared_norm` sums the array in whatever order it stands.
 
 A torus row is read through a move by its plan (`_build_plans`), built
 from `Graph.shift_targets` at the first step and held by the state: away
@@ -25,15 +28,15 @@ from the faces a move is a flat offset, target(v) = v + k, so one ufunc
 over two contiguous views does most of the row, and the few vertices
 where the move wraps around are read through two small index arrays,
 written after the flat op from values taken before it.  The moving shift
-copies each row through its plan into a spare buffer that the state owns,
-and the two swap roles; the dirac shift reads both rows through its two
-composed half-moves straight into the Hadamard butterfly.  A hypercube
-row moves by swapping runs of amplitudes (`_flip_bit`).  The complete
-graph's register swap copies nothing either: it holds `amps` as the
-transpose of the array it had, so `amps` is C-ordered after an even number
-of swaps and F-ordered after an odd number.  The kernels here take either
-order without copying the state; only `WalkState.vector` copies a
-transposed one.
+copies each row into a scratch row and reads it back through its plan;
+the dirac shift reads both rows through its two composed half-moves into
+two scratch rows, the Hadamard butterfly, and writes the state from
+them.  A hypercube row moves by swapping runs of amplitudes
+(`_flip_bit`).  The complete graph's register swap copies nothing either:
+it holds `amps` as the transpose of the array it had, so `amps` is
+C-ordered after an even number of swaps and F-ordered after an odd
+number.  The kernels here take either order without copying the state;
+only `WalkState.vector` copies a transposed one.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .graphs import ConfigurationError, Graph
 # numpy divides complex by a real as a product with its reciprocal, so
 # scaling by reciprocals steps a real state to the same bits as the complex one
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class WalkState:
     state's own (a copy of the input): float64 for real input, complex128
     for complex input."""
 
-    __slots__ = ("graph", "_amps", "_owed", "_spare", "_rows", "_plans")
+    __slots__ = ("graph", "_amps", "_owed", "_rows", "_plans", "_index")
 
     def __init__(self, graph: Graph, amps: np.ndarray):
         if amps.shape != (graph.coin_dim, graph.n):
@@ -90,9 +92,9 @@ class WalkState:
         self.graph = graph
         dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
         self.amps = np.array(amps, dtype=dtype, order="C")
-        self._spare = None
         self._rows = None
         self._plans = None
+        self._index = None
 
     @property
     def amps(self) -> np.ndarray:
@@ -106,22 +108,11 @@ class WalkState:
         self._amps = amps
         self._owed = False  # True while _amps holds S psi (see apply_shift)
 
-    @property
-    def buffer(self) -> np.ndarray:
-        """The amplitude array as it stands: `amps`, or while the state owes
-        its shift, the same amplitudes in another order."""
-        return self._amps
-
     def copy(self) -> "WalkState":
         return WalkState(self.graph, self.amps)
 
     def norm(self) -> float:
-        return math.sqrt(squared_norm(self.amps))
-
-    def check_normalized(self) -> None:
-        defect = abs(self.norm() - 1.0)
-        if defect > _NORM_TOL:
-            raise ValueError(f"state norm off by {defect:.3e} (tolerance {_NORM_TOL:.1e})")
+        return math.sqrt(squared_norm(self))
 
     @property
     def vector(self) -> np.ndarray:
@@ -129,26 +120,15 @@ class WalkState:
         a copy while the state is held transposed."""
         return self.amps.reshape(-1)
 
-    def _spare_buffer(self) -> np.ndarray:
-        """C-ordered scratch array shaped like amps, owned by this state alone."""
-        if self._spare is None:
-            self._spare = np.empty(self._amps.shape, self._amps.dtype)
-        return self._spare
-
     def _scratch_rows(self) -> np.ndarray:
         """Vertex rows of the state's dtype, owned by this state alone: the
-        column sums and, on the hypercube, one flipped row."""
+        column sums or a moved row, and a second row on the hypercube (a
+        flipped row) and on dirac (the butterfly's other half)."""
         if self._rows is None:
-            count = 2 if self.graph.spec.family == "hypercube" else 1
+            spec = self.graph.spec
+            count = 2 if spec.family == "hypercube" or spec.shift == "dirac" else 1
             self._rows = np.empty((count, self.graph.n), self._amps.dtype)
         return self._rows
-
-    def _free_row(self) -> np.ndarray:
-        """A vertex row free between steps: the spare buffer's first row
-        where the shift keeps a spare (moving, dirac), else a scratch row."""
-        if self.graph.spec.shift in ("moving", "dirac"):
-            return self._spare_buffer()[0]
-        return self._scratch_rows()[0]
 
     def _move_plans(self) -> tuple:
         """The torus's move plans (`_build_plans`), built at first use and
@@ -171,14 +151,16 @@ def marked_coin_state(graph: Graph, vertex: int) -> WalkState:
     return WalkState(graph, amps)
 
 
-def squared_norm(amps: np.ndarray) -> float:
-    """sum |a|^2 of a state array, over the float64 (re, im) view if complex.
+def squared_norm(state: WalkState) -> float:
+    """sum |a|^2 of a state, over the float64 (re, im) view if complex.
 
-    The terms are summed in memory order, which a transposed state gives
-    without a copy.  einsum sums in numpy's own loop, so unlike a BLAS dot
-    its bits do not depend on the thread count.
+    The terms are summed in the memory order of the state's array as it
+    stands, which a transposed state gives without a copy; a state that
+    owes its shift holds the same amplitudes in another order, so only the
+    last bits can differ from the paid state's.  einsum sums in numpy's own
+    loop, so unlike a BLAS dot its bits do not depend on the thread count.
     """
-    flat = amps.ravel(order="K").view(np.float64)
+    flat = state._amps.ravel(order="K").view(np.float64)
     return float(np.einsum("i,i->", flat, flat))
 
 
@@ -202,9 +184,7 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
         return state
 
     marked = list(coin.marked)
-    # the moving shift fills the spare every step, and its coin measured
-    # faster with the column sums in the spare's first row
-    colsum = state._free_row()
+    colsum = state._scratch_rows()[0]
     if np.iscomplexobj(amps):
         # on a transposed state numpy sums along the contiguous axis
         # pairwise, and pairs complex terms unlike float64 ones; summing the
@@ -223,7 +203,7 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
 
 
 def _coin_through_shift(state: WalkState, coin: CoinConfig) -> None:
-    """C' on a state that owes its flip-flop shift: S C' S on the buffer P,
+    """C' on a state that owes its flip-flop shift: S C' S on the array P,
     in place, so that the state owes the shift of C' psi.
 
     With psi[c, w] = P[label(c), target_c(w)], psi's column sums add row
@@ -366,8 +346,8 @@ def apply_shift(state: WalkState) -> WalkState:
     A flip-flop shift is owed, not made: the state's mark flips and no
     amplitude moves (see the module docstring).  The complete graph's swap,
     amps[c, v] -> amps[v, c], sets `amps` to its transpose, a view; a second
-    swap gives back the C-ordered array.  The moving and dirac shifts copy
-    through the state's spare buffer.
+    swap gives back the C-ordered array.  The moving and dirac shifts move
+    the amplitudes through the state's scratch rows.
     """
     shift = state.graph.spec.shift
     if shift == "flip_flop":
@@ -382,7 +362,7 @@ def apply_shift(state: WalkState) -> WalkState:
 
 
 def _settle(state: WalkState) -> None:
-    """Make the flip-flop shift on the buffer in place and clear the mark:
+    """Make the flip-flop shift on the array in place and clear the mark:
     the state's way to pay a shift it owes.  Each torus row pair (c, c^1)
     trades places through one scratch row, each read through its move,
     and each hypercube row flips its bit through it."""
@@ -402,27 +382,27 @@ def _settle(state: WalkState) -> None:
 
 def _moving_shift(state: WalkState) -> None:
     """The moving shift S|c, v> = |c, target_c(v)>: row c arrives from
-    target_(c^1), the reverse direction, copied into the spare buffer, which
-    then becomes the state, and the old amplitude array becomes the spare."""
-    src, dst = state._amps, state._spare_buffer()
+    target_(c^1), the reverse direction; it is copied into the scratch row
+    and read back through that direction's plan."""
+    amps, row = state._amps, state._scratch_rows()[0]
     plans = state._move_plans()
     for c in range(state.graph.coin_dim):
-        _apply(plans[c ^ 1], None, dst[c], (src[c],))
-    state.amps, state._spare = dst, src
+        np.copyto(row, amps[c])
+        _apply(plans[c ^ 1], None, amps[c], (row,))
 
 
 def _dirac_step(state: WalkState) -> None:
     """The dirac shift: the y half-move in the coin basis, then the x
     half-move in the Hadamard basis.  The first is folded into the second's
-    reads (see `_build_plans`), whose butterflies go into the spare buffer;
-    the butterfly back to the coin basis writes the state."""
-    amps, spare = state._amps, state._spare_buffer()
+    reads (see `_build_plans`), whose butterflies go into the two scratch
+    rows; the butterfly back to the coin basis writes the state."""
+    amps, rows = state._amps, state._scratch_rows()
     left, right = state._move_plans()
-    _apply(left, np.add, spare[0], (amps[0], amps[1]))
-    _apply(right, np.subtract, spare[1], (amps[0], amps[1]))
-    spare *= _INV_SQRT2
-    np.add(spare[0], spare[1], out=amps[0])
-    np.subtract(spare[0], spare[1], out=amps[1])
+    _apply(left, np.add, rows[0], (amps[0], amps[1]))
+    _apply(right, np.subtract, rows[1], (amps[0], amps[1]))
+    rows *= _INV_SQRT2
+    np.add(rows[0], rows[1], out=amps[0])
+    np.subtract(rows[0], rows[1], out=amps[1])
     amps *= _INV_SQRT2
 
 
@@ -467,10 +447,10 @@ def reflect_about(state: WalkState, axis: WalkState) -> WalkState:
     The overlap pairs the entries by (direction, vertex) whatever the memory
     order of either state.  einsum takes it in numpy's own loop, so its bits
     do not depend on the BLAS thread count.  Each row of (2 overlap) axis
-    is formed in a row the state keeps free between steps, so no
-    state-sized temporary is made.
+    is formed in the state's first scratch row, so no state-sized
+    temporary is made.
     """
-    amps, row = state.amps, state._free_row()
+    amps, row = state.amps, state._scratch_rows()[0]
     scale = 2.0 * np.einsum("ij,ij->", axis.amps.conj(), amps)
     for axis_row, state_row in zip(axis.amps, amps):
         np.subtract(np.multiply(scale, axis_row, out=row), state_row, out=state_row)
@@ -486,15 +466,14 @@ def flip_marked_vertices(state: WalkState, marked) -> WalkState:
 # -- measurement -----------------------------------------------------------
 
 
-def vertex_probabilities(state: WalkState, vertices=None, owed_at=None) -> np.ndarray:
+def vertex_probabilities(state: WalkState, vertices=None) -> np.ndarray:
     """p(v) summed over the coin register, for every vertex or for `vertices`.
 
     A state that owes its shift is read through it at `vertices`, without
-    settling: at `owed_at`, which `owed_index(graph, vertices)` gives and a
-    caller reading the same vertices every step computes once.
+    paying it (`_owed_index`).
     """
     if vertices is not None and state._owed:
-        a = state._amps[owed_index(state.graph, vertices) if owed_at is None else owed_at]
+        a = state._amps[_owed_index(state, vertices)]
     else:
         a = state.amps
         if vertices is not None:
@@ -507,14 +486,20 @@ def vertex_probabilities(state: WalkState, vertices=None, owed_at=None) -> np.nd
     return np.add.accumulate(squares, axis=0)[-1]
 
 
-def owed_index(graph: Graph, vertices) -> tuple[np.ndarray, np.ndarray]:
-    """The index into the buffer of a state that owes its flip-flop shift
+def _owed_index(state: WalkState, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """The index into the array of a state that owes its flip-flop shift
     that reads amps[:, vertices]: direction c's entry at w sits at
-    (label(c), target_c(w))."""
-    labels = np.arange(graph.coin_dim)
-    if graph.spec.family == "torus":
-        labels ^= 1
-    return labels[:, None], graph.shift_targets(vertices)
+    (label(c), target_c(w)).  A run reads the same vertices every step and
+    the shift table costs tens of microseconds a call, so the state keeps
+    the index of the last vertex set it was read at, keyed by its contents."""
+    key = np.asarray(vertices, dtype=np.int64).tobytes()
+    if state._index is None or state._index[0] != key:
+        graph = state.graph
+        labels = np.arange(graph.coin_dim)
+        if graph.spec.family == "torus":
+            labels ^= 1
+        state._index = key, (labels[:, None], graph.shift_targets(vertices))
+    return state._index[1]
 
 
 def closed_neighborhood(graph: Graph, vertices) -> np.ndarray:

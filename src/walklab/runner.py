@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .engine import (CoinConfig, WalkState, closed_neighborhood, default_coin,
-                     flip_marked_vertices, owed_index, reflect_about, squared_norm,
-                     step, uniform_state, vertex_probabilities)
+                     flip_marked_vertices, reflect_about, squared_norm, step,
+                     uniform_state, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 from .search import PredictionReport, predict
 
@@ -93,23 +93,17 @@ class _Watch:
         # probability, which the norm gives without gathering every column
         self.everything = len(self.support) == graph.n
         self.at = np.searchsorted(self.support, self.watch)
-        # a flip-flop state owes its shift after odd steps and is read through
-        # it there; the shift table costs tens of microseconds a call
-        self.owed_at = (owed_index(graph, self.support)
-                        if graph.spec.shift == "flip_flop" else None)
         self.p_marked = np.empty(t_max + 1)
         self.p_nbhd = np.empty(t_max + 1)
         self.norms = np.empty(t_max + 1)
 
     def __call__(self, t: int, state: WalkState) -> None:
-        # the norm sums the buffer as it stands: the same amplitudes, maybe
-        # in the owed shift's order, so only its last bits can move
-        norm2 = squared_norm(state.buffer)
+        norm2 = squared_norm(state)
         if self.everything:
             self.p_marked[t] = vertex_probabilities(state, self.watch).sum()
             self.p_nbhd[t] = norm2
         else:
-            p = vertex_probabilities(state, self.support, self.owed_at)
+            p = vertex_probabilities(state, self.support)
             self.p_marked[t] = p[self.at].sum()
             self.p_nbhd[t] = p.sum()
         self.norms[t] = math.sqrt(norm2)

@@ -2,7 +2,9 @@
 
 Translation-invariant shifts act mode by mode: on mode k the walk
 reduces to a coin-sized unitary block D_k * C0, whose non-trivial
-eigenphase pair +-theta_k has a closed cosine form (`closed_form_cos`).
+eigenphase pair +-theta_k has a closed form in the half angle,
+sin^2(theta_k/2) (`sin2_half_theta`), from which theta_k = 2 asin(sqrt(.))
+keeps its relative accuracy however small it is.
 This module evaluates that form on every mode at once and assembles the
 abstract-search input (eigenphases, projection weights of the marked
 coin state, multiplicities), the spectral sums that set the run-time
@@ -30,22 +32,30 @@ _MERGE_DECIMALS = 10  # eigenphases closer than this are one degenerate level
 _COMPLETENESS_TOL = 1e-9  # largest |sum of all weights - 1| a spectrum may have
 
 
-def closed_form_cos(spec: GraphSpec, mode) -> float | np.ndarray:
-    """cos(theta) of the non-trivial eigenphase pair on one mode, or on each
-    row of an (M, d) array of modes."""
+def sin2_half_theta(spec: GraphSpec, mode) -> float | np.ndarray:
+    """sin^2(theta/2) = (1 - cos theta)/2 of the non-trivial eigenphase pair
+    on one mode, or on each row of an (M, d) array of modes.
+
+    The half-angle form has no cancellation near theta = 0, where
+    acos(mean cos(2 pi k_i/L)) loses about eps/theta^2 relative accuracy.
+    """
     mode = np.asarray(mode)
     if spec.family == "hypercube":
-        return 1.0 - 2.0 * mode.sum(axis=-1) / spec.dims[0]
+        return mode.sum(axis=-1) / spec.dims[0]
     length = spec.dims[0]
     if spec.shift == "flip_flop":
-        return np.mean(np.cos(2 * _PI * mode / length), axis=-1)
+        return np.mean(np.sin(_PI * mode / length) ** 2, axis=-1)
     if spec.shift == "moving":
-        return -np.mean(np.cos(2 * _PI * mode / length), axis=-1)
+        return np.mean(np.cos(_PI * mode / length) ** 2, axis=-1)
     if spec.shift == "dirac":
         k, el = mode[..., 0], mode[..., 1]
-        return 0.5 * (np.cos(2 * _PI * (k + el) / length)
-                      + np.cos(2 * _PI * (k - el) / length))
+        return 0.5 * (np.sin(_PI * (k + el) / length) ** 2
+                      + np.sin(_PI * (k - el) / length) ** 2)
     raise ConfigurationError(f"no closed form for shift {spec.shift!r}")
+
+
+def _theta(sin2_half) -> np.ndarray:
+    return 2.0 * np.arcsin(np.sqrt(sin2_half))
 
 
 # -- mode spectrum ---------------------------------------------------------
@@ -126,11 +136,6 @@ def _levels(theta, weight: float, multiplicity) -> np.recarray:
                              names="theta,weight,multiplicity")
 
 
-def _acos(cos_values: np.ndarray) -> list[float]:
-    # math.acos, not np.arccos: the two differ in the last bits
-    return [math.acos(c) for c in cos_values.tolist()]
-
-
 def torus_modes(spec: GraphSpec) -> np.ndarray:
     """Every Fourier mode of the torus as an (M, d) int array, one row per
     mode in itertools.product order; C order, so that reductions along a row
@@ -167,23 +172,22 @@ def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
                 f"hypercube degree {d} is beyond the spectral route: the level weight "
                 f"1/(2N) needs 2N = 2^{d + 1} as a float64, which stops at degree 1022")
         # row w-1 of the lower triangle is a mode of Hamming weight w
-        cos_theta = closed_form_cos(spec, np.tri(d, dtype=np.int64))
+        theta = _theta(sin2_half_theta(spec, np.tri(d, dtype=np.int64)))
         mult = [math.comb(d, w) for w in range(1, d + 1)]
-        ms = ModeSpectrum(1.0 / n, _levels(_acos(cos_theta), 1.0 / (2 * n), mult),
-                          n, spec.family)
+        ms = ModeSpectrum(1.0 / n, _levels(theta, 1.0 / (2 * n), mult), n, spec.family)
         ms.validate()
         return ms
 
     # tori: flip-flop any dimension, dirac in two; row 0 is the zero mode
-    cos_theta = closed_form_cos(spec, torus_modes(spec)[1:])
-    rotating = cos_theta <= 1.0 - 1e-12
+    sin2_half = sin2_half_theta(spec, torus_modes(spec)[1:])
+    rotating = 2.0 * sin2_half >= 1e-12  # 1 - cos(theta) of at least 1e-12
     # each extra +1 block keeps its share of |s,v> from rotating
     frozen = np.count_nonzero(~rotating) / n
-    cos_theta = np.maximum(cos_theta[rotating], -1.0)
+    theta = _theta(sin2_half[rotating])
     # one level per eigenphase to _MERGE_DECIMALS, valued at its first mode
-    _, first, mult = np.unique(np.round(np.arccos(cos_theta), _MERGE_DECIMALS),
+    _, first, mult = np.unique(np.round(theta, _MERGE_DECIMALS),
                                return_index=True, return_counts=True)
-    ms = ModeSpectrum(1.0 / n, _levels(_acos(cos_theta[first]), 1.0 / (2 * n), mult),
+    ms = ModeSpectrum(1.0 / n, _levels(theta[first], 1.0 / (2 * n), mult),
                       n, spec.family, frozen_weight=frozen)
     ms.validate()
     return ms
@@ -205,7 +209,7 @@ def spectral_sums(ms: ModeSpectrum) -> tuple[float, float, float]:
     Scot = sum a_j^2 m_j cot^2(theta_j/4)          -- sets the good overlap
     """
     lv = ms.entries
-    gap = 1.0 - np.cos(lv.theta)
+    gap = 2.0 * np.sin(lv.theta / 2.0) ** 2  # 1 - cos(theta), free of cancellation
     ratio = lv.weight / ms.a0_sq * lv.multiplicity
     # math.tan, not np.tan: the two differ in the last bits
     tan_quarter = np.array([math.tan(t / 4.0) for t in lv.theta.tolist()])

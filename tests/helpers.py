@@ -22,8 +22,9 @@ import numpy as np
 import scipy.linalg
 
 from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build_graph,
-                     closed_form_cos, default_coin, dense_principal_pair, dense_unitary,
-                     grover_coin, step, torus_modes, uniform_state, vertex_probabilities)
+                     default_coin, dense_principal_pair, dense_unitary,
+                     grover_coin, sin2_half_theta, step, torus_modes, uniform_state,
+                     vertex_probabilities)
 from walklab.engine import closed_neighborhood
 
 _PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
@@ -59,9 +60,9 @@ def levels(*rows) -> np.recarray:
 def per_mode_levels(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """(theta, multiplicity, frozen_weight) of mode_spectrum, one mode at a time.
 
-    closed_form_cos is called per mode; eigenphases are grouped on
-    round(theta, 10) and each level keeps the theta of its first mode in
-    itertools.product order.
+    sin2_half_theta is called per mode and theta taken in the same half-angle
+    form; eigenphases are grouped on round(theta, 10) and each level keeps
+    the theta of its first mode in itertools.product order.
     """
     if spec.family == "hypercube":
         modes = product((0, 1), repeat=spec.dims[0])
@@ -74,11 +75,11 @@ def per_mode_levels(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, float]:
     for mode in modes:
         if not any(mode):
             continue
-        cos_theta = float(closed_form_cos(spec, mode))
-        if cos_theta > 1.0 - 1e-12:
+        sin2_half = sin2_half_theta(spec, mode)
+        if 2.0 * sin2_half < 1e-12:
             frozen += 1.0 / n
             continue
-        theta = math.acos(max(-1.0, cos_theta))
+        theta = float(2.0 * np.arcsin(np.sqrt(sin2_half)))  # math.asin differs in the last bits
         found.setdefault(round(theta, 10), [theta, 0])[1] += 1
     theta, mult = zip(*sorted(found.values()))
     return np.array(theta), np.array(mult), frozen
@@ -276,7 +277,7 @@ def closed_form_block_phases(spec: GraphSpec, mode) -> list[float]:
     hypercube pair sits beside (w-1) ones and (d-w-1) minus-ones where w is
     the mode weight; the two-dimensional coin has just the pair.
     """
-    theta = math.acos(max(-1.0, min(1.0, closed_form_cos(spec, mode))))
+    theta = 2.0 * math.asin(math.sqrt(sin2_half_theta(spec, mode)))
     if spec.shift == "dirac":
         return [theta, -theta]
     if spec.family == "hypercube":

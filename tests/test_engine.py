@@ -12,7 +12,7 @@ from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
                      dense_unitary, evolve_dense, hypercube_spec, marked_coin_state,
                      reflect_about, step, torus_spec, uniform_state,
                      vertex_probabilities)
-from walklab.engine import _apply, _settle, owed_index, squared_norm
+from walklab.engine import _apply, _owed_index, _settle, squared_norm
 
 from helpers import (load_state, neighborhood_probability, random_state, save_state,
                      translate)
@@ -354,14 +354,6 @@ def test_state_serialization_roundtrip(tmp_path):
         load_state(other, path)
 
 
-def test_check_normalized():
-    g = build_graph(torus_spec(4))
-    uniform_state(g).check_normalized()
-    bad = WalkState(g, np.full((4, 16), 0.3, dtype=complex))
-    with pytest.raises(ValueError, match="norm"):
-        bad.check_normalized()
-
-
 def test_neighborhood_probability_union_semantics():
     g = build_graph(torus_spec(4))
     state = uniform_state(g)
@@ -474,8 +466,8 @@ def test_squared_norm_is_the_sum_of_squares(seed):
     g = build_graph(torus_spec(16))
     for state in (random_state(g, seed), real_random_state(g, seed)):
         exact = math.fsum(np.abs(state.vector) ** 2)
-        assert squared_norm(state.amps) == pytest.approx(exact, rel=1e-14)
-        assert state.norm() == math.sqrt(squared_norm(state.amps))
+        assert squared_norm(state) == pytest.approx(exact, rel=1e-14)
+        assert state.norm() == math.sqrt(squared_norm(state))
 
 
 # -- the owed flip-flop shift -----------------------------------------------------
@@ -520,18 +512,18 @@ def test_owed_coin_on_columns_of_negative_zeros(spec):
 @pytest.mark.parametrize("spec", OWED_ARENAS, ids=lambda s: s.label())
 def test_amps_after_an_odd_number_of_steps_is_the_shifted_array(spec):
     # S moves the entry at flat index i to perm[i]; an owing state holds the
-    # buffer before that move, and reading amps makes it
+    # array before that move, and reading amps makes it
     g = build_graph(spec)
     perm = g.shift_permutation()
     coin = default_coin(g, marked=(g.n // 2,))
     for state in _start_states(g, seed=13):
         for _ in range(3):
             step(state, coin)
-        buffer = state.buffer.copy()
-        shifted = np.empty_like(buffer.ravel())
-        shifted[perm] = buffer.ravel()
+        before = state._amps.copy()
+        shifted = np.empty_like(before.ravel())
+        shifted[perm] = before.ravel()
         assert state.amps.tobytes() == shifted.tobytes()
-        assert state.buffer is state.amps  # paid: the buffer is the state again
+        assert state._amps is state.amps and not state._owed  # paid in place
 
 
 @pytest.mark.parametrize("spec", [torus_spec(5, 1), torus_spec(5), torus_spec(3, 3),
@@ -540,18 +532,22 @@ def test_amps_after_an_odd_number_of_steps_is_the_shifted_array(spec):
 def test_vertex_probabilities_of_an_owing_state_match_the_settled_state(spec):
     g = build_graph(spec)
     coin = default_coin(g, marked=(1 % g.n,))
-    subsets = [[0], [g.n - 1, 0], np.arange(g.n)[::2], np.arange(g.n)]
+    # the state keeps the index of the last vertex set it was read at; the
+    # reads that alternate between two orders of one set show that it
+    # follows the vertices, not their count
+    subsets = [[0], [g.n - 1, 0], np.arange(g.n)[::2], np.arange(g.n),
+               [g.n - 1, 0], [0, g.n - 1], [g.n - 1, 0], [0]]
     for start in _start_states(g, seed=14):
         owing, settled = start.copy(), start.copy()
         step(owing, coin)
         step(settled, coin)
         settled.amps  # pays the shift
-        buffer = owing.buffer
+        array = owing._amps
         for vs in subsets:
             expected = vertex_probabilities(settled, vs).tobytes()
             assert vertex_probabilities(owing, vs).tobytes() == expected
-            at = owed_index(g, vs)
-            assert vertex_probabilities(owing, vs, at).tobytes() == expected
-            assert owing.buffer is buffer  # read through the shift, not settled
+            # kept, keyed by the vertices' contents
+            assert _owed_index(owing, np.array(vs)) is _owed_index(owing, list(vs))
+            assert owing._amps is array and owing._owed  # read through the shift, not settled
         assert (vertex_probabilities(owing).tobytes()
                 == vertex_probabilities(settled).tobytes())

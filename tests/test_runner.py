@@ -317,63 +317,46 @@ def test_step_loop_never_reaches_blas(spec, monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", blas)
     run_walk(g, coin, 12)
     amplify(g, coin, 6, 2)
-    uniform_state(g).check_normalized()
-    probe.check_normalized()
+    for state in (uniform_state(g), probe):
+        assert abs(state.norm() - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("spec", [torus_spec(128), torus_spec(24, 3), hypercube_spec(13)],
-                         ids=lambda s: s.label())
-def test_flip_flop_run_holds_one_state_sized_array(spec):
-    # the flip-flop shift is owed, not copied, so no spare state is made;
-    # the two scratch rows are a fraction of the state (coin_dim > 2 here),
-    # and numpy's 64 KiB ufunc buffers a small one at these sizes
+# (run_walk's arena, its bounds, amplify's arena, its bound), in states of
+# the arena: each holds the state, the vertex rows it steps through, its
+# move plans (built at the first step) and numpy's 64 KiB ufunc buffers;
+# amplify adds the walked copy.  Dirac's two rows at coin_dim 2 are a whole
+# state; every other family's rows are a fraction of one.
+MEMORY_CASES = [
+    (torus_spec(128), (1.0, 2.0), torus_spec(128), 3.0),
+    (torus_spec(24, 3), (1.0, 2.0), torus_spec(24, 3), 3.0),
+    (hypercube_spec(13), (1.0, 2.0), hypercube_spec(13), 3.0),
+    (complete_spec(512), (1.0, 2.0), complete_spec(512), 3.0),
+    (torus_spec(128, shift="moving"), (1.0, 1.5), torus_spec(64, shift="moving"), 2.5),
+    (torus_spec(256, shift="dirac"), (2.0, 2.25), torus_spec(64, shift="dirac"), 3.2),
+]
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec, run_bounds, amplify_spec, amplify_bound", MEMORY_CASES,
+                         ids=[case[0].label() for case in MEMORY_CASES])
+def test_walks_hold_the_state_and_its_rows(spec, run_bounds, amplify_spec, amplify_bound):
+    # every shift runs inside the state's own array, so no spare state is
+    # made; amplify's odd walk length ends owing a flip-flop shift, which
+    # the state pays in place before it is copied
     g = build_graph(spec)
-    coin = default_coin(g, marked=(3,))
     state_bytes = 8 * g.coin_dim * g.n
-    tracemalloc.start()
-    try:
-        run_walk(g, coin, 9)
-        peak = tracemalloc.get_traced_memory()[1]
-        amplify_peaks = []
-        for walk_length in (8, 9):  # after 9 steps the state owes its shift and pays it in place
-            tracemalloc.reset_peak()
-            amplify(g, coin, walk_length, 1)  # the state, the walked copy and the scratch rows
-            amplify_peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert state_bytes <= peak < 2 * state_bytes
-    assert max(amplify_peaks) < 3 * state_bytes
-
-
-@pytest.mark.parametrize("spec", [torus_spec(128, shift="moving"), torus_spec(256, shift="dirac")],
-                         ids=lambda s: s.label())
-def test_copying_shift_run_holds_the_state_and_its_spare(spec):
-    # the moving and dirac shifts copy through a spare buffer; their move
-    # plans, built at the first step, and everything else a run holds stay
-    # under a quarter of the state
-    g = build_graph(spec)
+    peak = _traced_peak(lambda: run_walk(g, default_coin(g, marked=(3,)), 9))
+    assert run_bounds[0] * state_bytes <= peak < run_bounds[1] * state_bytes
+    g = build_graph(amplify_spec)
     coin = default_coin(g, marked=(3,))
-    state_bytes = 8 * g.coin_dim * g.n
-    tracemalloc.start()
-    try:
-        run_walk(g, coin, 9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 2 * state_bytes <= peak < 2.25 * state_bytes
-
-
-# dirac's two move plans hold about 6 KiB, a tenth of the state at side 64
-@pytest.mark.parametrize("shift, bound", [("moving", 3.1), ("dirac", 3.2)])
-def test_amplify_on_copying_shifts_reflects_in_the_spare_row(shift, bound):
-    # the state, its spare and the walked copy: reflect_about forms its rows
-    # in the spare's first row, which is free between steps
-    g = build_graph(torus_spec(64, shift=shift))
-    coin = default_coin(g, marked=(3,))
-    tracemalloc.start()
-    try:
-        amplify(g, coin, 31, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound * 8 * g.coin_dim * g.n
+    for walk_length in (30, 31):
+        peak = _traced_peak(lambda: amplify(g, coin, walk_length, 3))
+        assert peak < amplify_bound * 8 * g.coin_dim * g.n, walk_length

@@ -292,15 +292,16 @@ def test_secular_prediction_matches_the_dense_route_on_small_arenas(spec):
 
 def test_1d_torus_matches_its_closed_form_past_the_dense_cap():
     # the marked 1D walk is one signed cycle of length 2L (the two minus
-    # signs are the marked vertex's coin entries), so its phases are k pi/L
-    side = 10 ** 4
-    report = predict(torus_spec(side, 1))
-    assert report.alpha == pytest.approx(math.pi / side, rel=0, abs=1e-12)
-    # alpha's relative error grows about as side^2 here (7.8e-11 at this
-    # side, 3.9e-13 at side 1000), and the overlaps follow it
-    start = math.sqrt(2.0) / math.tan(math.pi / (2 * side)) / side
-    assert report.start_overlap == pytest.approx(start, rel=0, abs=5e-11)
-    assert report.good_overlap == pytest.approx(math.sqrt(2.0 / side), rel=0, abs=5e-11)
+    # signs are the marked vertex's coin entries), so its phases are k pi/L;
+    # from cos(theta) = cos(2 pi k/L) the phases lost relative accuracy as
+    # side^2 (alpha off by 7.8e-11 at side 10^4 and 6.9e-9 at 10^5), while
+    # the half-angle form keeps them to rounding
+    for side in (10 ** 4, 10 ** 5):
+        report = predict(torus_spec(side, 1))
+        assert report.alpha == pytest.approx(math.pi / side, rel=1e-12, abs=0)
+        start = math.sqrt(2.0) / math.tan(math.pi / (2 * side)) / side
+        assert report.start_overlap == pytest.approx(start, rel=1e-12, abs=0)
+        assert report.good_overlap == pytest.approx(math.sqrt(2.0 / side), rel=1e-12, abs=0)
 
 
 # frozen regression constants, each verified against the dense oracle when

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import walklab
+from walklab import WalkState
 
 MODULES = sorted(Path(walklab.__file__).parent.glob("*.py"))
 
@@ -38,3 +39,47 @@ def test_every_private_module_name_is_read_in_its_module(path):
 def test_the_private_name_check_sees_a_dead_helper():
     source = "import os as _os\n_USED = 1\n\n\ndef _dead():\n    return _USED\n\n\ndef public():\n    pass\n"
     assert _unread_private_names(source) == {"_os", "_dead"}
+
+
+# slots only the engine may read: a state's array order, its owed shift and
+# its scratch
+_STATE_PRIVATE = frozenset(slot for slot in WalkState.__slots__ if slot.startswith("_"))
+
+
+def _engine_internals_named(source):
+    """The identifiers and attributes in `source` that name an owed shift,
+    and the private `WalkState` slots it reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+            if node.attr in _STATE_PRIVATE:
+                found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names = [node.arg]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        found.update(name for name in names if name and "owed" in name)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "engine.py"],
+                         ids=lambda path: path.stem)
+def test_only_the_engine_knows_a_state_owes_its_shift(path):
+    # whether a state owes its shift, and the order its array stands in,
+    # is the engine's decision; other modules read states through its API
+    named = sorted(_engine_internals_named(path.read_text(encoding="utf-8")))
+    assert not named, f"{path.name} names the engine's internals: {named}"
+
+
+def test_the_engine_internals_check_sees_an_owed_read():
+    source = ("from .engine import owed_index\n\n\n"
+              "def watch(state, at, owed_at=None):\n"
+              "    return state._amps[at], vertex_probabilities(state, at, owed_at=at)\n")
+    assert _engine_internals_named(source) == {"owed_index", "owed_at", "_amps"}

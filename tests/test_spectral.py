@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from walklab import (CoinConfig, ConfigurationError, build_graph,
-                     closed_form_cos, complete_spec, dense_eigens, dense_unitary,
+                     complete_spec, dense_eigens, dense_unitary,
                      grover_coin, hypercube_spec, marked_coin_state, mode_spectrum,
-                     moving_shift_stationary_overlap, spectral_sums, torus_modes,
-                     torus_spec, uniform_state)
+                     moving_shift_stationary_overlap, sin2_half_theta, spectral_sums,
+                     torus_modes, torus_spec, uniform_state)
 
 from helpers import (closed_form_block_phases, coin_block, eigenspace_projection,
                      lift_block_vector, per_mode_levels, per_mode_stationary_overlap,
@@ -49,7 +49,7 @@ def test_block_eigenphases_match_cosine_form():
     a = np.sort(np.mod(phases + np.pi, 2 * np.pi))
     b = np.sort(np.mod(np.array(expected) + np.pi, 2 * np.pi))
     assert np.allclose(a, b, atol=1e-9)
-    assert closed_form_cos(TORUS4, (0, 1)) == pytest.approx(0.5)
+    assert sin2_half_theta(TORUS4, (0, 1)) == pytest.approx(0.25)  # cos(theta) = 1/2
 
 
 @pytest.mark.parametrize("spec,modes", [
@@ -72,7 +72,7 @@ def test_closed_forms_match_numeric_blocks(spec, modes):
 def test_moving_zero_mode_has_minus_one():
     phases, _ = schur_eigens(coin_block(torus_spec(4, shift="moving"), (0, 0)))
     assert any(abs(abs(p) - math.pi) < 1e-12 for p in phases)
-    assert closed_form_cos(torus_spec(4, shift="moving"), (0, 0)) == pytest.approx(-1.0)
+    assert sin2_half_theta(torus_spec(4, shift="moving"), (0, 0)) == pytest.approx(1.0)
 
 
 def test_hypercube_level_degeneracy():
@@ -93,7 +93,7 @@ def test_one_eigenvectors_orthogonal_to_s(mode):
 
 def test_minus_one_eigenvectors_orthogonal_to_s_flip_flop():
     for mode in ALL_MODES_4:
-        if closed_form_cos(TORUS4, mode) <= -1 + 1e-12:
+        if sin2_half_theta(TORUS4, mode) >= 1 - 1e-12:
             continue  # theta = pi levels carry the |s> component by construction
         phases, vecs = schur_eigens(coin_block(TORUS4, mode))
         s = np.full(4, 0.5)
