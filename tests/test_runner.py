@@ -324,15 +324,13 @@ def test_step_loop_never_reaches_blas(spec, monkeypatch):
 # (run_walk's arena, its bounds, amplify's arena, its bound), in states of
 # the arena: each holds the state, the vertex rows it steps through, its
 # move plans (built at the first step) and numpy's 64 KiB ufunc buffers;
-# amplify adds the walked copy.  Dirac's two rows at coin_dim 2 are a whole
-# state; every other family's rows are a fraction of one.
+# amplify adds the walked copy.  The flip-flop and complete graph rows are a
+# fraction of a state; the copying shifts have tests of their own below.
 MEMORY_CASES = [
     (torus_spec(128), (1.0, 2.0), torus_spec(128), 3.0),
     (torus_spec(24, 3), (1.0, 2.0), torus_spec(24, 3), 3.0),
     (hypercube_spec(13), (1.0, 2.0), hypercube_spec(13), 3.0),
     (complete_spec(512), (1.0, 2.0), complete_spec(512), 3.0),
-    (torus_spec(128, shift="moving"), (1.0, 1.5), torus_spec(64, shift="moving"), 2.5),
-    (torus_spec(256, shift="dirac"), (2.0, 2.25), torus_spec(64, shift="dirac"), 3.2),
 ]
 
 
@@ -360,3 +358,32 @@ def test_walks_hold_the_state_and_its_rows(spec, run_bounds, amplify_spec, ampli
     for walk_length in (30, 31):
         peak = _traced_peak(lambda: amplify(g, coin, walk_length, 3))
         assert peak < amplify_bound * 8 * g.coin_dim * g.n, walk_length
+
+
+COPYING_SHIFT_RUNS = [(torus_spec(128, shift="moving"), (1.0, 1.5)),
+                      (torus_spec(256, shift="dirac"), (2.0, 2.25))]
+
+
+@pytest.mark.parametrize("spec, bounds", COPYING_SHIFT_RUNS,
+                         ids=[spec.label() for spec, _ in COPYING_SHIFT_RUNS])
+def test_copying_shift_run_holds_the_state_and_its_spare(spec, bounds):
+    # the moving and dirac shifts no longer copy through a spare state: the
+    # moving shift copies one row into the state's first vertex row, and
+    # dirac's butterfly takes two vertex rows, a whole state at coin_dim 2
+    g = build_graph(spec)
+    peak = _traced_peak(lambda: run_walk(g, default_coin(g, marked=(3,)), 9))
+    assert bounds[0] * 8 * g.coin_dim * g.n <= peak < bounds[1] * 8 * g.coin_dim * g.n
+
+
+# the ids keep the bounds these cases had while the moving shift copied
+# through a spare state (3.1 states); without it moving holds under 2.5
+@pytest.mark.parametrize("shift, bound", [("moving", 2.5), ("dirac", 3.2)],
+                         ids=["moving-3.1", "dirac-3.2"])
+def test_amplify_on_copying_shifts_reflects_in_the_spare_row(shift, bound):
+    # the state, its vertex rows and the walked copy: reflect_about forms its
+    # rows in the first vertex row, which is free between steps
+    g = build_graph(torus_spec(64, shift=shift))
+    coin = default_coin(g, marked=(3,))
+    for walk_length in (30, 31):
+        peak = _traced_peak(lambda: amplify(g, coin, walk_length, 3))
+        assert peak < bound * 8 * g.coin_dim * g.n, walk_length
