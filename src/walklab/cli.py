@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: spectrum, predict, run, sweep, two-marked, amplify,
-analyze-moving.  Flags override an optional flat TOML-style config file
-(--config).  Exit codes: 0 success, 2 configuration violation (an arena
-too large to hold included), 3 no abstract-search structure (predict on
-the moving shift), 4 I/O failure.
+analyze-moving.  Flags override an optional TOML config file (--config)
+whose top-level keys are flags of the subcommand.  Exit codes: 0 success,
+2 configuration violation (an arena too large to hold and a malformed
+config included), 3 no abstract-search structure (predict on the moving
+shift), 4 I/O failure.
 CSV traces always carry the columns (t, p_marked, p_nbhd, norm); JSON
 documents carry "schema": 1.  Identical configurations produce
 byte-identical output.
@@ -37,54 +38,17 @@ EXIT_IO = 4
 # -- config file -------------------------------------------------------------
 
 
-def load_flat_toml(path: str) -> dict:
-    """Parse the supported config subset: `key = value` lines with strings,
-    numbers, booleans, or flat numeric arrays; # outside a string starts a
-    comment."""
-    out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = _strip_comment(raw).strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = _parse_toml_value(value, f"{path}:{lineno}")
-    return out
+def load_config(path: str) -> dict:
+    """The --config file, read as TOML, with `-` in a key read as `_`.
+    `_merge_config` checks each value against the subcommand's flags."""
+    import tomllib  # only a command given --config reads one
 
-
-def _strip_comment(line: str) -> str:
-    in_string = False
-    for i, char in enumerate(line):
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:i]
-    return line
-
-
-def _parse_toml_value(text: str, where: str):
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        items = [_parse_toml_value(part.strip(), where) for part in inner.split(",")]
-        if any(isinstance(item, (str, bool, list)) for item in items):
-            raise ConfigurationError(f"{where}: arrays hold numbers only, got {text}")
-        return items
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(f"{where}: cannot parse value {text!r}") from None
+    with open(path, "rb") as fh:
+        try:
+            document = tomllib.load(fh)
+        except tomllib.TOMLDecodeError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+    return {key.replace("-", "_"): value for key, value in document.items()}
 
 
 # -- output ------------------------------------------------------------------
@@ -126,12 +90,13 @@ def _trace_csv(trace) -> str:
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill the flags left unset from --config.  Every key must be a flag of
     the subcommand being run, an integer flag takes integers only and a
-    string flag strings only; a repeatable flag takes one value."""
+    string flag strings only (a TOML table, date or float is neither); a
+    repeatable flag takes one value."""
     if not getattr(args, "config", None):
         return args
     flags = {action.dest: action for action in args.command_parser._actions
              if action.option_strings and action.dest not in ("help", "config")}
-    for key, value in load_flat_toml(args.config).items():
+    for key, value in load_config(args.config).items():
         action = flags.get(key)
         if action is None:
             raise ConfigurationError(
@@ -332,7 +297,7 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=None, help="complete graph size")
     sub.add_argument("--shift", default=None,
                      choices=["flip-flop", "flip_flop", "moving", "dirac", "swap"])
-    sub.add_argument("--config", default=None, help="flat TOML-style config file")
+    sub.add_argument("--config", default=None, help="TOML config file")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 

@@ -143,13 +143,15 @@ def predict_runtime(ms: ModeSpectrum, alpha: float,
                     spec: GraphSpec | None = None) -> tuple[int, tuple[float, float]]:
     """(t_star, (t_min, t_max)).
 
-    t_star = ceil(pi / 4 alpha) is the quarter-rotation step count; the
-    probability peak sits near the half rotation pi / 2 alpha (see
-    PredictionReport.peak_steps).  The flip-flop 2D grid gets the explicit
-    pair (sqrt(N log2 N)/2, pi sqrt(N log2 N)/(2 sqrt 2)); other families
-    derive their bracket from the rigorous alpha bracket.
+    t_star = ceil(pi / 4 alpha) is the quarter-rotation step count, taken
+    at alpha's upper end (alpha is known to _BISECTION_TOL), so an exact
+    integer such as L/4 on the 1D torus does not round up by alpha's last
+    bits; the probability peak sits near the half rotation pi / 2 alpha
+    (see PredictionReport.peak_steps).  The flip-flop 2D grid gets the
+    explicit pair (sqrt(N log2 N)/2, pi sqrt(N log2 N)/(2 sqrt 2)); other
+    families derive their bracket from the rigorous alpha bracket.
     """
-    t_star = math.ceil(_PI / (4.0 * alpha))
+    t_star = math.ceil(_PI / (4.0 * alpha) * (1.0 - _BISECTION_TOL))
     if spec is not None and spec.family == "torus" and spec.shift == "flip_flop" \
             and len(spec.dims) == 2:
         n = spec.n_vertices

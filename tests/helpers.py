@@ -1,5 +1,7 @@
 """Shared test utilities and the references the package is checked against.
 
+- the arena registry: every parametrized arena test draws its arenas from
+  one of its named sets;
 - dense principal-pair extraction, a step-built reference unitary and a
   complex-Schur reference eigensolver;
 - per-mode references for the columnar spectral layer;
@@ -14,21 +16,98 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import scipy.linalg
 
 from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build_graph,
-                     default_coin, dense_principal_pair, dense_unitary,
-                     grover_coin, sin2_half_theta, step, torus_modes, uniform_state,
-                     vertex_probabilities)
+                     complete_spec, default_coin, dense_principal_pair, dense_unitary,
+                     grover_coin, hypercube_spec, sin2_half_theta, step, torus_modes,
+                     torus_spec, uniform_state, vertex_probabilities)
 from walklab.engine import closed_neighborhood
 
 _PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
 _MAGIC = b"WLKSTAT1"
+
+
+# -- the arena registry ------------------------------------------------------------
+#
+# The suite reports a test by the labels (or positions) of the arenas it
+# draws, so a set keeps its order and only grows.
+
+
+def _one_per_family(side, cube_side, degree, *orders):
+    return (torus_spec(side), torus_spec(side, shift="moving"), torus_spec(side, shift="dirac"),
+            torus_spec(cube_side, 3), hypercube_spec(degree),
+            *(complete_spec(n) for n in orders))
+
+
+ARENA_SETS = {
+    # one arena per family and shift: the flip-flop torus in 2D and 3D, the
+    # moving and dirac tori, the hypercube and the complete graph (at N = 8
+    # and 16), each small enough for a dense check
+    "small": _one_per_family(4, 3, 4, 8, 16),
+    # the same families a size up, for the step loop
+    "loop": _one_per_family(8, 4, 5, 16),
+    # every move kernel: flip-flop and moving tori of sides 2 (both senses of
+    # an axis reach the same vertex) to 5 in 1D-3D, dirac from side 2 to 16,
+    # every hypercube bit-flip route, and the swap at both ends
+    "moves": (*(torus_spec(side, ndim, shift) for shift in ("flip_flop", "moving")
+                for ndim in (1, 2, 3) for side in (2, 3, 4, 5)),
+              torus_spec(6, 1), *(torus_spec(side, shift="dirac") for side in (2, 3, 4, 7, 16)),
+              *(hypercube_spec(d) for d in range(1, 11)), complete_spec(2), complete_spec(40)),
+    # the move kernels' edge cases, each small enough to check vertex by
+    # vertex: side 2, odd sides and 1D-3D tori, every shift, the hypercube
+    # at d = 1, 4 and 6, the swap at N = 2 and 7
+    "edge": (torus_spec(3, 1), torus_spec(5, 1), torus_spec(2), torus_spec(3), torus_spec(5),
+             torus_spec(2, 3), torus_spec(3, 3), torus_spec(4, shift="moving"),
+             torus_spec(2, shift="dirac"), torus_spec(5, shift="dirac"),
+             *(hypercube_spec(d) for d in (1, 4, 6)), complete_spec(2), complete_spec(7)),
+    # arenas of odd and even size in every family: 1D and 2D tori of odd and
+    # even side, every shift, hypercubes of odd and even degree, complete
+    # graphs of odd and even order
+    "parity": (torus_spec(5, 1), torus_spec(6, 1), torus_spec(7, 1), torus_spec(4),
+               torus_spec(5), torus_spec(6), torus_spec(3, 3), torus_spec(4, shift="moving"),
+               torus_spec(5, shift="moving"), torus_spec(4, shift="dirac"),
+               torus_spec(5, shift="dirac"), *(hypercube_spec(d) for d in (1, 3, 4, 5)),
+               *(complete_spec(n) for n in (2, 5, 7, 8))),
+    # mode spectra small enough to enumerate mode by mode: flip-flop tori in
+    # 1D-4D and 8D (np.mean adds 8 axes pairwise), dirac of odd and even
+    # side, hypercubes d = 1-12
+    "spectra": (*(torus_spec(side, 1) for side in (2, 3, 5, 16, 64, 200)),
+                *(torus_spec(side) for side in (2, 3, 4, 5, 8, 16)),
+                torus_spec(2, 3), torus_spec(4, 3), torus_spec(5, 3), torus_spec(3, 4),
+                torus_spec(3, 8), *(torus_spec(side, shift="dirac") for side in (2, 4, 5, 6, 8)),
+                *(hypercube_spec(d) for d in range(1, 13))),
+    # spectra past the dense cap, whose secular root is checked ulp by ulp
+    "roots": (torus_spec(16), torus_spec(128), torus_spec(22, shift="dirac"), torus_spec(10, 3),
+              hypercube_spec(30), hypercube_spec(110), complete_spec(64)),
+    # arenas of a few MiB whose walks' traced peaks are pinned in states
+    "memory": (torus_spec(128), torus_spec(24, 3), hypercube_spec(13), complete_spec(512)),
+    # one arena per family and shift at 0.85-1 times oracle.DIMENSION_CAP
+    # (no 3D torus lies in that band)
+    "dense_cap": (torus_spec(16), torus_spec(16, shift="moving"), torus_spec(22, shift="dirac"),
+                  hypercube_spec(7), complete_spec(32)),
+}
+
+
+def _names(value):
+    return (value,) if isinstance(value, str) else tuple(value)
+
+
+def arenas(name: str, *, family=None, shift=None, max_dim=None) -> list[GraphSpec]:
+    """The arenas of registry set `name`, in its order, that pass every
+    filter given: `family` and `shift` (a name or a tuple of names) and
+    `max_dim` (at most that many amplitudes, coin_dim * N)."""
+    return [spec for spec in ARENA_SETS[name]
+            if (family is None or spec.family in _names(family))
+            and (shift is None or spec.shift in _names(shift))
+            and (max_dim is None or spec.coin_dim * spec.n_vertices <= max_dim)]
 
 
 def random_state(graph, seed=0) -> WalkState:
@@ -100,9 +179,11 @@ def per_mode_stationary_overlap(spec: GraphSpec) -> float:
     return float(1.0 - (1.0 / n) / total)
 
 
+@functools.cache
 def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:
     """Dense ground truth for the perturbed walk's principal pair
-    (see `dense_principal_pair`), with the arena and the operator."""
+    (see `dense_principal_pair`), with the arena and the operator; kept
+    for the session, so its readers must not change it."""
     graph = build_graph(spec)
     op = dense_unitary(graph, default_coin(graph, marked=(marked,)))
     alpha, start, good = dense_principal_pair(op, marked)
@@ -126,6 +207,28 @@ def json_numbers_close(a, b, atol=1e-9, path="$") -> None:
         assert abs(a - b) <= atol * max(1.0, abs(a), abs(b)), f"{path}: {a} != {b}"
     else:
         assert a == b, f"{path}: {a!r} != {b!r}"
+
+
+def traced_peak(call) -> int:
+    """numpy's peak traced allocation, in bytes above the start, while `call` runs.
+
+    numpy registers every array buffer with tracemalloc, so this counts
+    each array held at once.  It does not count LAPACK's workspace inside
+    numpy.linalg.eigh, which numpy allocates untraced, nor memory that the
+    C allocator keeps after a free: the process's resident size can still
+    differ for the same traced peak.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 # -- state files -------------------------------------------------------------

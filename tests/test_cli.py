@@ -2,13 +2,15 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from walklab.cli import main
+from walklab import ConfigurationError, torus_spec
+from walklab.cli import load_config, main, parse_vertex
 
 from helpers import json_numbers_close
 from regen_golden import CASES as GOLDEN_JSON_CASES
@@ -19,6 +21,25 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run_cli(args: list[str]) -> int:
     return main(args)
+
+
+def _python(*args, check=True, **env) -> subprocess.CompletedProcess:
+    """A child python on `args`, with src/ on its path (a checkout runs
+    without an install) and `env` added to its environment."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=check,
+                          env=_child_env(**env))
+
+
+def _child_env(**env) -> dict:
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _config(tmp_path, text: str) -> Path:
+    cfg = tmp_path / "c.toml"
+    cfg.write_text(text, encoding="utf-8")
+    return cfg
 
 
 def _read_json(path) -> dict:
@@ -113,14 +134,13 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
         "predict --family torus --dims 1 --side 441",
         "predict --family torus --dims 1 --side 493",
     ]
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        prefix = tmp_path / f"threads{threads}-"
-        subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(prefix), *commands],
-                       check=True, env=env)
-        outputs.append([Path(f"{prefix}{i}").read_bytes() for i in range(len(commands))])
+    prefixes = [tmp_path / f"threads{threads}-" for threads in ("1", "2")]
+    children = [subprocess.Popen([sys.executable, "-c", _THREADS_CHILD, str(prefix), *commands],
+                                 env=_child_env(OPENBLAS_NUM_THREADS=threads))
+                for threads, prefix in zip(("1", "2"), prefixes)]  # side by side
+    assert [child.wait() for child in children] == [0, 0]
+    outputs = [[Path(f"{prefix}{i}").read_bytes() for i in range(len(commands))]
+               for prefix in prefixes]
     assert outputs[0] == outputs[1]
 
 
@@ -178,10 +198,8 @@ sys.exit(main(["amplify", "--family", "torus", "--side", "60000", "--walk-length
 
 def test_state_too_large_for_memory_exit_code(tmp_path):
     # the address-space limit makes the 115 GB state fail to allocate wherever it runs
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY_CHILD, str(tmp_path / "out")],
-                            capture_output=True, text=True, env=env)
+    result = _python("-c", _OUT_OF_MEMORY_CHILD, str(tmp_path / "out"), check=False,
+                     OPENBLAS_NUM_THREADS="1")
     assert result.returncode == 2, result.stderr
     assert "out of memory" in result.stderr
     assert not (tmp_path / "out").exists()
@@ -207,17 +225,15 @@ def test_io_failure_exit_code(tmp_path):
 
 
 def test_config_file_supplies_defaults(tmp_path):
-    cfg = tmp_path / "walk.toml"
-    cfg.write_text('family = "torus"\nside = 4\ndims = 2\n'
-                   'shift = "flip_flop"  # comment\n', encoding="utf-8")
+    cfg = _config(tmp_path, 'family = "torus"\nside = 4\ndims = 2\n'
+                            'shift = "flip_flop"  # comment\n')
     out = tmp_path / "out.json"
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
     json_numbers_close(_read_json(out), _read_json(GOLDEN / "spectrum_torus4.json"))
 
 
 def test_flags_override_config(tmp_path):
-    cfg = tmp_path / "walk.toml"
-    cfg.write_text('side = 4\n', encoding="utf-8")
+    cfg = _config(tmp_path, 'side = 4\n')
     out = tmp_path / "out.json"
     assert run_cli(["spectrum", "--family", "torus", "--dims", "2", "--side", "6",
                     "--config", str(cfg), "--out", str(out)]) == 0
@@ -225,12 +241,7 @@ def test_flags_override_config(tmp_path):
 
 
 def test_console_entry_point():
-    env = dict(os.environ)  # a checkout runs without an install
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "walklab.cli", "spectrum", "--family", "complete",
-         "--n", "8"],
-        capture_output=True, text=True, check=True, env=env)
+    result = _python("-m", "walklab.cli", "spectrum", "--family", "complete", "--n", "8")
     doc = json.loads(result.stdout)
     assert doc["schema"] == 1
     assert doc["spectrum"]["retained_dim"] == 2
@@ -260,10 +271,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 def test_no_command_and_no_oracle_call_loads_scipy(tmp_path):
     # one BLAS per process: scipy would load a second OpenBLAS thread pool
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path / "out")],
-                            capture_output=True, text=True, check=True, env=env)
+    result = _python("-c", _NO_SCIPY_CHILD, str(tmp_path / "out"))
     assert result.stdout.strip() == "[]"
 
 
@@ -283,10 +291,7 @@ print(sorted(name for name in sys.modules
 def test_predict_imports_neither_the_oracle_nor_scipy(tmp_path):
     # predict is a function of its input alone: no dense eigenvectors, whose
     # bits follow the BLAS thread count, can reach its output
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", _PREDICT_IMPORTS_CHILD, str(tmp_path / "out")],
-                            capture_output=True, text=True, check=True, env=env)
+    result = _python("-c", _PREDICT_IMPORTS_CHILD, str(tmp_path / "out"))
     assert result.stdout.strip() == "[]"
 
 
@@ -312,17 +317,12 @@ print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "m
 def test_walk_commands_do_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call, about 12 ms and 1.3 MiB
     # in every process; the walk drivers dedupe through sets instead
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA_CHILD, str(tmp_path / "out")],
-                            capture_output=True, text=True, check=True, env=env)
+    result = _python("-c", _NO_NUMPY_MA_CHILD, str(tmp_path / "out"))
     assert result.stdout.strip() == "[]"
 
 
 def test_config_can_supply_t_max(tmp_path):
-    cfg = tmp_path / "run.toml"
-    cfg.write_text('family = "torus"\nside = 4\ndims = 2\nt_max = 5\n',
-                   encoding="utf-8")
+    cfg = _config(tmp_path, 'family = "torus"\nside = 4\ndims = 2\nt_max = 5\n')
     out = tmp_path / "trace.csv"
     assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(_csv_rows(out)) == 6
@@ -331,8 +331,6 @@ def test_config_can_supply_t_max(tmp_path):
 
 
 def test_parse_vertex_errors():
-    from walklab.cli import parse_vertex
-    from walklab import ConfigurationError, torus_spec
     with pytest.raises(ConfigurationError):
         parse_vertex("1,2,3", torus_spec(4))
     with pytest.raises(ConfigurationError):
@@ -343,24 +341,19 @@ def test_parse_vertex_errors():
 
 
 def test_flat_toml_errors(tmp_path):
-    from walklab.cli import load_flat_toml
-    from walklab import ConfigurationError
-    bad = tmp_path / "bad.toml"
-    bad.write_text("just words\n", encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="key = value"):
-        load_flat_toml(bad)
-    bad.write_text("key = {nested}\n", encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="cannot parse"):
-        load_flat_toml(bad)
+    for text, column in [("just words\n", 6), ("key = {nested}\n", 14)]:
+        bad = _config(tmp_path, text)
+        expected = f"{bad}: Expected '=' after a key in a key/value pair (at line 1, column {column})"
+        with pytest.raises(ConfigurationError, match=re.escape(expected)):
+            load_config(bad)
+        assert run_cli(["spectrum", "--config", str(bad), "--out", os.devnull]) == 2
 
 
 def test_flat_toml_values(tmp_path):
-    from walklab.cli import load_flat_toml
-    cfg = tmp_path / "c.toml"
-    cfg.write_text('a = 1\nb = 2.5\nc = "x"\nd = true\ne = [1, 2]\n'
-                   'hy-phen = 3\n# comment only\n', encoding="utf-8")
-    assert load_flat_toml(cfg) == {"a": 1, "b": 2.5, "c": "x", "d": True,
-                                   "e": [1, 2], "hy_phen": 3}
+    cfg = _config(tmp_path, 'a = 1\nb = 2.5\nc = "x"\nd = true\ne = [1, 2]\n'
+                            'hy-phen = 3\n# comment only\n')
+    assert load_config(cfg) == {"a": 1, "b": 2.5, "c": "x", "d": True,
+                                "e": [1, 2], "hy_phen": 3}
 
 
 def test_sweep_hypercube_and_moving(tmp_path):
@@ -387,8 +380,7 @@ def test_sweep_document_names_the_shift_that_ran(tmp_path):
 
 
 def test_config_can_choose_family(tmp_path):
-    cfg = tmp_path / "hc.toml"
-    cfg.write_text('family = "hypercube"\ndegree = 4\n', encoding="utf-8")
+    cfg = _config(tmp_path, 'family = "hypercube"\ndegree = 4\n')
     out = tmp_path / "out.json"
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
     assert _read_json(out)["spectrum"]["family"] == "hypercube"
@@ -417,8 +409,7 @@ def test_negative_counts_rejected(args, name, capsys):
 
 
 def _config_exit(tmp_path, capsys, command: str, text: str) -> tuple[int, str]:
-    cfg = tmp_path / "c.toml"
-    cfg.write_text(text, encoding="utf-8")
+    cfg = _config(tmp_path, text)
     code = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     return code, capsys.readouterr().err
 
@@ -429,8 +420,7 @@ def test_config_unknown_family_rejected(tmp_path, capsys):
 
 
 def test_config_sides_drive_a_sweep(tmp_path):
-    cfg = tmp_path / "sweep.toml"
-    cfg.write_text('family = "torus"\nsides = [8, 16]\n', encoding="utf-8")
+    cfg = _config(tmp_path, 'family = "torus"\nsides = [8, 16]\n')
     out = tmp_path / "sweep.json"
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert [row["n_vertices"] for row in _read_json(out)["sweep"]["rows"]] == [64, 256]
@@ -442,6 +432,8 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     # a flag of another subcommand is unknown here too
     code, err = _config_exit(tmp_path, capsys, "spectrum", "side = 4\nt_max = 5\n")
     assert code == 2 and "'t_max'" in err
+    code, err = _config_exit(tmp_path, capsys, "spectrum", "side = 4\n[run]\nt_max = 5\n")
+    assert code == 2 and "'run'" in err
 
 
 @pytest.mark.parametrize("command,text", [
@@ -451,10 +443,14 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ("run", "side = 4\nt_max = 5.5\n"),
     ("sweep", "sides = [8, 16.5]\n"),
     ("sweep", "sides = 8\n"),
-], ids=["side-float", "side-string", "dims-bool", "t_max-float", "sides-float", "sides-scalar"])
+    ("run", "side = 4\nt_max = 1979-05-27\n"),
+    ("run", "[side]\nt_max = 4\n"),
+], ids=["side-float", "side-string", "dims-bool", "t_max-float", "sides-float", "sides-scalar",
+        "t_max-date", "side-table"])
 def test_config_non_integer_values_rejected(tmp_path, capsys, command, text):
+    # matched past the file name, which holds the test's name
     code, err = _config_exit(tmp_path, capsys, command, text)
-    assert code == 2 and "integer" in err
+    assert code == 2 and re.search(r"c\.toml: \w+ takes (an integer|a list of integers), got", err)
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -469,8 +465,7 @@ def test_config_non_string_values_rejected(tmp_path, capsys, command, text, key)
 
 
 def test_config_marked_is_one_vertex(tmp_path):
-    cfg = tmp_path / "run.toml"
-    cfg.write_text('side = 4\nt_max = 3\nmarked = "1,2"\n', encoding="utf-8")
+    cfg = _config(tmp_path, 'side = 4\nt_max = 3\nmarked = "1,2"\n')
     from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
     assert run_cli(["run", "--config", str(cfg), "--out", str(from_config)]) == 0
     assert run_cli(["run", "--side", "4", "--t-max", "3", "--marked", "1,2",
@@ -480,15 +475,14 @@ def test_config_marked_is_one_vertex(tmp_path):
 
 def test_config_hash_inside_string_is_not_a_comment(tmp_path):
     out = tmp_path / "trace#1.csv"
-    cfg = tmp_path / "run.toml"
-    cfg.write_text(f'side = 4\nt_max = 3\nout = "{out}"  # the trace\n', encoding="utf-8")
+    cfg = _config(tmp_path, f'side = 4\nt_max = 3\nout = "{out}"  # the trace\n')
     assert run_cli(["run", "--config", str(cfg)]) == 0
     assert len(_csv_rows(out)) == 4
 
 
 def test_config_string_in_array_rejected(tmp_path, capsys):
     code, err = _config_exit(tmp_path, capsys, "sweep", 'sides = [8, "16"]\n')
-    assert code == 2 and "numbers only" in err
+    assert code == 2 and "sides takes a list of integers, got [8, '16']" in err
 
 
 @pytest.mark.parametrize("args,config", [
@@ -499,9 +493,7 @@ def test_config_string_in_array_rejected(tmp_path, capsys):
 ], ids=["run-too-large", "run-negative", "two-marked", "run-config"])
 def test_torus_coordinates_outside_the_side_rejected(tmp_path, capsys, args, config):
     if config is not None:
-        cfg = tmp_path / "c.toml"
-        cfg.write_text(config, encoding="utf-8")
-        args = args + ["--config", str(cfg)]
+        args = args + ["--config", str(_config(tmp_path, config))]
     assert run_cli(args + ["--out", os.devnull]) == 2
     assert "outside 0..3" in capsys.readouterr().err
 
@@ -512,8 +504,7 @@ def test_torus_coordinates_outside_the_side_rejected(tmp_path, capsys, args, con
     ("analyze-moving", "side = 4\n", ["--side", "4"]),
 ], ids=["two-marked", "analyze-moving"])
 def test_config_supplies_required_flags(tmp_path, command, text, flags):
-    cfg = tmp_path / "c.toml"
-    cfg.write_text(text, encoding="utf-8")
+    cfg = _config(tmp_path, text)
     from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
     assert run_cli([command, "--config", str(cfg), "--out", str(from_config)]) == 0
     assert run_cli([command] + flags + ["--out", str(from_flags)]) == 0

@@ -7,19 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
+from walklab import (CoinConfig, ConfigurationError, GraphSpec, WalkState, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
                      dense_unitary, evolve_dense, hypercube_spec, marked_coin_state,
                      reflect_about, step, torus_spec, uniform_state,
                      vertex_probabilities)
 from walklab.engine import _apply, _owed_index, _settle, squared_norm
 
-from helpers import (load_state, neighborhood_probability, random_state, save_state,
+from helpers import (arenas, load_state, neighborhood_probability, random_state, save_state,
                      translate)
-
-ALL_FAMILIES = [torus_spec(4), torus_spec(4, shift="moving"),
-                torus_spec(4, shift="dirac"), torus_spec(3, 3),
-                hypercube_spec(4), complete_spec(8)]
 
 
 def real_random_state(graph, seed=0) -> WalkState:
@@ -38,7 +34,7 @@ def test_uniform_state_values():
     assert abs(st_.norm() - 1) < 1e-15
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES)
+@pytest.mark.parametrize("spec", arenas("small"))
 def test_uniform_state_is_fixed_point(spec):
     g = build_graph(spec)
     state = uniform_state(g)
@@ -84,7 +80,7 @@ def test_shift_moves_delta():
     assert np.array_equal(state.amps, expected)
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES)
+@pytest.mark.parametrize("spec", arenas("small"))
 def test_step_preserves_norm(spec):
     g = build_graph(spec)
     state = random_state(g, seed=1)
@@ -102,19 +98,6 @@ def test_flip_flop_shift_involution_on_states():
     assert np.max(np.abs(state.amps - ref)) < 1e-15
 
 
-# one arena list for every move kernel: flip-flop and moving tori of sides 2
-# (both senses of an axis reach the same vertex) to 5 in 1D-3D, dirac from
-# side 2 to 16, every hypercube bit-flip route, and the swap at both ends
-MOVE_ARENAS = ([torus_spec(side, ndim, shift) for shift in ("flip_flop", "moving")
-                for ndim in (1, 2, 3) for side in (2, 3, 4, 5)]
-               + [torus_spec(6, 1)]
-               + [torus_spec(side, shift="dirac") for side in (2, 3, 4, 7, 16)]
-               + [hypercube_spec(d) for d in range(1, 11)]
-               + [complete_spec(2), complete_spec(40)])
-PLAN_ARENAS = [s for s in MOVE_ARENAS if s.family == "torus"]
-OWED_ARENAS = [s for s in MOVE_ARENAS if s.shift == "flip_flop"]
-
-
 def _start_states(g, seed):
     real = real_random_state(g, seed)
     real.amps[:, ::3] = -0.0  # np.sum's start from +0.0 shows in the signs of zeros
@@ -123,7 +106,7 @@ def _start_states(g, seed):
 
 # "-False" in the ids keeps the case names from when apply_shift had an
 # inverse flag
-@pytest.mark.parametrize("spec", [s for s in MOVE_ARENAS if s.shift != "dirac"],
+@pytest.mark.parametrize("spec", arenas("moves", shift=("flip_flop", "moving", "swap")),
                          ids=lambda s: f"{s.label()}-False")
 def test_shift_equals_shift_permutation(spec):
     # three shifts in a row: the complete graph's swap holds the state
@@ -156,7 +139,7 @@ def _dirac_shift_by_rolls(amps, side):
     return grid.reshape(2, side * side)
 
 
-@pytest.mark.parametrize("spec", [s for s in MOVE_ARENAS if s.shift == "dirac"],
+@pytest.mark.parametrize("spec", arenas("moves", shift="dirac"),
                          ids=lambda s: f"{s.dims[0]}-False")
 def test_dirac_shift_matches_roll_reference(spec):
     g = build_graph(spec)
@@ -167,7 +150,7 @@ def test_dirac_shift_matches_roll_reference(spec):
             assert state.amps.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("spec", PLAN_ARENAS, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("moves", family="torus"), ids=GraphSpec.label)
 def test_move_plans_agree_with_shift_targets(spec):
     # every plan read over a row of vertex numbers gives its move's target at
     # every vertex: one plan per direction; dirac's plans read row c where the
@@ -191,7 +174,7 @@ def test_move_plans_agree_with_shift_targets(spec):
             assert np.array_equal(read, move)
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES)
+@pytest.mark.parametrize("spec", arenas("small"))
 def test_copy_does_not_follow_the_original(spec):
     g = build_graph(spec)
     coin = default_coin(g, marked=(1,))
@@ -206,7 +189,7 @@ def test_copy_does_not_follow_the_original(spec):
     assert np.array_equal(twin.amps, state.amps)
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES + [hypercube_spec(10), complete_spec(40)])
+@pytest.mark.parametrize("spec", [*arenas("small"), hypercube_spec(10), complete_spec(40)])
 def test_vertex_probabilities_on_a_subset_is_exact(spec):
     # after one shift the complete graph's state is held transposed
     g = build_graph(spec)
@@ -293,7 +276,7 @@ def test_overlap_values():
     assert np.vdot(a.amps, b.amps) == 0
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES)
+@pytest.mark.parametrize("spec", arenas("small"))
 def test_fast_step_matches_dense_powers(spec):
     g = build_graph(spec)
     coin = default_coin(g, marked=(1,))
@@ -325,10 +308,10 @@ def test_translation_covariance():
     assert np.max(np.abs(translated - b.amps)) < 1e-12
 
 
-@given(seed=st.integers(0, 2 ** 31), spec_i=st.integers(0, len(ALL_FAMILIES) - 1))
+@given(seed=st.integers(0, 2 ** 31), spec=st.sampled_from(arenas("small")))
 @settings(max_examples=25, deadline=None)
-def test_step_unitary_on_random_states(seed, spec_i):
-    g = build_graph(ALL_FAMILIES[spec_i])
+def test_step_unitary_on_random_states(seed, spec):
+    g = build_graph(spec)
     state = random_state(g, seed=seed)
     coin = default_coin(g, marked=(0,))
     step(state, coin)
@@ -411,7 +394,7 @@ def test_a_state_leaves_the_array_it_was_built_from_alone(dtype):
 
 
 @pytest.mark.parametrize("marked", [(), (1,), (1, 5)], ids=["unmarked", "one", "two"])
-@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_real_state_steps_like_complex(spec, marked):
     g = build_graph(spec)
     coin = default_coin(g, marked=marked)
@@ -424,7 +407,7 @@ def test_real_state_steps_like_complex(spec, marked):
         np.testing.assert_array_equal(real.amps, cplx.amps)
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_vertex_probabilities_real_equals_complex(spec):
     g = build_graph(spec)
     real = real_random_state(g, seed=8)
@@ -472,7 +455,7 @@ def test_squared_norm_is_the_sum_of_squares(seed):
 
 # -- the owed flip-flop shift -----------------------------------------------------
 
-@pytest.mark.parametrize("spec", OWED_ARENAS, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("moves", shift="flip_flop"), ids=GraphSpec.label)
 def test_owed_steps_match_coin_and_settle(spec):
     # the reference makes every shift at once and never owes one
     g = build_graph(spec)
@@ -488,8 +471,7 @@ def test_owed_steps_match_coin_and_settle(spec):
             assert owing.amps.tobytes() == settled.amps.tobytes(), t
 
 
-@pytest.mark.parametrize("spec", [torus_spec(3, 1), torus_spec(3), torus_spec(2, 3),
-                                  hypercube_spec(1), hypercube_spec(4)], ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("edge", shift="flip_flop"), ids=GraphSpec.label)
 def test_owed_coin_on_columns_of_negative_zeros(spec):
     # no step leaves a -0.0 in an owing buffer, so set one up: the owed
     # coin's column sums start from 0.0 as np.sum's do, and a column of -0.0
@@ -509,7 +491,7 @@ def test_owed_coin_on_columns_of_negative_zeros(spec):
         assert owing.amps.tobytes() == settled.amps.tobytes()
 
 
-@pytest.mark.parametrize("spec", OWED_ARENAS, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("moves", shift="flip_flop"), ids=GraphSpec.label)
 def test_amps_after_an_odd_number_of_steps_is_the_shifted_array(spec):
     # S moves the entry at flat index i to perm[i]; an owing state holds the
     # array before that move, and reading amps makes it
@@ -526,9 +508,7 @@ def test_amps_after_an_odd_number_of_steps_is_the_shifted_array(spec):
         assert state._amps is state.amps and not state._owed  # paid in place
 
 
-@pytest.mark.parametrize("spec", [torus_spec(5, 1), torus_spec(5), torus_spec(3, 3),
-                                  hypercube_spec(1), hypercube_spec(6)],
-                         ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("edge", shift="flip_flop"), ids=GraphSpec.label)
 def test_vertex_probabilities_of_an_owing_state_match_the_settled_state(spec):
     g = build_graph(spec)
     coin = default_coin(g, marked=(1 % g.n,))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from walklab import (ConfigurationError, GraphSpec, build_graph, complete_spec,
                      hypercube_spec, torus_spec)
 
-from helpers import translate
+from helpers import arenas, translate
 
 
 def test_torus_sizes():
@@ -68,11 +68,7 @@ def test_flip_flop_shift_is_involution():
     assert np.array_equal(perm[perm], np.arange(g.coin_dim * g.n))
 
 
-@pytest.mark.parametrize("spec", [
-    torus_spec(4), torus_spec(4, shift="moving"), torus_spec(3, 3),
-    hypercube_spec(5), complete_spec(9), torus_spec(8),
-    torus_spec(16), torus_spec(8, 3), hypercube_spec(9), complete_spec(64),
-])
+@pytest.mark.parametrize("spec", arenas("parity", shift=("flip_flop", "moving", "swap")))
 def test_shift_is_permutation(spec):
     g = build_graph(spec)
     perm = g.shift_permutation()
@@ -157,12 +153,7 @@ def _adjacent(g, u, v) -> bool:
     return sum(unit) == 1 and sum(gap != 0 for gap in gaps) == 1
 
 
-@pytest.mark.parametrize("spec", [
-    torus_spec(2), torus_spec(5), torus_spec(3, 1), torus_spec(4, shift="moving"),
-    torus_spec(2, 3), torus_spec(3, 3), torus_spec(2, shift="dirac"),
-    torus_spec(5, shift="dirac"), hypercube_spec(1), hypercube_spec(4),
-    complete_spec(2), complete_spec(7),
-], ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("edge"), ids=GraphSpec.label)
 def test_neighbors_match_brute_force(spec):
     g = build_graph(spec)
     for v in range(g.n):
@@ -219,13 +210,7 @@ def test_arena_fixes_the_marking():
                         "minus_identity", "minus_identity", "minus_c0"]
 
 
-ARENA_SPECS = [torus_spec(7, 1), torus_spec(6, 1), torus_spec(5), torus_spec(6),
-               torus_spec(3, 3), torus_spec(4, shift="moving"), torus_spec(5, shift="dirac"),
-               hypercube_spec(1), hypercube_spec(4), hypercube_spec(5),
-               complete_spec(2), complete_spec(7), complete_spec(8)]
-
-
-@pytest.mark.parametrize("spec", ARENA_SPECS, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
     g = build_graph(spec)
     for vertex in sorted({0, 3 % g.n, g.n - 1}):
@@ -236,7 +221,7 @@ def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
             assert np.array_equal(np.sort(mirror[g.neighbors(u)]), g.neighbors(int(mirror[u])))
 
 
-@pytest.mark.parametrize("spec", ARENA_SPECS, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_lift_sends_each_direction_to_the_image_of_its_target(spec):
     g = build_graph(spec)
     mirror = g.mirror(3 % g.n)
@@ -275,7 +260,7 @@ def test_mirror_maps_of_each_family():
     assert list(build_graph(complete_spec(6)).mirror(2)) == [1, 0, 2, 4, 3, 5]
 
 
-@pytest.mark.parametrize("spec", ARENA_SPECS, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_coordinates_round_trip(spec):
     g = build_graph(spec)
     coords = g.coordinates()
@@ -287,7 +272,7 @@ def test_coordinates_round_trip(spec):
         assert type(index) is int and index == v
 
 
-@pytest.mark.parametrize("spec", ARENA_SPECS, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_shift_targets_of_a_subset_are_columns_of_the_table(spec):
     g = build_graph(spec)
     table = g.shift_targets()

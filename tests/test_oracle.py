@@ -1,7 +1,6 @@
 """Dense oracle self-checks and its cross-validation duties."""
 
 import ast
-import tracemalloc
 import types
 from pathlib import Path
 
@@ -11,26 +10,23 @@ import pytest
 import walklab.engine
 import walklab.oracle
 import walklab.spectral
-from walklab import (CoinConfig, block_eigens, build_graph, complete_spec,
+from walklab import (CoinConfig, GraphSpec, block_eigens, build_graph, complete_spec,
                      default_coin, dense_eigens, dense_unitary, hypercube_spec,
                      mode_spectrum, run_walk, solve_alpha, step, torus_spec,
                      uniform_state)
 
-from helpers import eigenspace_projection, random_state, schur_eigens, step_built_unitary
-
-FAMILIES_SMALL = [torus_spec(4), torus_spec(4, shift="moving"),
-                  torus_spec(4, shift="dirac"), torus_spec(3, 3),
-                  hypercube_spec(4), complete_spec(16)]
+from helpers import (arenas, eigenspace_projection, random_state, schur_eigens,
+                     step_built_unitary, traced_peak)
 
 
-@pytest.mark.parametrize("spec", FAMILIES_SMALL)
+@pytest.mark.parametrize("spec", arenas("small"))
 def test_dense_unitarity(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     assert op.unitarity_defect() < 1e-10
 
 
-@pytest.mark.parametrize("spec", FAMILIES_SMALL, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_unitarity_defect_equals_the_explicit_formula(spec):
     g = build_graph(spec)
     exact = dense_unitary(g, default_coin(g, marked=(1,)))
@@ -44,7 +40,7 @@ def test_unitarity_defect_equals_the_explicit_formula(spec):
 
 
 @pytest.mark.parametrize("marked", [(), (1,)], ids=["unmarked", "marked"])
-@pytest.mark.parametrize("spec", FAMILIES_SMALL, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_dense_unitary_equals_step_built(spec, marked):
     g = build_graph(spec)
     coin = default_coin(g, marked=marked)
@@ -64,7 +60,7 @@ def test_dense_unitary_does_not_call_the_engine(monkeypatch):
     for name in ("step", "apply_coin", "apply_shift"):
         monkeypatch.setattr(walklab.engine, name, refuse)
         monkeypatch.setattr(walklab.oracle, name, refuse, raising=False)
-    for spec in FAMILIES_SMALL:
+    for spec in arenas("small"):
         g = build_graph(spec)
         op = dense_unitary(g, default_coin(g, marked=(1,)))
         assert op.unitarity_defect() < 1e-10
@@ -95,12 +91,17 @@ def test_dimension_cap():
         dense_unitary(g, CoinConfig())
 
 
+def _assert_eigensystem(matrix, phases, vectors, gram_tol=1e-12, recon_tol=1e-12):
+    """`vectors` is an orthonormal eigenbasis of `matrix` for `phases`."""
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(phases)))) < gram_tol
+    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    assert np.max(np.abs(recon - matrix)) < recon_tol
+
+
 def _assert_orthonormal_eigensystem(op, gram_tol=1e-10):
     phases, vectors = dense_eigens(op)
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(op.dim))) < gram_tol
+    _assert_eigensystem(op.matrix, phases, vectors, gram_tol, recon_tol=1e-9)
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)  # sorted by |phase|
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    assert np.max(np.abs(recon - op.matrix)) < 1e-9
     return phases, vectors
 
 
@@ -110,7 +111,7 @@ def test_eigens_orthonormal_basis():
 
 
 @pytest.mark.parametrize("spec,marked", [
-    *(pytest.param(spec, (1,), id=spec.label()) for spec in FAMILIES_SMALL),
+    *(pytest.param(spec, (1,), id=spec.label()) for spec in arenas("small")),
     # unmarked, both spectra are heavily degenerate
     pytest.param(hypercube_spec(6), (), id="hypercube(6)-unmarked"),
     pytest.param(complete_spec(16), (), id="complete(16)-unmarked"),
@@ -130,7 +131,9 @@ def test_eigens_orthonormal_basis_every_family(spec, marked):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     phases, vectors = _assert_orthonormal_eigensystem(op, gram_tol=1e-14)
-    residuals = np.linalg.norm(op.matrix @ vectors - vectors * np.exp(1j * phases), axis=0)
+    # U is real: two real products cost half of one complex product
+    image = op.matrix @ vectors.real + 1j * (op.matrix @ vectors.imag)
+    residuals = np.linalg.norm(image - vectors * np.exp(1j * phases), axis=0)
     assert residuals.max() <= 3e-14
 
 
@@ -167,9 +170,7 @@ def test_block_eigens_recovers_known_phases(seed):
     matrix, expected = _orthogonal_with_known_phases(seed)
     phases, vectors = block_eigens(matrix)
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(phases)))) < 1e-12
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    assert np.max(np.abs(recon - matrix)) < 1e-12
+    _assert_eigensystem(matrix, phases, vectors)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -186,7 +187,7 @@ def test_block_eigens_refuses_complex_input():
         block_eigens(matrix.astype(np.complex128))
 
 
-@pytest.mark.parametrize("spec", FAMILIES_SMALL, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_block_eigens_real_matches_complex(spec):
     g = build_graph(spec)
     matrix = dense_unitary(g, default_coin(g, marked=(1,))).matrix
@@ -196,34 +197,30 @@ def test_block_eigens_real_matches_complex(spec):
     assert np.max(np.abs(real - reference)) < 1e-12
 
 
-# arenas whose shift is a symmetric involution, so dense_eigens runs in its eigenbasis
-SPLIT_CASES = [
-    pytest.param(torus_spec(32, 1), (1,), id="torus(32)-1D"),
-    pytest.param(torus_spec(4), (1,), id="torus(4x4)"),
-    pytest.param(torus_spec(3, 3), (1,), id="torus(3x3x3)"),
-    pytest.param(hypercube_spec(5), (1,), id="hypercube(5)"),
-    pytest.param(complete_spec(16), (1,), id="complete(16)"),
-    pytest.param(torus_spec(6), (0, 14), id="torus(6x6)-two-marked"),
-    # unmarked, both spectra are heavily degenerate
-    pytest.param(hypercube_spec(6), (), id="hypercube(6)-unmarked"),
-    pytest.param(complete_spec(16), (), id="complete(16)-unmarked"),
-]
+# (arena, marked set) whose dense operator has a reflection, so dense_eigens
+# runs in its eigenbasis: the shift where it is a symmetric involution, the
+# moving shift after the direction reversal (its smallest nonzero phase is
+# degenerate, so it has no principal pair to compare); unmarked, the
+# hypercube and complete spectra are heavily degenerate
+SPLIT_CASES = [(torus_spec(32, 1), (1,)), (torus_spec(4), (1,)), (torus_spec(3, 3), (1,)),
+               (hypercube_spec(5), (1,)), (complete_spec(16), (1,)), (torus_spec(6), (0, 14)),
+               (hypercube_spec(6), ()), (complete_spec(16), ()),
+               (torus_spec(8, 1, shift="moving"), (1,)), (torus_spec(4, shift="moving"), (1,)),
+               (torus_spec(5, shift="moving"), (1,)), (torus_spec(3, 3, shift="moving"), (1,)),
+               (torus_spec(6, shift="moving"), (0, 14)), (torus_spec(4, shift="moving"), ())]
 
 
-# the moving walk's reflection is the shift after the direction reversal; its
-# smallest nonzero phase is degenerate, so it has no principal pair to compare
-MOVING_SPLIT_CASES = [
-    pytest.param(torus_spec(8, 1, shift="moving"), (1,), id="moving(8)-1D"),
-    pytest.param(torus_spec(4, shift="moving"), (1,), id="moving(4x4)"),
-    pytest.param(torus_spec(5, shift="moving"), (1,), id="moving(5x5)"),
-    pytest.param(torus_spec(3, 3, shift="moving"), (1,), id="moving(3x3x3)"),
-    pytest.param(torus_spec(6, shift="moving"), (0, 14), id="moving(6x6)-two-marked"),
-    pytest.param(torus_spec(4, shift="moving"), (), id="moving(4x4)-unmarked"),
-]
+def _split_id(case):
+    spec, marked = case
+    name = "moving" if spec.shift == "moving" else spec.family
+    one_d = "-1D" if spec.family == "torus" and len(spec.dims) == 1 else ""
+    marking = {0: "-unmarked", 1: "", 2: "-two-marked"}[len(marked)]
+    return f"{name}({'x'.join(map(str, spec.dims))}){one_d}{marking}"
 
 
-@pytest.mark.parametrize("spec,marked", SPLIT_CASES + MOVING_SPLIT_CASES)
-def test_split_eigensolve_matches_the_whole_one_and_schur(spec, marked):
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=_split_id)
+def test_split_eigensolve_matches_the_whole_one_and_schur(case):
+    spec, marked = case
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert op.reflection is not None
@@ -235,8 +232,10 @@ def test_split_eigensolve_matches_the_whole_one_and_schur(spec, marked):
     _assert_orthonormal_eigensystem(op)  # dense_eigens takes the split route
 
 
-@pytest.mark.parametrize("spec,marked", SPLIT_CASES)
-def test_split_principal_pair_matches_the_whole_route(spec, marked):
+@pytest.mark.parametrize("case", [c for c in SPLIT_CASES if c[0].shift != "moving"],
+                         ids=_split_id)
+def test_split_principal_pair_matches_the_whole_route(case):
+    spec, marked = case
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     whole = walklab.oracle.DenseOperator(g, op.matrix)
@@ -268,10 +267,8 @@ def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(sp
     assert np.array_equal(op.matrix[perm][:, perm], op.matrix.T)  # S U S = U^T, exactly
 
 
-@pytest.mark.parametrize("spec", [
-    torus_spec(2, shift="moving"), torus_spec(3, shift="moving"),
-    torus_spec(4, shift="moving"), torus_spec(5, 3, shift="moving"),
-], ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("moves", shift="moving", max_dim=750),
+                         ids=GraphSpec.label)
 def test_dense_operator_keeps_the_reversed_moving_shift_as_reflection(spec):
     """The moving walk's reflection is its shift after the direction reversal c <-> c^1."""
     g = build_graph(spec)
@@ -310,9 +307,7 @@ def test_split_eigensolve_with_fixed_points(n, pairs):
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) < 1e-12
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    assert np.max(np.abs(recon - matrix)) < 1e-12
+    _assert_eigensystem(matrix, phases, vectors)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -386,36 +381,11 @@ def test_block_eigens_with_the_identity_as_reflection():
     matrix, expected = _orthogonal_with_known_phases(0)
     phases, vectors = block_eigens(matrix, reflection=np.arange(len(matrix)))
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    assert np.max(np.abs(recon - matrix)) < 1e-12
-
-
-def _traced_peak(call):
-    """numpy's peak traced allocation, in bytes above the start, while `call` runs.
-
-    numpy registers every array buffer with tracemalloc, so this counts
-    each array held at once.  It does not count LAPACK's workspace inside
-    numpy.linalg.eigh, which numpy allocates untraced, nor memory that the
-    C allocator keeps after a free: the process's resident size can still
-    differ for the same traced peak.
-    """
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    _assert_eigensystem(matrix, phases, vectors)
 
 
 @pytest.mark.parametrize("spec,marked", [
-    *(pytest.param(spec, (0,), id=spec.label()) for spec in (
-        torus_spec(16), complete_spec(32), hypercube_spec(7), torus_spec(22, shift="dirac"),
-        torus_spec(16, shift="moving"))),
+    *(pytest.param(spec, (0,), id=spec.label()) for spec in arenas("dense_cap")),
     # no mirror: dirac has no reflection either, the 2D torus has one
     pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
     pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
@@ -427,18 +397,18 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     N=32, 2.51 at the hypercube d=7 and 2.49 at moving L=16; by the mirror
     alone 2.77 at dirac L=22; without a mirror, 3.33 at unmarked dirac L=22,
     solved in place, and 2.98 at 2D L=16 with two marked vertices, split by
-    the reflection alone).  See _traced_peak for what it counts."""
+    the reflection alone).  See traced_peak for what it counts."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
     assert (op.symmetry is not None) == (len(marked) == 1)
-    assert _traced_peak(lambda: dense_eigens(op)) <= 4.5 * op.dim ** 2 * 8
+    assert traced_peak(lambda: dense_eigens(op)) <= 4.5 * op.dim ** 2 * 8
 
 
 @pytest.mark.parametrize("spec,bound", [
-    *(pytest.param(spec, 1.25, id=spec.label()) for spec in (
-        torus_spec(16), torus_spec(16, shift="moving"), complete_spec(32), hypercube_spec(7))),
-    pytest.param(torus_spec(22, shift="dirac"), 2.75, id="dirac(22)"),
+    *(pytest.param(spec, 1.25, id=spec.label())
+      for spec in arenas("dense_cap", shift=("flip_flop", "moving", "swap"))),
+    pytest.param(*arenas("dense_cap", shift="dirac"), 2.75, id="dirac(22)"),
 ])
 def test_dense_unitary_allocation_peak_at_the_dimension_cap(spec, bound):
     """dense_unitary's traced peak near the dimension cap, in dim^2 float64s:
@@ -449,18 +419,16 @@ def test_dense_unitary_allocation_peak_at_the_dimension_cap(spec, bound):
     coin = default_coin(g, marked=(0,))
     dim = g.coin_dim * g.n
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= dim <= walklab.oracle.DIMENSION_CAP
-    assert _traced_peak(lambda: dense_unitary(g, coin)) <= bound * dim ** 2 * 8
+    assert traced_peak(lambda: dense_unitary(g, coin)) <= bound * dim ** 2 * 8
 
 
 # one marked vertex: the arena's mirror through it splits the eigensolve
-MIRROR_CASES = [torus_spec(5, 1), torus_spec(6, 1), torus_spec(4), torus_spec(5),
-                torus_spec(3, 3), torus_spec(4, shift="moving"), torus_spec(5, shift="moving"),
-                torus_spec(4, shift="dirac"), torus_spec(5, shift="dirac"), hypercube_spec(3),
-                hypercube_spec(4), complete_spec(5), complete_spec(8)]
+# (on two vertices the mirror is the identity)
+MIRRORED = [spec for spec in arenas("parity") if spec.n_vertices > 2]
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-@pytest.mark.parametrize("spec", MIRROR_CASES, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", MIRRORED, ids=GraphSpec.label)
 def test_lifted_mirror_commutes_with_the_walk(spec, where):
     g = build_graph(spec)
     vertex = {"first": 0, "middle": g.n // 2, "last": g.n - 1}[where]
@@ -473,7 +441,7 @@ def test_lifted_mirror_commutes_with_the_walk(spec, where):
         assert np.array_equal(op.reflection[p], p[op.reflection])
 
 
-@pytest.mark.parametrize("spec", MIRROR_CASES, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", MIRRORED, ids=GraphSpec.label)
 def test_mirror_split_matches_the_unsplit_eigensolve(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
@@ -481,9 +449,7 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
     plain, _ = block_eigens(op.matrix, op.reflection)
     assert np.max(np.abs(_fold(phases) - _fold(plain))) < 1e-13
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(op.dim))) < 1e-12
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    assert np.max(np.abs(recon - op.matrix)) < 1e-12
+    _assert_eigensystem(op.matrix, phases, vectors)
     if spec.shift == "moving":  # its smallest nonzero phase is degenerate: no principal pair
         return
     unsplit = walklab.oracle.DenseOperator(g, op.matrix, op.reflection)
@@ -492,7 +458,7 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
 
 
 @pytest.mark.parametrize("spec", [torus_spec(3, 3), complete_spec(5), complete_spec(8)],
-                         ids=lambda spec: spec.label())
+                         ids=GraphSpec.label)
 def test_mirror_swaps_some_of_the_reflections_pairs(spec):
     # where P swaps a 2-cycle (p, q) of S itself, P negates (e_p - e_q)/sqrt(2)
     # on S's -1 half: the split must carry that sign (covered above)
@@ -530,9 +496,7 @@ def test_mirror_split_of_a_random_commuting_matrix(n, pairs):
     phases, vectors = block_eigens(matrix, symmetry=pairing)
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) < 1e-12
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    assert np.max(np.abs(recon - matrix)) < 1e-12
+    _assert_eigensystem(matrix, phases, vectors)
     # a perturbation that commutes with P too leaves a matrix that is not normal
     bump = rng.normal(scale=1e-6, size=(n, n))
     with pytest.raises(ArithmeticError, match="not normal"):
@@ -575,9 +539,7 @@ def test_mirror_split_with_a_reflection_of_every_orbit_kind(counts):
     phases, vectors = block_eigens(matrix, reflection=s, symmetry=p)
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) < 1e-12
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    assert np.max(np.abs(recon - matrix)) < 1e-12
+    _assert_eigensystem(matrix, phases, vectors)
 
 
 def test_block_eigens_refuses_a_symmetry_that_does_not_commute_with_the_reflection():
@@ -589,8 +551,7 @@ def test_block_eigens_refuses_a_symmetry_that_does_not_commute_with_the_reflecti
 
 @pytest.mark.parametrize("marked", [(), (0, 5)], ids=["unmarked", "two-marked"])
 def test_no_symmetry_unless_one_vertex_is_marked(marked):
-    for spec in (torus_spec(4), hypercube_spec(4), complete_spec(8),
-                 torus_spec(4, shift="dirac")):
+    for spec in arenas("small"):
         g = build_graph(spec)
         assert dense_unitary(g, default_coin(g, marked=marked)).symmetry is None
 

@@ -1,21 +1,20 @@
 """Experiment harness: traces, peaks, amplification, sweeps, prep."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import walklab.engine
 import walklab.runner
-from walklab import (ConfigurationError, RunTrace, amplify, build_graph,
+from walklab import (ConfigurationError, GraphSpec, RunTrace, amplify, build_graph,
                      complete_spec, default_coin, dense_unitary, find_peak, fit_exponent,
-                     hypercube_spec, predict, reflect_about, run_two_marked,
+                     hypercube_spec, reflect_about, run_two_marked,
                      run_walk, scaling_sweep, step, sweep_point, torus_spec,
                      uniform_state, vertex_probabilities)
 
-from helpers import (neighborhood_probability, prepare_uniform_locally, random_state,
-                     reflect_via_preparation, rounds_to_quarter)
+from helpers import (arenas, neighborhood_probability, prepare_uniform_locally, random_state,
+                     reflect_via_preparation, rounds_to_quarter, traced_peak)
 
 
 def test_unmarked_trace_is_flat():
@@ -33,7 +32,7 @@ def test_trace_starts_uniform():
 
 @pytest.mark.parametrize("spec", [torus_spec(6), torus_spec(6, shift="dirac"),
                                   hypercube_spec(5), complete_spec(12)],
-                         ids=lambda s: s.label())
+                         ids=GraphSpec.label)
 def test_trace_matches_stepwise_measurement(spec):
     g = build_graph(spec)
     coin = default_coin(g, marked=(2, 3))
@@ -272,13 +271,10 @@ def test_prepare_rejects_other_arenas():
 # -- the step loop -------------------------------------------------------------
 
 
-STEP_LOOP_ARENAS = [torus_spec(8), torus_spec(8, shift="moving"),
-                    torus_spec(8, shift="dirac"), torus_spec(4, 3),
-                    hypercube_spec(5), complete_spec(16)]
 ENGINE_KERNELS = ("apply_coin", "apply_shift", "vertex_probabilities")
 
 
-@pytest.mark.parametrize("spec", STEP_LOOP_ARENAS, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("loop"), ids=GraphSpec.label)
 def test_each_step_goes_through_the_engine_kernels(spec, monkeypatch):
     # perfbench's trace wraps these module attributes and divides each
     # kernel's time by its call count, so a step that fuses or bypasses
@@ -301,7 +297,7 @@ def test_each_step_goes_through_the_engine_kernels(spec, monkeypatch):
                      "vertex_probabilities": t_max + 1}
 
 
-@pytest.mark.parametrize("spec", STEP_LOOP_ARENAS, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", arenas("loop"), ids=GraphSpec.label)
 def test_step_loop_never_reaches_blas(spec, monkeypatch):
     # a BLAS reduction splits its sum over threads, so its bits depend on
     # the thread count; the traces must not
@@ -321,43 +317,20 @@ def test_step_loop_never_reaches_blas(spec, monkeypatch):
         assert abs(state.norm() - 1.0) < 1e-9
 
 
-# (run_walk's arena, its bounds, amplify's arena, its bound), in states of
-# the arena: each holds the state, the vertex rows it steps through, its
-# move plans (built at the first step) and numpy's 64 KiB ufunc buffers;
-# amplify adds the walked copy.  The flip-flop and complete graph rows are a
-# fraction of a state; the copying shifts have tests of their own below.
-MEMORY_CASES = [
-    (torus_spec(128), (1.0, 2.0), torus_spec(128), 3.0),
-    (torus_spec(24, 3), (1.0, 2.0), torus_spec(24, 3), 3.0),
-    (hypercube_spec(13), (1.0, 2.0), hypercube_spec(13), 3.0),
-    (complete_spec(512), (1.0, 2.0), complete_spec(512), 3.0),
-]
-
-
-def _traced_peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.mark.parametrize("spec, run_bounds, amplify_spec, amplify_bound", MEMORY_CASES,
-                         ids=[case[0].label() for case in MEMORY_CASES])
-def test_walks_hold_the_state_and_its_rows(spec, run_bounds, amplify_spec, amplify_bound):
-    # every shift runs inside the state's own array, so no spare state is
-    # made; amplify's odd walk length ends owing a flip-flop shift, which
-    # the state pays in place before it is copied
+@pytest.mark.parametrize("spec", arenas("memory"), ids=GraphSpec.label)
+def test_walks_hold_the_state_and_its_rows(spec):
+    # no spare state: run_walk holds the state, the vertex rows it steps
+    # through, its move plans and numpy's 64 KiB ufunc buffers; amplify adds
+    # the walked copy, and its odd walk length ends owing a flip-flop shift,
+    # which the state pays in place before it is copied
     g = build_graph(spec)
     state_bytes = 8 * g.coin_dim * g.n
-    peak = _traced_peak(lambda: run_walk(g, default_coin(g, marked=(3,)), 9))
-    assert run_bounds[0] * state_bytes <= peak < run_bounds[1] * state_bytes
-    g = build_graph(amplify_spec)
+    peak = traced_peak(lambda: run_walk(g, default_coin(g, marked=(3,)), 9))
+    assert state_bytes <= peak < 2 * state_bytes
     coin = default_coin(g, marked=(3,))
     for walk_length in (30, 31):
-        peak = _traced_peak(lambda: amplify(g, coin, walk_length, 3))
-        assert peak < amplify_bound * 8 * g.coin_dim * g.n, walk_length
+        peak = traced_peak(lambda: amplify(g, coin, walk_length, 3))
+        assert peak < 3 * state_bytes, walk_length
 
 
 COPYING_SHIFT_RUNS = [(torus_spec(128, shift="moving"), (1.0, 1.5)),
@@ -371,19 +344,16 @@ def test_copying_shift_run_holds_the_state_and_its_spare(spec, bounds):
     # moving shift copies one row into the state's first vertex row, and
     # dirac's butterfly takes two vertex rows, a whole state at coin_dim 2
     g = build_graph(spec)
-    peak = _traced_peak(lambda: run_walk(g, default_coin(g, marked=(3,)), 9))
+    peak = traced_peak(lambda: run_walk(g, default_coin(g, marked=(3,)), 9))
     assert bounds[0] * 8 * g.coin_dim * g.n <= peak < bounds[1] * 8 * g.coin_dim * g.n
 
 
-# the ids keep the bounds these cases had while the moving shift copied
-# through a spare state (3.1 states); without it moving holds under 2.5
-@pytest.mark.parametrize("shift, bound", [("moving", 2.5), ("dirac", 3.2)],
-                         ids=["moving-3.1", "dirac-3.2"])
+@pytest.mark.parametrize("shift, bound", [("moving", 2.5), ("dirac", 3.2)], ids=str)
 def test_amplify_on_copying_shifts_reflects_in_the_spare_row(shift, bound):
     # the state, its vertex rows and the walked copy: reflect_about forms its
     # rows in the first vertex row, which is free between steps
     g = build_graph(torus_spec(64, shift=shift))
     coin = default_coin(g, marked=(3,))
     for walk_length in (30, 31):
-        peak = _traced_peak(lambda: amplify(g, coin, walk_length, 3))
+        peak = traced_peak(lambda: amplify(g, coin, walk_length, 3))
         assert peak < bound * 8 * g.coin_dim * g.n, walk_length

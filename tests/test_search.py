@@ -12,16 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walklab.search
-from walklab import (ConfigurationError, ModeSpectrum, alpha_bracket, build_graph,
+from walklab import (ConfigurationError, GraphSpec, ModeSpectrum, alpha_bracket,
                      complete_spec, hypercube_spec, mode_spectrum, predict,
                      predict_overlaps, predict_runtime, secular_value, solve_alpha,
                      spectral_sums, torus_spec)
 
-from helpers import levels, lift_principal_eigenvector, principal_dense_data
+from helpers import arenas, levels, lift_principal_eigenvector, principal_dense_data
 
-DENSE_SPECS = [torus_spec(4), torus_spec(6), torus_spec(4, shift="dirac"),
-               torus_spec(5, shift="dirac"), hypercube_spec(5), torus_spec(4, 3),
-               torus_spec(3, 4)]
+
+def _outside_regime(spec):
+    """The side-2 arenas and the 1D tori: all but the 3D one have their root
+    outside the small-angle regime (alpha >= theta_min/2)."""
+    return spec.dims[0] <= 2 or spec.family == "torus" and len(spec.dims) == 1
+
+
+# the other spectra small enough for the dense route
+DENSE_SPECS = [spec for spec in arenas("spectra", max_dim=650) if not _outside_regime(spec)]
 
 
 @pytest.mark.parametrize("spec", DENSE_SPECS)
@@ -73,11 +79,6 @@ def _exactly_summed_secular_value(ms, alpha):
     return s._effective_a0_sq(ms) * s._cot(alpha / 2) + math.fsum(terms.tolist())
 
 
-EXACT_SUM_SPECS = [torus_spec(16), torus_spec(128), torus_spec(22, shift="dirac"),
-                   torus_spec(10, 3), hypercube_spec(30), hypercube_spec(110),
-                   complete_spec(64)]
-
-
 def _float_root(ms):
     """The largest float at which the exactly summed secular value is positive."""
     alpha = solve_alpha(ms)
@@ -92,7 +93,7 @@ def _float_root(ms):
     return lo
 
 
-@pytest.mark.parametrize("spec", EXACT_SUM_SPECS, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("roots"), ids=GraphSpec.label)
 def test_secular_value_has_the_sign_of_the_exact_sum(spec):
     ms = mode_spectrum(spec)
     root = _float_root(ms)
@@ -106,7 +107,7 @@ def test_secular_value_has_the_sign_of_the_exact_sum(spec):
         assert np.sign(secular_value(ms, a)) == np.sign(_exactly_summed_secular_value(ms, a))
 
 
-@pytest.mark.parametrize("spec", EXACT_SUM_SPECS, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("roots"), ids=GraphSpec.label)
 def test_solve_alpha_is_bit_identical_to_the_exact_sum(monkeypatch, spec):
     ms = mode_spectrum(spec)
     alpha = solve_alpha(ms)
@@ -274,13 +275,9 @@ def test_outside_regime_overlaps_match_the_dense_route():
     assert report.good_overlap == pytest.approx(data["good_overlap"], abs=1e-9)
 
 
-# small arenas, all but the 3D one with their root outside the small-angle
-# regime (alpha >= theta_min/2), where the closed-form overlaps still hold
-SMALL_ARENAS = [hypercube_spec(1), hypercube_spec(2), torus_spec(2), torus_spec(2, shift="dirac"),
-                torus_spec(2, 3), *(torus_spec(side, 1) for side in (2, 3, 5, 16, 64, 200))]
-
-
-@pytest.mark.parametrize("spec", SMALL_ARENAS, ids=lambda spec: spec.label())
+# the closed-form overlaps hold outside the small-angle regime too
+@pytest.mark.parametrize("spec", [spec for spec in arenas("spectra") if _outside_regime(spec)],
+                         ids=GraphSpec.label)
 def test_secular_prediction_matches_the_dense_route_on_small_arenas(spec):
     report = predict(spec)
     assert report.in_small_angle_regime == (spec.dims == (2, 2, 2))
@@ -295,9 +292,11 @@ def test_1d_torus_matches_its_closed_form_past_the_dense_cap():
     # signs are the marked vertex's coin entries), so its phases are k pi/L;
     # from cos(theta) = cos(2 pi k/L) the phases lost relative accuracy as
     # side^2 (alpha off by 7.8e-11 at side 10^4 and 6.9e-9 at 10^5), while
-    # the half-angle form keeps them to rounding
-    for side in (10 ** 4, 10 ** 5):
+    # the half-angle form keeps them to rounding; the quarter turn pi/(4 alpha)
+    # is then L/4 up to alpha's last bits, which t_star must not round up
+    for side in (100, 1000, 10 ** 4, 10 ** 5):
         report = predict(torus_spec(side, 1))
+        assert report.t_star == side // 4
         assert report.alpha == pytest.approx(math.pi / side, rel=1e-12, abs=0)
         start = math.sqrt(2.0) / math.tan(math.pi / (2 * side)) / side
         assert report.start_overlap == pytest.approx(start, rel=1e-12, abs=0)

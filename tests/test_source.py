@@ -9,6 +9,7 @@ import walklab
 from walklab import WalkState
 
 MODULES = sorted(Path(walklab.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("test_*.py"))
 
 
 def _unread_private_names(source):
@@ -83,3 +84,47 @@ def test_the_engine_internals_check_sees_an_owed_read():
               "def watch(state, at, owed_at=None):\n"
               "    return state._amps[at], vertex_probabilities(state, at, owed_at=at)\n")
     assert _engine_internals_named(source) == {"owed_index", "owed_at", "_amps"}
+
+
+_SPEC_CONSTRUCTORS = frozenset({"torus_spec", "hypercube_spec", "complete_spec", "GraphSpec"})
+
+
+def _is_arena_list(node) -> bool:
+    """Whether `node` lists arenas by hand: spec constructor calls, a
+    comprehension over one, or a sum of such lists."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) in _SPEC_CONSTRUCTORS
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        return _is_arena_list(node.elt)
+    if isinstance(node, ast.Starred):
+        return _is_arena_list(node.value)
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return bool(node.elts) and all(map(_is_arena_list, node.elts))
+    return isinstance(node, ast.BinOp) and _is_arena_list(node.left) and _is_arena_list(node.right)
+
+
+def _module_arena_lists(source):
+    """The names a module binds at its top level to an arena list of its own."""
+    return {target.id for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) and not isinstance(node.value, ast.Call)
+            and _is_arena_list(node.value)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_test_modules_take_their_arenas_from_the_registry():
+    # an arena list of a test module's own grows apart from the others;
+    # tests draw their arenas from the named sets of helpers.arenas
+    own = {path.name: sorted(names) for path in TEST_MODULES
+           if (names := _module_arena_lists(path.read_text(encoding="utf-8")))}
+    assert not own, f"test modules bind arena lists of their own: {own}"
+
+
+def test_the_arena_list_check_sees_every_form():
+    source = ("A = [torus_spec(4), hypercube_spec(3)]\n"
+              "B = ([torus_spec(s) for s in (2, 3)] + [walklab.complete_spec(2)])\n"
+              "C = (*(hypercube_spec(d) for d in (1, 2)), GraphSpec('torus', (4, 4)))\n"
+              "D = [s for s in A if s.family == 'torus']\n"
+              "E = [(torus_spec(4), 1.0)]\n"
+              "F = arenas('small') + [complete_spec(8)]\n"
+              "G = torus_spec(4)\n")
+    assert _module_arena_lists(source) == {"A", "B", "C"}

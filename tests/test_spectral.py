@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from walklab import (CoinConfig, ConfigurationError, build_graph,
-                     complete_spec, dense_eigens, dense_unitary,
+from walklab import (CoinConfig, ConfigurationError, GraphSpec, build_graph,
+                     complete_spec, default_coin, dense_eigens, dense_unitary,
                      grover_coin, hypercube_spec, marked_coin_state, mode_spectrum,
                      moving_shift_stationary_overlap, sin2_half_theta, spectral_sums,
                      torus_modes, torus_spec, uniform_state)
 
-from helpers import (closed_form_block_phases, coin_block, eigenspace_projection,
+from helpers import (arenas, closed_form_block_phases, coin_block, eigenspace_projection,
                      lift_block_vector, per_mode_levels, per_mode_stationary_overlap,
                      schur_eigens)
 
@@ -119,14 +119,7 @@ def test_mode_spectrum_completeness_all_families():
         assert mode_spectrum(spec).completeness_defect() < 1e-9
 
 
-REFERENCE_SPECS = ([torus_spec(side) for side in (2, 3, 4, 5, 8, 16)]
-                   + [torus_spec(4, 3), torus_spec(5, 3), torus_spec(3, 4),
-                      torus_spec(3, 8)]  # 8 axes: np.mean adds pairwise
-                   + [torus_spec(side, shift="dirac") for side in (4, 5, 6, 8)]
-                   + [hypercube_spec(d) for d in range(1, 13)])
-
-
-@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("spec", arenas("spectra"), ids=GraphSpec.label)
 def test_mode_spectrum_equals_per_mode_reference(spec):
     theta, mult, frozen = per_mode_levels(spec)
     ms = mode_spectrum(spec)
@@ -153,33 +146,6 @@ def test_hypercube_inverse_gap_sum():
     s1, _, _ = spectral_sums(ms)
     # (d/2) * sum_k binom(d,k)/k over k = 1..d, for d = 4
     assert 2 * s1 == pytest.approx(103 / 6, abs=1e-9)
-
-
-def test_spectral_sum_bands_2d_and_3d():
-    for side in (8, 16, 32, 64):
-        ms = mode_spectrum(torus_spec(side))
-        s1, s2, _ = spectral_sums(ms)
-        n = side ** 2
-        assert 0.20 < 2 * s1 / (n * math.log2(n)) < 0.30
-        assert 0.05 < 2 * s2 / n ** 2 < 0.09
-    for side in (5, 8, 12, 16):
-        ms = mode_spectrum(torus_spec(side, 3))
-        s1, _, _ = spectral_sums(ms)
-        assert 1.0 < 2 * s1 / side ** 3 < 1.7
-
-
-def test_dense_spectrum_equals_block_union():
-    for spec in [TORUS4, torus_spec(4, shift="moving"), torus_spec(4, shift="dirac")]:
-        g = build_graph(spec)
-        coin = CoinConfig()
-        op = dense_unitary(g, coin)
-        dense_phases, _ = dense_eigens(op)
-        closed = []
-        for mode in torus_modes(spec):
-            closed.extend(closed_form_block_phases(spec, mode))
-        a = np.sort(np.mod(dense_phases + np.pi, 2 * np.pi))
-        b = np.sort(np.mod(np.array(closed) + np.pi, 2 * np.pi))
-        assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_conjugate_pairing_of_dense_spectrum():
@@ -274,8 +240,8 @@ def test_grover_coin_matrix():
     assert _unitarity_defect(c) < 1e-12
 
 
-@pytest.mark.parametrize("spec", [TORUS4, torus_spec(4, shift="dirac"),
-                                  torus_spec(3, 3), hypercube_spec(4)])
+@pytest.mark.parametrize("spec", arenas("small", family=("torus", "hypercube"),
+                                         shift=("flip_flop", "dirac")))
 def test_retained_subspace_is_closed_under_perturbed_walk(spec):
     """The span of the uniform state and the walk eigendirections carrying
     marked-coin weight (with their conjugate partners) is invariant under
@@ -287,8 +253,6 @@ def test_retained_subspace_is_closed_under_perturbed_walk(spec):
     resulting dimension (tight unless some pair member carries no weight,
     which happens for the two-dimensional coin).
     """
-    from walklab import (build_graph, default_coin, dense_unitary,
-                         marked_coin_state, mode_spectrum, uniform_state)
     g = build_graph(spec)
     if spec.family == "hypercube":
         modes = [m for m in product((0, 1), repeat=spec.dims[0]) if any(m)]
