@@ -4,8 +4,8 @@ Subcommands: spectrum, predict, run, sweep, two-marked, amplify,
 analyze-moving.  Flags override an optional TOML config file (--config)
 whose top-level keys are flags of the subcommand.  Exit codes: 0 success,
 2 configuration violation (an arena too large to hold and a malformed
-config included), 3 no abstract-search structure (predict on the moving
-shift), 4 I/O failure.
+config included), 3 no abstract-search structure (spectrum, predict, and
+amplify without --walk-length, on the moving shift), 4 I/O failure.
 CSV traces always carry the columns (t, p_marked, p_nbhd, norm); JSON
 documents carry "schema": 1.  Identical configurations produce
 byte-identical output.
@@ -25,7 +25,8 @@ from .graphs import (FAMILIES, ConfigurationError, GraphSpec, build_graph, compl
                      hypercube_spec, torus_spec)
 from .runner import amplify, find_peak, run_two_marked, run_walk, scaling_sweep
 from .search import predict
-from .spectral import mode_spectrum, moving_shift_stationary_overlap, spectral_sums
+from .spectral import (NoSearchStructure, mode_spectrum, moving_shift_stationary_overlap,
+                       spectral_sums)
 
 SCHEMA_VERSION = 1
 
@@ -193,10 +194,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_predict(args) -> int:
     spec = build_spec(args)
-    if spec.shift == "moving":
-        print("predict: the moving shift has no abstract-search structure; "
-              "use analyze-moving", file=sys.stderr)
-        return EXIT_NO_STRUCTURE
     report = predict(spec)
     payload = {"spec": spec.label(), "prediction": asdict(report)}
     _emit(_json_doc(payload), args.out)
@@ -376,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config(args)
         return args.handler(args)
+    except NoSearchStructure as exc:
+        print(f"walklab: {exc}", file=sys.stderr)
+        return EXIT_NO_STRUCTURE
     except ConfigurationError as exc:
         print(f"walklab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -85,7 +85,6 @@ def solve_alpha(ms: ModeSpectrum) -> float:
     """Unique root of the secular equation in (0, theta_min), by bisection
     inside alpha_bracket.  Its lower end is proven only for roots below
     theta_min/2, so the search starts at the smaller of the two."""
-    ms.validate()
     theta_min = ms.theta_min
     blo, bhi = alpha_bracket(ms)
     lo = min(blo, 0.5 * theta_min) * (1.0 - 1e-9)

@@ -61,6 +61,10 @@ def _theta(sin2_half) -> np.ndarray:
 # -- mode spectrum ---------------------------------------------------------
 
 
+class NoSearchStructure(ConfigurationError):
+    """The walk has no abstract-search reduction (the moving shift)."""
+
+
 @dataclass(frozen=True, eq=False)
 class ModeSpectrum:
     """Abstract-search input: start weight a0^2 plus the rotating levels.
@@ -77,8 +81,10 @@ class ModeSpectrum:
     for the two-dimensional coin on even sides); that amplitude never
     rotates and is accounted separately.
 
-    A spectrum is not changed after construction: level_columns is formed
-    from entries on first use and kept.
+    A spectrum checks itself when it is built: it has a level, theta_min
+    is positive and its weights are complete.  It is not changed after
+    construction: level_columns is formed from entries on first use and
+    kept.
     """
 
     a0_sq: float
@@ -109,7 +115,7 @@ class ModeSpectrum:
         total += float(np.sum(2.0 * self.entries.weight * self.entries.multiplicity))
         return abs(total - 1.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.entries) == 0:
             raise ConfigurationError("empty mode spectrum")
         if self.theta_min <= 0:
@@ -155,15 +161,13 @@ def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
     """
     n = spec.n_vertices
     if spec.shift == "moving":
-        raise ConfigurationError(
+        raise NoSearchStructure(
             "moving shift has no abstract-search structure; "
             "use moving_shift_stationary_overlap (CLI: analyze-moving)"
         )
 
     if spec.family == "complete":
-        ms = ModeSpectrum(1.0 / n, _levels([_PI], (n - 1) / (2.0 * n), [1]), n, spec.family)
-        ms.validate()
-        return ms
+        return ModeSpectrum(1.0 / n, _levels([_PI], (n - 1) / (2.0 * n), [1]), n, spec.family)
 
     if spec.family == "hypercube":
         d = spec.dims[0]
@@ -174,9 +178,7 @@ def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
         # row w-1 of the lower triangle is a mode of Hamming weight w
         theta = _theta(sin2_half_theta(spec, np.tri(d, dtype=np.int64)))
         mult = [math.comb(d, w) for w in range(1, d + 1)]
-        ms = ModeSpectrum(1.0 / n, _levels(theta, 1.0 / (2 * n), mult), n, spec.family)
-        ms.validate()
-        return ms
+        return ModeSpectrum(1.0 / n, _levels(theta, 1.0 / (2 * n), mult), n, spec.family)
 
     # tori: flip-flop any dimension, dirac in two; row 0 is the zero mode
     sin2_half = sin2_half_theta(spec, torus_modes(spec)[1:])
@@ -187,10 +189,8 @@ def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
     # one level per eigenphase to _MERGE_DECIMALS, valued at its first mode
     _, first, mult = np.unique(np.round(theta, _MERGE_DECIMALS),
                                return_index=True, return_counts=True)
-    ms = ModeSpectrum(1.0 / n, _levels(theta[first], 1.0 / (2 * n), mult),
-                      n, spec.family, frozen_weight=frozen)
-    ms.validate()
-    return ms
+    return ModeSpectrum(1.0 / n, _levels(theta[first], 1.0 / (2 * n), mult),
+                        n, spec.family, frozen_weight=frozen)
 
 
 # -- spectral sums ---------------------------------------------------------

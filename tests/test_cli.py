@@ -149,6 +149,13 @@ def test_predict_moving_exit_code():
                     "--shift", "moving", "--out", os.devnull]) == 3
 
 
+@pytest.mark.parametrize("command", ["spectrum", "amplify"])
+def test_no_search_structure_exit_code(command, capsys):
+    # amplify without --walk-length takes its walk length from predict
+    assert run_cli([command, "--side", "8", "--shift", "moving", "--out", os.devnull]) == 3
+    assert "analyze-moving" in capsys.readouterr().err
+
+
 def test_invalid_configuration_exit_code(capsys):
     code = run_cli(["predict", "--family", "torus", "--side", "4", "--dims", "3",
                     "--shift", "dirac"])
