@@ -37,9 +37,8 @@ _MAGIC = b"WLKSTAT1"
 
 # -- the arena registry ------------------------------------------------------------
 #
-# The suite names an arena case by the arena's label (tests/conftest.py),
-# so a set's order does not matter; a set still only grows, since dropping
-# an arena retires the ids of its cases.
+# The suite reports a test by the labels (or positions) of the arenas it
+# draws, so a set keeps its order and only grows.
 
 
 def _one_per_family(side, cube_side, degree, *orders):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import (CoinConfig, ConfigurationError, WalkState, apply_coin,
+from walklab import (CoinConfig, ConfigurationError, GraphSpec, WalkState, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
                      dense_unitary, evolve_dense, hypercube_spec, marked_coin_state,
                      reflect_about, step, torus_spec, uniform_state,
@@ -104,6 +104,25 @@ def _start_states(g, seed):
     return real, as_complex(real)
 
 
+# "-False" in the ids keeps the case names from when apply_shift had an
+# inverse flag
+@pytest.mark.parametrize("spec", arenas("moves", shift=("flip_flop", "moving", "swap")),
+                         ids=lambda s: f"{s.label()}-False")
+def test_shift_equals_shift_permutation(spec):
+    # three shifts in a row: the complete graph's swap holds the state
+    # transposed after the first and third, C-ordered after the second
+    g = build_graph(spec)
+    perm = g.shift_permutation()  # p[c*N+v] = c'*N+v', from the per-edge rule
+    for state in (_start_states(g, seed=11)[0], random_state(g, seed=11)):
+        expected = state.vector.copy()
+        for _ in range(3):
+            apply_shift(state)
+            moved = np.empty_like(expected)
+            moved[perm] = expected
+            expected = moved
+            assert state.vector.tobytes() == expected.tobytes()
+
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -117,72 +136,21 @@ def _dirac_shift_by_rolls(amps, side):
     right = np.roll((grid[0] - grid[1]) * _INV_SQRT2, 1, axis=1)
     grid[0] = (left + right) * _INV_SQRT2
     grid[1] = (left - right) * _INV_SQRT2
-    return grid.ravel()
+    return grid.reshape(2, side * side)
 
 
-def _reference_shift(g):
-    """S on a flat copy of the amplitudes: the shift permutation, from the
-    per-edge rule, or the np.roll half-moves on dirac."""
-    if g.spec.shift == "dirac":
-        return lambda amps: _dirac_shift_by_rolls(amps, g.spec.dims[0])
-    perm = g.shift_permutation()  # p[c*N+v] = c'*N+v'
-
-    def move(amps):
-        moved = np.empty(amps.size, amps.dtype)
-        moved[perm] = amps.ravel()
-        return moved
-
-    return move
-
-
-@pytest.mark.parametrize("spec", arenas("moves"))
-def test_stepped_states_match_their_references(spec):
-    # walks from a real start with -0.0 columns, its complex copy and a complex
-    # start, 18 steps under each marking in turn: each shift makes the
-    # reference's move, byte for byte (the complete graph's swap holds the
-    # state transposed after odd shifts, C-ordered after even ones), and the
-    # real walk steps as its complex copy does
+@pytest.mark.parametrize("spec", arenas("moves", shift="dirac"),
+                         ids=lambda s: f"{s.dims[0]}-False")
+def test_dirac_shift_matches_roll_reference(spec):
     g = build_graph(spec)
-    move = _reference_shift(g)
-    real, cplx = _start_states(g, seed=11)
-    walks = (real.copy(), cplx.copy(), random_state(g, seed=11))
-    markings = [m for m in ((), (1,), (1, 5)) if max(m, default=0) < g.n]
-    # no coin before the first shift, which moves the start, -0.0 columns and all
-    coins = [None] + [default_coin(g, marked=m) for m in markings for _ in range(18)]
-    for t, coin in enumerate(coins):
-        for state in walks:
-            if coin is not None:
-                apply_coin(state, coin)
-            expected = move(state.amps)
+    for state in (_start_states(g, seed=spec.dims[0])[0], random_state(g, seed=spec.dims[0])):
+        for _ in range(3):
+            expected = _dirac_shift_by_rolls(state.amps, spec.dims[0])
             apply_shift(state)
-            assert state.vector.tobytes() == expected.tobytes(), t
-        assert walks[0].amps.dtype == np.float64
-        assert np.array_equal(walks[0].amps, walks[1].amps), t
-    for vs in (None, [v % g.n for v in (2, 0, 5)]):
-        assert (vertex_probabilities(walks[0], vs).tobytes()
-                == vertex_probabilities(walks[1], vs).tobytes())
-    if spec.shift != "flip_flop":
-        return
-    # the owed shift: a walk read only at its end, against a reference that
-    # makes every shift at once and never owes one; after an odd number of
-    # steps the state holds the array before the move, and reading amps
-    # makes the move in place
-    for marked, last in ((sorted({0, g.n - 1}), 9), ([g.n // 2], 3)):
-        coin = default_coin(g, marked=marked)
-        for start in (real, cplx):
-            owing, settled = start.copy(), start.copy()
-            for t in range(1, last + 1):
-                step(owing, coin)
-                apply_coin(settled, coin)
-                _settle(settled)
-                held = move(owing._amps) if t % 2 else owing._amps
-                assert held.tobytes() == settled.amps.tobytes(), t
-            array = owing._amps
-            assert owing.amps.tobytes() == settled.amps.tobytes()
-            assert owing.amps is array and not owing._owed  # paid in place
+            assert state.amps.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("spec", arenas("moves", family="torus"))
+@pytest.mark.parametrize("spec", arenas("moves", family="torus"), ids=GraphSpec.label)
 def test_move_plans_agree_with_shift_targets(spec):
     # every plan read over a row of vertex numbers gives its move's target at
     # every vertex: one plan per direction; dirac's plans read row c where the
@@ -425,6 +393,30 @@ def test_a_state_leaves_the_array_it_was_built_from_alone(dtype):
     assert np.array_equal(twin.amps, before)
 
 
+@pytest.mark.parametrize("marked", [(), (1,), (1, 5)], ids=["unmarked", "one", "two"])
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
+def test_real_state_steps_like_complex(spec, marked):
+    g = build_graph(spec)
+    coin = default_coin(g, marked=marked)
+    real = real_random_state(g, seed=7)
+    cplx = as_complex(real)
+    for advance in [step] * 18:
+        advance(real, coin)
+        advance(cplx, coin)
+        assert real.amps.dtype == np.float64
+        np.testing.assert_array_equal(real.amps, cplx.amps)
+
+
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
+def test_vertex_probabilities_real_equals_complex(spec):
+    g = build_graph(spec)
+    real = real_random_state(g, seed=8)
+    cplx = as_complex(real)
+    for vs in (None, [2, 0, 5]):
+        assert (vertex_probabilities(real, vs).tobytes()
+                == vertex_probabilities(cplx, vs).tobytes())
+
+
 def test_real_state_roundtrips_through_the_complex_file_format(tmp_path):
     g = build_graph(torus_spec(5, shift="dirac"))
     state = real_random_state(g, seed=9)
@@ -463,7 +455,23 @@ def test_squared_norm_is_the_sum_of_squares(seed):
 
 # -- the owed flip-flop shift -----------------------------------------------------
 
-@pytest.mark.parametrize("spec", arenas("edge", shift="flip_flop"))
+@pytest.mark.parametrize("spec", arenas("moves", shift="flip_flop"), ids=GraphSpec.label)
+def test_owed_steps_match_coin_and_settle(spec):
+    # the reference makes every shift at once and never owes one
+    g = build_graph(spec)
+    coin = default_coin(g, marked=sorted({0, g.n - 1}))
+    for start in _start_states(g, seed=12):
+        settled = start.copy()
+        for t in range(1, 10):
+            apply_coin(settled, coin)
+            _settle(settled)
+            owing = start.copy()
+            for _ in range(t):
+                step(owing, coin)
+            assert owing.amps.tobytes() == settled.amps.tobytes(), t
+
+
+@pytest.mark.parametrize("spec", arenas("edge", shift="flip_flop"), ids=GraphSpec.label)
 def test_owed_coin_on_columns_of_negative_zeros(spec):
     # no step leaves a -0.0 in an owing buffer, so set one up: the owed
     # coin's column sums start from 0.0 as np.sum's do, and a column of -0.0
@@ -483,7 +491,24 @@ def test_owed_coin_on_columns_of_negative_zeros(spec):
         assert owing.amps.tobytes() == settled.amps.tobytes()
 
 
-@pytest.mark.parametrize("spec", arenas("edge", shift="flip_flop"))
+@pytest.mark.parametrize("spec", arenas("moves", shift="flip_flop"), ids=GraphSpec.label)
+def test_amps_after_an_odd_number_of_steps_is_the_shifted_array(spec):
+    # S moves the entry at flat index i to perm[i]; an owing state holds the
+    # array before that move, and reading amps makes it
+    g = build_graph(spec)
+    perm = g.shift_permutation()
+    coin = default_coin(g, marked=(g.n // 2,))
+    for state in _start_states(g, seed=13):
+        for _ in range(3):
+            step(state, coin)
+        before = state._amps.copy()
+        shifted = np.empty_like(before.ravel())
+        shifted[perm] = before.ravel()
+        assert state.amps.tobytes() == shifted.tobytes()
+        assert state._amps is state.amps and not state._owed  # paid in place
+
+
+@pytest.mark.parametrize("spec", arenas("edge", shift="flip_flop"), ids=GraphSpec.label)
 def test_vertex_probabilities_of_an_owing_state_match_the_settled_state(spec):
     g = build_graph(spec)
     coin = default_coin(g, marked=(1 % g.n,))

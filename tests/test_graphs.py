@@ -153,7 +153,7 @@ def _adjacent(g, u, v) -> bool:
     return sum(unit) == 1 and sum(gap != 0 for gap in gaps) == 1
 
 
-@pytest.mark.parametrize("spec", arenas("edge"))
+@pytest.mark.parametrize("spec", arenas("edge"), ids=GraphSpec.label)
 def test_neighbors_match_brute_force(spec):
     g = build_graph(spec)
     for v in range(g.n):
@@ -210,7 +210,7 @@ def test_arena_fixes_the_marking():
                         "minus_identity", "minus_identity", "minus_c0"]
 
 
-@pytest.mark.parametrize("spec", arenas("parity"))
+@pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
     g = build_graph(spec)
     for vertex in sorted({0, 3 % g.n, g.n - 1}):
@@ -221,7 +221,7 @@ def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
             assert np.array_equal(np.sort(mirror[g.neighbors(u)]), g.neighbors(int(mirror[u])))
 
 
-@pytest.mark.parametrize("spec", arenas("parity"))
+@pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_lift_sends_each_direction_to_the_image_of_its_target(spec):
     g = build_graph(spec)
     mirror = g.mirror(3 % g.n)
@@ -260,7 +260,7 @@ def test_mirror_maps_of_each_family():
     assert list(build_graph(complete_spec(6)).mirror(2)) == [1, 0, 2, 4, 3, 5]
 
 
-@pytest.mark.parametrize("spec", arenas("parity"))
+@pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_coordinates_round_trip(spec):
     g = build_graph(spec)
     coords = g.coordinates()
@@ -272,7 +272,7 @@ def test_coordinates_round_trip(spec):
         assert type(index) is int and index == v
 
 
-@pytest.mark.parametrize("spec", arenas("parity"))
+@pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_shift_targets_of_a_subset_are_columns_of_the_table(spec):
     g = build_graph(spec)
     table = g.shift_targets()

@@ -10,7 +10,7 @@ import pytest
 import walklab.engine
 import walklab.oracle
 import walklab.spectral
-from walklab import (CoinConfig, block_eigens, build_graph, complete_spec,
+from walklab import (CoinConfig, GraphSpec, block_eigens, build_graph, complete_spec,
                      default_coin, dense_eigens, dense_unitary, hypercube_spec,
                      mode_spectrum, run_walk, solve_alpha, step, torus_spec,
                      uniform_state)
@@ -20,6 +20,13 @@ from helpers import (arenas, eigenspace_projection, random_state, schur_eigens,
 
 
 @pytest.mark.parametrize("spec", arenas("small"))
+def test_dense_unitarity(spec):
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    assert op.unitarity_defect() < 1e-10
+
+
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_unitarity_defect_equals_the_explicit_formula(spec):
     g = build_graph(spec)
     exact = dense_unitary(g, default_coin(g, marked=(1,)))
@@ -33,7 +40,7 @@ def test_unitarity_defect_equals_the_explicit_formula(spec):
 
 
 @pytest.mark.parametrize("marked", [(), (1,)], ids=["unmarked", "marked"])
-@pytest.mark.parametrize("spec", arenas("small"))
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_dense_unitary_equals_step_built(spec, marked):
     g = build_graph(spec)
     coin = default_coin(g, marked=marked)
@@ -180,7 +187,7 @@ def test_block_eigens_refuses_complex_input():
         block_eigens(matrix.astype(np.complex128))
 
 
-@pytest.mark.parametrize("spec", arenas("small"))
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_block_eigens_real_matches_complex(spec):
     g = build_graph(spec)
     matrix = dense_unitary(g, default_coin(g, marked=(1,))).matrix
@@ -247,7 +254,7 @@ def test_split_principal_pair_matches_the_whole_route(case):
     (torus_spec(32, 1), True), (torus_spec(4), True), (torus_spec(3, 3), True),
     (torus_spec(2), True), (hypercube_spec(4), True), (complete_spec(16), True),
     (torus_spec(4, shift="dirac"), False),  # the dirac step is no permutation
-])
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
 def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(spec, involutive):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
@@ -260,7 +267,8 @@ def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(sp
     assert np.array_equal(op.matrix[perm][:, perm], op.matrix.T)  # S U S = U^T, exactly
 
 
-@pytest.mark.parametrize("spec", arenas("moves", shift="moving", max_dim=750))
+@pytest.mark.parametrize("spec", arenas("moves", shift="moving", max_dim=750),
+                         ids=GraphSpec.label)
 def test_dense_operator_keeps_the_reversed_moving_shift_as_reflection(spec):
     """The moving walk's reflection is its shift after the direction reversal c <-> c^1."""
     g = build_graph(spec)
@@ -420,7 +428,7 @@ MIRRORED = [spec for spec in arenas("parity") if spec.n_vertices > 2]
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-@pytest.mark.parametrize("spec", MIRRORED)
+@pytest.mark.parametrize("spec", MIRRORED, ids=GraphSpec.label)
 def test_lifted_mirror_commutes_with_the_walk(spec, where):
     g = build_graph(spec)
     vertex = {"first": 0, "middle": g.n // 2, "last": g.n - 1}[where]
@@ -433,7 +441,7 @@ def test_lifted_mirror_commutes_with_the_walk(spec, where):
         assert np.array_equal(op.reflection[p], p[op.reflection])
 
 
-@pytest.mark.parametrize("spec", MIRRORED)
+@pytest.mark.parametrize("spec", MIRRORED, ids=GraphSpec.label)
 def test_mirror_split_matches_the_unsplit_eigensolve(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
@@ -449,7 +457,8 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
         walklab.oracle.dense_principal_pair(unsplit, 1), rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec", [torus_spec(3, 3), complete_spec(5), complete_spec(8)])
+@pytest.mark.parametrize("spec", [torus_spec(3, 3), complete_spec(5), complete_spec(8)],
+                         ids=GraphSpec.label)
 def test_mirror_swaps_some_of_the_reflections_pairs(spec):
     # where P swaps a 2-cycle (p, q) of S itself, P negates (e_p - e_q)/sqrt(2)
     # on S's -1 half: the split must carry that sign (covered above)

@@ -7,7 +7,7 @@ import pytest
 
 import walklab.engine
 import walklab.runner
-from walklab import (ConfigurationError, RunTrace, amplify, build_graph,
+from walklab import (ConfigurationError, GraphSpec, RunTrace, amplify, build_graph,
                      complete_spec, default_coin, dense_unitary, find_peak, fit_exponent,
                      hypercube_spec, reflect_about, run_two_marked,
                      run_walk, scaling_sweep, step, sweep_point, torus_spec,
@@ -31,7 +31,8 @@ def test_trace_starts_uniform():
 
 
 @pytest.mark.parametrize("spec", [torus_spec(6), torus_spec(6, shift="dirac"),
-                                  hypercube_spec(5), complete_spec(12)])
+                                  hypercube_spec(5), complete_spec(12)],
+                         ids=GraphSpec.label)
 def test_trace_matches_stepwise_measurement(spec):
     g = build_graph(spec)
     coin = default_coin(g, marked=(2, 3))
@@ -273,7 +274,7 @@ def test_prepare_rejects_other_arenas():
 ENGINE_KERNELS = ("apply_coin", "apply_shift", "vertex_probabilities")
 
 
-@pytest.mark.parametrize("spec", arenas("loop"))
+@pytest.mark.parametrize("spec", arenas("loop"), ids=GraphSpec.label)
 def test_each_step_goes_through_the_engine_kernels(spec, monkeypatch):
     # perfbench's trace wraps these module attributes and divides each
     # kernel's time by its call count, so a step that fuses or bypasses
@@ -296,7 +297,7 @@ def test_each_step_goes_through_the_engine_kernels(spec, monkeypatch):
                      "vertex_probabilities": t_max + 1}
 
 
-@pytest.mark.parametrize("spec", arenas("loop"))
+@pytest.mark.parametrize("spec", arenas("loop"), ids=GraphSpec.label)
 def test_step_loop_never_reaches_blas(spec, monkeypatch):
     # a BLAS reduction splits its sum over threads, so its bits depend on
     # the thread count; the traces must not
@@ -316,7 +317,7 @@ def test_step_loop_never_reaches_blas(spec, monkeypatch):
         assert abs(state.norm() - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("spec", arenas("memory"))
+@pytest.mark.parametrize("spec", arenas("memory"), ids=GraphSpec.label)
 def test_walks_hold_the_state_and_its_rows(spec):
     # no spare state: run_walk holds the state, the vertex rows it steps
     # through, its move plans and numpy's 64 KiB ufunc buffers; amplify adds

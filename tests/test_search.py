@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walklab.search
-from walklab import (ConfigurationError, ModeSpectrum, alpha_bracket,
+from walklab import (ConfigurationError, GraphSpec, ModeSpectrum, alpha_bracket,
                      complete_spec, hypercube_spec, mode_spectrum, predict,
                      predict_overlaps, predict_runtime, secular_value, solve_alpha,
                      spectral_sums, torus_spec)
@@ -31,32 +31,11 @@ DENSE_SPECS = [spec for spec in arenas("spectra", max_dim=650) if not _outside_r
 
 
 @pytest.mark.parametrize("spec", DENSE_SPECS)
-def test_alpha_overlaps_and_eigenvector_match_the_dense_route(spec):
+def test_alpha_matches_dense_principal_phase(spec):
     ms = mode_spectrum(spec)
     alpha = solve_alpha(ms)
     data = principal_dense_data(spec)
     assert alpha == pytest.approx(data["alpha"], abs=1e-6)
-
-    lo, hi = alpha_bracket(ms)
-    assert lo <= alpha <= hi
-    # the bracket itself obeys the inverse-gap-sum scalings
-    s1, _, _ = spectral_sums(ms)
-    sigma = s1 * ms.a0_sq / (ms.a0_sq + ms.frozen_weight)
-    assert hi <= 0.5 * math.pi / math.sqrt(sigma) + 1e-12
-    assert lo >= 1.0 / math.sqrt(2.0 * sigma) - 1e-12
-
-    start, good = predict_overlaps(ms, alpha)
-    assert start == pytest.approx(data["start_overlap"], abs=1e-6)
-    assert good == pytest.approx(data["good_overlap"], abs=1e-6)
-    assert 0 < start <= 1 and 0 < good <= 1
-
-    x = lift_principal_eigenvector(data["graph"], 0, alpha)
-    resid = np.linalg.norm(data["op"].matrix @ x - np.exp(1j * alpha) * x)
-    assert resid < 1e-8
-    # complex conjugation gives the partner eigenvector
-    resid_conj = np.linalg.norm(data["op"].matrix @ x.conj()
-                                - np.exp(-1j * alpha) * x.conj())
-    assert resid_conj < 1e-8
 
 
 def test_alpha_complete_graph_is_grover_angle():
@@ -64,6 +43,19 @@ def test_alpha_complete_graph_is_grover_angle():
         alpha = solve_alpha(mode_spectrum(complete_spec(n)))
         assert alpha == pytest.approx(2 * math.atan(1 / math.sqrt(n - 1)), abs=1e-12)
         assert abs(alpha - 2 / math.sqrt(n)) / (2 / math.sqrt(n)) < 0.10
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+def test_alpha_within_rigorous_bracket(spec):
+    ms = mode_spectrum(spec)
+    alpha = solve_alpha(ms)
+    lo, hi = alpha_bracket(ms)
+    assert lo <= alpha <= hi
+    # the bracket itself obeys the inverse-gap-sum scalings
+    s1, _, _ = spectral_sums(ms)
+    sigma = s1 * ms.a0_sq / (ms.a0_sq + ms.frozen_weight)
+    assert hi <= 0.5 * math.pi / math.sqrt(sigma) + 1e-12
+    assert lo >= 1.0 / math.sqrt(2.0 * sigma) - 1e-12
 
 
 def test_secular_root_unique_on_grid():
@@ -101,7 +93,7 @@ def _float_root(ms):
     return lo
 
 
-@pytest.mark.parametrize("spec", arenas("roots"))
+@pytest.mark.parametrize("spec", arenas("roots"), ids=GraphSpec.label)
 def test_secular_value_has_the_sign_of_the_exact_sum(spec):
     ms = mode_spectrum(spec)
     root = _float_root(ms)
@@ -115,7 +107,7 @@ def test_secular_value_has_the_sign_of_the_exact_sum(spec):
         assert np.sign(secular_value(ms, a)) == np.sign(_exactly_summed_secular_value(ms, a))
 
 
-@pytest.mark.parametrize("spec", arenas("roots"))
+@pytest.mark.parametrize("spec", arenas("roots"), ids=GraphSpec.label)
 def test_solve_alpha_is_bit_identical_to_the_exact_sum(monkeypatch, spec):
     ms = mode_spectrum(spec)
     alpha = solve_alpha(ms)
@@ -171,6 +163,31 @@ def test_principal_vector_orthogonal_to_good_state():
     inner = math.sqrt(ms.a0_sq) * c_start
     inner += np.sum(np.sqrt(lv.weight) * lv.multiplicity * (c_plus + c_minus))
     assert abs(inner) < 1e-10
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+def test_lifted_principal_eigenvector_residual(spec):
+    ms = mode_spectrum(spec)
+    alpha = solve_alpha(ms)
+    data = principal_dense_data(spec)
+    x = lift_principal_eigenvector(data["graph"], 0, alpha)
+    resid = np.linalg.norm(data["op"].matrix @ x - np.exp(1j * alpha) * x)
+    assert resid < 1e-8
+    # complex conjugation gives the partner eigenvector
+    resid_conj = np.linalg.norm(data["op"].matrix @ x.conj()
+                                - np.exp(-1j * alpha) * x.conj())
+    assert resid_conj < 1e-8
+
+
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+def test_overlaps_match_dense_eigenvectors(spec):
+    ms = mode_spectrum(spec)
+    alpha = solve_alpha(ms)
+    start, good = predict_overlaps(ms, alpha)
+    data = principal_dense_data(spec)
+    assert start == pytest.approx(data["start_overlap"], abs=1e-6)
+    assert good == pytest.approx(data["good_overlap"], abs=1e-6)
+    assert 0 < start <= 1 and 0 < good <= 1
 
 
 def test_start_overlap_approaches_one_in_3d():
@@ -261,7 +278,8 @@ def test_outside_regime_overlaps_match_the_dense_route():
 
 
 # the closed-form overlaps hold outside the small-angle regime too
-@pytest.mark.parametrize("spec", [spec for spec in arenas("spectra") if _outside_regime(spec)])
+@pytest.mark.parametrize("spec", [spec for spec in arenas("spectra") if _outside_regime(spec)],
+                         ids=GraphSpec.label)
 def test_secular_prediction_matches_the_dense_route_on_small_arenas(spec):
     report = predict(spec)
     assert report.in_small_angle_regime == (spec.dims == (2, 2, 2))

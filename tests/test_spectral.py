@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from walklab import (CoinConfig, ConfigurationError, build_graph,
+from walklab import (CoinConfig, ConfigurationError, GraphSpec, build_graph,
                      complete_spec, default_coin, dense_eigens, dense_unitary,
                      grover_coin, hypercube_spec, marked_coin_state, mode_spectrum,
                      moving_shift_stationary_overlap, sin2_half_theta, spectral_sums,
@@ -119,7 +119,7 @@ def test_mode_spectrum_completeness_all_families():
         assert mode_spectrum(spec).completeness_defect() < 1e-9
 
 
-@pytest.mark.parametrize("spec", arenas("spectra"))
+@pytest.mark.parametrize("spec", arenas("spectra"), ids=GraphSpec.label)
 def test_mode_spectrum_equals_per_mode_reference(spec):
     theta, mult, frozen = per_mode_levels(spec)
     ms = mode_spectrum(spec)
