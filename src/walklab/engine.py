@@ -13,14 +13,14 @@ the reversed direction; c on the hypercube) is an involution, S^2 = I, so
 a state takes it without moving its amplitudes: `apply_shift` marks the
 shift owed, and the array P then holds psi = S P, psi[c, w] =
 P[label(c), target_c(w)].  The next coin acts on P as S C' S, in place and
-through one scratch row for the column sums (and on the hypercube a
-second for a flipped row), so the state holds C' psi and still owes the
-shift; the next `apply_shift` pays it by clearing the mark.  Only this
-module knows whether a state owes its shift: reading `WalkState.amps`
-pays it first, in place (each torus row pair (c, c^1) trades places
-through the scratch row, and each hypercube row flips its bit through
-it), while `vertex_probabilities` reads an owing state through the shift
-and `squared_norm` sums the array in whatever order it stands.
+through one scratch row for the column sums, so the state holds C' psi
+and still owes the shift; the next `apply_shift` pays it by clearing the
+mark.  Only this module knows whether a state owes its shift: reading
+`WalkState.amps` pays it first, in place (each torus row pair (c, c^1)
+trades places through the scratch row, and each hypercube row is copied
+into it and read back with its bit flipped), while `vertex_probabilities`
+reads an owing state through the shift and `squared_norm` sums the array
+in whatever order it stands.
 
 A torus row is read through a move by its plan (`_build_plans`), built
 from `Graph.shift_targets` at the first step and held by the state: away
@@ -31,11 +31,11 @@ written after the flat op from values taken before it.  The moving shift
 copies each row into a scratch row and reads it back through its plan;
 the dirac shift reads both rows through its two composed half-moves into
 two scratch rows, the Hadamard butterfly, and writes the state from
-them.  A hypercube row moves by swapping runs of amplitudes
-(`_flip_bit`).  The complete graph's register swap copies nothing either:
-it holds `amps` as the transpose of the array it had, so `amps` is
-C-ordered after an even number of swaps and F-ordered after an odd
-number.  The kernels here take either order without copying the state;
+them.  A hypercube row is read through a strided view with its bit
+flipped (`_runs`), so the owed coin copies nothing.  The complete graph's
+register swap copies nothing either: it holds `amps` as the transpose of
+the array it had, so `amps` is C-ordered after an even number of swaps
+and F-ordered after an odd number.  The kernels here take either order without copying the state;
 only `WalkState.vector` copies a transposed one.
 """
 
@@ -122,11 +122,10 @@ class WalkState:
 
     def _scratch_rows(self) -> np.ndarray:
         """Vertex rows of the state's dtype, owned by this state alone: the
-        column sums or a moved row, and a second row on the hypercube (a
-        flipped row) and on dirac (the butterfly's other half)."""
+        column sums or a moved row, and on dirac a second row (the
+        butterfly's other half)."""
         if self._rows is None:
-            spec = self.graph.spec
-            count = 2 if spec.family == "hypercube" or spec.shift == "dirac" else 1
+            count = 2 if self.graph.spec.shift == "dirac" else 1
             self._rows = np.empty((count, self.graph.n), self._amps.dtype)
         return self._rows
 
@@ -229,14 +228,24 @@ def _coin_through_shift(state: WalkState, coin: CoinConfig) -> None:
 def _through(state: WalkState, ufunc, out: np.ndarray, c: int, row: np.ndarray, other) -> None:
     """out[v] = ufunc(row[target_c(v)], other[v]) over a whole row, `other` a
     row (`out` itself, for an update in place) or a scalar: through the
-    direction's move plan on a torus, through the second scratch row on the
-    hypercube."""
+    direction's move plan on a torus, through a view of `row` with bit c
+    flipped on the hypercube (`_runs`), walked in the views' index order."""
     if state.graph.spec.family == "hypercube":
-        moved = state._scratch_rows()[1]
-        _flip_bit(moved, row, c)
-        ufunc(moved, other, out=out)
+        ufunc(_runs(row, c)[:, ::-1], _runs(other, c), out=_runs(out, c), order="C")
     else:
         _apply(state._move_plans()[c], ufunc, out, (row,), other)
+
+
+def _runs(row, c: int):
+    """A hypercube row as its (2^(d-1-c), 2, 2^c) runs of 2^c amplitudes,
+    so that flipping axis 1 flips bit c, a scalar as itself.  Runs of at
+    most 32 bytes (four float64 amplitudes, two complex128) are transposed,
+    the long axis last, so that a ufunc told order="C" moves along the row,
+    not along the short runs."""
+    if not isinstance(row, np.ndarray):
+        return row
+    runs = row.reshape(-1, 2, 1 << c)
+    return runs.T if row.itemsize << c <= 32 else runs
 
 
 # -- move plans ----------------------------------------------------------
@@ -365,12 +374,13 @@ def _settle(state: WalkState) -> None:
     """Make the flip-flop shift on the array in place and clear the mark:
     the state's way to pay a shift it owes.  Each torus row pair (c, c^1)
     trades places through one scratch row, each read through its move,
-    and each hypercube row flips its bit through it."""
+    and each hypercube row is copied into it and read back with its bit
+    flipped."""
     buf, row = state._amps, state._scratch_rows()[0]
     if state.graph.spec.family == "hypercube":
         for c in range(state.graph.coin_dim):
-            _flip_bit(row, buf[c], c)
-            np.copyto(buf[c], row)
+            np.copyto(row, buf[c])
+            np.copyto(_runs(buf[c], c), _runs(row, c)[:, ::-1])
     else:
         plans = state._move_plans()
         for c in range(0, state.graph.coin_dim, 2):
@@ -404,33 +414,6 @@ def _dirac_step(state: WalkState) -> None:
     np.add(rows[0], rows[1], out=amps[0])
     np.subtract(rows[0], rows[1], out=amps[1])
     amps *= _INV_SQRT2
-
-
-def _flip_bit(dst: np.ndarray, src: np.ndarray, i: int) -> None:
-    """dst[v] = src[v ^ 2^i] on one hypercube direction's row.
-
-    The row is a sequence of runs of 2^i amplitudes, and the flip swaps
-    neighbouring runs.  A reversed-axis copy of the (2^(d-1-i), 2, 2^i)
-    view moves only 2^i amplitudes per inner loop, so short runs move
-    otherwise: a 32-byte run (bit 2 of a float64 row, bit 1 of a complex
-    one) as one void element, two strided assignments over the whole row;
-    runs of one or two float64 words word by word, as strided int64
-    assignments.  Each is a raw byte move, so every route gives the same
-    bits.
-    """
-    if src.itemsize << i == 32:
-        src_w, dst_w = src.view("V32"), dst.view("V32")
-        dst_w[0::2] = src_w[1::2]
-        dst_w[1::2] = src_w[0::2]
-    elif i <= 1 and src.dtype == np.float64:
-        k = 1 << i
-        src_w, dst_w = src.view(np.int64), dst.view(np.int64)
-        for j in range(k):
-            dst_w[j::2 * k] = src_w[k + j::2 * k]
-            dst_w[k + j::2 * k] = src_w[j::2 * k]
-    else:
-        view = (-1, 2, 1 << i)
-        np.copyto(dst.reshape(view), src.reshape(view)[:, ::-1])
 
 
 # -- steps ---------------------------------------------------------------
@@ -491,15 +474,20 @@ def _owed_index(state: WalkState, vertices) -> tuple[np.ndarray, np.ndarray]:
     that reads amps[:, vertices]: direction c's entry at w sits at
     (label(c), target_c(w)).  A run reads the same vertices every step and
     the shift table costs tens of microseconds a call, so the state keeps
-    the index of the last vertex set it was read at, keyed by its contents."""
-    key = np.asarray(vertices, dtype=np.int64).tobytes()
-    if state._index is None or state._index[0] != key:
-        graph = state.graph
-        labels = np.arange(graph.coin_dim)
-        if graph.spec.family == "torus":
-            labels ^= 1
-        state._index = key, (labels[:, None], graph.shift_targets(vertices))
-    return state._index[1]
+    the index of the last vertex set it was read at, keyed by its contents,
+    while its table is no larger than one vertex row."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    key = vertices.tobytes()
+    if state._index is not None and state._index[0] == key:
+        return state._index[1]
+    graph = state.graph
+    labels = np.arange(graph.coin_dim)
+    if graph.spec.family == "torus":
+        labels ^= 1
+    index = labels[:, None], graph.shift_targets(vertices)
+    if graph.coin_dim * vertices.size <= graph.n:
+        state._index = key, index
+    return index
 
 
 def closed_neighborhood(graph: Graph, vertices) -> np.ndarray:

@@ -56,7 +56,8 @@ ARENA_SETS = {
     "loop": _one_per_family(8, 4, 5, 16),
     # every move kernel: flip-flop and moving tori of sides 2 (both senses of
     # an axis reach the same vertex) to 5 in 1D-3D, dirac from side 2 to 16,
-    # every hypercube bit-flip route, and the swap at both ends
+    # the hypercube's bits 0-2 (float64 runs of at most 32 bytes, walked
+    # along the row) and 3-9 (walked run by run), and the swap at both ends
     "moves": (*(torus_spec(side, ndim, shift) for shift in ("flip_flop", "moving")
                 for ndim in (1, 2, 3) for side in (2, 3, 4, 5)),
               torus_spec(6, 1), *(torus_spec(side, shift="dirac") for side in (2, 3, 4, 7, 16)),
@@ -93,6 +94,15 @@ ARENA_SETS = {
     # (no 3D torus lies in that band)
     "dense_cap": (torus_spec(16), torus_spec(16, shift="moving"), torus_spec(22, shift="dirac"),
                   hypercube_spec(7), complete_spec(32)),
+    # runs traced against step-by-step measurement: an owed shift on the
+    # torus and the hypercube, dirac's copying shift and the swap
+    "trace": (torus_spec(6), torus_spec(6, shift="dirac"), hypercube_spec(5), complete_spec(12)),
+    # arenas whose mirror swaps some 2-cycles of the shift itself: the 3D
+    # torus of side 3 and complete graphs of odd and even order
+    "mirror_swaps": (torus_spec(3, 3), complete_spec(5), complete_spec(8)),
+    # reads at vertex subsets: the arenas of `small`, then a hypercube and a
+    # complete graph of more than a thousand amplitudes
+    "subsets": (*_one_per_family(4, 3, 4, 8, 16), hypercube_spec(10), complete_spec(40)),
 }
 
 

@@ -1,6 +1,7 @@
 """State evolution: coins, shifts, steps, reflections, and measurement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from walklab import (CoinConfig, ConfigurationError, GraphSpec, WalkState, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
-                     dense_unitary, evolve_dense, hypercube_spec, marked_coin_state,
+                     dense_unitary, evolve_dense, marked_coin_state,
                      reflect_about, step, torus_spec, uniform_state,
                      vertex_probabilities)
 from walklab.engine import _apply, _owed_index, _settle, squared_norm
@@ -189,7 +190,7 @@ def test_copy_does_not_follow_the_original(spec):
     assert np.array_equal(twin.amps, state.amps)
 
 
-@pytest.mark.parametrize("spec", [*arenas("small"), hypercube_spec(10), complete_spec(40)])
+@pytest.mark.parametrize("spec", arenas("subsets"))
 def test_vertex_probabilities_on_a_subset_is_exact(spec):
     # after one shift the complete graph's state is held transposed
     g = build_graph(spec)
@@ -512,9 +513,10 @@ def test_amps_after_an_odd_number_of_steps_is_the_shifted_array(spec):
 def test_vertex_probabilities_of_an_owing_state_match_the_settled_state(spec):
     g = build_graph(spec)
     coin = default_coin(g, marked=(1 % g.n,))
-    # the state keeps the index of the last vertex set it was read at; the
-    # reads that alternate between two orders of one set show that it
-    # follows the vertices, not their count
+    # the state keeps the index of the last vertex set it was read at, if
+    # its table is no larger than a vertex row; the reads that alternate
+    # between two orders of one set show that it follows the vertices, not
+    # their count
     subsets = [[0], [g.n - 1, 0], np.arange(g.n)[::2], np.arange(g.n),
                [g.n - 1, 0], [0, g.n - 1], [g.n - 1, 0], [0]]
     for start in _start_states(g, seed=14):
@@ -526,8 +528,24 @@ def test_vertex_probabilities_of_an_owing_state_match_the_settled_state(spec):
         for vs in subsets:
             expected = vertex_probabilities(settled, vs).tobytes()
             assert vertex_probabilities(owing, vs).tobytes() == expected
-            # kept, keyed by the vertices' contents
-            assert _owed_index(owing, np.array(vs)) is _owed_index(owing, list(vs))
+            # kept while coin_dim * len(vs) <= N, keyed by the vertices' contents
+            kept = _owed_index(owing, np.array(vs)) is _owed_index(owing, list(vs))
+            assert kept == (g.coin_dim * len(vs) <= g.n)
             assert owing._amps is array and owing._owed  # read through the shift, not settled
         assert (vertex_probabilities(owing).tobytes()
                 == vertex_probabilities(settled).tobytes())
+
+
+def test_a_read_of_an_owing_state_at_every_vertex_keeps_no_index():
+    # the read's (coin_dim, N) target table is as large as the state
+    g = build_graph(torus_spec(256))
+    state = step(uniform_state(g), default_coin(g, marked=(3,)))
+    every = np.arange(g.n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vertex_probabilities(state, every)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert state._owed and held < 8 * g.n  # less than one vertex row

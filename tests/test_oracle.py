@@ -457,8 +457,7 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
         walklab.oracle.dense_principal_pair(unsplit, 1), rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec", [torus_spec(3, 3), complete_spec(5), complete_spec(8)],
-                         ids=GraphSpec.label)
+@pytest.mark.parametrize("spec", arenas("mirror_swaps"), ids=GraphSpec.label)
 def test_mirror_swaps_some_of_the_reflections_pairs(spec):
     # where P swaps a 2-cycle (p, q) of S itself, P negates (e_p - e_q)/sqrt(2)
     # on S's -1 half: the split must carry that sign (covered above)

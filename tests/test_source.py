@@ -89,9 +89,17 @@ def test_the_engine_internals_check_sees_an_owed_read():
 _SPEC_CONSTRUCTORS = frozenset({"torus_spec", "hypercube_spec", "complete_spec", "GraphSpec"})
 
 
+def _draws_from_the_registry(node) -> bool:
+    """Whether `node` is a call of `arenas`, starred or not."""
+    if isinstance(node, ast.Starred):
+        node = node.value
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "arenas"
+
+
 def _is_arena_list(node) -> bool:
     """Whether `node` lists arenas by hand: spec constructor calls, a
-    comprehension over one, or a sum of such lists."""
+    comprehension over one, or a list or sum of such lists, which may take
+    in sets drawn from the registry."""
     if isinstance(node, ast.Call):
         return getattr(node.func, "attr", getattr(node.func, "id", None)) in _SPEC_CONSTRUCTORS
     if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
@@ -99,16 +107,33 @@ def _is_arena_list(node) -> bool:
     if isinstance(node, ast.Starred):
         return _is_arena_list(node.value)
     if isinstance(node, (ast.List, ast.Tuple)):
-        return bool(node.elts) and all(map(_is_arena_list, node.elts))
-    return isinstance(node, ast.BinOp) and _is_arena_list(node.left) and _is_arena_list(node.right)
+        parts = node.elts
+    elif isinstance(node, ast.BinOp):
+        parts = [node.left, node.right]
+    else:
+        return False
+    own = [_is_arena_list(part) for part in parts]
+    return any(own) and all(o or _draws_from_the_registry(p) for o, p in zip(own, parts))
+
+
+def _lists_arenas_in_parametrize(node) -> bool:
+    """Whether `node`, a decorator, is a parametrize call with an arena list
+    of its own among its arguments."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "parametrize"
+            and any(map(_is_arena_list, [*node.args, *(k.value for k in node.keywords)])))
 
 
 def _module_arena_lists(source):
-    """The names a module binds at its top level to an arena list of its own."""
-    return {target.id for node in ast.parse(source).body
-            if isinstance(node, ast.Assign) and not isinstance(node.value, ast.Call)
-            and _is_arena_list(node.value)
-            for target in node.targets if isinstance(target, ast.Name)}
+    """The names a module binds at its top level to an arena list of its
+    own, and the tests whose parametrize decorators list arenas inline."""
+    tree = ast.parse(source)
+    bound = {target.id for node in tree.body
+             if isinstance(node, ast.Assign) and not isinstance(node.value, ast.Call)
+             and _is_arena_list(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    return bound | {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(_lists_arenas_in_parametrize, node.decorator_list))}
 
 
 def test_test_modules_take_their_arenas_from_the_registry():
@@ -116,7 +141,7 @@ def test_test_modules_take_their_arenas_from_the_registry():
     # tests draw their arenas from the named sets of helpers.arenas
     own = {path.name: sorted(names) for path in TEST_MODULES
            if (names := _module_arena_lists(path.read_text(encoding="utf-8")))}
-    assert not own, f"test modules bind arena lists of their own: {own}"
+    assert not own, f"test modules list arenas of their own: {own}"
 
 
 def test_the_arena_list_check_sees_every_form():
@@ -126,5 +151,14 @@ def test_the_arena_list_check_sees_every_form():
               "D = [s for s in A if s.family == 'torus']\n"
               "E = [(torus_spec(4), 1.0)]\n"
               "F = arenas('small') + [complete_spec(8)]\n"
-              "G = torus_spec(4)\n")
-    assert _module_arena_lists(source) == {"A", "B", "C"}
+              "G = torus_spec(4)\n\n\n"
+              "@pytest.mark.parametrize('spec', [torus_spec(4), complete_spec(5)],\n"
+              "                         ids=GraphSpec.label)\n"
+              "def test_h(spec):\n    pass\n\n\n"
+              "@pytest.mark.parametrize('spec', [*arenas('small'), hypercube_spec(10)])\n"
+              "def test_i(spec):\n    pass\n\n\n"
+              "@pytest.mark.parametrize('spec', arenas('small'), ids=GraphSpec.label)\n"
+              "def test_j(spec):\n    pass\n\n\n"
+              "@pytest.mark.parametrize('spec, bound', [(torus_spec(4), 1.0)])\n"
+              "def test_k(spec, bound):\n    pass\n")
+    assert _module_arena_lists(source) == {"A", "B", "C", "F", "test_h", "test_i"}
