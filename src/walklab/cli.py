@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: spectrum, predict, run, sweep, two-marked, amplify,
-analyze-moving.  Flags override an optional TOML config file (--config)
-whose top-level keys are flags of the subcommand.  Exit codes: 0 success,
-2 configuration violation (an arena too large to hold and a malformed
-config included), 3 no abstract-search structure (spectrum, predict, and
-amplify without --walk-length, on the moving shift), 4 I/O failure.
+analyze-moving.  Each handler yields its (document, path) pairs in the
+order they are written, and `main` writes each as it comes, so a document
+stays written if a later step fails.  Flags override an optional TOML
+config file (--config) whose top-level keys are flags of the subcommand.
+Exit codes: 0 success, 2 configuration violation (an arena too large to
+hold and a malformed config included), 3 no abstract-search structure
+(spectrum, predict, and amplify without --walk-length, on the moving
+shift), 4 I/O failure.
 CSV traces always carry the columns (t, p_marked, p_nbhd, norm); JSON
 documents carry "schema": 1.  Identical configurations produce
 byte-identical output.
@@ -18,10 +21,11 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import asdict, replace
 
-from .engine import default_coin
-from .graphs import (FAMILIES, ConfigurationError, GraphSpec, build_graph, complete_spec,
+from .engine import CoinConfig, default_coin
+from .graphs import (FAMILIES, ConfigurationError, Graph, GraphSpec, build_graph, complete_spec,
                      hypercube_spec, torus_spec)
 from .runner import amplify, find_peak, run_two_marked, run_walk, scaling_sweep
 from .search import predict
@@ -68,17 +72,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(document: str | dict, path: str | None) -> None:
+    """Write a CSV text, or a payload as a JSON document, to `path` (stdout
+    for none or `-`)."""
+    if isinstance(document, dict):
+        document = json.dumps({"schema": SCHEMA_VERSION, **document}, indent=2) + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(document)
     else:
-        _atomic_write(path, text)
-
-
-def _json_doc(payload: dict) -> str:
-    return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+        _atomic_write(path, document)
 
 
 def _trace_csv(trace) -> str:
@@ -179,106 +181,94 @@ def parse_vertex(text: str, spec: GraphSpec) -> int:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> int:
+def _marked_walk(spec: GraphSpec, marked: list[str] | None) -> tuple[Graph, CoinConfig]:
+    """The arena and the coin marking each --marked vertex (vertex 0 if none)."""
+    graph = build_graph(spec)
+    return graph, default_coin(graph, marked=[parse_vertex(m, spec) for m in marked or ["0"]])
+
+
+def cmd_spectrum(args):
     spec = build_spec(args)
     ms = mode_spectrum(spec)
     s1, s2, scot = spectral_sums(ms)
-    payload = {
+    yield {
         "spec": spec.label(),
         "spectrum": ms.to_json_dict(),
         "sums": {"s1": s1, "s2": s2, "scot": scot},
-    }
-    _emit(_json_doc(payload), args.out)
-    return EXIT_OK
+    }, args.out
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args):
     spec = build_spec(args)
-    report = predict(spec)
-    payload = {"spec": spec.label(), "prediction": asdict(report)}
-    _emit(_json_doc(payload), args.out)
-    return EXIT_OK
+    yield {"spec": spec.label(), "prediction": asdict(predict(spec))}, args.out
 
 
-def cmd_run(args) -> int:
+def cmd_run(args):
     spec = build_spec(args)
     _require(args, "t_max")
-    graph = build_graph(spec)
-    marked = tuple(parse_vertex(m, spec) for m in (args.marked or ["0"]))
-    coin = default_coin(graph, marked=marked)
+    graph, coin = _marked_walk(spec, args.marked)
     trace = run_walk(graph, coin, args.t_max)
-    _emit(_trace_csv(trace), args.out)
+    yield _trace_csv(trace), args.out
     if args.summary:
         payload = {"config": trace.config, "peak": asdict(find_peak(trace))}
-        if spec.shift != "moving" and len(marked) == 1:
-            payload["prediction"] = asdict(predict(spec))
-        _emit(_json_doc(payload), args.summary)
-    return EXIT_OK
+        if len(coin.marked) == 1:
+            with suppress(NoSearchStructure):
+                payload["prediction"] = asdict(predict(spec))
+        yield payload, args.summary
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     if not args.sides:
         raise ConfigurationError("sweep needs --sides (torus sides, hypercube degrees "
                                  "or complete-graph orders)")
     specs = [build_spec(args, size) for size in args.sides]
     result = scaling_sweep(specs)
-    payload = {"family": specs[0].family, "shift": specs[0].shift,
-               "sweep": result.to_json_dict()}
-    _emit(_json_doc(payload), args.out)
-    return EXIT_OK
+    yield {"family": specs[0].family, "shift": specs[0].shift,
+           "sweep": result.to_json_dict()}, args.out
 
 
-def cmd_two_marked(args) -> int:
+def cmd_two_marked(args):
     _require(args, "side", "v1", "v2")
     spec = torus_spec(args.side)
     v1 = parse_vertex(args.v1, spec)
     v2 = parse_vertex(args.v2, spec)
     t_max = args.t_max if args.t_max is not None else 1000
     result = run_two_marked(spec, v1, v2, t_max)
-    payload = {
+    yield {
         "config": result.trace.config,
         "symmetry_residual": result.symmetry_residual,
         "reflection_form_deviation": result.reflection_form_deviation,
         "peak": asdict(find_peak(result.trace)),
-    }
-    _emit(_json_doc(payload), args.out)
+    }, args.out
     if args.trace:
-        _emit(_trace_csv(result.trace), args.trace)
-    return EXIT_OK
+        yield _trace_csv(result.trace), args.trace
 
 
-def cmd_amplify(args) -> int:
+def cmd_amplify(args):
     spec = build_spec(args)
-    graph = build_graph(spec)
-    marked = tuple(parse_vertex(m, spec) for m in (args.marked or ["0"]))
-    coin = default_coin(graph, marked=marked)
+    graph, coin = _marked_walk(spec, args.marked)
     walk_length = args.walk_length
     if walk_length is None:
         walk_length = predict(spec).peak_steps
     rounds = args.rounds if args.rounds is not None else 1
     result = amplify(graph, coin, walk_length, rounds)
-    payload = {
+    yield {
         "config": result.config,
         "success": [float(x) for x in result.success],
         "overshoot": result.overshoot,
         "ledger": result.ledger.to_json_dict(),
-    }
-    _emit(_json_doc(payload), args.out)
-    return EXIT_OK
+    }, args.out
 
 
-def cmd_analyze_moving(args) -> int:
+def cmd_analyze_moving(args):
     _require(args, "side")
     spec = torus_spec(args.side, shift="moving")
-    overlap_sq = moving_shift_stationary_overlap(spec)
-    payload = {
+    yield {
         "spec": spec.label(),
-        "stationary_overlap_sq": overlap_sq,
+        "stationary_overlap_sq": moving_shift_stationary_overlap(spec),
         "alpha00_sq": 1.0 / spec.n_vertices,
         "n_vertices": spec.n_vertices,
-    }
-    _emit(_json_doc(payload), args.out)
-    return EXIT_OK
+    }, args.out
 
 
 # -- parser ---------------------------------------------------------------------
@@ -294,8 +284,6 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=None, help="complete graph size")
     sub.add_argument("--shift", default=None,
                      choices=["flip-flop", "flip_flop", "moving", "dirac", "swap"])
-    sub.add_argument("--config", default=None, help="TOML config file")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -334,8 +322,6 @@ def make_parser() -> argparse.ArgumentParser:
     sub.add_argument("--v2", default=None)
     sub.add_argument("--t-max", type=int, default=None,
                      help="number of steps (default 1000)")
-    sub.add_argument("--config", default=None)
-    sub.add_argument("--out", default=None)
     sub.add_argument("--trace", default=None, help="also write the CSV trace here")
     sub.set_defaults(handler=cmd_two_marked)
 
@@ -351,11 +337,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("analyze-moving",
                               help="stationary overlap of the moving-shift walk")
     sub.add_argument("--side", type=int, default=None)
-    sub.add_argument("--config", default=None)
-    sub.add_argument("--out", default=None)
     sub.set_defaults(handler=cmd_analyze_moving)
 
     for sub in commands.choices.values():
+        sub.add_argument("--config", default=None, help="TOML config file")
+        sub.add_argument("--out", default=None, help="output path (default stdout)")
         sub.set_defaults(command_parser=sub)
     return parser
 
@@ -372,7 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
-        return args.handler(args)
+        for document, path in args.handler(args):
+            _emit(document, path)
+        return EXIT_OK
     except NoSearchStructure as exc:
         print(f"walklab: {exc}", file=sys.stderr)
         return EXIT_NO_STRUCTURE

@@ -8,19 +8,20 @@ the same code, and with zero imaginary parts steps to the same bits.  One
 step costs O(coin_dim * N) and allocates no state-sized array.  The Grover
 coin works in place from one column sum per vertex.
 
-The flip-flop shift S|c, v> = |label(c), target_c(v)> (label c^1 on tori,
-the reversed direction; c on the hypercube) is an involution, S^2 = I, so
-a state takes it without moving its amplitudes: `apply_shift` marks the
-shift owed, and the array P then holds psi = S P, psi[c, w] =
-P[label(c), target_c(w)].  The next coin acts on P as S C' S, in place and
-through one scratch row for the column sums, so the state holds C' psi
-and still owes the shift; the next `apply_shift` pays it by clearing the
-mark.  Only this module knows whether a state owes its shift: reading
-`WalkState.amps` pays it first, in place (each torus row pair (c, c^1)
-trades places through the scratch row, and each hypercube row is copied
-into it and read back with its bit flipped), while `vertex_probabilities`
-reads an owing state through the shift and `squared_norm` sums the array
-in whatever order it stands.
+The flip-flop shift S|c, v> = |label(c), target_c(v)> (label c^1 on
+tori, the reversed direction; c on the hypercube; see
+`Graph.shift_labels`) is an involution, S^2 = I, so a state takes it
+without moving its amplitudes: `apply_shift` marks the shift owed, and
+the array P then holds psi = S P, psi[c, w] = P[label(c), target_c(w)].
+The next coin acts on P as S C' S, in place and through one scratch row
+for the column sums, so the state holds C' psi and still owes the shift;
+the next `apply_shift` pays it by clearing the mark.  Only this module
+knows whether a state owes its shift: reading `WalkState.amps` pays it
+first, in place (each torus row pair (c, c^1) trades places through the
+scratch row, and each hypercube row is copied into it and read back with
+its bit flipped), while `vertex_probabilities` reads an owing state
+through the shift and `squared_norm` sums the array in whatever order it
+stands.
 
 A torus row is read through a move by its plan (`_build_plans`), built
 from `Graph.shift_targets` at the first step and held by the state: away
@@ -215,10 +216,10 @@ def _coin_through_shift(state: WalkState, coin: CoinConfig) -> None:
     buf = state._amps
     colsum = state._scratch_rows()[0]
     d = state.graph.coin_dim
-    flip = state.graph.spec.family == "torus"  # label c^1; the hypercube keeps c
+    labels = state.graph.shift_labels().ravel().tolist()
     for c in range(d):
         # np.sum starts from 0: -0.0 + 0 = 0.0
-        _through(state, np.add, colsum, c, buf[c ^ 1 if flip else c], colsum if c else 0.0)
+        _through(state, np.add, colsum, c, buf[labels[c]], colsum if c else 0.0)
     colsum *= 2.0 / d
     colsum[list(coin.marked)] = 0.0  # every flip-flop arena marks by -I
     for c in range(d):
@@ -481,10 +482,7 @@ def _owed_index(state: WalkState, vertices) -> tuple[np.ndarray, np.ndarray]:
     if state._index is not None and state._index[0] == key:
         return state._index[1]
     graph = state.graph
-    labels = np.arange(graph.coin_dim)
-    if graph.spec.family == "torus":
-        labels ^= 1
-    index = labels[:, None], graph.shift_targets(vertices)
+    index = graph.shift_labels(), graph.shift_targets(vertices)
     if graph.coin_dim * vertices.size <= graph.n:
         state._index = key, index
     return index

@@ -230,7 +230,7 @@ class Graph:
         second (Hadamard basis).  Each half is a permutation of its own
         (role, vertex) domain that keeps the role; the composed step mixes
         bases, and the state engine and the dense oracle compose it from the
-        two halves.  `shift_permutation` adds the direction labels.
+        two halves.  `shift_labels` gives the direction labels.
         """
         spec = self.spec
         vertices = np.arange(self.n) if vertices is None else np.asarray(vertices, np.int64)
@@ -246,27 +246,31 @@ class Graph:
         coords = np.unravel_index(vertices, self.vertex_shape)[::-1]
         return self.vertex_index(np.array(coords)[:, None, :] + steps[:, :, None])
 
+    def shift_labels(self) -> np.ndarray:
+        """The direction c' in which direction c's amplitude at v arrives
+        under one shift, broadcast against `shift_targets`: c^1 on flip-flop
+        tori (the reversal), c on moving tori and the hypercube, v on the
+        swap."""
+        if self.spec.shift == "swap":
+            return np.arange(self.n)
+        labels = np.arange(self.coin_dim)[:, None]
+        if self.spec.family == "torus" and self.spec.shift == "flip_flop":
+            return labels ^ 1
+        return labels
+
     def shift_permutation(self) -> np.ndarray:
         """Permutation p with p[c*N+v] = c'*N+v' under one shift: v' is the
-        target vertex, and the direction c' is c^1 on flip-flop tori (the
-        reversal), c on moving tori and the hypercube, v on the swap.
+        target vertex and c' the direction label (`shift_labels`).
 
         Not available for the dirac walk, whose step is not a permutation of
         any single basis; use shift_targets per role there.
         """
-        spec = self.spec
-        if spec.shift == "dirac":
+        if self.spec.shift == "dirac":
             raise ConfigurationError(
                 "dirac step is a composition of two basis-conditional moves, "
                 "not a basis permutation"
             )
-        targets = self.shift_targets()
-        labels = np.arange(self.coin_dim)[:, None]
-        if spec.shift == "swap":
-            labels = np.arange(self.n)
-        elif spec.family == "torus" and spec.shift == "flip_flop":
-            labels = labels ^ 1
-        return (labels * self.n + targets).ravel()
+        return (self.shift_labels() * self.n + self.shift_targets()).ravel()
 
 
 def build_graph(spec: GraphSpec) -> Graph:

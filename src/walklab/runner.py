@@ -17,6 +17,7 @@ the local circuit that realizes those is a test reference
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .engine import (CoinConfig, WalkState, closed_neighborhood, default_coin,
                      uniform_state, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 from .search import PredictionReport, predict
+from .spectral import NoSearchStructure
 
 _PEAK_REL_TOL = 1e-9  # values this close to a maximum are rounding ties
 
@@ -253,8 +255,6 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
     """
     if spec.family != "torus" or spec.shift != "flip_flop":
         raise ConfigurationError("two-marked analysis runs on flip-flop tori")
-    if v1 == v2:
-        raise ConfigurationError("marked vertices must differ")
     _check_count("t_max", t_max)
     graph = build_graph(spec)
     coin = default_coin(graph, marked=(v1, v2))
@@ -319,11 +319,12 @@ def _default_cap(spec: GraphSpec, report: PredictionReport | None) -> int:
     Twice the predicted peak step count: wide enough that the crest is well
     inside, narrow enough to exclude the quasi-periodic revivals at roughly
     3x, 5x, ... the peak time, whose heights fluctuate within a few percent
-    of the first crest and would otherwise capture the argmax.  The moving
-    shift has no crest; it gets the lower-bound verification window.
+    of the first crest and would otherwise capture the argmax.  An arena
+    without a prediction (the moving shift, which has no crest) gets the
+    lower-bound verification window.
     """
     n = spec.n_vertices
-    if spec.shift == "moving" or report is None:
+    if report is None:
         return int(math.ceil(4.0 * math.sqrt(n * math.log2(n))))
     return max(10, 2 * report.peak_steps)
 
@@ -333,7 +334,7 @@ def sweep_point(spec: GraphSpec) -> SweepRow:
     graph = build_graph(spec)
     coin = default_coin(graph, marked=(0,))
     report = None
-    if spec.shift != "moving":
+    with suppress(NoSearchStructure):
         report = predict(spec)
     cap = _default_cap(spec, report)
     trace = run_walk(graph, coin, cap)

@@ -86,6 +86,33 @@ def test_two_marked_reports_tiny_symmetry_residual(tmp_path):
     assert _read_json(out)["symmetry_residual"] < 1e-10
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no-out", "out-dash"])
+def test_stdout_gets_the_bytes_of_the_out_file(tmp_path, capsys, out):
+    path = tmp_path / "predict.json"
+    assert run_cli(["predict", "--side", "8", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert run_cli(["predict", "--side", "8", *out]) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def test_two_marked_trace_is_the_run_trace(tmp_path):
+    trace, run = tmp_path / "pair.csv", tmp_path / "run.csv"
+    assert run_cli(["two-marked", "--side", "8", "--v1", "0,0", "--v2", "3,5", "--t-max", "50",
+                    "--out", os.devnull, "--trace", str(trace)]) == 0
+    assert run_cli(["run", "--side", "8", "--marked", "0,0", "--marked", "3,5", "--t-max", "50",
+                    "--out", str(run)]) == 0
+    assert trace.read_bytes() == run.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--side", "4", "--t-max", "3", "--marked", "0", "--marked", "0"],
+    ["two-marked", "--side", "4", "--v1", "0,0", "--v2", "0"],
+], ids=["run", "two-marked"])
+def test_repeated_marked_vertex_rejected(args, capsys):
+    assert run_cli(args + ["--out", os.devnull]) == 2
+    assert "marked vertices must be distinct" in capsys.readouterr().err
+
+
 def test_run_trace_matches_golden(tmp_path):
     out = tmp_path / "trace.csv"
     summary = tmp_path / "summary.json"
@@ -523,7 +550,10 @@ def test_config_supplies_required_flags(tmp_path, command, text, flags):
     (["two-marked", "--side", "4", "--v1", "0"], "two-marked needs --v2 (flag or config)"),
     (["analyze-moving"], "analyze-moving needs --side (flag or config)"),
     (["run", "--side", "4"], "run needs --t-max (flag or config)"),
-], ids=["two-marked-side", "two-marked-v2", "analyze-moving-side", "run-t-max"])
+    (["predict", "--family", "hypercube"], "hypercube needs --degree"),
+    (["sweep"], "sweep needs --sides"),
+], ids=["two-marked-side", "two-marked-v2", "analyze-moving-side", "run-t-max",
+        "predict-hypercube-degree", "sweep-sides"])
 def test_missing_required_flag_is_named(capsys, args, message):
     assert run_cli(args + ["--out", os.devnull]) == 2
     assert message in capsys.readouterr().err
