@@ -372,12 +372,22 @@ def _level_batches(basis: np.ndarray, turns: list) -> Iterator:
     """(positions, z) per turning level, z = (x v)^T, and per run of at most
     _LIFT_COLUMNS columns of a still level, the real basis itself."""
     for lo, hi, v in turns:
-        if v is not None:
+        if v is None:
+            yield from _real_batches(basis.T[lo:hi], lo)
+        else:
             yield np.arange(lo, hi), v.T @ basis.T[lo:hi]
-            continue
-        for c in range(lo, hi, _LIFT_COLUMNS):
-            stop = min(c + _LIFT_COLUMNS, hi)
-            yield np.arange(c, stop), basis.T[c:stop]
+
+
+def _real_batches(vectors: np.ndarray, first: int, width: int = 0, at: int = 0) -> Iterator:
+    """(positions, z) for real eigenvectors, the rows of `vectors`, at most
+    _LIFT_COLUMNS at a time from phase position `first`; given a `width`,
+    each row is written from coordinate `at` of a zero row that wide."""
+    for lo in range(0, len(vectors), _LIFT_COLUMNS):
+        z = part = vectors[lo:lo + _LIFT_COLUMNS]
+        if width:
+            z = np.zeros((len(part), width))
+            z[:, at:at + part.shape[1]] = part
+        yield first + lo + np.arange(len(part)), z
 
 
 def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np.ndarray, Iterator]:
@@ -464,14 +474,8 @@ def _reversal_batches(plus_vecs: np.ndarray, q: np.ndarray, turning: np.ndarray)
         np.multiply(q[lo:lo + k], 1j * _INV_SQRT2, out=z[:k, m:])
         np.negative(z[:k, m:], out=z[k:, m:])
         yield np.r_[lo:lo + k, t + lo:t + lo + k], z
-    for lo in range(0, m - t, _LIFT_COLUMNS):
-        z = np.zeros((min(_LIFT_COLUMNS, m - t - lo), m + r))
-        z[:, :m] = still[lo:lo + _LIFT_COLUMNS]
-        yield 2 * t + lo + np.arange(len(z)), z
-    for lo in range(t, r, _LIFT_COLUMNS):
-        z = np.zeros((min(_LIFT_COLUMNS, r - lo), m + r))
-        z[:, m:] = q[lo:lo + _LIFT_COLUMNS]
-        yield m + lo + np.arange(len(z)), z
+    yield from _real_batches(still, 2 * t, m + r)
+    yield from _real_batches(q[t:], m + t, m + r, m)
 
 
 def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
