@@ -1,10 +1,12 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that shapes output documents.
 
 Subcommands: spectrum, predict, run, sweep, two-marked, amplify,
 analyze-moving.  Each handler yields its (document, path) pairs in the
 order they are written, and `main` writes each as it comes, so a document
-stays written if a later step fails.  Flags override an optional TOML
-config file (--config) whose top-level keys are flags of the subcommand.
+stays written if a later step fails.  The library returns plain results;
+the CSV rows, each "config" object and every JSON key order are set here.
+Flags override an optional TOML config file (--config) whose top-level
+keys are flags of the subcommand.
 Exit codes: 0 success, 2 configuration violation (an arena too large to
 hold and a malformed config included), 3 no abstract-search structure
 (spectrum, predict, and amplify without --walk-length, on the moving
@@ -27,7 +29,7 @@ from dataclasses import asdict, replace
 from .engine import CoinConfig, default_coin
 from .graphs import (FAMILIES, ConfigurationError, Graph, GraphSpec, build_graph, complete_spec,
                      hypercube_spec, torus_spec)
-from .runner import amplify, find_peak, run_two_marked, run_walk, scaling_sweep
+from .runner import RunTrace, amplify, find_peak, run_two_marked, run_walk, scaling_sweep
 from .search import predict
 from .spectral import (NoSearchStructure, mode_spectrum, moving_shift_stationary_overlap,
                        spectral_sums)
@@ -60,16 +62,21 @@ def load_config(path: str) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file beside `path`; a failure names `path`
+    as given, not the temporary file, and leaves no temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".walklab-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".walklab-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(document: str | dict, path: str | None) -> None:
@@ -83,8 +90,20 @@ def _emit(document: str | dict, path: str | None) -> None:
         _atomic_write(path, document)
 
 
-def _trace_csv(trace) -> str:
-    return "\n".join(trace.csv_rows()) + "\n"
+def _trace_csv(trace: RunTrace) -> str:
+    rows = zip(trace.t.tolist(), trace.p_marked.tolist(), trace.p_nbhd.tolist(),
+               trace.norm.tolist())
+    return "\n".join(["t,p_marked,p_nbhd,norm", *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+def _walk_config(spec: GraphSpec, marked, **fields) -> dict:
+    """The "config" object of a walk's document: arena, marked vertices, then
+    `fields` in the order given."""
+    return {"graph": spec.label(), "marked": list(marked), **fields}
+
+
+def _attributes(result, *names: str) -> dict:
+    return {name: getattr(result, name) for name in names}
 
 
 # -- spec assembly -------------------------------------------------------------
@@ -191,9 +210,11 @@ def cmd_spectrum(args):
     spec = build_spec(args)
     ms = mode_spectrum(spec)
     s1, s2, scot = spectral_sums(ms)
+    levels = [dict(zip(ms.entries.dtype.names, row)) for row in ms.entries.tolist()]
     yield {
         "spec": spec.label(),
-        "spectrum": ms.to_json_dict(),
+        "spectrum": {**_attributes(ms, "a0_sq", "frozen_weight", "theta_min", "retained_dim",
+                                   "n_vertices", "family"), "entries": levels},
         "sums": {"s1": s1, "s2": s2, "scot": scot},
     }, args.out
 
@@ -210,7 +231,9 @@ def cmd_run(args):
     trace = run_walk(graph, coin, args.t_max)
     yield _trace_csv(trace), args.out
     if args.summary:
-        payload = {"config": trace.config, "peak": asdict(find_peak(trace))}
+        payload = {"config": _walk_config(spec, coin.marked, marking=spec.marking,
+                                          t_max=args.t_max),
+                   "peak": asdict(find_peak(trace))}
         if len(coin.marked) == 1:
             with suppress(NoSearchStructure):
                 payload["prediction"] = asdict(predict(spec))
@@ -223,8 +246,11 @@ def cmd_sweep(args):
                                  "or complete-graph orders)")
     specs = [build_spec(args, size) for size in args.sides]
     result = scaling_sweep(specs)
+    # a row without a prediction (the moving shift) leaves the key out
+    rows = [{key: value for key, value in asdict(row).items() if value is not None}
+            for row in result.rows]
     yield {"family": specs[0].family, "shift": specs[0].shift,
-           "sweep": result.to_json_dict()}, args.out
+           "sweep": {"rows": rows, "fitted_exponent": result.exponent}}, args.out
 
 
 def cmd_two_marked(args):
@@ -235,7 +261,7 @@ def cmd_two_marked(args):
     t_max = args.t_max if args.t_max is not None else 1000
     result = run_two_marked(spec, v1, v2, t_max)
     yield {
-        "config": result.trace.config,
+        "config": _walk_config(spec, (v1, v2), marking=spec.marking, t_max=t_max),
         "symmetry_residual": result.symmetry_residual,
         "reflection_form_deviation": result.reflection_form_deviation,
         "peak": asdict(find_peak(result.trace)),
@@ -253,10 +279,11 @@ def cmd_amplify(args):
     rounds = args.rounds if args.rounds is not None else 1
     result = amplify(graph, coin, walk_length, rounds)
     yield {
-        "config": result.config,
+        "config": _walk_config(spec, coin.marked, walk_length=walk_length, rounds=rounds),
         "success": [float(x) for x in result.success],
         "overshoot": result.overshoot,
-        "ledger": result.ledger.to_json_dict(),
+        "ledger": _attributes(result.ledger, "prep_cost", "step_count", "amplification_rounds",
+                              "reflection_cost", "total"),
     }, args.out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,6 @@ class RunTrace:
     p_marked: np.ndarray
     p_nbhd: np.ndarray
     norm: np.ndarray
-    config: dict
-
-    def csv_rows(self):
-        yield "t,p_marked,p_nbhd,norm"
-        for i in range(len(self.t)):
-            yield (f"{int(self.t[i])},{float(self.p_marked[i])!r},"
-                   f"{float(self.p_nbhd[i])!r},{float(self.norm[i])!r}")
 
 
 @dataclass(frozen=True)
@@ -83,12 +76,6 @@ class _Watch:
     0 if nothing is marked), on its closed neighborhood, and the state norm."""
 
     def __init__(self, graph: Graph, coin: CoinConfig, t_max: int):
-        self.config = {
-            "graph": graph.spec.label(),
-            "marked": list(coin.marked),
-            "marking": graph.spec.marking,
-            "t_max": t_max,
-        }
         self.watch = np.array(coin.marked or (0,), dtype=np.int64)
         self.support = closed_neighborhood(graph, self.watch)
         # a neighborhood of every vertex (the complete graph) holds the total
@@ -111,8 +98,7 @@ class _Watch:
         self.norms[t] = math.sqrt(norm2)
 
     def trace(self) -> RunTrace:
-        return RunTrace(np.arange(len(self.norms)), self.p_marked, self.p_nbhd,
-                        self.norms, self.config)
+        return RunTrace(np.arange(len(self.norms)), self.p_marked, self.p_nbhd, self.norms)
 
 
 def run_walk(graph: Graph, coin: CoinConfig, t_max: int) -> RunTrace:
@@ -166,22 +152,12 @@ class CostLedger:
     def total(self) -> float:
         return self.prep_cost + self.step_count + self.reflection_cost
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prep_cost": self.prep_cost,
-            "step_count": self.step_count,
-            "amplification_rounds": self.amplification_rounds,
-            "reflection_cost": self.reflection_cost,
-            "total": self.total,
-        }
-
 
 @dataclass
 class AmplifyResult:
     success: np.ndarray  # marked-set probability after each round, index 0 = no rounds
     ledger: CostLedger
     overshoot: bool  # probability decreased on the last round (rotated past the peak)
-    config: dict
 
 
 def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> AmplifyResult:
@@ -216,13 +192,7 @@ def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> Am
         ledger.amplification_rounds += 1
         success[r + 1] = vertex_probabilities(state, marked).sum()
     overshoot = bool(rounds > 0 and success[-1] < success[-2] - 1e-12)
-    config = {
-        "graph": graph.spec.label(),
-        "marked": marked,
-        "walk_length": walk_length,
-        "rounds": rounds,
-    }
-    return AmplifyResult(success, ledger, overshoot, config)
+    return AmplifyResult(success, ledger, overshoot)
 
 
 # -- two marked vertices -------------------------------------------------------
@@ -294,23 +264,11 @@ class SweepRow:
     cap: int
     prediction: PredictionReport | None
 
-    def to_json_dict(self) -> dict:
-        out = asdict(self)
-        if self.prediction is None:
-            del out["prediction"]
-        return out
-
 
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
     exponent: float | None  # d log2(t_star) / d log2(N), smallest size excluded
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [r.to_json_dict() for r in self.rows],
-            "fitted_exponent": self.exponent,
-        }
 
 
 def _default_cap(spec: GraphSpec, report: PredictionReport | None) -> int:

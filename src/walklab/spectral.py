@@ -124,18 +124,6 @@ class ModeSpectrum:
         if defect > _COMPLETENESS_TOL:
             raise ConfigurationError(f"mode weights are incomplete (defect {defect:.3e})")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a0_sq": self.a0_sq,
-            "frozen_weight": self.frozen_weight,
-            "theta_min": self.theta_min,
-            "retained_dim": self.retained_dim,
-            "n_vertices": self.n_vertices,
-            "family": self.family,
-            "entries": [dict(zip(self.entries.dtype.names, row))
-                        for row in self.entries.tolist()],
-        }
-
 
 def _levels(theta, weight: float, multiplicity) -> np.recarray:
     return np.rec.fromarrays([theta, np.full(len(theta), weight), multiplicity],
@@ -147,7 +135,7 @@ def torus_modes(spec: GraphSpec) -> np.ndarray:
     mode in itertools.product order; C order, so that reductions along a row
     round as they do on a single mode."""
     length = spec.dims[0]
-    ndim = 2 if spec.shift == "dirac" else len(spec.dims)
+    ndim = len(spec.dims)
     return np.ascontiguousarray(np.indices((length,) * ndim).reshape(ndim, -1).T)
 
 

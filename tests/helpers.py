@@ -202,9 +202,10 @@ def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:
 
 
 def json_numbers_close(a, b, atol=1e-9, path="$") -> None:
-    """Recursive comparison of parsed JSON with numeric tolerance."""
+    """Recursive comparison of parsed JSON with numeric tolerance; the keys
+    of each object must come in the same order."""
     if isinstance(a, dict) and isinstance(b, dict):
-        assert a.keys() == b.keys(), f"{path}: keys {sorted(a)} != {sorted(b)}"
+        assert list(a) == list(b), f"{path}: keys {list(a)} != {list(b)}"
         for key in a:
             json_numbers_close(a[key], b[key], atol, f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list):

@@ -258,6 +258,33 @@ def test_io_failure_exit_code(tmp_path):
                     "--out", str(missing_dir)]) == 4
 
 
+def test_failed_write_names_the_path_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    errors = []
+    for _ in range(2):
+        assert run_cli(["run", "--side", "4", "--t-max", "3", "--out", "nodir/o.csv"]) == 4
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "nodir/o.csv" in errors[0] and ".walklab-" not in errors[0]
+    # a directory as --out: the temporary file is made beside it, then removed
+    (tmp_path / "taken").mkdir()
+    assert run_cli(["run", "--side", "4", "--t-max", "3", "--out", "taken"]) == 4
+    err = capsys.readouterr().err
+    assert "'taken'" in err and ".walklab-" not in err
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert os.listdir(tmp_path / "taken") == []
+
+
+def test_failed_summary_write_keeps_the_trace(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", "--side", "4", "--t-max", "3", "--out", "o.csv",
+                    "--summary", "nodir/s.json"]) == 4
+    err = capsys.readouterr().err
+    assert "nodir/s.json" in err and ".walklab-" not in err
+    assert sorted(os.listdir(tmp_path)) == ["o.csv"]
+    assert len(_csv_rows(tmp_path / "o.csv")) == 4
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = _config(tmp_path, 'family = "torus"\nside = 4\ndims = 2\n'
                             'shift = "flip_flop"  # comment\n')

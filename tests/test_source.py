@@ -86,6 +86,41 @@ def test_the_engine_internals_check_sees_an_owed_read():
     assert _engine_internals_named(source) == {"owed_index", "owed_at", "_amps"}
 
 
+# what shapes an output document: only the CLI defines or imports these
+_DOCUMENT_SHAPERS = frozenset({"to_json_dict", "csv_rows", "json"})
+
+
+def _document_shaping_named(source):
+    """The document shapers that `source` defines or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found & _DOCUMENT_SHAPERS
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda path: path.stem)
+def test_only_the_cli_shapes_documents(path):
+    # the library returns plain results; the CSV rows, the JSON objects and
+    # their key order are the CLI's decision
+    named = sorted(_document_shaping_named(path.read_text(encoding="utf-8")))
+    assert not named, f"{path.name} shapes output documents: {named}"
+
+
+def test_the_document_check_sees_a_shaper():
+    source = ("from json import dumps\n\n\n"
+              "class Result:\n    def to_json_dict(self):\n        return {}\n\n"
+              "    def csv_rows(self):\n        yield ''\n\n    def rows(self):\n        pass\n")
+    assert _document_shaping_named(source) == {"json", "to_json_dict", "csv_rows"}
+    assert _document_shaping_named("import json.decoder\n") == {"json"}
+    assert _document_shaping_named("from .json import x\n") == set()  # a sibling module
+
+
 _SPEC_CONSTRUCTORS = frozenset({"torus_spec", "hypercube_spec", "complete_spec", "GraphSpec"})
 
 
