@@ -5,8 +5,8 @@ predictor, and a dense ground-truth oracle for cross-validation."""
 import importlib
 
 from .engine import (CoinConfig, WalkState, apply_coin, apply_shift, default_coin,
-                     flip_marked_vertices, marked_coin_state, reflect_about, step,
-                     uniform_state, vertex_probabilities)
+                     flip_marked_vertices, reflect_about, step, uniform_state,
+                     vertex_probabilities)
 from .graphs import (ConfigurationError, Graph, GraphSpec, build_graph,
                      complete_spec, hypercube_spec, torus_spec)
 from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, SweepResult,
@@ -18,8 +18,8 @@ from .spectral import (ModeSpectrum, mode_spectrum, moving_shift_stationary_over
                        sin2_half_theta, spectral_sums, torus_modes)
 
 # the dense oracle loads on first use, so that no command imports it
-_ORACLE_NAMES = {"DenseOperator", "block_eigens", "dense_eigens", "dense_principal_pair",
-                 "dense_unitary", "evolve_dense", "grover_coin"}
+_ORACLE_NAMES = {"DenseOperator", "block_eigens", "dense_eigens", "dense_unitary",
+                 "evolve_dense", "grover_coin"}
 
 
 def __getattr__(name):

@@ -62,12 +62,17 @@ def load_config(path: str) -> dict:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write through a temporary file beside `path`; a failure names `path`
-    as given, not the temporary file, and leaves no temporary file."""
+    """Write through a temporary file beside `path`, with the mode open()
+    would give a new file (0o666 less the umask, not mkstemp's 0o600); a
+    failure names `path` as given, not the temporary file, and leaves no
+    temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".walklab-", suffix=".tmp")
         try:
+            os.chmod(tmp, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
@@ -91,7 +96,7 @@ def _emit(document: str | dict, path: str | None) -> None:
 
 
 def _trace_csv(trace: RunTrace) -> str:
-    rows = zip(trace.t.tolist(), trace.p_marked.tolist(), trace.p_nbhd.tolist(),
+    rows = zip(range(len(trace.norm)), trace.p_marked.tolist(), trace.p_nbhd.tolist(),
                trace.norm.tolist())
     return "\n".join(["t,p_marked,p_nbhd,norm", *(",".join(map(repr, row)) for row in rows)]) + "\n"
 

@@ -144,13 +144,6 @@ def uniform_state(graph: Graph) -> WalkState:
     return WalkState(graph, np.broadcast_to(amp, (graph.coin_dim, graph.n)))
 
 
-def marked_coin_state(graph: Graph, vertex: int) -> WalkState:
-    """|s, v>: uniform coin at one vertex."""
-    amps = np.zeros((graph.coin_dim, graph.n))
-    amps[:, vertex] = 1.0 / np.sqrt(graph.coin_dim)
-    return WalkState(graph, amps)
-
-
 def squared_norm(state: WalkState) -> float:
     """sum |a|^2 of a state, over the float64 (re, im) view if complex.
 

@@ -24,7 +24,7 @@ image there make a pair of eigenvectors of U', with no further solve.
 The dirac walk has no S: its eigenvalues of U' + U'^T are grouped into
 levels, and each level is solved on its own span.  Every eigenvector is
 lifted back through the two stages in turn.  From the engine the oracle
-takes only the two start states, the uniform state and |s, v>.
+takes only the marked set's type.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CoinConfig, marked_coin_state, uniform_state
+from .engine import CoinConfig
 from .graphs import Graph
 
 DIMENSION_CAP = 1024
@@ -54,14 +54,13 @@ _LIFT_COLUMNS = 32
 
 @dataclass
 class DenseOperator:
-    """A full (coin_dim*N)-dimensional real unitary with its arena; as
-    `reflection`, a permutation time reversal S of it (S M S = M^T, an
-    involution: the shift itself, the shift after the direction reversal on
-    the moving torus, none on the dirac walk); and as `symmetry` the
-    arena's mirror through the one marked vertex, lifted to the basis states
-    (Graph.lift), where exactly one vertex is marked and it moves some."""
+    """A full (coin_dim*N)-dimensional real unitary; as `reflection`, a
+    permutation time reversal S of it (S M S = M^T, an involution: the shift
+    itself, the shift after the direction reversal on the moving torus, none
+    on the dirac walk); and as `symmetry` the arena's mirror through the one
+    marked vertex, lifted to the basis states (Graph.lift), where exactly
+    one vertex is marked and it moves some."""
 
-    graph: Graph
     matrix: np.ndarray
     reflection: np.ndarray | None = None
     symmetry: np.ndarray | None = None
@@ -120,7 +119,7 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
         symmetry = graph.lift(graph.mirror(coin.marked[0]))
         if np.array_equal(symmetry, np.arange(dim)):
             symmetry = None
-    return DenseOperator(graph, matrix, reflection, symmetry)
+    return DenseOperator(matrix, reflection, symmetry)
 
 
 def _shifted_coin(graph: Graph, coin: CoinConfig, move: np.ndarray) -> np.ndarray:
@@ -547,36 +546,6 @@ def _sorted_columns(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases (sorted by |phase|) and an orthonormal eigenbasis."""
     return block_eigens(op.matrix, op.reflection, op.symmetry)
-
-
-def dense_principal_pair(op: DenseOperator, marked_vertex: int) -> tuple[float, float, float]:
-    """(alpha, start_overlap, good_overlap) of the principal pair of `op`,
-    the walk perturbed at `marked_vertex`.
-
-    alpha is the smallest nonzero |eigenphase|.  The eigenvectors w+ and w-
-    for e^(+-i alpha) are phase-aligned so their projections on |s, v> are
-    real positive; the overlaps are those of the uniform start with
-    (w+ - w-)/sqrt(2) and of |s, v> with (w+ + w-)/sqrt(2).  A degenerate
-    principal level (more than one phase within _LEVEL_GAP of +alpha or of
-    -alpha) has no such pair, and raises ArithmeticError: its overlaps
-    would depend on the eigenbasis the solver returns.
-    """
-    phases, vectors = dense_eigens(op)
-    alpha = float(np.min(np.abs(phases[np.abs(phases) > 1e-8])))
-    for sign in (1.0, -1.0):
-        width = np.count_nonzero(np.abs(phases - sign * alpha) <= _LEVEL_GAP)
-        if width > 1:
-            raise ArithmeticError(f"the principal level at {sign * alpha:+.6e} holds {width} "
-                                  f"eigenphases: no unique principal pair")
-    i_plus = int(np.argmin(np.abs(phases - alpha)))
-    i_minus = int(np.argmin(np.abs(phases + alpha)))
-    sv = marked_coin_state(op.graph, marked_vertex).vector
-    phi0 = uniform_state(op.graph).vector
-    w_plus = vectors[:, i_plus] * np.exp(-1j * np.angle(np.vdot(sv, vectors[:, i_plus])))
-    w_minus = vectors[:, i_minus] * np.exp(-1j * np.angle(np.vdot(sv, vectors[:, i_minus])))
-    start = abs(np.vdot(phi0, (w_plus - w_minus) / np.sqrt(2)))
-    good = abs(np.vdot(sv, (w_plus + w_minus) / np.sqrt(2)))
-    return alpha, float(start), float(good)
 
 
 def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarray:

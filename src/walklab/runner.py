@@ -37,9 +37,9 @@ _PEAK_REL_TOL = 1e-9  # values this close to a maximum are rounding ties
 
 @dataclass
 class RunTrace:
-    """Per-step success probabilities from the uniform start."""
+    """Per-step success probabilities from the uniform start, indexed by
+    the step t."""
 
-    t: np.ndarray
     p_marked: np.ndarray
     p_nbhd: np.ndarray
     norm: np.ndarray
@@ -98,7 +98,7 @@ class _Watch:
         self.norms[t] = math.sqrt(norm2)
 
     def trace(self) -> RunTrace:
-        return RunTrace(np.arange(len(self.norms)), self.p_marked, self.p_nbhd, self.norms)
+        return RunTrace(self.p_marked, self.p_nbhd, self.norms)
 
 
 def run_walk(graph: Graph, coin: CoinConfig, t_max: int) -> RunTrace:
@@ -115,8 +115,7 @@ def find_peak(trace: RunTrace) -> PeakInfo:
     argmax would move on rounding-level ties, such as the complete graph's
     p_nbhd, which is the norm squared and 1 at every step."""
     i, j = _earliest_peak(trace.p_nbhd), _earliest_peak(trace.p_marked)
-    return PeakInfo(int(trace.t[i]), float(trace.p_nbhd[i]),
-                    int(trace.t[j]), float(trace.p_marked[j]))
+    return PeakInfo(i, float(trace.p_nbhd[i]), j, float(trace.p_marked[j]))
 
 
 def _earliest_peak(values: np.ndarray) -> int:

@@ -139,7 +139,7 @@ def predict_overlaps(ms: ModeSpectrum, alpha: float) -> tuple[float, float]:
 
 
 def predict_runtime(ms: ModeSpectrum, alpha: float,
-                    spec: GraphSpec | None = None) -> tuple[int, tuple[float, float]]:
+                    spec: GraphSpec) -> tuple[int, tuple[float, float]]:
     """(t_star, (t_min, t_max)).
 
     t_star = ceil(pi / 4 alpha) is the quarter-rotation step count, taken
@@ -151,8 +151,7 @@ def predict_runtime(ms: ModeSpectrum, alpha: float,
     families derive their bracket from the rigorous alpha bracket.
     """
     t_star = math.ceil(_PI / (4.0 * alpha) * (1.0 - _BISECTION_TOL))
-    if spec is not None and spec.family == "torus" and spec.shift == "flip_flop" \
-            and len(spec.dims) == 2:
+    if spec.family == "torus" and spec.shift == "flip_flop" and len(spec.dims) == 2:
         n = spec.n_vertices
         scale = math.sqrt(n * math.log2(n))
         bracket = (0.5 * scale, _PI * scale / (2.0 * math.sqrt(2.0)))

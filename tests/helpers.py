@@ -25,10 +25,11 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
+import walklab.oracle
 from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build_graph,
-                     complete_spec, default_coin, dense_principal_pair, dense_unitary,
-                     grover_coin, hypercube_spec, sin2_half_theta, step, torus_modes,
-                     torus_spec, uniform_state, vertex_probabilities)
+                     complete_spec, default_coin, dense_eigens, dense_unitary, grover_coin,
+                     hypercube_spec, sin2_half_theta, step, torus_modes, torus_spec,
+                     uniform_state, vertex_probabilities)
 from walklab.engine import closed_neighborhood
 
 _PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
@@ -128,6 +129,13 @@ def random_state(graph, seed=0) -> WalkState:
     return WalkState(graph, amps)
 
 
+def marked_coin_state(graph, vertex: int) -> WalkState:
+    """|s, v>: uniform coin at one vertex."""
+    amps = np.zeros((graph.coin_dim, graph.n))
+    amps[:, vertex] = 1.0 / np.sqrt(graph.coin_dim)
+    return WalkState(graph, amps)
+
+
 def step_built_unitary(graph, coin) -> np.ndarray:
     """U' column by column: column c*N+v is one engine step of the basis state (c, v)."""
     dim = graph.coin_dim * graph.n
@@ -189,6 +197,36 @@ def per_mode_stationary_overlap(spec: GraphSpec) -> float:
     return float(1.0 - (1.0 / n) / total)
 
 
+def dense_principal_pair(op, graph, marked_vertex: int) -> tuple[float, float, float]:
+    """(alpha, start_overlap, good_overlap) of the principal pair of `op`,
+    the dense operator of `graph`'s walk perturbed at `marked_vertex`.
+
+    alpha is the smallest nonzero |eigenphase|.  The eigenvectors w+ and w-
+    for e^(+-i alpha) are phase-aligned so their projections on |s, v> are
+    real positive; the overlaps are those of the uniform start with
+    (w+ - w-)/sqrt(2) and of |s, v> with (w+ + w-)/sqrt(2).  A degenerate
+    principal level (more than one phase within the oracle's level gap of
+    +alpha or of -alpha) has no such pair, and raises ArithmeticError: its
+    overlaps would depend on the eigenbasis the solver returns.
+    """
+    phases, vectors = dense_eigens(op)
+    alpha = float(np.min(np.abs(phases[np.abs(phases) > 1e-8])))
+    for sign in (1.0, -1.0):
+        width = np.count_nonzero(np.abs(phases - sign * alpha) <= walklab.oracle._LEVEL_GAP)
+        if width > 1:
+            raise ArithmeticError(f"the principal level at {sign * alpha:+.6e} holds {width} "
+                                  f"eigenphases: no unique principal pair")
+    i_plus = int(np.argmin(np.abs(phases - alpha)))
+    i_minus = int(np.argmin(np.abs(phases + alpha)))
+    sv = marked_coin_state(graph, marked_vertex).vector
+    phi0 = uniform_state(graph).vector
+    w_plus = vectors[:, i_plus] * np.exp(-1j * np.angle(np.vdot(sv, vectors[:, i_plus])))
+    w_minus = vectors[:, i_minus] * np.exp(-1j * np.angle(np.vdot(sv, vectors[:, i_minus])))
+    start = abs(np.vdot(phi0, (w_plus - w_minus) / np.sqrt(2)))
+    good = abs(np.vdot(sv, (w_plus + w_minus) / np.sqrt(2)))
+    return alpha, float(start), float(good)
+
+
 @functools.cache
 def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:
     """Dense ground truth for the perturbed walk's principal pair
@@ -196,7 +234,7 @@ def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:
     for the session, so its readers must not change it."""
     graph = build_graph(spec)
     op = dense_unitary(graph, default_coin(graph, marked=(marked,)))
-    alpha, start, good = dense_principal_pair(op, marked)
+    alpha, start, good = dense_principal_pair(op, graph, marked)
     return {"graph": graph, "op": op, "alpha": alpha,
             "start_overlap": start, "good_overlap": good}
 

@@ -285,6 +285,22 @@ def test_failed_summary_write_keeps_the_trace(tmp_path, monkeypatch, capsys):
     assert len(_csv_rows(tmp_path / "o.csv")) == 4
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask-022", "umask-027"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, monkeypatch, umask, mode):
+    monkeypatch.chdir(tmp_path)
+    Path("o.csv").write_text("", encoding="utf-8")
+    os.chmod("o.csv", 0o644)  # an existing file is replaced at the umask's mode too
+    old = os.umask(umask)
+    try:
+        assert run_cli(["run", "--side", "4", "--t-max", "3", "--out", "o.csv",
+                        "--summary", "s.json"]) == 0
+    finally:
+        os.umask(old)
+    modes = {name: oct(os.stat(name).st_mode & 0o777) for name in ("o.csv", "s.json")}
+    assert modes == {"o.csv": oct(mode), "s.json": oct(mode)}
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = _config(tmp_path, 'family = "torus"\nside = 4\ndims = 2\n'
                             'shift = "flip_flop"  # comment\n')
@@ -312,7 +328,7 @@ _NO_SCIPY_CHILD = """
 import sys
 from walklab import build_graph, default_coin, torus_spec
 from walklab.cli import main
-from walklab.oracle import dense_principal_pair, dense_unitary
+from walklab.oracle import dense_eigens, dense_unitary, evolve_dense
 
 out = sys.argv[1]
 for argv in (
@@ -325,7 +341,10 @@ for argv in (
 ):
     assert main([*argv, "--out", out]) == 0, argv
 graph = build_graph(torus_spec(4))
-dense_principal_pair(dense_unitary(graph, default_coin(graph, marked=(0,))), 0)
+op = dense_unitary(graph, default_coin(graph, marked=(0,)))
+op.unitarity_defect()
+phases, vectors = dense_eigens(op)
+evolve_dense(op, vectors[:, 0], 3)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from walklab import (CoinConfig, ConfigurationError, GraphSpec, WalkState, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
-                     dense_unitary, evolve_dense, marked_coin_state,
-                     reflect_about, step, torus_spec, uniform_state,
-                     vertex_probabilities)
+                     dense_unitary, evolve_dense, reflect_about, step, torus_spec,
+                     uniform_state, vertex_probabilities)
 from walklab.engine import _apply, _owed_index, _settle, squared_norm
 
-from helpers import (arenas, load_state, neighborhood_probability, random_state, save_state,
-                     translate)
+from helpers import (arenas, load_state, marked_coin_state, neighborhood_probability,
+                     random_state, save_state, translate)
 
 
 def real_random_state(graph, seed=0) -> WalkState:

@@ -15,8 +15,8 @@ from walklab import (CoinConfig, GraphSpec, block_eigens, build_graph, complete_
                      mode_spectrum, run_walk, solve_alpha, step, torus_spec,
                      uniform_state)
 
-from helpers import (arenas, eigenspace_projection, random_state, schur_eigens,
-                     step_built_unitary, traced_peak)
+from helpers import (arenas, dense_principal_pair, eigenspace_projection, random_state,
+                     schur_eigens, step_built_unitary, traced_peak)
 
 
 @pytest.mark.parametrize("spec", arenas("small"))
@@ -31,7 +31,7 @@ def test_unitarity_defect_equals_the_explicit_formula(spec):
     g = build_graph(spec)
     exact = dense_unitary(g, default_coin(g, marked=(1,)))
     noise = np.random.default_rng(5).normal(scale=1e-9, size=exact.matrix.shape)
-    for op in (exact, walklab.oracle.DenseOperator(g, exact.matrix + noise)):
+    for op in (exact, walklab.oracle.DenseOperator(exact.matrix + noise)):
         before = op.matrix.copy()
         m = op.matrix
         reference = float(np.max(np.abs(m.conj().T @ m - np.eye(op.dim))))
@@ -238,16 +238,15 @@ def test_split_principal_pair_matches_the_whole_route(case):
     spec, marked = case
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
-    whole = walklab.oracle.DenseOperator(g, op.matrix)
+    whole = walklab.oracle.DenseOperator(op.matrix)
     vertex = marked[0] if marked else 0
     if not marked:  # the principal level is degenerate: its overlaps would depend on the basis
         for route in (op, whole):
             with pytest.raises(ArithmeticError, match="no unique principal pair"):
-                walklab.oracle.dense_principal_pair(route, vertex)
+                dense_principal_pair(route, g, vertex)
         return
-    split = walklab.oracle.dense_principal_pair(op, vertex)
-    assert split == pytest.approx(walklab.oracle.dense_principal_pair(whole, vertex),
-                                  rel=0, abs=1e-12)
+    split = dense_principal_pair(op, g, vertex)
+    assert split == pytest.approx(dense_principal_pair(whole, g, vertex), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec,involutive", [
@@ -452,9 +451,9 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
     _assert_eigensystem(op.matrix, phases, vectors)
     if spec.shift == "moving":  # its smallest nonzero phase is degenerate: no principal pair
         return
-    unsplit = walklab.oracle.DenseOperator(g, op.matrix, op.reflection)
-    assert walklab.oracle.dense_principal_pair(op, 1) == pytest.approx(
-        walklab.oracle.dense_principal_pair(unsplit, 1), rel=0, abs=1e-12)
+    unsplit = walklab.oracle.DenseOperator(op.matrix, op.reflection)
+    assert dense_principal_pair(op, g, 1) == pytest.approx(
+        dense_principal_pair(unsplit, g, 1), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", arenas("mirror_swaps"), ids=GraphSpec.label)
@@ -639,7 +638,13 @@ def _oracle_imports():
 
 def test_oracle_imports_neither_spectral_nor_the_step():
     imports = list(_oracle_imports())
-    assert ("walklab.engine", "marked_coin_state") in imports  # the parse sees them
+    assert ("walklab.engine", "CoinConfig") in imports  # the parse sees them
+    # from the engine the oracle takes the marked set's type and nothing else,
+    # neither the module itself nor an engine name the package re-exports
+    taken = [name for module, name in imports if module == "walklab.engine"
+             or module == "walklab" and (name == "engine" or getattr(
+                 getattr(walklab, name, None), "__module__", None) == "walklab.engine")]
+    assert taken == ["CoinConfig"], f"oracle imports {taken} from the engine"
     for module, name in imports:
         full = f"{module}.{name}" if name else module
         assert not full.startswith("walklab.spectral"), f"oracle imports {full}"

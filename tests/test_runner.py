@@ -48,8 +48,7 @@ def test_trace_matches_stepwise_measurement(spec):
 
 def _synthetic_trace(p):
     p = np.asarray(p, dtype=float)
-    t = np.arange(len(p))
-    return RunTrace(t, p, p, np.ones_like(p))
+    return RunTrace(p, p, np.ones_like(p))
 
 
 def test_find_peak_monotone_and_constant():

@@ -210,8 +210,8 @@ def test_good_overlap_log_band_2d():
 
 
 def test_predict_runtime_quarter_turn():
-    ms = mode_spectrum(torus_spec(4))  # any spectrum; alpha given explicitly
-    t_star, _ = predict_runtime(ms, math.pi / 4)
+    spec = torus_spec(4)  # any arena; alpha given explicitly
+    t_star, _ = predict_runtime(mode_spectrum(spec), math.pi / 4, spec)
     assert t_star == 1
 
 

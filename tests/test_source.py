@@ -10,6 +10,7 @@ from walklab import WalkState
 
 MODULES = sorted(Path(walklab.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).parent.glob("test_*.py"))
+BENCHMARK_MODULES = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
 def _unread_private_names(source):
@@ -40,6 +41,47 @@ def test_every_private_module_name_is_read_in_its_module(path):
 def test_the_private_name_check_sees_a_dead_helper():
     source = "import os as _os\n_USED = 1\n\n\ndef _dead():\n    return _USED\n\n\ndef public():\n    pass\n"
     assert _unread_private_names(source) == {"_os", "_dead"}
+
+
+def _public_definitions(source):
+    """The public functions and classes that `source` defines at its top level."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _names_read(source):
+    """The names `source` reads: loaded identifiers, attributes and imported names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_name_has_a_reader():
+    # a public function or class that no package module (the re-exports of
+    # __init__ aside) and no benchmark op reads serves only its own tests:
+    # it belongs in tests/helpers.py as a test reference
+    readers = [p for p in MODULES if p.name != "__init__.py"] + BENCHMARK_MODULES
+    read = set().union(*(_names_read(p.read_text(encoding="utf-8")) for p in readers))
+    unread = {path.name: sorted(names) for path in MODULES
+              if (names := _public_definitions(path.read_text(encoding="utf-8")) - read)}
+    assert not unread, f"public names that no module reads: {unread}"
+
+
+def test_the_reader_check_sees_an_unread_function():
+    source = ("from .engine import step as _step\n\n\n"
+              "class Result:\n    pass\n\n\n"
+              "def helper():\n    return Result()\n\n\n"
+              "def _private():\n    return walklab.grover_coin(2)\n\n\n"
+              "def unread():\n    return helper()\n")
+    assert _public_definitions(source) == {"Result", "helper", "unread"}
+    assert _public_definitions(source) - _names_read(source) == {"unread"}
 
 
 # slots only the engine may read: a state's array order, its owed shift and

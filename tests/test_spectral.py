@@ -9,13 +9,13 @@ from numpy.testing import assert_array_equal
 
 from walklab import (CoinConfig, ConfigurationError, GraphSpec, build_graph,
                      complete_spec, default_coin, dense_eigens, dense_unitary,
-                     grover_coin, hypercube_spec, marked_coin_state, mode_spectrum,
+                     grover_coin, hypercube_spec, mode_spectrum,
                      moving_shift_stationary_overlap, sin2_half_theta, spectral_sums,
                      torus_modes, torus_spec, uniform_state)
 
 from helpers import (arenas, closed_form_block_phases, coin_block, eigenspace_projection,
-                     lift_block_vector, per_mode_levels, per_mode_stationary_overlap,
-                     schur_eigens)
+                     lift_block_vector, marked_coin_state, per_mode_levels,
+                     per_mode_stationary_overlap, schur_eigens)
 
 TORUS4 = torus_spec(4)
 ALL_MODES_4 = [m for m in product(range(4), repeat=2)]
