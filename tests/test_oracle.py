@@ -641,9 +641,10 @@ def test_oracle_imports_neither_spectral_nor_the_step():
     assert ("walklab.engine", "CoinConfig") in imports  # the parse sees them
     # from the engine the oracle takes the marked set's type and nothing else,
     # neither the module itself nor an engine name the package re-exports
+    reexported = {name for name, value in vars(walklab).items()
+                  if getattr(value, "__module__", None) == "walklab.engine"}
     taken = [name for module, name in imports if module == "walklab.engine"
-             or module == "walklab" and (name == "engine" or getattr(
-                 getattr(walklab, name, None), "__module__", None) == "walklab.engine")]
+             or (module == "walklab" and name in reexported | {"engine"})]
     assert taken == ["CoinConfig"], f"oracle imports {taken} from the engine"
     for module, name in imports:
         full = f"{module}.{name}" if name else module
