@@ -15,7 +15,7 @@ from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, SweepResult,
 from .search import (PredictionReport, alpha_bracket, predict, predict_overlaps,
                      predict_runtime, secular_value, solve_alpha)
 from .spectral import (ModeSpectrum, mode_spectrum, moving_shift_stationary_overlap,
-                       sin2_half_theta, spectral_sums, torus_modes)
+                       sin2_half_theta, torus_modes)
 
 # the dense oracle loads on first use, so that no command imports it
 _ORACLE_NAMES = {"DenseOperator", "block_eigens", "dense_eigens", "dense_unitary",

@@ -31,8 +31,7 @@ from .graphs import (FAMILIES, ConfigurationError, Graph, GraphSpec, build_graph
                      hypercube_spec, torus_spec)
 from .runner import RunTrace, amplify, find_peak, run_two_marked, run_walk, scaling_sweep
 from .search import predict
-from .spectral import (NoSearchStructure, mode_spectrum, moving_shift_stationary_overlap,
-                       spectral_sums)
+from .spectral import NoSearchStructure, mode_spectrum, moving_shift_stationary_overlap
 
 SCHEMA_VERSION = 1
 
@@ -214,7 +213,7 @@ def _marked_walk(spec: GraphSpec, marked: list[str] | None) -> tuple[Graph, Coin
 def cmd_spectrum(args):
     spec = build_spec(args)
     ms = mode_spectrum(spec)
-    s1, s2, scot = spectral_sums(ms)
+    s1, s2, scot = ms.sums
     levels = [dict(zip(ms.entries.dtype.names, row)) for row in ms.entries.tolist()]
     yield {
         "spec": spec.label(),

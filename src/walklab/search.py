@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphSpec
-from .spectral import ModeSpectrum, mode_spectrum, spectral_sums
+from .spectral import ModeSpectrum, mode_spectrum
 
 _PI = math.pi
 _BISECTION_TOL = 1e-12  # final bracket width relative to its lower end
@@ -71,12 +71,13 @@ def secular_value(ms: ModeSpectrum, alpha: float) -> float:
 def alpha_bracket(ms: ModeSpectrum) -> tuple[float, float]:
     """Rigorous two-sided bound on the root.
 
-    With Sigma = sum (w_j/a0_eff^2) m_j / (1 - cos th_j): the exact secular
+    With Sigma = sum (w_j/a0_eff^2) m_j / (1 - cos th_j), which is S1 of
+    ModeSpectrum.sums scaled by a0^2/a0_eff^2: the exact secular
     equation pins 1/(4 Sigma) <= 1 - cos(alpha) <= 1/(2 Sigma) (the lower
     half under alpha < theta_min/2), and 2x^2/pi^2 <= 1-cos x <= x^2/2
     turns that into 1/sqrt(2 Sigma) <= alpha <= (pi/2)/sqrt(Sigma).
     """
-    s1, _, _ = spectral_sums(ms)
+    s1, _, _ = ms.sums
     sigma = s1 * ms.a0_sq / _effective_a0_sq(ms)
     return 1.0 / math.sqrt(2.0 * sigma), 0.5 * _PI / math.sqrt(sigma)
 

@@ -21,7 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -83,8 +82,8 @@ class ModeSpectrum:
 
     A spectrum checks itself when it is built: it has a level, theta_min
     is positive and its weights are complete.  It is not changed after
-    construction: level_columns is formed from entries on first use and
-    kept.
+    construction: level_columns and sums are formed from entries on first
+    use and kept.
     """
 
     a0_sq: float
@@ -103,12 +102,26 @@ class ModeSpectrum:
         # a float column even where a hypercube's counts outgrow int64 (object ints)
         return self.entries.theta, self.entries.weight * self.entries.multiplicity.astype(float)
 
+    @cached_property
+    def sums(self) -> tuple[float, float, float]:
+        """(S1, S2, Scot): the inverse-gap, squared-inverse-gap and cot sums.
+
+        S1 = sum (a_j^2/a_0^2) m_j / (1-cos theta_j)   -- sets the eigenphase alpha
+        S2 = sum (a_j^2/a_0^2) m_j / (1-cos theta_j)^2 -- sets the start overlap
+        Scot = sum a_j^2 m_j cot^2(theta_j/4)          -- sets the good overlap
+        """
+        theta, wm = self.level_columns
+        gap = 2.0 * np.sin(theta / 2.0) ** 2  # 1 - cos(theta), free of cancellation
+        ratio = wm / self.a0_sq
+        return (float(np.sum(ratio / gap)), float(np.sum(ratio / gap ** 2)),
+                float(np.sum(wm / np.tan(theta / 4.0) ** 2)))
+
     @property
     def retained_dim(self) -> int:
         # Python ints: a hypercube's level counts outgrow int64
-        mult = self.entries.multiplicity.tolist()
-        single = compress(mult, self.entries.theta > _PI - 1e-12)  # pi levels are not pairs
-        return 1 + (1 if self.frozen_weight > 0 else 0) + 2 * sum(mult) - sum(single)
+        mult = self.entries.multiplicity.astype(object)
+        single = mult[self.entries.theta > _PI - 1e-12].sum()  # pi levels are not pairs
+        return 1 + (1 if self.frozen_weight > 0 else 0) + 2 * mult.sum() - single
 
     def completeness_defect(self) -> float:
         total = self.a0_sq + self.frozen_weight
@@ -181,31 +194,12 @@ def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
                         n, spec.family, frozen_weight=frozen)
 
 
-# -- spectral sums ---------------------------------------------------------
+# -- moving shift ------------------------------------------------------------
 
 
 def _sum_in_order(terms: np.ndarray) -> float:
     """Left-to-right float sum; np.sum adds pairwise and rounds differently."""
     return float(np.add.accumulate(terms)[-1])
-
-
-def spectral_sums(ms: ModeSpectrum) -> tuple[float, float, float]:
-    """(S1, S2, Scot): the inverse-gap, squared-inverse-gap and cot sums.
-
-    S1 = sum (a_j^2/a_0^2) m_j / (1-cos theta_j)   -- sets the eigenphase alpha
-    S2 = sum (a_j^2/a_0^2) m_j / (1-cos theta_j)^2 -- sets the start overlap
-    Scot = sum a_j^2 m_j cot^2(theta_j/4)          -- sets the good overlap
-    """
-    lv = ms.entries
-    gap = 2.0 * np.sin(lv.theta / 2.0) ** 2  # 1 - cos(theta), free of cancellation
-    ratio = lv.weight / ms.a0_sq * lv.multiplicity
-    # math.tan, not np.tan: the two differ in the last bits
-    tan_quarter = np.array([math.tan(t / 4.0) for t in lv.theta.tolist()])
-    return (_sum_in_order(ratio / gap), _sum_in_order(ratio / gap ** 2),
-            _sum_in_order(lv.weight * lv.multiplicity / tan_quarter ** 2))
-
-
-# -- moving shift ------------------------------------------------------------
 
 
 def moving_shift_stationary_overlap(spec: GraphSpec) -> float:

@@ -89,6 +89,11 @@ ARENA_SETS = {
     # spectra past the dense cap, whose secular root is checked ulp by ulp
     "roots": (torus_spec(16), torus_spec(128), torus_spec(22, shift="dirac"), torus_spec(10, 3),
               hypercube_spec(30), hypercube_spec(110), complete_spec(64)),
+    # one spectrum per family that has one, whose sums are checked level by
+    # level: the flip-flop tori in 2D and 3D, dirac, the hypercube and the
+    # complete graph
+    "sums": (torus_spec(64), torus_spec(12, 3), torus_spec(22, shift="dirac"), hypercube_spec(9),
+             complete_spec(64)),
     # arenas of a few MiB whose walks' traced peaks are pinned in states
     "memory": (torus_spec(128), torus_spec(24, 3), hypercube_spec(13), complete_spec(512)),
     # one arena per family and shift at 0.85-1 times oracle.DIMENSION_CAP
@@ -180,6 +185,18 @@ def per_mode_levels(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, float]:
         found.setdefault(round(theta, 10), [theta, 0])[1] += 1
     theta, mult = zip(*sorted(found.values()))
     return np.array(theta), np.array(mult), frozen
+
+
+def per_level_sums(ms) -> tuple[float, float, float]:
+    """ModeSpectrum.sums one level at a time, with math.tan and left-to-right sums."""
+    s1 = s2 = scot = 0.0
+    for theta, weight, mult in ms.entries.tolist():
+        gap = 2.0 * math.sin(theta / 2.0) ** 2
+        ratio = weight / ms.a0_sq * mult
+        s1 += ratio / gap
+        s2 += ratio / gap ** 2
+        scot += weight * mult / math.tan(theta / 4.0) ** 2
+    return s1, s2, scot
 
 
 def per_mode_stationary_overlap(spec: GraphSpec) -> float:

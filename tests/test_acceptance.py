@@ -18,8 +18,8 @@ from walklab import (CoinConfig, build_graph, complete_spec, default_coin,
                      dense_eigens, dense_unitary, evolve_dense, find_peak,
                      hypercube_spec, mode_spectrum, moving_shift_stationary_overlap,
                      predict, run_two_marked, run_walk, amplify, solve_alpha,
-                     spectral_sums, step, sweep_point, torus_spec, torus_modes,
-                     uniform_state, vertex_probabilities)
+                     step, sweep_point, torus_spec, torus_modes, uniform_state,
+                     vertex_probabilities)
 
 from helpers import (closed_form_block_phases, eigenspace_projection,
                      lift_principal_eigenvector, rounds_to_quarter)
@@ -317,13 +317,13 @@ def test_c14_spectral_sum_bands():
     r1_2d, r2_2d, r1_3d = [], [], []
     for side in (8, 16, 32, 64):
         ms = mode_spectrum(torus_spec(side))
-        s1, s2, _ = spectral_sums(ms)
+        s1, s2, _ = ms.sums
         n = side ** 2
         r1_2d.append(2 * s1 / (n * math.log2(n)))
         r2_2d.append(2 * s2 / n ** 2)
     for side in (5, 8, 12, 16):
         ms = mode_spectrum(torus_spec(side, 3))
-        s1, _, _ = spectral_sums(ms)
+        s1, _, _ = ms.sums
         r1_3d.append(2 * s1 / side ** 3)
     assert all(0.20 < v < 0.30 for v in r1_2d)
     assert all(0.05 < v < 0.09 for v in r2_2d)

@@ -160,6 +160,9 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
         "predict --family torus --dims 1 --side 100",
         "predict --family torus --dims 1 --side 441",
         "predict --family torus --dims 1 --side 493",
+        # spectra of hundreds of levels, whose sums a reduction could split
+        "spectrum --family torus --side 64",
+        "spectrum --family torus --side 12 --dims 3",
     ]
     prefixes = [tmp_path / f"threads{threads}-" for threads in ("1", "2")]
     children = [subprocess.Popen([sys.executable, "-c", _THREADS_CHILD, str(prefix), *commands],

@@ -4,6 +4,7 @@ Every prediction has an independent dense route: eigenphases from the
 explicit perturbed unitary, overlaps from its aligned eigenvectors.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ import walklab.search
 from walklab import (ConfigurationError, GraphSpec, ModeSpectrum, alpha_bracket,
                      complete_spec, hypercube_spec, mode_spectrum, predict,
                      predict_overlaps, predict_runtime, secular_value, solve_alpha,
-                     spectral_sums, torus_spec)
+                     torus_spec)
 
 from helpers import arenas, levels, lift_principal_eigenvector, principal_dense_data
 
@@ -52,7 +53,7 @@ def test_alpha_within_rigorous_bracket(spec):
     lo, hi = alpha_bracket(ms)
     assert lo <= alpha <= hi
     # the bracket itself obeys the inverse-gap-sum scalings
-    s1, _, _ = spectral_sums(ms)
+    s1, _, _ = ms.sums
     sigma = s1 * ms.a0_sq / (ms.a0_sq + ms.frozen_weight)
     assert hi <= 0.5 * math.pi / math.sqrt(sigma) + 1e-12
     assert lo >= 1.0 / math.sqrt(2.0 * sigma) - 1e-12
@@ -224,6 +225,23 @@ def test_predict_runtime_2d_bracket():
     assert bracket[0] == pytest.approx(math.sqrt(n * math.log2(n)) / 2)
     assert bracket[1] == pytest.approx(math.pi * math.sqrt(n * math.log2(n))
                                        / (2 * math.sqrt(2)))
+
+
+@pytest.mark.parametrize("spec", arenas("sums"), ids=GraphSpec.label)
+def test_predict_forms_the_spectral_sums_once(spec, monkeypatch):
+    # solve_alpha, predict_runtime and the report's alpha_bracket share them
+    formed = []
+
+    def counted(ms):
+        formed.append(ms)
+        return form(ms)
+
+    form = ModeSpectrum.sums.func
+    sums = functools.cached_property(counted)
+    sums.__set_name__(ModeSpectrum, "sums")
+    monkeypatch.setattr(ModeSpectrum, "sums", sums)
+    predict(spec)
+    assert len(formed) == 1
 
 
 def test_complete_graph_peak_steps_doubles_grover():

@@ -10,11 +10,11 @@ from numpy.testing import assert_array_equal
 from walklab import (CoinConfig, ConfigurationError, GraphSpec, build_graph,
                      complete_spec, default_coin, dense_eigens, dense_unitary,
                      grover_coin, hypercube_spec, mode_spectrum,
-                     moving_shift_stationary_overlap, sin2_half_theta, spectral_sums,
+                     moving_shift_stationary_overlap, sin2_half_theta,
                      torus_modes, torus_spec, uniform_state)
 
 from helpers import (arenas, closed_form_block_phases, coin_block, eigenspace_projection,
-                     lift_block_vector, marked_coin_state, per_mode_levels,
+                     lift_block_vector, marked_coin_state, per_level_sums, per_mode_levels,
                      per_mode_stationary_overlap, schur_eigens)
 
 TORUS4 = torus_spec(4)
@@ -143,9 +143,15 @@ def test_moving_shift_rejected():
 
 def test_hypercube_inverse_gap_sum():
     ms = mode_spectrum(hypercube_spec(4))
-    s1, _, _ = spectral_sums(ms)
+    s1, _, _ = ms.sums
     # (d/2) * sum_k binom(d,k)/k over k = 1..d, for d = 4
     assert 2 * s1 == pytest.approx(103 / 6, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec", arenas("sums"), ids=GraphSpec.label)
+def test_sums_equal_per_level_reference(spec):
+    ms = mode_spectrum(spec)
+    assert ms.sums == pytest.approx(per_level_sums(ms), rel=1e-12, abs=0)
 
 
 def test_conjugate_pairing_of_dense_spectrum():
