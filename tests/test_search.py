@@ -230,13 +230,12 @@ def test_predict_runtime_2d_bracket():
 @pytest.mark.parametrize("spec", arenas("sums"), ids=GraphSpec.label)
 def test_predict_forms_the_spectral_sums_once(spec, monkeypatch):
     # solve_alpha, predict_runtime and the report's alpha_bracket share them
-    formed = []
+    form, formed = ModeSpectrum.sums.func, []
 
     def counted(ms):
         formed.append(ms)
         return form(ms)
 
-    form = ModeSpectrum.sums.func
     sums = functools.cached_property(counted)
     sums.__set_name__(ModeSpectrum, "sums")
     monkeypatch.setattr(ModeSpectrum, "sums", sums)
