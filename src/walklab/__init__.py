@@ -18,8 +18,8 @@ from .spectral import (ModeSpectrum, mode_spectrum, moving_shift_stationary_over
                        sin2_half_theta, torus_modes)
 
 # the dense oracle loads on first use, so that no command imports it
-_ORACLE_NAMES = {"DenseOperator", "block_eigens", "dense_eigens", "dense_unitary",
-                 "evolve_dense", "grover_coin"}
+_ORACLE_NAMES = {"DenseOperator", "dense_eigens", "dense_unitary", "evolve_dense",
+                 "grover_coin"}
 
 
 def __getattr__(name):

@@ -9,7 +9,7 @@ spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix; it is powered explicitly and eigendecomposed through its
 symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
 own BLAS: walklab loads no second one), whose real eigenvectors its skew
-part U' - U'^T pairs into complex ones (see block_eigens; a matrix that
+part U' - U'^T pairs into complex ones (see dense_eigens; a matrix that
 is not normal raises).  Two involutions split the eigensolve, one at a
 time, and U' enters each one's eigenbasis by the same butterfly.  With
 one marked vertex, the arena's mirror through it (Graph.mirror), lifted
@@ -59,11 +59,27 @@ class DenseOperator:
     itself, the shift after the direction reversal on the moving torus, none
     on the dirac walk); and as `symmetry` the arena's mirror through the one
     marked vertex, lifted to the basis states (Graph.lift), where exactly
-    one vertex is marked and it moves some."""
+    one vertex is marked and it moves some.
+
+    An operator checks itself when it is built: a complex matrix raises
+    TypeError, an identity reflection or symmetry is kept as None, and one
+    that is no involutive permutation, or a pair that does not commute,
+    raises ValueError.  dense_eigens checks that S and P are a time
+    reversal and a symmetry of M."""
 
     matrix: np.ndarray
     reflection: np.ndarray | None = None
     symmetry: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if np.iscomplexobj(self.matrix):
+            raise TypeError(f"a DenseOperator is a real orthogonal matrix, not a "
+                            f"{self.matrix.dtype} one")
+        self.reflection = _involution(self.reflection, self.dim, "reflection")
+        self.symmetry = _involution(self.symmetry, self.dim, "symmetry")
+        s, p = self.reflection, self.symmetry
+        if s is not None and p is not None and not np.array_equal(s[p], p[s]):
+            raise ValueError("the reflection and the symmetry must commute")
 
     @property
     def dim(self) -> int:
@@ -91,7 +107,7 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
     with the direction reversal T (c <-> c^1) T S_m T = S_m^T, and T
     commutes with C', so S_m T is a time reversal of U' = (S_m T)(T C').
     Every other shift here is an involution, its own time reversal, kept
-    as `reflection` unchecked: block_eigens refuses one that is not.
+    as `reflection`: DenseOperator refuses one that is not.
     """
     dim = graph.coin_dim * graph.n
     if dim > DIMENSION_CAP:
@@ -114,11 +130,7 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
         matrix = np.empty_like(first)
         matrix[_half_move(graph, (2, 3))] = first
         _butterfly(matrix[:n], matrix[n:], first[:n])  # first's buffer is free
-    symmetry = None
-    if len(coin.marked) == 1:
-        symmetry = graph.lift(graph.mirror(coin.marked[0]))
-        if np.array_equal(symmetry, np.arange(dim)):
-            symmetry = None
+    symmetry = graph.lift(graph.mirror(coin.marked[0])) if len(coin.marked) == 1 else None
     return DenseOperator(matrix, reflection, symmetry)
 
 
@@ -157,10 +169,9 @@ def _butterfly(top: np.ndarray, bottom: np.ndarray, total: np.ndarray | None = N
     bottom *= _INV_SQRT2
 
 
-def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
-                 symmetry: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases, sorted by |phase| (stably), and an orthonormal eigenbasis
-    of a real orthogonal matrix.
+    of the operator's real orthogonal matrix U.
 
     An orthogonal U is normal, so its symmetric part U + U^T (eigenvalues
     2 cos theta) and its skew part U - U^T (eigenvalues 2i sin theta)
@@ -169,47 +180,38 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
     spectra these walks have) diagonalises the symmetric part, and the
     skew part pairs its real eigenvectors into complex ones.  A matrix
     that is not normal raises ArithmeticError instead of returning a wrong
-    basis.  Complex input is refused.
+    basis.
 
-    Two optional involutions split the solve, one at a time, each through
-    its eigenbasis (_split_order, _rotate).  A `symmetry` (an involutive
-    index permutation P) with 2-cycles must commute with U: in P's
-    eigenbasis both off-diagonal blocks must vanish, on every entry, else
-    ArithmeticError, and U splits into the two diagonal blocks
-    (_symmetry_blocks).  A `reflection` (an involutive index permutation S)
-    with 2-cycles must commute with P and be a time reversal of U,
-    S U S = U^T (as for S C' with a symmetric coin).  In P's eigenbasis S
-    is a signed permutation of each block; a block on which it has a
-    2-cycle or a -1 is rotated into S's eigenbasis, where each eigenvector
-    of the +1 half and its image under the skew part make a pair of U's
-    eigenvectors (_reversal_eigens, which checks the time reversal, else
+    The operator's involutions, where it has them, split the solve, one at
+    a time, each through its eigenbasis (_split_order, _rotate).  Its
+    `symmetry` (an involutive index permutation P) must commute with U: in
+    P's eigenbasis both off-diagonal blocks must vanish, on every entry,
+    else ArithmeticError, and U splits into the two diagonal blocks
+    (_symmetry_blocks).  Its `reflection` (an involutive index permutation
+    S, which commutes with P) must be a time reversal of U, S U S = U^T (as
+    for S C' with a symmetric coin).  In P's eigenbasis S is a signed
+    permutation of each block; a block on which it has a 2-cycle or a -1
+    is rotated into S's eigenbasis, where each eigenvector of the +1 half
+    and its image under the skew part make a pair of U's eigenvectors
+    (_reversal_eigens, which checks the time reversal, else
     ArithmeticError).  Any other block, and U without either, is solved
-    level by level (_level_eigens, U itself in place).  A permutation
-    without 2-cycles splits nothing.  All phases of all blocks are merged
-    by |phase| before any eigenvector is formed, and the lift runs the
-    stages backwards: S's butterfly on a block's half-length vectors, then
-    one signed gather into the original rows (_lift_batches).
+    level by level (_level_eigens, U itself in place).  All phases of all
+    blocks are merged by |phase| before any eigenvector is formed, and the
+    lift runs the stages backwards: S's butterfly on a block's half-length
+    vectors, then one signed gather into the original rows (_lift_batches).
     """
-    if np.iscomplexobj(block):
-        raise TypeError("block_eigens takes a real orthogonal matrix, "
-                        f"not a {block.dtype} one")
-    n = block.shape[0]
-    reflection = _involution(reflection, n, "reflection")
-    symmetry = _involution(symmetry, n, "symmetry")
-    if (reflection is not None and symmetry is not None
-            and not np.array_equal(reflection[symmetry], symmetry[reflection])):
-        raise ValueError("the reflection and the symmetry must commute")
+    block, reflection, symmetry, n = op.matrix, op.reflection, op.symmetry, op.dim
     # an unsplit U's eigh runs before the eigenvector buffer is allocated:
     # its temporaries (U + U^T and the row-major basis) are freed by then
     solved = _symmetric_eigh(block) if reflection is None and symmetry is None else None
     vectors, buffer = _eigenvector_buffer(n)
     first, second = buffer
-    if symmetry is None:  # one block, U itself
-        blocks, free = [(block, reflection, None)], buffer
+    if symmetry is None:  # one block, U itself, in its own rows
+        blocks, free = [(block, reflection, None, np.arange(n), None)], buffer
     else:  # P's blocks in `second`
         blocks, free = _symmetry_blocks(block, symmetry, reflection, second, first), first
     phases, found, start = [], [], 0
-    for matrix, pairing, flips in blocks:
+    for matrix, pairing, flips, *way in blocks:
         h = matrix.shape[0]
         order, pairs, m, signed = _split_order(np.arange(h) if pairing is None else pairing, flips)
         if 0 < m < h:
@@ -224,12 +226,11 @@ def block_eigens(block: np.ndarray, reflection: np.ndarray | None = None,
                                                   one, other)
             turn = None
         phases.append(block_phases)
-        found.append((start, batches, turn))
+        found.append((start, batches, turn, *way))
         start += h
     phases, columns = _sorted_columns(np.concatenate(phases))
-    ways = [(np.arange(n), None)] if symmetry is None else _symmetry_ways(symmetry)
-    for (start, *lift), way in zip(found, ways):
-        _lift_batches(vectors, columns[start:], *lift, *way)
+    for start, *lift in found:
+        _lift_batches(vectors, columns[start:], *lift)
     return phases, vectors
 
 
@@ -254,9 +255,11 @@ def _involution(perm: np.ndarray | None, n: int, name: str) -> np.ndarray | None
 
 def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.ndarray | None,
                      out: np.ndarray, work: np.ndarray) -> list[tuple]:
-    """P's two blocks of U, in `out`, each as (matrix, pairing, flips): S on
-    the block's coordinates, a signed involution (S e_j = -e_pairing[j]
-    where flips[j]; None without S).
+    """P's two blocks of U, in `out`, each as (matrix, pairing, flips, rows,
+    scale): S on the block's coordinates, a signed involution
+    (S e_j = -e_pairing[j] where flips[j]; None without S), and the way
+    back, the block's vectors y read x[r] = scale[r] * y[rows[r]] in the
+    original rows.
 
     U is rotated into P's eigenbasis (_split_order, _rotate) in `work`, and
     `out`, both U's shape, is the rotation's scratch.  P's 2-cycles
@@ -267,7 +270,8 @@ def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.nda
     then copied into `out`.  S maps P's 2-cycles to 2-cycles and its fixed
     points to fixed points, so it permutes the + block's coordinates, and
     the - block's up to sign: S sends e_t - e_Pt to -(e_t' - e_Pt') where
-    S t = P t'.
+    S t = P t'.  On the way back x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and
+    x[f] = y on the + block and 0 on the - block.
     """
     order, k, h, _ = _split_order(symmetry)  # [t, f, P t]
     _rotate(block, order, k, 0, work, out)
@@ -278,23 +282,16 @@ def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.nda
     plus, minus = _carve(out, (h, h), (k, k))
     plus[...] = work[:h, :h]
     minus[...] = work[h:, h:]
-    if reflection is None:
-        return [(plus, None, None), (minus, None, None)]
-    coordinate, image = np.argsort(order) % h, reflection[order[:k]]
-    return [(plus, coordinate[reflection[order[:h]]], None),
-            (minus, coordinate[image], symmetry[image] < image)]
-
-
-def _symmetry_ways(symmetry: np.ndarray):
-    """(rows, scale) of P's + block, then of its - block, each made as the
-    block is lifted: its vectors y read x[r] = scale[r] * y[rows[r]] in the
-    original rows, so x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and x[f] = y
-    on the + block and 0 on the - block."""
-    order, k, h, _ = _split_order(symmetry)
     place = np.argsort(order)  # the t's, the f's, then the P t's
     rows, still = place % h, (place >= k) & (place < h)
-    yield rows, np.where(still, 1.0, _INV_SQRT2)
-    yield np.where(still, 0, rows), np.select([place < k, still], [_INV_SQRT2, 0.0], -_INV_SQRT2)
+    plus_way = rows, np.where(still, 1.0, _INV_SQRT2)
+    minus_way = (np.where(still, 0, rows),
+                 np.select([place < k, still], [_INV_SQRT2, 0.0], -_INV_SQRT2))
+    if reflection is None:
+        return [(plus, None, None, *plus_way), (minus, None, None, *minus_way)]
+    image = reflection[order[:k]]
+    return [(plus, rows[reflection[order[:h]]], None, *plus_way),
+            (minus, rows[image], symmetry[image] < image, *minus_way)]
 
 
 def _split_order(pairing: np.ndarray, flips: np.ndarray | None = None) -> tuple:
@@ -541,11 +538,6 @@ def _sorted_columns(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The phases sorted by |phase| (stably), and the sorted column of each."""
     order = np.argsort(np.abs(phases), kind="stable")
     return phases[order], np.argsort(order)
-
-
-def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases (sorted by |phase|) and an orthonormal eigenbasis."""
-    return block_eigens(op.matrix, op.reflection, op.symmetry)
 
 
 def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarray:

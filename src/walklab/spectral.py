@@ -179,6 +179,8 @@ def mode_spectrum(spec: GraphSpec) -> ModeSpectrum:
         # row w-1 of the lower triangle is a mode of Hamming weight w
         theta = _theta(sin2_half_theta(spec, np.tri(d, dtype=np.int64)))
         mult = [math.comb(d, w) for w in range(1, d + 1)]
+        # int64 counts while they fit, Python ints (an object column) past that
+        mult = np.array(mult, dtype=np.int64 if max(mult) <= np.iinfo(np.int64).max else object)
         return ModeSpectrum(1.0 / n, _levels(theta, 1.0 / (2 * n), mult), n, spec.family)
 
     # tori: flip-flop any dimension, dirac in two; row 0 is the zero mode

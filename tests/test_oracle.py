@@ -10,10 +10,9 @@ import pytest
 import walklab.engine
 import walklab.oracle
 import walklab.spectral
-from walklab import (CoinConfig, GraphSpec, block_eigens, build_graph, complete_spec,
-                     default_coin, dense_eigens, dense_unitary, hypercube_spec,
-                     mode_spectrum, run_walk, solve_alpha, step, torus_spec,
-                     uniform_state)
+from walklab import (CoinConfig, GraphSpec, build_graph, complete_spec, default_coin,
+                     dense_eigens, dense_unitary, hypercube_spec, mode_spectrum, run_walk,
+                     solve_alpha, step, torus_spec, uniform_state)
 
 from helpers import (arenas, dense_principal_pair, eigenspace_projection, random_state,
                      schur_eigens, step_built_unitary, traced_peak)
@@ -145,6 +144,11 @@ def test_dense_eigens_at_the_dimension_cap():
     assert principal == pytest.approx(solve_alpha(mode_spectrum(spec)), rel=1e-9, abs=0)
 
 
+def _eigens(matrix, reflection=None, symmetry=None):
+    """dense_eigens of `matrix` with these involutions, checked as the operator is built."""
+    return dense_eigens(walklab.oracle.DenseOperator(matrix, reflection, symmetry))
+
+
 def _fold(phases):
     # -1 comes out as pi or, by rounding, as -pi: count it as pi
     return np.sort(np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases))
@@ -168,7 +172,7 @@ def _orthogonal_with_known_phases(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_eigens_recovers_known_phases(seed):
     matrix, expected = _orthogonal_with_known_phases(seed)
-    phases, vectors = block_eigens(matrix)
+    phases, vectors = _eigens(matrix)
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
 
@@ -178,13 +182,13 @@ def test_block_eigens_refuses_a_non_normal_matrix(seed):
     matrix, _ = _orthogonal_with_known_phases(seed)
     matrix[0, 1] += 1e-6
     with pytest.raises(ArithmeticError, match="not normal"):
-        block_eigens(matrix)
+        _eigens(matrix)
 
 
 def test_block_eigens_refuses_complex_input():
     matrix, _ = _orthogonal_with_known_phases(0)
     with pytest.raises(TypeError, match="real orthogonal"):
-        block_eigens(matrix.astype(np.complex128))
+        _eigens(matrix.astype(np.complex128))
 
 
 @pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
@@ -192,7 +196,7 @@ def test_block_eigens_real_matches_complex(spec):
     g = build_graph(spec)
     matrix = dense_unitary(g, default_coin(g, marked=(1,))).matrix
 
-    real = _fold(block_eigens(matrix)[0])
+    real = _fold(_eigens(matrix)[0])
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(real - reference)) < 1e-12
 
@@ -224,8 +228,8 @@ def test_split_eigensolve_matches_the_whole_one_and_schur(case):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert op.reflection is not None
-    split = _fold(block_eigens(op.matrix, op.reflection)[0])
-    whole = _fold(block_eigens(op.matrix)[0])
+    split = _fold(_eigens(op.matrix, op.reflection)[0])
+    whole = _fold(_eigens(op.matrix)[0])
     reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
     assert np.max(np.abs(split - whole)) < 1e-12
     assert np.max(np.abs(split - reference)) < 1e-12
@@ -302,7 +306,7 @@ def _time_reversible(n, pairs):
 @pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (15, 4)])
 def test_split_eigensolve_with_fixed_points(n, pairs):
     matrix, pairing = _time_reversible(n, pairs)
-    phases, vectors = block_eigens(matrix, reflection=pairing)
+    phases, vectors = _eigens(matrix, reflection=pairing)
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)
@@ -313,7 +317,7 @@ def test_split_eigensolve_with_fixed_points(n, pairs):
 def test_block_eigens_refuses_a_reflection_it_does_not_commute_with(seed):
     matrix, _ = _orthogonal_with_known_phases(seed)
     with pytest.raises(ArithmeticError, match="does not commute"):
-        block_eigens(matrix, reflection=_random_pairing(len(matrix), seed + 10))
+        _eigens(matrix, reflection=_random_pairing(len(matrix), seed + 10))
 
 
 @pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (15, 4)])
@@ -323,7 +327,7 @@ def test_split_eigensolve_refuses_a_non_normal_matrix(n, pairs):
     bump = np.random.default_rng(pairs).normal(scale=1e-6, size=(n, n))
     matrix += (bump + bump.T)[pairing]
     with pytest.raises(ArithmeticError, match="not normal"):
-        block_eigens(matrix, reflection=pairing)
+        _eigens(matrix, reflection=pairing)
 
 
 def _from_reflection_basis(pairing, inner):
@@ -362,8 +366,8 @@ def test_block_eigens_refuses_a_reflection_that_is_no_time_reversal(n, pairs, ki
         sym = matrix + matrix.T
         assert np.max(np.abs(sym[pairing][:, pairing] - sym)) < 1e-14
     with pytest.raises(ArithmeticError, match="time reversal"):
-        block_eigens(matrix, reflection=pairing)
-    phases, _ = block_eigens(matrix)  # the whole route takes it
+        _eigens(matrix, reflection=pairing)
+    phases, _ = _eigens(matrix)  # the whole route takes it
     expected = [np.pi] if kind == "reflection-across" else [0.7, -0.7]
     expected = _fold(np.array([*expected, *[0.0] * (n - len(expected))]))
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
@@ -372,13 +376,13 @@ def test_block_eigens_refuses_a_reflection_that_is_no_time_reversal(n, pairs, ki
 def test_block_eigens_refuses_a_reflection_that_is_not_an_involution():
     matrix, _ = _orthogonal_with_known_phases(0)
     with pytest.raises(ValueError, match="involutive"):
-        block_eigens(matrix, reflection=np.roll(np.arange(len(matrix)), 1))
+        _eigens(matrix, reflection=np.roll(np.arange(len(matrix)), 1))
 
 
 def test_block_eigens_with_the_identity_as_reflection():
-    # every index is fixed: the -1 half is empty and the +1 half is the whole
+    # the identity splits nothing: the operator keeps None, and U is solved whole
     matrix, expected = _orthogonal_with_known_phases(0)
-    phases, vectors = block_eigens(matrix, reflection=np.arange(len(matrix)))
+    phases, vectors = _eigens(matrix, reflection=np.arange(len(matrix)))
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
 
@@ -445,7 +449,7 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     phases, vectors = dense_eigens(op)
-    plain, _ = block_eigens(op.matrix, op.reflection)
+    plain, _ = _eigens(op.matrix, op.reflection)
     assert np.max(np.abs(_fold(phases) - _fold(plain))) < 1e-13
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)
     _assert_eigensystem(op.matrix, phases, vectors)
@@ -473,13 +477,13 @@ def test_block_eigens_refuses_a_symmetry_it_does_not_commute_with():
     matrix = op.matrix.copy()
     matrix[row, int(np.flatnonzero(matrix[row])[0])] += 1e-6
     with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
-        block_eigens(matrix, op.reflection, op.symmetry)
+        _eigens(matrix, op.reflection, op.symmetry)
 
 
 def test_block_eigens_refuses_a_symmetry_that_is_not_an_involution():
     matrix, _ = _orthogonal_with_known_phases(0)
     with pytest.raises(ValueError, match="involutive"):
-        block_eigens(matrix, symmetry=np.roll(np.arange(len(matrix)), 1))
+        _eigens(matrix, symmetry=np.roll(np.arange(len(matrix)), 1))
 
 
 @pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (15, 4)])
@@ -491,14 +495,14 @@ def test_mirror_split_of_a_random_commuting_matrix(n, pairs):
     inner[:n - pairs, :n - pairs] = np.linalg.qr(rng.normal(size=(n - pairs, n - pairs)))[0]
     inner[n - pairs:, n - pairs:] = np.linalg.qr(rng.normal(size=(pairs, pairs)))[0]
     matrix = _from_reflection_basis(pairing, inner)
-    phases, vectors = block_eigens(matrix, symmetry=pairing)
+    phases, vectors = _eigens(matrix, symmetry=pairing)
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
     # a perturbation that commutes with P too leaves a matrix that is not normal
     bump = rng.normal(scale=1e-6, size=(n, n))
     with pytest.raises(ArithmeticError, match="not normal"):
-        block_eigens(matrix + bump + bump[pairing][:, pairing], symmetry=pairing)
+        _eigens(matrix + bump + bump[pairing][:, pairing], symmetry=pairing)
 
 
 def _commuting_pairings(seed, quads, p_pairs, s_pairs, shared, fixed):
@@ -534,7 +538,7 @@ def test_mirror_split_with_a_reflection_of_every_orbit_kind(counts):
         q, _ = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))
         halves[lo:hi, lo:hi] = (q * np.where(np.arange(hi - lo) % 3, 1.0, -1.0)) @ q.T
     matrix = _from_reflection_basis(p, halves)[s]
-    phases, vectors = block_eigens(matrix, reflection=s, symmetry=p)
+    phases, vectors = _eigens(matrix, reflection=s, symmetry=p)
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
@@ -544,7 +548,22 @@ def test_block_eigens_refuses_a_symmetry_that_does_not_commute_with_the_reflecti
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     with pytest.raises(ValueError, match="must commute"):
-        block_eigens(op.matrix, op.reflection, _random_pairing(op.dim, 3))
+        _eigens(op.matrix, op.reflection, _random_pairing(op.dim, 3))
+
+
+def test_dense_operator_checks_its_symmetries_when_built():
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    identity = np.arange(op.dim)
+    built = walklab.oracle.DenseOperator(op.matrix, identity, identity)
+    assert built.reflection is None and built.symmetry is None
+    for involutions in ((np.roll(identity, 1), None), (None, np.roll(identity, 1))):
+        with pytest.raises(ValueError, match="involutive"):
+            walklab.oracle.DenseOperator(op.matrix, *involutions)
+    with pytest.raises(ValueError, match="must commute"):
+        walklab.oracle.DenseOperator(op.matrix, op.reflection, _random_pairing(op.dim, 3))
+    with pytest.raises(TypeError, match="real orthogonal"):
+        walklab.oracle.DenseOperator(op.matrix.astype(np.complex128))
 
 
 @pytest.mark.parametrize("marked", [(), (0, 5)], ids=["unmarked", "two-marked"])

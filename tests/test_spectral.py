@@ -112,6 +112,14 @@ def test_mode_spectrum_torus4():
     assert ms.retained_dim == 30  # 14 conjugate pairs plus Phi0 and one -1 level
 
 
+@pytest.mark.parametrize("d", [12, 66, 67, 68])
+def test_hypercube_multiplicities_are_exact_integers(d):
+    # comb(67, 33) outgrows int64 but not uint64, comb(68, 34) both
+    ms = mode_spectrum(hypercube_spec(d))
+    assert type(ms.retained_dim) is int and ms.retained_dim == 2 ** (d + 1) - 2
+    assert ms.entries.multiplicity[d // 2 - 1] == math.comb(d, d // 2)
+
+
 def test_mode_spectrum_completeness_all_families():
     for spec in [TORUS4, torus_spec(6), torus_spec(4, shift="dirac"),
                  torus_spec(5, shift="dirac"), torus_spec(4, 3),
