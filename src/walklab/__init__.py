@@ -9,9 +9,8 @@ from .engine import (CoinConfig, WalkState, apply_coin, apply_shift, default_coi
                      vertex_probabilities)
 from .graphs import (ConfigurationError, Graph, GraphSpec, build_graph,
                      complete_spec, hypercube_spec, torus_spec)
-from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, SweepResult,
-                     TwoMarkedResult, amplify, find_peak, fit_exponent, run_two_marked,
-                     run_walk, scaling_sweep, sweep_point)
+from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, TwoMarkedResult, amplify,
+                     find_peak, fit_exponent, run_two_marked, run_walk, sweep_point)
 from .search import (PredictionReport, alpha_bracket, predict, predict_overlaps,
                      predict_runtime, secular_value, solve_alpha)
 from .spectral import (ModeSpectrum, mode_spectrum, moving_shift_stationary_overlap,

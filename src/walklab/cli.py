@@ -29,7 +29,8 @@ from dataclasses import asdict, replace
 from .engine import CoinConfig, default_coin
 from .graphs import (FAMILIES, ConfigurationError, Graph, GraphSpec, build_graph, complete_spec,
                      hypercube_spec, torus_spec)
-from .runner import RunTrace, amplify, find_peak, run_two_marked, run_walk, scaling_sweep
+from .runner import (RunTrace, amplify, find_peak, fit_exponent, run_two_marked, run_walk,
+                     sweep_point)
 from .search import predict
 from .spectral import NoSearchStructure, mode_spectrum, moving_shift_stationary_overlap
 
@@ -249,12 +250,12 @@ def cmd_sweep(args):
         raise ConfigurationError("sweep needs --sides (torus sides, hypercube degrees "
                                  "or complete-graph orders)")
     specs = [build_spec(args, size) for size in args.sides]
-    result = scaling_sweep(specs)
+    points = sorted(map(sweep_point, specs), key=lambda r: r.n_vertices)
     # a row without a prediction (the moving shift) leaves the key out
     rows = [{key: value for key, value in asdict(row).items() if value is not None}
-            for row in result.rows]
+            for row in points]
     yield {"family": specs[0].family, "shift": specs[0].shift,
-           "sweep": {"rows": rows, "fitted_exponent": result.exponent}}, args.out
+           "sweep": {"rows": rows, "fitted_exponent": fit_exponent(points)}}, args.out
 
 
 def cmd_two_marked(args):

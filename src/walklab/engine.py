@@ -17,26 +17,27 @@ The next coin acts on P as S C' S, in place and through one scratch row
 for the column sums, so the state holds C' psi and still owes the shift;
 the next `apply_shift` pays it by clearing the mark.  Only this module
 knows whether a state owes its shift: reading `WalkState.amps` pays it
-first, in place (each torus row pair (c, c^1) trades places through the
-scratch row, and each hypercube row is copied into it and read back with
-its bit flipped), while `vertex_probabilities` reads an owing state
+first, in place, while `vertex_probabilities` reads an owing state
 through the shift and `squared_norm` sums the array in whatever order it
 stands.
 
-A torus row is read through a move by its plan (`_build_plans`), built
-from `Graph.shift_targets` at the first step and held by the state: away
-from the faces a move is a flat offset, target(v) = v + k, so one ufunc
-over two contiguous views does most of the row, and the few vertices
-where the move wraps around are read through two small index arrays,
-written after the flat op from values taken before it.  The moving shift
-copies each row into a scratch row and reads it back through its plan;
-the dirac shift reads both rows through its two composed half-moves into
-two scratch rows, the Hadamard butterfly, and writes the state from
-them.  A hypercube row is read through a strided view with its bit
-flipped (`_runs`), so the owed coin copies nothing.  The complete graph's
-register swap copies nothing either: it holds `amps` as the transpose of
-the array it had, so `amps` is C-ordered after an even number of swaps
-and F-ordered after an odd number.  The kernels here take either order without copying the state;
+Every permutation shift that moves amplitudes, the moving shift each
+step and a flip-flop shift when it is paid, is one row permutation
+(`_move_rows`): row c becomes row sources[c] read through a move, a row
+pair trading places through a scratch row.  `_through` reads a row
+through a move: a hypercube row through a strided view with its bit
+flipped (`_runs`), so the owed coin copies nothing, and a torus row by
+its plan (`_build_plans`), built from `Graph.shift_targets` at the first
+step and held by the state.  Away from the faces a torus move is a flat
+offset, target(v) = v + k, so one ufunc over two contiguous views does
+most of the row; the few vertices where it wraps are read through two
+small index arrays, written after the flat op from values taken before
+it.  The dirac shift reads both rows through its two composed half-moves
+into two scratch rows, the Hadamard butterfly, and writes the state from
+them.  The complete graph's register swap copies nothing either: it
+holds `amps` as the transpose of the array it had, so `amps` is
+C-ordered after an even number of swaps and F-ordered after an odd
+number.  The kernels here take either order without copying the state;
 only `WalkState.vector` copies a transposed one.
 """
 
@@ -219,15 +220,19 @@ def _coin_through_shift(state: WalkState, coin: CoinConfig) -> None:
         _through(state, np.subtract, buf[c], c, colsum, buf[c])
 
 
-def _through(state: WalkState, ufunc, out: np.ndarray, c: int, row: np.ndarray, other) -> None:
+def _through(state: WalkState, ufunc, out: np.ndarray, c: int, row: np.ndarray,
+             other=None) -> None:
     """out[v] = ufunc(row[target_c(v)], other[v]) over a whole row, `other` a
-    row (`out` itself, for an update in place) or a scalar: through the
-    direction's move plan on a torus, through a view of `row` with bit c
-    flipped on the hypercube (`_runs`), walked in the views' index order."""
-    if state.graph.spec.family == "hypercube":
-        ufunc(_runs(row, c)[:, ::-1], _runs(other, c), out=_runs(out, c), order="C")
-    else:
+    row (`out` itself, for an update in place) or a scalar, and with no
+    ufunc out[v] = row[target_c(v)]: through the direction's move plan on a
+    torus, through a view of `row` with bit c flipped on the hypercube
+    (`_runs`), walked in the views' index order."""
+    if state.graph.spec.family != "hypercube":
         _apply(state._move_plans()[c], ufunc, out, (row,), other)
+    elif ufunc is None:
+        np.copyto(_runs(out, c), _runs(row, c)[:, ::-1])
+    else:
+        ufunc(_runs(row, c)[:, ::-1], _runs(other, c), out=_runs(out, c), order="C")
 
 
 def _runs(row, c: int):
@@ -357,42 +362,35 @@ def apply_shift(state: WalkState) -> WalkState:
         state._owed = not state._owed
     elif shift == "swap":
         state._amps = state._amps.T
-    elif shift == "moving":
-        _moving_shift(state)
+    elif shift == "moving":  # row c arrives from the reverse direction, c^1
+        rows = range(state.graph.coin_dim)
+        _move_rows(state, rows, [c ^ 1 for c in rows])
     else:
         _dirac_step(state)
     return state
 
 
 def _settle(state: WalkState) -> None:
-    """Make the flip-flop shift on the array in place and clear the mark:
-    the state's way to pay a shift it owes.  Each torus row pair (c, c^1)
-    trades places through one scratch row, each read through its move,
-    and each hypercube row is copied into it and read back with its bit
-    flipped."""
-    buf, row = state._amps, state._scratch_rows()[0]
-    if state.graph.spec.family == "hypercube":
-        for c in range(state.graph.coin_dim):
-            np.copyto(row, buf[c])
-            np.copyto(_runs(buf[c], c), _runs(row, c)[:, ::-1])
-    else:
-        plans = state._move_plans()
-        for c in range(0, state.graph.coin_dim, 2):
-            np.copyto(row, buf[c])
-            _apply(plans[c], None, buf[c], (buf[c + 1],))
-            _apply(plans[c + 1], None, buf[c + 1], (row,))
+    """Pay the flip-flop shift a state owes, in place, and clear the mark:
+    row c becomes row label(c) read through move c (`_move_rows`)."""
+    labels = state.graph.shift_labels().ravel().tolist()
+    _move_rows(state, labels, range(state.graph.coin_dim))
     state._owed = False
 
 
-def _moving_shift(state: WalkState) -> None:
-    """The moving shift S|c, v> = |c, target_c(v)>: row c arrives from
-    target_(c^1), the reverse direction; it is copied into the scratch row
-    and read back through that direction's plan."""
-    amps, row = state._amps, state._scratch_rows()[0]
-    plans = state._move_plans()
-    for c in range(state.graph.coin_dim):
-        np.copyto(row, amps[c])
-        _apply(plans[c ^ 1], None, amps[c], (row,))
+def _move_rows(state: WalkState, sources, moves) -> None:
+    """Row c becomes row sources[c] read through move moves[c] (`_through`),
+    in place, for `sources` that pair rows or keep them: a row pair trades
+    places through the first scratch row, and a row that is its own source
+    is copied into that row and read back."""
+    buf, row = state._amps, state._scratch_rows()[0]
+    for c, source in enumerate(sources):
+        if source < c:
+            continue  # moved with its pair
+        np.copyto(row, buf[c])
+        if source != c:
+            _through(state, None, buf[c], moves[c], buf[source])
+        _through(state, None, buf[source], moves[source], row)
 
 
 def _dirac_step(state: WalkState) -> None:

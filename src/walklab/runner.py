@@ -264,12 +264,6 @@ class SweepRow:
     prediction: PredictionReport | None
 
 
-@dataclass
-class SweepResult:
-    rows: list[SweepRow]
-    exponent: float | None  # d log2(t_star) / d log2(N), smallest size excluded
-
-
 def _default_cap(spec: GraphSpec, report: PredictionReport | None) -> int:
     """Trace window for peak hunting.
 
@@ -321,10 +315,3 @@ def fit_exponent(rows: list[SweepRow]) -> float | None:
     xs = np.log2([r.n_vertices for r in rows])
     slope = np.polyfit(xs, np.log2(peaks), 1)[0]
     return float(slope)
-
-
-def scaling_sweep(specs: list[GraphSpec]) -> SweepResult:
-    """Run one sweep point per spec and fit the peak-time exponent."""
-    rows = sorted(map(sweep_point, specs), key=lambda r: r.n_vertices)
-    return SweepResult(rows, fit_exponent(rows))
-

@@ -1,5 +1,6 @@
 """Experiment harness: traces, peaks, amplification, sweeps, prep."""
 
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ import walklab.runner
 from walklab import (ConfigurationError, GraphSpec, RunTrace, amplify, build_graph,
                      complete_spec, default_coin, dense_unitary, find_peak, fit_exponent,
                      hypercube_spec, reflect_about, run_two_marked,
-                     run_walk, scaling_sweep, step, sweep_point, torus_spec,
+                     run_walk, step, sweep_point, torus_spec,
                      uniform_state, vertex_probabilities)
+from walklab.cli import main
 
 from helpers import (arenas, neighborhood_probability, prepare_uniform_locally, random_state,
                      reflect_via_preparation, rounds_to_quarter, traced_peak)
@@ -216,11 +218,12 @@ def test_two_marked_rejects_same_vertex():
 # -- sweeps -------------------------------------------------------------------
 
 
-def test_scaling_sweep_2d_exponent():
-    result = scaling_sweep([torus_spec(side) for side in (8, 16, 32)])
-    assert len(result.rows) == 3
-    assert result.rows[0].n_vertices == 64
-    assert result.exponent is not None
+def test_scaling_sweep_2d_exponent(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--sides", "32,8,16", "--out", str(out)]) == 0
+    sweep = json.loads(out.read_text())["sweep"]
+    assert [row["n_vertices"] for row in sweep["rows"]] == [64, 256, 1024]
+    assert sweep["fitted_exponent"] is not None
 
 
 def test_fit_exponent_drops_smallest_by_default():

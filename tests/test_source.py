@@ -128,6 +128,31 @@ def test_the_engine_internals_check_sees_an_owed_read():
     assert _engine_internals_named(source) == {"owed_index", "owed_at", "_amps"}
 
 
+def _hypercube_choosers(source):
+    """The functions in `source` that compare anything with "hypercube"."""
+    return {func.name for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Compare)
+                    and any(isinstance(leaf, ast.Constant) and leaf.value == "hypercube"
+                            for leaf in ast.walk(node))
+                    for node in ast.walk(func))}
+
+
+def test_one_engine_function_chooses_a_hypercube_view():
+    # a row is read through a torus move plan or a hypercube bit-flip view;
+    # `_through` alone chooses, so every shift and coin kernel reads through it
+    source = (Path(walklab.__file__).parent / "engine.py").read_text(encoding="utf-8")
+    assert _hypercube_choosers(source) == {"_through"}
+
+
+def test_the_hypercube_chooser_check_sees_a_second_chooser():
+    source = ("def _through(spec):\n    return spec.family != 'hypercube'\n\n\n"
+              "def _settle(spec):\n    if spec.family in ('torus', 'hypercube'):\n"
+              "        pass\n\n\n"
+              "def label(spec):\n    return 'hypercube' if spec.d else spec.family == 'torus'\n")
+    assert _hypercube_choosers(source) == {"_through", "_settle"}
+
+
 # what shapes an output document: only the CLI defines or imports these
 _DOCUMENT_SHAPERS = frozenset({"to_json_dict", "csv_rows", "json"})
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_array_equal
 from walklab import (CoinConfig, ConfigurationError, GraphSpec, build_graph,
                      complete_spec, default_coin, dense_eigens, dense_unitary,
                      grover_coin, hypercube_spec, mode_spectrum,
-                     moving_shift_stationary_overlap, sin2_half_theta,
+                     moving_shift_stationary_overlap, run_walk, sin2_half_theta,
                      torus_modes, torus_spec, uniform_state)
 
 from helpers import (arenas, closed_form_block_phases, coin_block, eigenspace_projection,
@@ -246,6 +246,24 @@ def test_stationary_overlap_grows_toward_one():
     assert all(b > a for a, b in zip(values, values[1:]))
     for side, v in zip((4, 6, 8, 12, 16), values):
         assert v >= 1 - 16 / side ** 2
+
+
+def test_moving_walk_stays_under_its_stationary_bound():
+    # the part of the uniform start in U''s +1 eigenspace never moves, so
+    # sqrt(p_marked(t)) <= 1/sqrt(N) + 2 sqrt(1 - ov^2) at every t
+    for side in (8, 16, 32, 64, 128, 256, 512, 1024):
+        spec = torus_spec(side, shift="moving")
+        n = spec.n_vertices
+        moving = 1.0 - moving_shift_stationary_overlap(spec)
+        assert moving * n == pytest.approx(2.752, abs=0.01)
+        if side > 64:
+            continue
+        bound = (1 / math.sqrt(n) + 2 * math.sqrt(moving)) ** 2
+        cap = math.ceil(4 * math.sqrt(n * math.log2(n)))
+        g = build_graph(spec)
+        for marked in (0, g.vertex_index((side // 2, side // 3))):
+            trace = run_walk(g, default_coin(g, marked=(marked,)), cap)
+            assert trace.p_marked.max() <= bound, (side, marked)
 
 
 def test_grover_coin_matrix():
