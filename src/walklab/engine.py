@@ -33,12 +33,15 @@ offset, target(v) = v + k, so one ufunc over two contiguous views does
 most of the row; the few vertices where it wraps are read through two
 small index arrays, written after the flat op from values taken before
 it.  The dirac shift reads both rows through its two composed half-moves
-into two scratch rows, the Hadamard butterfly, and writes the state from
-them.  The complete graph's register swap copies nothing either: it
-holds `amps` as the transpose of the array it had, so `amps` is
-C-ordered after an even number of swaps and F-ordered after an odd
-number.  The kernels here take either order without copying the state;
-only `WalkState.vector` copies a transposed one.
+into two scratch rows as the unscaled Hadamard butterfly, halves them
+(both Hadamards' 1/sqrt(2) at once, exactly), and writes the state from
+them by the unscaled butterfly back; with its marking, the negated swap
+of each marked column, the dirac walk steps in exact constants.  The
+complete graph's register swap copies nothing either: it holds `amps`
+as the transpose of the array it had, so `amps` is C-ordered after an
+even number of swaps and F-ordered after an odd number.  The kernels
+here take either order without copying the state; only
+`WalkState.vector` copies a transposed one.
 """
 
 from __future__ import annotations
@@ -50,10 +53,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import ConfigurationError, Graph
-
-# numpy divides complex by a real as a product with its reciprocal, so
-# scaling by reciprocals steps a real state to the same bits as the complex one
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -165,19 +164,15 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
     """C': the unmarked coin everywhere, the arena's marking at marked vertices."""
     amps = state._amps
     d = state.graph.coin_dim
-    spec = state.graph.spec
-    marking = spec.marking
-    if marking == "projector_flip":
-        inv_sqrt_d = 1.0 / np.sqrt(d)
-        for v in coin.marked:  # rank-one reflection I - 2|s,v><s,v|
-            c = amps[:, v].sum() * inv_sqrt_d
-            amps[:, v] -= (2.0 * c) * inv_sqrt_d
+    marking = state.graph.spec.marking
+    marked = list(coin.marked)
+    if marking == "projector_flip":  # I - 2|s,v><s,v| on two directions is -X
+        amps[:, marked] = -amps[::-1, marked]
         return state
     if state._owed:
         _coin_through_shift(state, coin)
         return state
 
-    marked = list(coin.marked)
     colsum = state._scratch_rows()[0]
     if np.iscomplexobj(amps):
         # on a transposed state numpy sums along the contiguous axis
@@ -396,16 +391,16 @@ def _move_rows(state: WalkState, sources, moves) -> None:
 def _dirac_step(state: WalkState) -> None:
     """The dirac shift: the y half-move in the coin basis, then the x
     half-move in the Hadamard basis.  The first is folded into the second's
-    reads (see `_build_plans`), whose butterflies go into the two scratch
-    rows; the butterfly back to the coin basis writes the state."""
+    reads (see `_build_plans`), whose unscaled butterflies go into the two
+    scratch rows; the rows take both Hadamards' 1/sqrt(2), an exact 1/2,
+    and the unscaled butterfly back to the coin basis writes the state."""
     amps, rows = state._amps, state._scratch_rows()
     left, right = state._move_plans()
     _apply(left, np.add, rows[0], (amps[0], amps[1]))
     _apply(right, np.subtract, rows[1], (amps[0], amps[1]))
-    rows *= _INV_SQRT2
+    rows *= 0.5
     np.add(rows[0], rows[1], out=amps[0])
     np.subtract(rows[0], rows[1], out=amps[1])
-    amps *= _INV_SQRT2
 
 
 # -- steps ---------------------------------------------------------------

@@ -85,7 +85,7 @@ class GraphSpec:
         minus_c0         C1 = -C0 per marked vertex (complete graph)
         projector_flip   the two-dimensional coin: the unmarked coin is the
                          identity and each marked vertex reflects the whole
-                         state, I - 2|s,v><s,v|
+                         state, I - 2|s,v><s,v|: on two directions, -X
         """
         if self.coin == "dirac2":
             return "projector_flip"

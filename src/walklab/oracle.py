@@ -38,7 +38,7 @@ from .engine import CoinConfig
 from .graphs import Graph
 
 DIMENSION_CAP = 1024
-# scaling by the reciprocal, as the engine's dirac shift does, rounds alike
+# the butterflies into the eigenbases of P and S scale by the reciprocal
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # eigenvalues of U + U^T closer than this belong to one level
 _LEVEL_GAP = 2e-9
@@ -86,8 +86,8 @@ class DenseOperator:
         return self.matrix.shape[0]
 
     def unitarity_defect(self) -> float:
-        """max |M^H M - I|, formed in the one product's buffer."""
-        gram = self.matrix.conj().T @ self.matrix
+        """max |M^T M - I|, formed in the one product's buffer."""
+        gram = self.matrix.T @ self.matrix
         gram.reshape(-1)[::self.dim + 1] -= 1.0
         return float(np.max(np.abs(gram, out=gram)))
 
@@ -103,9 +103,11 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
     Each entry of the explicit coin matrix C' goes straight to its row
     under the shift permutation (_shifted_coin).  The dirac step is the
     coin-basis half-move along y, then the half-move along x conjugated by
-    the Hadamard.  The moving shift S_m is no involution past side 2, but
-    with the direction reversal T (c <-> c^1) T S_m T = S_m^T, and T
-    commutes with C', so S_m T is a time reversal of U' = (S_m T)(T C').
+    the Hadamard: both Hadamards go in unscaled and their two 1/sqrt(2)
+    factors as one exact 1/2, so every entry is exact.  The moving shift
+    S_m is no involution past side 2, but with the direction reversal T
+    (c <-> c^1) T S_m T = S_m^T, and T commutes with C', so S_m T is a
+    time reversal of U' = (S_m T)(T C').
     Every other shift here is an involution, its own time reversal, kept
     as `reflection`: DenseOperator refuses one that is not.
     """
@@ -126,10 +128,10 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
     else:
         n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
         first = _shifted_coin(graph, coin, _half_move(graph, (0, 1)))
-        _butterfly(first[:n], first[n:])
+        _butterfly(first[:n], first[n:], scale=1.0)  # the second takes both 1/sqrt(2)
         matrix = np.empty_like(first)
         matrix[_half_move(graph, (2, 3))] = first
-        _butterfly(matrix[:n], matrix[n:], first[:n])  # first's buffer is free
+        _butterfly(matrix[:n], matrix[n:], first[:n], scale=0.5)  # first's buffer is free
     symmetry = graph.lift(graph.mirror(coin.marked[0])) if len(coin.marked) == 1 else None
     return DenseOperator(matrix, reflection, symmetry)
 
@@ -160,13 +162,14 @@ def _half_move(graph: Graph, roles: tuple[int, int]) -> np.ndarray:
     return (np.arange(2)[:, None] * graph.n + graph.shift_targets()[list(roles)]).ravel()
 
 
-def _butterfly(top: np.ndarray, bottom: np.ndarray, total: np.ndarray | None = None) -> None:
-    """(top, bottom) <- ((top + bottom), (top - bottom)) / sqrt(2), in place;
+def _butterfly(top: np.ndarray, bottom: np.ndarray, total: np.ndarray | None = None,
+               scale: float = _INV_SQRT2) -> None:
+    """(top, bottom) <- ((top + bottom), (top - bottom)) * scale, in place;
     the sum passes through `total` (top's shape) if given."""
     total = np.add(top, bottom, out=total)
     np.subtract(top, bottom, out=bottom)
-    np.multiply(total, _INV_SQRT2, out=top)
-    bottom *= _INV_SQRT2
+    np.multiply(total, scale, out=top)
+    bottom *= scale
 
 
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -123,19 +123,17 @@ def test_shift_equals_shift_permutation(spec):
             assert state.vector.tobytes() == expected.tobytes()
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
 def _dirac_shift_by_rolls(amps, side):
-    """The dirac half-moves written with np.roll, as a reference; scaled by
-    the reciprocal of sqrt(2), as numpy divides a complex by a real."""
+    """The dirac half-moves written with np.roll, as a reference: the two
+    Hadamards unscaled, and their 1/sqrt(2) factors as one exact 1/2 on
+    each half-move's sum and difference."""
     grid = amps.reshape(2, side, side).copy()
     grid[0] = np.roll(grid[0], -1, axis=0)
     grid[1] = np.roll(grid[1], 1, axis=0)
-    left = np.roll((grid[0] + grid[1]) * _INV_SQRT2, -1, axis=1)
-    right = np.roll((grid[0] - grid[1]) * _INV_SQRT2, 1, axis=1)
-    grid[0] = (left + right) * _INV_SQRT2
-    grid[1] = (left - right) * _INV_SQRT2
+    left = np.roll((grid[0] + grid[1]) * 0.5, -1, axis=1)
+    right = np.roll((grid[0] - grid[1]) * 0.5, 1, axis=1)
+    grid[0] = left + right
+    grid[1] = left - right
     return grid.reshape(2, side * side)
 
 
@@ -148,6 +146,23 @@ def test_dirac_shift_matches_roll_reference(spec):
             expected = _dirac_shift_by_rolls(state.amps, spec.dims[0])
             apply_shift(state)
             assert state.amps.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", arenas("trace", shift="dirac"), ids=GraphSpec.label)
+def test_dirac_marking_is_a_negated_swap(spec):
+    # I - 2|s,v><s,v| on two directions is exactly -X: each marked column
+    # swaps its two amplitudes and negates them, bit for bit
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(3, 20))
+    real = real_random_state(g, seed=7)
+    rng = np.random.default_rng(8)
+    amps = rng.normal(size=real.amps.shape) + 1j * rng.normal(size=real.amps.shape)
+    for state in (real, WalkState(g, amps)):
+        before = state.amps.copy()
+        apply_coin(state, coin)
+        assert state.amps[:, [3, 20]].tobytes() == (-before[::-1, [3, 20]]).tobytes()
+        rest = np.setdiff1d(np.arange(g.n), [3, 20])
+        assert state.amps[:, rest].tobytes() == before[:, rest].tobytes()
 
 
 @pytest.mark.parametrize("spec", arenas("moves", family="torus"), ids=GraphSpec.label)

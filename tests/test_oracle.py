@@ -46,10 +46,7 @@ def test_dense_unitary_equals_step_built(spec, marked):
     matrix = dense_unitary(g, coin).matrix
     reference = step_built_unitary(g, coin)
     assert matrix.dtype == np.float64
-    if spec.shift == "dirac":  # the engine rounds the marked reflection through sqrt(2)
-        assert np.max(np.abs(matrix - reference)) <= 1e-15
-    else:  # a permutation of the exact coin entries
-        assert np.array_equal(matrix, reference)
+    assert np.array_equal(matrix, reference)
 
 
 def test_dense_unitary_does_not_call_the_engine(monkeypatch):

@@ -26,6 +26,16 @@ def test_unmarked_trace_is_flat():
     assert np.allclose(trace.norm, 1.0, atol=1e-12)
 
 
+def test_dirac_walk_holds_its_norm():
+    # the dirac step rounds through no sqrt(2): its halves and its negated
+    # swap are exact, so only the butterflies' sums round
+    for side, t_max in ((16, 200), (64, 400)):
+        g = build_graph(torus_spec(side, shift="dirac"))
+        for marked in ((3,), (3, g.n // 2 + 5)):
+            trace = run_walk(g, default_coin(g, marked=marked), t_max)
+            assert np.max(np.abs(trace.norm - 1.0)) <= 1e-14, (side, marked)
+
+
 def test_trace_starts_uniform():
     g = build_graph(torus_spec(8))
     trace = run_walk(g, default_coin(g, marked=(5,)), 10)
