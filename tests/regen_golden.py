@@ -35,10 +35,25 @@ CASES = [
      ["analyze-moving", "--side", "8"]),
 ]
 
+# one small `run` trace per arena family besides the 2D flip-flop torus
+# (run_torus8.csv), each marked off the origin
+RUN_CASES = [
+    ("run_dirac8.csv",
+     ["run", "--side", "8", "--shift", "dirac", "--marked", "3,5", "--t-max", "30"]),
+    ("run_torus3d4.csv",
+     ["run", "--side", "4", "--dims", "3", "--marked", "1,2,3", "--t-max", "20"]),
+    ("run_hypercube5.csv",
+     ["run", "--family", "hypercube", "--degree", "5", "--marked", "9", "--t-max", "20"]),
+    ("run_moving8.csv",
+     ["run", "--side", "8", "--shift", "moving", "--marked", "2,5", "--t-max", "30"]),
+    ("run_complete16.csv",
+     ["run", "--family", "complete", "--n", "16", "--marked", "7", "--t-max", "20"]),
+]
+
 
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for name, args in CASES:
+    for name, args in CASES + RUN_CASES:
         code = main(args + ["--out", str(GOLDEN / name)])
         if code != 0:
             raise SystemExit(f"{name}: exit code {code}")
@@ -48,7 +63,7 @@ def regenerate() -> None:
                  "--summary", str(GOLDEN / "run_torus8_summary.json")])
     if code != 0:
         raise SystemExit(f"run_torus8: exit code {code}")
-    print(f"regenerated {len(CASES) + 1} golden outputs in {GOLDEN}")
+    print(f"regenerated {len(CASES) + len(RUN_CASES) + 1} golden outputs in {GOLDEN}")
 
 
 if __name__ == "__main__":

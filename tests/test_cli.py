@@ -14,6 +14,7 @@ from walklab.cli import load_config, main, parse_vertex
 
 from helpers import json_numbers_close
 from regen_golden import CASES as GOLDEN_JSON_CASES
+from regen_golden import RUN_CASES as GOLDEN_RUN_CASES
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -124,6 +125,14 @@ def test_run_trace_matches_golden(tmp_path):
     assert len(rows) == 41  # one row per step plus t = 0
     _csv_close(rows, _csv_rows(GOLDEN / "run_torus8.csv"))
     json_numbers_close(_read_json(summary), _read_json(GOLDEN / "run_torus8_summary.json"))
+
+
+@pytest.mark.parametrize("golden_name,args", GOLDEN_RUN_CASES,
+                         ids=[c[0] for c in GOLDEN_RUN_CASES])
+def test_run_trace_of_each_family_matches_golden(tmp_path, golden_name, args):
+    out = tmp_path / golden_name
+    assert run_cli(args + ["--out", str(out)]) == 0
+    _csv_close(_csv_rows(out), _csv_rows(GOLDEN / golden_name))
 
 
 def test_csv_output_is_deterministic(tmp_path):
