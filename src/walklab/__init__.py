@@ -4,9 +4,8 @@ predictor, and a dense ground-truth oracle for cross-validation."""
 
 import importlib
 
-from .engine import (CoinConfig, WalkState, apply_coin, apply_shift, default_coin,
-                     flip_marked_vertices, reflect_about, step, uniform_state,
-                     vertex_probabilities)
+from .engine import (WalkState, apply_coin, apply_shift, default_coin, flip_marked_vertices,
+                     reflect_about, step, uniform_state, vertex_probabilities)
 from .graphs import (ConfigurationError, Graph, GraphSpec, build_graph,
                      complete_spec, hypercube_spec, torus_spec)
 from .runner import (AmplifyResult, CostLedger, PeakInfo, RunTrace, TwoMarkedResult, amplify,

@@ -26,7 +26,6 @@ import tempfile
 from contextlib import suppress
 from dataclasses import asdict, replace
 
-from .engine import CoinConfig, default_coin
 from .graphs import (FAMILIES, ConfigurationError, Graph, GraphSpec, build_graph, complete_spec,
                      hypercube_spec, torus_spec)
 from .runner import (RunTrace, amplify, find_peak, fit_exponent, run_two_marked, run_walk,
@@ -205,10 +204,10 @@ def parse_vertex(text: str, spec: GraphSpec) -> int:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _marked_walk(spec: GraphSpec, marked: list[str] | None) -> tuple[Graph, CoinConfig]:
-    """The arena and the coin marking each --marked vertex (vertex 0 if none)."""
+def _marked_walk(spec: GraphSpec, marked: list[str] | None) -> tuple[Graph, tuple[int, ...]]:
+    """The arena and its marked set, each --marked vertex (vertex 0 if none)."""
     graph = build_graph(spec)
-    return graph, default_coin(graph, marked=[parse_vertex(m, spec) for m in marked or ["0"]])
+    return graph, graph.marked_set([parse_vertex(m, spec) for m in marked or ["0"]])
 
 
 def cmd_spectrum(args):
@@ -232,14 +231,13 @@ def cmd_predict(args):
 def cmd_run(args):
     spec = build_spec(args)
     _require(args, "t_max")
-    graph, coin = _marked_walk(spec, args.marked)
-    trace = run_walk(graph, coin, args.t_max)
+    graph, marked = _marked_walk(spec, args.marked)
+    trace = run_walk(graph, marked, args.t_max)
     yield _trace_csv(trace), args.out
     if args.summary:
-        payload = {"config": _walk_config(spec, coin.marked, marking=spec.marking,
-                                          t_max=args.t_max),
+        payload = {"config": _walk_config(spec, marked, marking=spec.marking, t_max=args.t_max),
                    "peak": asdict(find_peak(trace))}
-        if len(coin.marked) == 1:
+        if len(marked) == 1:
             with suppress(NoSearchStructure):
                 payload["prediction"] = asdict(predict(spec))
         yield payload, args.summary
@@ -277,14 +275,14 @@ def cmd_two_marked(args):
 
 def cmd_amplify(args):
     spec = build_spec(args)
-    graph, coin = _marked_walk(spec, args.marked)
+    graph, marked = _marked_walk(spec, args.marked)
     walk_length = args.walk_length
     if walk_length is None:
         walk_length = predict(spec).peak_steps
     rounds = args.rounds if args.rounds is not None else 1
-    result = amplify(graph, coin, walk_length, rounds)
+    result = amplify(graph, marked, walk_length, rounds)
     yield {
-        "config": _walk_config(spec, coin.marked, walk_length=walk_length, rounds=rounds),
+        "config": _walk_config(spec, marked, walk_length=walk_length, rounds=rounds),
         "success": [float(x) for x in result.success],
         "overshoot": result.overshoot,
         "ledger": _attributes(result.ledger, "prep_cost", "step_count", "amplification_rounds",

@@ -47,37 +47,17 @@ here take either order without copying the state; only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import ConfigurationError, Graph
+from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class CoinConfig:
-    """Which vertices are marked; the arena's `GraphSpec.marking` says how
-    the coin acts on them."""
-
-    marked: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "marked", tuple(int(v) for v in self.marked))
-        if len(set(self.marked)) != len(self.marked):
-            raise ConfigurationError("marked vertices must be distinct")
-
-    def validate_for(self, graph: Graph) -> None:
-        for v in self.marked:
-            if not 0 <= v < graph.n:
-                raise ConfigurationError(f"marked vertex {v} out of range")
-
-
-def default_coin(graph: Graph, marked=()) -> CoinConfig:
-    """The coin marking `marked`, checked against the arena."""
-    cfg = CoinConfig(marked=tuple(marked))
-    cfg.validate_for(graph)
-    return cfg
+def default_coin(graph: Graph, marked=()) -> tuple[int, ...]:
+    """The marked set `marked`, checked against the arena (`Graph.marked_set`);
+    the arena's `GraphSpec.marking` says how the coin acts on it."""
+    return graph.marked_set(marked)
 
 
 class WalkState:
@@ -160,17 +140,17 @@ def squared_norm(state: WalkState) -> float:
 # -- coin ----------------------------------------------------------------
 
 
-def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
-    """C': the unmarked coin everywhere, the arena's marking at marked vertices."""
+def apply_coin(state: WalkState, marked: tuple[int, ...]) -> WalkState:
+    """C': the unmarked coin everywhere, the arena's marking at `marked`."""
     amps = state._amps
     d = state.graph.coin_dim
     marking = state.graph.spec.marking
-    marked = list(coin.marked)
+    marked = list(marked)
     if marking == "projector_flip":  # I - 2|s,v><s,v| on two directions is -X
         amps[:, marked] = -amps[::-1, marked]
         return state
     if state._owed:
-        _coin_through_shift(state, coin)
+        _coin_through_shift(state, marked)
         return state
 
     colsum = state._scratch_rows()[0]
@@ -191,7 +171,7 @@ def apply_coin(state: WalkState, coin: CoinConfig) -> WalkState:
     return state
 
 
-def _coin_through_shift(state: WalkState, coin: CoinConfig) -> None:
+def _coin_through_shift(state: WalkState, marked: list[int]) -> None:
     """C' on a state that owes its flip-flop shift: S C' S on the array P,
     in place, so that the state owes the shift of C' psi.
 
@@ -210,7 +190,7 @@ def _coin_through_shift(state: WalkState, coin: CoinConfig) -> None:
         # np.sum starts from 0: -0.0 + 0 = 0.0
         _through(state, np.add, colsum, c, buf[labels[c]], colsum if c else 0.0)
     colsum *= 2.0 / d
-    colsum[list(coin.marked)] = 0.0  # every flip-flop arena marks by -I
+    colsum[marked] = 0.0  # every flip-flop arena marks by -I
     for c in range(d):
         _through(state, np.subtract, buf[c], c, colsum, buf[c])
 
@@ -406,9 +386,9 @@ def _dirac_step(state: WalkState) -> None:
 # -- steps ---------------------------------------------------------------
 
 
-def step(state: WalkState, coin: CoinConfig) -> WalkState:
-    """One walk step U' = S * C'."""
-    return apply_shift(apply_coin(state, coin))
+def step(state: WalkState, marked: tuple[int, ...]) -> WalkState:
+    """One walk step U' = S * C', C' marking the `marked` vertices."""
+    return apply_shift(apply_coin(state, marked))
 
 
 def reflect_about(state: WalkState, axis: WalkState) -> WalkState:

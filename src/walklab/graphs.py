@@ -87,7 +87,7 @@ class GraphSpec:
                          identity and each marked vertex reflects the whole
                          state, I - 2|s,v><s,v|: on two directions, -X
         """
-        if self.coin == "dirac2":
+        if self.shift == "dirac":
             return "projector_flip"
         return "minus_c0" if self.family == "complete" else "minus_identity"
 
@@ -102,7 +102,7 @@ class GraphSpec:
     @property
     def coin_dim(self) -> int:
         if self.family == "torus":
-            return 2 if self.coin == "dirac2" else 2 * len(self.dims)
+            return 2 if self.shift == "dirac" else 2 * len(self.dims)
         return self.dims[0]
 
     def label(self) -> str:
@@ -154,6 +154,21 @@ class Graph:
         for axis in range(on_face.ndim):
             on_face.swapaxes(0, axis)[[0, -1]] = True
         return np.flatnonzero(on_face)
+
+    def marked_set(self, vertices=()) -> tuple[int, ...]:
+        """`vertices` as the walk's marked set: distinct vertex indices in
+        range.  Anything else, a float or a string included, raises
+        ConfigurationError."""
+        try:
+            marked = tuple(operator.index(v) for v in vertices)
+        except TypeError:
+            raise ConfigurationError(f"marked vertices must be integers: {vertices!r}") from None
+        if len(set(marked)) != len(marked):
+            raise ConfigurationError("marked vertices must be distinct")
+        for v in marked:
+            if not 0 <= v < self.n:
+                raise ConfigurationError(f"marked vertex {v} out of range")
+        return marked
 
     # -- adjacency -----------------------------------------------------
 

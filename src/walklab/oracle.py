@@ -23,8 +23,8 @@ each half into the other, so each eigenvector of the +1 half and its
 image there make a pair of eigenvectors of U', with no further solve.
 The dirac walk has no S: its eigenvalues of U' + U'^T are grouped into
 levels, and each level is solved on its own span.  Every eigenvector is
-lifted back through the two stages in turn.  From the engine the oracle
-takes only the marked set's type.
+lifted back through the two stages in turn.  The oracle imports nothing
+from the engine: `graphs` checks the marked set (Graph.marked_set).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CoinConfig
 from .graphs import Graph
 
 DIMENSION_CAP = 1024
@@ -97,8 +96,8 @@ def grover_coin(d: int) -> np.ndarray:
     return (2.0 / d) * np.ones((d, d)) - np.eye(d)
 
 
-def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
-    """U' = S * C' as a float64 matrix, index c*N + v.
+def dense_unitary(graph: Graph, marked) -> DenseOperator:
+    """U' = S * C' as a float64 matrix, index c*N + v, C' marking `marked`.
 
     Each entry of the explicit coin matrix C' goes straight to its row
     under the shift permutation (_shifted_coin).  The dirac step is the
@@ -117,26 +116,26 @@ def dense_unitary(graph: Graph, coin: CoinConfig) -> DenseOperator:
             f"dense oracle capped at dimension {DIMENSION_CAP}; "
             f"requested coin_dim*N = {dim}"
         )
-    coin.validate_for(graph)
+    marked = graph.marked_set(marked)
     reflection = None
     if graph.spec.shift != "dirac":
         move = graph.shift_permutation()
-        matrix = _shifted_coin(graph, coin, move)
+        matrix = _shifted_coin(graph, marked, move)
         reflection = move
         if graph.spec.shift == "moving":  # after T: c*N + v -> (c^1)*N + v
             reflection = move.reshape(graph.coin_dim, -1)[np.arange(graph.coin_dim) ^ 1].ravel()
     else:
         n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
-        first = _shifted_coin(graph, coin, _half_move(graph, (0, 1)))
+        first = _shifted_coin(graph, marked, _half_move(graph, (0, 1)))
         _butterfly(first[:n], first[n:], scale=1.0)  # the second takes both 1/sqrt(2)
         matrix = np.empty_like(first)
         matrix[_half_move(graph, (2, 3))] = first
         _butterfly(matrix[:n], matrix[n:], first[:n], scale=0.5)  # first's buffer is free
-    symmetry = graph.lift(graph.mirror(coin.marked[0])) if len(coin.marked) == 1 else None
+    symmetry = graph.lift(graph.mirror(marked[0])) if len(marked) == 1 else None
     return DenseOperator(matrix, reflection, symmetry)
 
 
-def _shifted_coin(graph: Graph, coin: CoinConfig, move: np.ndarray) -> np.ndarray:
+def _shifted_coin(graph: Graph, marked: tuple[int, ...], move: np.ndarray) -> np.ndarray:
     """S C' for the row permutation S = `move`.  C' holds the unmarked coin
     on every vertex and the marking's block on marked ones; each of its
     d*N*d entries C'[c*N + v, c'*N + v] goes to row move[c*N + v] of a
@@ -145,13 +144,13 @@ def _shifted_coin(graph: Graph, coin: CoinConfig, move: np.ndarray) -> np.ndarra
     grover = grover_coin(d)
     marking = graph.spec.marking
     if marking == "projector_flip":  # the identity; I - 2|s><s| = -grover
-        unmarked, marked = np.eye(d), -grover
+        unmarked, flipped = np.eye(d), -grover
     elif marking == "minus_c0":
-        unmarked, marked = grover, -grover
+        unmarked, flipped = grover, -grover
     else:
-        unmarked, marked = grover, -np.eye(d)
+        unmarked, flipped = grover, -np.eye(d)
     blocks = np.repeat(unmarked[:, :, None], n, axis=2)  # [c, c', v]
-    blocks[:, :, list(coin.marked)] = marked[:, :, None]
+    blocks[:, :, list(marked)] = flipped[:, :, None]
     matrix = np.zeros((d * n, d * n))
     matrix[move.reshape(d, 1, n), np.arange(d * n).reshape(1, d, n)] = blocks
     return matrix

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (CoinConfig, WalkState, closed_neighborhood, default_coin,
-                     flip_marked_vertices, reflect_about, squared_norm, step,
-                     uniform_state, vertex_probabilities)
+from .engine import (WalkState, closed_neighborhood, flip_marked_vertices, reflect_about,
+                     squared_norm, step, uniform_state, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
 from .search import PredictionReport, predict
 from .spectral import NoSearchStructure
@@ -58,14 +57,14 @@ def _check_count(name: str, value: int) -> None:
         raise ConfigurationError(f"{name} must be a non-negative count, got {value}")
 
 
-def evolve(state: WalkState, coin: CoinConfig, steps: int, observe=None) -> WalkState:
-    """Apply `steps` walk steps to `state` in place.
+def evolve(state: WalkState, marked: tuple[int, ...], steps: int, observe=None) -> WalkState:
+    """Apply `steps` walk steps marking `marked` to `state` in place.
 
     observe(t, state), if given, is called at t = 0 and after each step t.
     """
     for t in range(steps + 1):
         if t:
-            step(state, coin)
+            step(state, marked)
         if observe is not None:
             observe(t, state)
     return state
@@ -75,8 +74,8 @@ class _Watch:
     """Observer recording, per step, the probability on the marked set (vertex
     0 if nothing is marked), on its closed neighborhood, and the state norm."""
 
-    def __init__(self, graph: Graph, coin: CoinConfig, t_max: int):
-        self.watch = np.array(coin.marked or (0,), dtype=np.int64)
+    def __init__(self, graph: Graph, marked: tuple[int, ...], t_max: int):
+        self.watch = np.array(marked or (0,), dtype=np.int64)
         self.support = closed_neighborhood(graph, self.watch)
         # a neighborhood of every vertex (the complete graph) holds the total
         # probability, which the norm gives without gathering every column
@@ -101,12 +100,12 @@ class _Watch:
         return RunTrace(self.p_marked, self.p_nbhd, self.norms)
 
 
-def run_walk(graph: Graph, coin: CoinConfig, t_max: int) -> RunTrace:
+def run_walk(graph: Graph, marked, t_max: int) -> RunTrace:
     """Evolve t_max steps recording marked and neighborhood probability."""
-    coin.validate_for(graph)
+    marked = graph.marked_set(marked)
     _check_count("t_max", t_max)
-    watch = _Watch(graph, coin, t_max)
-    evolve(uniform_state(graph), coin, t_max, watch)
+    watch = _Watch(graph, marked, t_max)
+    evolve(uniform_state(graph), marked, t_max, watch)
     return watch.trace()
 
 
@@ -159,7 +158,7 @@ class AmplifyResult:
     overshoot: bool  # probability decreased on the last round (rotated past the peak)
 
 
-def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> AmplifyResult:
+def amplify(graph: Graph, marked, walk_length: int, rounds: int) -> AmplifyResult:
     """Amplitude amplification with the walk as the inner algorithm.
 
     The algorithm's round flips the marked vertices, undoes the walk U'^t,
@@ -171,17 +170,16 @@ def amplify(graph: Graph, coin: CoinConfig, walk_length: int, rounds: int) -> Am
     Success probability follows the exact sin^2((2r+1) gamma) law with gamma
     set by the walk's end-of-run marked probability.
     """
-    coin.validate_for(graph)
-    if not coin.marked:
+    marked = graph.marked_set(marked)
+    if not marked:
         raise ConfigurationError("amplification needs a marked set")
     _check_count("walk_length", walk_length)
     _check_count("rounds", rounds)
     ledger = CostLedger(graph.n)
-    state = evolve(uniform_state(graph), coin, walk_length)
+    state = evolve(uniform_state(graph), marked, walk_length)
     walked = state.copy()
     ledger.step_count += walk_length
 
-    marked = list(coin.marked)
     success = np.empty(rounds + 1)
     success[0] = vertex_probabilities(state, marked).sum()
     for r in range(rounds):
@@ -226,13 +224,12 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
         raise ConfigurationError("two-marked analysis runs on flip-flop tori")
     _check_count("t_max", t_max)
     graph = build_graph(spec)
-    coin = default_coin(graph, marked=(v1, v2))
-    unmarked = default_coin(graph)
+    marked = graph.marked_set((v1, v2))
     center = np.add(graph.vertex_coords(v1), graph.vertex_coords(v2))[:, None]
     mirror = graph.lift(graph.vertex_index(center - graph.coordinates()))
 
     twin = uniform_state(graph)  # rank-one reflection form
-    watch = _Watch(graph, coin, t_max)
+    watch = _Watch(graph, marked, t_max)
     worst_sym = 0.0
     worst_dev = 0.0
 
@@ -241,11 +238,11 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
         watch(t, state)
         if t:
             _flip_symmetric_pair(twin, v1, v2)
-            step(twin, unmarked)
+            step(twin, ())
         worst_sym = max(worst_sym, float(np.max(np.abs(state.vector[mirror] - state.vector))))
         worst_dev = max(worst_dev, float(np.max(np.abs(twin.amps - state.amps))))
 
-    evolve(uniform_state(graph), coin, t_max, observe)
+    evolve(uniform_state(graph), marked, t_max, observe)
     return TwoMarkedResult(watch.trace(), worst_sym, worst_dev)
 
 
@@ -283,12 +280,11 @@ def _default_cap(spec: GraphSpec, report: PredictionReport | None) -> int:
 def sweep_point(spec: GraphSpec) -> SweepRow:
     """One sweep entry: evolve to the cap, locate peaks, attach predictions."""
     graph = build_graph(spec)
-    coin = default_coin(graph, marked=(0,))
     report = None
     with suppress(NoSearchStructure):
         report = predict(spec)
     cap = _default_cap(spec, report)
-    trace = run_walk(graph, coin, cap)
+    trace = run_walk(graph, (0,), cap)
     peak = find_peak(trace)
     return SweepRow(
         n_vertices=graph.n,

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from walklab import (CoinConfig, build_graph, complete_spec, default_coin,
+from walklab import (build_graph, complete_spec, default_coin,
                      dense_eigens, dense_unitary, evolve_dense, find_peak,
                      hypercube_spec, mode_spectrum, moving_shift_stationary_overlap,
                      predict, run_two_marked, run_walk, amplify, solve_alpha,
@@ -78,7 +78,7 @@ def test_c03_spectrum_reproduction():
     for spec in [torus_spec(4), torus_spec(4, shift="moving"),
                  torus_spec(4, shift="dirac"), torus_spec(4, 3)]:
         g = build_graph(spec)
-        coin = CoinConfig()
+        coin = ()
         phases, _ = dense_eigens(dense_unitary(g, coin))
         closed = []
         for mode in torus_modes(spec):
@@ -90,7 +90,7 @@ def test_c03_spectrum_reproduction():
     # hypercube: binomial multiplicities on cos(theta_k) = 1 - 2k/d
     d = 4
     g = build_graph(hypercube_spec(d))
-    phases, _ = dense_eigens(dense_unitary(g, CoinConfig()))
+    phases, _ = dense_eigens(dense_unitary(g, ()))
     for k in range(1, d):
         theta = math.acos(1 - 2 * k / d)
         count = int(np.sum(np.abs(phases - theta) < 1e-9))

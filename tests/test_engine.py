@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import (CoinConfig, ConfigurationError, GraphSpec, WalkState, apply_coin,
+from walklab import (ConfigurationError, GraphSpec, WalkState, amplify, apply_coin,
                      apply_shift, build_graph, complete_spec, default_coin,
-                     dense_unitary, evolve_dense, reflect_about, step, torus_spec,
+                     dense_unitary, evolve_dense, reflect_about, run_walk, step, torus_spec,
                      uniform_state, vertex_probabilities)
 from walklab.engine import _apply, _owed_index, _settle, squared_norm
 
@@ -48,7 +48,7 @@ def test_grover_coin_on_basis_block():
     g = build_graph(torus_spec(4))
     state = WalkState(g, np.zeros((4, 16), dtype=complex))
     state.amps[0, 5] = 1.0
-    apply_coin(state, CoinConfig())
+    apply_coin(state, ())
     assert np.allclose(state.amps[:, 5], [-0.5, 0.5, 0.5, 0.5])
 
 
@@ -56,7 +56,7 @@ def test_grover_coin_fixes_uniform_block():
     g = build_graph(torus_spec(4))
     state = WalkState(g, np.zeros((4, 16), dtype=complex))
     state.amps[:, 3] = 0.5
-    apply_coin(state, CoinConfig())
+    apply_coin(state, ())
     assert np.allclose(state.amps[:, 3], 0.5)
 
 
@@ -66,7 +66,7 @@ def test_marking_negates_block():
     block = rng.normal(size=4) + 1j * rng.normal(size=4)
     state = WalkState(g, np.zeros((4, 16), dtype=complex))
     state.amps[:, 7] = block
-    apply_coin(state, CoinConfig(marked=(7,)))
+    apply_coin(state, (7,))
     assert np.allclose(state.amps[:, 7], -block)
 
 
@@ -335,8 +335,23 @@ def test_step_unitary_on_random_states(seed, spec):
 
 def test_marking_validation():
     gt = build_graph(torus_spec(4))
-    with pytest.raises(ConfigurationError):
-        CoinConfig(marked=(99,)).validate_for(gt)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        gt.marked_set((99,))
+    with pytest.raises(ConfigurationError, match="distinct"):
+        gt.marked_set((3, 3))
+
+
+@pytest.mark.parametrize("marked", [(1.9,), (np.float64(2.0),), ("3",)],
+                         ids=["float", "float64", "string"])
+def test_a_marked_vertex_that_is_no_integer_is_refused(marked):
+    # no vertex is truncated or parsed into range: every entry that takes a
+    # marked set refuses one that holds anything but integers
+    for spec in arenas("small"):
+        g = build_graph(spec)
+        for entry in (lambda: default_coin(g, marked=marked), lambda: run_walk(g, marked, 1),
+                      lambda: amplify(g, marked, 1, 1), lambda: dense_unitary(g, marked)):
+            with pytest.raises(ConfigurationError, match="must be integers"):
+                entry()
 
 
 def test_state_serialization_roundtrip(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import walklab.engine
 import walklab.oracle
 import walklab.spectral
-from walklab import (CoinConfig, GraphSpec, build_graph, complete_spec, default_coin,
+from walklab import (GraphSpec, build_graph, complete_spec, default_coin,
                      dense_eigens, dense_unitary, hypercube_spec, mode_spectrum, run_walk,
                      solve_alpha, step, torus_spec, uniform_state)
 
@@ -64,19 +64,19 @@ def test_dense_unitary_does_not_call_the_engine(monkeypatch):
 
 def test_unmarked_dense_fixes_uniform():
     g = build_graph(torus_spec(4))
-    op = dense_unitary(g, CoinConfig())
+    op = dense_unitary(g, ())
     vec = uniform_state(g).vector
     assert np.max(np.abs(op.matrix @ vec - vec)) < 1e-12
 
 
 def test_unmarked_dirac_coin_is_the_identity():
-    # a coin names only its marked set; the dirac arena fixes the identity coin
+    # the walk takes only its marked set; the dirac arena fixes the identity coin
     g = build_graph(torus_spec(4, shift="dirac"))
-    assert np.array_equal(dense_unitary(g, CoinConfig()).matrix,
+    assert np.array_equal(dense_unitary(g, ()).matrix,
                           dense_unitary(g, default_coin(g)).matrix)
     state = random_state(g, seed=11)
     twin = state.copy()
-    step(state, CoinConfig())
+    step(state, ())
     step(twin, default_coin(g))
     assert np.array_equal(state.amps, twin.amps)
 
@@ -84,7 +84,7 @@ def test_unmarked_dirac_coin_is_the_identity():
 def test_dimension_cap():
     g = build_graph(torus_spec(32))  # 4 * 1024 = 4096 > 1024
     with pytest.raises(ValueError, match="capped"):
-        dense_unitary(g, CoinConfig())
+        dense_unitary(g, ())
 
 
 def _assert_eigensystem(matrix, phases, vectors, gram_tol=1e-12, recon_tol=1e-12):
@@ -103,7 +103,7 @@ def _assert_orthonormal_eigensystem(op, gram_tol=1e-10):
 
 def test_eigens_orthonormal_basis():
     g = build_graph(torus_spec(4))
-    _assert_orthonormal_eigensystem(dense_unitary(g, CoinConfig(marked=(0,))))
+    _assert_orthonormal_eigensystem(dense_unitary(g, (0,)))
 
 
 @pytest.mark.parametrize("spec,marked", [
@@ -136,7 +136,7 @@ def test_eigens_orthonormal_basis_every_family(spec, marked):
 def test_dense_eigens_at_the_dimension_cap():
     spec = torus_spec(16)  # 4 * 256 = 1024, the cap
     g = build_graph(spec)
-    phases, _ = _assert_orthonormal_eigensystem(dense_unitary(g, CoinConfig(marked=(0,))))
+    phases, _ = _assert_orthonormal_eigensystem(dense_unitary(g, (0,)))
     principal = np.min(np.abs(phases[np.abs(phases) > 1e-8]))
     assert principal == pytest.approx(solve_alpha(mode_spectrum(spec)), rel=1e-9, abs=0)
 
@@ -583,7 +583,7 @@ def test_every_oracle_benchmark_arena_takes_the_mirror_split():
 def test_exactly_two_phases_inside_arc():
     spec = torus_spec(4)
     g = build_graph(spec)
-    op = dense_unitary(g, CoinConfig(marked=(0,)))
+    op = dense_unitary(g, (0,))
     phases, _ = dense_eigens(op)
     theta_min = mode_spectrum(spec).theta_min
     inside = (np.abs(phases) > 1e-9) & (np.abs(phases) < theta_min - 1e-9)
@@ -594,7 +594,7 @@ def test_moving_one_eigenspace_projection_matches_formula():
     from walklab import moving_shift_stationary_overlap
     spec = torus_spec(4, shift="moving")
     g = build_graph(spec)
-    op = dense_unitary(g, CoinConfig(marked=(0,)))
+    op = dense_unitary(g, (0,))
     phases, vectors = dense_eigens(op)
     proj = eigenspace_projection(phases, vectors, uniform_state(g).vector)
     assert proj == pytest.approx(moving_shift_stationary_overlap(spec), abs=1e-10)
@@ -654,14 +654,14 @@ def _oracle_imports():
 
 def test_oracle_imports_neither_spectral_nor_the_step():
     imports = list(_oracle_imports())
-    assert ("walklab.engine", "CoinConfig") in imports  # the parse sees them
-    # from the engine the oracle takes the marked set's type and nothing else,
-    # neither the module itself nor an engine name the package re-exports
+    assert ("walklab.graphs", "Graph") in imports  # the parse sees them
+    # the oracle takes nothing from the engine, neither the module itself
+    # nor an engine name the package re-exports
     reexported = {name for name, value in vars(walklab).items()
                   if getattr(value, "__module__", None) == "walklab.engine"}
     taken = [name for module, name in imports if module == "walklab.engine"
              or (module == "walklab" and name in reexported | {"engine"})]
-    assert taken == ["CoinConfig"], f"oracle imports {taken} from the engine"
+    assert taken == [], f"oracle imports {taken} from the engine"
     for module, name in imports:
         full = f"{module}.{name}" if name else module
         assert not full.startswith("walklab.spectral"), f"oracle imports {full}"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from walklab import (CoinConfig, ConfigurationError, GraphSpec, build_graph,
+from walklab import (ConfigurationError, GraphSpec, build_graph,
                      complete_spec, default_coin, dense_eigens, dense_unitary,
                      grover_coin, hypercube_spec, mode_spectrum,
                      moving_shift_stationary_overlap, run_walk, sin2_half_theta,
@@ -164,7 +164,7 @@ def test_sums_equal_per_level_reference(spec):
 
 def test_conjugate_pairing_of_dense_spectrum():
     g = build_graph(torus_spec(4))
-    op = dense_unitary(g, CoinConfig(marked=(0,)))
+    op = dense_unitary(g, (0,))
     phases, _ = dense_eigens(op)
     finite = phases[(np.abs(phases) > 1e-9) & (np.abs(np.abs(phases) - np.pi) > 1e-9)]
     assert len(finite) % 2 == 0
@@ -190,7 +190,7 @@ def test_weight_recovery_flip_flop():
 def test_block_lift_is_dense_eigenvector():
     spec = torus_spec(4, shift="dirac")
     g = build_graph(spec)
-    op = dense_unitary(g, CoinConfig())
+    op = dense_unitary(g, ())
     for mode in [(0, 1), (2, 2), (3, 1)]:
         phases, vecs = schur_eigens(coin_block(spec, mode))
         for j, phase in enumerate(phases):
@@ -225,7 +225,7 @@ def test_stationary_overlap_matches_dense_projection():
     for side in (4, 6):
         spec = torus_spec(side, shift="moving")
         g = build_graph(spec)
-        op = dense_unitary(g, CoinConfig(marked=(0,)))
+        op = dense_unitary(g, (0,))
         phases, vectors = dense_eigens(op)
         dense_value = eigenspace_projection(phases, vectors, uniform_state(g).vector)
         assert moving_shift_stationary_overlap(spec) == pytest.approx(
