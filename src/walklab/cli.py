@@ -26,8 +26,8 @@ import tempfile
 from contextlib import suppress
 from dataclasses import asdict, replace
 
-from .graphs import (FAMILIES, ConfigurationError, Graph, GraphSpec, build_graph, complete_spec,
-                     hypercube_spec, torus_spec)
+from .graphs import (FAMILIES, SHIFTS, ConfigurationError, Graph, GraphSpec, build_graph,
+                     complete_spec, hypercube_spec, is_integer, torus_spec)
 from .runner import (RunTrace, amplify, find_peak, fit_exponent, run_two_marked, run_walk,
                      sweep_point)
 from .search import predict
@@ -127,10 +127,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if action is None:
             raise ConfigurationError(
                 f"{args.config}: unknown key {key!r}; {args.command} takes {sorted(flags)}")
-        if action.type is int and not _is_int(value):
+        if action.type is int and not is_integer(value):
             raise ConfigurationError(f"{args.config}: {key} takes an integer, got {value!r}")
         if action.type is _int_list and not (isinstance(value, list)
-                                             and all(map(_is_int, value))):
+                                             and all(map(is_integer, value))):
             raise ConfigurationError(
                 f"{args.config}: {key} takes a list of integers, got {value!r}")
         if action.type is None and not isinstance(value, str):
@@ -140,10 +140,6 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, key) in (None, [], ()):
             setattr(args, key, value)
     return args
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(args: argparse.Namespace, *dests: str) -> None:
@@ -179,26 +175,19 @@ def build_spec(args: argparse.Namespace, size: int | None = None) -> GraphSpec:
 
 def parse_vertex(text: str, spec: GraphSpec) -> int:
     graph = build_graph(spec)
-    parts = [part for part in str(text).split(",") if part != ""]
     try:
-        coords = [int(part) for part in parts]
-    except ValueError:
+        coords = _int_list(str(text))
+    except argparse.ArgumentTypeError:
         raise ConfigurationError(f"cannot parse vertex {text!r}") from None
     if len(coords) == 1:
-        vertex = coords[0]
-        if not 0 <= vertex < graph.n:
-            raise ConfigurationError(f"vertex {vertex} out of range for N={graph.n}")
-        return vertex
+        return graph.marked_set(coords)[0]
     if spec.family == "torus" and len(coords) == len(spec.dims):
-        side = spec.dims[0]
-        for c in coords:
-            if not 0 <= c < side:
+        for c in coords:  # vertex_index would wrap a coordinate outside the side
+            if not 0 <= c < spec.dims[0]:
                 raise ConfigurationError(
-                    f"vertex {text!r}: coordinate {c} is outside 0..{side - 1}")
+                    f"vertex {text!r}: coordinate {c} is outside 0..{spec.dims[0] - 1}")
         return graph.vertex_index(coords)
-    raise ConfigurationError(
-        f"vertex {text!r} does not match the {spec.family} coordinate form"
-    )
+    raise ConfigurationError(f"vertex {text!r} does not match the {spec.family} coordinate form")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -305,15 +294,13 @@ def cmd_analyze_moving(args):
 
 
 def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", default=None,
-                     choices=["torus", "hypercube", "complete"],
+    sub.add_argument("--family", default=None, choices=FAMILIES,
                      help="arena family (default torus)")
     sub.add_argument("--side", type=int, default=None, help="torus side length")
     sub.add_argument("--dims", type=int, default=None, help="torus dimension count")
     sub.add_argument("--degree", type=int, default=None, help="hypercube dimension")
     sub.add_argument("--n", type=int, default=None, help="complete graph size")
-    sub.add_argument("--shift", default=None,
-                     choices=["flip-flop", "flip_flop", "moving", "dirac", "swap"])
+    sub.add_argument("--shift", default=None, choices=["flip-flop", *SHIFTS])
 
 
 def make_parser() -> argparse.ArgumentParser:

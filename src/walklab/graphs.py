@@ -24,6 +24,23 @@ class ConfigurationError(ValueError):
     """A walk configuration violates a structural constraint."""
 
 
+def is_integer(value) -> bool:
+    """The one integer rule for inputs: what `operator.index` takes, but no bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints if each `is_integer`, else ConfigurationError."""
+    items = tuple(values) if np.iterable(values) else None
+    if items is None or not all(map(is_integer, items)):
+        raise ConfigurationError(f"{name} must be integers, got {values!r}")
+    return tuple(map(operator.index, items))
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Immutable description of a walk arena.
@@ -37,11 +54,7 @@ class GraphSpec:
     shift: str = "flip_flop"
 
     def __post_init__(self):
-        try:
-            dims = tuple(operator.index(d) for d in self.dims)
-        except TypeError:
-            raise ConfigurationError(f"dims must be integers, got {self.dims!r}") from None
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _integers(self.dims, "dims"))
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.shift not in SHIFTS:
@@ -156,18 +169,15 @@ class Graph:
         return np.flatnonzero(on_face)
 
     def marked_set(self, vertices=()) -> tuple[int, ...]:
-        """`vertices` as the walk's marked set: distinct vertex indices in
-        range.  Anything else, a float or a string included, raises
-        ConfigurationError."""
-        try:
-            marked = tuple(operator.index(v) for v in vertices)
-        except TypeError:
-            raise ConfigurationError(f"marked vertices must be integers: {vertices!r}") from None
+        """`vertices` as the walk's marked set: distinct integer vertices in
+        range (the CLI checks a vertex index here too).  Anything else, a
+        bool, a float or a string included, raises ConfigurationError."""
+        marked = _integers(vertices, "marked vertices")
         if len(set(marked)) != len(marked):
             raise ConfigurationError("marked vertices must be distinct")
         for v in marked:
             if not 0 <= v < self.n:
-                raise ConfigurationError(f"marked vertex {v} out of range")
+                raise ConfigurationError(f"marked vertex {v} out of range for N={self.n}")
         return marked
 
     # -- adjacency -----------------------------------------------------
@@ -294,6 +304,8 @@ def build_graph(spec: GraphSpec) -> Graph:
 
 
 def torus_spec(side: int, ndim: int = 2, shift: str = "flip_flop") -> GraphSpec:
+    if not is_integer(ndim):
+        raise ConfigurationError(f"ndim must be an integer, got {ndim!r}")
     return GraphSpec("torus", (side,) * ndim, shift=shift)
 
 

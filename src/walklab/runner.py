@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import (WalkState, closed_neighborhood, flip_marked_vertices, reflect_about,
                      squared_norm, step, uniform_state, vertex_probabilities)
-from .graphs import ConfigurationError, Graph, GraphSpec, build_graph
+from .graphs import ConfigurationError, Graph, GraphSpec, build_graph, is_integer
 from .search import PredictionReport, predict
 from .spectral import NoSearchStructure
 
@@ -53,8 +53,8 @@ class PeakInfo:
 
 
 def _check_count(name: str, value: int) -> None:
-    if value < 0:
-        raise ConfigurationError(f"{name} must be a non-negative count, got {value}")
+    if not is_integer(value) or value < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def evolve(state: WalkState, marked: tuple[int, ...], steps: int, observe=None) -> WalkState:

@@ -545,6 +545,16 @@ def test_config_non_integer_values_rejected(tmp_path, capsys, command, text):
     assert code == 2 and re.search(r"c\.toml: \w+ takes (an integer|a list of integers), got", err)
 
 
+def test_a_vertex_out_of_range_and_a_config_bool_exit_2(tmp_path, capsys):
+    assert run_cli(["run", "--side", "4", "--t-max", "2", "--marked", "99",
+                    "--out", os.devnull]) == 2
+    assert "vertex 99 out of range for N=16" in capsys.readouterr().err
+    code, err = _config_exit(tmp_path, capsys, "run", "side = 4\nt_max = true\n")
+    assert code == 2 and "t_max takes an integer, got True" in err
+    code, err = _config_exit(tmp_path, capsys, "sweep", "sides = [8, true]\n")
+    assert code == 2 and "sides takes a list of integers, got [8, True]" in err
+
+
 @pytest.mark.parametrize("command,text,key", [
     ("spectrum", "side = 4\nshift = 3\n", "shift"),
     ("spectrum", "side = 4\nfamily = true\n", "family"),

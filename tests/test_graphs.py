@@ -1,5 +1,7 @@
 """Arena construction, shift maps, and their structural invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,18 @@ def test_spec_rejects_non_integer_dims():
         with pytest.raises(ConfigurationError, match="integers"):
             GraphSpec("torus", dims)
     assert GraphSpec("torus", np.array([4, 4])).dims == (4, 4)
+
+
+@pytest.mark.parametrize("value", [True, 4.0], ids=["bool", "float"])
+def test_a_size_or_vertex_that_is_no_integer_is_refused(value):
+    # operator.index takes True as 1; a bool is no size, dimension count or
+    # vertex, and each refusal names the value
+    marked_set = build_graph(torus_spec(4)).marked_set
+    entries = (hypercube_spec, complete_spec, torus_spec, lambda v: torus_spec(4, v),
+               lambda v: GraphSpec("torus", (4, v)), marked_set, lambda v: marked_set((v,)))
+    for entry in entries:
+        with pytest.raises(ConfigurationError, match=re.escape(repr(value))):
+            entry(value)
 
 
 def test_shift_fixes_the_coin():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -378,3 +379,15 @@ def test_amplify_on_copying_shifts_reflects_in_the_spare_row(shift, bound):
     for walk_length in (30, 31):
         peak = traced_peak(lambda: amplify(g, coin, walk_length, 3))
         assert peak < bound * 8 * g.coin_dim * g.n, walk_length
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+def test_a_count_that_is_no_integer_is_refused(value):
+    # a step or round count is an integer: True does not run one step, and
+    # 2.0 does not escape as a bare TypeError
+    g = build_graph(torus_spec(4))
+    for entry in (lambda: run_walk(g, (1,), value), lambda: amplify(g, (1,), value, 1),
+                  lambda: amplify(g, (1,), 2, value),
+                  lambda: run_two_marked(torus_spec(4), 0, 5, value)):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(value))):
+            entry()

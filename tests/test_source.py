@@ -264,3 +264,45 @@ def test_the_arena_list_check_sees_every_form():
               "@pytest.mark.parametrize('spec, bound', [(torus_spec(4), 1.0)])\n"
               "def test_k(spec, bound):\n    pass\n")
     assert _module_arena_lists(source) == {"A", "B", "C", "F", "test_h", "test_i"}
+
+
+def _integer_rule_copies(source):
+    """What `source` does that only `graphs.is_integer` should: call
+    `operator.index`, or test a value for `bool` (an isinstance or issubclass
+    check, or a comparison with the type)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "index" \
+                and getattr(node.value, "id", None) == "operator":
+            found.add("operator.index")
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator" \
+                and any(alias.name == "index" for alias in node.names):
+            found.add("operator.index")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance",
+                                                                               "issubclass"):
+            if any(getattr(leaf, "id", None) == "bool" for arg in node.args[1:]
+                   for leaf in ast.walk(arg)):
+                found.add("bool test")
+        elif isinstance(node, ast.Compare):
+            if any(getattr(leaf, "id", None) == "bool" for leaf in ast.walk(node)):
+                found.add("bool test")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graphs.py"],
+                         ids=lambda path: path.stem)
+def test_only_graphs_decides_what_an_integer_is(path):
+    # graphs.is_integer is the one integer rule (operator.index, a bool
+    # refused); a module with its own copy drifts from it
+    copies = sorted(_integer_rule_copies(path.read_text(encoding="utf-8")))
+    assert not copies, f"{path.name} keeps its own integer rule: {copies}"
+
+
+def test_the_integer_rule_check_sees_a_copy():
+    assert _integer_rule_copies("import operator\nn = operator.index(v)\n") == {"operator.index"}
+    assert _integer_rule_copies("from operator import index as ix\n") == {"operator.index"}
+    assert _integer_rule_copies("ok = isinstance(v, (int, bool))\n") == {"bool test"}
+    assert _integer_rule_copies("ok = type(v) is not bool\n") == {"bool test"}
+    # a conversion to bool and a bool annotation test no value
+    assert _integer_rule_copies("def f(v) -> bool:\n    return isinstance(v, int) and bool(v)\n") \
+        == set()
