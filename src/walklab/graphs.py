@@ -169,16 +169,23 @@ class Graph:
         return np.flatnonzero(on_face)
 
     def marked_set(self, vertices=()) -> tuple[int, ...]:
-        """`vertices` as the walk's marked set: distinct integer vertices in
-        range (the CLI checks a vertex index here too).  Anything else, a
-        bool, a float or a string included, raises ConfigurationError."""
+        """`vertices` as the walk's marked set: distinct vertices, each
+        passing `_vertex` (the CLI checks a vertex index here too).  Anything
+        else, a bool, a float or a string included, raises
+        ConfigurationError."""
         marked = _integers(vertices, "marked vertices")
         if len(set(marked)) != len(marked):
             raise ConfigurationError("marked vertices must be distinct")
-        for v in marked:
-            if not 0 <= v < self.n:
-                raise ConfigurationError(f"marked vertex {v} out of range for N={self.n}")
-        return marked
+        return tuple(self._vertex(v, "marked vertex") for v in marked)
+
+    def _vertex(self, vertex, name: str = "vertex") -> int:
+        """`vertex` as an int if it `is_integer` and lies in range(N), else
+        ConfigurationError: the one check of a vertex index."""
+        if not is_integer(vertex):
+            raise ConfigurationError(f"{name} must be an integer, got {vertex!r}")
+        if not 0 <= vertex < self.n:
+            raise ConfigurationError(f"{name} {vertex} out of range for N={self.n}")
+        return operator.index(vertex)
 
     # -- adjacency -----------------------------------------------------
 
@@ -190,8 +197,7 @@ class Graph:
         step composes its half-moves, roles 0/1 and then 2/3, so it lands on
         the diagonal sites.
         """
-        if not 0 <= vertex < self.n:
-            raise IndexError(f"vertex {vertex} out of range for N={self.n}")
+        vertex = self._vertex(vertex)
         targets = self.shift_targets([vertex])[:, 0]
         if self.spec.shift == "dirac":
             targets = self.shift_targets(targets[:2])[2:]
@@ -207,8 +213,7 @@ class Graph:
         hypercube   x -> w ^ pi(x ^ w), pi swapping the bit pairs (0 1)(2 3)...
         complete    the other vertices paired up in index order
         """
-        if not 0 <= vertex < self.n:
-            raise IndexError(f"vertex {vertex} out of range for N={self.n}")
+        vertex = self._vertex(vertex)
         family = self.spec.family
         if family == "torus":
             coords = self.coordinates()

@@ -14,17 +14,18 @@ is not normal raises).  Two involutions split the eigensolve, one at a
 time, and U' enters each one's eigenbasis by the same butterfly.  With
 one marked vertex, the arena's mirror through it (Graph.mirror), lifted
 to the basis states (Graph.lift), is a symmetry P of U' (checked), and
-U' splits first into P's two eigenspaces, about n/2 each.  A permutation
-time reversal S, S U' S = C' S = U'^T (C' is symmetric; this is
-checked), then splits each of them in two: S is the shift itself, and
-the shift after the direction reversal on the moving torus.  In S's
-eigenbasis U' + U'^T is two half-size blocks and U' - U'^T only maps
-each half into the other, so each eigenvector of the +1 half and its
-image there make a pair of eigenvectors of U', with no further solve.
-The dirac walk has no S: its eigenvalues of U' + U'^T are grouped into
-levels, and each level is solved on its own span.  Every eigenvector is
-lifted back through the two stages in turn.  The oracle imports nothing
-from the engine: `graphs` checks the marked set (Graph.marked_set).
+U' splits first into P's two eigenspaces, about n/2 each.  A signed
+permutation time reversal S, S U' S = U'^T (checked), then splits each
+of them in two: S is the shift itself, the shift after the direction
+reversal on the moving torus, and on the dirac walk the point reflection
+T of each coin row between two copies of the marking C' (dense_unitary).
+In S's eigenbasis U' + U'^T is two half-size blocks and U' - U'^T only
+maps each half into the other, so each eigenvector of the +1 half and
+its image there make a pair of eigenvectors of U', with no further
+solve.  An operator without a time reversal is refused.  Every
+eigenvector is lifted back through the two stages in turn.  The oracle
+imports nothing from the engine: `graphs` checks the marked set
+(Graph.marked_set).
 """
 
 from __future__ import annotations
@@ -39,45 +40,57 @@ from .graphs import Graph
 DIMENSION_CAP = 1024
 # the butterflies into the eigenbases of P and S scale by the reciprocal
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# eigenvalues of U + U^T closer than this belong to one level
-_LEVEL_GAP = 2e-9
-# a level or eigenvector that the skew part maps to within this of zero has theta = 0 or pi
+# an eigenvector that the skew part maps to within this of zero has theta = 0 or pi
 _SKEW_ZERO = 1e-12
-# how far the skew part may map a level out of itself, or an eigenvector off
-# its pair, before U counts as not normal
+# how far the skew part may map an eigenvector off its pair, or P U P and
+# S U S may stray from U and U^T, before the check raises
 _INVARIANCE_TOL = 1e-10
-# the lift takes this many eigenvectors at a time, a wider level alone: it
-# bounds the lift's temporaries, which hold about 2 dim complex numbers each
+# the lift takes this many eigenvectors at a time: it bounds the lift's
+# temporaries, which hold about 2 dim complex numbers each
 _LIFT_COLUMNS = 32
 
 
 @dataclass
 class DenseOperator:
-    """A full (coin_dim*N)-dimensional real unitary; as `reflection`, a
-    permutation time reversal S of it (S M S = M^T, an involution: the shift
-    itself, the shift after the direction reversal on the moving torus, none
-    on the dirac walk); and as `symmetry` the arena's mirror through the one
+    """A full (coin_dim*N)-dimensional real unitary M; as `reflection` and
+    `flips`, a signed permutation time reversal S of it, S e_j =
+    -e_reflection[j] where flips[j] and e_reflection[j] elsewhere (an
+    involution, S M S = M^T: the shift itself, the shift after the
+    direction reversal on the moving torus, C' T C' on the dirac walk; see
+    dense_unitary); and as `symmetry` the arena's mirror through the one
     marked vertex, lifted to the basis states (Graph.lift), where exactly
     one vertex is marked and it moves some.
 
     An operator checks itself when it is built: a complex matrix raises
-    TypeError, an identity reflection or symmetry is kept as None, and one
-    that is no involutive permutation, or a pair that does not commute,
-    raises ValueError.  dense_eigens checks that S and P are a time
-    reversal and a symmetry of M."""
+    TypeError, an unsigned identity reflection or an identity symmetry is
+    kept as None (flips with it: all False if not given), and a reflection
+    or symmetry that is no involutive permutation, flips that differ on a
+    2-cycle of S or under P, flips without a reflection, or a pair that
+    does not commute, raise ValueError.  dense_eigens checks that S and P
+    are a time reversal and a symmetry of M."""
 
     matrix: np.ndarray
     reflection: np.ndarray | None = None
     symmetry: np.ndarray | None = None
+    flips: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.matrix):
             raise TypeError(f"a DenseOperator is a real orthogonal matrix, not a "
                             f"{self.matrix.dtype} one")
-        self.reflection = _involution(self.reflection, self.dim, "reflection")
-        self.symmetry = _involution(self.symmetry, self.dim, "symmetry")
-        s, p = self.reflection, self.symmetry
-        if s is not None and p is not None and not np.array_equal(s[p], p[s]):
+        flips = np.zeros(self.dim, dtype=bool) if self.flips is None else \
+            np.asarray(self.flips, dtype=bool)
+        if flips.shape != (self.dim,):
+            raise ValueError("flips must be one flag per index")
+        if self.reflection is None and flips.any():
+            raise ValueError("flips sign a reflection, and there is none")
+        s = self.reflection = _involution(self.reflection, self.dim, "reflection", flips.any())
+        p = self.symmetry = _involution(self.symmetry, self.dim, "symmetry")
+        self.flips = None if s is None else flips
+        if s is not None and not np.array_equal(flips[s], flips):
+            raise ValueError("the reflection's flips must agree on each of its 2-cycles")
+        if s is not None and p is not None and not (np.array_equal(s[p], p[s])
+                                                    and np.array_equal(flips[p], flips)):
             raise ValueError("the reflection and the symmetry must commute")
 
     @property
@@ -106,9 +119,11 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
     factors as one exact 1/2, so every entry is exact.  The moving shift
     S_m is no involution past side 2, but with the direction reversal T
     (c <-> c^1) T S_m T = S_m^T, and T commutes with C', so S_m T is a
-    time reversal of U' = (S_m T)(T C').
-    Every other shift here is an involution, its own time reversal, kept
-    as `reflection`: DenseOperator refuses one that is not.
+    time reversal of U' = (S_m T)(T C').  Every other permutation shift
+    here is an involution, its own time reversal, kept as `reflection`:
+    DenseOperator refuses one that is not.  The dirac walk's time reversal
+    is signed (_dirac_reversal); where the marked set has no point
+    symmetry it has none, and the reflection is None.
     """
     dim = graph.coin_dim * graph.n
     if dim > DIMENSION_CAP:
@@ -117,7 +132,7 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
             f"requested coin_dim*N = {dim}"
         )
     marked = graph.marked_set(marked)
-    reflection = None
+    flips = None
     if graph.spec.shift != "dirac":
         move = graph.shift_permutation()
         matrix = _shifted_coin(graph, marked, move)
@@ -131,8 +146,39 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
         matrix = np.empty_like(first)
         matrix[_half_move(graph, (2, 3))] = first
         _butterfly(matrix[:n], matrix[n:], first[:n], scale=0.5)  # first's buffer is free
+        reflection, flips = _dirac_reversal(graph, marked)
     symmetry = graph.lift(graph.mirror(marked[0])) if len(marked) == 1 else None
-    return DenseOperator(matrix, reflection, symmetry)
+    return DenseOperator(matrix, reflection, symmetry, flips)
+
+
+def _dirac_reversal(graph: Graph, marked: tuple[int, ...]) -> tuple:
+    """(reflection, flips) of the dirac walk's signed time reversal
+    S' = C' T C', or (None, None) if the marked set M has no point symmetry.
+
+    T sends row c at vertex v to row c at b_c - v, with b_0 = s + (1, 1)
+    and b_1 = s + (1, -1) in (x, y), where s is a centre of M: some
+    m_0 + m_j with s - M = M (0 unmarked; if M has a centre, s - m_0 lies
+    in M, so these candidates find it).  C' is the marking, -X on both
+    rows of each marked vertex: C' e_j = -e_swap[j] there.  So S' e_j is
+    e_swap[T swap[j]], negated where exactly one of j and T swap[j] sits at
+    a marked vertex."""
+    n, marked = graph.n, list(marked)
+    coords = graph.coordinates()
+    points = coords[:, marked]
+    centres = (points[:, :1] + points).T if marked else np.zeros((1, 2), dtype=np.int64)
+    for s in centres:
+        if set(graph.vertex_index(s[:, None] - points).tolist()) == set(marked):
+            break
+    else:
+        return None, None
+    ends = s + np.array([[1, 1], [1, -1]])  # b_c, one row per c
+    turn = np.arange(2)[:, None] * n + graph.vertex_index(ends.T[:, :, None] - coords[:, None, :])
+    swap = np.arange(2 * n).reshape(2, n)
+    swap[:, marked] = swap[::-1, marked]
+    swap = swap.ravel()
+    on = swap != np.arange(2 * n)  # the rows of marked vertices
+    through = turn.ravel()[swap]
+    return swap[through], on ^ on[through]
 
 
 def _shifted_coin(graph: Graph, marked: tuple[int, ...], move: np.ndarray) -> np.ndarray:
@@ -184,51 +230,43 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     that is not normal raises ArithmeticError instead of returning a wrong
     basis.
 
-    The operator's involutions, where it has them, split the solve, one at
-    a time, each through its eigenbasis (_split_order, _rotate).  Its
-    `symmetry` (an involutive index permutation P) must commute with U: in
-    P's eigenbasis both off-diagonal blocks must vanish, on every entry,
-    else ArithmeticError, and U splits into the two diagonal blocks
-    (_symmetry_blocks).  Its `reflection` (an involutive index permutation
-    S, which commutes with P) must be a time reversal of U, S U S = U^T (as
-    for S C' with a symmetric coin).  In P's eigenbasis S is a signed
-    permutation of each block; a block on which it has a 2-cycle or a -1
-    is rotated into S's eigenbasis, where each eigenvector of the +1 half
-    and its image under the skew part make a pair of U's eigenvectors
-    (_reversal_eigens, which checks the time reversal, else
-    ArithmeticError).  Any other block, and U without either, is solved
-    level by level (_level_eigens, U itself in place).  All phases of all
-    blocks are merged by |phase| before any eigenvector is formed, and the
-    lift runs the stages backwards: S's butterfly on a block's half-length
+    The solve runs through the operator's involutions, one at a time, each
+    through its eigenbasis (_split_order, _rotate).  Its `symmetry` (an
+    involutive index permutation P), where it has one, must commute with
+    U: in P's eigenbasis both off-diagonal blocks must vanish, on every
+    entry, else ArithmeticError, and U splits into the two diagonal blocks
+    (_symmetry_blocks).  Its `reflection` (the signed involutive
+    permutation S of `reflection` and `flips`, which commutes with P) must
+    be a time reversal of U, S U S = U^T; an operator without one raises
+    ValueError.  In P's eigenbasis S is a signed permutation of each block,
+    and each block is rotated into S's eigenbasis, where each eigenvector
+    of the +1 half and its image under the skew part make a pair of U's
+    eigenvectors (_reversal_eigens, which checks the time reversal, else
+    ArithmeticError; either half may be empty).  All phases of all blocks
+    are merged by |phase| before any eigenvector is formed, and the lift
+    runs the stages backwards: S's butterfly on a block's half-length
     vectors, then one signed gather into the original rows (_lift_batches).
     """
     block, reflection, symmetry, n = op.matrix, op.reflection, op.symmetry, op.dim
-    # an unsplit U's eigh runs before the eigenvector buffer is allocated:
-    # its temporaries (U + U^T and the row-major basis) are freed by then
-    solved = _symmetric_eigh(block) if reflection is None and symmetry is None else None
+    if reflection is None:
+        raise ValueError("dense_eigens solves through a time reversal S of U (S U S = U^T), "
+                         "and this operator has no reflection")
     vectors, buffer = _eigenvector_buffer(n)
     first, second = buffer
     if symmetry is None:  # one block, U itself, in its own rows
-        blocks, free = [(block, reflection, None, np.arange(n), None)], buffer
+        blocks = [(block, reflection, op.flips, np.arange(n), None)]
     else:  # P's blocks in `second`
-        blocks, free = _symmetry_blocks(block, symmetry, reflection, second, first), first
+        blocks = _symmetry_blocks(block, symmetry, reflection, op.flips, second, first)
     phases, found, start = [], [], 0
     for matrix, pairing, flips, *way in blocks:
         h = matrix.shape[0]
-        order, pairs, m, signed = _split_order(np.arange(h) if pairing is None else pairing, flips)
-        if 0 < m < h:
-            # U is rotated into `second`, a block of P where it lies
-            rotated, work = (second if matrix is block else matrix), _carve(first, (h, h))[0]
-            _rotate(matrix, order, pairs, signed, rotated, work)
-            block_phases, batches = _reversal_eigens(rotated, m, work)
-            turn = order, pairs, signed
-        else:
-            one, other = _carve(free, (h, h), (h, h))
-            block_phases, batches = _level_eigens(matrix, *(solved or _symmetric_eigh(matrix, one)),
-                                                  one, other)
-            turn = None
+        order, pairs, m, signed = _split_order(pairing, flips)
+        # U is rotated into `second`, a block of P where it lies
+        rotated, work = (second if matrix is block else matrix), _carve(first, (h, h))[0]
+        _rotate(matrix, order, pairs, signed, rotated, work)
+        block_phases, batches = _reversal_eigens(rotated, m, work)
         phases.append(block_phases)
-        found.append((start, batches, turn, *way))
+        found.append((start, batches, order, pairs, signed, *way))
         start += h
     phases, columns = _sorted_columns(np.concatenate(phases))
     for start, *lift in found:
@@ -236,32 +274,34 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     return phases, vectors
 
 
-def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple:
-    """eigh of matrix + matrix^T (formed in `out` if given), its basis
-    column-major, as LAPACK leaves it: basis.T holds each eigenvector as one
-    contiguous row."""
+def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray) -> tuple:
+    """eigh of matrix + matrix^T (formed in `out`), its basis column-major,
+    as LAPACK leaves it: basis.T holds each eigenvector as one contiguous
+    row."""
     sym_eigs, basis = np.linalg.eigh(np.add(matrix, matrix.T, out=out))
     return sym_eigs, np.asfortranarray(basis)
 
 
-def _involution(perm: np.ndarray | None, n: int, name: str) -> np.ndarray | None:
-    """`perm` if it is an involutive permutation of range(n) with a 2-cycle,
-    None if it is None or the identity; else ValueError."""
+def _involution(perm: np.ndarray | None, n: int, name: str,
+               signed: bool = False) -> np.ndarray | None:
+    """`perm` if it is an involutive permutation of range(n) that is not the
+    identity or is `signed`; None if it is None or the unsigned identity;
+    else ValueError."""
     if perm is None:
         return None
     index = np.arange(n)
     if perm.shape != (n,) or not np.array_equal(perm[perm], index):
         raise ValueError(f"{name} must be an involutive permutation of the indices")
-    return None if np.array_equal(perm, index) else perm
+    return None if not signed and np.array_equal(perm, index) else perm
 
 
-def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.ndarray | None,
-                     out: np.ndarray, work: np.ndarray) -> list[tuple]:
+def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.ndarray,
+                     flips: np.ndarray, out: np.ndarray, work: np.ndarray) -> list[tuple]:
     """P's two blocks of U, in `out`, each as (matrix, pairing, flips, rows,
-    scale): S on the block's coordinates, a signed involution
-    (S e_j = -e_pairing[j] where flips[j]; None without S), and the way
-    back, the block's vectors y read x[r] = scale[r] * y[rows[r]] in the
-    original rows.
+    scale): the signed reflection S (`reflection`, `flips`) on the block's
+    coordinates, a signed involution (S e_j = -e_pairing[j] where
+    flips[j]), and the way back, the block's vectors y read
+    x[r] = scale[r] * y[rows[r]] in the original rows.
 
     U is rotated into P's eigenbasis (_split_order, _rotate) in `work`, and
     `out`, both U's shape, is the rotation's scratch.  P's 2-cycles
@@ -270,10 +310,12 @@ def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.nda
     the + block after them.  P U P = U holds iff both off-diagonal blocks
     vanish: this is checked on every entry.  The two diagonal blocks are
     then copied into `out`.  S maps P's 2-cycles to 2-cycles and its fixed
-    points to fixed points, so it permutes the + block's coordinates, and
-    the - block's up to sign: S sends e_t - e_Pt to -(e_t' - e_Pt') where
-    S t = P t'.  On the way back x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and
-    x[f] = y on the + block and 0 on the - block.
+    points to fixed points, and its sign is the same on t and P t, so it
+    permutes the + block's coordinates and the - block's up to sign: the
+    sign of S at t, times -1 on the - block where S t = P t' (S sends
+    e_t - e_Pt to -(e_t' - e_Pt') there).  On the way back
+    x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and x[f] = y on the + block and
+    0 on the - block.
     """
     order, k, h, _ = _split_order(symmetry)  # [t, f, P t]
     _rotate(block, order, k, 0, work, out)
@@ -289,11 +331,9 @@ def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.nda
     plus_way = rows, np.where(still, 1.0, _INV_SQRT2)
     minus_way = (np.where(still, 0, rows),
                  np.select([place < k, still], [_INV_SQRT2, 0.0], -_INV_SQRT2))
-    if reflection is None:
-        return [(plus, None, None, *plus_way), (minus, None, None, *minus_way)]
     image = reflection[order[:k]]
-    return [(plus, rows[reflection[order[:h]]], None, *plus_way),
-            (minus, rows[image], symmetry[image] < image, *minus_way)]
+    return [(plus, rows[reflection[order[:h]]], flips[order[:h]], *plus_way),
+            (minus, rows[image], (symmetry[image] < image) ^ flips[order[:k]], *minus_way)]
 
 
 def _split_order(pairing: np.ndarray, flips: np.ndarray | None = None) -> tuple:
@@ -329,62 +369,14 @@ def _rotate(block: np.ndarray, order: np.ndarray, pairs: int, signed: int,
     _butterfly(out[:, :pairs], out[:, n - pairs:], work.reshape(-1)[:n * pairs].reshape(n, pairs))
 
 
-def _level_eigens(block: np.ndarray, sym_eigs: np.ndarray, basis: np.ndarray,
-                  skew: np.ndarray, skewed: np.ndarray) -> tuple[np.ndarray, Iterator]:
-    """Phases and eigenvector batches (_lift_batches) of a block that no
-    time reversal splits, from the eigenvalues and basis X of
-    block + block^T; `skew` and `skewed` (block's shape) are scratch.
-
-    The eigenvalues split into levels at gaps above _LEVEL_GAP.  The skew
-    part maps each level's span into itself, as the small skew matrix
-    B = x^T (U - U^T) x.  Where it maps the level to zero (theta = 0 or pi,
-    the big +-1 eigenspaces) the real basis is kept.  Elsewhere the
-    Hermitian -iB is diagonalised: its eigenvalues are 2 sin theta, its
-    vectors v lift the level to the eigenvectors x v, and
-    theta = atan2(2 sin theta, 2 cos theta).  A level that the skew part
-    maps out of itself by more than _INVARIANCE_TOL (U is not normal)
-    raises ArithmeticError.
-    """
-    # row j is the image of basis column j under the skew part
-    images = np.matmul(basis.T, np.subtract(block.T, block, out=skew), out=skewed)
-    phases, turns = np.empty(sym_eigs.size), []
-    for lo, hi in _levels(sym_eigs):
-        x, y = basis.T[lo:hi], images[lo:hi]
-        if np.abs(y).max() <= _SKEW_ZERO:  # theta is 0 at 2cos = 2, pi at -2
-            phases[lo:hi] = np.where(sym_eigs[lo:hi] > 0, 0.0, np.pi)
-            turns.append((lo, hi, None))
-            continue
-        b = x @ y.T
-        leak = _max_abs(y - b.T @ x)
-        if leak > _INVARIANCE_TOL:
-            raise ArithmeticError(f"the skew part maps the level at 2cos(theta)={sym_eigs[lo]:.6f} "
-                                  f"(width {hi - lo}) {leak:.3e} out of itself: the matrix is "
-                                  f"not normal")
-        sines, v = np.linalg.eigh(-1j * b)
-        phases[lo:hi] = np.arctan2(sines, (v.real ** 2 + v.imag ** 2).T @ sym_eigs[lo:hi])
-        turns.append((lo, hi, v))
-    return phases, _level_batches(basis, turns)
-
-
-def _level_batches(basis: np.ndarray, turns: list) -> Iterator:
-    """(positions, z) per turning level, z = (x v)^T, and per run of at most
-    _LIFT_COLUMNS columns of a still level, the real basis itself."""
-    for lo, hi, v in turns:
-        if v is None:
-            yield from _real_batches(basis.T[lo:hi], lo)
-        else:
-            yield np.arange(lo, hi), v.T @ basis.T[lo:hi]
-
-
-def _real_batches(vectors: np.ndarray, first: int, width: int = 0, at: int = 0) -> Iterator:
+def _real_batches(vectors: np.ndarray, first: int, width: int, at: int = 0) -> Iterator:
     """(positions, z) for real eigenvectors, the rows of `vectors`, at most
-    _LIFT_COLUMNS at a time from phase position `first`; given a `width`,
-    each row is written from coordinate `at` of a zero row that wide."""
+    _LIFT_COLUMNS at a time from phase position `first`, each row written
+    from coordinate `at` of a zero row `width` wide."""
     for lo in range(0, len(vectors), _LIFT_COLUMNS):
-        z = part = vectors[lo:lo + _LIFT_COLUMNS]
-        if width:
-            z = np.zeros((len(part), width))
-            z[:, at:at + part.shape[1]] = part
+        part = vectors[lo:lo + _LIFT_COLUMNS]
+        z = np.zeros((len(part), width))
+        z[:, at:at + part.shape[1]] = part
         yield first + lo + np.arange(len(part)), z
 
 
@@ -480,29 +472,26 @@ def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     """A column-major n x n complex array for the eigenvectors, and its buffer
     as two n x n float64 arrays.  The lift writes every entry of the array;
     until then the buffer holds the temporaries: P's rotation and blocks, each
-    block's rotation, and the halves, their images and checks, or the skew
-    part and its images of the basis."""
+    block's rotation, and the halves, their images and checks."""
     flat = np.empty(n * n, dtype=np.complex128)
     return flat.reshape(n, n, order="F"), flat.view(np.float64).reshape(2, n, n)
 
 
-def _lift_batches(vectors: np.ndarray, columns: np.ndarray, batches: Iterator, turn: tuple | None,
-                  rows: np.ndarray, scale: np.ndarray | None) -> None:
+def _lift_batches(vectors: np.ndarray, columns: np.ndarray, batches: Iterator,
+                  order: np.ndarray, pairs: int, signed: int, rows: np.ndarray,
+                  scale: np.ndarray | None) -> None:
     """Write one block's eigenvectors, a batch (positions, z) at a time,
     each into its sorted column (`columns`, by the block's phase
     positions).  Each row of z is an eigenvector on the block's
-    coordinates, taken back through S's rotation `turn` ((order, pairs,
-    signed) of _split_order, or None): its butterfly between the first and
-    the last `pairs` coordinates, then its order, with the signed q's
-    negated.  That gives the block's vector y, gathered into the original
-    rows as x[r] = scale[r] * y[rows[r]] (scale None: 1)."""
-    pairs = 0
-    if turn is not None:
-        order, pairs, signed = turn
-        rows = np.argsort(order)[rows]
-        if signed:
-            sign = np.where(rows < order.size - signed, 1.0, -1.0)
-            scale = sign if scale is None else sign * scale
+    coordinates, taken back through S's rotation (order, pairs, signed of
+    _split_order): its butterfly between the first and the last `pairs`
+    coordinates, then its order, with the signed q's negated.  That gives
+    the block's vector y, gathered into the original rows as
+    x[r] = scale[r] * y[rows[r]] (scale None: 1)."""
+    rows = np.argsort(order)[rows]
+    if signed:
+        sign = np.where(rows < order.size - signed, 1.0, -1.0)
+        scale = sign if scale is None else sign * scale
     eigenrows = vectors.T  # row j is eigenvector j
     for positions, z in batches:
         if pairs:
@@ -515,10 +504,8 @@ def _lift_batches(vectors: np.ndarray, columns: np.ndarray, batches: Iterator, t
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:
     """Consecutive C-ordered arrays of the given shapes at the start of
-    `buffer`, or of a new array where `buffer` is too small."""
+    `buffer`, which must hold them all."""
     flat, start, out = buffer.reshape(-1), 0, []
-    if sum(rows * cols for rows, cols in shapes) > flat.size:
-        flat = np.empty(sum(rows * cols for rows, cols in shapes))
     for rows, cols in shapes:
         out.append(flat[start:start + rows * cols].reshape(rows, cols))
         start += rows * cols
@@ -528,12 +515,6 @@ def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:
 def _max_abs(a: np.ndarray) -> float:
     """max |a| (0 if empty), taking |a| in place."""
     return float(np.abs(a, out=a).max(initial=0.0))
-
-
-def _levels(sym_eigs: np.ndarray) -> list[tuple[int, int]]:
-    """[lo, hi) of each level of ascending eigenvalues of U + U^T."""
-    cuts = [0, *(np.flatnonzero(np.diff(sym_eigs) > _LEVEL_GAP) + 1), sym_eigs.size]
-    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _sorted_columns(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
-import walklab.oracle
 from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build_graph,
                      complete_spec, default_coin, dense_eigens, dense_unitary, grover_coin,
                      hypercube_spec, sin2_half_theta, step, torus_modes, torus_spec,
@@ -33,6 +32,7 @@ from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build
 from walklab.engine import closed_neighborhood
 
 _PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
+_LEVEL_GAP = 2e-9  # eigenphases this close to one another form one degenerate level
 _MAGIC = b"WLKSTAT1"
 
 
@@ -222,14 +222,14 @@ def dense_principal_pair(op, graph, marked_vertex: int) -> tuple[float, float, f
     for e^(+-i alpha) are phase-aligned so their projections on |s, v> are
     real positive; the overlaps are those of the uniform start with
     (w+ - w-)/sqrt(2) and of |s, v> with (w+ + w-)/sqrt(2).  A degenerate
-    principal level (more than one phase within the oracle's level gap of
-    +alpha or of -alpha) has no such pair, and raises ArithmeticError: its
+    principal level (more than one phase within _LEVEL_GAP of +alpha or
+    of -alpha) has no such pair, and raises ArithmeticError: its
     overlaps would depend on the eigenbasis the solver returns.
     """
     phases, vectors = dense_eigens(op)
     alpha = float(np.min(np.abs(phases[np.abs(phases) > 1e-8])))
     for sign in (1.0, -1.0):
-        width = np.count_nonzero(np.abs(phases - sign * alpha) <= walklab.oracle._LEVEL_GAP)
+        width = np.count_nonzero(np.abs(phases - sign * alpha) <= _LEVEL_GAP)
         if width > 1:
             raise ArithmeticError(f"the principal level at {sign * alpha:+.6e} holds {width} "
                                   f"eigenphases: no unique principal pair")

@@ -131,6 +131,11 @@ def test_eigens_orthonormal_basis():
     pytest.param(torus_spec(12, shift="moving"), (60,), id="moving(12x12)-marked-60"),
     pytest.param(torus_spec(16), (7,), id="torus(16x16)-marked-7"),
     pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
+    # the dirac walk at the cap, through its signed time reversal
+    pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
+    pytest.param(torus_spec(22, shift="dirac"), (0,), id="dirac(22)-marked-0"),
+    pytest.param(torus_spec(22, shift="dirac"), (7,), id="dirac(22)-marked-7"),
+    pytest.param(torus_spec(22, shift="dirac"), (0, 1), id="dirac(22)-two-marked"),
 ])
 def test_eigens_orthonormal_basis_every_family(spec, marked):
     g = build_graph(spec)
@@ -150,9 +155,23 @@ def test_dense_eigens_at_the_dimension_cap():
     assert principal == pytest.approx(solve_alpha(mode_spectrum(spec)), rel=1e-9, abs=0)
 
 
-def _eigens(matrix, reflection=None, symmetry=None):
+def _eigens(matrix, reflection=None, symmetry=None, flips=None):
     """dense_eigens of `matrix` with these involutions, checked as the operator is built."""
-    return dense_eigens(walklab.oracle.DenseOperator(matrix, reflection, symmetry))
+    return dense_eigens(walklab.oracle.DenseOperator(matrix, reflection, symmetry, flips))
+
+
+def _signed_matrix(pairing, flips):
+    """The matrix of the signed involution S e_j = -+e_pairing[j] (- where flips[j])."""
+    n = len(pairing)
+    matrix = np.zeros((n, n))
+    matrix[pairing, np.arange(n)] = np.where(flips, -1.0, 1.0)
+    return matrix
+
+
+def _signed_pairing(matrix):
+    """(pairing, flips) of a signed permutation matrix, to rounding."""
+    pairing = np.argmax(np.abs(matrix), axis=0)
+    return pairing, matrix[pairing, np.arange(len(pairing))] < 0
 
 
 def _fold(phases):
@@ -160,50 +179,81 @@ def _fold(phases):
     return np.sort(np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases))
 
 
-def _orthogonal_with_known_phases(seed):
-    """Q D Q^T for a seeded random orthogonal Q and a block-diagonal D of
-    rotations and +-1 singletons, with the eigenphases of D."""
-    angles = [0.0, np.pi, 1e-6, np.pi - 1e-6, *[0.7] * 4, 2.0]  # 0.7 is fourfold
+def _orthogonal_with_known_phases(seed, small=1e-2):
+    """A dense orthogonal U with the eigenphases of a block-diagonal D of
+    rotations (by `small` and pi - `small` among them) and +-1 singletons,
+    and a seeded random signed involution S (10 2-cycles and 3 fixed
+    points, random signs) that is a time reversal of it.  U = Q D Q^T,
+    where Q = X W: X is an eigenbasis of S, W maps each of S's eigenspaces
+    into itself at random, and each rotation of D turns a +1 and a -1
+    eigenvector of S, so that diag(S) D diag(S) = D^T.  Returns (U, the
+    phases of D folded, (pairing, flips) of S)."""
+    angles = [0.0, np.pi, small, np.pi - small, *[0.7] * 4, 2.0]  # 0.7 is fourfold
     singletons = [1.0, 1.0, 1.0, -1.0, -1.0]
     n = 2 * len(angles) + len(singletons)
+    rng = np.random.default_rng(seed)
+    pairing = _random_pairing(n, seed, pairs=10)
+    flips = rng.random(n) < 0.5
+    flips = flips[np.minimum(pairing, np.arange(n))]  # one sign per 2-cycle
+    signs, basis = np.linalg.eigh(_signed_matrix(pairing, flips))
+    plus, minus = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
+    turn = np.zeros((n, n))
+    for half in (plus, minus):
+        turn[np.ix_(half, half)] = np.linalg.qr(rng.normal(size=(half.size, half.size)))[0]
     d = np.zeros((n, n))
-    for i, a in enumerate(angles):
-        d[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
-    d[2 * len(angles):, 2 * len(angles):] = np.diag(singletons)
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    for a, i, j in zip(angles, plus, minus):
+        d[np.ix_([i, j], [i, j])] = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+    rest = np.r_[plus[len(angles):], minus[len(angles):]]
+    d[rest, rest] = singletons
+    q = basis @ turn
     phases = [*angles, *(-a for a in angles), *(0.0 if s > 0 else np.pi for s in singletons)]
-    return q @ d @ q.T, _fold(np.array(phases))
+    return q @ d @ q.T, _fold(np.array(phases)), (pairing, flips)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_eigens_recovers_known_phases(seed):
-    matrix, expected = _orthogonal_with_known_phases(seed)
-    phases, vectors = _eigens(matrix)
+    matrix, expected, (pairing, flips) = _orthogonal_with_known_phases(seed)
+    phases, vectors = _eigens(matrix, pairing, flips=flips)
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_block_eigens_refuses_a_non_normal_matrix(seed):
-    matrix, _ = _orthogonal_with_known_phases(seed)
-    matrix[0, 1] += 1e-6
+def test_block_eigens_refuses_a_phase_within_a_microradian_of_a_still_one(seed):
+    # A known limit of the solve: eigh resolves 2 cos(theta) = 2 - theta^2
+    # from the still vectors at 2 only to about eps/theta^2, so at
+    # theta = 1e-6 it mixes them, and the skew part then turns too many
+    # columns of the +1 half.  The solve refuses such a matrix rather than
+    # return a wrong basis (its message blames normality).
+    matrix, _, (pairing, flips) = _orthogonal_with_known_phases(seed, small=1e-6)
     with pytest.raises(ArithmeticError, match="not normal"):
-        _eigens(matrix)
+        _eigens(matrix, pairing, flips=flips)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_eigens_refuses_a_non_normal_matrix(seed):
+    # U + S E with E symmetric keeps S a time reversal, but is not normal
+    matrix, _, (pairing, flips) = _orthogonal_with_known_phases(seed)
+    bump = np.zeros_like(matrix)
+    bump[0, 1] = bump[1, 0] = 1e-6
+    matrix += _signed_matrix(pairing, flips) @ bump
+    with pytest.raises(ArithmeticError, match="not normal"):
+        _eigens(matrix, pairing, flips=flips)
 
 
 def test_block_eigens_refuses_complex_input():
-    matrix, _ = _orthogonal_with_known_phases(0)
+    matrix, _, (pairing, flips) = _orthogonal_with_known_phases(0)
     with pytest.raises(TypeError, match="real orthogonal"):
-        _eigens(matrix.astype(np.complex128))
+        _eigens(matrix.astype(np.complex128), pairing, flips=flips)
 
 
 @pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_block_eigens_real_matches_complex(spec):
     g = build_graph(spec)
-    matrix = dense_unitary(g, default_coin(g, marked=(1,))).matrix
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
 
-    real = _fold(_eigens(matrix)[0])
-    reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
+    real = _fold(_eigens(op.matrix, op.reflection, flips=op.flips)[0])  # S alone, without P
+    reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
     assert np.max(np.abs(real - reference)) < 1e-12
 
 
@@ -234,12 +284,12 @@ def test_split_eigensolve_matches_the_whole_one_and_schur(case):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert op.reflection is not None
-    split = _fold(_eigens(op.matrix, op.reflection)[0])
-    whole = _fold(_eigens(op.matrix)[0])
+    split = _fold(dense_eigens(op)[0])  # by P first where one vertex is marked
+    whole = _fold(_eigens(op.matrix, op.reflection, flips=op.flips)[0])  # S alone
     reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
     assert np.max(np.abs(split - whole)) < 1e-12
     assert np.max(np.abs(split - reference)) < 1e-12
-    _assert_orthonormal_eigensystem(op)  # dense_eigens takes the split route
+    _assert_orthonormal_eigensystem(op)
 
 
 @pytest.mark.parametrize("case", [c for c in SPLIT_CASES if c[0].shift != "moving"],
@@ -248,7 +298,7 @@ def test_split_principal_pair_matches_the_whole_route(case):
     spec, marked = case
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
-    whole = walklab.oracle.DenseOperator(op.matrix)
+    whole = walklab.oracle.DenseOperator(op.matrix, op.reflection, flips=op.flips)  # S alone
     vertex = marked[0] if marked else 0
     if not marked:  # the principal level is degenerate: its overlaps would depend on the basis
         for route in (op, whole):
@@ -267,9 +317,10 @@ def test_split_principal_pair_matches_the_whole_route(case):
 def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(spec, involutive):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
-    if not involutive:
-        assert op.reflection is None
+    if not involutive:  # its reflection is the signed C' T C' (see the time reversal tests)
+        assert op.reflection is not None and op.flips.any()
         return
+    assert not op.flips.any()
     perm = g.shift_permutation()
     assert np.array_equal(op.reflection, perm)
     assert np.array_equal(perm[perm], np.arange(op.dim))
@@ -288,6 +339,50 @@ def test_dense_operator_keeps_the_reversed_moving_shift_as_reflection(spec):
     assert np.array_equal(op.reflection, perm)
     assert np.array_equal(perm[perm], np.arange(op.dim))
     assert np.array_equal(op.matrix[perm][:, perm], op.matrix.T)  # S U S = U^T, exactly
+
+
+def _assert_time_reversal(op):
+    """The operator's signed reflection S is a time reversal of its matrix,
+    S U S = U^T exactly (signs included), and commutes with its symmetry P,
+    where it has one."""
+    assert op.reflection is not None
+    s, sign = op.reflection, np.where(op.flips, -1.0, 1.0)
+    assert np.array_equal(sign[:, None] * op.matrix[s][:, s] * sign, op.matrix.T)
+    if op.symmetry is not None:
+        p = op.symmetry
+        assert np.array_equal(s[p], p[s]) and np.array_equal(sign[p], sign)
+
+
+@pytest.mark.parametrize("marked", ["unmarked", "one", "pair"])
+@pytest.mark.parametrize("spec", arenas("moves", max_dim=walklab.oracle.DIMENSION_CAP),
+                         ids=GraphSpec.label)
+def test_every_dense_operator_has_a_time_reversal(spec, marked):
+    g = build_graph(spec)
+    vertices = {"unmarked": (), "one": (1,), "pair": (0, g.n - 1)}[marked]
+    _assert_time_reversal(dense_unitary(g, default_coin(g, marked=vertices)))
+
+
+# dirac marked sets of three at side 8: (1, 1), (3, 2), (5, 3) are symmetric
+# about (3, 2); (0, 0), (1, 0), (3, 0) have no centre
+DIRAC_TRIPLES = {"symmetric": (9, 19, 29), "asymmetric": (0, 1, 3)}
+
+
+def test_a_point_symmetric_dirac_triple_has_a_time_reversal():
+    g = build_graph(torus_spec(8, shift="dirac"))
+    op = dense_unitary(g, DIRAC_TRIPLES["symmetric"])
+    _assert_time_reversal(op)
+    phases, vectors = dense_eigens(op)
+    reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+    assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
+    _assert_eigensystem(op.matrix, phases, vectors)
+
+
+def test_an_asymmetric_dirac_triple_has_none_and_is_refused():
+    g = build_graph(torus_spec(8, shift="dirac"))
+    op = dense_unitary(g, DIRAC_TRIPLES["asymmetric"])
+    assert op.reflection is None and op.flips is None
+    with pytest.raises(ValueError, match="time reversal"):
+        dense_eigens(op)
 
 
 def _random_pairing(n, seed, pairs=None):
@@ -321,7 +416,7 @@ def test_split_eigensolve_with_fixed_points(n, pairs):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_eigens_refuses_a_reflection_it_does_not_commute_with(seed):
-    matrix, _ = _orthogonal_with_known_phases(seed)
+    matrix = _orthogonal_with_known_phases(seed)[0]
     with pytest.raises(ArithmeticError, match="does not commute"):
         _eigens(matrix, reflection=_random_pairing(len(matrix), seed + 10))
 
@@ -339,7 +434,7 @@ def test_split_eigensolve_refuses_a_non_normal_matrix(n, pairs):
 def _from_reflection_basis(pairing, inner):
     """R inner R^T, with R the eigenbasis of the involution `pairing`: first
     its +1 eigenvectors (e_p + e_q)/sqrt(2) and e_f, then its -1 ones
-    (e_p - e_q)/sqrt(2)."""
+    (e_p - e_q)/sqrt(2), each 2-cycle (p, q) in the order of p."""
     n = len(pairing)
     index = np.arange(n)
     p = np.flatnonzero(pairing > index)
@@ -373,40 +468,49 @@ def test_block_eigens_refuses_a_reflection_that_is_no_time_reversal(n, pairs, ki
         assert np.max(np.abs(sym[pairing][:, pairing] - sym)) < 1e-14
     with pytest.raises(ArithmeticError, match="time reversal"):
         _eigens(matrix, reflection=pairing)
-    phases, _ = _eigens(matrix)  # the whole route takes it
+    # another time reversal takes it: in S's eigenbasis, the diagonal D
+    # with -1 on the second coordinate of the rotation's plane, or off the
+    # reflection's; R D R^T is S's second 2-cycle (p, q) as e_p -> -e_q, or
+    # its last as e_p -> e_q, and the identity elsewhere
+    flipped = np.ones(n)
+    flipped[n - 1 if kind == "rotation-in-minus" else 1] = -1.0
+    other, flips = _signed_pairing(_from_reflection_basis(pairing, np.diag(flipped)))
+    phases, _ = _eigens(matrix, other, flips=flips)
     expected = [np.pi] if kind == "reflection-across" else [0.7, -0.7]
     expected = _fold(np.array([*expected, *[0.0] * (n - len(expected))]))
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
 
 
 def test_block_eigens_refuses_a_reflection_that_is_not_an_involution():
-    matrix, _ = _orthogonal_with_known_phases(0)
+    matrix = _orthogonal_with_known_phases(0)[0]
     with pytest.raises(ValueError, match="involutive"):
         _eigens(matrix, reflection=np.roll(np.arange(len(matrix)), 1))
 
 
 def test_block_eigens_with_the_identity_as_reflection():
-    # the identity splits nothing: the operator keeps None, and U is solved whole
-    matrix, expected = _orthogonal_with_known_phases(0)
-    phases, vectors = _eigens(matrix, reflection=np.arange(len(matrix)))
-    assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
-    _assert_eigensystem(matrix, phases, vectors)
+    # the identity splits nothing: the operator keeps None, and an operator
+    # without a time reversal is refused
+    matrix = _orthogonal_with_known_phases(0)[0]
+    op = walklab.oracle.DenseOperator(matrix, np.arange(len(matrix)))
+    assert op.reflection is None and op.flips is None
+    with pytest.raises(ValueError, match="time reversal"):
+        dense_eigens(op)
 
 
 @pytest.mark.parametrize("spec,marked", [
     *(pytest.param(spec, (0,), id=spec.label()) for spec in arenas("dense_cap")),
-    # no mirror: dirac has no reflection either, the 2D torus has one
+    # no mirror: split by the reflection alone
     pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
     pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
 ])
 def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
     float64s near the dimension cap (with numpy 2.4, split by the mirror and
-    then the reflection: 2.49 dim^2 at 2D L=16, 2.48 at the complete graph
-    N=32, 2.51 at the hypercube d=7 and 2.49 at moving L=16; by the mirror
-    alone 2.77 at dirac L=22; without a mirror, 3.33 at unmarked dirac L=22,
-    solved in place, and 2.98 at 2D L=16 with two marked vertices, split by
-    the reflection alone).  See traced_peak for what it counts."""
+    then the reflection: 2.49 dim^2 at 2D L=16, moving L=16 and dirac L=22,
+    2.48 at the complete graph N=32 and 2.51 at the hypercube d=7; by the
+    reflection alone, without a mirror, 3.01 at unmarked dirac L=22 and
+    2.98 at 2D L=16 with two marked vertices).  See traced_peak for what it
+    counts."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
@@ -455,13 +559,13 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     phases, vectors = dense_eigens(op)
-    plain, _ = _eigens(op.matrix, op.reflection)
+    plain, _ = _eigens(op.matrix, op.reflection, flips=op.flips)
     assert np.max(np.abs(_fold(phases) - _fold(plain))) < 1e-13
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)
     _assert_eigensystem(op.matrix, phases, vectors)
     if spec.shift == "moving":  # its smallest nonzero phase is degenerate: no principal pair
         return
-    unsplit = walklab.oracle.DenseOperator(op.matrix, op.reflection)
+    unsplit = walklab.oracle.DenseOperator(op.matrix, op.reflection, flips=op.flips)
     assert dense_principal_pair(op, g, 1) == pytest.approx(
         dense_principal_pair(unsplit, g, 1), rel=0, abs=1e-12)
 
@@ -487,28 +591,40 @@ def test_block_eigens_refuses_a_symmetry_it_does_not_commute_with():
 
 
 def test_block_eigens_refuses_a_symmetry_that_is_not_an_involution():
-    matrix, _ = _orthogonal_with_known_phases(0)
+    matrix = _orthogonal_with_known_phases(0)[0]
     with pytest.raises(ValueError, match="involutive"):
         _eigens(matrix, symmetry=np.roll(np.arange(len(matrix)), 1))
 
 
 @pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (15, 4)])
 def test_mirror_split_of_a_random_commuting_matrix(n, pairs):
-    # R diag(A, B) R^T, with R the eigenbasis of the pairing P, commutes with P
+    # R diag(A, B) R^T, with R the eigenbasis of the pairing P, commutes with
+    # P.  A = D_A C_A and B = D_B C_B, with C symmetric orthogonal and D a
+    # random diagonal of signs, have D as a time reversal, so S = R D R^T
+    # is one of the matrix; S is a signed permutation that commutes with P
+    # (a 2-cycle of P where D's two signs on it differ, else two fixed points)
     pairing = _random_pairing(n, n + pairs, pairs)
     rng = np.random.default_rng(n)
+    signs = rng.choice([-1.0, 1.0], size=n)
     inner = np.zeros((n, n))
-    inner[:n - pairs, :n - pairs] = np.linalg.qr(rng.normal(size=(n - pairs, n - pairs)))[0]
-    inner[n - pairs:, n - pairs:] = np.linalg.qr(rng.normal(size=(pairs, pairs)))[0]
+    for lo, hi in ((0, n - pairs), (n - pairs, n)):
+        q = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))[0]
+        symmetric = (q * np.where(np.arange(hi - lo) % 3, 1.0, -1.0)) @ q.T
+        inner[lo:hi, lo:hi] = signs[lo:hi, None] * symmetric
     matrix = _from_reflection_basis(pairing, inner)
-    phases, vectors = _eigens(matrix, symmetry=pairing)
+    reflection, flips = _signed_pairing(_from_reflection_basis(pairing, np.diag(signs)))
+    phases, vectors = _eigens(matrix, reflection, pairing, flips)
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
-    # a perturbation that commutes with P too leaves a matrix that is not normal
-    bump = rng.normal(scale=1e-6, size=(n, n))
+    # a perturbation R D diag(E_A, E_B) R^T, E symmetric, commutes with P and
+    # keeps S a time reversal, but leaves a matrix that is not normal
+    bump = np.zeros((n, n))
+    for lo, hi in ((0, n - pairs), (n - pairs, n)):
+        e = rng.normal(scale=1e-6, size=(hi - lo, hi - lo))
+        bump[lo:hi, lo:hi] = signs[lo:hi, None] * (e + e.T)
     with pytest.raises(ArithmeticError, match="not normal"):
-        _eigens(matrix + bump + bump[pairing][:, pairing], symmetry=pairing)
+        _eigens(matrix + _from_reflection_basis(pairing, bump), reflection, pairing, flips)
 
 
 def _commuting_pairings(seed, quads, p_pairs, s_pairs, shared, fixed):
@@ -570,6 +686,31 @@ def test_dense_operator_checks_its_symmetries_when_built():
         walklab.oracle.DenseOperator(op.matrix, op.reflection, _random_pairing(op.dim, 3))
     with pytest.raises(TypeError, match="real orthogonal"):
         walklab.oracle.DenseOperator(op.matrix.astype(np.complex128))
+
+
+def test_dense_operator_checks_its_flips_when_built():
+    g = build_graph(torus_spec(4, shift="dirac"))
+    op = dense_unitary(g, (1,))
+    s, p, flips = op.reflection, op.symmetry, op.flips
+    DenseOperator = walklab.oracle.DenseOperator
+    assert not DenseOperator(op.matrix, s).flips.any()  # unsigned unless given
+    identity = np.arange(op.dim)
+    signed = DenseOperator(op.matrix, identity, flips=identity % 2 == 1)
+    assert np.array_equal(signed.reflection, identity)  # a signed identity splits
+    one = np.flatnonzero(s != identity)[0]
+    for bad, message in ((flips[:-1], "one flag per index"),
+                         (np.where(identity == one, ~flips, flips), "each of its 2-cycles")):
+        with pytest.raises(ValueError, match=message):
+            DenseOperator(op.matrix, s, flips=bad)
+    with pytest.raises(ValueError, match="there is none"):
+        DenseOperator(op.matrix, flips=flips)
+    # flips that agree on S's 2-cycles but not under P: flip one 2-cycle of S
+    # whose rows P moves off it
+    moved = flips.copy()
+    orbit = np.flatnonzero((p != identity) & (s != identity) & (s != p))[0]
+    moved[[orbit, s[orbit]]] = ~moved[[orbit, s[orbit]]]
+    with pytest.raises(ValueError, match="must commute"):
+        DenseOperator(op.matrix, s, p, moved)
 
 
 @pytest.mark.parametrize("marked", [(), (0, 5)], ids=["unmarked", "two-marked"])

@@ -306,3 +306,35 @@ def test_the_integer_rule_check_sees_a_copy():
     # a conversion to bool and a bool annotation test no value
     assert _integer_rule_copies("def f(v) -> bool:\n    return isinstance(v, int) and bool(v)\n") \
         == set()
+
+
+# numpy's and scipy's dense eigensolvers
+_EIGENSOLVERS = frozenset({"eigh", "eigvalsh", "eig", "eigvals"})
+
+
+def _eigensolver_callers(source):
+    """The functions in `source` that call an eigensolver, as `np.linalg.eigh`
+    or by a name imported from linalg."""
+    return {func.name for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) in _EIGENSOLVERS
+                    for node in ast.walk(func))}
+
+
+def test_one_function_calls_an_eigensolver():
+    # dense_eigens has one solve route, the half-size eighs of
+    # oracle._symmetric_eigh in a time reversal's eigenbasis; a second
+    # caller would be a second route
+    callers = {(path.stem, name) for path in MODULES
+               for name in _eigensolver_callers(path.read_text(encoding="utf-8"))}
+    assert callers == {("oracle", "_symmetric_eigh")}
+
+
+def test_the_eigensolver_check_sees_a_second_caller():
+    source = ("import numpy as np\nfrom numpy.linalg import eigh\n\n\n"
+              "def _symmetric_eigh(m):\n    return np.linalg.eigh(m + m.T)\n\n\n"
+              "def _level_eigens(b):\n    return eigh(-1j * b)\n\n\n"
+              "def _phases(m):\n    return np.linalg.eigvals(m)\n\n\n"
+              "def _norms(m):\n    return np.linalg.norm(m), m.eighth\n")
+    assert _eigensolver_callers(source) == {"_symmetric_eigh", "_level_eigens", "_phases"}
