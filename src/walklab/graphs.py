@@ -170,22 +170,22 @@ class Graph:
 
     def marked_set(self, vertices=()) -> tuple[int, ...]:
         """`vertices` as the walk's marked set: distinct vertices, each
-        passing `_vertex` (the CLI checks a vertex index here too).  Anything
-        else, a bool, a float or a string included, raises
+        passing `_vertices` (the CLI checks a vertex index here too).
+        Anything else, a bool, a float or a string included, raises
         ConfigurationError."""
-        marked = _integers(vertices, "marked vertices")
+        marked = self._vertices(vertices, "marked vertices")
         if len(set(marked)) != len(marked):
             raise ConfigurationError("marked vertices must be distinct")
-        return tuple(self._vertex(v, "marked vertex") for v in marked)
+        return marked
 
-    def _vertex(self, vertex, name: str = "vertex") -> int:
-        """`vertex` as an int if it `is_integer` and lies in range(N), else
-        ConfigurationError: the one check of a vertex index."""
-        if not is_integer(vertex):
-            raise ConfigurationError(f"{name} must be an integer, got {vertex!r}")
-        if not 0 <= vertex < self.n:
-            raise ConfigurationError(f"{name} {vertex} out of range for N={self.n}")
-        return operator.index(vertex)
+    def _vertices(self, values, name: str) -> tuple[int, ...]:
+        """`values` as a tuple of ints if each is an integer (_integers) in
+        range(N), else ConfigurationError: the one check of vertex indices."""
+        vertices = _integers(values, name)
+        for vertex in vertices:
+            if not 0 <= vertex < self.n:
+                raise ConfigurationError(f"vertex {vertex} out of range for N={self.n}")
+        return vertices
 
     # -- adjacency -----------------------------------------------------
 
@@ -197,7 +197,7 @@ class Graph:
         step composes its half-moves, roles 0/1 and then 2/3, so it lands on
         the diagonal sites.
         """
-        vertex = self._vertex(vertex)
+        (vertex,) = self._vertices((vertex,), "vertices")
         targets = self.shift_targets([vertex])[:, 0]
         if self.spec.shift == "dirac":
             targets = self.shift_targets(targets[:2])[2:]
@@ -213,7 +213,7 @@ class Graph:
         hypercube   x -> w ^ pi(x ^ w), pi swapping the bit pairs (0 1)(2 3)...
         complete    the other vertices paired up in index order
         """
-        vertex = self._vertex(vertex)
+        (vertex,) = self._vertices((vertex,), "vertices")
         family = self.spec.family
         if family == "torus":
             coords = self.coordinates()

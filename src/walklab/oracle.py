@@ -22,7 +22,8 @@ T of each coin row between two copies of the marking C' (dense_unitary).
 In S's eigenbasis U' + U'^T is two half-size blocks and U' - U'^T only
 maps each half into the other, so each eigenvector of the +1 half and
 its image there make a pair of eigenvectors of U', with no further
-solve.  An operator without a time reversal is refused.  Every
+eigensolve (near theta = 0 or pi, the singular vectors of a small cross
+block re-pair them).  An operator without a time reversal is refused.  Every
 eigenvector is lifted back through the two stages in turn.  The oracle
 imports nothing from the engine: `graphs` checks the marked set
 (Graph.marked_set).
@@ -42,6 +43,9 @@ DIMENSION_CAP = 1024
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # an eigenvector that the skew part maps to within this of zero has theta = 0 or pi
 _SKEW_ZERO = 1e-12
+# eigh mixes an eigenvector at theta = 0 or pi with one whose image under the
+# skew part is shorter than this (|sin theta| < 0.05) by more than _SKEW_ZERO
+_NEAR_STILL = 0.1
 # how far the skew part may map an eigenvector off its pair, or P U P and
 # S U S may stray from U and U^T, before the check raises
 _INVARIANCE_TOL = 1e-10
@@ -386,7 +390,7 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     first m indices.  `rotated` (V, which must be contiguous) is
     overwritten, and `spare` (as large) is scratch.
 
-    The -1 half has size r = n - m.  The time reversal D V D = V^T
+    The -1 half has size r = n - m (V is n x n).  The time reversal D V D = V^T
     (D = diag(I_m, -I_r)) says that V++ and V-- are symmetric and
     V+- = -V-+^T: this is checked.  The symmetric part is then the two
     halves 2 V++ and 2 V--, one eigh each, and the skew part only crosses
@@ -399,13 +403,13 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     have as many such turning columns (each checked, else ArithmeticError).
     The x with y = 0, and the eigenvectors of 2 V-- that A maps to zero,
     lie at 2 cos theta = +-2: they are real eigenvectors at theta = 0 or
-    pi.  One Newton-Schulz step, Y <- Y (3/2 I - Y^T Y / 2), over the
+    pi.  Near +-2, where eigh mixes them with turning columns of a small
+    theta, _pair_near_still first parts and pairs the two halves' columns
+    again.  One Newton-Schulz step, Y <- Y (3/2 I - Y^T Y / 2), over the
     y/|y| and those -1 half columns keeps them orthonormal to rounding.
     """
-    n = rotated.shape[0]
-    r = n - m
-    pp, mm = rotated[:m, :m], rotated[m:, m:]
-    pm, mp = rotated[:m, m:], rotated[m:, :m]
+    r = rotated.shape[0] - m
+    pp, mm, pm, mp = rotated[:m, :m], rotated[m:, m:], rotated[:m, m:], rotated[m:, :m]
     plus, minus, cross = _carve(spare, (m, m), (r, r), (m, r))
     plus_eigs, plus_vecs = _symmetric_eigh(pp, plus)  # eigh copies its input
     minus_eigs, minus_vecs = _symmetric_eigh(mm, minus)
@@ -423,6 +427,7 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     ys, zs, q = _carve(rotated, (m, r), (r, m), (r, r))
     np.matmul(plus_vecs.T, cross, out=ys)
     np.matmul(minus_vecs.T, cross.T, out=zs)
+    _pair_near_still((plus_eigs, plus_vecs.T, ys), (minus_eigs, minus_vecs.T, zs))
     lengths = np.sqrt(np.einsum("ij,ij->i", ys, ys))
     turning = lengths > _SKEW_ZERO
     still = np.einsum("ij,ij->i", zs, zs) <= _SKEW_ZERO ** 2
@@ -448,6 +453,33 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     fixed = np.concatenate([plus_eigs[~turning], minus_eigs[still]])
     return (np.concatenate([theta, -theta, np.where(fixed > 0, 0.0, np.pi)]),
             _reversal_batches(plus_vecs, gram @ q, turning))
+
+
+def _pair_near_still(plus: tuple, minus: tuple) -> None:
+    """Re-pair, in place, the eigenvectors of both halves near 2 cos theta =
+    2, and those near -2, whose images are neither zero nor past
+    _NEAR_STILL.  `plus` is (eigenvalues, eigenvectors x as rows, images
+    A^T x as rows) of the +1 half and `minus` the same for the -1 half's
+    z and A z.  eigh resolves 2 cos theta = 2 - theta^2 from 2 only to
+    about eps/theta^2, so it may return mixtures of still vectors and a
+    turning pair with a small theta, and y/|y| from so short an image
+    loses the digits that its length lost.  The singular value
+    decomposition B = W diag(sigma) K^T of the cross block B = X A Z^T
+    between the two groups parts them: x' = W^T x and z' = K^T z have
+    A^T x' = sigma z' and A z' = sigma x'.  Each group's vectors and
+    images turn alike, the images A^T x' are then set to exactly sigma z',
+    and each x' takes its Rayleigh quotient as its eigenvalue."""
+    (plus_eigs, xs, ys), (minus_eigs, zs, azs) = plus, minus
+    near_x, near_z = ((a > _SKEW_ZERO ** 2) & (a <= _NEAR_STILL ** 2)
+                      for a in (np.einsum("ij,ij->i", v, v) for v in (ys, azs)))
+    for i, j in ((np.flatnonzero(near_x & (plus_eigs * sign > 0)),
+                  np.flatnonzero(near_z & (minus_eigs * sign > 0))) for sign in (1, -1)):
+        # x . A z; an empty group gets no turn, and the other one the identity
+        turn_x, sines, turn_z = np.linalg.svd(ys[i] @ zs[j].T)
+        xs[i], ys[i] = turn_x.T @ xs[i], turn_x.T @ ys[i]
+        zs[j], azs[j] = turn_z @ zs[j], turn_z @ azs[j]
+        plus_eigs[i] = np.square(turn_x).T @ plus_eigs[i]
+        ys[i[:sines.size]] = sines[:, None] * zs[j[:sines.size]]
 
 
 def _reversal_batches(plus_vecs: np.ndarray, q: np.ndarray, turning: np.ndarray) -> Iterator:

@@ -179,7 +179,7 @@ def _fold(phases):
     return np.sort(np.where(phases < -np.pi + 1e-9, phases + 2 * np.pi, phases))
 
 
-def _orthogonal_with_known_phases(seed, small=1e-2):
+def _orthogonal_with_known_phases(seed, small=1e-6):
     """A dense orthogonal U with the eigenphases of a block-diagonal D of
     rotations (by `small` and pi - `small` among them) and +-1 singletons,
     and a seeded random signed involution S (10 2-cycles and 3 fixed
@@ -218,16 +218,16 @@ def test_block_eigens_recovers_known_phases(seed):
     _assert_eigensystem(matrix, phases, vectors)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_block_eigens_refuses_a_phase_within_a_microradian_of_a_still_one(seed):
-    # A known limit of the solve: eigh resolves 2 cos(theta) = 2 - theta^2
-    # from the still vectors at 2 only to about eps/theta^2, so at
-    # theta = 1e-6 it mixes them, and the skew part then turns too many
-    # columns of the +1 half.  The solve refuses such a matrix rather than
-    # return a wrong basis (its message blames normality).
-    matrix, _, (pairing, flips) = _orthogonal_with_known_phases(seed, small=1e-6)
-    with pytest.raises(ArithmeticError, match="not normal"):
-        _eigens(matrix, pairing, flips=flips)
+@pytest.mark.parametrize("small", [1e-10, 1e-8, 1e-4, 1e-3, 0.03, 0.05, 0.07])
+@pytest.mark.parametrize("seed", range(6))
+def test_block_eigens_parts_small_phases_from_still_ones(seed, small):
+    # eigh resolves 2 cos(theta) = 2 - theta^2 from the still vectors at 2
+    # only to about eps/theta^2 and mixes them; the cross block's singular
+    # vectors part them again, on both sides of _NEAR_STILL (|sin| = 0.05)
+    matrix, expected, (pairing, flips) = _orthogonal_with_known_phases(seed, small)
+    phases, vectors = _eigens(matrix, pairing, flips=flips)
+    assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
+    _assert_eigensystem(matrix, phases, vectors)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -255,6 +255,17 @@ def test_block_eigens_real_matches_complex(spec):
     real = _fold(_eigens(op.matrix, op.reflection, flips=op.flips)[0])  # S alone, without P
     reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
     assert np.max(np.abs(real - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("marked", [(), (1,)], ids=["unmarked", "marked"])
+@pytest.mark.parametrize("side", range(2, 23))
+def test_dirac_phases_match_schur(side, marked):
+    # every dirac side up to the cap, solved through its signed time reversal
+    # (and the mirror, with one marked vertex), against the complex Schur form
+    op = dense_unitary(build_graph(torus_spec(side, shift="dirac")), marked)
+    phases = _fold(dense_eigens(op)[0])
+    reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+    assert np.max(np.abs(phases - reference)) < 1e-12
 
 
 # (arena, marked set) whose dense operator has a reflection, so dense_eigens
