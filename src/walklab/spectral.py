@@ -218,23 +218,14 @@ def moving_shift_stationary_overlap(spec: GraphSpec) -> float:
     n = spec.n_vertices
 
     length = spec.dims[0]
-    w = np.exp(2j * _PI / length) ** np.arange(length)  # omega^k
-    ck, sk = w.real[:, None], w.imag[:, None]  # w^k = ck + i sk, k along axis 0
-    cl, sl = w.real[None, :], w.imag[None, :]  # w^l = cl + i sl, l along axis 1
-    pk, pl = 1 + ck, 1 + cl  # real parts of 1 + w^k and 1 + w^l
-    # complex products spelled out as (ac - bd) + i(ad + bc): numpy rounds a
-    # complex scalar product so, while its complex array loops fuse the terms
-    a_re, a_im = ck * pl - sk * sl, ck * sl + sk * pl  # w^k (1+w^l)
-    b_re, b_im = cl * pk - sl * sk, cl * sk + sl * pk  # w^l (1+w^k)
-    # |u1|^2 added per part in the pairs (0, 2), (1, 3), as the dot product
-    # inside np.linalg.norm adds one 4-vector
-    nrm = np.sqrt(((a_re ** 2 + b_re ** 2) + (pl ** 2 + pk ** 2))
-                  + ((a_im ** 2 + b_im ** 2) + (sl ** 2 + sk ** 2)))
-    # <s|u1> = (1+w^k)(1+w^l) for s = (1,1,1,1)/2, and |<v|chi_k chi_l>| = 1/sqrt(N);
-    # np.hypot rounds as abs() of a complex scalar does, np.abs of an array does not
-    s_proj = np.hypot(pk * pl - sk * sl, pk * sl + sk * pl)
-    # a degenerate mode's 1-eigenvectors are orthogonal to |s>
-    total = _sum_in_order(((s_proj / nrm) ** 2 / n)[nrm >= 1e-12])
+    # per mode: <s|u1> = (1+w^k)(1+w^l) for s = (1,1,1,1)/2, |1+w^k|^2 = 4a and
+    # |u1|^2 = 8(a+b), with a = cos^2(pi k/L) and b = cos^2(pi l/L), so that
+    # |<s|u1>|^2/|u1|^2 is their harmonic mean 2ab/(a+b); |<v|chi_k chi_l>| = 1/sqrt(N)
+    a = np.cos(_PI * np.arange(length) / length)[:, None] ** 2
+    b = a.T
+    # a degenerate mode's 1-eigenvectors are orthogonal to |s> (k = l = L/2,
+    # where a and b are 0 but for rounding, about 4e-33)
+    total = _sum_in_order((2.0 / (1.0 / a + 1.0 / b) / n)[8.0 * (a + b) >= 1e-24])
     alpha00_sq = 1.0 / n
     overlap_sq = float(1.0 - alpha00_sq / total)
     if overlap_sq < 1.0 - 16.0 / n:

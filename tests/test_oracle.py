@@ -210,20 +210,15 @@ def _orthogonal_with_known_phases(seed, small=1e-6):
     return q @ d @ q.T, _fold(np.array(phases)), (pairing, flips)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_block_eigens_recovers_known_phases(seed):
-    matrix, expected, (pairing, flips) = _orthogonal_with_known_phases(seed)
-    phases, vectors = _eigens(matrix, pairing, flips=flips)
-    assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
-    _assert_eigensystem(matrix, phases, vectors)
-
-
-@pytest.mark.parametrize("small", [1e-10, 1e-8, 1e-4, 1e-3, 0.03, 0.05, 0.07])
-@pytest.mark.parametrize("seed", range(6))
-def test_block_eigens_parts_small_phases_from_still_ones(seed, small):
+@pytest.mark.parametrize("seed,small", [
+    *(pytest.param(seed, 1e-6, id=str(seed)) for seed in (0, 1, 2)),
     # eigh resolves 2 cos(theta) = 2 - theta^2 from the still vectors at 2
     # only to about eps/theta^2 and mixes them; the cross block's singular
     # vectors part them again, on both sides of _NEAR_STILL (|sin| = 0.05)
+    *(pytest.param(seed, small, id=f"{seed}-{small:g}")
+      for small in (1e-10, 1e-8, 1e-4, 1e-3, 0.03, 0.05, 0.07) for seed in range(6)),
+])
+def test_block_eigens_recovers_known_phases(seed, small):
     matrix, expected, (pairing, flips) = _orthogonal_with_known_phases(seed, small)
     phases, vectors = _eigens(matrix, pairing, flips=flips)
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
