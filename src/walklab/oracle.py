@@ -43,8 +43,9 @@ DIMENSION_CAP = 1024
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # an eigenvector that the skew part maps to within this of zero has theta = 0 or pi
 _SKEW_ZERO = 1e-12
-# eigh mixes an eigenvector at theta = 0 or pi with one whose image under the
-# skew part is shorter than this (|sin theta| < 0.05) by more than _SKEW_ZERO
+# below this image length under the skew part (|sin theta| < 0.05), eigh may mix
+# a turning eigenvector into the still ones at theta = 0 or pi enough to give
+# them images past _SKEW_ZERO (_pair_near_still)
 _NEAR_STILL = 0.1
 # how far the skew part may map an eigenvector off its pair, or P U P and
 # S U S may stray from U and U^T, before the check raises
@@ -474,7 +475,7 @@ def _pair_near_still(plus: tuple, minus: tuple) -> None:
                       for a in (np.einsum("ij,ij->i", v, v) for v in (ys, azs)))
     for i, j in ((np.flatnonzero(near_x & (plus_eigs * sign > 0)),
                   np.flatnonzero(near_z & (minus_eigs * sign > 0))) for sign in (1, -1)):
-        # x . A z; an empty group gets no turn, and the other one the identity
+        # x . A z; with one group empty, the other turns by the identity
         turn_x, sines, turn_z = np.linalg.svd(ys[i] @ zs[j].T)
         xs[i], ys[i] = turn_x.T @ xs[i], turn_x.T @ ys[i]
         zs[j], azs[j] = turn_z @ zs[j], turn_z @ azs[j]
