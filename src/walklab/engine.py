@@ -452,12 +452,3 @@ def _owed_index(state: WalkState, vertices) -> tuple[np.ndarray, np.ndarray]:
     if graph.coin_dim * vertices.size <= graph.n:
         state._index = key, index
     return index
-
-
-def closed_neighborhood(graph: Graph, vertices) -> np.ndarray:
-    """Sorted union of `vertices` and all their neighbors."""
-    out = set()
-    for v in vertices:
-        out.add(int(v))
-        out.update(graph.neighbors(int(v)).tolist())  # np.unique would import numpy.ma
-    return np.array(sorted(out), dtype=np.int64)

@@ -189,21 +189,27 @@ class Graph:
 
     # -- adjacency -----------------------------------------------------
 
-    def neighbors(self, vertex: int) -> np.ndarray:
-        """Vertices reachable from `vertex` in one walk step, sorted.
+    def closed_neighborhood(self, vertices) -> np.ndarray:
+        """`vertices` and every vertex one walk step reaches from them, sorted.
 
-        Read off `shift_targets`: every direction's target, less `vertex`
-        itself (the complete graph's self-loop).  The two-dimensional coin's
-        step composes its half-moves, roles 0/1 and then 2/3, so it lands on
-        the diagonal sites.
+        Read off one `shift_targets` call: every direction's target at each
+        vertex.  The two-dimensional coin's step composes its half-moves,
+        roles 0/1 and then 2/3, so it lands on the diagonal sites.
         """
-        (vertex,) = self._vertices((vertex,), "vertices")
-        targets = self.shift_targets([vertex])[:, 0]
+        vertices = self._vertices(vertices, "vertices")
+        targets = self.shift_targets(vertices)
         if self.spec.shift == "dirac":
-            targets = self.shift_targets(targets[:2])[2:]
+            targets = self.shift_targets(targets[:2].ravel())[2:]
         out = set(targets.ravel().tolist())  # np.unique would import numpy.ma
-        out.discard(vertex)
+        out.update(vertices)
         return np.array(sorted(out), dtype=np.int64)
+
+    def neighbors(self, vertex: int) -> np.ndarray:
+        """Vertices reachable from `vertex` in one walk step, sorted: its
+        closed neighborhood less `vertex` itself (the complete graph's
+        self-loop)."""
+        around = self.closed_neighborhood((vertex,))
+        return around[around != vertex]
 
     def mirror(self, vertex: int) -> np.ndarray:
         """An involutive automorphism g of the arena that fixes `vertex`, as

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (WalkState, closed_neighborhood, flip_marked_vertices, reflect_about,
-                     squared_norm, step, uniform_state, vertex_probabilities)
+from .engine import (WalkState, flip_marked_vertices, reflect_about, squared_norm, step,
+                     uniform_state, vertex_probabilities)
 from .graphs import ConfigurationError, Graph, GraphSpec, build_graph, is_integer
 from .search import PredictionReport, predict
 from .spectral import NoSearchStructure
@@ -76,7 +76,7 @@ class _Watch:
 
     def __init__(self, graph: Graph, marked: tuple[int, ...], t_max: int):
         self.watch = np.array(marked or (0,), dtype=np.int64)
-        self.support = closed_neighborhood(graph, self.watch)
+        self.support = graph.closed_neighborhood(self.watch)
         # a neighborhood of every vertex (the complete graph) holds the total
         # probability, which the norm gives without gathering every column
         self.everything = len(self.support) == graph.n

@@ -29,7 +29,6 @@ from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build
                      complete_spec, default_coin, dense_eigens, dense_unitary, grover_coin,
                      hypercube_spec, sin2_half_theta, step, torus_modes, torus_spec,
                      uniform_state, vertex_probabilities)
-from walklab.engine import closed_neighborhood
 
 _PHASE_TOL = 1e-9  # eigenphases this close to 0 belong to the +1 eigenspace
 _LEVEL_GAP = 2e-9  # eigenphases this close to one another form one degenerate level
@@ -342,7 +341,7 @@ def load_state(graph, path) -> WalkState:
 
 def neighborhood_probability(state: WalkState, vertices) -> float:
     """Combined probability of the union of {v} and its neighbors over vertices."""
-    support = closed_neighborhood(state.graph, vertices)
+    support = state.graph.closed_neighborhood(vertices)
     return float(vertex_probabilities(state, support).sum())
 
 

@@ -202,6 +202,20 @@ def test_invalid_configuration_exit_code(capsys):
     assert "2D torus" in capsys.readouterr().err
 
 
+def test_zero_torus_dimensions_exit_code(capsys):
+    assert run_cli(["predict", "--side", "4", "--dims", "0"]) == 2
+    assert "dims must be positive integers" in capsys.readouterr().err
+
+
+def test_out_of_memory_in_a_handler_exit_code(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr("walklab.cli.cmd_spectrum", exhausted)
+    assert run_cli(["spectrum", "--side", "4"]) == 2
+    assert "out of memory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("degree", [110, 500, 1022])
 def test_predict_reaches_large_hypercubes(tmp_path, degree):
     out = tmp_path / "predict.json"

@@ -34,6 +34,12 @@ def test_uniform_state_values():
     assert abs(st_.norm() - 1) < 1e-15
 
 
+def test_state_of_the_wrong_shape_rejected():
+    g = build_graph(torus_spec(4))
+    with pytest.raises(ValueError, match=r"amplitude array must have shape \(4, 16\)"):
+        WalkState(g, np.zeros((3, g.n)))
+
+
 @pytest.mark.parametrize("spec", arenas("small"))
 def test_uniform_state_is_fixed_point(spec):
     g = build_graph(spec)

@@ -50,6 +50,13 @@ def test_invalid_specs_rejected(bad):
         GraphSpec(**bad)
 
 
+def test_zero_dimensions_rejected():
+    with pytest.raises(ConfigurationError, match="dims must be positive integers"):
+        torus_spec(4, 0)
+    with pytest.raises(ConfigurationError, match="dims must be positive integers"):
+        GraphSpec("hypercube", (0,))
+
+
 def test_flip_flop_wraps_and_reverses():
     g = build_graph(torus_spec(4))
     v = g.vertex_index((3, 0))
@@ -171,6 +178,22 @@ def test_side_two_torus_deduplicates_neighbors():
     g = build_graph(torus_spec(2))
     # +x and -x wrap to the same vertex on side 2
     assert list(g.neighbors(0)) == [1, 2]
+
+
+@pytest.mark.parametrize("spec", dict.fromkeys(arenas("edge") + arenas("small")),
+                         ids=GraphSpec.label)
+def test_closed_neighborhood_is_the_union_of_single_steps(spec):
+    # one shift_targets call for a vertex set reaches what each vertex's
+    # own step reaches (dict.fromkeys drops the arenas both sets hold)
+    g = build_graph(spec)
+    for vertices in [(0,), (0, g.n - 1), tuple(range(0, g.n, 3))]:
+        union = set(vertices).union(*(g.neighbors(v).tolist() for v in vertices))
+        around = g.closed_neighborhood(vertices)
+        assert around.dtype == np.int64
+        assert around.tolist() == sorted(union)
+    for value in (True, 1.0, g.n):
+        with pytest.raises(ConfigurationError, match=re.escape(str(value))):
+            g.closed_neighborhood((value,))
 
 
 def test_arena_too_large_for_one_array_rejected():

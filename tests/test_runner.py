@@ -208,6 +208,11 @@ def test_amplify_flags_overshoot():
     assert result.overshoot
 
 
+def test_amplify_rejects_an_empty_marked_set():
+    with pytest.raises(ConfigurationError, match="amplification needs a marked set"):
+        amplify(build_graph(torus_spec(4)), (), 5, 1)
+
+
 # -- two marked -------------------------------------------------------------
 
 
@@ -224,6 +229,11 @@ def test_two_marked_symmetry_and_reduction(side):
 def test_two_marked_rejects_same_vertex():
     with pytest.raises(ConfigurationError):
         run_two_marked(torus_spec(8), 3, 3, 10)
+
+
+def test_two_marked_rejects_other_shifts():
+    with pytest.raises(ConfigurationError, match="two-marked analysis runs on flip-flop tori"):
+        run_two_marked(torus_spec(4, shift="moving"), 0, 5, 3)
 
 
 # -- sweeps -------------------------------------------------------------------

@@ -148,6 +148,11 @@ def test_empty_spectrum_rejected():
         ModeSpectrum(a0_sq=0.5, entries=levels((0.1, 0.01, 1)), n_vertices=4, family="torus")
 
 
+def test_spectrum_with_a_still_first_level_rejected():
+    with pytest.raises(ConfigurationError, match="theta_min must be positive"):
+        ModeSpectrum(a0_sq=0.5, entries=levels((0.0, 0.25, 1)), n_vertices=4, family="torus")
+
+
 def test_principal_vector_orthogonal_to_good_state():
     ms = mode_spectrum(torus_spec(4))
     alpha = solve_alpha(ms)

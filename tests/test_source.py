@@ -338,3 +338,28 @@ def test_the_eigensolver_check_sees_a_second_caller():
               "def _phases(m):\n    return np.linalg.eigvals(m)\n\n\n"
               "def _norms(m):\n    return np.linalg.norm(m), m.eighth\n")
     assert _eigensolver_callers(source) == {"_symmetric_eigh", "_level_eigens", "_phases"}
+
+
+def _neighborhood_builders(source):
+    """The functions and methods that `source` defines with "neighbo" in
+    their name."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "neighbo" in node.name.lower()}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graphs.py"],
+                         ids=lambda path: path.stem)
+def test_only_graphs_builds_a_neighborhood(path):
+    # Graph.closed_neighborhood reads a vertex set's reach off the shift
+    # table and Graph.neighbors filters it; a second builder would drift
+    builders = sorted(_neighborhood_builders(path.read_text(encoding="utf-8")))
+    assert not builders, f"{path.name} builds neighborhoods of its own: {builders}"
+
+
+def test_the_neighborhood_check_sees_a_second_builder():
+    source = ("class Graph:\n    def neighbours(self, v):\n        pass\n\n\n"
+              "def closed_neighborhood(graph, vertices):\n    return graph.neighbors(0)\n\n\n"
+              "def _support(graph):\n    neighborhood = graph.closed_neighborhood((0,))\n"
+              "    return neighborhood\n")
+    assert _neighborhood_builders(source) == {"neighbours", "closed_neighborhood"}

@@ -248,6 +248,17 @@ def test_stationary_overlap_grows_toward_one():
         assert v >= 1 - 16 / side ** 2
 
 
+def test_stationary_overlap_rejects_other_walks():
+    with pytest.raises(ConfigurationError,
+                       match="stationary overlap analysis is for the 2D moving shift"):
+        moving_shift_stationary_overlap(torus_spec(8))
+
+
+def test_no_closed_form_for_the_swap():
+    with pytest.raises(ConfigurationError, match="no closed form for shift 'swap'"):
+        sin2_half_theta(complete_spec(8), [[1]])
+
+
 def test_moving_walk_stays_under_its_stationary_bound():
     # the part of the uniform start in U''s +1 eigenspace never moves, so
     # sqrt(p_marked(t)) <= 1/sqrt(N) + 2 sqrt(1 - ov^2) at every t
