@@ -8,8 +8,9 @@ the same code, and with zero imaginary parts steps to the same bits.  One
 step costs O(coin_dim * N) and allocates no state-sized array.  The Grover
 coin works in place from one column sum per vertex.
 
-The flip-flop shift S|c, v> = |label(c), target_c(v)> (label c^1 on
-tori, the reversed direction; c on the hypercube; see
+The flip-flop shift S|c, v> = |label(c), target_c(v)> (on tori the
+label is the reversed direction, the move that undoes c's as
+`Graph.reverse_moves` says; c on the hypercube; see
 `Graph.shift_labels`) is an involution, S^2 = I, so a state takes it
 without moving its amplitudes: `apply_shift` marks the shift owed, and
 the array P then holds psi = S P, psi[c, w] = P[label(c), target_c(w)].
@@ -22,9 +23,10 @@ through the shift and `squared_norm` sums the array in whatever order it
 stands.
 
 Every permutation shift that moves amplitudes, the moving shift each
-step and a flip-flop shift when it is paid, is one row permutation
-(`_move_rows`): row c becomes row sources[c] read through a move, a row
-pair trading places through a scratch row.  `_through` reads a row
+step and a flip-flop shift when it is paid, is paid by `_pay_shift`:
+row label(c) becomes row c read through the move that undoes c's
+(`Graph.reverse_moves`), one row permutation (`_move_rows`) in which a
+row pair trades places through a scratch row.  `_through` reads a row
 through a move: a hypercube row through a strided view with its bit
 flipped (`_runs`), so the owed coin copies nothing, and a torus row by
 its plan (`_build_plans`), built from `Graph.shift_targets` at the first
@@ -65,7 +67,7 @@ class WalkState:
     state's own (a copy of the input): float64 for real input, complex128
     for complex input."""
 
-    __slots__ = ("graph", "_amps", "_owed", "_rows", "_plans", "_index")
+    __slots__ = ("graph", "_amps", "_owed", "_rows", "_plans", "_index", "_row_map")
 
     def __init__(self, graph: Graph, amps: np.ndarray):
         if amps.shape != (graph.coin_dim, graph.n):
@@ -76,12 +78,13 @@ class WalkState:
         self._rows = None
         self._plans = None
         self._index = None
+        self._row_map = None
 
     @property
     def amps(self) -> np.ndarray:
         """The amplitudes, after the state pays a shift it owes."""
         if self._owed:
-            _settle(self)
+            _pay_shift(self)
         return self._amps
 
     @amps.setter
@@ -116,6 +119,16 @@ class WalkState:
         if self._plans is None:
             self._plans = _build_plans(self.graph)
         return self._plans
+
+    def _shift_map(self) -> tuple[list[int], list[int]]:
+        """Per row r, the row that a paid shift reads into r and the move it
+        reads through (`_pay_shift`), read off the graph at first use and
+        held, so a step makes no graph call."""
+        if self._row_map is None:
+            labels = self.graph.shift_labels().ravel().tolist()
+            reverse = self.graph.reverse_moves().tolist()
+            self._row_map = labels, [reverse[c] for c in labels]
+        return self._row_map
 
 
 def uniform_state(graph: Graph) -> WalkState:
@@ -185,7 +198,7 @@ def _coin_through_shift(state: WalkState, marked: list[int]) -> None:
     buf = state._amps
     colsum = state._scratch_rows()[0]
     d = state.graph.coin_dim
-    labels = state.graph.shift_labels().ravel().tolist()
+    labels = state._shift_map()[0]
     for c in range(d):
         # np.sum starts from 0: -0.0 + 0 = 0.0
         _through(state, np.add, colsum, c, buf[labels[c]], colsum if c else 0.0)
@@ -307,16 +320,18 @@ def _move_images(graph: Graph, vertices) -> list[np.ndarray]:
     """Per plan, where its moves take `vertices`: one row per move.
 
     Flip-flop and moving tori have one plan per direction c, reading
-    through target_c.  Dirac has one plan per second half-move: role 2's
-    amplitude at v arrives from target_3(v) and role 3's from target_2(v),
-    and each of those reads row c of the state where the first half-move
-    brings it from, target_(c^1); so the two plans read (row 0, row 1)
-    through (target_1 target_3, target_0 target_3) and through
-    (target_1 target_2, target_0 target_2).
+    through target_c.  Dirac has one plan per second half-move: role r's
+    amplitude at v arrives from target_r'(v), r' the role whose move undoes
+    r's (`Graph.reverse_moves`: 3 for role 2, 2 for role 3), and each of
+    those reads row c of the state where the first half-move brings it
+    from, target_c'(v) (1 for row 0, 0 for row 1); so the two plans read
+    (row 0, row 1) through (target_1 target_3, target_0 target_3) and
+    through (target_1 target_2, target_0 target_2).
     """
     targets = graph.shift_targets(vertices)
     if graph.spec.shift == "dirac":
-        return [graph.shift_targets(targets[role ^ 1])[[1, 0]] for role in (2, 3)]
+        reverse = graph.reverse_moves()
+        return [graph.shift_targets(targets[reverse[role]])[reverse[:2]] for role in (2, 3)]
     return [targets[c:c + 1] for c in range(graph.coin_dim)]
 
 
@@ -329,27 +344,29 @@ def apply_shift(state: WalkState) -> WalkState:
     A flip-flop shift is owed, not made: the state's mark flips and no
     amplitude moves (see the module docstring).  The complete graph's swap,
     amps[c, v] -> amps[v, c], sets `amps` to its transpose, a view; a second
-    swap gives back the C-ordered array.  The moving and dirac shifts move
-    the amplitudes through the state's scratch rows.
+    swap gives back the C-ordered array.  The moving shift is paid at
+    once (`_pay_shift`), and it and the dirac shift move the amplitudes
+    through the state's scratch rows.
     """
     shift = state.graph.spec.shift
     if shift == "flip_flop":
         state._owed = not state._owed
     elif shift == "swap":
         state._amps = state._amps.T
-    elif shift == "moving":  # row c arrives from the reverse direction, c^1
-        rows = range(state.graph.coin_dim)
-        _move_rows(state, rows, [c ^ 1 for c in rows])
+    elif shift == "moving":
+        _pay_shift(state)
     else:
         _dirac_step(state)
     return state
 
 
-def _settle(state: WalkState) -> None:
-    """Pay the flip-flop shift a state owes, in place, and clear the mark:
-    row c becomes row label(c) read through move c (`_move_rows`)."""
-    labels = state.graph.shift_labels().ravel().tolist()
-    _move_rows(state, labels, range(state.graph.coin_dim))
+def _pay_shift(state: WalkState) -> None:
+    """Pay the moving shift, or the flip-flop shift a state owes, in place,
+    and clear the owed mark: row label(c) becomes row c read through the
+    move that undoes c's, by the row map the state holds (`_shift_map`).
+    A moving row so arrives from its reverse direction's side, and a
+    flip-flop row c is row label(c) read through move c."""
+    _move_rows(state, *state._shift_map())
     state._owed = False
 
 

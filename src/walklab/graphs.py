@@ -5,7 +5,9 @@ row-major with the first coordinate fastest, so a torus vertex (x, y)
 has index y*L + x and a hypercube vertex is its bit pattern.  Torus
 directions come in axis pairs (axis 0 +, axis 0 -, axis 1 +, ...);
 hypercube direction i flips bit i; on the complete graph the direction
-register names the target vertex.
+register names the target vertex.  `Graph.reverse_moves` alone says
+which move undoes which; the flip-flop labels, the engine's shifts and
+the oracle's moving time reversal read it.
 """
 
 from __future__ import annotations
@@ -274,25 +276,41 @@ class Graph:
             return np.repeat(np.arange(self.n)[:, None], vertices.size, axis=1)
         if spec.family == "hypercube":  # direction i flips bit i
             return vertices ^ (1 << np.arange(self.coin_dim))[:, None]
-        if spec.shift == "dirac":  # (x, y) steps of up, down, left, right
-            steps = np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
-        else:  # axis pairs (axis 0 +, axis 0 -, axis 1 +, ...)
-            ndim = len(spec.dims)
-            steps = np.eye(ndim, dtype=np.int64).repeat(2, axis=1) * np.tile([1, -1], ndim)
         coords = np.unravel_index(vertices, self.vertex_shape)[::-1]
-        return self.vertex_index(np.array(coords)[:, None, :] + steps[:, :, None])
+        return self.vertex_index(np.array(coords)[:, None, :] + self._steps()[:, :, None])
+
+    def _steps(self) -> np.ndarray:
+        """The (ndim, rows) coordinate step of each row of a torus's
+        `shift_targets`: axis pairs (axis 0 +, axis 0 -, axis 1 +, ...), or
+        the dirac roles' (x, y) steps up, down, left, right."""
+        if self.spec.shift == "dirac":
+            return np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
+        ndim = len(self.spec.dims)
+        return np.eye(ndim, dtype=np.int64).repeat(2, axis=1) * np.tile([1, -1], ndim)
+
+    def reverse_moves(self) -> np.ndarray:
+        """For each row c of `shift_targets`, the row r whose move undoes
+        c's, target_r(target_c(v)) = v: on a torus the negated step (c's
+        axis partner, the dirac role pair's other role), on the hypercube c
+        itself.  The swap sends direction c to vertex c from anywhere, so
+        no move undoes another: ConfigurationError."""
+        if self.spec.shift == "swap":
+            raise ConfigurationError("the swap has no reverse moves: no move undoes another")
+        if self.spec.family == "hypercube":
+            return np.arange(self.coin_dim)
+        steps = self._steps()
+        return (steps[:, :, None] == -steps[:, None, :]).all(axis=0).argmax(axis=1)
 
     def shift_labels(self) -> np.ndarray:
         """The direction c' in which direction c's amplitude at v arrives
-        under one shift, broadcast against `shift_targets`: c^1 on flip-flop
-        tori (the reversal), c on moving tori and the hypercube, v on the
-        swap."""
+        under one shift, broadcast against `shift_targets`: the reverse move
+        (`reverse_moves`) on flip-flop tori, c on moving tori and the
+        hypercube, v on the swap."""
         if self.spec.shift == "swap":
             return np.arange(self.n)
-        labels = np.arange(self.coin_dim)[:, None]
         if self.spec.family == "torus" and self.spec.shift == "flip_flop":
-            return labels ^ 1
-        return labels
+            return self.reverse_moves()[:, None]
+        return np.arange(self.coin_dim)[:, None]
 
     def shift_permutation(self) -> np.ndarray:
         """Permutation p with p[c*N+v] = c'*N+v' under one shift: v' is the

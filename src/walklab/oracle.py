@@ -17,7 +17,8 @@ to the basis states (Graph.lift), is a symmetry P of U' (checked), and
 U' splits first into P's two eigenspaces, about n/2 each.  A signed
 permutation time reversal S, S U' S = U'^T (checked), then splits each
 of them in two: S is the shift itself, the shift after the direction
-reversal on the moving torus, and on the dirac walk the point reflection
+reversal on the moving torus (`Graph.reverse_moves`, the one owner of
+which move undoes which), and on the dirac walk the point reflection
 T of each coin row between two copies of the marking C' (dense_unitary).
 In S's eigenbasis U' + U'^T is two half-size blocks and U' - U'^T only
 maps each half into the other, so each eigenvector of the +1 half and
@@ -123,12 +124,12 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
     the Hadamard: both Hadamards go in unscaled and their two 1/sqrt(2)
     factors as one exact 1/2, so every entry is exact.  The moving shift
     S_m is no involution past side 2, but with the direction reversal T
-    (c <-> c^1) T S_m T = S_m^T, and T commutes with C', so S_m T is a
-    time reversal of U' = (S_m T)(T C').  Every other permutation shift
-    here is an involution, its own time reversal, kept as `reflection`:
-    DenseOperator refuses one that is not.  The dirac walk's time reversal
-    is signed (_dirac_reversal); where the marked set has no point
-    symmetry it has none, and the reflection is None.
+    (c <-> `Graph.reverse_moves`[c]) T S_m T = S_m^T, and T commutes with
+    C', so S_m T is a time reversal of U' = (S_m T)(T C').  Every other
+    permutation shift here is an involution, its own time reversal, kept
+    as `reflection`: DenseOperator refuses one that is not.  The dirac
+    walk's time reversal is signed (_dirac_reversal); where the marked set
+    has no point symmetry it has none, and the reflection is None.
     """
     dim = graph.coin_dim * graph.n
     if dim > DIMENSION_CAP:
@@ -142,8 +143,8 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
         move = graph.shift_permutation()
         matrix = _shifted_coin(graph, marked, move)
         reflection = move
-        if graph.spec.shift == "moving":  # after T: c*N + v -> (c^1)*N + v
-            reflection = move.reshape(graph.coin_dim, -1)[np.arange(graph.coin_dim) ^ 1].ravel()
+        if graph.spec.shift == "moving":  # after T: c*N + v -> reverse(c)*N + v
+            reflection = move.reshape(graph.coin_dim, -1)[graph.reverse_moves()].ravel()
     else:
         n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
         first = _shifted_coin(graph, marked, _half_move(graph, (0, 1)))

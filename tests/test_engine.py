@@ -12,7 +12,7 @@ from walklab import (ConfigurationError, GraphSpec, WalkState, amplify, apply_co
                      apply_shift, build_graph, complete_spec, default_coin,
                      dense_unitary, evolve_dense, reflect_about, run_walk, step, torus_spec,
                      uniform_state, vertex_probabilities)
-from walklab.engine import _apply, _owed_index, _settle, squared_norm
+from walklab.engine import _apply, _owed_index, _pay_shift, squared_norm
 
 from helpers import (arenas, load_state, marked_coin_state, neighborhood_probability,
                      random_state, save_state, translate)
@@ -500,7 +500,7 @@ def test_owed_steps_match_coin_and_settle(spec):
         settled = start.copy()
         for t in range(1, 10):
             apply_coin(settled, coin)
-            _settle(settled)
+            _pay_shift(settled)
             owing = start.copy()
             for _ in range(t):
                 step(owing, coin)
@@ -519,7 +519,7 @@ def test_owed_coin_on_columns_of_negative_zeros(spec):
     signed.amps.imag[:, 1::2] = -0.0
     for start in (real, cplx, signed):
         owing = start.copy()
-        _settle(owing)  # the buffer S psi,
+        _pay_shift(owing)  # the buffer S psi,
         owing._owed = True  # of a state that owes S: it holds psi
         settled = start.copy()
         apply_coin(owing, coin)

@@ -95,6 +95,26 @@ def test_dirac_substeps_are_role_permutations():
         g.vertex_index(c) for c in [(2, 1), (2, 3), (1, 2), (3, 2)]]
 
 
+@pytest.mark.parametrize("spec", list(dict.fromkeys(arenas("moves") + arenas("small"))),
+                         ids=GraphSpec.label)
+def test_reverse_moves_undo_each_move(spec):
+    # the one statement of which move undoes which: the flip-flop shift's
+    # labels, the moving shift's reads and the oracle's reversal take it
+    g = build_graph(spec)
+    if spec.shift == "swap":
+        with pytest.raises(ConfigurationError, match="no move undoes another"):
+            g.reverse_moves()
+        return
+    reverse = g.reverse_moves()
+    targets = g.shift_targets()
+    assert reverse.shape == (targets.shape[0],)
+    assert np.array_equal(reverse[reverse], np.arange(reverse.size))
+    for c, back in enumerate(reverse):
+        assert np.array_equal(g.shift_targets(targets[c])[back], np.arange(g.n)), c
+    if spec.family == "torus" and spec.shift == "flip_flop":
+        assert np.array_equal(reverse, g.shift_labels().ravel())
+
+
 def test_dirac_has_no_single_basis_permutation():
     g = build_graph(torus_spec(4, shift="dirac"))
     with pytest.raises(ConfigurationError):

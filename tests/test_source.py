@@ -363,3 +363,37 @@ def test_the_neighborhood_check_sees_a_second_builder():
               "def _support(graph):\n    neighborhood = graph.closed_neighborhood((0,))\n"
               "    return neighborhood\n")
     assert _neighborhood_builders(source) == {"neighbours", "closed_neighborhood"}
+
+
+def _xors_with_one(source):
+    """The lines of `source` that XOR a value with the constant 1, as a
+    binary operation or an augmented assignment."""
+    def one(node):
+        return isinstance(node, ast.Constant) and node.value == 1 and type(node.value) is int
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor) \
+                and (one(node.left) or one(node.right)):
+            found.add(node.lineno)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitXor) \
+                and one(node.value):
+            found.add(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graphs.py"],
+                         ids=lambda path: path.stem)
+def test_only_graphs_says_which_move_undoes_which(path):
+    # Graph.reverse_moves pairs each move with the one that undoes it; an
+    # index XORed with 1 elsewhere is a second copy of that pairing
+    lines = sorted(_xors_with_one(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} pairs directions by XOR with 1 on lines {lines}"
+
+
+def test_the_reversal_check_sees_an_xor_with_one():
+    source = ("def _reverse(c, rows, d):\n"
+              "    rows ^= 1\n"
+              "    return [c ^ 1, 1 ^ rows[c], c ^ 2, c ^ d, c | 1, c ^ True]\n\n\n"
+              "def _moving(np, d):\n    return np.arange(d) ^ 1\n")
+    assert _xors_with_one(source) == {2, 3, 7}
