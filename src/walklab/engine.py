@@ -48,7 +48,6 @@ here take either order without copying the state; only
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -94,9 +93,6 @@ class WalkState:
 
     def copy(self) -> "WalkState":
         return WalkState(self.graph, self.amps)
-
-    def norm(self) -> float:
-        return math.sqrt(squared_norm(self))
 
     @property
     def vector(self) -> np.ndarray:

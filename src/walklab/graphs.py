@@ -5,9 +5,9 @@ row-major with the first coordinate fastest, so a torus vertex (x, y)
 has index y*L + x and a hypercube vertex is its bit pattern.  Torus
 directions come in axis pairs (axis 0 +, axis 0 -, axis 1 +, ...);
 hypercube direction i flips bit i; on the complete graph the direction
-register names the target vertex.  `Graph.reverse_moves` alone says
-which move undoes which; the flip-flop labels, the engine's shifts and
-the oracle's moving time reversal read it.
+register names the target vertex.  This module alone spells the arena's
+geometry: the step set (`GraphSpec.steps`), the point reflections
+(`Graph.reflect`) and which move undoes which (`Graph.reverse_moves`).
 """
 
 from __future__ import annotations
@@ -120,6 +120,16 @@ class GraphSpec:
             return 2 if self.shift == "dirac" else 2 * len(self.dims)
         return self.dims[0]
 
+    @property
+    def steps(self) -> np.ndarray:
+        """The (ndim, rows) coordinate step of each row of a torus's
+        `shift_targets`: axis pairs (axis 0 +, axis 0 -, axis 1 +, ...), or
+        the dirac roles' (x, y) steps up, down, left, right."""
+        if self.shift == "dirac":
+            return np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
+        ndim = len(self.dims)
+        return np.eye(ndim, dtype=np.int64).repeat(2, axis=1) * np.tile([1, -1], ndim)
+
     def label(self) -> str:
         dims = "x".join(str(d) for d in self.dims)
         return f"{self.family}({dims},{self.shift},{self.coin})"
@@ -224,9 +234,7 @@ class Graph:
         (vertex,) = self._vertices((vertex,), "vertices")
         family = self.spec.family
         if family == "torus":
-            coords = self.coordinates()
-            coords[-1] = 2 * coords[-1, vertex] - coords[-1]
-            return self.vertex_index(coords)
+            return self.reflect(2 * self.vertex_coords(vertex)[-1], axes=(-1,))
         index = np.arange(self.n, dtype=np.int64)
         if family == "hypercube":
             evens = sum(1 << b for b in range(0, self.spec.dims[0] - 1, 2))
@@ -239,6 +247,15 @@ class Graph:
         index[others[0:2 * pairs:2]], index[others[1:2 * pairs:2]] = \
             others[1:2 * pairs:2], others[0:2 * pairs:2]
         return index
+
+    def reflect(self, total, axes=None) -> np.ndarray:
+        """The torus vertex map v -> total - v on `axes` (every axis if None),
+        modulo the side, as g[v]: the point reflection through total/2, which
+        swaps u and w when total = u + w (one total per axis, or one for all)."""
+        coords = self.coordinates()
+        axes = slice(None) if axes is None else list(axes)
+        coords[axes] = np.reshape(total, (-1, 1)) - coords[axes]
+        return self.vertex_index(coords)
 
     def lift(self, vertex_map: np.ndarray) -> np.ndarray:
         """An automorphism g of the arena (g[v] per vertex) lifted to the
@@ -277,16 +294,7 @@ class Graph:
         if spec.family == "hypercube":  # direction i flips bit i
             return vertices ^ (1 << np.arange(self.coin_dim))[:, None]
         coords = np.unravel_index(vertices, self.vertex_shape)[::-1]
-        return self.vertex_index(np.array(coords)[:, None, :] + self._steps()[:, :, None])
-
-    def _steps(self) -> np.ndarray:
-        """The (ndim, rows) coordinate step of each row of a torus's
-        `shift_targets`: axis pairs (axis 0 +, axis 0 -, axis 1 +, ...), or
-        the dirac roles' (x, y) steps up, down, left, right."""
-        if self.spec.shift == "dirac":
-            return np.array([[0, 0, -1, 1], [-1, 1, 0, 0]])
-        ndim = len(self.spec.dims)
-        return np.eye(ndim, dtype=np.int64).repeat(2, axis=1) * np.tile([1, -1], ndim)
+        return self.vertex_index(np.array(coords)[:, None, :] + spec.steps[:, :, None])
 
     def reverse_moves(self) -> np.ndarray:
         """For each row c of `shift_targets`, the row r whose move undoes
@@ -298,7 +306,7 @@ class Graph:
             raise ConfigurationError("the swap has no reverse moves: no move undoes another")
         if self.spec.family == "hypercube":
             return np.arange(self.coin_dim)
-        steps = self._steps()
+        steps = self.spec.steps
         return (steps[:, :, None] == -steps[:, None, :]).all(axis=0).argmax(axis=1)
 
     def shift_labels(self) -> np.ndarray:

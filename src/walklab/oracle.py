@@ -19,15 +19,15 @@ permutation time reversal S, S U' S = U'^T (checked), then splits each
 of them in two: S is the shift itself, the shift after the direction
 reversal on the moving torus (`Graph.reverse_moves`, the one owner of
 which move undoes which), and on the dirac walk the point reflection
-T of each coin row between two copies of the marking C' (dense_unitary).
-In S's eigenbasis U' + U'^T is two half-size blocks and U' - U'^T only
-maps each half into the other, so each eigenvector of the +1 half and
-its image there make a pair of eigenvectors of U', with no further
-eigensolve (near theta = 0 or pi, the singular vectors of a small cross
-block re-pair them).  An operator without a time reversal is refused.  Every
-eigenvector is lifted back through the two stages in turn.  The oracle
-imports nothing from the engine: `graphs` checks the marked set
-(Graph.marked_set).
+T of each coin row (`Graph.reflect`) between two copies of the marking
+C' (dense_unitary).  In S's eigenbasis U' + U'^T is two half-size blocks
+and U' - U'^T only maps each half into the other, so each eigenvector of
+the +1 half and its image there make a pair of eigenvectors of U', with
+no further eigensolve (near theta = 0 or pi, the singular vectors of a
+small cross block re-pair them).  An operator without a time reversal is
+refused.  Every eigenvector is lifted back through the two stages in
+turn.  The oracle imports nothing from the engine: `graphs` checks the
+marked set (Graph.marked_set).
 """
 
 from __future__ import annotations
@@ -161,24 +161,22 @@ def _dirac_reversal(graph: Graph, marked: tuple[int, ...]) -> tuple:
     """(reflection, flips) of the dirac walk's signed time reversal
     S' = C' T C', or (None, None) if the marked set M has no point symmetry.
 
-    T sends row c at vertex v to row c at b_c - v, with b_0 = s + (1, 1)
-    and b_1 = s + (1, -1) in (x, y), where s is a centre of M: some
-    m_0 + m_j with s - M = M (0 unmarked; if M has a centre, s - m_0 lies
-    in M, so these candidates find it).  C' is the marking, -X on both
-    rows of each marked vertex: C' e_j = -e_swap[j] there.  So S' e_j is
-    e_swap[T swap[j]], negated where exactly one of j and T swap[j] sits at
-    a marked vertex."""
+    T sends row c at vertex v to row c at b_c - v (Graph.reflect), with
+    b_0 = s + (1, 1) and b_1 = s + (1, -1) in (x, y), where s is a centre
+    of M: some m_0 + m_j with s - M = M (0 unmarked; if M has a centre,
+    s - m_0 lies in M, so these candidates find it).  C' is the marking,
+    -X on both rows of each marked vertex: C' e_j = -e_swap[j] there.  So
+    S' e_j is e_swap[T swap[j]], negated where exactly one of j and
+    T swap[j] sits at a marked vertex."""
     n, marked = graph.n, list(marked)
-    coords = graph.coordinates()
-    points = coords[:, marked]
-    centres = (points[:, :1] + points).T if marked else np.zeros((1, 2), dtype=np.int64)
-    for s in centres:
-        if set(graph.vertex_index(s[:, None] - points).tolist()) == set(marked):
+    points = np.array([graph.vertex_coords(m) for m in marked or [0]])
+    for s in points[:1] + points:
+        if set(graph.reflect(s)[marked].tolist()) == set(marked):
             break
     else:
         return None, None
     ends = s + np.array([[1, 1], [1, -1]])  # b_c, one row per c
-    turn = np.arange(2)[:, None] * n + graph.vertex_index(ends.T[:, :, None] - coords[:, None, :])
+    turn = np.arange(2)[:, None] * n + np.array([graph.reflect(end) for end in ends])
     swap = np.arange(2 * n).reshape(2, n)
     swap[:, marked] = swap[::-1, marked]
     swap = swap.ravel()

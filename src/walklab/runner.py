@@ -8,10 +8,11 @@ fit the peak-time exponent, and carry the spectral predictions along
 for side-by-side comparison.  Amplitude amplification walks once and
 then alternates the marked flip with a reflection about the walked state,
 which equals the algorithm's undo-walk, reflect-about-uniform, redo-walk
-round.  A CostLedger charges what the algorithm runs: the walk steps of
-every round and the locality model's preparation and reflection charges;
-the local circuit that realizes those is a test reference
-(tests/helpers.py).
+round.  The two-marked diagnostics watch the point reflection through
+the marked pair's midpoint (Graph.reflect).  A CostLedger charges what
+the algorithm runs: the walk steps of every round and the locality
+model's preparation and reflection charges; the local circuit that
+realizes those is a test reference (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -225,8 +226,7 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
     _check_count("t_max", t_max)
     graph = build_graph(spec)
     marked = graph.marked_set((v1, v2))
-    center = np.add(graph.vertex_coords(v1), graph.vertex_coords(v2))[:, None]
-    mirror = graph.lift(graph.vertex_index(center - graph.coordinates()))
+    mirror = graph.lift(graph.reflect(np.add(graph.vertex_coords(v1), graph.vertex_coords(v2))))
 
     twin = uniform_state(graph)  # rank-one reflection form
     watch = _Watch(graph, marked, t_max)

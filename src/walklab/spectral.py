@@ -2,9 +2,9 @@
 
 Translation-invariant shifts act mode by mode: on mode k the walk
 reduces to a coin-sized unitary block D_k * C0, whose non-trivial
-eigenphase pair +-theta_k has a closed form in the half angle,
-sin^2(theta_k/2) (`sin2_half_theta`), from which theta_k = 2 asin(sqrt(.))
-keeps its relative accuracy however small it is.
+eigenphase pair +-theta_k has a closed form in the half angle over the
+step set, sin^2(theta_k/2) (`sin2_half_theta` of GraphSpec.steps), from
+which theta_k = 2 asin(sqrt(.)) keeps its relative accuracy however small.
 This module evaluates that form on every mode at once and assembles the
 abstract-search input (eigenphases, projection weights of the marked
 coin state, multiplicities), the spectral sums that set the run-time
@@ -33,7 +33,8 @@ _COMPLETENESS_TOL = 1e-9  # largest |sum of all weights - 1| a spectrum may have
 
 def sin2_half_theta(spec: GraphSpec, mode) -> float | np.ndarray:
     """sin^2(theta/2) = (1 - cos theta)/2 of the non-trivial eigenphase pair
-    on one mode, or on each row of an (M, d) array of modes.
+    on one mode k, or on each row of an (M, d) array of modes: on a torus
+    the mean of trig^2(pi k.e/L) over the + move e of each axis pair.
 
     The half-angle form has no cancellation near theta = 0, where
     acos(mean cos(2 pi k_i/L)) loses about eps/theta^2 relative accuracy.
@@ -41,16 +42,12 @@ def sin2_half_theta(spec: GraphSpec, mode) -> float | np.ndarray:
     mode = np.asarray(mode)
     if spec.family == "hypercube":
         return mode.sum(axis=-1) / spec.dims[0]
-    length = spec.dims[0]
-    if spec.shift == "flip_flop":
-        return np.mean(np.sin(_PI * mode / length) ** 2, axis=-1)
-    if spec.shift == "moving":
-        return np.mean(np.cos(_PI * mode / length) ** 2, axis=-1)
-    if spec.shift == "dirac":
-        k, el = mode[..., 0], mode[..., 1]
-        return 0.5 * (np.sin(_PI * (k + el) / length) ** 2
-                      + np.sin(_PI * (k - el) / length) ** 2)
-    raise ConfigurationError(f"no closed form for shift {spec.shift!r}")
+    if spec.shift == "swap":
+        raise ConfigurationError(f"no closed form for shift {spec.shift!r}")
+    steps = spec.steps  # on dirac a step is a y half-move plus an x half-move
+    steps = steps[:, :1] + steps[:, 2:] if spec.shift == "dirac" else steps[:, ::2]
+    trig = np.cos if spec.shift == "moving" else np.sin
+    return np.mean(trig(_PI * (mode @ steps) / spec.dims[0]) ** 2, axis=-1)
 
 
 def _theta(sin2_half) -> np.ndarray:

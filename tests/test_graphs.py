@@ -272,12 +272,16 @@ def test_arena_fixes_the_marking():
 @pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
     g = build_graph(spec)
-    for vertex in sorted({0, 3 % g.n, g.n - 1}):
-        mirror = g.mirror(vertex)
-        assert mirror[vertex] == vertex
+    vertices = sorted({0, 3 % g.n, g.n - 1})
+    maps = [(g.mirror(vertex), vertex, vertex) for vertex in vertices]
+    if spec.family == "torus":  # the point reflection through (u + w)/2 swaps u and w
+        maps += [(g.reflect(np.add(g.vertex_coords(u), g.vertex_coords(w))), u, w)
+                 for u in vertices for w in vertices]
+    for mirror, u, w in maps:
+        assert (mirror[u], mirror[w]) == (w, u)
         assert np.array_equal(mirror[mirror], np.arange(g.n))
-        for u in range(g.n):  # every edge goes to an edge
-            assert np.array_equal(np.sort(mirror[g.neighbors(u)]), g.neighbors(int(mirror[u])))
+        for v in range(g.n):  # every edge goes to an edge
+            assert np.array_equal(np.sort(mirror[g.neighbors(v)]), g.neighbors(int(mirror[v])))
 
 
 @pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
@@ -297,10 +301,10 @@ def test_lift_sends_each_direction_to_the_image_of_its_target(spec):
 @pytest.mark.parametrize("side", [2, 3, 4])
 def test_lift_of_a_point_reflection_reverses_directions_past_side_2(side):
     g = build_graph(torus_spec(side, 3))
-    lift = g.lift(g.vertex_index(-g.coordinates())).reshape(g.coin_dim, g.n) // g.n
+    lift = g.lift(g.reflect(0)).reshape(g.coin_dim, g.n) // g.n
     # on side 2 both senses of an axis reach the same vertex: the label stays
-    own = np.arange(g.coin_dim)[:, None]
-    assert np.array_equal(lift, np.broadcast_to(own if side == 2 else own ^ 1, lift.shape))
+    own = np.arange(g.coin_dim) if side == 2 else g.reverse_moves()
+    assert np.array_equal(lift, np.broadcast_to(own[:, None], lift.shape))
     swap = np.arange(g.n)
     swap[[0, 1]] = 1, 0  # moves one vertex onto a neighbour, no automorphism
     with pytest.raises(ValueError, match="no automorphism"):

@@ -256,10 +256,15 @@ def test_block_eigens_real_matches_complex(spec):
 @pytest.mark.parametrize("side", range(2, 23))
 def test_dirac_phases_match_schur(side, marked):
     # every dirac side up to the cap, solved through its signed time reversal
-    # (and the mirror, with one marked vertex), against the complex Schur form
+    # (and the mirror, with one marked vertex), against the complex Schur
+    # form on sides 2-6 and past them against np.linalg.eigvals of the real
+    # matrix (LAPACK dgeev), which reads the same phases in a third of the time
     op = dense_unitary(build_graph(torus_spec(side, shift="dirac")), marked)
     phases = _fold(dense_eigens(op)[0])
-    reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+    if side <= 6:
+        reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+    else:
+        reference = _fold(np.angle(np.linalg.eigvals(op.matrix)))
     assert np.max(np.abs(phases - reference)) < 1e-12
 
 

@@ -397,3 +397,34 @@ def test_the_reversal_check_sees_an_xor_with_one():
               "    return [c ^ 1, 1 ^ rows[c], c ^ 2, c ^ d, c | 1, c ^ True]\n\n\n"
               "def _moving(np, d):\n    return np.arange(d) ^ 1\n")
     assert _xors_with_one(source) == {2, 3, 7}
+
+
+def _coordinate_reads(source):
+    """The lines of `source` that read `coordinates`: an attribute, a name
+    or an imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "coordinates" \
+                or isinstance(node, ast.Name) and node.id == "coordinates" \
+                or isinstance(node, ast.alias) and node.name == "coordinates":
+            found.add(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graphs.py"],
+                         ids=lambda path: path.stem)
+def test_only_graphs_reads_every_vertex_coordinate(path):
+    # arena geometry is graphs': GraphSpec.steps holds the step set and
+    # Graph.reflect the point reflections; a module that reads the
+    # coordinate table spells a symmetry of its own
+    lines = sorted(_coordinate_reads(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} reads Graph.coordinates on lines {lines}"
+
+
+def test_the_coordinate_check_sees_a_read():
+    source = ("from .graphs import coordinates\n"
+              "def _centre(graph, v):\n"
+              "    coords = graph.coordinates()\n"
+              "    table = coordinates\n"
+              "    return graph.vertex_coords(v), graph.vertex_index(coords)\n")
+    assert _coordinate_reads(source) == {1, 3, 4}
