@@ -6,12 +6,17 @@ coin matrix (the Grover coin is defined here) and the shift rule of
 `graphs` (shift_permutation, or shift_targets per dirac half-move),
 without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
-matrix; it is powered explicitly and eigendecomposed through its
-symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
-own BLAS: walklab loads no second one), whose real eigenvectors its skew
-part U' - U'^T pairs into complex ones (see dense_eigens; a matrix that
-is not normal raises).  Two involutions split the eigensolve, one at a
-time, and U' enters each one's eigenbasis by the same butterfly.  With
+matrix, with only coin_dim nonzeros in each column.  Two passes read
+those nonzeros, listed once per call by np.flatnonzero: evolve_dense
+powers U' through each row's nonzeros, and dense_eigens scatters them
+into U''s blocks in its involutions' eigenbasis.  unitarity_defect stays
+the dense product U'^T U': its bits are pinned to that formula.  U' is
+eigendecomposed through its symmetric part U' + U'^T by
+numpy.linalg.eigh (LAPACK syevd, on numpy's own BLAS: walklab loads no
+second one), whose real eigenvectors its skew part U' - U'^T pairs into
+complex ones (see dense_eigens; a matrix that is not normal raises).
+Two involutions split the eigensolve, and U' enters their joint
+eigenbasis through both butterflies at once, one nonzero at a time.  With
 one marked vertex, the arena's mirror through it (Graph.mirror), lifted
 to the basis states (Graph.lift), is a symmetry P of U' (checked), and
 U' splits first into P's two eigenspaces, about n/2 each.  A signed
@@ -54,6 +59,11 @@ _INVARIANCE_TOL = 1e-10
 # the lift takes this many eigenvectors at a time: it bounds the lift's
 # temporaries, which hold about 2 dim complex numbers each
 _LIFT_COLUMNS = 32
+# the scatter takes at most max(dim^2 / _SCATTER_SHARE, _SCATTER_FLOOR)
+# nonzeros at a time: its six temporaries then hold under 0.1 dim^2
+# float64s near the cap (and 200 KB below it) on a matrix of any fill
+_SCATTER_SHARE = 64
+_SCATTER_FLOOR = 4096
 
 
 @dataclass
@@ -234,48 +244,64 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     that is not normal raises ArithmeticError instead of returning a wrong
     basis.
 
-    The solve runs through the operator's involutions, one at a time, each
-    through its eigenbasis (_split_order, _rotate).  Its `symmetry` (an
-    involutive index permutation P), where it has one, must commute with
-    U: in P's eigenbasis both off-diagonal blocks must vanish, on every
-    entry, else ArithmeticError, and U splits into the two diagonal blocks
+    The solve runs through the operator's involutions, each through its
+    eigenbasis (_split_order).  Its `symmetry` (an involutive index
+    permutation P), where it has one, must commute with U: in P's
+    eigenbasis both off-diagonal blocks must vanish, on every entry, else
+    ArithmeticError, and U splits into the two diagonal blocks
     (_symmetry_blocks).  Its `reflection` (the signed involutive
     permutation S of `reflection` and `flips`, which commutes with P) must
     be a time reversal of U, S U S = U^T; an operator without one raises
     ValueError.  In P's eigenbasis S is a signed permutation of each block,
-    and each block is rotated into S's eigenbasis, where each eigenvector
-    of the +1 half and its image under the skew part make a pair of U's
-    eigenvectors (_reversal_eigens, which checks the time reversal, else
-    ArithmeticError; either half may be empty).  All phases of all blocks
-    are merged by |phase| before any eigenvector is formed, and the lift
-    runs the stages backwards: S's butterfly on a block's half-length
-    vectors, then one signed gather into the original rows (_lift_batches).
+    and each block is formed straight in S's eigenbasis from U's nonzeros
+    (_rotated_blocks), where each eigenvector of the +1 half and its image
+    under the skew part make a pair of U's eigenvectors (_reversal_eigens,
+    which checks the time reversal, else ArithmeticError; either half may
+    be empty).  All phases of all blocks are merged by |phase| before any
+    eigenvector is formed, and the lift runs the stages backwards: S's
+    butterfly on a block's half-length vectors, then one signed gather
+    into the original rows (_lift_batches).
     """
-    block, reflection, symmetry, n = op.matrix, op.reflection, op.symmetry, op.dim
-    if reflection is None:
+    if op.reflection is None:
         raise ValueError("dense_eigens solves through a time reversal S of U (S U S = U^T), "
                          "and this operator has no reflection")
-    vectors, buffer = _eigenvector_buffer(n)
+    vectors, buffer = _eigenvector_buffer(op.dim)  # the first large allocation
     first, second = buffer
-    if symmetry is None:  # one block, U itself, in its own rows
-        blocks = [(block, reflection, op.flips, np.arange(n), None)]
-    else:  # P's blocks in `second`
-        blocks = _symmetry_blocks(block, symmetry, reflection, op.flips, second, first)
     phases, found, start = [], [], 0
-    for matrix, pairing, flips, *way in blocks:
-        h = matrix.shape[0]
-        order, pairs, m, signed = _split_order(pairing, flips)
-        # U is rotated into `second`, a block of P where it lies
-        rotated, work = (second if matrix is block else matrix), _carve(first, (h, h))[0]
-        _rotate(matrix, order, pairs, signed, rotated, work)
-        block_phases, batches = _reversal_eigens(rotated, m, work)
+    for rotated, m, lift in _rotated_blocks(op, first, second):
+        block_phases, batches = _reversal_eigens(rotated, m, _carve(first, rotated.shape)[0])
         phases.append(block_phases)
-        found.append((start, batches, order, pairs, signed, *way))
-        start += h
+        found.append((start, batches, *lift))
+        start += rotated.shape[0]
     phases, columns = _sorted_columns(np.concatenate(phases))
     for start, *lift in found:
         _lift_batches(vectors, columns[start:], *lift)
     return phases, vectors
+
+
+def _rotated_blocks(op: DenseOperator, first: np.ndarray, second: np.ndarray) -> list[tuple]:
+    """U's blocks in the eigenbasis of its involutions, each as (matrix, m,
+    lift): the block, carved from `second`, whose first m coordinates are
+    S's +1 half, and the way back for _lift_batches.  Each block is
+    scattered from U's nonzeros through P's butterfly and then S's
+    (_compose, _scatter): past the one listing, no pass reads U's zeros.
+    P's check runs in `first`, which is free again on return; the list of
+    nonzeros is dropped before any eigensolve."""
+    nonzeros = _nonzeros(op.matrix)
+    n = op.dim
+    if op.symmetry is None:  # one block, U itself, in its own rows
+        index = np.arange(n)
+        blocks = [(op.reflection, op.flips, (index[None], np.ones((1, n))), index, None)]
+    else:
+        blocks = _symmetry_blocks(nonzeros, op.symmetry, op.reflection, op.flips, first)
+    outs = _carve(second, *((pairing.size,) * 2 for pairing, *_ in blocks))
+    rotated = []
+    for (pairing, flips, inward, *way), out in zip(blocks, outs):
+        order, pairs, m, signed = _split_order(pairing, flips)
+        into = _compose(inward, _rotation_map(order, pairs, signed))
+        _scatter(nonzeros, into, into, out)
+        rotated.append((out, m, (order, pairs, signed, *way)))
+    return rotated
 
 
 def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray) -> tuple:
@@ -299,45 +325,46 @@ def _involution(perm: np.ndarray | None, n: int, name: str,
     return None if not signed and np.array_equal(perm, index) else perm
 
 
-def _symmetry_blocks(block: np.ndarray, symmetry: np.ndarray, reflection: np.ndarray,
-                     flips: np.ndarray, out: np.ndarray, work: np.ndarray) -> list[tuple]:
-    """P's two blocks of U, in `out`, each as (matrix, pairing, flips, rows,
-    scale): the signed reflection S (`reflection`, `flips`) on the block's
+def _symmetry_blocks(nonzeros: tuple, symmetry: np.ndarray, reflection: np.ndarray,
+                     flips: np.ndarray, work: np.ndarray) -> list[tuple]:
+    """P's two blocks of U, each as (pairing, flips, inward, rows, scale):
+    the signed reflection S (`reflection`, `flips`) on the block's
     coordinates, a signed involution (S e_j = -e_pairing[j] where
-    flips[j]), and the way back, the block's vectors y read
+    flips[j]); the map (_scatter) of each original index into the block's
+    coordinates; and the way back, the block's vectors y read
     x[r] = scale[r] * y[rows[r]] in the original rows.
 
-    U is rotated into P's eigenbasis (_split_order, _rotate) in `work`, and
-    `out`, both U's shape, is the rotation's scratch.  P's 2-cycles
-    (t, P t), t < P t, give (e_t + e_Pt)/sqrt(2) to the + block and
-    (e_t - e_Pt)/sqrt(2) to the - block, and its fixed points f give e_f to
-    the + block after them.  P U P = U holds iff both off-diagonal blocks
-    vanish: this is checked on every entry.  The two diagonal blocks are
-    then copied into `out`.  S maps P's 2-cycles to 2-cycles and its fixed
-    points to fixed points, and its sign is the same on t and P t, so it
-    permutes the + block's coordinates and the - block's up to sign: the
-    sign of S at t, times -1 on the - block where S t = P t' (S sends
-    e_t - e_Pt to -(e_t' - e_Pt') there).  On the way back
-    x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and x[f] = y on the + block and
-    0 on the - block.
+    P's 2-cycles (t, P t), t < P t, give (e_t + e_Pt)/sqrt(2) to the +
+    block and (e_t - e_Pt)/sqrt(2) to the - block, and its fixed points f
+    give e_f to the + block after them.  P U P = U holds iff both
+    off-diagonal blocks of U in that basis vanish: they are scattered from
+    U's `nonzeros` into `work` (U's shape) and checked on every entry.  S
+    maps P's 2-cycles to 2-cycles and its fixed points to fixed points,
+    and its sign is the same on t and P t, so it permutes the + block's
+    coordinates and the - block's up to sign: the sign of S at t, times -1
+    on the - block where S t = P t' (S sends e_t - e_Pt to -(e_t' - e_Pt')
+    there).  On the way back x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and
+    x[f] = y on the + block and 0 on the - block.
     """
     order, k, h, _ = _split_order(symmetry)  # [t, f, P t]
-    _rotate(block, order, k, 0, work, out)
-    leak = max(_max_abs(work[:h, h:]), _max_abs(work[h:, :h]))
+    targets, weights = _rotation_map(order, k, 0)
+    plus_in = targets[:1], weights[:1]
+    minus_in = np.maximum(targets[1:] - h, 0), weights[1:]  # each f weighs 0 there
+    across = _carve(work, (h, k), (k, h))
+    _scatter(nonzeros, plus_in, minus_in, across[0])
+    _scatter(nonzeros, minus_in, plus_in, across[1])
+    leak = max(_max_abs(part) for part in across)
     if leak > _INVARIANCE_TOL:
         raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
                               f"{leak:.3e}")
-    plus, minus = _carve(out, (h, h), (k, k))
-    plus[...] = work[:h, :h]
-    minus[...] = work[h:, h:]
     place = np.argsort(order)  # the t's, the f's, then the P t's
     rows, still = place % h, (place >= k) & (place < h)
     plus_way = rows, np.where(still, 1.0, _INV_SQRT2)
     minus_way = (np.where(still, 0, rows),
                  np.select([place < k, still], [_INV_SQRT2, 0.0], -_INV_SQRT2))
     image = reflection[order[:k]]
-    return [(plus, rows[reflection[order[:h]]], flips[order[:h]], *plus_way),
-            (minus, rows[image], (symmetry[image] < image) ^ flips[order[:k]], *minus_way)]
+    return [(rows[reflection[order[:h]]], flips[order[:h]], plus_in, *plus_way),
+            (rows[image], (symmetry[image] < image) ^ flips[order[:k]], minus_in, *minus_way)]
 
 
 def _split_order(pairing: np.ndarray, flips: np.ndarray | None = None) -> tuple:
@@ -357,20 +384,66 @@ def _split_order(pairing: np.ndarray, flips: np.ndarray | None = None) -> tuple:
             p.size + np.count_nonzero(~flips[fixed]), np.count_nonzero(flips[p]))
 
 
-def _rotate(block: np.ndarray, order: np.ndarray, pairs: int, signed: int,
-            out: np.ndarray, work: np.ndarray) -> None:
-    """R^T block R in `out` (which may be `block`): rows and columns taken in
-    `order`, the last `signed` of them negated, then the butterfly between
-    the rows, and the columns, [0, pairs) and the last `pairs`.  `work`
-    (block's shape) is scratch; mode="clip" writes straight into `out` (the
-    indices are a permutation)."""
-    n = block.shape[0]
-    np.take(block, order, axis=0, out=work, mode="clip")
-    np.take(work, order, axis=1, out=out, mode="clip")
-    out[n - signed:] *= -1.0
-    out[:, n - signed:] *= -1.0
-    _butterfly(out[:pairs], out[n - pairs:], work[:pairs])
-    _butterfly(out[:, :pairs], out[:, n - pairs:], work.reshape(-1)[:n * pairs].reshape(n, pairs))
+def _rotation_map(order: np.ndarray, pairs: int, signed: int) -> tuple:
+    """The map (_scatter) of the eigenbasis R of _split_order's (order,
+    pairs, signed): the index at place p of `order`, negated if p is among
+    the last `signed`, enters R's columns p and p + h - pairs with weight
+    1/sqrt(2) each if p < pairs, columns p - (h - pairs) and p with
+    1/sqrt(2) and -1/sqrt(2) if p >= h - pairs, and column p alone with
+    weight 1 otherwise (its second weight is 0)."""
+    h, rest = order.size, order.size - pairs
+    place = np.argsort(order)
+    first, last = place < pairs, place >= rest
+    sign = np.where(place >= h - signed, -1.0, 1.0)
+    targets = np.stack([place - rest * last, place + rest * first])
+    weights = np.stack([np.where(first | last, _INV_SQRT2, 1.0),
+                        np.select([first, last], [_INV_SQRT2, -_INV_SQRT2], 0.0)])
+    return targets, weights * sign
+
+
+def _compose(inner: tuple, outer: tuple) -> tuple:
+    """The map (_scatter) of the basis change R1 R2, from R1's map `inner`
+    (on the original indices) and R2's `outer` (on R1's columns)."""
+    (into, weights), (then, scale) = inner, outer
+    n = into.shape[1]
+    return then[:, into].reshape(-1, n), (scale[:, into] * weights).reshape(-1, n)
+
+
+def _nonzeros(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, values): the flat indices of `matrix`'s nonzero entries, in
+    row-major order, and the entries.  np.flatnonzero of the boolean
+    matrix != 0 lists them several times faster than np.nonzero of the
+    float matrix."""
+    flat = np.flatnonzero(matrix != 0)
+    return flat, np.take(matrix, flat)
+
+
+def _scatter(nonzeros: tuple, left: tuple, right: tuple, out: np.ndarray) -> None:
+    """L^T U R in `out` (contiguous), for U given by its `nonzeros`
+    (_nonzeros) and L and R by their maps (targets, weights), each of
+    shape (slots, n): index i enters L's column targets[s, i] with weight
+    weights[s, i], L[i, targets[s, i]] = weights[s, i] (zero weights pad).
+    Each nonzero U[i, j] adds L[i, a] U[i, j] R[j, c] to out[a, c] for
+    every slot of i and of j, by np.add.at (which sums the repeated
+    entries), in chunks of nonzeros sized by _SCATTER_SHARE."""
+    flat, values = nonzeros
+    n, width, total = left[0].shape[1], out.shape[1], out.reshape(-1)
+    total.fill(0.0)
+    chunk = max(n * n // _SCATTER_SHARE, _SCATTER_FLOOR)
+    for lo in range(0, flat.size, chunk):
+        rows, cols = np.divmod(flat[lo:lo + chunk], n)
+        part = values[lo:lo + chunk]
+        for into, weights in zip(*left):
+            at = np.take(into, rows)
+            at *= width
+            weight = np.take(weights, rows)
+            weight *= part
+            for then, scale in zip(*right):
+                index = np.take(then, cols)
+                index += at
+                value = np.take(scale, cols)
+                value *= weight
+                np.add.at(total, index, value)
 
 
 def _real_batches(vectors: np.ndarray, first: int, width: int, at: int = 0) -> Iterator:
@@ -556,11 +629,37 @@ def _sorted_columns(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarray:
-    """Step-by-step matrix application; returns the (steps+1, dim) history,
-    float64 for a real start and complex for a complex one."""
+    """Step-by-step application of the matrix through its nonzeros; returns
+    the (steps+1, dim) history, float64 for a real start and complex for a
+    complex one.  Each step gathers the state at every row's nonzero
+    columns (_row_slots) and sums each row with one np.einsum: no BLAS
+    call, so the history's bits do not depend on the thread count."""
     out = np.empty((steps + 1, op.dim), dtype=np.result_type(vector, op.matrix))
     out[0] = vector
+    columns, weights = _row_slots(op.matrix, out.dtype)
+    gathered = np.empty(columns.shape, dtype=out.dtype)
     for t in range(steps):
-        np.matmul(op.matrix, out[t], out=out[t + 1])
+        np.take(out[t], columns, out=gathered, mode="clip")  # "clip" skips a buffered copy
+        np.einsum("ij,ij->i", weights, gathered, out=out[t + 1])
     return out
+
+
+def _row_slots(matrix: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, weights), each (rows, width): row i's nonzero entries
+    weights[i, s] at columns columns[i, s], padded to the widest row's
+    width with zero weights at column 0; weights in `dtype`."""
+    flat, values = _nonzeros(matrix)
+    rows, cols = np.divmod(flat, matrix.shape[1])
+    counts = np.bincount(rows, minlength=matrix.shape[0])
+    width = counts.max(initial=0)
+    # each entry's flat place in the padded rows, its row's start plus its
+    # rank in the row, formed in `rows` (fewer temporaries, a lower peak)
+    rows *= width
+    rows += np.arange(flat.size)
+    rows -= np.repeat(np.cumsum(counts) - counts, counts)
+    columns = np.zeros((matrix.shape[0], width), dtype=np.intp)
+    weights = np.zeros(columns.shape, dtype=dtype)
+    columns.reshape(-1)[rows] = cols
+    weights.reshape(-1)[rows] = values
+    return columns, weights
 

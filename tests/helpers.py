@@ -2,8 +2,9 @@
 
 - the arena registry: every parametrized arena test draws its arenas from
   one of its named sets;
-- dense principal-pair extraction, a step-built reference unitary and a
-  complex-Schur reference eigensolver;
+- dense principal-pair extraction, a step-built reference unitary, a
+  complex-Schur reference eigensolver, and the dense matrix-vector and
+  rotation formulas the oracle's nonzero passes are checked against;
 - per-mode references for the columnar spectral layer;
 - the Fourier-mode chain behind the closed-form spectra (c03) and the
   abstract-search eigenvector (c04): coin blocks, their closed-form phases
@@ -253,6 +254,35 @@ def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:
     alpha, start, good = dense_principal_pair(op, graph, marked)
     return {"graph": graph, "op": op, "alpha": alpha,
             "start_overlap": start, "good_overlap": good}
+
+
+def matvec_history(matrix: np.ndarray, vector: np.ndarray, steps: int) -> np.ndarray:
+    """The (steps+1, dim) history of `vector` under `matrix`, one dense
+    matrix-vector product per step: the reference for oracle.evolve_dense,
+    which steps through the nonzeros alone."""
+    out = np.empty((steps + 1, matrix.shape[0]), dtype=np.result_type(vector, matrix))
+    out[0] = vector
+    for t in range(steps):
+        np.matmul(matrix, out[t], out=out[t + 1])
+    return out
+
+
+def dense_rotation(block: np.ndarray, order: np.ndarray, pairs: int, signed: int) -> np.ndarray:
+    """R^T block R for the eigenbasis R of an involution as
+    oracle._split_order gives it, on every entry of `block`: rows and
+    columns taken in `order`, the last `signed` of them negated, then the
+    butterfly ((x + y), (x - y)) / sqrt(2) between the rows, and then the
+    columns, [0, pairs) and the last `pairs`.  The reference for the
+    oracle's scatter of the nonzeros through the same butterflies."""
+    n = block.shape[0]
+    out = block[order][:, order]
+    out[n - signed:] *= -1.0
+    out[:, n - signed:] *= -1.0
+    for view in (out, out.T):  # the rows, then the columns
+        top, bottom = view[:pairs].copy(), view[n - pairs:].copy()
+        view[:pairs] = (top + bottom) * (1.0 / np.sqrt(2.0))
+        view[n - pairs:] = (top - bottom) * (1.0 / np.sqrt(2.0))
+    return out
 
 
 def json_numbers_close(a, b, atol=1e-9, path="$") -> None:

@@ -1,6 +1,8 @@
 """Dense oracle self-checks and its cross-validation duties."""
 
 import ast
+import inspect
+import textwrap
 import types
 from pathlib import Path
 
@@ -14,8 +16,9 @@ from walklab import (GraphSpec, apply_shift, build_graph, complete_spec, default
                      dense_eigens, dense_unitary, hypercube_spec, mode_spectrum, run_walk,
                      solve_alpha, step, torus_spec, uniform_state)
 
-from helpers import (arenas, dense_principal_pair, eigenspace_projection, random_state,
-                     schur_eigens, step_built_unitary, traced_peak)
+from helpers import (arenas, dense_principal_pair, dense_rotation, eigenspace_projection,
+                     matvec_history, random_state, schur_eigens, step_built_unitary,
+                     traced_peak)
 
 
 @pytest.mark.parametrize("spec", arenas("small"))
@@ -520,8 +523,10 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     then the reflection: 2.49 dim^2 at 2D L=16, moving L=16 and dirac L=22,
     2.48 at the complete graph N=32 and 2.51 at the hypercube d=7; by the
     reflection alone, without a mirror, 3.01 at unmarked dirac L=22 and
-    2.98 at 2D L=16 with two marked vertices).  See traced_peak for what it
-    counts."""
+    2.98 at 2D L=16 with two marked vertices).  The peak is the eigensolve
+    of the blocks; the scatter of U's nonzeros into them peaks earlier, at
+    0.13 dim^2 (0.20 at the complete graph) past the eigenvector buffer's
+    2.  See traced_peak for what it counts."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
@@ -792,6 +797,115 @@ def test_evolve_dense_keeps_a_real_history_for_a_real_start():
     # the real and the complex matrix-vector products may add in other orders
     np.testing.assert_allclose(cplx.real, real, rtol=0, atol=1e-14)
     assert not np.any(cplx.imag)
+
+
+def _assert_steps_match_matvec(matrix, history):
+    """Each step of `history` is the dense product of `matrix` with the one
+    before, to 1e-15 on every entry."""
+    for t in range(len(history) - 1):
+        step_ = matvec_history(matrix, history[t], 1)[1]
+        assert np.max(np.abs(history[t + 1] - step_)) <= 1e-15, t
+
+
+@pytest.mark.parametrize("start", ["real", "complex"])
+@pytest.mark.parametrize("spec", [*arenas("small"), *arenas("dense_cap")], ids=GraphSpec.label)
+def test_evolve_dense_matches_the_matrix_product_at_every_step(spec, start):
+    from walklab import evolve_dense
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    vector = random_state(g).vector
+    history = evolve_dense(op, vector.real.copy() if start == "real" else vector, 20)
+    assert history.dtype == (np.float64 if start == "real" else np.complex128)
+    _assert_steps_match_matvec(op.matrix, history)
+
+
+@pytest.mark.parametrize("kind", ["dense-orthogonal", "zero-row"])
+def test_evolve_dense_on_a_full_matrix_and_an_empty_row(kind):
+    # every entry of a random orthogonal matrix is a nonzero, and a row
+    # without one is all padding
+    from walklab import evolve_dense
+    rng = np.random.default_rng(5)
+    matrix = np.linalg.qr(rng.normal(size=(40, 40)))[0]
+    if kind == "zero-row":
+        matrix[7] = 0.0
+    start = rng.normal(size=40) + 1j * rng.normal(size=40)
+    start /= np.linalg.norm(start)
+    for vector in (start.real.copy(), start):
+        history = evolve_dense(walklab.oracle.DenseOperator(matrix), vector, 12)
+        _assert_steps_match_matvec(matrix, history)
+        assert np.any(history[1:, 7]) == (kind != "zero-row")
+
+
+def _matmul_operators(*functions):
+    """The `@` operators in the source of `functions`."""
+    return [node for func in functions
+            for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func))))
+            if isinstance(node, ast.MatMult)]
+
+
+@pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
+def test_evolve_dense_never_reaches_blas(spec, monkeypatch):
+    # a BLAS product splits its sums over threads, so its bits may depend on
+    # the thread count; the dense history must not.  Every numpy entry to
+    # one is shut, and `@`, which reaches matmul without the module's name,
+    # must not appear
+    from walklab import evolve_dense
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    starts = (random_state(g).vector.real.copy(), random_state(g).vector)
+    expected = [evolve_dense(op, vector, 12) for vector in starts]
+
+    def blas(*args, **kwargs):
+        raise AssertionError("evolve_dense called a BLAS routine")
+
+    for name in ("dot", "vdot", "inner", "vecdot", "tensordot", "matmul"):
+        # vecdot is numpy 2's; on an older numpy nothing can call it
+        monkeypatch.setattr(np, name, blas, raising=False)
+    for vector, history in zip(starts, expected):
+        assert np.array_equal(evolve_dense(op, vector, 12), history)
+    oracle = walklab.oracle
+    assert _matmul_operators(oracle.evolve_dense, oracle._row_slots, oracle._nonzeros) == []
+
+
+@pytest.mark.parametrize("spec,marked", [
+    # the mirror splits first; dirac's reflection is signed on the marked rows
+    *(pytest.param(spec, (0,), id=spec.label()) for spec in arenas("dense_cap")),
+    # no mirror: the reflection alone
+    pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
+    pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
+])
+def test_scattered_blocks_match_the_dense_rotation(spec, marked):
+    oracle = walklab.oracle
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=marked))
+    first, second = np.empty((2, op.dim, op.dim))
+    blocks = list(oracle._rotated_blocks(op, first, second))
+    if op.symmetry is None:
+        parts = [op.matrix]
+    else:
+        order, k, h, _ = oracle._split_order(op.symmetry)
+        whole = dense_rotation(op.matrix, order, k, 0)
+        parts = [whole[:h, :h], whole[h:, h:]]
+        # P's check leaves the off-diagonal blocks' sums, taken |.|, in `first`
+        for scattered, dense in zip(oracle._carve(first, (h, k), (k, h)),
+                                    (whole[:h, h:], whole[h:, :h])):
+            assert np.max(np.abs(scattered - np.abs(dense))) <= 1e-15
+    assert len(blocks) == len(parts) == (1 if op.symmetry is None else 2)
+    for (rotated, _, (order, pairs, signed, *_)), part in zip(blocks, parts):
+        assert np.max(np.abs(rotated - dense_rotation(part, order, pairs, signed))) <= 1e-15
+    assert op.flips.any() == (spec.shift == "dirac" and len(marked) == 1)  # S is signed
+
+
+def test_block_eigens_refuses_a_symmetry_broken_at_a_zero_entry():
+    # the check reads every entry of P's off-diagonal blocks, so a new
+    # nonzero where U has none counts as much as a changed one
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    row = int(np.flatnonzero(op.symmetry != np.arange(op.dim))[0])
+    matrix = op.matrix.copy()
+    matrix[row, int(np.flatnonzero(matrix[row] == 0)[0])] = 1e-9
+    with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
+        _eigens(matrix, op.reflection, op.symmetry)
 
 
 # engine functions that step a state; the oracle builds U' without them
