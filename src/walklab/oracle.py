@@ -6,15 +6,16 @@ coin matrix (the Grover coin is defined here) and the shift rule of
 `graphs` (shift_permutation, or shift_targets per dirac half-move),
 without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
-matrix, with only coin_dim nonzeros in each column.  Two passes read
+matrix, with only coin_dim nonzeros in each column.  Every pass reads
 those nonzeros, listed once per call by np.flatnonzero: evolve_dense
-powers U' through each row's nonzeros, and dense_eigens scatters them
-into U''s blocks in its involutions' eigenbasis.  unitarity_defect stays
-the dense product U'^T U': its bits are pinned to that formula.  U' is
-eigendecomposed through its symmetric part U' + U'^T by
-numpy.linalg.eigh (LAPACK syevd, on numpy's own BLAS: walklab loads no
-second one), whose real eigenvectors its skew part U' - U'^T pairs into
-complex ones (see dense_eigens; a matrix that is not normal raises).
+powers U' through each row's nonzeros, dense_eigens scatters them into
+U''s blocks in its involutions' eigenbasis, and unitarity_defect forms
+U'^T U' only inside each group of columns that share a row, where the
+rest of the product is exact zeros.  U' is eigendecomposed through its
+symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
+own BLAS: walklab loads no second one), whose real eigenvectors its skew
+part U' - U'^T pairs into complex ones (see dense_eigens; a matrix that
+is not normal raises).
 Two involutions split the eigensolve, and U' enters their joint
 eigenbasis through both butterflies at once, one nonzero at a time.  With
 one marked vertex, the arena's mirror through it (Graph.mirror), lifted
@@ -31,13 +32,13 @@ the +1 half and its image there make a pair of eigenvectors of U', with
 no further eigensolve (near theta = 0 or pi, the singular vectors of a
 small cross block re-pair them).  An operator without a time reversal is
 refused.  Every eigenvector is lifted back through the two stages in
-turn.  The oracle imports nothing from the engine: `graphs` checks the
+turn, in real arithmetic: its real part from x, its imaginary part from
+y.  The oracle imports nothing from the engine: `graphs` checks the
 marked set (Graph.marked_set).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ _NEAR_STILL = 0.1
 # how far the skew part may map an eigenvector off its pair, or P U P and
 # S U S may stray from U and U^T, before the check raises
 _INVARIANCE_TOL = 1e-10
-# the lift takes this many eigenvectors at a time: it bounds the lift's
-# temporaries, which hold about 2 dim complex numbers each
+# the lift takes this many still eigenvectors, or turning pairs, at a time:
+# it bounds the lift's temporaries, which hold at most 4 dim float64s each
 _LIFT_COLUMNS = 32
 # the scatter takes at most max(dim^2 / _SCATTER_SHARE, _SCATTER_FLOOR)
 # nonzeros at a time: its six temporaries then hold under 0.1 dim^2
@@ -114,10 +115,20 @@ class DenseOperator:
         return self.matrix.shape[0]
 
     def unitarity_defect(self) -> float:
-        """max |M^T M - I|, formed in the one product's buffer."""
-        gram = self.matrix.T @ self.matrix
-        gram.reshape(-1)[::self.dim + 1] -= 1.0
-        return float(np.max(np.abs(gram, out=gram)))
+        """max |M^T M - I|, with M^T M formed only inside each group of
+        columns that share a row (_column_groups): an entry between two
+        groups sums products with a zero factor, an exact zero of the dense
+        product.  Groups of one shape take one batched product; a group of
+        every column reads M in place, as the dense product does; a zero
+        column is a group of no rows, whose diagonal entry 0 gives 1.  The
+        groups' maxima meet in np.max, so a NaN or an inf in M gives a
+        defect that is not finite."""
+        maxima = []
+        for blocks in _column_groups(self.matrix):
+            gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
+            gram.reshape(len(gram), -1)[:, ::gram.shape[1] + 1] -= 1.0
+            maxima.append(np.max(np.abs(gram, out=gram)))
+        return float(np.max(maxima))
 
 
 def grover_coin(d: int) -> np.ndarray:
@@ -258,9 +269,11 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     under the skew part make a pair of U's eigenvectors (_reversal_eigens,
     which checks the time reversal, else ArithmeticError; either half may
     be empty).  All phases of all blocks are merged by |phase| before any
-    eigenvector is formed, and the lift runs the stages backwards: S's
-    butterfly on a block's half-length vectors, then one signed gather
-    into the original rows (_lift_batches).
+    eigenvector is formed, and the lift runs the stages backwards in real
+    arithmetic: S's butterfly pairs each coordinate of the +1 half with
+    one of the -1 half, so an eigenvector's real part comes from its x
+    alone and its imaginary part from its y alone, each by one weighted
+    gather into the original rows (_lift).
     """
     if op.reflection is None:
         raise ValueError("dense_eigens solves through a time reversal S of U (S U S = U^T), "
@@ -269,20 +282,20 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     first, second = buffer
     phases, found, start = [], [], 0
     for rotated, m, lift in _rotated_blocks(op, first, second):
-        block_phases, batches = _reversal_eigens(rotated, m, _carve(first, rotated.shape)[0])
+        block_phases, eigens = _reversal_eigens(rotated, m, _carve(first, rotated.shape)[0])
         phases.append(block_phases)
-        found.append((start, batches, *lift))
+        found.append((start, eigens, _lift_ways(m, *lift)))
         start += rotated.shape[0]
     phases, columns = _sorted_columns(np.concatenate(phases))
-    for start, *lift in found:
-        _lift_batches(vectors, columns[start:], *lift)
+    for start, eigens, ways in found:
+        _lift(vectors.T, columns[start:], *eigens, *ways)
     return phases, vectors
 
 
 def _rotated_blocks(op: DenseOperator, first: np.ndarray, second: np.ndarray) -> list[tuple]:
     """U's blocks in the eigenbasis of its involutions, each as (matrix, m,
     lift): the block, carved from `second`, whose first m coordinates are
-    S's +1 half, and the way back for _lift_batches.  Each block is
+    S's +1 half, and the way back for _lift_ways.  Each block is
     scattered from U's nonzeros through P's butterfly and then S's
     (_compose, _scatter): past the one listing, no pass reads U's zeros.
     P's check runs in `first`, which is free again on return; the list of
@@ -418,6 +431,52 @@ def _nonzeros(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat, np.take(matrix, flat)
 
 
+def _column_groups(matrix: np.ndarray) -> list[np.ndarray]:
+    """The groups of columns of a square `matrix` that share a row (the
+    connected components of its nonzero pattern), each with the rows it
+    fills: a zero column is a group of no rows.  The groups of one shape
+    come as one stack (groups, rows, columns) gathered from `matrix`, rows
+    and columns ascending; a group of every column is `matrix` itself, a
+    stack of one view.
+
+    Labels propagate over the nonzeros (_nonzeros): each column starts at
+    its own index; a pass gives each row the least label among its
+    columns, then each column the least among its rows', and then jumps
+    each label to its own label's until none moves; passes repeat until a
+    pass moves no label.  Each label is then the least column of its
+    group."""
+    n = matrix.shape[1]
+    rows, cols = np.divmod(_nonzeros(matrix)[0], n)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each filled row's first nonzero
+    row_of = np.repeat(np.arange(starts.size), np.diff(starts, append=cols.size))
+    label = np.arange(n)
+    while cols.size:
+        moved = label.copy()
+        np.minimum.at(moved, cols, np.minimum.reduceat(label[cols], starts)[row_of])
+        while not np.array_equal(jumped := moved[moved], moved):
+            moved = jumped
+        if np.array_equal(moved, label):
+            break
+        label = moved
+    row_group = label[cols[starts]]
+    heights, widths = np.bincount(row_group, minlength=n), np.bincount(label, minlength=n)
+    roots = np.flatnonzero(widths)  # one per group
+    if widths[roots[0]] == n:
+        return [matrix[None]]
+    shapes = heights[roots] * (n + 1) + widths[roots]
+    in_rows = rows[starts][np.argsort(row_group, kind="stable")]
+    in_columns = np.argsort(label, kind="stable")
+    row_start, col_start = np.cumsum(heights) - heights, np.cumsum(widths) - widths
+    groups = []
+    for shape in np.unique(shapes):
+        first = roots[shapes == shape]
+        height, width = divmod(int(shape), n + 1)
+        at_rows = in_rows[row_start[first, None] + np.arange(height)]
+        at_columns = in_columns[col_start[first, None] + np.arange(width)]
+        groups.append(matrix[at_rows[:, :, None], at_columns[:, None, :]])
+    return groups
+
+
 def _scatter(nonzeros: tuple, left: tuple, right: tuple, out: np.ndarray) -> None:
     """L^T U R in `out` (contiguous), for U given by its `nonzeros`
     (_nonzeros) and L and R by their maps (targets, weights), each of
@@ -446,22 +505,14 @@ def _scatter(nonzeros: tuple, left: tuple, right: tuple, out: np.ndarray) -> Non
                 np.add.at(total, index, value)
 
 
-def _real_batches(vectors: np.ndarray, first: int, width: int, at: int = 0) -> Iterator:
-    """(positions, z) for real eigenvectors, the rows of `vectors`, at most
-    _LIFT_COLUMNS at a time from phase position `first`, each row written
-    from coordinate `at` of a zero row `width` wide."""
-    for lo in range(0, len(vectors), _LIFT_COLUMNS):
-        part = vectors[lo:lo + _LIFT_COLUMNS]
-        z = np.zeros((len(part), width))
-        z[:, at:at + part.shape[1]] = part
-        yield first + lo + np.arange(len(part)), z
-
-
-def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np.ndarray, Iterator]:
-    """Phases and eigenvector batches (_lift_batches) of V = R^T U R, U's
-    matrix in the eigenbasis R of a time reversal S whose +1 half is the
-    first m indices.  `rotated` (V, which must be contiguous) is
-    overwritten, and `spare` (as large) is scratch.
+def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Phases and eigenvectors of V = R^T U R, U's matrix in the
+    eigenbasis R of a time reversal S whose +1 half is the first m
+    indices.  `rotated` (V, which must be contiguous) is overwritten, and
+    `spare` (as large) is scratch.  The eigenvectors come as the rows of
+    (xs, ys, still_x, still_y) for _lift: the pairs (x, +-i y)/sqrt(2) at
+    +-theta, then the still x and the still columns of the -1 half, in the
+    phases' order.
 
     The -1 half has size r = n - m (V is n x n).  The time reversal D V D = V^T
     (D = diag(I_m, -I_r)) says that V++ and V-- are symmetric and
@@ -524,8 +575,9 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     gram.reshape(-1)[::r + 1] += 1.5
     theta = np.arctan2(lengths[turning], plus_eigs[turning])
     fixed = np.concatenate([plus_eigs[~turning], minus_eigs[still]])
+    q = gram @ q
     return (np.concatenate([theta, -theta, np.where(fixed > 0, 0.0, np.pi)]),
-            _reversal_batches(plus_vecs, gram @ q, turning))
+            (plus_vecs.T[turning], q[:t], plus_vecs.T[~turning], q[t:]))
 
 
 def _pair_near_still(plus: tuple, minus: tuple) -> None:
@@ -555,24 +607,6 @@ def _pair_near_still(plus: tuple, minus: tuple) -> None:
         ys[i[:sines.size]] = sines[:, None] * zs[j[:sines.size]]
 
 
-def _reversal_batches(plus_vecs: np.ndarray, q: np.ndarray, turning: np.ndarray) -> Iterator:
-    """(positions, z) of _reversal_eigens' eigenvectors, in its phases'
-    order: (x, i y)/sqrt(2) and (x, -i y)/sqrt(2) for _LIFT_COLUMNS / 2
-    turning x at a time, then at most _LIFT_COLUMNS at a time the still x
-    and the still columns of the -1 half (the rows of `q` past the y's)."""
-    m, r, t = plus_vecs.shape[0], q.shape[0], np.count_nonzero(turning)
-    tops, still = plus_vecs.T[turning], plus_vecs.T[~turning]
-    for lo in range(0, t, _LIFT_COLUMNS // 2):
-        k = min(_LIFT_COLUMNS // 2, t - lo)
-        z = np.empty((2 * k, m + r), dtype=np.complex128)
-        z[:k, :m] = z[k:, :m] = tops[lo:lo + k] * _INV_SQRT2
-        np.multiply(q[lo:lo + k], 1j * _INV_SQRT2, out=z[:k, m:])
-        np.negative(z[:k, m:], out=z[k:, m:])
-        yield np.r_[lo:lo + k, t + lo:t + lo + k], z
-    yield from _real_batches(still, 2 * t, m + r)
-    yield from _real_batches(q[t:], m + t, m + r, m)
-
-
 def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     """A column-major n x n complex array for the eigenvectors, and its buffer
     as two n x n float64 arrays.  The lift writes every entry of the array;
@@ -582,29 +616,76 @@ def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flat.reshape(n, n, order="F"), flat.view(np.float64).reshape(2, n, n)
 
 
-def _lift_batches(vectors: np.ndarray, columns: np.ndarray, batches: Iterator,
-                  order: np.ndarray, pairs: int, signed: int, rows: np.ndarray,
-                  scale: np.ndarray | None) -> None:
-    """Write one block's eigenvectors, a batch (positions, z) at a time,
-    each into its sorted column (`columns`, by the block's phase
-    positions).  Each row of z is an eigenvector on the block's
-    coordinates, taken back through S's rotation (order, pairs, signed of
-    _split_order): its butterfly between the first and the last `pairs`
-    coordinates, then its order, with the signed q's negated.  That gives
-    the block's vector y, gathered into the original rows as
-    x[r] = scale[r] * y[rows[r]] (scale None: 1)."""
-    rows = np.argsort(order)[rows]
-    if signed:
-        sign = np.where(rows < order.size - signed, 1.0, -1.0)
-        scale = sign if scale is None else sign * scale
-    eigenrows = vectors.T  # row j is eigenvector j
-    for positions, z in batches:
-        if pairs:
-            _butterfly(z[:, :pairs], z[:, z.shape[1] - pairs:])
-        lifted = np.take(z, rows, axis=1)
-        if scale is not None:
-            lifted *= scale
-        eigenrows[columns[positions]] = lifted
+def _lift_ways(m: int, order: np.ndarray, pairs: int, signed: int, rows: np.ndarray,
+               scale: np.ndarray | None) -> tuple[tuple, tuple]:
+    """The way back from a block's coordinates (S's eigenbasis, its +1 half
+    the first m) into the original rows, per half of S, as the (index,
+    weight) of _gathered.  S's rotation (order, pairs, signed of
+    _split_order) reads a place p < pairs of `order` from coordinates p and
+    p + (n - pairs) by the butterfly ((u + v), (u - v)) / sqrt(2), a place
+    p >= n - pairs from p - (n - pairs) and p likewise, and any other
+    place from coordinate p alone; the +1 half holds each butterfly's u
+    and the -1 half its v.  Then the block's vector z is read
+    x[r] = scale[r] * z[rows[r]] (scale None: 1), negated at the signed
+    q's.  A butterfly's coordinate takes the index into the half's scaled
+    copy (_gathered), and a row that reads nothing of the half weight 0."""
+    place = np.argsort(order)[rows]
+    n, rest = order.size, order.size - pairs
+    top, bottom = place < pairs, place >= rest
+    paired = top | bottom
+    weight = np.where(place < n - signed, 1.0, -1.0)
+    if scale is not None:
+        weight *= scale
+    plus, minus = paired | (place < m), paired | (place >= m)
+    plus_index = np.where(bottom, place - rest, place) + m * paired
+    minus_index = np.where(top, place + rest, place) - m + (n - m) * paired
+    minus_weight = np.where(bottom, -weight, weight)  # the butterfly's u - v
+    return ((np.where(plus, plus_index, 0), np.where(plus, weight, 0.0)),
+            (np.where(minus, minus_index, 0), np.where(minus, minus_weight, 0.0)))
+
+
+def _gathered(vectors: np.ndarray, prescale: float, way: tuple) -> np.ndarray:
+    """The rows v of `vectors`, each on one half of S's eigenbasis, read
+    into the original rows by `way` (_lift_ways): entry r of a row is
+    weight[r] times entry index[r] of [w, w / sqrt(2)], w = v * prescale.
+    A butterfly's entry is so rounded after its 1/sqrt(2) and again after
+    its weight, as the complex lift rounded it."""
+    index, weight = way
+    half = vectors.shape[1]
+    both = np.empty((len(vectors), 2 * half))
+    np.multiply(vectors, prescale, out=both[:, :half])
+    np.multiply(both[:, :half], _INV_SQRT2, out=both[:, half:])
+    lifted = np.take(both, index, axis=1)
+    lifted *= weight
+    return lifted
+
+
+def _lift(eigenrows: np.ndarray, columns: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+          still_x: np.ndarray, still_y: np.ndarray, x_way: tuple, y_way: tuple) -> None:
+    """Write one block's eigenvectors (_reversal_eigens), _LIFT_COLUMNS at a
+    time, into their sorted rows of `eigenrows` (row j is eigenvector j;
+    `columns` by the block's phase positions).  The turning pair
+    (x, +-i y)/sqrt(2) takes its real part from x / sqrt(2) and its
+    imaginary part, +-, from y / sqrt(2), each by _gathered; the still x
+    and the still columns of the -1 half are real.  Every entry equals the
+    complex lift's through S's butterfly, whose other term is an exact
+    zero."""
+    t = len(xs)
+    turning, conjugate = columns[:t], columns[t:2 * t]
+    for lo in range(0, t, _LIFT_COLUMNS):
+        part = slice(lo, lo + _LIFT_COLUMNS)
+        real = _gathered(xs[part], _INV_SQRT2, x_way)
+        imag = _gathered(ys[part], _INV_SQRT2, y_way)
+        eigenrows.real[turning[part]] = real
+        eigenrows.real[conjugate[part]] = real
+        eigenrows.imag[turning[part]] = imag
+        eigenrows.imag[conjugate[part]] = np.negative(imag, out=imag)
+    start = 2 * t
+    for vectors, way in ((still_x, x_way), (still_y, y_way)):
+        for lo in range(0, len(vectors), _LIFT_COLUMNS):
+            part = vectors[lo:lo + _LIFT_COLUMNS]
+            eigenrows[columns[start + lo:start + lo + len(part)]] = _gathered(part, 1.0, way)
+        start += len(vectors)
 
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:

@@ -26,6 +26,7 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
+import walklab.oracle
 from walklab import (ConfigurationError, CostLedger, GraphSpec, WalkState, build_graph,
                      complete_spec, default_coin, dense_eigens, dense_unitary, grover_coin,
                      hypercube_spec, sin2_half_theta, step, torus_modes, torus_spec,
@@ -283,6 +284,86 @@ def dense_rotation(block: np.ndarray, order: np.ndarray, pairs: int, signed: int
         view[:pairs] = (top + bottom) * (1.0 / np.sqrt(2.0))
         view[n - pairs:] = (top - bottom) * (1.0 / np.sqrt(2.0))
     return out
+
+
+# the complex lift takes this many eigenvectors at a time
+_LIFT_COLUMNS = 32
+
+
+def complex_lift_eigens(op) -> tuple[np.ndarray, np.ndarray]:
+    """dense_eigens(op) with each block's eigenvectors lifted as complex
+    vectors on the block's coordinates, (x, +-i y)/sqrt(2) for a turning
+    pair and x or y alone for a still vector, a batch at a time: S's
+    butterfly on the complex batch, then one signed gather into the
+    original rows.  The reference for the oracle's real-arithmetic lift,
+    which forms the real and imaginary parts apart."""
+    oracle = walklab.oracle
+    vectors, (first, second) = oracle._eigenvector_buffer(op.dim)
+    phases, found, start = [], [], 0
+    for rotated, m, lift in oracle._rotated_blocks(op, first, second):
+        block_phases, eigens = oracle._reversal_eigens(rotated, m,
+                                                       oracle._carve(first, rotated.shape)[0])
+        phases.append(block_phases)
+        found.append((start, eigens, lift))
+        start += rotated.shape[0]
+    phases, columns = oracle._sorted_columns(np.concatenate(phases))
+    for start, eigens, lift in found:
+        _complex_lift(vectors, columns[start:], _complex_batches(*eigens), *lift)
+    return phases, vectors
+
+
+def _real_batches(vectors, first, width, at=0):
+    """(positions, z) for real eigenvectors, the rows of `vectors`, at most
+    _LIFT_COLUMNS at a time from phase position `first`, each row written
+    from coordinate `at` of a zero row `width` wide."""
+    for lo in range(0, len(vectors), _LIFT_COLUMNS):
+        part = vectors[lo:lo + _LIFT_COLUMNS]
+        z = np.zeros((len(part), width))
+        z[:, at:at + part.shape[1]] = part
+        yield first + lo + np.arange(len(part)), z
+
+
+def _complex_batches(tops, q, still, q_still):
+    """(positions, z) of one block's eigenvectors, in its phases' order:
+    (x, i y)/sqrt(2) and (x, -i y)/sqrt(2) for _LIFT_COLUMNS / 2 turning
+    pairs (x, y), the rows of `tops` and `q`, at a time, then at most
+    _LIFT_COLUMNS at a time the still x and the still columns of the -1
+    half."""
+    (t, m), r = tops.shape, q.shape[1]
+    for lo in range(0, t, _LIFT_COLUMNS // 2):
+        k = min(_LIFT_COLUMNS // 2, t - lo)
+        z = np.empty((2 * k, m + r), dtype=np.complex128)
+        z[:k, :m] = z[k:, :m] = tops[lo:lo + k] * (1.0 / np.sqrt(2.0))
+        np.multiply(q[lo:lo + k], 1j * (1.0 / np.sqrt(2.0)), out=z[:k, m:])
+        np.negative(z[:k, m:], out=z[k:, m:])
+        yield np.r_[lo:lo + k, t + lo:t + lo + k], z
+    yield from _real_batches(still, 2 * t, m + r)
+    yield from _real_batches(q_still, m + t, m + r, m)
+
+
+def _complex_lift(vectors, columns, batches, order, pairs, signed, rows, scale):
+    """Write one block's eigenvectors, a batch (positions, z) at a time,
+    each into its sorted column (`columns`, by the block's phase
+    positions): S's butterfly ((u + v), (u - v)) / sqrt(2) between z's
+    first and last `pairs` coordinates, then its order with the signed q's
+    negated, gathered into the original rows as x[r] = scale[r] * y[rows[r]]
+    (scale None: 1)."""
+    rows = np.argsort(order)[rows]
+    if signed:
+        sign = np.where(rows < order.size - signed, 1.0, -1.0)
+        scale = sign if scale is None else sign * scale
+    eigenrows = vectors.T  # row j is eigenvector j
+    for positions, z in batches:
+        if pairs:
+            top, bottom = z[:, :pairs], z[:, z.shape[1] - pairs:]
+            total = top + bottom
+            np.subtract(top, bottom, out=bottom)
+            np.multiply(total, 1.0 / np.sqrt(2.0), out=top)
+            bottom *= 1.0 / np.sqrt(2.0)
+        lifted = np.take(z, rows, axis=1)
+        if scale is not None:
+            lifted *= scale
+        eigenrows[columns[positions]] = lifted
 
 
 def json_numbers_close(a, b, atol=1e-9, path="$") -> None:

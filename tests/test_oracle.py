@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import walklab.engine
 import walklab.oracle
@@ -16,9 +17,9 @@ from walklab import (GraphSpec, apply_shift, build_graph, complete_spec, default
                      dense_eigens, dense_unitary, hypercube_spec, mode_spectrum, run_walk,
                      solve_alpha, step, torus_spec, uniform_state)
 
-from helpers import (arenas, dense_principal_pair, dense_rotation, eigenspace_projection,
-                     matvec_history, random_state, schur_eigens, step_built_unitary,
-                     traced_peak)
+from helpers import (arenas, complex_lift_eigens, dense_principal_pair, dense_rotation,
+                     eigenspace_projection, matvec_history, random_state, schur_eigens,
+                     step_built_unitary, traced_peak)
 
 
 @pytest.mark.parametrize("spec", arenas("small"))
@@ -44,6 +45,102 @@ def test_unitarity_defect_equals_the_explicit_formula(spec):
         reference = float(np.max(np.abs(m.conj().T @ m - np.eye(op.dim))))
         assert op.unitarity_defect().hex() == reference.hex()
         assert np.array_equal(op.matrix, before)
+
+
+def _explicit_defect(m):
+    with np.errstate(invalid="ignore"):  # an inf meets the zeros of its column's partners
+        return float(np.max(np.abs(m.T @ m - np.eye(len(m)))))
+
+
+def _permuted_block_diagonal(rng, sizes, block):
+    """The block-diagonal matrix of block(k) for each k in `sizes`, under
+    random row and column permutations."""
+    m = scipy.linalg.block_diag(*(block(k) for k in sizes))
+    return m[rng.permutation(len(m))][:, rng.permutation(len(m))]
+
+
+def _dyadic(rng, size):
+    """Random entries +-1/4 and +-3/4: every product and every sum of a few
+    of them is exact, so no summation order changes a bit."""
+    return rng.choice([-0.75, -0.25, 0.25, 0.75], size=size)
+
+
+def _random_orthogonal(rng, k):
+    return np.linalg.qr(rng.normal(size=(k, k)))[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unitarity_defect_of_permuted_blocks_matches_the_explicit_formula(seed):
+    # each block is one group of columns that share a row, and the groups of
+    # one shape take one batched product; where every sum is exact, each bit
+    # of the dense product is kept, and where sums round, BLAS's dense
+    # kernel adds a column pair's products in an order set by where the
+    # zeros between them sit, so the two agree to rounding
+    rng = np.random.default_rng(seed)
+    sizes = (1, 2, 3, 3, 5, 8, 8, 13)
+    exact = _permuted_block_diagonal(rng, sizes, lambda k: _dyadic(rng, (k, k)))
+    rounded = _permuted_block_diagonal(rng, sizes, lambda k: _random_orthogonal(rng, k))
+    for m in (exact, rounded):
+        groups = walklab.oracle._column_groups(m)
+        assert sorted(g.shape for g in groups) == [(1, 1, 1), (1, 2, 2), (1, 5, 5), (1, 13, 13),
+                                                  (2, 3, 3), (2, 8, 8)]
+    defect = walklab.oracle.DenseOperator(exact).unitarity_defect()
+    assert defect.hex() == _explicit_defect(exact).hex()
+    defect = walklab.oracle.DenseOperator(rounded).unitarity_defect()
+    assert abs(defect - _explicit_defect(rounded)) <= max(sizes) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unitarity_defect_of_bidiagonal_chains_matches_the_explicit_formula(seed):
+    # a bidiagonal pattern broken into chains of unequal length: a chain's
+    # columns share a row only pairwise, so labels travel along it, and with
+    # the columns permuted they take several passes to settle
+    rng = np.random.default_rng(seed)
+    lengths = (1, 2, 7, 12, 30)
+    n = sum(lengths)
+    columns = rng.permutation(n)
+    for exact, draw in ((True, lambda size: _dyadic(rng, size)), (False, rng.normal)):
+        m = np.diag(draw(size=n)) + np.diag(draw(size=n - 1), 1)
+        m[np.cumsum(lengths)[:-1] - 1, np.cumsum(lengths)[:-1]] = 0.0  # break the chains
+        m = m[:, columns]
+        groups = walklab.oracle._column_groups(m)
+        assert sorted(g.shape[2] for g in groups for _ in g) == sorted(lengths)
+        defect, reference = walklab.oracle.DenseOperator(m).unitarity_defect(), _explicit_defect(m)
+        if exact:
+            assert defect.hex() == reference.hex()
+        else:  # each entry sums at most two products
+            assert abs(defect - reference) <= 2 * np.finfo(float).eps * (reference + 1.0)
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "zero column"])
+def test_unitarity_defect_keeps_a_bad_entry_visible(kind):
+    # the groups' maxima meet in np.max: a NaN or an inf anywhere gives a
+    # defect that is not finite, as the dense product's does; a zero column
+    # has a zero diagonal entry in M^T M, so the defect is exactly 1
+    rng = np.random.default_rng(0)
+    m = _permuted_block_diagonal(rng, (1, 2, 3, 5, 8), lambda k: _random_orthogonal(rng, k))
+    column = np.flatnonzero(m[:, 7])
+    if kind == "zero column":
+        m[:, 7] = 0.0
+    else:
+        m[column[0], 7] = np.nan if kind == "nan" else np.inf
+    defect = walklab.oracle.DenseOperator(m).unitarity_defect()
+    if kind == "zero column":
+        assert defect == 1.0 == _explicit_defect(m)
+    else:
+        assert not np.isfinite(defect) and not np.isfinite(_explicit_defect(m))
+
+
+@pytest.mark.parametrize("spec", arenas("dense_cap"), ids=GraphSpec.label)
+def test_unitarity_defect_allocation_peak_at_the_dimension_cap(spec):
+    """unitarity_defect's traced peak near the dimension cap stays at or
+    below 0.25 dim^2 float64s: the mask of U's nonzeros (0.125) and their
+    listing, then each group's block and product.  The dense product's
+    Gram took 1.00."""
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(0,)))
+    assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
+    assert traced_peak(op.unitarity_defect) <= 0.25 * op.dim ** 2 * 8
 
 
 @pytest.mark.parametrize("marked", [(), (1,)], ids=["unmarked", "marked"])
@@ -520,18 +617,39 @@ def test_block_eigens_with_the_identity_as_reflection():
 def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
     float64s near the dimension cap (with numpy 2.4, split by the mirror and
-    then the reflection: 2.49 dim^2 at 2D L=16, moving L=16 and dirac L=22,
-    2.48 at the complete graph N=32 and 2.51 at the hypercube d=7; by the
-    reflection alone, without a mirror, 3.01 at unmarked dirac L=22 and
-    2.98 at 2D L=16 with two marked vertices).  The peak is the eigensolve
+    then the reflection: 2.38 dim^2 at 2D L=16 and moving L=16, 2.39 at
+    dirac L=22 and the complete graph N=32, and 2.40 at the hypercube d=7;
+    by the reflection alone, without a mirror, 3.01 at unmarked dirac L=22
+    and at 2D L=16 with two marked vertices).  The peak is the eigensolve
     of the blocks; the scatter of U's nonzeros into them peaks earlier, at
     0.13 dim^2 (0.20 at the complete graph) past the eigenvector buffer's
-    2.  See traced_peak for what it counts."""
+    2, and the real lift's batches add little past the buffer and the
+    blocks' eigenvectors.  See traced_peak for what it counts."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
     assert (op.symmetry is not None) == (len(marked) == 1)
     assert traced_peak(lambda: dense_eigens(op)) <= 4.5 * op.dim ** 2 * 8
+
+
+@pytest.mark.parametrize("spec,marked", [
+    # the mirror splits first; dirac's reflection is signed on the marked rows
+    *(pytest.param(spec, (0,), id=spec.label()) for spec in arenas("dense_cap")),
+    # no mirror: the reflection alone
+    pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
+    pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
+    pytest.param(hypercube_spec(6), (), id="hypercube(6)-unmarked"),
+    pytest.param(complete_spec(16), (), id="complete(16)-unmarked"),
+])
+def test_dense_eigens_equals_the_complex_lift(spec, marked):
+    # the real and imaginary parts, each gathered from x or y alone, are the
+    # complex butterfly's entries to the bit: its other term is an exact zero
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=marked))
+    phases, vectors = dense_eigens(op)
+    reference_phases, reference_vectors = complex_lift_eigens(op)
+    assert np.array_equal(phases, reference_phases)
+    assert np.array_equal(vectors, reference_vectors)
 
 
 @pytest.mark.parametrize("spec,bound", [
