@@ -364,8 +364,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _int_list(text: str) -> list[int]:
+    """The integers of a comma-separated list; an empty item (a leading,
+    trailing or doubled comma) is no integer."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 

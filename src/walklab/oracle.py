@@ -8,33 +8,34 @@ without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix, with only coin_dim nonzeros in each column.  Every pass reads
 those nonzeros, listed once per call by np.flatnonzero: evolve_dense
-powers U' through each row's nonzeros, dense_eigens scatters them into
-U''s blocks in its involutions' eigenbasis, and unitarity_defect forms
-U'^T U' only inside each group of columns that share a row, where the
-rest of the product is exact zeros.  U' is eigendecomposed through its
-symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's
-own BLAS: walklab loads no second one), whose real eigenvectors its skew
-part U' - U'^T pairs into complex ones (see dense_eigens; a matrix that
-is not normal raises).
+powers U' through each row's nonzeros, dense_eigens checks its
+involutions on them and scatters them into U''s blocks in the
+involutions' eigenbasis, and unitarity_defect forms U'^T U' only inside
+each group of columns that share a row, where the rest of the product is
+exact zeros.  U' is eigendecomposed through its symmetric part U' + U'^T
+by numpy.linalg.eigh (LAPACK syevd, on numpy's own BLAS: walklab loads
+no second one), whose real eigenvectors its skew part U' - U'^T pairs
+into complex ones (see dense_eigens; a matrix that is not normal
+raises).
 Two involutions split the eigensolve, and U' enters their joint
 eigenbasis through both butterflies at once, one nonzero at a time.  With
 one marked vertex, the arena's mirror through it (Graph.mirror), lifted
-to the basis states (Graph.lift), is a symmetry P of U' (checked), and
-U' splits first into P's two eigenspaces, about n/2 each.  A signed
-permutation time reversal S, S U' S = U'^T (checked), then splits each
-of them in two: S is the shift itself, the shift after the direction
-reversal on the moving torus (`Graph.reverse_moves`, the one owner of
-which move undoes which), and on the dirac walk the point reflection
-T of each coin row (`Graph.reflect`) between two copies of the marking
-C' (dense_unitary).  In S's eigenbasis U' + U'^T is two half-size blocks
+to the basis states (Graph.lift), is a symmetry P of U', and U' splits
+first into P's two eigenspaces, about n/2 each.  A signed permutation
+time reversal S, S U' S = U'^T, then splits each of them in two (both
+relations are checked entry by entry on U''s nonzeros): S is the shift
+itself, the shift after the direction reversal on the moving torus
+(`Graph.reverse_moves`, the one owner of which move undoes which), and
+on the dirac walk the point reflection T of each coin row
+(`Graph.reflect`) between two copies of the marking C' (dense_unitary).  In S's eigenbasis U' + U'^T is two half-size blocks
 and U' - U'^T only maps each half into the other, so each eigenvector of
 the +1 half and its image there make a pair of eigenvectors of U', with
 no further eigensolve (near theta = 0 or pi, the singular vectors of a
 small cross block re-pair them).  An operator without a time reversal is
-refused.  Every eigenvector is lifted back through the two stages in
-turn, in real arithmetic: its real part from x, its imaginary part from
-y.  The oracle imports nothing from the engine: `graphs` checks the
-marked set (Graph.marked_set).
+refused.  Every eigenvector is lifted back through the map that built
+its block, read backward in real arithmetic: its real part from x, its
+imaginary part from y.  The oracle imports nothing from the engine:
+`graphs` checks the marked set (Graph.marked_set).
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ _INVARIANCE_TOL = 1e-10
 # the lift takes this many still eigenvectors, or turning pairs, at a time:
 # it bounds the lift's temporaries, which hold at most 4 dim float64s each
 _LIFT_COLUMNS = 32
-# the scatter takes at most max(dim^2 / _SCATTER_SHARE, _SCATTER_FLOOR)
-# nonzeros at a time: its six temporaries then hold under 0.1 dim^2
-# float64s near the cap (and 200 KB below it) on a matrix of any fill
+# the scatter and the involution check take at most max(dim^2 /
+# _SCATTER_SHARE, _SCATTER_FLOOR) nonzeros at a time (_chunks): the
+# scatter's six temporaries then hold under 0.1 dim^2 float64s near the
+# cap (and 200 KB below it) on a matrix of any fill
 _SCATTER_SHARE = 64
 _SCATTER_FLOOR = 4096
 
@@ -79,12 +81,15 @@ class DenseOperator:
     one vertex is marked and it moves some.
 
     An operator checks itself when it is built: a complex matrix raises
-    TypeError, an unsigned identity reflection or an identity symmetry is
-    kept as None (flips with it: all False if not given), and a reflection
-    or symmetry that is no involutive permutation, flips that differ on a
-    2-cycle of S or under P, flips without a reflection, or a pair that
-    does not commute, raise ValueError.  dense_eigens checks that S and P
-    are a time reversal and a symmetry of M."""
+    TypeError, a real matrix of another dtype is taken as float64, an
+    unsigned identity reflection or an identity symmetry is kept as None
+    (flips with it: all False if not given), and a matrix that is not
+    square and 2-D, a reflection or symmetry that is no involutive
+    permutation (any integer array-like, taken as an array), flips that
+    differ on a 2-cycle of S or under P, flips without a reflection, or a
+    pair that does not commute, raise ValueError.  dense_eigens checks,
+    on M's nonzeros, that S and P are a time reversal and a symmetry of
+    M."""
 
     matrix: np.ndarray
     reflection: np.ndarray | None = None
@@ -94,7 +99,11 @@ class DenseOperator:
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.matrix):
             raise TypeError(f"a DenseOperator is a real orthogonal matrix, not a "
-                            f"{self.matrix.dtype} one")
+                            f"{np.asarray(self.matrix).dtype} one")
+        matrix = self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"a DenseOperator's matrix must be square and 2-D, not of "
+                             f"shape {matrix.shape}")
         flips = np.zeros(self.dim, dtype=bool) if self.flips is None else \
             np.asarray(self.flips, dtype=bool)
         if flips.shape != (self.dim,):
@@ -257,23 +266,22 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
 
     The solve runs through the operator's involutions, each through its
     eigenbasis (_split_order).  Its `symmetry` (an involutive index
-    permutation P), where it has one, must commute with U: in P's
-    eigenbasis both off-diagonal blocks must vanish, on every entry, else
-    ArithmeticError, and U splits into the two diagonal blocks
-    (_symmetry_blocks).  Its `reflection` (the signed involutive
-    permutation S of `reflection` and `flips`, which commutes with P) must
-    be a time reversal of U, S U S = U^T; an operator without one raises
-    ValueError.  In P's eigenbasis S is a signed permutation of each block,
-    and each block is formed straight in S's eigenbasis from U's nonzeros
+    permutation P), where it has one, must commute with U, and its
+    `reflection` (the signed involutive permutation S of `reflection` and
+    `flips`, which commutes with P) must be a time reversal of U,
+    S U S = U^T: both are checked on every nonzero of U, which sees every
+    entry, else ArithmeticError (_check_involutions); an operator without
+    a reflection raises ValueError.  U splits into P's two diagonal blocks
+    (_symmetry_blocks), in which S is a signed permutation, and each block
+    is formed straight in S's eigenbasis from U's nonzeros
     (_rotated_blocks), where each eigenvector of the +1 half and its image
-    under the skew part make a pair of U's eigenvectors (_reversal_eigens,
-    which checks the time reversal, else ArithmeticError; either half may
-    be empty).  All phases of all blocks are merged by |phase| before any
-    eigenvector is formed, and the lift runs the stages backwards in real
-    arithmetic: S's butterfly pairs each coordinate of the +1 half with
-    one of the -1 half, so an eigenvector's real part comes from its x
-    alone and its imaginary part from its y alone, each by one weighted
-    gather into the original rows (_lift).
+    under the skew part make a pair of U's eigenvectors (_reversal_eigens;
+    either half may be empty).  All phases of all blocks are merged by
+    |phase| before any eigenvector is formed, and the lift reads each
+    block's map backward in real arithmetic: S's butterfly pairs each
+    coordinate of the +1 half with one of the -1 half, so an eigenvector's
+    real part comes from its x alone and its imaginary part from its y
+    alone, each by one weighted gather into the original rows (_lift).
     """
     if op.reflection is None:
         raise ValueError("dense_eigens solves through a time reversal S of U (S U S = U^T), "
@@ -281,10 +289,10 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     vectors, buffer = _eigenvector_buffer(op.dim)  # the first large allocation
     first, second = buffer
     phases, found, start = [], [], 0
-    for rotated, m, lift in _rotated_blocks(op, first, second):
+    for rotated, m, way in _rotated_blocks(op, second):
         block_phases, eigens = _reversal_eigens(rotated, m, _carve(first, rotated.shape)[0])
         phases.append(block_phases)
-        found.append((start, eigens, _lift_ways(m, *lift)))
+        found.append((start, eigens, _lift_ways(m, *way)))
         start += rotated.shape[0]
     phases, columns = _sorted_columns(np.concatenate(phases))
     for start, eigens, ways in found:
@@ -292,29 +300,56 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     return phases, vectors
 
 
-def _rotated_blocks(op: DenseOperator, first: np.ndarray, second: np.ndarray) -> list[tuple]:
+def _rotated_blocks(op: DenseOperator, buffer: np.ndarray) -> list[tuple]:
     """U's blocks in the eigenbasis of its involutions, each as (matrix, m,
-    lift): the block, carved from `second`, whose first m coordinates are
-    S's +1 half, and the way back for _lift_ways.  Each block is
-    scattered from U's nonzeros through P's butterfly and then S's
-    (_compose, _scatter): past the one listing, no pass reads U's zeros.
-    P's check runs in `first`, which is free again on return; the list of
+    way): the block, carved from `buffer`, whose first m coordinates are
+    S's +1 half, and the map that built it, (targets, s_weights,
+    p_weights).  P's map sends original index i to one coordinate of the
+    block with weight p_weights[i], and S's butterfly sends that
+    coordinate, by slot s, to targets[s, i] with weight s_weights[s, i]:
+    the scatter (_scatter) weighs i by S's weight times P's, and the lift
+    reads the same map backward (_lift_ways).  P and S are checked against
+    U on its nonzeros (_check_involutions), and each block is scattered
+    from them: past the one listing, no pass reads U's zeros.  The list of
     nonzeros is dropped before any eigensolve."""
     nonzeros = _nonzeros(op.matrix)
-    n = op.dim
+    _check_involutions(op, nonzeros)
     if op.symmetry is None:  # one block, U itself, in its own rows
-        index = np.arange(n)
-        blocks = [(op.reflection, op.flips, (index[None], np.ones((1, n))), index, None)]
+        blocks = [(op.reflection, op.flips, (np.arange(op.dim), np.ones(op.dim)))]
     else:
-        blocks = _symmetry_blocks(nonzeros, op.symmetry, op.reflection, op.flips, first)
-    outs = _carve(second, *((pairing.size,) * 2 for pairing, *_ in blocks))
+        blocks = _symmetry_blocks(op.symmetry, op.reflection, op.flips)
+    outs = _carve(buffer, *((pairing.size,) * 2 for pairing, *_ in blocks))
     rotated = []
-    for (pairing, flips, inward, *way), out in zip(blocks, outs):
+    for (pairing, flips, (into, p_weights)), out in zip(blocks, outs):
         order, pairs, m, signed = _split_order(pairing, flips)
-        into = _compose(inward, _rotation_map(order, pairs, signed))
-        _scatter(nonzeros, into, into, out)
-        rotated.append((out, m, (order, pairs, signed, *way)))
+        targets, s_weights = (part[:, into] for part in _rotation_map(order, pairs, signed))
+        _scatter(nonzeros, (targets, s_weights * p_weights), out)
+        rotated.append((out, m, (targets, s_weights, p_weights)))
     return rotated
+
+
+def _check_involutions(op: DenseOperator, nonzeros: tuple) -> None:
+    """Check, on U's `nonzeros` (_nonzeros), that the operator's symmetry P
+    commutes with U and its reflection S is a time reversal of U, else
+    ArithmeticError: P U P = U where |U[P r, P c] - U[r, c]| and
+    S U S = U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where
+    `flips`) is at most _INVARIANCE_TOL at every nonzero (r, c).  P and S
+    are signed permutations, so an entry that breaks either relation is a
+    nonzero of U or the image of one: the check sees every entry."""
+    p, s = op.symmetry, op.reflection
+    sign = np.where(op.flips, -1.0, 1.0)
+    leak = defect = 0.0
+    for rows, cols, part in _chunks(nonzeros, op.dim):
+        if p is not None:
+            leak = max(leak, _max_abs(op.matrix[p[rows], p[cols]] - part))
+        defect = max(defect, _max_abs(sign[rows] * sign[cols] * op.matrix[s[cols], s[rows]]
+                                      - part))
+    if leak > _INVARIANCE_TOL:
+        raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
+                              f"{leak:.3e}")
+    if defect > _INVARIANCE_TOL:
+        raise ArithmeticError(f"the reflection S is no time reversal of U (U does not commute "
+                              f"with S up to transposition): S U S - U^T reaches {defect:.3e}")
 
 
 def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray) -> tuple:
@@ -327,57 +362,42 @@ def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray) -> tuple:
 
 def _involution(perm: np.ndarray | None, n: int, name: str,
                signed: bool = False) -> np.ndarray | None:
-    """`perm` if it is an involutive permutation of range(n) that is not the
-    identity or is `signed`; None if it is None or the unsigned identity;
-    else ValueError."""
+    """`perm`, as an array, if it is an integer array-like that is an
+    involutive permutation of range(n) and is not the identity or is
+    `signed`; None if it is None or the unsigned identity; else
+    ValueError."""
     if perm is None:
         return None
-    index = np.arange(n)
-    if perm.shape != (n,) or not np.array_equal(perm[perm], index):
+    perm, index = np.asarray(perm), np.arange(n)
+    if perm.dtype.kind not in "iu" or perm.shape != (n,) \
+            or not np.array_equal(np.sort(perm), index) or not np.array_equal(perm[perm], index):
         raise ValueError(f"{name} must be an involutive permutation of the indices")
     return None if not signed and np.array_equal(perm, index) else perm
 
 
-def _symmetry_blocks(nonzeros: tuple, symmetry: np.ndarray, reflection: np.ndarray,
-                     flips: np.ndarray, work: np.ndarray) -> list[tuple]:
-    """P's two blocks of U, each as (pairing, flips, inward, rows, scale):
+def _symmetry_blocks(symmetry: np.ndarray, reflection: np.ndarray,
+                     flips: np.ndarray) -> list[tuple]:
+    """P's two blocks of U, each as (pairing, flips, (targets, weights)):
     the signed reflection S (`reflection`, `flips`) on the block's
     coordinates, a signed involution (S e_j = -e_pairing[j] where
-    flips[j]); the map (_scatter) of each original index into the block's
-    coordinates; and the way back, the block's vectors y read
-    x[r] = scale[r] * y[rows[r]] in the original rows.
+    flips[j]), and P's map into the block, by which original index i
+    enters the block's coordinate targets[i] with weight weights[i] (0 if
+    it enters none).
 
     P's 2-cycles (t, P t), t < P t, give (e_t + e_Pt)/sqrt(2) to the +
     block and (e_t - e_Pt)/sqrt(2) to the - block, and its fixed points f
-    give e_f to the + block after them.  P U P = U holds iff both
-    off-diagonal blocks of U in that basis vanish: they are scattered from
-    U's `nonzeros` into `work` (U's shape) and checked on every entry.  S
-    maps P's 2-cycles to 2-cycles and its fixed points to fixed points,
-    and its sign is the same on t and P t, so it permutes the + block's
-    coordinates and the - block's up to sign: the sign of S at t, times -1
-    on the - block where S t = P t' (S sends e_t - e_Pt to -(e_t' - e_Pt')
-    there).  On the way back x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and
-    x[f] = y on the + block and 0 on the - block.
+    give e_f to the + block after them.  S maps P's 2-cycles to 2-cycles
+    and its fixed points to fixed points, and its sign is the same on t
+    and P t, so it permutes the + block's coordinates and the - block's up
+    to sign: the sign of S at t, times -1 on the - block where S t = P t'
+    (S sends e_t - e_Pt to -(e_t' - e_Pt') there).
     """
     order, k, h, _ = _split_order(symmetry)  # [t, f, P t]
     targets, weights = _rotation_map(order, k, 0)
-    plus_in = targets[:1], weights[:1]
-    minus_in = np.maximum(targets[1:] - h, 0), weights[1:]  # each f weighs 0 there
-    across = _carve(work, (h, k), (k, h))
-    _scatter(nonzeros, plus_in, minus_in, across[0])
-    _scatter(nonzeros, minus_in, plus_in, across[1])
-    leak = max(_max_abs(part) for part in across)
-    if leak > _INVARIANCE_TOL:
-        raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
-                              f"{leak:.3e}")
-    place = np.argsort(order)  # the t's, the f's, then the P t's
-    rows, still = place % h, (place >= k) & (place < h)
-    plus_way = rows, np.where(still, 1.0, _INV_SQRT2)
-    minus_way = (np.where(still, 0, rows),
-                 np.select([place < k, still], [_INV_SQRT2, 0.0], -_INV_SQRT2))
-    image = reflection[order[:k]]
-    return [(rows[reflection[order[:h]]], flips[order[:h]], plus_in, *plus_way),
-            (rows[image], (symmetry[image] < image) ^ flips[order[:k]], minus_in, *minus_way)]
+    rows, image = targets[0], reflection[order[:k]]
+    return [(rows[reflection[order[:h]]], flips[order[:h]], (rows, weights[0])),
+            (rows[image], (symmetry[image] < image) ^ flips[order[:k]],
+             (np.maximum(targets[1] - h, 0), weights[1]))]  # each f weighs 0 there
 
 
 def _split_order(pairing: np.ndarray, flips: np.ndarray | None = None) -> tuple:
@@ -412,14 +432,6 @@ def _rotation_map(order: np.ndarray, pairs: int, signed: int) -> tuple:
     weights = np.stack([np.where(first | last, _INV_SQRT2, 1.0),
                         np.select([first, last], [_INV_SQRT2, -_INV_SQRT2], 0.0)])
     return targets, weights * sign
-
-
-def _compose(inner: tuple, outer: tuple) -> tuple:
-    """The map (_scatter) of the basis change R1 R2, from R1's map `inner`
-    (on the original indices) and R2's `outer` (on R1's columns)."""
-    (into, weights), (then, scale) = inner, outer
-    n = into.shape[1]
-    return then[:, into].reshape(-1, n), (scale[:, into] * weights).reshape(-1, n)
 
 
 def _nonzeros(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,32 +489,37 @@ def _column_groups(matrix: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _scatter(nonzeros: tuple, left: tuple, right: tuple, out: np.ndarray) -> None:
-    """L^T U R in `out` (contiguous), for U given by its `nonzeros`
-    (_nonzeros) and L and R by their maps (targets, weights), each of
-    shape (slots, n): index i enters L's column targets[s, i] with weight
-    weights[s, i], L[i, targets[s, i]] = weights[s, i] (zero weights pad).
-    Each nonzero U[i, j] adds L[i, a] U[i, j] R[j, c] to out[a, c] for
+def _scatter(nonzeros: tuple, way: tuple, out: np.ndarray) -> None:
+    """R^T U R in `out` (contiguous), for U given by its `nonzeros`
+    (_nonzeros) and R by its map (targets, weights), each of shape
+    (slots, n): index i enters R's column targets[s, i] with weight
+    weights[s, i], R[i, targets[s, i]] = weights[s, i] (zero weights pad).
+    Each nonzero U[i, j] adds R[i, a] U[i, j] R[j, c] to out[a, c] for
     every slot of i and of j, by np.add.at (which sums the repeated
-    entries), in chunks of nonzeros sized by _SCATTER_SHARE."""
-    flat, values = nonzeros
-    n, width, total = left[0].shape[1], out.shape[1], out.reshape(-1)
+    entries), a chunk of nonzeros at a time (_chunks)."""
+    n, width, total = way[0].shape[1], out.shape[1], out.reshape(-1)
     total.fill(0.0)
-    chunk = max(n * n // _SCATTER_SHARE, _SCATTER_FLOOR)
-    for lo in range(0, flat.size, chunk):
-        rows, cols = np.divmod(flat[lo:lo + chunk], n)
-        part = values[lo:lo + chunk]
-        for into, weights in zip(*left):
+    for rows, cols, part in _chunks(nonzeros, n):
+        for into, weights in zip(*way):
             at = np.take(into, rows)
             at *= width
             weight = np.take(weights, rows)
             weight *= part
-            for then, scale in zip(*right):
+            for then, scale in zip(*way):
                 index = np.take(then, cols)
                 index += at
                 value = np.take(scale, cols)
                 value *= weight
                 np.add.at(total, index, value)
+
+
+def _chunks(nonzeros: tuple, n: int):
+    """The `nonzeros` (_nonzeros) of an n x n matrix as (rows, cols,
+    values), at most max(n^2 / _SCATTER_SHARE, _SCATTER_FLOOR) at a time."""
+    flat, values = nonzeros
+    chunk = max(n * n // _SCATTER_SHARE, _SCATTER_FLOOR)
+    for lo in range(0, flat.size, chunk):
+        yield (*np.divmod(flat[lo:lo + chunk], n), values[lo:lo + chunk])
 
 
 def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -516,12 +533,12 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
 
     The -1 half has size r = n - m (V is n x n).  The time reversal D V D = V^T
     (D = diag(I_m, -I_r)) says that V++ and V-- are symmetric and
-    V+- = -V-+^T: this is checked.  The symmetric part is then the two
-    halves 2 V++ and 2 V--, one eigh each, and the skew part only crosses
-    between them: it is [[0, A], [-A^T, 0]] with A = V+- - V-+^T.  As V is
-    orthogonal, A A^T = 4 - (2 V++)^2, so an eigenvector x of 2 V++ at
-    2 cos theta has the image y = A^T x of length 2 |sin theta|.  Where y is
-    not zero, V's eigenvectors at +-atan2(|y|, 2 cos theta) are
+    V+- = -V-+^T (_check_involutions has checked S on U).  The symmetric
+    part is then the two halves 2 V++ and 2 V--, one eigh each, and the
+    skew part only crosses between them: it is [[0, A], [-A^T, 0]] with
+    A = V+- - V-+^T.  As V is orthogonal, A A^T = 4 - (2 V++)^2, so an
+    eigenvector x of 2 V++ at 2 cos theta has the image y = A^T x of
+    length 2 |sin theta|.  Where y is not zero, V's eigenvectors at +-atan2(|y|, 2 cos theta) are
     (x, +-i y/|y|)/sqrt(2), if U is normal: y/|y| must be an eigenvector of
     2 V-- at the same 2 cos theta and A y/|y| = |y| x, and both halves must
     have as many such turning columns (each checked, else ArithmeticError).
@@ -538,14 +555,6 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     plus_eigs, plus_vecs = _symmetric_eigh(pp, plus)  # eigh copies its input
     minus_eigs, minus_vecs = _symmetric_eigh(mm, minus)
     np.subtract(pm, mp.T, out=cross)
-    # V++ - V++^T = 2 V++ - plus, V-- likewise, V+- + V-+^T = 2 V+- - cross,
-    # formed in V's buffer (only the three results are read from here on)
-    defect = max(_max_abs(np.subtract(np.multiply(part, 2.0, out=part), half, out=part))
-                 for part, half in ((pp, plus), (mm, minus), (pm, cross)))
-    if defect > _INVARIANCE_TOL:
-        raise ArithmeticError(f"the reflection S is no time reversal of U (U does not commute "
-                              f"with S up to transposition): S U S - U^T reaches {defect:.3e} "
-                              f"in the eigenbasis of S")
     # in V's buffer, as rows: each y = A^T x, each A z of the -1 half's
     # eigenvectors z, and the -1 half's new columns q, the y/|y| then the still z
     ys, zs, q = _carve(rotated, (m, r), (r, m), (r, r))
@@ -610,53 +619,42 @@ def _pair_near_still(plus: tuple, minus: tuple) -> None:
 def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     """A column-major n x n complex array for the eigenvectors, and its buffer
     as two n x n float64 arrays.  The lift writes every entry of the array;
-    until then the buffer holds the temporaries: P's rotation and blocks, each
-    block's rotation, and the halves, their images and checks."""
+    until then the buffer holds the temporaries: the blocks, the halves,
+    their images and checks."""
     flat = np.empty(n * n, dtype=np.complex128)
     return flat.reshape(n, n, order="F"), flat.view(np.float64).reshape(2, n, n)
 
 
-def _lift_ways(m: int, order: np.ndarray, pairs: int, signed: int, rows: np.ndarray,
-               scale: np.ndarray | None) -> tuple[tuple, tuple]:
+def _lift_ways(m: int, targets: np.ndarray, s_weights: np.ndarray,
+               p_weights: np.ndarray) -> list[tuple]:
     """The way back from a block's coordinates (S's eigenbasis, its +1 half
     the first m) into the original rows, per half of S, as the (index,
-    weight) of _gathered.  S's rotation (order, pairs, signed of
-    _split_order) reads a place p < pairs of `order` from coordinates p and
-    p + (n - pairs) by the butterfly ((u + v), (u - v)) / sqrt(2), a place
-    p >= n - pairs from p - (n - pairs) and p likewise, and any other
-    place from coordinate p alone; the +1 half holds each butterfly's u
-    and the -1 half its v.  Then the block's vector z is read
-    x[r] = scale[r] * z[rows[r]] (scale None: 1), negated at the signed
-    q's.  A butterfly's coordinate takes the index into the half's scaled
-    copy (_gathered), and a row that reads nothing of the half weight 0."""
-    place = np.argsort(order)[rows]
-    n, rest = order.size, order.size - pairs
-    top, bottom = place < pairs, place >= rest
-    paired = top | bottom
-    weight = np.where(place < n - signed, 1.0, -1.0)
-    if scale is not None:
-        weight *= scale
-    plus, minus = paired | (place < m), paired | (place >= m)
-    plus_index = np.where(bottom, place - rest, place) + m * paired
-    minus_index = np.where(top, place + rest, place) - m + (n - m) * paired
-    minus_weight = np.where(bottom, -weight, weight)  # the butterfly's u - v
-    return ((np.where(plus, plus_index, 0), np.where(plus, weight, 0.0)),
-            (np.where(minus, minus_index, 0), np.where(minus, minus_weight, 0.0)))
+    s_weight, p_weight) of _gathered: the block's map (_rotated_blocks)
+    read backward, as the basis change is orthogonal.  Each original row
+    takes the first slot of the map that lands in the half (an unpaired
+    coordinate's padding slot, of weight 0, comes second): that
+    coordinate, less the half's start, the slot's weight in S's butterfly
+    and P's weight of the row; a row with no slot in the half reads
+    coordinate 0 with weights 0."""
+    ways = []
+    for lands, start in ((targets < m, 0), (targets >= m, m)):
+        slot = np.argmax(lands, axis=0), np.arange(targets.shape[1])
+        found = lands[slot]
+        ways.append((np.where(found, targets[slot] - start, 0),
+                     np.where(found, s_weights[slot], 0.0), np.where(found, p_weights, 0.0)))
+    return ways
 
 
 def _gathered(vectors: np.ndarray, prescale: float, way: tuple) -> np.ndarray:
     """The rows v of `vectors`, each on one half of S's eigenbasis, read
     into the original rows by `way` (_lift_ways): entry r of a row is
-    weight[r] times entry index[r] of [w, w / sqrt(2)], w = v * prescale.
-    A butterfly's entry is so rounded after its 1/sqrt(2) and again after
-    its weight, as the complex lift rounded it."""
-    index, weight = way
-    half = vectors.shape[1]
-    both = np.empty((len(vectors), 2 * half))
-    np.multiply(vectors, prescale, out=both[:, :half])
-    np.multiply(both[:, :half], _INV_SQRT2, out=both[:, half:])
-    lifted = np.take(both, index, axis=1)
-    lifted *= weight
+    v[index[r]] * prescale, times s_weight[r] and then p_weight[r], so a
+    butterfly's entry is rounded after S's 1/sqrt(2) and again after P's
+    weight, as the complex lift rounded it."""
+    index, s_weight, p_weight = way
+    lifted = np.take(np.multiply(vectors, prescale), index, axis=1)
+    lifted *= s_weight
+    lifted *= p_weight
     return lifted
 
 

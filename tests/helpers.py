@@ -290,25 +290,55 @@ def dense_rotation(block: np.ndarray, order: np.ndarray, pairs: int, signed: int
 _LIFT_COLUMNS = 32
 
 
+def block_ways(op) -> list[tuple]:
+    """Per block of dense_eigens(op), in its order, (order, pairs, signed,
+    rows, scale): the eigenbasis of S on the block (oracle._split_order of
+    the block's signed pairing) and P's way back, by which the block's
+    vector y is read x[r] = scale[r] * y[rows[r]] in the original rows
+    (scale None: 1).  P's 2-cycles (t, P t), t < P t, give
+    (e_t + e_Pt)/sqrt(2) to the + block and (e_t - e_Pt)/sqrt(2) to the -
+    block, and its fixed points f give e_f to the + block after them; so
+    x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and x[f] = y on the + block and
+    0 on the - block.  The reference for the oracle's lift, which reads
+    each block's map backward instead."""
+    oracle = walklab.oracle
+    if op.symmetry is None:
+        order, pairs, _, signed = oracle._split_order(op.reflection, op.flips)
+        return [(order, pairs, signed, np.arange(op.dim), None)]
+    order, k, h, _ = oracle._split_order(op.symmetry)  # [t, f, P t]
+    place = np.argsort(order)
+    rows, still = place % h, (place >= k) & (place < h)
+    half = 1.0 / np.sqrt(2.0)
+    ways = [(rows, np.where(still, 1.0, half)),
+            (np.where(still, 0, rows), np.select([place < k, still], [half, 0.0], -half))]
+    out = []
+    for (pairing, flips, _), way in zip(
+            oracle._symmetry_blocks(op.symmetry, op.reflection, op.flips), ways):
+        order, pairs, _, signed = oracle._split_order(pairing, flips)
+        out.append((order, pairs, signed, *way))
+    return out
+
+
 def complex_lift_eigens(op) -> tuple[np.ndarray, np.ndarray]:
     """dense_eigens(op) with each block's eigenvectors lifted as complex
     vectors on the block's coordinates, (x, +-i y)/sqrt(2) for a turning
     pair and x or y alone for a still vector, a batch at a time: S's
     butterfly on the complex batch, then one signed gather into the
-    original rows.  The reference for the oracle's real-arithmetic lift,
-    which forms the real and imaginary parts apart."""
+    original rows by P's way back (block_ways).  The reference for the
+    oracle's real-arithmetic lift, which forms the real and imaginary parts
+    apart."""
     oracle = walklab.oracle
     vectors, (first, second) = oracle._eigenvector_buffer(op.dim)
     phases, found, start = [], [], 0
-    for rotated, m, lift in oracle._rotated_blocks(op, first, second):
+    for (rotated, m, _), way in zip(oracle._rotated_blocks(op, second), block_ways(op)):
         block_phases, eigens = oracle._reversal_eigens(rotated, m,
                                                        oracle._carve(first, rotated.shape)[0])
         phases.append(block_phases)
-        found.append((start, eigens, lift))
+        found.append((start, eigens, way))
         start += rotated.shape[0]
     phases, columns = oracle._sorted_columns(np.concatenate(phases))
-    for start, eigens, lift in found:
-        _complex_lift(vectors, columns[start:], _complex_batches(*eigens), *lift)
+    for start, eigens, way in found:
+        _complex_lift(vectors, columns[start:], _complex_batches(*eigens), *way)
     return phases, vectors
 
 

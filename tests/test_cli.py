@@ -639,3 +639,22 @@ def test_config_supplies_required_flags(tmp_path, command, text, flags):
 def test_missing_required_flag_is_named(capsys, args, message):
     assert run_cli(args + ["--out", os.devnull]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,text", [
+    (["run", "--side", "8", "--t-max", "3", "--marked", "3,"], "3,"),
+    (["run", "--side", "8", "--t-max", "3", "--marked", ",,5"], ",,5"),
+    (["two-marked", "--side", "8", "--v1", "3,", "--v2", "3,5", "--t-max", "3"], "3,"),
+], ids=["marked-trailing", "marked-leading", "two-marked-v1"])
+def test_a_vertex_with_an_empty_item_is_refused(capsys, args, text):
+    # an empty item between commas is no coordinate: "3," is not vertex 3
+    assert run_cli(args + ["--out", os.devnull]) == 2
+    assert f"cannot parse vertex {text!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sides", ["4,,6,", ",4", "4,"])
+def test_sides_with_an_empty_item_are_refused(capsys, sides):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["sweep", "--sides", sides, "--out", os.devnull])
+    assert exit_info.value.code == 2
+    assert f"expected comma-separated integers, got {sides!r}" in capsys.readouterr().err

@@ -17,9 +17,9 @@ from walklab import (GraphSpec, apply_shift, build_graph, complete_spec, default
                      dense_eigens, dense_unitary, hypercube_spec, mode_spectrum, run_walk,
                      solve_alpha, step, torus_spec, uniform_state)
 
-from helpers import (arenas, complex_lift_eigens, dense_principal_pair, dense_rotation,
-                     eigenspace_projection, matvec_history, random_state, schur_eigens,
-                     step_built_unitary, traced_peak)
+from helpers import (arenas, block_ways, complex_lift_eigens, dense_principal_pair,
+                     dense_rotation, eigenspace_projection, matvec_history, random_state,
+                     schur_eigens, step_built_unitary, traced_peak)
 
 
 @pytest.mark.parametrize("spec", arenas("small"))
@@ -847,6 +847,41 @@ def test_dense_operator_checks_its_flips_when_built():
         DenseOperator(op.matrix, s, p, moved)
 
 
+@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
+                         ids=["not-square", "one-dimensional", "three-dimensional"])
+def test_dense_operator_refuses_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError, match="square and 2-D"):
+        walklab.oracle.DenseOperator(matrix)
+
+
+@pytest.mark.parametrize("matrix", [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]], bool),
+                                    [[0, 1], [1, 0]], np.array([[0.0, 1.0], [1.0, 0.0]])],
+                         ids=["integer", "bool", "list", "float64"])
+def test_dense_operator_takes_a_real_matrix_as_float64(matrix):
+    # the swap, its own time reversal: a float64 array is kept as it is
+    op = walklab.oracle.DenseOperator(matrix, [1, 0])
+    assert op.matrix.dtype == np.float64 and np.array_equal(op.matrix, [[0, 1], [1, 0]])
+    kept = isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+    assert (op.matrix is matrix) == kept
+    assert op.unitarity_defect() == 0.0
+    assert np.array_equal(np.abs(dense_eigens(op)[0]), [0.0, np.pi])
+
+
+@pytest.mark.parametrize("perm", [[1.0, 0.0], [True, False], [2, 0], [-1, 0], [[1, 0]], "10"],
+                         ids=["float", "bool", "out-of-range", "negative", "nested", "string"])
+@pytest.mark.parametrize("field", ["reflection", "symmetry"])
+def test_dense_operator_refuses_an_involution_that_is_no_integer_permutation(field, perm):
+    with pytest.raises(ValueError, match=f"{field} must be an involutive permutation"):
+        walklab.oracle.DenseOperator(np.eye(2)[[1, 0]], **{field: perm})
+
+
+@pytest.mark.parametrize("field", ["reflection", "symmetry"])
+def test_dense_operator_takes_an_involution_as_an_integer_array_like(field):
+    op = walklab.oracle.DenseOperator(np.eye(2)[[1, 0]], **{field: (1, 0)})
+    assert isinstance(getattr(op, field), np.ndarray)
+    assert np.array_equal(getattr(op, field), [1, 0])
+
+
 @pytest.mark.parametrize("marked", [(), (0, 5)], ids=["unmarked", "two-marked"])
 def test_no_symmetry_unless_one_vertex_is_marked(marked):
     for spec in arenas("small"):
@@ -996,27 +1031,25 @@ def test_scattered_blocks_match_the_dense_rotation(spec, marked):
     oracle = walklab.oracle
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
-    first, second = np.empty((2, op.dim, op.dim))
-    blocks = list(oracle._rotated_blocks(op, first, second))
+    blocks = oracle._rotated_blocks(op, np.empty((op.dim, op.dim)))
     if op.symmetry is None:
         parts = [op.matrix]
     else:
         order, k, h, _ = oracle._split_order(op.symmetry)
         whole = dense_rotation(op.matrix, order, k, 0)
         parts = [whole[:h, :h], whole[h:, h:]]
-        # P's check leaves the off-diagonal blocks' sums, taken |.|, in `first`
-        for scattered, dense in zip(oracle._carve(first, (h, k), (k, h)),
-                                    (whole[:h, h:], whole[h:, :h])):
-            assert np.max(np.abs(scattered - np.abs(dense))) <= 1e-15
+        # P commutes with U: its off-diagonal blocks, never scattered, vanish
+        for dense in (whole[:h, h:], whole[h:, :h]):
+            assert np.max(np.abs(dense)) <= 1e-15
     assert len(blocks) == len(parts) == (1 if op.symmetry is None else 2)
-    for (rotated, _, (order, pairs, signed, *_)), part in zip(blocks, parts):
+    for (rotated, _, _), (order, pairs, signed, *_), part in zip(blocks, block_ways(op), parts):
         assert np.max(np.abs(rotated - dense_rotation(part, order, pairs, signed))) <= 1e-15
     assert op.flips.any() == (spec.shift == "dirac" and len(marked) == 1)  # S is signed
 
 
 def test_block_eigens_refuses_a_symmetry_broken_at_a_zero_entry():
-    # the check reads every entry of P's off-diagonal blocks, so a new
-    # nonzero where U has none counts as much as a changed one
+    # the check reads P's image of every nonzero, so a new nonzero where U
+    # has none counts as much as a changed one
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     row = int(np.flatnonzero(op.symmetry != np.arange(op.dim))[0])
@@ -1024,6 +1057,59 @@ def test_block_eigens_refuses_a_symmetry_broken_at_a_zero_entry():
     matrix[row, int(np.flatnonzero(matrix[row] == 0)[0])] = 1e-9
     with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
         _eigens(matrix, op.reflection, op.symmetry)
+
+
+@pytest.mark.parametrize("mirror", [True, False], ids=["mirror", "no-mirror"])
+def test_block_eigens_refuses_a_time_reversal_broken_at_a_zero_entry(mirror):
+    # the check reads S's image of every nonzero, so a new nonzero where U
+    # and its S-image are both zero counts as much as a changed one; with
+    # the mirror, P's image of the entry is set too, so that P still commutes
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    s, p = op.reflection, op.symmetry if mirror else np.arange(op.dim)
+    rows, cols = np.nonzero(op.matrix == 0)
+    image = s[cols], s[rows]
+    free = ((op.matrix[image] == 0) & ((image[0] != rows) | (image[1] != cols))
+            & ((image[0] != p[rows]) | (image[1] != p[cols])))
+    r, c = rows[free][0], cols[free][0]
+    matrix = op.matrix.copy()
+    matrix[r, c] = matrix[p[r], p[c]] = 1e-9
+    with pytest.raises(ArithmeticError, match="no time reversal"):
+        _eigens(matrix, op.reflection, op.symmetry if mirror else None)
+
+
+@pytest.mark.parametrize("delta", [1e-11, 1e-9])
+@pytest.mark.parametrize("broken,message", [
+    ("symmetry", "does not commute with the symmetry"),
+    ("time-reversal", "no time reversal"),
+])
+def test_involution_check_is_entrywise_at_its_tolerance(broken, message, delta):
+    # one nonzero of U moved by delta, which P moves and S does not send to
+    # itself or to its P-image: P U P - U and S U S - U^T reach delta there,
+    # and the check refuses past _INVARIANCE_TOL = 1e-10 only.  P is checked
+    # first; to break S alone, the entry's P-image moves with it.  (Past the
+    # check, the eigensolve refuses even 1e-11 as not normal: the still
+    # eigenvectors' images pass _SKEW_ZERO.)
+    oracle = walklab.oracle
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    s, p = op.reflection, op.symmetry
+    rows, cols = np.nonzero(op.matrix)
+    image = s[cols], s[rows]
+    free = (((p[rows] != rows) | (p[cols] != cols))
+            & ((image[0] != rows) | (image[1] != cols))
+            & ((image[0] != p[rows]) | (image[1] != p[cols])))
+    r, c = rows[free][0], cols[free][0]
+    matrix = op.matrix.copy()
+    matrix[r, c] += delta
+    if broken == "time-reversal":
+        matrix[p[r], p[c]] += delta
+    moved = oracle.DenseOperator(matrix, s, p)
+    if delta > oracle._INVARIANCE_TOL:
+        with pytest.raises(ArithmeticError, match=message):
+            dense_eigens(moved)
+    else:
+        oracle._check_involutions(moved, oracle._nonzeros(matrix))
 
 
 # engine functions that step a state; the oracle builds U' without them

@@ -340,6 +340,41 @@ def test_the_eigensolver_check_sees_a_second_caller():
     assert _eigensolver_callers(source) == {"_symmetric_eigh", "_level_eigens", "_phases"}
 
 
+_INVOLUTION_REFUSALS = ("does not commute with the symmetry", "no time reversal")
+
+
+def _involution_checkers(source):
+    """The functions in `source` that raise an error whose message (its
+    string constants, joined) says U breaks its symmetry or its time
+    reversal."""
+    def says(node):
+        text = "".join(part.value for part in ast.walk(node)
+                       if isinstance(part, ast.Constant) and isinstance(part.value, str))
+        return any(phrase in text for phrase in _INVOLUTION_REFUSALS)
+    return {func.name for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Raise) and says(node) for node in ast.walk(func))}
+
+
+def test_one_function_checks_the_involutions_against_u():
+    # dense_eigens checks P and S once, on U's nonzeros; a second check
+    # (on a block, in an eigenbasis) would be a second owner of the decision
+    checkers = {(path.stem, name) for path in MODULES
+                for name in _involution_checkers(path.read_text(encoding="utf-8"))}
+    assert checkers == {("oracle", "_check_involutions")}
+
+
+def test_the_involution_check_sees_a_second_checker():
+    source = ("def _check_involutions(u):\n"
+              "    raise ArithmeticError(f'U does not commute with the symmetry P: {u}')\n\n\n"
+              "def _reversal_eigens(v, defect):\n"
+              "    if defect:\n"
+              "        raise ArithmeticError(f'the reflection S is no time '\n"
+              "                              f'reversal of U: {defect:.3e}')\n\n\n"
+              "def _note():\n    return 'no time reversal'\n")
+    assert _involution_checkers(source) == {"_check_involutions", "_reversal_eigens"}
+
+
 def _neighborhood_builders(source):
     """The functions and methods that `source` defines with "neighbo" in
     their name."""
