@@ -223,30 +223,37 @@ class Graph:
         around = self.closed_neighborhood((vertex,))
         return around[around != vertex]
 
-    def mirror(self, vertex: int) -> np.ndarray:
-        """An involutive automorphism g of the arena that fixes `vertex`, as
-        the vertex permutation g[v].
+    def mirrors(self, vertex: int) -> tuple[np.ndarray, ...]:
+        """Commuting involutive automorphisms g[v] of the arena, none the
+        identity, that fix `vertex` and, lifted, commute with the step:
+        generators of the group Z_2^k by which the dense oracle splits U'.
 
-        torus       the last axis reflected through `vertex`
-        hypercube   x -> w ^ pi(x ^ w), pi swapping the bit pairs (0 1)(2 3)...
-        complete    the other vertices paired up in index order
+        torus       each axis reflected through `vertex`; dirac: the last
+                    alone, as no other commutes with its step
+        hypercube   x -> w ^ pi_i(x ^ w), pi_i swapping bits 2i and 2i + 1
+        complete    the labels 0, 1, ... of the other vertices, in index
+                    order, XORed with 2^i, i < k, in each whole run of 2^k;
+                    k the most whose runs hold two thirds of them
         """
         (vertex,) = self._vertices((vertex,), "vertices")
-        family = self.spec.family
+        family, index = self.spec.family, np.arange(self.n, dtype=np.int64)
         if family == "torus":
-            return self.reflect(2 * self.vertex_coords(vertex)[-1], axes=(-1,))
-        index = np.arange(self.n, dtype=np.int64)
-        if family == "hypercube":
-            evens = sum(1 << b for b in range(0, self.spec.dims[0] - 1, 2))
-            flipped = index ^ vertex
-            swapped = ((flipped & evens) << 1) | ((flipped >> 1) & evens) \
-                | (flipped & ~(evens | evens << 1))
-            return swapped ^ vertex
-        others = index[index != vertex]
-        pairs = others.size // 2
-        index[others[0:2 * pairs:2]], index[others[1:2 * pairs:2]] = \
-            others[1:2 * pairs:2], others[0:2 * pairs:2]
-        return index
+            centre = 2 * np.array(self.vertex_coords(vertex))
+            axes = [-1] if self.spec.shift == "dirac" else range(len(centre))
+            maps = [self.reflect(centre[axis], axes=(axis,)) for axis in axes]
+        elif family == "hypercube":
+            flipped = index ^ vertex  # bits b and b + 1 of x ^ w swap where they differ
+            maps = [index ^ (((flipped >> b) ^ (flipped >> b + 1)) & 1) * (3 << b)
+                    for b in range(0, self.spec.dims[0] - 1, 2)]
+        else:
+            others = index[index != vertex]
+            bits = max(k for k in range(others.size.bit_length())
+                       if 3 * (others.size >> k << k) >= 2 * others.size)
+            label = np.arange(others.size >> bits << bits)
+            maps = [index.copy() for _ in range(bits)]
+            for bit, g in enumerate(maps):
+                g[others[label]] = others[label ^ (1 << bit)]
+        return tuple(g for g in maps if np.any(g != index))
 
     def reflect(self, total, axes=None) -> np.ndarray:
         """The torus vertex map v -> total - v on `axes` (every axis if None),

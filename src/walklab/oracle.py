@@ -17,25 +17,26 @@ by numpy.linalg.eigh (LAPACK syevd, on numpy's own BLAS: walklab loads
 no second one), whose real eigenvectors its skew part U' - U'^T pairs
 into complex ones (see dense_eigens; a matrix that is not normal
 raises).
-Two involutions split the eigensolve, and U' enters their joint
-eigenbasis through both butterflies at once, one nonzero at a time.  With
-one marked vertex, the arena's mirror through it (Graph.mirror), lifted
-to the basis states (Graph.lift), is a symmetry P of U', and U' splits
-first into P's two eigenspaces, about n/2 each.  A signed permutation
-time reversal S, S U' S = U'^T, then splits each of them in two (both
-relations are checked entry by entry on U''s nonzeros): S is the shift
-itself, the shift after the direction reversal on the moving torus
+Involutions split the eigensolve, and U' enters their joint eigenbasis
+one nonzero at a time.  With one marked vertex, the arena's commuting
+reflections through it (Graph.mirrors), lifted to the basis states
+(Graph.lift), generate a group G = Z_2^k of symmetries of U', and U'
+splits into one block per character of G.  A signed permutation time
+reversal S, S U' S = U'^T, then splits each block in two (every relation
+is checked entry by entry on U''s nonzeros): S is the shift itself, the
+shift after the direction reversal on the moving torus
 (`Graph.reverse_moves`, the one owner of which move undoes which), and
 on the dirac walk the point reflection T of each coin row
-(`Graph.reflect`) between two copies of the marking C' (dense_unitary).  In S's eigenbasis U' + U'^T is two half-size blocks
-and U' - U'^T only maps each half into the other, so each eigenvector of
-the +1 half and its image there make a pair of eigenvectors of U', with
-no further eigensolve (near theta = 0 or pi, the singular vectors of a
-small cross block re-pair them).  An operator without a time reversal is
-refused.  Every eigenvector is lifted back through the map that built
-its block, read backward in real arithmetic: its real part from x, its
-imaginary part from y.  The oracle imports nothing from the engine:
-`graphs` checks the marked set (Graph.marked_set).
+(`Graph.reflect`) between two copies of the marking C' (dense_unitary).
+In S's eigenbasis U' + U'^T is two half-size blocks and U' - U'^T only
+maps each half into the other, so each eigenvector of the +1 half and
+its image there make a pair of eigenvectors of U', with no further
+eigensolve (near theta = 0 or pi, the singular vectors of a small cross
+block re-pair them).  An operator without a time reversal is refused.
+Every eigenvector is lifted back through the map that built its block,
+read backward in real arithmetic: its real part from x, its imaginary
+part from y.  The oracle imports nothing from the engine: `graphs`
+checks the marked set (Graph.marked_set).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .graphs import Graph
 
 DIMENSION_CAP = 1024
-# the butterflies into the eigenbases of P and S scale by the reciprocal
+# each 2-cycle of an involution puts this weight on its two indices in its eigenbasis
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # an eigenvector that the skew part maps to within this of zero has theta = 0 or pi
 _SKEW_ZERO = 1e-12
@@ -76,24 +77,25 @@ class DenseOperator:
     -e_reflection[j] where flips[j] and e_reflection[j] elsewhere (an
     involution, S M S = M^T: the shift itself, the shift after the
     direction reversal on the moving torus, C' T C' on the dirac walk; see
-    dense_unitary); and as `symmetry` the arena's mirror through the one
-    marked vertex, lifted to the basis states (Graph.lift), where exactly
-    one vertex is marked and it moves some.
+    dense_unitary); and as `symmetries` commuting involutive index
+    permutations that commute with M and S, generators of a group Z_2^k
+    (dense_unitary's are Graph.mirrors through the one marked vertex,
+    lifted to the basis states by Graph.lift).
 
     An operator checks itself when it is built: a complex matrix raises
     TypeError, a real matrix of another dtype is taken as float64, an
-    unsigned identity reflection or an identity symmetry is kept as None
-    (flips with it: all False if not given), and a matrix that is not
-    square and 2-D, a reflection or symmetry that is no involutive
+    unsigned identity reflection is kept as None (flips with it: all False
+    if not given) and an identity symmetry is dropped, and a matrix that
+    is not square and 2-D, a reflection or symmetry that is no involutive
     permutation (any integer array-like, taken as an array), flips that
-    differ on a 2-cycle of S or under P, flips without a reflection, or a
-    pair that does not commute, raise ValueError.  dense_eigens checks,
-    on M's nonzeros, that S and P are a time reversal and a symmetry of
-    M."""
+    are not one bool per index or differ on a 2-cycle of S or under a
+    symmetry, flips without a reflection, or two involutions that do not
+    commute, raise ValueError.  dense_eigens checks, on M's nonzeros, that
+    S is a time reversal of M and each symmetry a symmetry of it."""
 
     matrix: np.ndarray
     reflection: np.ndarray | None = None
-    symmetry: np.ndarray | None = None
+    symmetries: tuple = ()
     flips: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -104,20 +106,22 @@ class DenseOperator:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"a DenseOperator's matrix must be square and 2-D, not of "
                              f"shape {matrix.shape}")
-        flips = np.zeros(self.dim, dtype=bool) if self.flips is None else \
-            np.asarray(self.flips, dtype=bool)
-        if flips.shape != (self.dim,):
-            raise ValueError("flips must be one flag per index")
+        flips = np.zeros(self.dim, dtype=bool) if self.flips is None else np.asarray(self.flips)
+        if flips.dtype.kind != "b" or flips.shape != (self.dim,):
+            raise ValueError("flips must be one flag per index, each a bool")
         if self.reflection is None and flips.any():
             raise ValueError("flips sign a reflection, and there is none")
         s = self.reflection = _involution(self.reflection, self.dim, "reflection", flips.any())
-        p = self.symmetry = _involution(self.symmetry, self.dim, "symmetry")
+        found = (_involution(g, self.dim, "symmetry") for g in self.symmetries)
+        self.symmetries = tuple(g for g in found if g is not None)
         self.flips = None if s is None else flips
         if s is not None and not np.array_equal(flips[s], flips):
             raise ValueError("the reflection's flips must agree on each of its 2-cycles")
-        if s is not None and p is not None and not (np.array_equal(s[p], p[s])
-                                                    and np.array_equal(flips[p], flips)):
-            raise ValueError("the reflection and the symmetry must commute")
+        for i, g in enumerate(self.symmetries):
+            if not all(np.array_equal(g[h], h[g]) for h in self.symmetries[:i]) \
+                    or s is not None and not (np.array_equal(s[g], g[s])
+                                              and np.array_equal(flips[g], flips)):
+                raise ValueError("the reflection and the symmetries must commute")
 
     @property
     def dim(self) -> int:
@@ -178,13 +182,13 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
     else:
         n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
         first = _shifted_coin(graph, marked, _half_move(graph, (0, 1)))
-        _butterfly(first[:n], first[n:], scale=1.0)  # the second takes both 1/sqrt(2)
+        _butterfly(first[:n], first[n:], 1.0)  # the second takes both 1/sqrt(2)
         matrix = np.empty_like(first)
         matrix[_half_move(graph, (2, 3))] = first
-        _butterfly(matrix[:n], matrix[n:], first[:n], scale=0.5)  # first's buffer is free
+        _butterfly(matrix[:n], matrix[n:], 0.5, first[:n])  # first's buffer is free
         reflection, flips = _dirac_reversal(graph, marked)
-    symmetry = graph.lift(graph.mirror(marked[0])) if len(marked) == 1 else None
-    return DenseOperator(matrix, reflection, symmetry, flips)
+    mirrors = graph.mirrors(marked[0]) if len(marked) == 1 else ()
+    return DenseOperator(matrix, reflection, [graph.lift(g) for g in mirrors], flips)
 
 
 def _dirac_reversal(graph: Graph, marked: tuple[int, ...]) -> tuple:
@@ -241,8 +245,8 @@ def _half_move(graph: Graph, roles: tuple[int, int]) -> np.ndarray:
     return (np.arange(2)[:, None] * graph.n + graph.shift_targets()[list(roles)]).ravel()
 
 
-def _butterfly(top: np.ndarray, bottom: np.ndarray, total: np.ndarray | None = None,
-               scale: float = _INV_SQRT2) -> None:
+def _butterfly(top: np.ndarray, bottom: np.ndarray, scale: float,
+               total: np.ndarray | None = None) -> None:
     """(top, bottom) <- ((top + bottom), (top - bottom)) * scale, in place;
     the sum passes through `total` (top's shape) if given."""
     total = np.add(top, bottom, out=total)
@@ -264,24 +268,24 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     that is not normal raises ArithmeticError instead of returning a wrong
     basis.
 
-    The solve runs through the operator's involutions, each through its
-    eigenbasis (_split_order).  Its `symmetry` (an involutive index
-    permutation P), where it has one, must commute with U, and its
-    `reflection` (the signed involutive permutation S of `reflection` and
-    `flips`, which commutes with P) must be a time reversal of U,
-    S U S = U^T: both are checked on every nonzero of U, which sees every
-    entry, else ArithmeticError (_check_involutions); an operator without
-    a reflection raises ValueError.  U splits into P's two diagonal blocks
-    (_symmetry_blocks), in which S is a signed permutation, and each block
-    is formed straight in S's eigenbasis from U's nonzeros
-    (_rotated_blocks), where each eigenvector of the +1 half and its image
-    under the skew part make a pair of U's eigenvectors (_reversal_eigens;
-    either half may be empty).  All phases of all blocks are merged by
-    |phase| before any eigenvector is formed, and the lift reads each
-    block's map backward in real arithmetic: S's butterfly pairs each
-    coordinate of the +1 half with one of the -1 half, so an eigenvector's
-    real part comes from its x alone and its imaginary part from its y
-    alone, each by one weighted gather into the original rows (_lift).
+    The solve runs through the operator's involutions.  Each of its
+    `symmetries` (commuting involutive index permutations, generators of a
+    group G) must commute with U, and its `reflection` (the signed
+    involutive permutation S of `reflection` and `flips`, which commutes
+    with them) must be a time reversal of U, S U S = U^T: all are checked
+    on every nonzero of U, which sees every entry, else ArithmeticError
+    (_check_involutions); an operator without a reflection raises
+    ValueError.  U splits into one block per character of G, each formed
+    straight in S's eigenbasis from U's nonzeros in the rows at G's orbit
+    representatives (_split_maps, _rotated_blocks), where each
+    eigenvector of the +1 half and its image under the skew part make a
+    pair of U's eigenvectors (_reversal_eigens; either half may be
+    empty).  All phases of all blocks are merged by |phase| before any
+    eigenvector is formed, and the lift reads each half's map backward in
+    real arithmetic: an original row has at most one coordinate in each
+    half of a block, so an eigenvector's real part comes from its x alone
+    and its imaginary part from its y alone, each by one weighted gather
+    into the original rows (_lift).
     """
     if op.reflection is None:
         raise ValueError("dense_eigens solves through a time reversal S of U (S U S = U^T), "
@@ -289,10 +293,10 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     vectors, buffer = _eigenvector_buffer(op.dim)  # the first large allocation
     first, second = buffer
     phases, found, start = [], [], 0
-    for rotated, m, way in _rotated_blocks(op, second):
+    for rotated, m, ways in _rotated_blocks(op, second):
         block_phases, eigens = _reversal_eigens(rotated, m, _carve(first, rotated.shape)[0])
         phases.append(block_phases)
-        found.append((start, eigens, _lift_ways(m, *way)))
+        found.append((start, eigens, ways))
         start += rotated.shape[0]
     phases, columns = _sorted_columns(np.concatenate(phases))
     for start, eigens, ways in found:
@@ -301,46 +305,41 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotated_blocks(op: DenseOperator, buffer: np.ndarray) -> list[tuple]:
-    """U's blocks in the eigenbasis of its involutions, each as (matrix, m,
-    way): the block, carved from `buffer`, whose first m coordinates are
-    S's +1 half, and the map that built it, (targets, s_weights,
-    p_weights).  P's map sends original index i to one coordinate of the
-    block with weight p_weights[i], and S's butterfly sends that
-    coordinate, by slot s, to targets[s, i] with weight s_weights[s, i]:
-    the scatter (_scatter) weighs i by S's weight times P's, and the lift
-    reads the same map backward (_lift_ways).  P and S are checked against
-    U on its nonzeros (_check_involutions), and each block is scattered
-    from them: past the one listing, no pass reads U's zeros.  The list of
-    nonzeros is dropped before any eigensolve."""
+    """U's blocks in the joint eigenbasis of its involutions, each as
+    (matrix, m, ways): the block, carved from `buffer`, whose first m
+    coordinates are S's +1 half, and per half of S the map that built it,
+    (into, weight), views of _split_maps': index i enters coordinate
+    into[i] with weight weight[i].  The scatter (_scatter) reads both
+    halves' maps as one map's two slots, and the lift reads each backward
+    (_lift).  The involutions are checked against U on its nonzeros
+    (_check_involutions), and the scatter reads those in the rows at
+    orbit representatives alone; the list is dropped before any
+    eigensolve."""
     nonzeros = _nonzeros(op.matrix)
     _check_involutions(op, nonzeros)
-    if op.symmetry is None:  # one block, U itself, in its own rows
-        blocks = [(op.reflection, op.flips, (np.arange(op.dim), np.ones(op.dim)))]
-    else:
-        blocks = _symmetry_blocks(op.symmetry, op.reflection, op.flips)
-    outs = _carve(buffer, *((pairing.size,) * 2 for pairing, *_ in blocks))
+    sizes, into, weights, reads = _split_maps(op)
+    nonzeros = tuple(part[(reads > 0)[nonzeros[0] // op.dim]] for part in nonzeros)
     rotated = []
-    for (pairing, flips, (into, p_weights)), out in zip(blocks, outs):
-        order, pairs, m, signed = _split_order(pairing, flips)
-        targets, s_weights = (part[:, into] for part in _rotation_map(order, pairs, signed))
-        _scatter(nonzeros, (targets, s_weights * p_weights), out)
-        rotated.append((out, m, (targets, s_weights, p_weights)))
+    for block, out in enumerate(_carve(buffer, *((size, size) for size in sizes.sum(axis=0)))):
+        targets = np.maximum(into[:, block] + [[0], [sizes[0, block]]], 0)
+        _scatter(nonzeros, (targets, weights[:, block] * reads), (targets, weights[:, block]), out)
+        rotated.append((out, sizes[0, block], [(into[half, block], weights[half, block])
+                                               for half in (0, 1)]))
     return rotated
 
 
 def _check_involutions(op: DenseOperator, nonzeros: tuple) -> None:
-    """Check, on U's `nonzeros` (_nonzeros), that the operator's symmetry P
-    commutes with U and its reflection S is a time reversal of U, else
-    ArithmeticError: P U P = U where |U[P r, P c] - U[r, c]| and
-    S U S = U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where
+    """Check, on U's `nonzeros` (_nonzeros), that each of the operator's
+    symmetries P commutes with U and its reflection S is a time reversal
+    of U, else ArithmeticError: P U P = U where |U[P r, P c] - U[r, c]|
+    and S U S = U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where
     `flips`) is at most _INVARIANCE_TOL at every nonzero (r, c).  P and S
     are signed permutations, so an entry that breaks either relation is a
     nonzero of U or the image of one: the check sees every entry."""
-    p, s = op.symmetry, op.reflection
-    sign = np.where(op.flips, -1.0, 1.0)
+    s, sign = op.reflection, np.where(op.flips, -1.0, 1.0)
     leak = defect = 0.0
     for rows, cols, part in _chunks(nonzeros, op.dim):
-        if p is not None:
+        for p in op.symmetries:
             leak = max(leak, _max_abs(op.matrix[p[rows], p[cols]] - part))
         defect = max(defect, _max_abs(sign[rows] * sign[cols] * op.matrix[s[cols], s[rows]]
                                       - part))
@@ -375,63 +374,62 @@ def _involution(perm: np.ndarray | None, n: int, name: str,
     return None if not signed and np.array_equal(perm, index) else perm
 
 
-def _symmetry_blocks(symmetry: np.ndarray, reflection: np.ndarray,
-                     flips: np.ndarray) -> list[tuple]:
-    """P's two blocks of U, each as (pairing, flips, (targets, weights)):
-    the signed reflection S (`reflection`, `flips`) on the block's
-    coordinates, a signed involution (S e_j = -e_pairing[j] where
-    flips[j]), and P's map into the block, by which original index i
-    enters the block's coordinate targets[i] with weight weights[i] (0 if
+def _split_maps(op: DenseOperator) -> tuple:
+    """The joint eigenbasis of the operator's symmetries g_1 .. g_k and
+    then of its reflection S, as (sizes, into, weights, reads), the first
+    three per half h (0: S's +1 half, 1: its -1 half) of block b.  U has one block
+    per character chi of the group G the symmetries generate that has a
+    vector, in the order of c = sum of 2^(l-1) over the l with
+    chi(g_l) = -1.  A half has sizes[h, b] coordinates, and index i enters
+    coordinate into[h, b, i] with weight weights[h, b, i] (-1 and 0 where
     it enters none).
 
-    P's 2-cycles (t, P t), t < P t, give (e_t + e_Pt)/sqrt(2) to the +
-    block and (e_t - e_Pt)/sqrt(2) to the - block, and its fixed points f
-    give e_f to the + block after them.  S maps P's 2-cycles to 2-cycles
-    and its fixed points to fixed points, and its sign is the same on t
-    and P t, so it permutes the + block's coordinates and the - block's up
-    to sign: the sign of S at t, times -1 on the - block where S t = P t'
-    (S sends e_t - e_Pt to -(e_t' - e_Pt') there).
-    """
-    order, k, h, _ = _split_order(symmetry)  # [t, f, P t]
-    targets, weights = _rotation_map(order, k, 0)
-    rows, image = targets[0], reflection[order[:k]]
-    return [(rows[reflection[order[:h]]], flips[order[:h]], (rows, weights[0])),
-            (rows[image], (symmetry[image] < image) ^ flips[order[:k]],
-             (np.maximum(targets[1] - h, 0), weights[1]))]  # each f weighs 0 there
+    Each involution in turn splits every block into its +1 half and its -1
+    half, and drops the empty ones (S keeps them).  A coordinate is known
+    by the least index it holds, whose weight is positive; the involution
+    commutes with those before, so it maps a coordinate to the one that
+    holds that index's image, negated where the image's weight is negative
+    or the involution is signed there.  A 2-cycle of coordinates p < q
+    gives (e_p + e_q)/sqrt(2) to the +1 half and (e_p - e_q)/sqrt(2) to
+    the -1 half (e_q's signs swapped where it is negated), a fixed one goes
+    to the half of its sign, and a half lists its coordinates by their
+    least index.  An index's weight is +-2^(-j/2) in every block, j =
+    log2 of its orbit's size under G, plus one where S moves the orbit:
+    2^(-j//2) times _INV_SQRT2 if j is odd.
 
-
-def _split_order(pairing: np.ndarray, flips: np.ndarray | None = None) -> tuple:
-    """(order, k, m, signed) of the eigenbasis of an involutive permutation
-    S, signed where `flips` says: S e_i = -e_pairing[i].  Its k 2-cycles
-    (p, q), p < q, of sign s give (e_p + s e_q)/sqrt(2) to the +1 half and
-    (e_p - s e_q)/sqrt(2) to the -1 half, the `signed` ones (s = -1) last,
-    and its fixed indices go to the half of their sign.  `order` lists
-    [p, fixed, q]; the +1 half is its first m."""
-    index = np.arange(pairing.size)
-    flips = np.zeros(pairing.size, dtype=bool) if flips is None else flips
-    p = np.flatnonzero(pairing > index)
-    p = p[np.argsort(flips[p], kind="stable")]
-    fixed = np.flatnonzero(pairing == index)
-    fixed = fixed[np.argsort(flips[fixed], kind="stable")]
-    return (np.concatenate([p, fixed, pairing[p]]), p.size,
-            p.size + np.count_nonzero(~flips[fixed]), np.count_nonzero(flips[p]))
-
-
-def _rotation_map(order: np.ndarray, pairs: int, signed: int) -> tuple:
-    """The map (_scatter) of the eigenbasis R of _split_order's (order,
-    pairs, signed): the index at place p of `order`, negated if p is among
-    the last `signed`, enters R's columns p and p + h - pairs with weight
-    1/sqrt(2) each if p < pairs, columns p - (h - pairs) and p with
-    1/sqrt(2) and -1/sqrt(2) if p >= h - pairs, and column p alone with
-    weight 1 otherwise (its second weight is 0)."""
-    h, rest = order.size, order.size - pairs
-    place = np.argsort(order)
-    first, last = place < pairs, place >= rest
-    sign = np.where(place >= h - signed, -1.0, 1.0)
-    targets = np.stack([place - rest * last, place + rest * first])
-    weights = np.stack([np.where(first | last, _INV_SQRT2, 1.0),
-                        np.select([first, last], [_INV_SQRT2, -_INV_SQRT2], 0.0)])
-    return targets, weights * sign
+    U commutes with G, so a block's row at the coordinate of an orbit O is
+    |O| times the weight at any index of O times that row of U R: the
+    scatter reads each orbit's row at its least index alone, scaled by
+    reads = |O| there (0 at every other row)."""
+    n, k = op.dim, len(op.symmetries)
+    index = np.arange(n)
+    # per block and index: the least index of its coordinate (-1: none), its weight's sign
+    lead, negated = index[None], np.zeros((1, n), dtype=bool)
+    least, halved = index.copy(), np.zeros(n, dtype=np.int64)  # G's orbits so far, log2 |O|
+    involutions = [*((g, np.zeros(n, dtype=bool)) for g in op.symmetries),
+                   (op.reflection, op.flips)]
+    for level, (image, flipped) in enumerate(involutions):
+        if level == k:
+            orbit = halved.copy()
+        halved += least[image] != least
+        if level < k:
+            np.minimum(least, least[image], out=least)
+        inside, at = lead >= 0, np.maximum(lead, 0)
+        partner, minus = (np.take_along_axis(part, image[at], axis=1) for part in (lead, negated))
+        minus ^= flipped[at]  # the involution negates the coordinate
+        merged, later = np.minimum(at, partner), partner < at
+        lead = np.concatenate([np.where(inside & ((partner != at) | ~minus), merged, -1),
+                               np.where(inside & ((partner != at) | minus), merged, -1)])
+        negated = np.concatenate([negated ^ (later & minus), negated ^ (later & ~minus)])
+        if level < k:
+            lead, negated = (part[(lead >= 0).any(axis=1)] for part in (lead, negated))
+    held = lead == index
+    into = np.take_along_axis(np.cumsum(held, axis=1) - 1, np.maximum(lead, 0), axis=1)
+    into[lead < 0] = -1
+    magnitude = np.ldexp(np.where(halved % 2, _INV_SQRT2, 1.0), -(halved // 2))
+    weights = np.where(lead < 0, 0.0, np.where(negated, -magnitude, magnitude))
+    return (held.sum(axis=1).reshape(2, -1), into.reshape(2, -1, n), weights.reshape(2, -1, n),
+            np.where(least == index, np.exp2(orbit), 0.0))
 
 
 def _nonzeros(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,18 +487,18 @@ def _column_groups(matrix: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _scatter(nonzeros: tuple, way: tuple, out: np.ndarray) -> None:
-    """R^T U R in `out` (contiguous), for U given by its `nonzeros`
-    (_nonzeros) and R by its map (targets, weights), each of shape
+def _scatter(nonzeros: tuple, row_way: tuple, way: tuple, out: np.ndarray) -> None:
+    """L^T U R in `out` (contiguous), for U given by its `nonzeros`
+    (_nonzeros) and L and R by their maps (targets, weights), each of shape
     (slots, n): index i enters R's column targets[s, i] with weight
     weights[s, i], R[i, targets[s, i]] = weights[s, i] (zero weights pad).
-    Each nonzero U[i, j] adds R[i, a] U[i, j] R[j, c] to out[a, c] for
-    every slot of i and of j, by np.add.at (which sums the repeated
-    entries), a chunk of nonzeros at a time (_chunks)."""
+    Each nonzero U[i, j] adds L[i, a] U[i, j] R[j, c] to out[a, c] for
+    every slot of i in `row_way` and of j in `way`, by np.add.at (which
+    sums the repeated entries), a chunk of nonzeros at a time (_chunks)."""
     n, width, total = way[0].shape[1], out.shape[1], out.reshape(-1)
     total.fill(0.0)
     for rows, cols, part in _chunks(nonzeros, n):
-        for into, weights in zip(*way):
+        for into, weights in zip(*row_way):
             at = np.take(into, rows)
             at *= width
             weight = np.take(weights, rows)
@@ -527,9 +525,9 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     eigenbasis R of a time reversal S whose +1 half is the first m
     indices.  `rotated` (V, which must be contiguous) is overwritten, and
     `spare` (as large) is scratch.  The eigenvectors come as the rows of
-    (xs, ys, still_x, still_y) for _lift: the pairs (x, +-i y)/sqrt(2) at
-    +-theta, then the still x and the still columns of the -1 half, in the
-    phases' order.
+    (xs, ys, still_x, still_y) for _lift, all in one array: the pairs
+    (x, +-i y)/sqrt(2) at +-theta, then the still x and the still columns
+    of the -1 half, in the phases' order.
 
     The -1 half has size r = n - m (V is n x n).  The time reversal D V D = V^T
     (D = diag(I_m, -I_r)) says that V++ and V-- are symmetric and
@@ -567,7 +565,8 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     t, s = np.count_nonzero(turning), np.count_nonzero(still)
     if t + s != r:
         raise ArithmeticError(f"the skew part turns {t} columns of the +1 half of S but "
-                              f"{r - s} of its -1 half: the matrix is not normal")
+                              f"{r - s} of its -1 half: the matrix is not normal "
+                              f"({_normality_defect(plus, minus, cross)})")
     np.divide(ys[turning], lengths[turning, None], out=q[:t])
     q[t:] = minus_vecs.T[still]
     # y/|y| against 2 V-- y/|y| and A y/|y| against |y| x, in the images' rows
@@ -575,18 +574,31 @@ def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np
     level -= plus_eigs[turning, None] * q[:t]
     pair = np.matmul(q[:t], cross.T, out=_carve(ys, (t, m))[0])
     pair -= lengths[turning, None] * plus_vecs.T[turning]
-    leak = max(_max_abs(level), _max_abs(pair))
-    if leak > _INVARIANCE_TOL:
-        raise ArithmeticError(f"the skew part maps the +1 half of S {leak:.3e} off its "
-                              f"eigenvector pairs: the matrix is not normal")
+    if max(_max_abs(level), _max_abs(pair)) > _INVARIANCE_TOL:
+        raise ArithmeticError(f"the skew part maps the +1 half of S off its eigenvector "
+                              f"pairs: the matrix is not normal "
+                              f"({_normality_defect(plus, minus, cross)})")
     gram = np.matmul(q, q.T, out=_carve(spare, (r, r))[0])
     gram *= -0.5
     gram.reshape(-1)[::r + 1] += 1.5
     theta = np.arctan2(lengths[turning], plus_eigs[turning])
     fixed = np.concatenate([plus_eigs[~turning], minus_eigs[still]])
-    q = gram @ q
+    # one array per block waits for the lift: three small ones each can
+    # fragment the heap past reuse for the next large array
+    xs, xs_still, qs = _carve(np.empty(m * m + r * r), (t, m), (m - t, m), (r, r))
+    np.matmul(gram, q, out=qs)
+    for rows, out in ((turning, xs), (~turning, xs_still)):  # "clip" skips a buffered copy
+        np.take(plus_vecs.T, np.flatnonzero(rows), axis=0, out=out, mode="clip")
     return (np.concatenate([theta, -theta, np.where(fixed > 0, 0.0, np.pi)]),
-            (plus_vecs.T[turning], q[:t], plus_vecs.T[~turning], q[t:]))
+            (xs, qs[:t], xs_still, qs[t:]))
+
+
+def _normality_defect(plus: np.ndarray, minus: np.ndarray, cross: np.ndarray) -> str:
+    """How far a block V is from normal, for a refusal: max |V^T V - V V^T|
+    = max |H K - K H| / 2, H = diag(plus, minus) its symmetric part (S is
+    a time reversal) and K its skew part, whose +- block is `cross` A."""
+    defect = _max_abs(plus @ cross - cross @ minus) / 2
+    return f"max |V^T V - V V^T| = {defect:.3e}"
 
 
 def _pair_near_still(plus: tuple, minus: tuple) -> None:
@@ -625,36 +637,14 @@ def _eigenvector_buffer(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flat.reshape(n, n, order="F"), flat.view(np.float64).reshape(2, n, n)
 
 
-def _lift_ways(m: int, targets: np.ndarray, s_weights: np.ndarray,
-               p_weights: np.ndarray) -> list[tuple]:
-    """The way back from a block's coordinates (S's eigenbasis, its +1 half
-    the first m) into the original rows, per half of S, as the (index,
-    s_weight, p_weight) of _gathered: the block's map (_rotated_blocks)
-    read backward, as the basis change is orthogonal.  Each original row
-    takes the first slot of the map that lands in the half (an unpaired
-    coordinate's padding slot, of weight 0, comes second): that
-    coordinate, less the half's start, the slot's weight in S's butterfly
-    and P's weight of the row; a row with no slot in the half reads
-    coordinate 0 with weights 0."""
-    ways = []
-    for lands, start in ((targets < m, 0), (targets >= m, m)):
-        slot = np.argmax(lands, axis=0), np.arange(targets.shape[1])
-        found = lands[slot]
-        ways.append((np.where(found, targets[slot] - start, 0),
-                     np.where(found, s_weights[slot], 0.0), np.where(found, p_weights, 0.0)))
-    return ways
-
-
 def _gathered(vectors: np.ndarray, prescale: float, way: tuple) -> np.ndarray:
     """The rows v of `vectors`, each on one half of S's eigenbasis, read
-    into the original rows by `way` (_lift_ways): entry r of a row is
-    v[index[r]] * prescale, times s_weight[r] and then p_weight[r], so a
-    butterfly's entry is rounded after S's 1/sqrt(2) and again after P's
-    weight, as the complex lift rounded it."""
-    index, s_weight, p_weight = way
+    into the original rows by the half's map `way` (_split_maps): entry r
+    of a row is v[index[r]] * prescale, times weight[r], as the complex
+    lift rounds it."""
+    index, weight = way
     lifted = np.take(np.multiply(vectors, prescale), index, axis=1)
-    lifted *= s_weight
-    lifted *= p_weight
+    lifted *= weight
     return lifted
 
 
@@ -666,8 +656,8 @@ def _lift(eigenrows: np.ndarray, columns: np.ndarray, xs: np.ndarray, ys: np.nda
     (x, +-i y)/sqrt(2) takes its real part from x / sqrt(2) and its
     imaginary part, +-, from y / sqrt(2), each by _gathered; the still x
     and the still columns of the -1 half are real.  Every entry equals the
-    complex lift's through S's butterfly, whose other term is an exact
-    zero."""
+    complex lift's, whose term from the other half is an exact zero."""
+    x_way, y_way = ((np.maximum(into, 0), weight) for into, weight in (x_way, y_way))
     t = len(xs)
     turning, conjugate = columns[:t], columns[t:2 * t]
     for lo in range(0, t, _LIFT_COLUMNS):

@@ -3,8 +3,8 @@
 - the arena registry: every parametrized arena test draws its arenas from
   one of its named sets;
 - dense principal-pair extraction, a step-built reference unitary, a
-  complex-Schur reference eigensolver, and the dense matrix-vector and
-  rotation formulas the oracle's nonzero passes are checked against;
+  complex-Schur reference eigensolver, and the dense matrix-vector product
+  and character basis the oracle's nonzero passes are checked against;
 - per-mode references for the columnar spectral layer;
 - the Fourier-mode chain behind the closed-form spectra (c03) and the
   abstract-search eigenvector (c04): coin blocks, their closed-form phases
@@ -110,6 +110,9 @@ ARENA_SETS = {
     # reads at vertex subsets: the arenas of `small`, then a hypercube and a
     # complete graph of more than a thousand amplitudes
     "subsets": (*_one_per_family(4, 3, 4, 8, 16), hypercube_spec(10), complete_spec(40)),
+    # the arenas of perfbench's oracle workload, at their sizes
+    "oracle": (torus_spec(16), torus_spec(12, shift="moving"), torus_spec(22, shift="dirac"),
+               torus_spec(5, 3), hypercube_spec(7), complete_spec(32)),
 }
 
 
@@ -268,77 +271,103 @@ def matvec_history(matrix: np.ndarray, vector: np.ndarray, steps: int) -> np.nda
     return out
 
 
-def dense_rotation(block: np.ndarray, order: np.ndarray, pairs: int, signed: int) -> np.ndarray:
-    """R^T block R for the eigenbasis R of an involution as
-    oracle._split_order gives it, on every entry of `block`: rows and
-    columns taken in `order`, the last `signed` of them negated, then the
-    butterfly ((x + y), (x - y)) / sqrt(2) between the rows, and then the
-    columns, [0, pairs) and the last `pairs`.  The reference for the
-    oracle's scatter of the nonzeros through the same butterflies."""
-    n = block.shape[0]
-    out = block[order][:, order]
-    out[n - signed:] *= -1.0
-    out[:, n - signed:] *= -1.0
-    for view in (out, out.T):  # the rows, then the columns
-        top, bottom = view[:pairs].copy(), view[n - pairs:].copy()
-        view[:pairs] = (top + bottom) * (1.0 / np.sqrt(2.0))
-        view[n - pairs:] = (top - bottom) * (1.0 / np.sqrt(2.0))
-    return out
+def character_basis(op) -> list[tuple[np.ndarray, int]]:
+    """Per block of dense_eigens(op), in its order, (rotation, m): the
+    block's dense orthonormal basis, an n x size matrix whose first m
+    columns are S's +1 half, built from the definition of the split rather
+    than by chaining its butterflies.  The reference for the oracle's maps.
+
+    The group G of op.symmetries is listed element by element (word w
+    holds g_l where bit l - 1 is set).  For each character chi of G, in the
+    order of c = sum of 2^(l-1) over the l with chi(g_l) = -1, each orbit
+    with least index r gives b = sum over w of chi(w) e_(g^w r), normalized,
+    unless that sum is zero (chi is not trivial on r's stabilizer).  The
+    signed reflection S maps each b to +-b' of the same character; in the
+    order of r, a b with S b = +-b gives b to the half of its sign, and a
+    b before its partner gives (b + S b)/sqrt(2) to the +1 half and
+    (b - S b)/sqrt(2) to the -1 half.  Each entry is then set to the exact
+    +-2^(-j/2) it rounds: 2^(-j//2) times 1/sqrt(2) if j is odd."""
+    n = op.dim
+    elements = [np.arange(n)]
+    for g in op.symmetries:
+        elements += [g[e] for e in elements]
+    images = np.array(elements)
+    least = images.min(axis=0)
+    starts = np.flatnonzero(least == np.arange(n))  # each orbit's least index
+    words = np.arange(len(elements))
+    sign = np.where(op.flips, -1.0, 1.0)
+    blocks = []
+    for c in words:
+        chars = np.array([(-1.0) ** bin(c & w).count("1") for w in words])
+        q = np.zeros((n, starts.size))
+        np.add.at(q, (images[:, starts], np.arange(starts.size)), chars[:, None])
+        held = np.any(q, axis=0)
+        if not held.any():
+            continue
+        q, r = q[:, held], starts[held]
+        q /= np.linalg.norm(q, axis=0)
+        sq = np.empty_like(q)
+        sq[op.reflection] = sign[:, None] * q
+        # the column that holds S r, whose least index is least[S r]
+        column, partner = np.arange(r.size), np.searchsorted(r, least[op.reflection[r]])
+        lead = column < partner
+        still = (partner == column) * sign[r] * q[r, column] * q[op.reflection[r], column]
+        paired = np.where(lead, 1.0, 0.0) * sq
+        scale = np.where(lead, np.sqrt(2.0), 1.0)
+        rotation = np.hstack([((q + paired) / scale)[:, lead | (still > 0)],
+                              ((q - paired) / scale)[:, lead | (still < 0)]])
+        rows, cols = np.nonzero(rotation)
+        value = rotation[rows, cols]
+        j = np.round(-2.0 * np.log2(np.abs(value))).astype(int)
+        rotation[rows, cols] = np.copysign(
+            np.ldexp(np.where(j % 2, 1.0 / np.sqrt(2.0), 1.0), -(j // 2)), value)
+        blocks.append((rotation, np.count_nonzero(lead | (still > 0))))
+    return blocks
+
+
+def _halves_back(rotation, m):
+    """Per half of a block's basis (character_basis), each original row's
+    one entry there, as (column in the half, entry); entry 0.0 for a row
+    with none (a column of zeros stands in for an empty half)."""
+    ways = []
+    for half in (rotation[:, :m], rotation[:, m:]):
+        half = np.hstack([half, np.zeros((len(half), 1))])
+        index = np.argmax(np.abs(half), axis=1)
+        ways.append((index, half[np.arange(len(half)), index]))
+    return ways
 
 
 # the complex lift takes this many eigenvectors at a time
 _LIFT_COLUMNS = 32
 
 
-def block_ways(op) -> list[tuple]:
-    """Per block of dense_eigens(op), in its order, (order, pairs, signed,
-    rows, scale): the eigenbasis of S on the block (oracle._split_order of
-    the block's signed pairing) and P's way back, by which the block's
-    vector y is read x[r] = scale[r] * y[rows[r]] in the original rows
-    (scale None: 1).  P's 2-cycles (t, P t), t < P t, give
-    (e_t + e_Pt)/sqrt(2) to the + block and (e_t - e_Pt)/sqrt(2) to the -
-    block, and its fixed points f give e_f to the + block after them; so
-    x[t] = y/sqrt(2), x[P t] = +-y/sqrt(2), and x[f] = y on the + block and
-    0 on the - block.  The reference for the oracle's lift, which reads
-    each block's map backward instead."""
-    oracle = walklab.oracle
-    if op.symmetry is None:
-        order, pairs, _, signed = oracle._split_order(op.reflection, op.flips)
-        return [(order, pairs, signed, np.arange(op.dim), None)]
-    order, k, h, _ = oracle._split_order(op.symmetry)  # [t, f, P t]
-    place = np.argsort(order)
-    rows, still = place % h, (place >= k) & (place < h)
-    half = 1.0 / np.sqrt(2.0)
-    ways = [(rows, np.where(still, 1.0, half)),
-            (np.where(still, 0, rows), np.select([place < k, still], [half, 0.0], -half))]
-    out = []
-    for (pairing, flips, _), way in zip(
-            oracle._symmetry_blocks(op.symmetry, op.reflection, op.flips), ways):
-        order, pairs, _, signed = oracle._split_order(pairing, flips)
-        out.append((order, pairs, signed, *way))
-    return out
-
-
 def complex_lift_eigens(op) -> tuple[np.ndarray, np.ndarray]:
     """dense_eigens(op) with each block's eigenvectors lifted as complex
     vectors on the block's coordinates, (x, +-i y)/sqrt(2) for a turning
-    pair and x or y alone for a still vector, a batch at a time: S's
-    butterfly on the complex batch, then one signed gather into the
-    original rows by P's way back (block_ways).  The reference for the
-    oracle's real-arithmetic lift, which forms the real and imaginary parts
-    apart."""
+    pair and x or y alone for a still vector, a batch at a time, into the
+    original rows through the block's dense basis (character_basis): each
+    row sums the complex coordinate of its entry in the +1 half and that
+    of its entry in the -1 half, each times the entry.  The reference for
+    the oracle's real-arithmetic lift, which forms the real and imaginary
+    parts apart from its own maps."""
     oracle = walklab.oracle
     vectors, (first, second) = oracle._eigenvector_buffer(op.dim)
     phases, found, start = [], [], 0
-    for (rotated, m, _), way in zip(oracle._rotated_blocks(op, second), block_ways(op)):
+    for (rotated, m, _), (rotation, _) in zip(oracle._rotated_blocks(op, second),
+                                              character_basis(op)):
         block_phases, eigens = oracle._reversal_eigens(rotated, m,
                                                        oracle._carve(first, rotated.shape)[0])
         phases.append(block_phases)
-        found.append((start, eigens, way))
+        found.append((start, eigens, m, _halves_back(rotation, m)))
         start += rotated.shape[0]
     phases, columns = oracle._sorted_columns(np.concatenate(phases))
-    for start, eigens, way in found:
-        _complex_lift(vectors, columns[start:], _complex_batches(*eigens), *way)
+    eigenrows = vectors.T  # row j is eigenvector j
+    for start, eigens, m, ((plus, plus_weight), (minus, minus_weight)) in found:
+        for positions, z in _complex_batches(*eigens):
+            # "clip" reads a row's stand-in entry of an empty half in range
+            eigenrows[columns[start + positions]] = (
+                np.take(z, plus, axis=1, mode="clip") * plus_weight
+                + np.take(z, m + minus, axis=1, mode="clip") * minus_weight)
     return phases, vectors
 
 
@@ -369,31 +398,6 @@ def _complex_batches(tops, q, still, q_still):
         yield np.r_[lo:lo + k, t + lo:t + lo + k], z
     yield from _real_batches(still, 2 * t, m + r)
     yield from _real_batches(q_still, m + t, m + r, m)
-
-
-def _complex_lift(vectors, columns, batches, order, pairs, signed, rows, scale):
-    """Write one block's eigenvectors, a batch (positions, z) at a time,
-    each into its sorted column (`columns`, by the block's phase
-    positions): S's butterfly ((u + v), (u - v)) / sqrt(2) between z's
-    first and last `pairs` coordinates, then its order with the signed q's
-    negated, gathered into the original rows as x[r] = scale[r] * y[rows[r]]
-    (scale None: 1)."""
-    rows = np.argsort(order)[rows]
-    if signed:
-        sign = np.where(rows < order.size - signed, 1.0, -1.0)
-        scale = sign if scale is None else sign * scale
-    eigenrows = vectors.T  # row j is eigenvector j
-    for positions, z in batches:
-        if pairs:
-            top, bottom = z[:, :pairs], z[:, z.shape[1] - pairs:]
-            total = top + bottom
-            np.subtract(top, bottom, out=bottom)
-            np.multiply(total, 1.0 / np.sqrt(2.0), out=top)
-            bottom *= 1.0 / np.sqrt(2.0)
-        lifted = np.take(z, rows, axis=1)
-        if scale is not None:
-            lifted *= scale
-        eigenrows[columns[positions]] = lifted
 
 
 def json_numbers_close(a, b, atol=1e-9, path="$") -> None:

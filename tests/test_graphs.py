@@ -143,7 +143,7 @@ def test_out_of_range_indices():
         with pytest.raises(ConfigurationError):
             g.neighbors(vertex)
         with pytest.raises(ConfigurationError):
-            g.mirror(vertex)
+            g.mirrors(vertex)
 
 
 def test_vertex_indexing_first_coordinate_fastest():
@@ -273,7 +273,7 @@ def test_arena_fixes_the_marking():
 def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
     g = build_graph(spec)
     vertices = sorted({0, 3 % g.n, g.n - 1})
-    maps = [(g.mirror(vertex), vertex, vertex) for vertex in vertices]
+    maps = [(mirror, vertex, vertex) for vertex in vertices for mirror in g.mirrors(vertex)]
     if spec.family == "torus":  # the point reflection through (u + w)/2 swaps u and w
         maps += [(g.reflect(np.add(g.vertex_coords(u), g.vertex_coords(w))), u, w)
                  for u in vertices for w in vertices]
@@ -287,7 +287,7 @@ def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
 @pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_lift_sends_each_direction_to_the_image_of_its_target(spec):
     g = build_graph(spec)
-    mirror = g.mirror(3 % g.n)
+    (mirror, *_) = g.mirrors(3 % g.n) or (np.arange(g.n),)
     lift = g.lift(mirror).reshape(g.coin_dim, g.n)
     targets = g.shift_targets()[:g.coin_dim]
     assert np.array_equal(np.sort(lift.ravel()), np.arange(g.coin_dim * g.n))
@@ -296,6 +296,39 @@ def test_lift_sends_each_direction_to_the_image_of_its_target(spec):
     if spec.shift != "dirac":  # the lift commutes with the shift
         perm, flat = g.shift_permutation(), lift.ravel()
         assert np.array_equal(perm[flat], flat[perm])
+
+
+def _mirror_id(case):
+    spec, where = case
+    return f"{spec.label()}-{where}"
+
+
+@pytest.mark.parametrize("case", [(spec, where) for name in ("small", "parity", "mirror_swaps")
+                                  for spec in arenas(name) for where in ("first", "last")],
+                         ids=_mirror_id)
+def test_mirrors_are_commuting_reflections_through_the_vertex(case):
+    # each of Graph.mirrors is an involutive automorphism that fixes its
+    # vertex and is no identity; they commute pairwise and, lifted, with a
+    # permutation shift (the oracle checks every shift's U' against them)
+    spec, where = case
+    g = build_graph(spec)
+    vertex = 0 if where == "first" else g.n - 1
+    mirrors = g.mirrors(vertex)
+    lifts = [g.lift(mirror) for mirror in mirrors]
+    for mirror, lift in zip(mirrors, lifts):
+        assert mirror[vertex] == vertex and np.any(mirror != np.arange(g.n))
+        assert np.array_equal(mirror[mirror], np.arange(g.n))
+        for v in range(g.n):  # every edge goes to an edge
+            assert np.array_equal(np.sort(mirror[g.neighbors(v)]), g.neighbors(int(mirror[v])))
+        assert all(np.array_equal(lift[other], other[lift]) for other in lifts)
+        if spec.shift != "dirac":
+            move = g.shift_permutation()
+            assert np.array_equal(move[lift], lift[move])
+    if spec.family == "torus":  # one per axis of more than two sites; dirac's last alone
+        axes = 1 if spec.shift == "dirac" else len(spec.dims)
+        assert len(mirrors) == (spec.dims[0] > 2) * axes
+    elif spec.family == "hypercube":
+        assert len(mirrors) == spec.dims[0] // 2
 
 
 @pytest.mark.parametrize("side", [2, 3, 4])
@@ -316,11 +349,25 @@ def test_mirror_maps_of_each_family():
     vertex = torus.vertex_index((1, 2, 3))
     for u in range(torus.n):
         x, y, z = torus.vertex_coords(u)
-        assert torus.mirror(vertex)[u] == torus.vertex_index((x, y, 6 - z))
-    cube = build_graph(hypercube_spec(5))  # bits (0 1)(2 3) swap, bit 4 stays
-    assert cube.mirror(0b00110)[0b00110 ^ 0b00001] == 0b00110 ^ 0b00010
-    assert cube.mirror(0b00110)[0b00110 ^ 0b10100] == 0b00110 ^ 0b11000
-    assert list(build_graph(complete_spec(6)).mirror(2)) == [1, 0, 2, 4, 3, 5]
+        assert [mirror[u] for mirror in torus.mirrors(vertex)] == [
+            torus.vertex_index(c) for c in ((2 - x, y, z), (x, 4 - y, z), (x, y, 6 - z))]
+    dirac = build_graph(torus_spec(5, shift="dirac"))  # its last axis alone
+    assert np.array_equal(*dirac.mirrors(7), dirac.reflect(2 * 1, axes=(-1,)))
+    cube = build_graph(hypercube_spec(5))  # bits (0 1), then (2 3), swap; bit 4 stays
+    low, high = cube.mirrors(0b00110)
+    assert low[0b00110 ^ 0b00001] == 0b00110 ^ 0b00010 and high[0b00110 ^ 0b00001] == 0b00111
+    assert high[0b00110 ^ 0b10100] == 0b00110 ^ 0b11000 and low[0b00110 ^ 0b10100] == 0b10010
+    # N = 6: the others 0, 1, 3, 4, 5 are labels 0..4, and one whole run of 4
+    # holds two thirds of them (k = 2); label 4, vertex 5, stays
+    assert [m.tolist() for m in build_graph(complete_spec(6)).mirrors(2)] == [
+        [1, 0, 2, 4, 3, 5], [3, 4, 2, 0, 1, 5]]
+    # N = 32: the 31 others hold three runs of 8 (k = 3), not one of 16
+    others = [v for v in range(32) if v != 5]
+    mirrors = build_graph(complete_spec(32)).mirrors(5)
+    assert len(mirrors) == 3
+    for bit, mirror in enumerate(mirrors):
+        assert [others.index(mirror[v]) for v in others] == [
+            label ^ (1 << bit) if label < 24 else label for label in range(31)]
 
 
 @pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 import textwrap
 import types
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import walklab.engine
 import walklab.oracle
@@ -17,9 +19,9 @@ from walklab import (GraphSpec, apply_shift, build_graph, complete_spec, default
                      dense_eigens, dense_unitary, hypercube_spec, mode_spectrum, run_walk,
                      solve_alpha, step, torus_spec, uniform_state)
 
-from helpers import (arenas, block_ways, complex_lift_eigens, dense_principal_pair,
-                     dense_rotation, eigenspace_projection, matvec_history, random_state,
-                     schur_eigens, step_built_unitary, traced_peak)
+from helpers import (arenas, character_basis, complex_lift_eigens, dense_principal_pair,
+                     eigenspace_projection, matvec_history, random_state, schur_eigens,
+                     step_built_unitary, traced_peak)
 
 
 @pytest.mark.parametrize("spec", arenas("small"))
@@ -220,8 +222,8 @@ def test_eigens_orthonormal_basis():
     # unmarked, both spectra are heavily degenerate
     pytest.param(hypercube_spec(6), (), id="hypercube(6)-unmarked"),
     pytest.param(complete_spec(16), (), id="complete(16)-unmarked"),
-    # wide turning cos-levels: 42 and 70 eigenvalues wide unmarked, 36 wide in
-    # a mirror block when marked at vertex 0
+    # wide turning cos-levels: 42 and 70 eigenvalues wide unmarked, and wide
+    # ones in the mirrors' blocks when marked at vertex 0
     pytest.param(hypercube_spec(7), (), id="hypercube(7)-unmarked"),
     pytest.param(hypercube_spec(7), (0,), id="hypercube(7)-marked-0"),
     # close cos-levels of U + U^T (the moving tori) and arenas at the dimension
@@ -255,9 +257,9 @@ def test_dense_eigens_at_the_dimension_cap():
     assert principal == pytest.approx(solve_alpha(mode_spectrum(spec)), rel=1e-9, abs=0)
 
 
-def _eigens(matrix, reflection=None, symmetry=None, flips=None):
+def _eigens(matrix, reflection=None, symmetries=(), flips=None):
     """dense_eigens of `matrix` with these involutions, checked as the operator is built."""
-    return dense_eigens(walklab.oracle.DenseOperator(matrix, reflection, symmetry, flips))
+    return dense_eigens(walklab.oracle.DenseOperator(matrix, reflection, symmetries, flips))
 
 
 def _signed_matrix(pairing, flips):
@@ -347,7 +349,7 @@ def test_block_eigens_real_matches_complex(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
 
-    real = _fold(_eigens(op.matrix, op.reflection, flips=op.flips)[0])  # S alone, without P
+    real = _fold(_eigens(op.matrix, op.reflection, flips=op.flips)[0])  # S alone, without G
     reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
     assert np.max(np.abs(real - reference)) < 1e-12
 
@@ -356,7 +358,7 @@ def test_block_eigens_real_matches_complex(spec):
 @pytest.mark.parametrize("side", range(2, 23))
 def test_dirac_phases_match_schur(side, marked):
     # every dirac side up to the cap, solved through its signed time reversal
-    # (and the mirror, with one marked vertex), against the complex Schur
+    # (and its one mirror, with one marked vertex), against the complex Schur
     # form on sides 2-6 and past them against np.linalg.eigvals of the real
     # matrix (LAPACK dgeev), which reads the same phases in a third of the time
     op = dense_unitary(build_graph(torus_spec(side, shift="dirac")), marked)
@@ -395,7 +397,7 @@ def test_split_eigensolve_matches_the_whole_one_and_schur(case):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert op.reflection is not None
-    split = _fold(dense_eigens(op)[0])  # by P first where one vertex is marked
+    split = _fold(dense_eigens(op)[0])  # by the mirrors first where one vertex is marked
     whole = _fold(_eigens(op.matrix, op.reflection, flips=op.flips)[0])  # S alone
     reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
     assert np.max(np.abs(split - whole)) < 1e-12
@@ -454,13 +456,12 @@ def test_dense_operator_keeps_the_reversed_moving_shift_as_reflection(spec):
 
 def _assert_time_reversal(op):
     """The operator's signed reflection S is a time reversal of its matrix,
-    S U S = U^T exactly (signs included), and commutes with its symmetry P,
-    where it has one."""
+    S U S = U^T exactly (signs included), and commutes with each of its
+    symmetries."""
     assert op.reflection is not None
     s, sign = op.reflection, np.where(op.flips, -1.0, 1.0)
     assert np.array_equal(sign[:, None] * op.matrix[s][:, s] * sign, op.matrix.T)
-    if op.symmetry is not None:
-        p = op.symmetry
+    for p in op.symmetries:
         assert np.array_equal(s[p], p[s]) and np.array_equal(sign[p], sign)
 
 
@@ -494,6 +495,24 @@ def test_an_asymmetric_dirac_triple_has_none_and_is_refused():
     assert op.reflection is None and op.flips is None
     with pytest.raises(ValueError, match="time reversal"):
         dense_eigens(op)
+
+
+@pytest.mark.parametrize("delta", [1e-11, 3e-11])
+def test_the_not_normal_refusal_quotes_how_far_the_block_is_from_normal(delta):
+    # one nonzero of U moved by delta, below the involution check's
+    # tolerance, leaves U (one block: S alone) max |U^T U - U U^T| = delta / 2
+    # from normal; the refusal quotes that, not the noise of y / |y|
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    s = op.reflection
+    rows, cols = np.nonzero(op.matrix)
+    free = (s[cols] != rows) | (s[rows] != cols)
+    matrix = op.matrix.copy()
+    matrix[rows[free][0], cols[free][0]] += delta
+    with pytest.raises(ArithmeticError, match="not normal") as refused:
+        _eigens(matrix, s)
+    quoted = float(re.search(r"max \|V\^T V - V V\^T\| = (\S+)\)", str(refused.value)).group(1))
+    assert delta / 4 <= quoted <= delta
 
 
 def _random_pairing(n, seed, pairs=None):
@@ -616,24 +635,25 @@ def test_block_eigens_with_the_identity_as_reflection():
 ])
 def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
-    float64s near the dimension cap (with numpy 2.4, split by the mirror and
-    then the reflection: 2.38 dim^2 at 2D L=16 and moving L=16, 2.39 at
-    dirac L=22 and the complete graph N=32, and 2.40 at the hypercube d=7;
-    by the reflection alone, without a mirror, 3.01 at unmarked dirac L=22
-    and at 2D L=16 with two marked vertices).  The peak is the eigensolve
-    of the blocks; the scatter of U's nonzeros into them peaks earlier, at
-    0.13 dim^2 (0.20 at the complete graph) past the eigenvector buffer's
-    2, and the real lift's batches add little past the buffer and the
-    blocks' eigenvectors.  See traced_peak for what it counts."""
+    float64s near the dimension cap (with numpy 2.4, split by the mirrors and
+    then the reflection: 2.25 dim^2 at 2D L=16 and moving L=16, 2.24 at the
+    hypercube d=7, 2.18 at the complete graph N=32 and, by its one mirror,
+    2.39 at dirac L=22; by the reflection alone, without a mirror, 3.01 at
+    unmarked dirac L=22 and at 2D L=16 with two marked vertices).  The peak
+    is the eigensolve of the blocks; the scatter of U's nonzeros into them
+    peaks earlier, at 0.13 dim^2 (0.16 at the complete graph) past the
+    eigenvector buffer's 2, and the real lift's batches add little past the
+    buffer and the blocks' eigenvectors.  See traced_peak for what it
+    counts."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
-    assert (op.symmetry is not None) == (len(marked) == 1)
+    assert bool(op.symmetries) == (len(marked) == 1)
     assert traced_peak(lambda: dense_eigens(op)) <= 4.5 * op.dim ** 2 * 8
 
 
 @pytest.mark.parametrize("spec,marked", [
-    # the mirror splits first; dirac's reflection is signed on the marked rows
+    # the mirrors split first; dirac's reflection is signed on the marked rows
     *(pytest.param(spec, (0,), id=spec.label()) for spec in arenas("dense_cap")),
     # no mirror: the reflection alone
     pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
@@ -669,8 +689,8 @@ def test_dense_unitary_allocation_peak_at_the_dimension_cap(spec, bound):
     assert traced_peak(lambda: dense_unitary(g, coin)) <= bound * dim ** 2 * 8
 
 
-# one marked vertex: the arena's mirror through it splits the eigensolve
-# (on two vertices the mirror is the identity)
+# one marked vertex: the arena's mirrors through it split the eigensolve
+# (on two vertices, and on a torus of side 2, each is the identity)
 MIRRORED = [spec for spec in arenas("parity") if spec.n_vertices > 2]
 
 
@@ -680,12 +700,14 @@ def test_lifted_mirror_commutes_with_the_walk(spec, where):
     g = build_graph(spec)
     vertex = {"first": 0, "middle": g.n // 2, "last": g.n - 1}[where]
     op = dense_unitary(g, default_coin(g, marked=(vertex,)))
-    p = op.symmetry
-    assert p is not None and np.any(p != np.arange(op.dim))
-    assert np.array_equal(p[p], np.arange(op.dim))
-    assert np.array_equal(op.matrix[p][:, p], op.matrix)  # exactly
-    if op.reflection is not None:
-        assert np.array_equal(op.reflection[p], p[op.reflection])
+    assert op.symmetries and len(op.symmetries) == len(g.mirrors(vertex))
+    for p in op.symmetries:
+        assert np.any(p != np.arange(op.dim))
+        assert np.array_equal(p[p], np.arange(op.dim))
+        assert np.array_equal(op.matrix[p][:, p], op.matrix)  # exactly
+        assert all(np.array_equal(p[other], other[p]) for other in op.symmetries)
+        if op.reflection is not None:
+            assert np.array_equal(op.reflection[p], p[op.reflection])
 
 
 @pytest.mark.parametrize("spec", MIRRORED, ids=GraphSpec.label)
@@ -706,28 +728,29 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
 
 @pytest.mark.parametrize("spec", arenas("mirror_swaps"), ids=GraphSpec.label)
 def test_mirror_swaps_some_of_the_reflections_pairs(spec):
-    # where P swaps a 2-cycle (p, q) of S itself, P negates (e_p - e_q)/sqrt(2)
-    # on S's -1 half: the split must carry that sign (covered above)
+    # where a mirror P swaps a 2-cycle (p, q) of S itself, P negates
+    # (e_p - e_q)/sqrt(2) on S's -1 half: the split must carry that sign
+    # (covered above)
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     index = np.arange(op.dim)
-    assert np.any((op.symmetry == op.reflection) & (op.reflection != index))
+    assert any(np.any((p == op.reflection) & (op.reflection != index)) for p in op.symmetries)
 
 
 def test_block_eigens_refuses_a_symmetry_it_does_not_commute_with():
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
-    row = int(np.flatnonzero(op.symmetry != np.arange(op.dim))[0])
+    row = int(np.flatnonzero(op.symmetries[-1] != np.arange(op.dim))[0])
     matrix = op.matrix.copy()
     matrix[row, int(np.flatnonzero(matrix[row])[0])] += 1e-6
     with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
-        _eigens(matrix, op.reflection, op.symmetry)
+        _eigens(matrix, op.reflection, op.symmetries)
 
 
 def test_block_eigens_refuses_a_symmetry_that_is_not_an_involution():
     matrix = _orthogonal_with_known_phases(0)[0]
     with pytest.raises(ValueError, match="involutive"):
-        _eigens(matrix, symmetry=np.roll(np.arange(len(matrix)), 1))
+        _eigens(matrix, symmetries=[np.roll(np.arange(len(matrix)), 1)])
 
 
 @pytest.mark.parametrize("n,pairs", [(12, 6), (13, 6), (15, 4)])
@@ -747,7 +770,7 @@ def test_mirror_split_of_a_random_commuting_matrix(n, pairs):
         inner[lo:hi, lo:hi] = signs[lo:hi, None] * symmetric
     matrix = _from_reflection_basis(pairing, inner)
     reflection, flips = _signed_pairing(_from_reflection_basis(pairing, np.diag(signs)))
-    phases, vectors = _eigens(matrix, reflection, pairing, flips)
+    phases, vectors = _eigens(matrix, reflection, [pairing], flips)
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
@@ -758,7 +781,7 @@ def test_mirror_split_of_a_random_commuting_matrix(n, pairs):
         e = rng.normal(scale=1e-6, size=(hi - lo, hi - lo))
         bump[lo:hi, lo:hi] = signs[lo:hi, None] * (e + e.T)
     with pytest.raises(ArithmeticError, match="not normal"):
-        _eigens(matrix + _from_reflection_basis(pairing, bump), reflection, pairing, flips)
+        _eigens(matrix + _from_reflection_basis(pairing, bump), reflection, [pairing], flips)
 
 
 def _commuting_pairings(seed, quads, p_pairs, s_pairs, shared, fixed):
@@ -794,7 +817,7 @@ def test_mirror_split_with_a_reflection_of_every_orbit_kind(counts):
         q, _ = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))
         halves[lo:hi, lo:hi] = (q * np.where(np.arange(hi - lo) % 3, 1.0, -1.0)) @ q.T
     matrix = _from_reflection_basis(p, halves)[s]
-    phases, vectors = _eigens(matrix, reflection=s, symmetry=p)
+    phases, vectors = _eigens(matrix, reflection=s, symmetries=[p])
     reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
@@ -804,20 +827,23 @@ def test_block_eigens_refuses_a_symmetry_that_does_not_commute_with_the_reflecti
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     with pytest.raises(ValueError, match="must commute"):
-        _eigens(op.matrix, op.reflection, _random_pairing(op.dim, 3))
+        _eigens(op.matrix, op.reflection, [_random_pairing(op.dim, 3)])
 
 
 def test_dense_operator_checks_its_symmetries_when_built():
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     identity = np.arange(op.dim)
-    built = walklab.oracle.DenseOperator(op.matrix, identity, identity)
-    assert built.reflection is None and built.symmetry is None
-    for involutions in ((np.roll(identity, 1), None), (None, np.roll(identity, 1))):
+    built = walklab.oracle.DenseOperator(op.matrix, identity, [identity, *op.symmetries])
+    assert built.reflection is None and len(built.symmetries) == len(op.symmetries)
+    for involutions in ((np.roll(identity, 1), ()), (None, [np.roll(identity, 1)])):
         with pytest.raises(ValueError, match="involutive"):
             walklab.oracle.DenseOperator(op.matrix, *involutions)
     with pytest.raises(ValueError, match="must commute"):
-        walklab.oracle.DenseOperator(op.matrix, op.reflection, _random_pairing(op.dim, 3))
+        walklab.oracle.DenseOperator(op.matrix, op.reflection, [_random_pairing(op.dim, 3)])
+    with pytest.raises(ValueError, match="must commute"):  # two symmetries that do not
+        walklab.oracle.DenseOperator(op.matrix, None, [op.symmetries[0],
+                                                       _random_pairing(op.dim, 3)])
     with pytest.raises(TypeError, match="real orthogonal"):
         walklab.oracle.DenseOperator(op.matrix.astype(np.complex128))
 
@@ -825,7 +851,7 @@ def test_dense_operator_checks_its_symmetries_when_built():
 def test_dense_operator_checks_its_flips_when_built():
     g = build_graph(torus_spec(4, shift="dirac"))
     op = dense_unitary(g, (1,))
-    s, p, flips = op.reflection, op.symmetry, op.flips
+    s, (p,), flips = op.reflection, op.symmetries, op.flips
     DenseOperator = walklab.oracle.DenseOperator
     assert not DenseOperator(op.matrix, s).flips.any()  # unsigned unless given
     identity = np.arange(op.dim)
@@ -833,9 +859,13 @@ def test_dense_operator_checks_its_flips_when_built():
     assert np.array_equal(signed.reflection, identity)  # a signed identity splits
     one = np.flatnonzero(s != identity)[0]
     for bad, message in ((flips[:-1], "one flag per index"),
+                         (flips.astype(float), "one flag per index"),
+                         (np.where(flips, 0.5, 2.0), "one flag per index"),
                          (np.where(identity == one, ~flips, flips), "each of its 2-cycles")):
         with pytest.raises(ValueError, match=message):
             DenseOperator(op.matrix, s, flips=bad)
+    with pytest.raises(ValueError, match="one flag per index"):  # numbers, even where nonzero
+        DenseOperator(np.eye(2)[[1, 0]], [1, 0], flips=[0.5, 2.0])
     with pytest.raises(ValueError, match="there is none"):
         DenseOperator(op.matrix, flips=flips)
     # flips that agree on S's 2-cycles but not under P: flip one 2-cycle of S
@@ -844,7 +874,7 @@ def test_dense_operator_checks_its_flips_when_built():
     orbit = np.flatnonzero((p != identity) & (s != identity) & (s != p))[0]
     moved[[orbit, s[orbit]]] = ~moved[[orbit, s[orbit]]]
     with pytest.raises(ValueError, match="must commute"):
-        DenseOperator(op.matrix, s, p, moved)
+        DenseOperator(op.matrix, s, [p], moved)
 
 
 @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
@@ -871,32 +901,60 @@ def test_dense_operator_takes_a_real_matrix_as_float64(matrix):
                          ids=["float", "bool", "out-of-range", "negative", "nested", "string"])
 @pytest.mark.parametrize("field", ["reflection", "symmetry"])
 def test_dense_operator_refuses_an_involution_that_is_no_integer_permutation(field, perm):
+    given = {"reflection": perm} if field == "reflection" else {"symmetries": [perm]}
     with pytest.raises(ValueError, match=f"{field} must be an involutive permutation"):
-        walklab.oracle.DenseOperator(np.eye(2)[[1, 0]], **{field: perm})
+        walklab.oracle.DenseOperator(np.eye(2)[[1, 0]], **given)
 
 
 @pytest.mark.parametrize("field", ["reflection", "symmetry"])
 def test_dense_operator_takes_an_involution_as_an_integer_array_like(field):
-    op = walklab.oracle.DenseOperator(np.eye(2)[[1, 0]], **{field: (1, 0)})
-    assert isinstance(getattr(op, field), np.ndarray)
-    assert np.array_equal(getattr(op, field), [1, 0])
+    given = {"reflection": (1, 0)} if field == "reflection" else {"symmetries": [(1, 0)]}
+    op = walklab.oracle.DenseOperator(np.eye(2)[[1, 0]], **given)
+    kept = op.reflection if field == "reflection" else op.symmetries[0]
+    assert isinstance(kept, np.ndarray)
+    assert np.array_equal(kept, [1, 0])
 
 
 @pytest.mark.parametrize("marked", [(), (0, 5)], ids=["unmarked", "two-marked"])
 def test_no_symmetry_unless_one_vertex_is_marked(marked):
     for spec in arenas("small"):
         g = build_graph(spec)
-        assert dense_unitary(g, default_coin(g, marked=marked)).symmetry is None
+        assert dense_unitary(g, default_coin(g, marked=marked)).symmetries == ()
 
 
 def test_every_oracle_benchmark_arena_takes_the_mirror_split():
-    # the arenas of perfbench's oracle workload, at their sizes
-    for spec in (torus_spec(16), torus_spec(12, shift="moving"), torus_spec(22, shift="dirac"),
-                 torus_spec(5, 3), hypercube_spec(7), complete_spec(32)):
+    for spec in arenas("oracle"):
         g = build_graph(spec)
         for vertex in (0, 7, g.n - 1):
-            p = dense_unitary(g, default_coin(g, marked=(vertex,))).symmetry
-            assert p is not None and np.count_nonzero(p != np.arange(p.size)) >= p.size // 3
+            mirrors = dense_unitary(g, default_coin(g, marked=(vertex,))).symmetries
+            assert len(mirrors) == {"torus": 1 if spec.shift == "dirac" else len(spec.dims),
+                                    "hypercube": 3, "complete": 3}[spec.family]
+            for p in mirrors:
+                assert np.count_nonzero(p != np.arange(p.size)) >= p.size // 3
+
+
+# per oracle arena, marked at vertex 3 (or 0: the same), the blocks of the
+# split, its largest eigh half and the sum of the halves' cubes, eigh's flop
+# count up to a constant.  Split by one mirror, the largest halves were 272,
+# 156, 242, 225, 228 and 273, and the sums 67.9M, 12.2M, 56.7M, 28.1M,
+# 45.0M and 67.5M; the dirac walk has no second reflection
+SPLIT_SIZES = {"torus(16x16,flip_flop,grover)": (4, 144, 17_170_432),
+               "torus(12x12,moving,grover)": (4, 84, 3_110_400),
+               "torus(22x22,dirac,dirac2)": (2, 242, 56_689_952),
+               "torus(5x5x5,flip_flop,grover)": (8, 81, 2_015_250),
+               "hypercube(7,flip_flop,grover)": (8, 135, 7_074_944),
+               "complete(32,swap,grover)": (8, 108, 4_722_688)}
+
+
+@pytest.mark.parametrize("spec", arenas("oracle"), ids=GraphSpec.label)
+def test_the_split_sizes_of_each_oracle_arena(spec):
+    g = build_graph(spec)
+    for vertex in (3, 0):
+        op = dense_unitary(g, default_coin(g, marked=(vertex,)))
+        halves = walklab.oracle._split_maps(op)[0]  # (2, blocks)
+        assert halves.sum() == op.dim
+        assert (halves.shape[1], halves.max(), np.sum(halves.astype(np.int64) ** 3)) \
+            == SPLIT_SIZES[spec.label()]
 
 
 def test_exactly_two_phases_inside_arc():
@@ -1021,29 +1079,33 @@ def test_evolve_dense_never_reaches_blas(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec,marked", [
-    # the mirror splits first; dirac's reflection is signed on the marked rows
+    # the mirrors split first; dirac's reflection is signed on the marked rows
     *(pytest.param(spec, (0,), id=spec.label()) for spec in arenas("dense_cap")),
     # no mirror: the reflection alone
     pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
     pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
 ])
 def test_scattered_blocks_match_the_dense_rotation(spec, marked):
+    # each block, scattered from U's nonzeros in the rows at orbit
+    # representatives, is R^T U R for the dense character basis R of
+    # helpers.character_basis, which is orthonormal and leaves no entry of
+    # R^T U R outside the blocks
     oracle = walklab.oracle
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     blocks = oracle._rotated_blocks(op, np.empty((op.dim, op.dim)))
-    if op.symmetry is None:
-        parts = [op.matrix]
-    else:
-        order, k, h, _ = oracle._split_order(op.symmetry)
-        whole = dense_rotation(op.matrix, order, k, 0)
-        parts = [whole[:h, :h], whole[h:, h:]]
-        # P commutes with U: its off-diagonal blocks, never scattered, vanish
-        for dense in (whole[:h, h:], whole[h:, :h]):
-            assert np.max(np.abs(dense)) <= 1e-15
-    assert len(blocks) == len(parts) == (1 if op.symmetry is None else 2)
-    for (rotated, _, _), (order, pairs, signed, *_), part in zip(blocks, block_ways(op), parts):
-        assert np.max(np.abs(rotated - dense_rotation(part, order, pairs, signed))) <= 1e-15
+    basis = character_basis(op)
+    assert [(b.shape[0], m) for b, m, _ in blocks] == [(r.shape[1], m) for r, m in basis]
+    whole = scipy.sparse.csr_array(np.hstack([rotation for rotation, _ in basis]))
+    assert np.max(np.abs((whole.T @ whole).toarray() - np.eye(op.dim))) <= 1e-15
+    dense = (whole.T @ (scipy.sparse.csr_array(op.matrix) @ whole)).toarray()
+    start = 0
+    for rotated, _, _ in blocks:
+        span = slice(start, start + len(rotated))
+        assert np.max(np.abs(rotated - dense[span, span])) <= 1e-15
+        dense[span, span] = 0.0
+        start += len(rotated)
+    assert np.max(np.abs(dense)) <= 1e-15
     assert op.flips.any() == (spec.shift == "dirac" and len(marked) == 1)  # S is signed
 
 
@@ -1052,21 +1114,21 @@ def test_block_eigens_refuses_a_symmetry_broken_at_a_zero_entry():
     # has none counts as much as a changed one
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
-    row = int(np.flatnonzero(op.symmetry != np.arange(op.dim))[0])
+    row = int(np.flatnonzero(op.symmetries[-1] != np.arange(op.dim))[0])
     matrix = op.matrix.copy()
     matrix[row, int(np.flatnonzero(matrix[row] == 0)[0])] = 1e-9
     with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
-        _eigens(matrix, op.reflection, op.symmetry)
+        _eigens(matrix, op.reflection, op.symmetries)
 
 
 @pytest.mark.parametrize("mirror", [True, False], ids=["mirror", "no-mirror"])
 def test_block_eigens_refuses_a_time_reversal_broken_at_a_zero_entry(mirror):
     # the check reads S's image of every nonzero, so a new nonzero where U
-    # and its S-image are both zero counts as much as a changed one; with
-    # the mirror, P's image of the entry is set too, so that P still commutes
+    # and its S-image are both zero counts as much as a changed one; with a
+    # mirror P, P's image of the entry is set too, so that P still commutes
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
-    s, p = op.reflection, op.symmetry if mirror else np.arange(op.dim)
+    s, p = op.reflection, op.symmetries[-1] if mirror else np.arange(op.dim)
     rows, cols = np.nonzero(op.matrix == 0)
     image = s[cols], s[rows]
     free = ((op.matrix[image] == 0) & ((image[0] != rows) | (image[1] != cols))
@@ -1075,7 +1137,7 @@ def test_block_eigens_refuses_a_time_reversal_broken_at_a_zero_entry(mirror):
     matrix = op.matrix.copy()
     matrix[r, c] = matrix[p[r], p[c]] = 1e-9
     with pytest.raises(ArithmeticError, match="no time reversal"):
-        _eigens(matrix, op.reflection, op.symmetry if mirror else None)
+        _eigens(matrix, op.reflection, [p])
 
 
 @pytest.mark.parametrize("delta", [1e-11, 1e-9])
@@ -1084,16 +1146,16 @@ def test_block_eigens_refuses_a_time_reversal_broken_at_a_zero_entry(mirror):
     ("time-reversal", "no time reversal"),
 ])
 def test_involution_check_is_entrywise_at_its_tolerance(broken, message, delta):
-    # one nonzero of U moved by delta, which P moves and S does not send to
-    # itself or to its P-image: P U P - U and S U S - U^T reach delta there,
-    # and the check refuses past _INVARIANCE_TOL = 1e-10 only.  P is checked
-    # first; to break S alone, the entry's P-image moves with it.  (Past the
-    # check, the eigensolve refuses even 1e-11 as not normal: the still
-    # eigenvectors' images pass _SKEW_ZERO.)
+    # one nonzero of U moved by delta, which a mirror P moves and S does not
+    # send to itself or to its P-image: P U P - U and S U S - U^T reach delta
+    # there, and the check refuses past _INVARIANCE_TOL = 1e-10 only.  P is
+    # checked first; to break S alone, the entry's P-image moves with it.
+    # (Past the check, the eigensolve refuses 1e-11 as not normal where it
+    # reads the moved row: test_the_not_normal_refusal_quotes_how_far_...)
     oracle = walklab.oracle
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
-    s, p = op.reflection, op.symmetry
+    s, p = op.reflection, op.symmetries[-1]
     rows, cols = np.nonzero(op.matrix)
     image = s[cols], s[rows]
     free = (((p[rows] != rows) | (p[cols] != cols))
@@ -1104,7 +1166,7 @@ def test_involution_check_is_entrywise_at_its_tolerance(broken, message, delta):
     matrix[r, c] += delta
     if broken == "time-reversal":
         matrix[p[r], p[c]] += delta
-    moved = oracle.DenseOperator(matrix, s, p)
+    moved = oracle.DenseOperator(matrix, s, [p])
     if delta > oracle._INVARIANCE_TOL:
         with pytest.raises(ArithmeticError, match=message):
             dense_eigens(moved)

@@ -463,3 +463,34 @@ def test_the_coordinate_check_sees_a_read():
               "    table = coordinates\n"
               "    return graph.vertex_coords(v), graph.vertex_index(coords)\n")
     assert _coordinate_reads(source) == {1, 3, 4}
+
+
+def _axis_reflections(source):
+    """The lines of `source` that call `reflect` with axes, as the `axes`
+    keyword or a second argument: a reflection of some axes alone, as
+    through a vertex."""
+    return {node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "reflect"
+            and (len(node.args) > 1 or any(kw.arg == "axes" for kw in node.keywords))}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graphs.py"],
+                         ids=lambda path: path.stem)
+def test_only_graphs_reflects_axes_through_a_vertex(path):
+    # Graph.mirrors lists the reflections through the marked vertex that
+    # split the dense oracle; an axis reflection built elsewhere is a second
+    # list of them
+    lines = sorted(_axis_reflections(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} reflects axes of its own on lines {lines}"
+
+
+def test_the_axis_reflection_check_sees_every_form():
+    source = ("def _mirror(graph, v):\n"
+              "    centre = graph.vertex_coords(v)\n"
+              "    return graph.reflect(2 * centre[0], axes=(0,))\n\n\n"
+              "def _point(graph, total):\n"
+              "    return graph.reflect(total), graph.reflect(total=total)\n\n\n"
+              "def _others(graph, reflect):\n"
+              "    return reflect(0, [1]), graph.lift(graph.reflect(0, (1,)))\n")
+    assert _axis_reflections(source) == {3, 11}
