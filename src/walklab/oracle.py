@@ -6,17 +6,18 @@ coin matrix (the Grover coin is defined here) and the shift rule of
 `graphs` (shift_permutation, or shift_targets per dirac half-move),
 without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
-matrix, with only coin_dim nonzeros in each column.  Every pass reads
-those nonzeros, listed once per call by np.flatnonzero: evolve_dense
-powers U' through each row's nonzeros, dense_eigens checks its
-involutions on them and scatters them into U''s blocks in the
+matrix, with only coin_dim nonzeros in each column, and DenseOperator
+holds it as that sorted nonzero listing alone, never as an n x n array.
+Every pass reads the listing: evolve_dense powers U' through each row's
+nonzeros, dense_eigens checks its involutions on them (each image found
+by binary search) and scatters them into U''s blocks in the
 involutions' eigenbasis, and unitarity_defect forms U'^T U' only inside
-each group of columns that share a row, where the rest of the product is
-exact zeros.  U' is eigendecomposed through its symmetric part U' + U'^T
-by numpy.linalg.eigh (LAPACK syevd, on numpy's own BLAS: walklab loads
-no second one), whose real eigenvectors its skew part U' - U'^T pairs
-into complex ones (see dense_eigens; a matrix that is not normal
-raises).
+each group of columns that share a row, scattered from the listing,
+where the rest of the product is exact zeros.  U' is eigendecomposed
+through its symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd,
+on numpy's own BLAS: walklab loads no second one), whose real
+eigenvectors its skew part U' - U'^T pairs into complex ones (see
+dense_eigens; a matrix that is not normal raises).
 Involutions split the eigensolve, and U' enters their joint eigenbasis
 one nonzero at a time.  With one marked vertex, the arena's commuting
 reflections through it (Graph.mirrors), lifted to the basis states
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, is_integer
 
 DIMENSION_CAP = 1024
 # each 2-cycle of an involution puts this weight on its two indices in its eigenbasis
@@ -72,40 +73,53 @@ _SCATTER_FLOOR = 4096
 
 @dataclass
 class DenseOperator:
-    """A full (coin_dim*N)-dimensional real unitary M; as `reflection` and
-    `flips`, a signed permutation time reversal S of it, S e_j =
-    -e_reflection[j] where flips[j] and e_reflection[j] elsewhere (an
-    involution, S M S = M^T: the shift itself, the shift after the
-    direction reversal on the moving torus, C' T C' on the dirac walk; see
-    dense_unitary); and as `symmetries` commuting involutive index
-    permutations that commute with M and S, generators of a group Z_2^k
-    (dense_unitary's are Graph.mirrors through the one marked vertex,
-    lifted to the basis states by Graph.lift).
+    """A full (coin_dim*N)-dimensional real unitary M, held as `dim` and
+    its sorted nonzero listing `nonzeros` = (flat, values): entry values[i]
+    at flat index flat[i] = r*dim + c, strictly ascending (row-major), with
+    no exact zero; as `reflection` and `flips`, a signed permutation time
+    reversal S of it, S e_j = -e_reflection[j] where flips[j] and
+    e_reflection[j] elsewhere (an involution, S M S = M^T: the shift
+    itself, the shift after the direction reversal on the moving torus,
+    C' T C' on the dirac walk; see dense_unitary); and as `symmetries`
+    commuting involutive index permutations that commute with M and S,
+    generators of a group Z_2^k (dense_unitary's are Graph.mirrors through
+    the one marked vertex, lifted to the basis states by Graph.lift).
 
-    An operator checks itself when it is built: a complex matrix raises
-    TypeError, a real matrix of another dtype is taken as float64, an
-    unsigned identity reflection is kept as None (flips with it: all False
-    if not given) and an identity symmetry is dropped, and a matrix that
-    is not square and 2-D, a reflection or symmetry that is no involutive
-    permutation (any integer array-like, taken as an array), flips that
-    are not one bool per index or differ on a 2-cycle of S or under a
-    symmetry, flips without a reflection, or two involutions that do not
-    commute, raise ValueError.  dense_eigens checks, on M's nonzeros, that
-    S is a time reversal of M and each symmetry a symmetry of it."""
+    An operator checks itself when it is built: complex values raise
+    TypeError, real values of another dtype are taken as float64 (and the
+    flat indices as intp), an unsigned identity reflection is kept as None
+    (flips with it: all False if not given) and an identity symmetry is
+    dropped, and a dim that is no positive integer, flat indices that are
+    not one-dimensional integers strictly ascending in [0, dim^2), values
+    that are not one per index or hold an exact zero, a reflection or
+    symmetry that is no involutive permutation (any integer array-like,
+    taken as an array), flips that are not one bool per index or differ on
+    a 2-cycle of S or under a symmetry, flips without a reflection, or two
+    involutions that do not commute, raise ValueError.  dense_eigens
+    checks, on M's nonzeros, that S is a time reversal of M and each
+    symmetry a symmetry of it."""
 
-    matrix: np.ndarray
+    dim: int
+    nonzeros: tuple
     reflection: np.ndarray | None = None
     symmetries: tuple = ()
     flips: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if np.iscomplexobj(self.matrix):
-            raise TypeError(f"a DenseOperator is a real orthogonal matrix, not a "
-                            f"{np.asarray(self.matrix).dtype} one")
-        matrix = self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"a DenseOperator's matrix must be square and 2-D, not of "
-                             f"shape {matrix.shape}")
+        flat, values = self.nonzeros
+        if np.iscomplexobj(values):
+            raise TypeError(f"a DenseOperator is a real orthogonal matrix, not one of "
+                            f"{np.asarray(values).dtype} entries")
+        flat, values = np.asarray(flat), np.asarray(values, dtype=np.float64)
+        if not is_integer(self.dim) or self.dim < 1:
+            raise ValueError(f"a DenseOperator's dim must be a positive integer, not {self.dim!r}")
+        if flat.dtype.kind not in "iu" or flat.ndim != 1 or np.any(flat[1:] <= flat[:-1]) \
+                or flat.size and not 0 <= flat[0] <= flat[-1] < self.dim ** 2:
+            raise ValueError("a DenseOperator's flat indices must be 1-D integers, strictly "
+                             "ascending in [0, dim^2)")
+        if values.shape != flat.shape or not values.all():
+            raise ValueError("a DenseOperator's listing must hold one nonzero value per index")
+        self.nonzeros = flat.astype(np.intp, copy=False), values
         flips = np.zeros(self.dim, dtype=bool) if self.flips is None else np.asarray(self.flips)
         if flips.dtype.kind != "b" or flips.shape != (self.dim,):
             raise ValueError("flips must be one flag per index, each a bool")
@@ -123,21 +137,16 @@ class DenseOperator:
                                               and np.array_equal(flips[g], flips)):
                 raise ValueError("the reflection and the symmetries must commute")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def unitarity_defect(self) -> float:
         """max |M^T M - I|, with M^T M formed only inside each group of
         columns that share a row (_column_groups): an entry between two
         groups sums products with a zero factor, an exact zero of the dense
-        product.  Groups of one shape take one batched product; a group of
-        every column reads M in place, as the dense product does; a zero
+        product.  Groups of one shape take one batched product; a zero
         column is a group of no rows, whose diagonal entry 0 gives 1.  The
         groups' maxima meet in np.max, so a NaN or an inf in M gives a
         defect that is not finite."""
         maxima = []
-        for blocks in _column_groups(self.matrix):
+        for blocks in _column_groups(self.dim, self.nonzeros):
             gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
             gram.reshape(len(gram), -1)[:, ::gram.shape[1] + 1] -= 1.0
             maxima.append(np.max(np.abs(gram, out=gram)))
@@ -150,13 +159,15 @@ def grover_coin(d: int) -> np.ndarray:
 
 
 def dense_unitary(graph: Graph, marked) -> DenseOperator:
-    """U' = S * C' as a float64 matrix, index c*N + v, C' marking `marked`.
+    """U' = S * C' as a DenseOperator, index c*N + v, C' marking `marked`.
 
-    Each entry of the explicit coin matrix C' goes straight to its row
-    under the shift permutation (_shifted_coin).  The dirac step is the
-    coin-basis half-move along y, then the half-move along x conjugated by
-    the Hadamard: both Hadamards go in unscaled and their two 1/sqrt(2)
-    factors as one exact 1/2, so every entry is exact.  The moving shift
+    Each entry of the explicit coin matrix C' goes straight to its flat
+    index under the shift permutation, listed row by row with no n x n
+    array (_shifted_coin).  The dirac step is the coin-basis half-move
+    along y, then the half-move along x conjugated by the Hadamard, each
+    Hadamard a sum and a difference of the listing's two row halves
+    (_butterfly): both go in unscaled and their two 1/sqrt(2) factors as
+    one exact 1/2, so every entry is exact.  The moving shift
     S_m is no involution past side 2, but with the direction reversal T
     (c <-> `Graph.reverse_moves`[c]) T S_m T = S_m^T, and T commutes with
     C', so S_m T is a time reversal of U' = (S_m T)(T C').  Every other
@@ -175,20 +186,16 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
     flips = None
     if graph.spec.shift != "dirac":
         move = graph.shift_permutation()
-        matrix = _shifted_coin(graph, marked, move)
+        nonzeros = _shifted_coin(graph, marked, move)
         reflection = move
         if graph.spec.shift == "moving":  # after T: c*N + v -> reverse(c)*N + v
             reflection = move.reshape(graph.coin_dim, -1)[graph.reverse_moves()].ravel()
-    else:
-        n = graph.n  # each _butterfly is the Hadamard on the rows' coin index
-        first = _shifted_coin(graph, marked, _half_move(graph, (0, 1)))
-        _butterfly(first[:n], first[n:], 1.0)  # the second takes both 1/sqrt(2)
-        matrix = np.empty_like(first)
-        matrix[_half_move(graph, (2, 3))] = first
-        _butterfly(matrix[:n], matrix[n:], 0.5, first[:n])  # first's buffer is free
+    else:  # the first _butterfly is unscaled, the second takes both 1/sqrt(2)
+        first = _butterfly(_shifted_coin(graph, marked, _half_move(graph, (0, 1))), dim, 1.0)
+        nonzeros = _butterfly(first, dim, 0.5, _half_move(graph, (2, 3)))
         reflection, flips = _dirac_reversal(graph, marked)
     mirrors = graph.mirrors(marked[0]) if len(marked) == 1 else ()
-    return DenseOperator(matrix, reflection, [graph.lift(g) for g in mirrors], flips)
+    return DenseOperator(dim, nonzeros, reflection, [graph.lift(g) for g in mirrors], flips)
 
 
 def _dirac_reversal(graph: Graph, marked: tuple[int, ...]) -> tuple:
@@ -219,11 +226,12 @@ def _dirac_reversal(graph: Graph, marked: tuple[int, ...]) -> tuple:
     return swap[through], on ^ on[through]
 
 
-def _shifted_coin(graph: Graph, marked: tuple[int, ...], move: np.ndarray) -> np.ndarray:
-    """S C' for the row permutation S = `move`.  C' holds the unmarked coin
-    on every vertex and the marking's block on marked ones; each of its
-    d*N*d entries C'[c*N + v, c'*N + v] goes to row move[c*N + v] of a
-    zeroed matrix."""
+def _shifted_coin(graph: Graph, marked: tuple[int, ...], move: np.ndarray) -> tuple:
+    """The listing of S C' for the row permutation S = `move`.  C' holds
+    the unmarked coin on every vertex and the marking's block on marked
+    ones; row move[c*N + v] holds C'[c*N + v, c'*N + v] at column c'*N + v
+    for each c' in turn, so listing each row's d entries row by row keeps
+    the flat indices ascending."""
     d, n = graph.coin_dim, graph.n
     grover = grover_coin(d)
     marking = graph.spec.marking
@@ -233,11 +241,14 @@ def _shifted_coin(graph: Graph, marked: tuple[int, ...], move: np.ndarray) -> np
         unmarked, flipped = grover, -grover
     else:
         unmarked, flipped = grover, -np.eye(d)
-    blocks = np.repeat(unmarked[:, :, None], n, axis=2)  # [c, c', v]
-    blocks[:, :, list(marked)] = flipped[:, :, None]
-    matrix = np.zeros((d * n, d * n))
-    matrix[move.reshape(d, 1, n), np.arange(d * n).reshape(1, d, n)] = blocks
-    return matrix
+    coin, vertex = np.divmod(np.argsort(move), n)  # the (c, v) that lands on each row
+    on = np.zeros(n, dtype=bool)
+    on[list(marked)] = True
+    values = unmarked[coin]
+    values[on[vertex]] = flipped[coin[on[vertex]]]
+    flat = (np.arange(d * n) * (d * n) + vertex)[:, None] + np.arange(d) * n
+    keep = values != 0
+    return flat[keep], values[keep]
 
 
 def _half_move(graph: Graph, roles: tuple[int, int]) -> np.ndarray:
@@ -245,14 +256,24 @@ def _half_move(graph: Graph, roles: tuple[int, int]) -> np.ndarray:
     return (np.arange(2)[:, None] * graph.n + graph.shift_targets()[list(roles)]).ravel()
 
 
-def _butterfly(top: np.ndarray, bottom: np.ndarray, scale: float,
-               total: np.ndarray | None = None) -> None:
-    """(top, bottom) <- ((top + bottom), (top - bottom)) * scale, in place;
-    the sum passes through `total` (top's shape) if given."""
-    total = np.add(top, bottom, out=total)
-    np.subtract(top, bottom, out=bottom)
-    np.multiply(total, scale, out=top)
-    bottom *= scale
+def _butterfly(nonzeros: tuple, dim: int, scale: float, move: np.ndarray | None = None) -> tuple:
+    """The listing of H M for M given by its listing `nonzeros`, its rows
+    first moved by the permutation `move` (row r to move[r]) if given:
+    each top row i and its bottom row i + dim/2 become (top + bottom) *
+    scale and (top - bottom) * scale, each sum formed before it is scaled,
+    with 0 for an entry M lacks, as the dense butterfly forms them."""
+    half = dim // 2
+    rows, cols = np.divmod(nonzeros[0], dim)
+    if move is not None:
+        rows = move[rows]
+    low = rows >= half
+    keys, at = np.unique((rows - half * low) * dim + cols, return_inverse=True)
+    top, bottom = pair = np.zeros((2, keys.size))
+    pair[low.astype(np.intp), at] = nonzeros[1]
+    values = np.concatenate([top + bottom, top - bottom])
+    values *= scale
+    keep = values != 0
+    return np.concatenate([keys, keys + half * dim])[keep], values[keep]
 
 
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -313,12 +334,11 @@ def _rotated_blocks(op: DenseOperator, buffer: np.ndarray) -> list[tuple]:
     halves' maps as one map's two slots, and the lift reads each backward
     (_lift).  The involutions are checked against U on its nonzeros
     (_check_involutions), and the scatter reads those in the rows at
-    orbit representatives alone; the list is dropped before any
+    orbit representatives alone; their copy is dropped before any
     eigensolve."""
-    nonzeros = _nonzeros(op.matrix)
-    _check_involutions(op, nonzeros)
+    _check_involutions(op)
     sizes, into, weights, reads = _split_maps(op)
-    nonzeros = tuple(part[(reads > 0)[nonzeros[0] // op.dim]] for part in nonzeros)
+    nonzeros = tuple(part[(reads > 0)[op.nonzeros[0] // op.dim]] for part in op.nonzeros)
     rotated = []
     for block, out in enumerate(_carve(buffer, *((size, size) for size in sizes.sum(axis=0)))):
         targets = np.maximum(into[:, block] + [[0], [sizes[0, block]]], 0)
@@ -328,20 +348,21 @@ def _rotated_blocks(op: DenseOperator, buffer: np.ndarray) -> list[tuple]:
     return rotated
 
 
-def _check_involutions(op: DenseOperator, nonzeros: tuple) -> None:
-    """Check, on U's `nonzeros` (_nonzeros), that each of the operator's
-    symmetries P commutes with U and its reflection S is a time reversal
-    of U, else ArithmeticError: P U P = U where |U[P r, P c] - U[r, c]|
-    and S U S = U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where
-    `flips`) is at most _INVARIANCE_TOL at every nonzero (r, c).  P and S
-    are signed permutations, so an entry that breaks either relation is a
-    nonzero of U or the image of one: the check sees every entry."""
+def _check_involutions(op: DenseOperator) -> None:
+    """Check, on U's nonzeros, that each of the operator's symmetries P
+    commutes with U and its reflection S is a time reversal of U, else
+    ArithmeticError: P U P = U where |U[P r, P c] - U[r, c]| and S U S =
+    U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where `flips`) is
+    at most _INVARIANCE_TOL at every nonzero (r, c), each image read from
+    the listing (_entries).  P and S are signed permutations, so an entry
+    that breaks either relation is a nonzero of U or the image of one: the
+    check sees every entry."""
     s, sign = op.reflection, np.where(op.flips, -1.0, 1.0)
     leak = defect = 0.0
-    for rows, cols, part in _chunks(nonzeros, op.dim):
+    for rows, cols, part in _chunks(op.nonzeros, op.dim):
         for p in op.symmetries:
-            leak = max(leak, _max_abs(op.matrix[p[rows], p[cols]] - part))
-        defect = max(defect, _max_abs(sign[rows] * sign[cols] * op.matrix[s[cols], s[rows]]
+            leak = max(leak, _max_abs(_entries(op, p[rows], p[cols]) - part))
+        defect = max(defect, _max_abs(sign[rows] * sign[cols] * _entries(op, s[cols], s[rows])
                                       - part))
     if leak > _INVARIANCE_TOL:
         raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
@@ -349,6 +370,15 @@ def _check_involutions(op: DenseOperator, nonzeros: tuple) -> None:
     if defect > _INVARIANCE_TOL:
         raise ArithmeticError(f"the reflection S is no time reversal of U (U does not commute "
                               f"with S up to transposition): S U S - U^T reaches {defect:.3e}")
+
+
+def _entries(op: DenseOperator, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """U[rows, cols], each looked up in U's listing by binary search: 0
+    where U has no entry.  The listing must not be empty."""
+    flat, values = op.nonzeros
+    key = rows * op.dim + cols
+    at = np.searchsorted(flat, key)
+    return np.where(np.take(flat, at, mode="clip") == key, np.take(values, at, mode="clip"), 0.0)
 
 
 def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray) -> tuple:
@@ -432,32 +462,23 @@ def _split_maps(op: DenseOperator) -> tuple:
             np.where(least == index, np.exp2(orbit), 0.0))
 
 
-def _nonzeros(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, values): the flat indices of `matrix`'s nonzero entries, in
-    row-major order, and the entries.  np.flatnonzero of the boolean
-    matrix != 0 lists them several times faster than np.nonzero of the
-    float matrix."""
-    flat = np.flatnonzero(matrix != 0)
-    return flat, np.take(matrix, flat)
+def _column_groups(n: int, nonzeros: tuple) -> list[np.ndarray]:
+    """The groups of columns of the n x n matrix with these `nonzeros`
+    (DenseOperator's listing) that share a row (the connected components
+    of its nonzero pattern), each with the rows it fills: a zero column is
+    a group of no rows.  The groups of one shape come as one stack
+    (groups, rows, columns), rows and columns ascending, scattered from
+    the listing one shape at a time; a group of every column is one block
+    of the filled rows, and only it is as large as the matrix.
 
-
-def _column_groups(matrix: np.ndarray) -> list[np.ndarray]:
-    """The groups of columns of a square `matrix` that share a row (the
-    connected components of its nonzero pattern), each with the rows it
-    fills: a zero column is a group of no rows.  The groups of one shape
-    come as one stack (groups, rows, columns) gathered from `matrix`, rows
-    and columns ascending; a group of every column is `matrix` itself, a
-    stack of one view.
-
-    Labels propagate over the nonzeros (_nonzeros): each column starts at
-    its own index; a pass gives each row the least label among its
-    columns, then each column the least among its rows', and then jumps
-    each label to its own label's until none moves; passes repeat until a
-    pass moves no label.  Each label is then the least column of its
-    group."""
-    n = matrix.shape[1]
-    rows, cols = np.divmod(_nonzeros(matrix)[0], n)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each filled row's first nonzero
+    Labels propagate over the nonzeros: each column starts at its own
+    index; a pass gives each row the least label among its columns, then
+    each column the least among its rows', and then jumps each label to
+    its own label's until none moves; passes repeat until a pass moves no
+    label.  Each label is then the least column of its group."""
+    flat, values = nonzeros
+    cols = flat % n
+    starts = np.flatnonzero(np.diff(flat // n, prepend=-1))  # each filled row's first nonzero
     row_of = np.repeat(np.arange(starts.size), np.diff(starts, append=cols.size))
     label = np.arange(n)
     while cols.size:
@@ -470,26 +491,38 @@ def _column_groups(matrix: np.ndarray) -> list[np.ndarray]:
         label = moved
     row_group = label[cols[starts]]
     heights, widths = np.bincount(row_group, minlength=n), np.bincount(label, minlength=n)
+    shapes = heights * (n + 1) + widths  # per group, at its label
     roots = np.flatnonzero(widths)  # one per group
-    if widths[roots[0]] == n:
-        return [matrix[None]]
-    shapes = heights[roots] * (n + 1) + widths[roots]
-    in_rows = rows[starts][np.argsort(row_group, kind="stable")]
-    in_columns = np.argsort(label, kind="stable")
-    row_start, col_start = np.cumsum(heights) - heights, np.cumsum(widths) - widths
+    row_rank, col_rank = _ranks(row_group, heights), _ranks(label, widths)
     groups = []
-    for shape in np.unique(shapes):
-        first = roots[shapes == shape]
+    for shape in np.unique(shapes[roots]):
         height, width = divmod(int(shape), n + 1)
-        at_rows = in_rows[row_start[first, None] + np.arange(height)]
-        at_columns = in_columns[col_start[first, None] + np.arange(width)]
-        groups.append(matrix[at_rows[:, :, None], at_columns[:, None, :]])
+        first = roots[shapes[roots] == shape]
+        inside = np.flatnonzero(shapes[label[cols]] == shape)
+        # each nonzero's flat place in the stack: its group's, row's and column's
+        at = np.searchsorted(first, label[cols[inside]])
+        at *= height
+        at += row_rank[row_of[inside]]
+        at *= width
+        at += col_rank[cols[inside]]
+        stack = np.zeros((first.size, height, width))
+        stack.reshape(-1)[at] = values[inside]
+        groups.append(stack)
     return groups
+
+
+def _ranks(group: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each item's rank among the items of its group (`group[i]`, whose
+    size is sizes[group[i]]), in the items' order."""
+    order = np.argsort(group, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[group[order]]
+    return rank
 
 
 def _scatter(nonzeros: tuple, row_way: tuple, way: tuple, out: np.ndarray) -> None:
     """L^T U R in `out` (contiguous), for U given by its `nonzeros`
-    (_nonzeros) and L and R by their maps (targets, weights), each of shape
+    (DenseOperator's listing) and L and R by their maps (targets, weights), each of shape
     (slots, n): index i enters R's column targets[s, i] with weight
     weights[s, i], R[i, targets[s, i]] = weights[s, i] (zero weights pad).
     Each nonzero U[i, j] adds L[i, a] U[i, j] R[j, c] to out[a, c] for
@@ -512,7 +545,7 @@ def _scatter(nonzeros: tuple, row_way: tuple, way: tuple, out: np.ndarray) -> No
 
 
 def _chunks(nonzeros: tuple, n: int):
-    """The `nonzeros` (_nonzeros) of an n x n matrix as (rows, cols,
+    """The `nonzeros` (DenseOperator's listing) of an n x n matrix as (rows, cols,
     values), at most max(n^2 / _SCATTER_SHARE, _SCATTER_FLOOR) at a time."""
     flat, values = nonzeros
     chunk = max(n * n // _SCATTER_SHARE, _SCATTER_FLOOR)
@@ -703,9 +736,9 @@ def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarra
     complex one.  Each step gathers the state at every row's nonzero
     columns (_row_slots) and sums each row with one np.einsum: no BLAS
     call, so the history's bits do not depend on the thread count."""
-    out = np.empty((steps + 1, op.dim), dtype=np.result_type(vector, op.matrix))
+    out = np.empty((steps + 1, op.dim), dtype=np.result_type(vector, op.nonzeros[1]))
     out[0] = vector
-    columns, weights = _row_slots(op.matrix, out.dtype)
+    columns, weights = _row_slots(op, out.dtype)
     gathered = np.empty(columns.shape, dtype=out.dtype)
     for t in range(steps):
         np.take(out[t], columns, out=gathered, mode="clip")  # "clip" skips a buffered copy
@@ -713,20 +746,20 @@ def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarra
     return out
 
 
-def _row_slots(matrix: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _row_slots(op: DenseOperator, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(columns, weights), each (rows, width): row i's nonzero entries
     weights[i, s] at columns columns[i, s], padded to the widest row's
     width with zero weights at column 0; weights in `dtype`."""
-    flat, values = _nonzeros(matrix)
-    rows, cols = np.divmod(flat, matrix.shape[1])
-    counts = np.bincount(rows, minlength=matrix.shape[0])
+    flat, values = op.nonzeros
+    rows, cols = np.divmod(flat, op.dim)
+    counts = np.bincount(rows, minlength=op.dim)
     width = counts.max(initial=0)
     # each entry's flat place in the padded rows, its row's start plus its
     # rank in the row, formed in `rows` (fewer temporaries, a lower peak)
     rows *= width
     rows += np.arange(flat.size)
     rows -= np.repeat(np.cumsum(counts) - counts, counts)
-    columns = np.zeros((matrix.shape[0], width), dtype=np.intp)
+    columns = np.zeros((op.dim, width), dtype=np.intp)
     weights = np.zeros(columns.shape, dtype=dtype)
     columns.reshape(-1)[rows] = cols
     weights.reshape(-1)[rows] = values

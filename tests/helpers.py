@@ -5,6 +5,9 @@
 - dense principal-pair extraction, a step-built reference unitary, a
   complex-Schur reference eigensolver, and the dense matrix-vector product
   and character basis the oracle's nonzero passes are checked against;
+- the dense matrix of an oracle operator and the listing of a dense
+  matrix, and the zero-filled dense build of U' the listing's build is
+  checked against bit for bit;
 - per-mode references for the columnar spectral layer;
 - the Fourier-mode chain behind the closed-form spectra (c03) and the
   abstract-search eigenvector (c04): coin blocks, their closed-form phases
@@ -155,6 +158,68 @@ def step_built_unitary(graph, coin) -> np.ndarray:
         state = WalkState(graph, amps.reshape(graph.coin_dim, graph.n))
         matrix[:, col] = step(state, coin).vector
     return matrix
+
+
+def listed(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, values): the flat indices of `matrix`'s nonzero entries, in
+    row-major order, and the entries, the listing an oracle.DenseOperator
+    holds."""
+    matrix = np.asarray(matrix)
+    flat = np.flatnonzero(matrix != 0)
+    return flat, np.take(matrix, flat)
+
+
+def dense(op) -> np.ndarray:
+    """The dim x dim float64 matrix of an oracle.DenseOperator, scattered
+    from its listing."""
+    flat, values = op.nonzeros
+    matrix = np.zeros((op.dim, op.dim))
+    matrix.reshape(-1)[flat] = values
+    return matrix
+
+
+def zero_filled_unitary(graph, marked) -> np.ndarray:
+    """U' = S C' as a dense float64 matrix, built into zero-filled n x n
+    arrays: each coin entry C'[c*N + v, c'*N + v] goes to row move[c*N + v]
+    (_shifted_coin), and the dirac step's two Hadamards are in-place
+    butterflies of the row halves (_butterfly) around the second half-move.
+    The bit reference for oracle.dense_unitary's listing."""
+    marked = graph.marked_set(marked)
+    if graph.spec.shift != "dirac":
+        return _shifted_coin(graph, marked, graph.shift_permutation())
+    n = graph.n
+    first = _shifted_coin(graph, marked, walklab.oracle._half_move(graph, (0, 1)))
+    _butterfly(first[:n], first[n:], 1.0)
+    matrix = np.empty_like(first)
+    matrix[walklab.oracle._half_move(graph, (2, 3))] = first
+    _butterfly(matrix[:n], matrix[n:], 0.5)
+    return matrix
+
+
+def _shifted_coin(graph, marked, move) -> np.ndarray:
+    """S C' for the row permutation S = `move`, in a zeroed matrix."""
+    d, n = graph.coin_dim, graph.n
+    grover = grover_coin(d)
+    if graph.spec.marking == "projector_flip":
+        unmarked, flipped = np.eye(d), -grover
+    elif graph.spec.marking == "minus_c0":
+        unmarked, flipped = grover, -grover
+    else:
+        unmarked, flipped = grover, -np.eye(d)
+    blocks = np.repeat(unmarked[:, :, None], n, axis=2)  # [c, c', v]
+    blocks[:, :, list(marked)] = flipped[:, :, None]
+    matrix = np.zeros((d * n, d * n))
+    matrix[move.reshape(d, 1, n), np.arange(d * n).reshape(1, d, n)] = blocks
+    return matrix
+
+
+def _butterfly(top, bottom, scale) -> None:
+    """(top, bottom) <- ((top + bottom), (top - bottom)) * scale, in place,
+    each sum formed before it is scaled."""
+    total = top + bottom
+    np.subtract(top, bottom, out=bottom)
+    np.multiply(total, scale, out=top)
+    bottom *= scale
 
 
 def levels(*rows) -> np.recarray:

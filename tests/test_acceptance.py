@@ -23,7 +23,7 @@ from walklab import (build_graph, complete_spec, default_coin,
 
 from walklab.engine import squared_norm
 
-from helpers import (closed_form_block_phases, eigenspace_projection,
+from helpers import (closed_form_block_phases, dense, eigenspace_projection,
                      lift_principal_eigenvector, rounds_to_quarter)
 
 
@@ -119,7 +119,7 @@ def test_c04_abstract_search_validation():
     assert abs(alpha - alpha_dense) < 1e-6
 
     x = lift_principal_eigenvector(g, 0, alpha)
-    residual = float(np.linalg.norm(op.matrix @ x - np.exp(1j * alpha) * x))
+    residual = float(np.linalg.norm(dense(op) @ x - np.exp(1j * alpha) * x))
     assert residual < 1e-8
 
     inside = (np.abs(phases) > 1e-9) & (np.abs(phases) < ms.theta_min - 1e-9)

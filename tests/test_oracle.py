@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import math
 import re
 import textwrap
 import types
@@ -19,9 +20,18 @@ from walklab import (GraphSpec, apply_shift, build_graph, complete_spec, default
                      dense_eigens, dense_unitary, hypercube_spec, mode_spectrum, run_walk,
                      solve_alpha, step, torus_spec, uniform_state)
 
-from helpers import (arenas, character_basis, complex_lift_eigens, dense_principal_pair,
-                     eigenspace_projection, matvec_history, random_state, schur_eigens,
-                     step_built_unitary, traced_peak)
+from helpers import (arenas, character_basis, complex_lift_eigens, dense, dense_principal_pair,
+                     eigenspace_projection, listed, matvec_history, random_state, schur_eigens,
+                     step_built_unitary, traced_peak, zero_filled_unitary)
+
+
+def _operator(matrix, *involutions, **named):
+    """The DenseOperator of a dense square `matrix`, from its listing."""
+    return walklab.oracle.DenseOperator(len(matrix), listed(matrix), *involutions, **named)
+
+
+# the listing of the 2 x 2 swap [[0, 1], [1, 0]]
+SWAP = (np.array([1, 2]), np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("spec", arenas("small"))
@@ -36,17 +46,45 @@ def test_dense_unitarity(spec):
         assert op.unitarity_defect() < 1e-10
 
 
+def _exactly_summed_gram(m):
+    """(M^T M, exact): each entry of M^T M as math.fsum of its products
+    M[r, a] M[r, b], and whether float64 forms every sum of those products
+    exactly, in any order.  It does where every entry of M is an integer
+    multiple of 2^-k and every entry of |M|^T |M| lies below 2^(52 - 2k):
+    every product and every partial sum is then an integer multiple of
+    2^-2k below 2^(53 - 2k) in size (the factor 2 covers the rounding of
+    |M|^T |M| itself)."""
+    gram = np.array([[math.fsum(products) for products in (m * column[:, None]).T.tolist()]
+                     for column in m.T])
+    k = next((k for k in range(27) if np.array_equal(np.ldexp(m, k), np.round(np.ldexp(m, k)))),
+             None)
+    return gram, k is not None and bool(np.max(np.abs(m).T @ np.abs(m)) < 2.0 ** (52 - 2 * k))
+
+
 @pytest.mark.parametrize("spec", arenas("small"), ids=GraphSpec.label)
 def test_unitarity_defect_equals_the_explicit_formula(spec):
+    # the reference sums each entry of U^T U exactly, so it rests on no
+    # BLAS kernel's order.  Where every sum is exact (a coin_dim that is a
+    # power of two; the reference checks this itself), the defect keeps its
+    # bits.  Elsewhere each entry of the batched product sums at most dim
+    # rounded products, and the defect lies within 2 dim ulps of the
+    # largest entry of |U|^T |U| from the reference
     g = build_graph(spec)
     exact = dense_unitary(g, default_coin(g, marked=(1,)))
-    noise = np.random.default_rng(5).normal(scale=1e-9, size=exact.matrix.shape)
-    for op in (exact, walklab.oracle.DenseOperator(exact.matrix + noise)):
-        before = op.matrix.copy()
-        m = op.matrix
-        reference = float(np.max(np.abs(m.conj().T @ m - np.eye(op.dim))))
-        assert op.unitarity_defect().hex() == reference.hex()
-        assert np.array_equal(op.matrix, before)
+    noise = np.random.default_rng(5).normal(scale=1e-9, size=(exact.dim, exact.dim))
+    power_of_two = spec.coin_dim & (spec.coin_dim - 1) == 0
+    for op, every_sum_exact in ((exact, power_of_two), (_operator(dense(exact) + noise), False)):
+        before = [part.copy() for part in op.nonzeros]
+        m = dense(op)
+        gram, summed_exactly = _exactly_summed_gram(m)
+        assert summed_exactly == every_sum_exact
+        reference = float(np.max(np.abs(gram - np.eye(op.dim))))
+        if summed_exactly:
+            assert op.unitarity_defect().hex() == reference.hex()
+        else:
+            ulp = np.spacing(np.max(np.abs(m).T @ np.abs(m)))
+            assert abs(op.unitarity_defect() - reference) <= 2 * op.dim * ulp
+        assert all(np.array_equal(part, kept) for part, kept in zip(op.nonzeros, before))
 
 
 def _explicit_defect(m):
@@ -83,12 +121,12 @@ def test_unitarity_defect_of_permuted_blocks_matches_the_explicit_formula(seed):
     exact = _permuted_block_diagonal(rng, sizes, lambda k: _dyadic(rng, (k, k)))
     rounded = _permuted_block_diagonal(rng, sizes, lambda k: _random_orthogonal(rng, k))
     for m in (exact, rounded):
-        groups = walklab.oracle._column_groups(m)
+        groups = walklab.oracle._column_groups(len(m), listed(m))
         assert sorted(g.shape for g in groups) == [(1, 1, 1), (1, 2, 2), (1, 5, 5), (1, 13, 13),
                                                   (2, 3, 3), (2, 8, 8)]
-    defect = walklab.oracle.DenseOperator(exact).unitarity_defect()
+    defect = _operator(exact).unitarity_defect()
     assert defect.hex() == _explicit_defect(exact).hex()
-    defect = walklab.oracle.DenseOperator(rounded).unitarity_defect()
+    defect = _operator(rounded).unitarity_defect()
     assert abs(defect - _explicit_defect(rounded)) <= max(sizes) * np.finfo(float).eps
 
 
@@ -105,9 +143,9 @@ def test_unitarity_defect_of_bidiagonal_chains_matches_the_explicit_formula(seed
         m = np.diag(draw(size=n)) + np.diag(draw(size=n - 1), 1)
         m[np.cumsum(lengths)[:-1] - 1, np.cumsum(lengths)[:-1]] = 0.0  # break the chains
         m = m[:, columns]
-        groups = walklab.oracle._column_groups(m)
+        groups = walklab.oracle._column_groups(n, listed(m))
         assert sorted(g.shape[2] for g in groups for _ in g) == sorted(lengths)
-        defect, reference = walklab.oracle.DenseOperator(m).unitarity_defect(), _explicit_defect(m)
+        defect, reference = _operator(m).unitarity_defect(), _explicit_defect(m)
         if exact:
             assert defect.hex() == reference.hex()
         else:  # each entry sums at most two products
@@ -126,7 +164,7 @@ def test_unitarity_defect_keeps_a_bad_entry_visible(kind):
         m[:, 7] = 0.0
     else:
         m[column[0], 7] = np.nan if kind == "nan" else np.inf
-    defect = walklab.oracle.DenseOperator(m).unitarity_defect()
+    defect = _operator(m).unitarity_defect()
     if kind == "zero column":
         assert defect == 1.0 == _explicit_defect(m)
     else:
@@ -136,9 +174,13 @@ def test_unitarity_defect_keeps_a_bad_entry_visible(kind):
 @pytest.mark.parametrize("spec", arenas("dense_cap"), ids=GraphSpec.label)
 def test_unitarity_defect_allocation_peak_at_the_dimension_cap(spec):
     """unitarity_defect's traced peak near the dimension cap stays at or
-    below 0.25 dim^2 float64s: the mask of U's nonzeros (0.125) and their
-    listing, then each group's block and product.  The dense product's
-    Gram took 1.00."""
+    below 0.25 dim^2 float64s: the column labels of U's nonzeros and each
+    nonzero's place in its group's block, then each shape's stack of
+    blocks, scattered from the listing, and their products (with numpy
+    2.4: 0.03 at 2D and moving L=16, 0.05 at dirac L=22, 0.06 at the
+    hypercube d=7 and 0.20 at the complete graph N=32, the longest
+    listing).  The mask of a dense U's nonzeros alone took 0.125, and the
+    dense product's Gram 1.00."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(0,)))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
@@ -150,10 +192,29 @@ def test_unitarity_defect_allocation_peak_at_the_dimension_cap(spec):
 def test_dense_unitary_equals_step_built(spec, marked):
     g = build_graph(spec)
     coin = default_coin(g, marked=marked)
-    matrix = dense_unitary(g, coin).matrix
+    op = dense_unitary(g, coin)
     reference = step_built_unitary(g, coin)
-    assert matrix.dtype == np.float64
-    assert np.array_equal(matrix, reference)
+    assert op.nonzeros[1].dtype == np.float64
+    assert np.array_equal(dense(op), reference)
+
+
+# the arenas of `small`, `parity` and `dense_cap`, once each, marked at
+# every set that fits in the arena
+_LISTED_SPECS = {spec.label(): spec for name in ("small", "parity", "dense_cap")
+                 for spec in arenas(name)}.values()
+
+
+@pytest.mark.parametrize("spec,marked", [
+    pytest.param(spec, marked, id=f"{spec.label()}-{'-'.join(map(str, marked)) or 'unmarked'}")
+    for spec in _LISTED_SPECS for marked in ((), (0,), (1, 2))
+    if max(marked, default=0) < spec.n_vertices])
+def test_dense_unitary_lists_the_zero_filled_build_bit_for_bit(spec, marked):
+    # the listing is built with no n x n array; the zero-filled dense build
+    # it replaced (helpers.zero_filled_unitary), listed, is its reference
+    g = build_graph(spec)
+    flat, values = dense_unitary(g, default_coin(g, marked=marked)).nonzeros
+    reference = listed(zero_filled_unitary(g, marked))
+    assert np.array_equal(flat, reference[0]) and np.array_equal(values, reference[1])
 
 
 def test_dense_unitary_does_not_call_the_engine(monkeypatch):
@@ -173,7 +234,7 @@ def test_unmarked_dense_fixes_uniform():
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, ())
     vec = uniform_state(g).vector
-    assert np.max(np.abs(op.matrix @ vec - vec)) < 1e-12
+    assert np.max(np.abs(dense(op) @ vec - vec)) < 1e-12
 
 
 def test_unmarked_dirac_coin_is_the_identity():
@@ -185,7 +246,7 @@ def test_unmarked_dirac_coin_is_the_identity():
     step(state, ())
     apply_shift(shifted)
     assert state.amps.tobytes() == shifted.amps.tobytes()
-    unmarked, marked = (dense_unitary(g, m).matrix for m in ((), (7,)))
+    unmarked, marked = (dense(dense_unitary(g, m)) for m in ((), (7,)))
     own = np.arange(g.coin_dim) * g.n + 7
     others = np.setdiff1d(np.arange(g.coin_dim * g.n), own)
     assert np.array_equal(marked[:, others], unmarked[:, others])
@@ -207,7 +268,7 @@ def _assert_eigensystem(matrix, phases, vectors, gram_tol=1e-12, recon_tol=1e-12
 
 def _assert_orthonormal_eigensystem(op, gram_tol=1e-10):
     phases, vectors = dense_eigens(op)
-    _assert_eigensystem(op.matrix, phases, vectors, gram_tol, recon_tol=1e-9)
+    _assert_eigensystem(dense(op), phases, vectors, gram_tol, recon_tol=1e-9)
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)  # sorted by |phase|
     return phases, vectors
 
@@ -244,7 +305,8 @@ def test_eigens_orthonormal_basis_every_family(spec, marked):
     op = dense_unitary(g, default_coin(g, marked=marked))
     phases, vectors = _assert_orthonormal_eigensystem(op, gram_tol=1e-14)
     # U is real: two real products cost half of one complex product
-    image = op.matrix @ vectors.real + 1j * (op.matrix @ vectors.imag)
+    matrix = dense(op)
+    image = matrix @ vectors.real + 1j * (matrix @ vectors.imag)
     residuals = np.linalg.norm(image - vectors * np.exp(1j * phases), axis=0)
     assert residuals.max() <= 3e-14
 
@@ -259,7 +321,7 @@ def test_dense_eigens_at_the_dimension_cap():
 
 def _eigens(matrix, reflection=None, symmetries=(), flips=None):
     """dense_eigens of `matrix` with these involutions, checked as the operator is built."""
-    return dense_eigens(walklab.oracle.DenseOperator(matrix, reflection, symmetries, flips))
+    return dense_eigens(_operator(matrix, reflection, symmetries, flips))
 
 
 def _signed_matrix(pairing, flips):
@@ -349,8 +411,9 @@ def test_block_eigens_real_matches_complex(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
 
-    real = _fold(_eigens(op.matrix, op.reflection, flips=op.flips)[0])  # S alone, without G
-    reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+    matrix = dense(op)
+    real = _fold(_eigens(matrix, op.reflection, flips=op.flips)[0])  # S alone, without G
+    reference = _fold(schur_eigens(matrix.astype(np.complex128))[0])
     assert np.max(np.abs(real - reference)) < 1e-12
 
 
@@ -364,9 +427,9 @@ def test_dirac_phases_match_schur(side, marked):
     op = dense_unitary(build_graph(torus_spec(side, shift="dirac")), marked)
     phases = _fold(dense_eigens(op)[0])
     if side <= 6:
-        reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+        reference = _fold(schur_eigens(dense(op).astype(np.complex128))[0])
     else:
-        reference = _fold(np.angle(np.linalg.eigvals(op.matrix)))
+        reference = _fold(np.angle(np.linalg.eigvals(dense(op))))
     assert np.max(np.abs(phases - reference)) < 1e-12
 
 
@@ -398,8 +461,8 @@ def test_split_eigensolve_matches_the_whole_one_and_schur(case):
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert op.reflection is not None
     split = _fold(dense_eigens(op)[0])  # by the mirrors first where one vertex is marked
-    whole = _fold(_eigens(op.matrix, op.reflection, flips=op.flips)[0])  # S alone
-    reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+    whole = _fold(_eigens(dense(op), op.reflection, flips=op.flips)[0])  # S alone
+    reference = _fold(schur_eigens(dense(op).astype(np.complex128))[0])
     assert np.max(np.abs(split - whole)) < 1e-12
     assert np.max(np.abs(split - reference)) < 1e-12
     _assert_orthonormal_eigensystem(op)
@@ -411,7 +474,8 @@ def test_split_principal_pair_matches_the_whole_route(case):
     spec, marked = case
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
-    whole = walklab.oracle.DenseOperator(op.matrix, op.reflection, flips=op.flips)  # S alone
+    whole = walklab.oracle.DenseOperator(op.dim, op.nonzeros, op.reflection,
+                                         flips=op.flips)  # S alone
     vertex = marked[0] if marked else 0
     if not marked:  # the principal level is degenerate: its overlaps would depend on the basis
         for route in (op, whole):
@@ -437,7 +501,8 @@ def test_dense_operator_keeps_the_shift_as_reflection_iff_it_is_an_involution(sp
     perm = g.shift_permutation()
     assert np.array_equal(op.reflection, perm)
     assert np.array_equal(perm[perm], np.arange(op.dim))
-    assert np.array_equal(op.matrix[perm][:, perm], op.matrix.T)  # S U S = U^T, exactly
+    matrix = dense(op)
+    assert np.array_equal(matrix[perm][:, perm], matrix.T)  # S U S = U^T, exactly
 
 
 @pytest.mark.parametrize("spec", arenas("moves", shift="moving", max_dim=750),
@@ -451,7 +516,8 @@ def test_dense_operator_keeps_the_reversed_moving_shift_as_reflection(spec):
     assert np.all(perm != np.arange(op.dim))  # no fixed point
     assert np.array_equal(op.reflection, perm)
     assert np.array_equal(perm[perm], np.arange(op.dim))
-    assert np.array_equal(op.matrix[perm][:, perm], op.matrix.T)  # S U S = U^T, exactly
+    matrix = dense(op)
+    assert np.array_equal(matrix[perm][:, perm], matrix.T)  # S U S = U^T, exactly
 
 
 def _assert_time_reversal(op):
@@ -460,7 +526,8 @@ def _assert_time_reversal(op):
     symmetries."""
     assert op.reflection is not None
     s, sign = op.reflection, np.where(op.flips, -1.0, 1.0)
-    assert np.array_equal(sign[:, None] * op.matrix[s][:, s] * sign, op.matrix.T)
+    matrix = dense(op)
+    assert np.array_equal(sign[:, None] * matrix[s][:, s] * sign, matrix.T)
     for p in op.symmetries:
         assert np.array_equal(s[p], p[s]) and np.array_equal(sign[p], sign)
 
@@ -484,9 +551,9 @@ def test_a_point_symmetric_dirac_triple_has_a_time_reversal():
     op = dense_unitary(g, DIRAC_TRIPLES["symmetric"])
     _assert_time_reversal(op)
     phases, vectors = dense_eigens(op)
-    reference = _fold(schur_eigens(op.matrix.astype(np.complex128))[0])
+    reference = _fold(schur_eigens(dense(op).astype(np.complex128))[0])
     assert np.max(np.abs(_fold(phases) - reference)) < 1e-12
-    _assert_eigensystem(op.matrix, phases, vectors)
+    _assert_eigensystem(dense(op), phases, vectors)
 
 
 def test_an_asymmetric_dirac_triple_has_none_and_is_refused():
@@ -505,9 +572,9 @@ def test_the_not_normal_refusal_quotes_how_far_the_block_is_from_normal(delta):
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     s = op.reflection
-    rows, cols = np.nonzero(op.matrix)
+    matrix = dense(op)
+    rows, cols = np.nonzero(matrix)
     free = (s[cols] != rows) | (s[rows] != cols)
-    matrix = op.matrix.copy()
     matrix[rows[free][0], cols[free][0]] += delta
     with pytest.raises(ArithmeticError, match="not normal") as refused:
         _eigens(matrix, s)
@@ -621,7 +688,7 @@ def test_block_eigens_with_the_identity_as_reflection():
     # the identity splits nothing: the operator keeps None, and an operator
     # without a time reversal is refused
     matrix = _orthogonal_with_known_phases(0)[0]
-    op = walklab.oracle.DenseOperator(matrix, np.arange(len(matrix)))
+    op = _operator(matrix, np.arange(len(matrix)))
     assert op.reflection is None and op.flips is None
     with pytest.raises(ValueError, match="time reversal"):
         dense_eigens(op)
@@ -641,10 +708,11 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     2.39 at dirac L=22; by the reflection alone, without a mirror, 3.01 at
     unmarked dirac L=22 and at 2D L=16 with two marked vertices).  The peak
     is the eigensolve of the blocks; the scatter of U's nonzeros into them
-    peaks earlier, at 0.13 dim^2 (0.16 at the complete graph) past the
-    eigenvector buffer's 2, and the real lift's batches add little past the
-    buffer and the blocks' eigenvectors.  See traced_peak for what it
-    counts."""
+    peaks earlier, at 0.04-0.06 dim^2 (0.12 at the hypercube, 0.14 at the
+    complete graph) past the eigenvector buffer's 2, with no mask of a
+    dense U's nonzeros (that mask put it at 0.13-0.17), and the real
+    lift's batches add little past the buffer and the blocks'
+    eigenvectors.  See traced_peak for what it counts."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
@@ -673,15 +741,18 @@ def test_dense_eigens_equals_the_complex_lift(spec, marked):
 
 
 @pytest.mark.parametrize("spec,bound", [
-    *(pytest.param(spec, 1.25, id=spec.label())
+    *(pytest.param(spec, 0.3, id=spec.label())
       for spec in arenas("dense_cap", shift=("flip_flop", "moving", "swap"))),
-    pytest.param(*arenas("dense_cap", shift="dirac"), 2.75, id="dirac(22)"),
+    pytest.param(*arenas("dense_cap", shift="dirac"), 0.3, id="dirac(22)"),
 ])
 def test_dense_unitary_allocation_peak_at_the_dimension_cap(spec, bound):
     """dense_unitary's traced peak near the dimension cap, in dim^2 float64s:
-    a permutation shift places the coin's entries straight into the one
-    zeroed matrix (1.01-1.05 with numpy 2.4), and the dirac step needs a
-    second matrix for its second half-move (2.00)."""
+    no n x n array, only the listing of U''s coin_dim nonzeros per column
+    and a few arrays of its size (with numpy 2.4: 0.02 at 2D and moving
+    L=16, 0.03 at dirac L=22, whose butterflies each sum the listing's two
+    row halves, 0.04 at the hypercube d=7 and 0.13 at the complete graph
+    N=32, whose 31 nonzeros per column make the longest listing).  The
+    zero-filled dense build took 1.01-1.05, and 2.02 on the dirac walk."""
     g = build_graph(spec)
     coin = default_coin(g, marked=(0,))
     dim = g.coin_dim * g.n
@@ -704,7 +775,7 @@ def test_lifted_mirror_commutes_with_the_walk(spec, where):
     for p in op.symmetries:
         assert np.any(p != np.arange(op.dim))
         assert np.array_equal(p[p], np.arange(op.dim))
-        assert np.array_equal(op.matrix[p][:, p], op.matrix)  # exactly
+        assert np.array_equal(dense(op)[p][:, p], dense(op))  # exactly
         assert all(np.array_equal(p[other], other[p]) for other in op.symmetries)
         if op.reflection is not None:
             assert np.array_equal(op.reflection[p], p[op.reflection])
@@ -715,13 +786,13 @@ def test_mirror_split_matches_the_unsplit_eigensolve(spec):
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     phases, vectors = dense_eigens(op)
-    plain, _ = _eigens(op.matrix, op.reflection, flips=op.flips)
+    plain, _ = _eigens(dense(op), op.reflection, flips=op.flips)
     assert np.max(np.abs(_fold(phases) - _fold(plain))) < 1e-13
     assert np.all(np.diff(np.abs(phases)) >= -1e-12)
-    _assert_eigensystem(op.matrix, phases, vectors)
+    _assert_eigensystem(dense(op), phases, vectors)
     if spec.shift == "moving":  # its smallest nonzero phase is degenerate: no principal pair
         return
-    unsplit = walklab.oracle.DenseOperator(op.matrix, op.reflection, flips=op.flips)
+    unsplit = walklab.oracle.DenseOperator(op.dim, op.nonzeros, op.reflection, flips=op.flips)
     assert dense_principal_pair(op, g, 1) == pytest.approx(
         dense_principal_pair(unsplit, g, 1), rel=0, abs=1e-12)
 
@@ -741,7 +812,7 @@ def test_block_eigens_refuses_a_symmetry_it_does_not_commute_with():
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     row = int(np.flatnonzero(op.symmetries[-1] != np.arange(op.dim))[0])
-    matrix = op.matrix.copy()
+    matrix = dense(op)
     matrix[row, int(np.flatnonzero(matrix[row])[0])] += 1e-6
     with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
         _eigens(matrix, op.reflection, op.symmetries)
@@ -827,25 +898,25 @@ def test_block_eigens_refuses_a_symmetry_that_does_not_commute_with_the_reflecti
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     with pytest.raises(ValueError, match="must commute"):
-        _eigens(op.matrix, op.reflection, [_random_pairing(op.dim, 3)])
+        _eigens(dense(op), op.reflection, [_random_pairing(op.dim, 3)])
 
 
 def test_dense_operator_checks_its_symmetries_when_built():
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     identity = np.arange(op.dim)
-    built = walklab.oracle.DenseOperator(op.matrix, identity, [identity, *op.symmetries])
+    DenseOperator = walklab.oracle.DenseOperator
+    built = DenseOperator(op.dim, op.nonzeros, identity, [identity, *op.symmetries])
     assert built.reflection is None and len(built.symmetries) == len(op.symmetries)
     for involutions in ((np.roll(identity, 1), ()), (None, [np.roll(identity, 1)])):
         with pytest.raises(ValueError, match="involutive"):
-            walklab.oracle.DenseOperator(op.matrix, *involutions)
+            DenseOperator(op.dim, op.nonzeros, *involutions)
     with pytest.raises(ValueError, match="must commute"):
-        walklab.oracle.DenseOperator(op.matrix, op.reflection, [_random_pairing(op.dim, 3)])
+        DenseOperator(op.dim, op.nonzeros, op.reflection, [_random_pairing(op.dim, 3)])
     with pytest.raises(ValueError, match="must commute"):  # two symmetries that do not
-        walklab.oracle.DenseOperator(op.matrix, None, [op.symmetries[0],
-                                                       _random_pairing(op.dim, 3)])
+        DenseOperator(op.dim, op.nonzeros, None, [op.symmetries[0], _random_pairing(op.dim, 3)])
     with pytest.raises(TypeError, match="real orthogonal"):
-        walklab.oracle.DenseOperator(op.matrix.astype(np.complex128))
+        DenseOperator(op.dim, (op.nonzeros[0], op.nonzeros[1].astype(np.complex128)))
 
 
 def test_dense_operator_checks_its_flips_when_built():
@@ -853,9 +924,9 @@ def test_dense_operator_checks_its_flips_when_built():
     op = dense_unitary(g, (1,))
     s, (p,), flips = op.reflection, op.symmetries, op.flips
     DenseOperator = walklab.oracle.DenseOperator
-    assert not DenseOperator(op.matrix, s).flips.any()  # unsigned unless given
+    assert not DenseOperator(op.dim, op.nonzeros, s).flips.any()  # unsigned unless given
     identity = np.arange(op.dim)
-    signed = DenseOperator(op.matrix, identity, flips=identity % 2 == 1)
+    signed = DenseOperator(op.dim, op.nonzeros, identity, flips=identity % 2 == 1)
     assert np.array_equal(signed.reflection, identity)  # a signed identity splits
     one = np.flatnonzero(s != identity)[0]
     for bad, message in ((flips[:-1], "one flag per index"),
@@ -863,38 +934,70 @@ def test_dense_operator_checks_its_flips_when_built():
                          (np.where(flips, 0.5, 2.0), "one flag per index"),
                          (np.where(identity == one, ~flips, flips), "each of its 2-cycles")):
         with pytest.raises(ValueError, match=message):
-            DenseOperator(op.matrix, s, flips=bad)
+            DenseOperator(op.dim, op.nonzeros, s, flips=bad)
     with pytest.raises(ValueError, match="one flag per index"):  # numbers, even where nonzero
-        DenseOperator(np.eye(2)[[1, 0]], [1, 0], flips=[0.5, 2.0])
+        DenseOperator(2, SWAP, [1, 0], flips=[0.5, 2.0])
     with pytest.raises(ValueError, match="there is none"):
-        DenseOperator(op.matrix, flips=flips)
+        DenseOperator(op.dim, op.nonzeros, flips=flips)
     # flips that agree on S's 2-cycles but not under P: flip one 2-cycle of S
     # whose rows P moves off it
     moved = flips.copy()
     orbit = np.flatnonzero((p != identity) & (s != identity) & (s != p))[0]
     moved[[orbit, s[orbit]]] = ~moved[[orbit, s[orbit]]]
     with pytest.raises(ValueError, match="must commute"):
-        DenseOperator(op.matrix, s, [p], moved)
+        DenseOperator(op.dim, op.nonzeros, s, [p], moved)
 
 
-@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
+@pytest.mark.parametrize("listing", [(np.arange(6), np.ones(6)), (np.int64(1), 1.0),
+                                     (np.array([[[1, 2]]]), np.ones((1, 1, 2)))],
                          ids=["not-square", "one-dimensional", "three-dimensional"])
-def test_dense_operator_refuses_a_matrix_that_is_not_square(matrix):
-    with pytest.raises(ValueError, match="square and 2-D"):
-        walklab.oracle.DenseOperator(matrix)
+def test_dense_operator_refuses_a_matrix_that_is_not_square(listing):
+    # a listing's counterparts of a matrix of another shape than dim x dim:
+    # a 2 x 3 matrix's entries, past dim^2 = 4; and flat indices with no
+    # dimension, or with three, where they must be one-dimensional
+    with pytest.raises(ValueError, match=r"1-D integers, strictly ascending in \[0, dim\^2\)"):
+        walklab.oracle.DenseOperator(2, listing)
 
 
-@pytest.mark.parametrize("matrix", [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]], bool),
-                                    [[0, 1], [1, 0]], np.array([[0.0, 1.0], [1.0, 0.0]])],
+@pytest.mark.parametrize("values", [np.array([1, 1]), np.array([True, True]), [1, 1],
+                                    np.array([1.0, 1.0])],
                          ids=["integer", "bool", "list", "float64"])
-def test_dense_operator_takes_a_real_matrix_as_float64(matrix):
-    # the swap, its own time reversal: a float64 array is kept as it is
-    op = walklab.oracle.DenseOperator(matrix, [1, 0])
-    assert op.matrix.dtype == np.float64 and np.array_equal(op.matrix, [[0, 1], [1, 0]])
-    kept = isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
-    assert (op.matrix is matrix) == kept
+def test_dense_operator_takes_a_real_matrix_as_float64(values):
+    # the swap, its own time reversal: float64 values are kept as they are
+    op = walklab.oracle.DenseOperator(2, (SWAP[0], values), [1, 0])
+    assert op.nonzeros[1].dtype == np.float64 and np.array_equal(dense(op), [[0, 1], [1, 0]])
+    kept = isinstance(values, np.ndarray) and values.dtype == np.float64
+    assert (op.nonzeros[1] is values) == kept
     assert op.unitarity_defect() == 0.0
     assert np.array_equal(np.abs(dense_eigens(op)[0]), [0.0, np.pi])
+
+
+@pytest.mark.parametrize("dim,listing,message", [
+    (2, ([1.0, 2.0], [1.0, 1.0]), "1-D integers"),
+    (2, (np.array([True, False]), [1.0]), "1-D integers"),
+    (2, ([2, 1], [1.0, 1.0]), "strictly ascending"),
+    (2, ([1, 1], [1.0, 1.0]), "strictly ascending"),
+    (2, (np.array([2, 1], np.uint64), [1.0, 1.0]), "strictly ascending"),
+    (2, ([-1, 2], [1.0, 1.0]), r"in \[0, dim\^2\)"),
+    (2, ([1, 4], [1.0, 1.0]), r"in \[0, dim\^2\)"),
+    (2, ([1, 2], [1.0]), "one nonzero value per index"),
+    (2, ([1, 2], [[1.0, 1.0]]), "one nonzero value per index"),
+    (2, ([1, 2], [1.0, 0.0]), "one nonzero value per index"),
+    (2, ([1, 2], [-0.0, 1.0]), "one nonzero value per index"),
+    (2.0, SWAP, "positive integer"),
+    (0, ([], []), "positive integer"),
+], ids=["float-indices", "bool-indices", "descending", "repeated", "unsigned-descending",
+        "negative", "past-the-end", "short-values", "two-dimensional-values", "zero",
+        "negative-zero", "float-dim", "zero-dim"])
+def test_dense_operator_refuses_a_bad_listing(dim, listing, message):
+    with pytest.raises(ValueError, match=message):
+        walklab.oracle.DenseOperator(dim, listing)
+
+
+def test_dense_operator_takes_integer_flat_indices_as_intp():
+    for flat in ([1, 2], np.array([1, 2], np.uint8), np.array([1, 2], np.int32)):
+        op = walklab.oracle.DenseOperator(2, (flat, SWAP[1]))
+        assert op.nonzeros[0].dtype == np.intp and np.array_equal(op.nonzeros[0], [1, 2])
 
 
 @pytest.mark.parametrize("perm", [[1.0, 0.0], [True, False], [2, 0], [-1, 0], [[1, 0]], "10"],
@@ -903,13 +1006,13 @@ def test_dense_operator_takes_a_real_matrix_as_float64(matrix):
 def test_dense_operator_refuses_an_involution_that_is_no_integer_permutation(field, perm):
     given = {"reflection": perm} if field == "reflection" else {"symmetries": [perm]}
     with pytest.raises(ValueError, match=f"{field} must be an involutive permutation"):
-        walklab.oracle.DenseOperator(np.eye(2)[[1, 0]], **given)
+        walklab.oracle.DenseOperator(2, SWAP, **given)
 
 
 @pytest.mark.parametrize("field", ["reflection", "symmetry"])
 def test_dense_operator_takes_an_involution_as_an_integer_array_like(field):
     given = {"reflection": (1, 0)} if field == "reflection" else {"symmetries": [(1, 0)]}
-    op = walklab.oracle.DenseOperator(np.eye(2)[[1, 0]], **given)
+    op = walklab.oracle.DenseOperator(2, SWAP, **given)
     kept = op.reflection if field == "reflection" else op.symmetries[0]
     assert isinstance(kept, np.ndarray)
     assert np.array_equal(kept, [1, 0])
@@ -1027,7 +1130,7 @@ def test_evolve_dense_matches_the_matrix_product_at_every_step(spec, start):
     vector = random_state(g).vector
     history = evolve_dense(op, vector.real.copy() if start == "real" else vector, 20)
     assert history.dtype == (np.float64 if start == "real" else np.complex128)
-    _assert_steps_match_matvec(op.matrix, history)
+    _assert_steps_match_matvec(dense(op), history)
 
 
 @pytest.mark.parametrize("kind", ["dense-orthogonal", "zero-row"])
@@ -1042,7 +1145,7 @@ def test_evolve_dense_on_a_full_matrix_and_an_empty_row(kind):
     start = rng.normal(size=40) + 1j * rng.normal(size=40)
     start /= np.linalg.norm(start)
     for vector in (start.real.copy(), start):
-        history = evolve_dense(walklab.oracle.DenseOperator(matrix), vector, 12)
+        history = evolve_dense(_operator(matrix), vector, 12)
         _assert_steps_match_matvec(matrix, history)
         assert np.any(history[1:, 7]) == (kind != "zero-row")
 
@@ -1075,7 +1178,7 @@ def test_evolve_dense_never_reaches_blas(spec, monkeypatch):
     for vector, history in zip(starts, expected):
         assert np.array_equal(evolve_dense(op, vector, 12), history)
     oracle = walklab.oracle
-    assert _matmul_operators(oracle.evolve_dense, oracle._row_slots, oracle._nonzeros) == []
+    assert _matmul_operators(oracle.evolve_dense, oracle._row_slots) == []
 
 
 @pytest.mark.parametrize("spec,marked", [
@@ -1098,14 +1201,14 @@ def test_scattered_blocks_match_the_dense_rotation(spec, marked):
     assert [(b.shape[0], m) for b, m, _ in blocks] == [(r.shape[1], m) for r, m in basis]
     whole = scipy.sparse.csr_array(np.hstack([rotation for rotation, _ in basis]))
     assert np.max(np.abs((whole.T @ whole).toarray() - np.eye(op.dim))) <= 1e-15
-    dense = (whole.T @ (scipy.sparse.csr_array(op.matrix) @ whole)).toarray()
+    full = (whole.T @ (scipy.sparse.csr_array(dense(op)) @ whole)).toarray()
     start = 0
     for rotated, _, _ in blocks:
         span = slice(start, start + len(rotated))
-        assert np.max(np.abs(rotated - dense[span, span])) <= 1e-15
-        dense[span, span] = 0.0
+        assert np.max(np.abs(rotated - full[span, span])) <= 1e-15
+        full[span, span] = 0.0
         start += len(rotated)
-    assert np.max(np.abs(dense)) <= 1e-15
+    assert np.max(np.abs(full)) <= 1e-15
     assert op.flips.any() == (spec.shift == "dirac" and len(marked) == 1)  # S is signed
 
 
@@ -1115,7 +1218,7 @@ def test_block_eigens_refuses_a_symmetry_broken_at_a_zero_entry():
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     row = int(np.flatnonzero(op.symmetries[-1] != np.arange(op.dim))[0])
-    matrix = op.matrix.copy()
+    matrix = dense(op)
     matrix[row, int(np.flatnonzero(matrix[row] == 0)[0])] = 1e-9
     with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
         _eigens(matrix, op.reflection, op.symmetries)
@@ -1129,12 +1232,12 @@ def test_block_eigens_refuses_a_time_reversal_broken_at_a_zero_entry(mirror):
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     s, p = op.reflection, op.symmetries[-1] if mirror else np.arange(op.dim)
-    rows, cols = np.nonzero(op.matrix == 0)
+    matrix = dense(op)
+    rows, cols = np.nonzero(matrix == 0)
     image = s[cols], s[rows]
-    free = ((op.matrix[image] == 0) & ((image[0] != rows) | (image[1] != cols))
+    free = ((matrix[image] == 0) & ((image[0] != rows) | (image[1] != cols))
             & ((image[0] != p[rows]) | (image[1] != p[cols])))
     r, c = rows[free][0], cols[free][0]
-    matrix = op.matrix.copy()
     matrix[r, c] = matrix[p[r], p[c]] = 1e-9
     with pytest.raises(ArithmeticError, match="no time reversal"):
         _eigens(matrix, op.reflection, [p])
@@ -1156,22 +1259,44 @@ def test_involution_check_is_entrywise_at_its_tolerance(broken, message, delta):
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     s, p = op.reflection, op.symmetries[-1]
-    rows, cols = np.nonzero(op.matrix)
+    matrix = dense(op)
+    rows, cols = np.nonzero(matrix)
     image = s[cols], s[rows]
     free = (((p[rows] != rows) | (p[cols] != cols))
             & ((image[0] != rows) | (image[1] != cols))
             & ((image[0] != p[rows]) | (image[1] != p[cols])))
     r, c = rows[free][0], cols[free][0]
-    matrix = op.matrix.copy()
     matrix[r, c] += delta
     if broken == "time-reversal":
         matrix[p[r], p[c]] += delta
-    moved = oracle.DenseOperator(matrix, s, [p])
+    moved = _operator(matrix, s, [p])
     if delta > oracle._INVARIANCE_TOL:
         with pytest.raises(ArithmeticError, match=message):
             dense_eigens(moved)
     else:
-        oracle._check_involutions(moved, oracle._nonzeros(matrix))
+        oracle._check_involutions(moved)
+
+
+@pytest.mark.parametrize("delta", [1e-11, 1e-9])
+def test_involution_check_reads_an_absent_image_as_zero(delta):
+    # a new entry of U at a zero whose images under P and S are zeros too:
+    # neither image is in the listing, each reads 0, so both relations break
+    # by delta there, and the check refuses past _INVARIANCE_TOL only
+    oracle = walklab.oracle
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    s, p = op.reflection, op.symmetries[-1]
+    matrix = dense(op)
+    rows, cols = np.nonzero(matrix == 0)
+    free = ((matrix[p[rows], p[cols]] == 0) & (matrix[s[cols], s[rows]] == 0)
+            & ((p[rows] != rows) | (p[cols] != cols)) & ((s[cols] != rows) | (s[rows] != cols)))
+    matrix[rows[free][0], cols[free][0]] = delta
+    moved = _operator(matrix, s, [p])
+    if delta > oracle._INVARIANCE_TOL:
+        with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
+            oracle._check_involutions(moved)
+    else:
+        oracle._check_involutions(moved)
 
 
 # engine functions that step a state; the oracle builds U' without them

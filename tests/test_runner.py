@@ -17,8 +17,8 @@ from walklab import (ConfigurationError, GraphSpec, RunTrace, amplify, build_gra
 from walklab.cli import main
 from walklab.engine import squared_norm
 
-from helpers import (arenas, neighborhood_probability, prepare_uniform_locally, random_state,
-                     reflect_via_preparation, rounds_to_quarter, traced_peak)
+from helpers import (arenas, dense, neighborhood_probability, prepare_uniform_locally,
+                     random_state, reflect_via_preparation, rounds_to_quarter, traced_peak)
 
 
 def test_unmarked_trace_is_flat():
@@ -172,7 +172,7 @@ def test_amplify_matches_dense_route(spec, marked, walk_length, monkeypatch):
     # transpose, reflect about the uniform state, redo the walk
     g = build_graph(spec)
     coin = default_coin(g, marked=marked)
-    u = dense_unitary(g, coin).matrix
+    u = dense(dense_unitary(g, coin))
     uniform = uniform_state(g).vector
     flip = np.ones((g.coin_dim, g.n))
     flip[:, list(marked)] = -1.0

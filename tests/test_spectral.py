@@ -13,7 +13,7 @@ from walklab import (ConfigurationError, GraphSpec, build_graph,
                      moving_shift_stationary_overlap, run_walk, sin2_half_theta,
                      torus_modes, torus_spec, uniform_state)
 
-from helpers import (arenas, closed_form_block_phases, coin_block, eigenspace_projection,
+from helpers import (arenas, closed_form_block_phases, coin_block, dense, eigenspace_projection,
                      lift_block_vector, marked_coin_state, per_level_sums, per_mode_levels,
                      per_mode_stationary_overlap, schur_eigens)
 
@@ -195,7 +195,7 @@ def test_block_lift_is_dense_eigenvector():
         phases, vecs = schur_eigens(coin_block(spec, mode))
         for j, phase in enumerate(phases):
             full = lift_block_vector(g, mode, vecs[:, j])
-            resid = np.linalg.norm(op.matrix @ full - np.exp(1j * phase) * full)
+            resid = np.linalg.norm(dense(op) @ full - np.exp(1j * phase) * full)
             assert resid < 1e-12
 
 
@@ -322,7 +322,7 @@ def test_retained_subspace_is_closed_under_perturbed_walk(spec):
     sv = marked_coin_state(g, 0).vector
     assert np.linalg.norm(sv - q @ (q.conj().T @ sv)) < 1e-10
 
-    u_prime = dense_unitary(g, default_coin(g, marked=(0,))).matrix
+    u_prime = dense(dense_unitary(g, default_coin(g, marked=(0,))))
     image = u_prime @ q
     outside = image - q @ (q.conj().T @ image)
     assert np.linalg.norm(outside) < 1e-9
