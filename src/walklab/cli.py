@@ -150,20 +150,27 @@ def _require(args: argparse.Namespace, *dests: str) -> None:
                 f"{args.command} needs --{dest.replace('_', '-')} (flag or config)")
 
 
-_SIZE_FLAGS = {"torus": "side", "hypercube": "degree", "complete": "n"}
+# the shape flags each family reads, its size flag first
+_SHAPE_FLAGS = {"torus": ("side", "dims"), "hypercube": ("degree",), "complete": ("n",)}
 
 
 def build_spec(args: argparse.Namespace, size: int | None = None) -> GraphSpec:
     """The arena the graph flags describe; `size` stands in for the
-    family's own size flag (sweep).  An explicit --shift replaces the
+    family's own size flag (sweep), which may then not be given.  A shape
+    flag of another family is refused.  An explicit --shift replaces the
     family's shift and is validated by GraphSpec."""
     family = args.family or "torus"
-    if family not in _SIZE_FLAGS:
+    if family not in _SHAPE_FLAGS:
         raise ConfigurationError(f"unknown family {family!r}; choose from {FAMILIES}")
+    own = _SHAPE_FLAGS[family]
+    reads = own if size is None else own[1:]  # sweep's --sides gives the size
+    for flag in ("side", "dims", "degree", "n"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ConfigurationError(f"--{flag} does not apply to {args.command} on the {family}")
     if size is None:
-        size = getattr(args, _SIZE_FLAGS[family])
+        size = getattr(args, own[0])
         if size is None:
-            raise ConfigurationError(f"{family} needs --{_SIZE_FLAGS[family]}")
+            raise ConfigurationError(f"{family} needs --{own[0]}")
     if family == "torus":
         spec = torus_spec(size, args.dims if args.dims is not None else 2)
     elif family == "hypercube":
@@ -173,8 +180,8 @@ def build_spec(args: argparse.Namespace, size: int | None = None) -> GraphSpec:
     return replace(spec, shift=args.shift.replace("-", "_")) if args.shift else spec
 
 
-def parse_vertex(text: str, spec: GraphSpec) -> int:
-    graph = build_graph(spec)
+def parse_vertex(text: str, graph: Graph) -> int:
+    spec = graph.spec
     try:
         coords = _int_list(str(text))
     except argparse.ArgumentTypeError:
@@ -196,7 +203,7 @@ def parse_vertex(text: str, spec: GraphSpec) -> int:
 def _marked_walk(spec: GraphSpec, marked: list[str] | None) -> tuple[Graph, tuple[int, ...]]:
     """The arena and its marked set, each --marked vertex (vertex 0 if none)."""
     graph = build_graph(spec)
-    return graph, graph.marked_set([parse_vertex(m, spec) for m in marked or ["0"]])
+    return graph, graph.marked_set([parse_vertex(m, graph) for m in marked or ["0"]])
 
 
 def cmd_spectrum(args):
@@ -248,8 +255,8 @@ def cmd_sweep(args):
 def cmd_two_marked(args):
     _require(args, "side", "v1", "v2")
     spec = torus_spec(args.side)
-    v1 = parse_vertex(args.v1, spec)
-    v2 = parse_vertex(args.v2, spec)
+    graph = build_graph(spec)
+    v1, v2 = parse_vertex(args.v1, graph), parse_vertex(args.v2, graph)
     t_max = args.t_max if args.t_max is not None else 1000
     result = run_two_marked(spec, v1, v2, t_max)
     yield {

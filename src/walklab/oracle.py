@@ -8,15 +8,15 @@ without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix, with only coin_dim nonzeros in each column, and DenseOperator
 holds it as that sorted nonzero listing alone, never as an n x n array.
-Every pass reads the listing: evolve_dense powers U' through each row's
-nonzeros, dense_eigens checks its involutions on them (each image found
-by binary search) and scatters them into U''s blocks in the
-involutions' eigenbasis, and unitarity_defect forms U'^T U' only inside
-each group of columns that share a row, scattered from the listing,
-where the rest of the product is exact zeros.  U' is eigendecomposed
-through its symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd,
-on numpy's own BLAS: walklab loads no second one), whose real
-eigenvectors its skew part U' - U'^T pairs into complex ones (see
+Every pass reads the listing whole: evolve_dense powers U' through each
+row's nonzeros, dense_eigens checks its involutions on them (each image
+found by binary search) before it allocates, then scatters them into
+U''s blocks in the involutions' eigenbasis, and unitarity_defect forms
+U'^T U' only inside each group of columns that share a row, scattered
+from the listing, where the rest of the product is exact zeros.  U' is
+eigendecomposed through its symmetric part U' + U'^T by numpy.linalg.eigh
+(LAPACK syevd, on numpy's own BLAS: walklab loads no second one), whose
+real eigenvectors its skew part U' - U'^T pairs into complex ones (see
 dense_eigens; a matrix that is not normal raises).
 Involutions split the eigensolve, and U' enters their joint eigenbasis
 one nonzero at a time.  With one marked vertex, the arena's commuting
@@ -63,12 +63,6 @@ _INVARIANCE_TOL = 1e-10
 # the lift takes this many still eigenvectors, or turning pairs, at a time:
 # it bounds the lift's temporaries, which hold at most 4 dim float64s each
 _LIFT_COLUMNS = 32
-# the scatter and the involution check take at most max(dim^2 /
-# _SCATTER_SHARE, _SCATTER_FLOOR) nonzeros at a time (_chunks): the
-# scatter's six temporaries then hold under 0.1 dim^2 float64s near the
-# cap (and 200 KB below it) on a matrix of any fill
-_SCATTER_SHARE = 64
-_SCATTER_FLOOR = 4096
 
 
 @dataclass
@@ -295,22 +289,23 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     involutive permutation S of `reflection` and `flips`, which commutes
     with them) must be a time reversal of U, S U S = U^T: all are checked
     on every nonzero of U, which sees every entry, else ArithmeticError
-    (_check_involutions); an operator without a reflection raises
-    ValueError.  U splits into one block per character of G, each formed
-    straight in S's eigenbasis from U's nonzeros in the rows at G's orbit
-    representatives (_split_maps, _rotated_blocks), where each
-    eigenvector of the +1 half and its image under the skew part make a
-    pair of U's eigenvectors (_reversal_eigens; either half may be
-    empty).  All phases of all blocks are merged by |phase| before any
-    eigenvector is formed, and the lift reads each half's map backward in
-    real arithmetic: an original row has at most one coordinate in each
-    half of a block, so an eigenvector's real part comes from its x alone
-    and its imaginary part from its y alone, each by one weighted gather
-    into the original rows (_lift).
+    (_check_involutions), before the eigenvector buffer is taken; an
+    operator without a reflection raises ValueError.  U splits into one
+    block per character of G, each formed straight in S's eigenbasis from
+    U's nonzeros in the rows at G's orbit representatives (_split_maps,
+    _rotated_blocks), where each eigenvector of the +1 half and its image
+    under the skew part make a pair of U's eigenvectors (_reversal_eigens;
+    either half may be empty).  All phases of all blocks are merged by
+    |phase| before any eigenvector is formed, and the lift reads each
+    half's map backward in real arithmetic: an original row has at most
+    one coordinate in each half of a block, so an eigenvector's real part
+    comes from its x alone and its imaginary part from its y alone, each
+    by one weighted gather into the original rows (_lift).
     """
     if op.reflection is None:
         raise ValueError("dense_eigens solves through a time reversal S of U (S U S = U^T), "
                          "and this operator has no reflection")
+    _check_involutions(op)  # its temporaries are freed before the buffer is taken
     vectors, buffer = _eigenvector_buffer(op.dim)  # the first large allocation
     first, second = buffer
     phases, found, start = [], [], 0
@@ -332,11 +327,9 @@ def _rotated_blocks(op: DenseOperator, buffer: np.ndarray) -> list[tuple]:
     (into, weight), views of _split_maps': index i enters coordinate
     into[i] with weight weight[i].  The scatter (_scatter) reads both
     halves' maps as one map's two slots, and the lift reads each backward
-    (_lift).  The involutions are checked against U on its nonzeros
-    (_check_involutions), and the scatter reads those in the rows at
-    orbit representatives alone; their copy is dropped before any
-    eigensolve."""
-    _check_involutions(op)
+    (_lift).  The scatter reads U's nonzeros in the rows at orbit
+    representatives alone (dense_eigens has checked the involutions on
+    them), and their copy is dropped before any eigensolve."""
     sizes, into, weights, reads = _split_maps(op)
     nonzeros = tuple(part[(reads > 0)[op.nonzeros[0] // op.dim]] for part in op.nonzeros)
     rotated = []
@@ -353,32 +346,33 @@ def _check_involutions(op: DenseOperator) -> None:
     commutes with U and its reflection S is a time reversal of U, else
     ArithmeticError: P U P = U where |U[P r, P c] - U[r, c]| and S U S =
     U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where `flips`) is
-    at most _INVARIANCE_TOL at every nonzero (r, c), each image read from
-    the listing (_entries).  P and S are signed permutations, so an entry
-    that breaks either relation is a nonzero of U or the image of one: the
-    check sees every entry."""
-    s, sign = op.reflection, np.where(op.flips, -1.0, 1.0)
-    leak = defect = 0.0
-    for rows, cols, part in _chunks(op.nonzeros, op.dim):
-        for p in op.symmetries:
-            leak = max(leak, _max_abs(_entries(op, p[rows], p[cols]) - part))
-        defect = max(defect, _max_abs(sign[rows] * sign[cols] * _entries(op, s[cols], s[rows])
-                                      - part))
+    at most _INVARIANCE_TOL at every nonzero (r, c), each image found in
+    the whole listing by binary search (0 where U has none).  P and S are
+    signed permutations, so an entry that breaks either relation is a
+    nonzero of U or the image of one: the check sees every entry."""
+    flat, values = op.nonzeros
+    rows, cols = np.divmod(flat, op.dim)
+    key, found = np.empty_like(flat), np.empty_like(values)
+    deviations = []
+    for image, first, second, flips in [*((p, rows, cols, None) for p in op.symmetries),
+                                        (op.reflection, cols, rows, op.flips)]:
+        np.take(image, first, out=key)
+        key *= op.dim
+        key += np.take(image, second)
+        at = np.searchsorted(flat, key)
+        np.take(values, at, out=found, mode="clip")
+        found *= np.take(flat, at, mode="clip") == key
+        if flips is not None:
+            found *= np.where(flips[first] != flips[second], -1.0, 1.0)
+        found -= values
+        deviations.append(_max_abs(found))
+    leak, defect = max(deviations[:-1], default=0.0), deviations[-1]
     if leak > _INVARIANCE_TOL:
         raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
                               f"{leak:.3e}")
     if defect > _INVARIANCE_TOL:
         raise ArithmeticError(f"the reflection S is no time reversal of U (U does not commute "
                               f"with S up to transposition): S U S - U^T reaches {defect:.3e}")
-
-
-def _entries(op: DenseOperator, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """U[rows, cols], each looked up in U's listing by binary search: 0
-    where U has no entry.  The listing must not be empty."""
-    flat, values = op.nonzeros
-    key = rows * op.dim + cols
-    at = np.searchsorted(flat, key)
-    return np.where(np.take(flat, at, mode="clip") == key, np.take(values, at, mode="clip"), 0.0)
 
 
 def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray) -> tuple:
@@ -527,30 +521,21 @@ def _scatter(nonzeros: tuple, row_way: tuple, way: tuple, out: np.ndarray) -> No
     weights[s, i], R[i, targets[s, i]] = weights[s, i] (zero weights pad).
     Each nonzero U[i, j] adds L[i, a] U[i, j] R[j, c] to out[a, c] for
     every slot of i in `row_way` and of j in `way`, by np.add.at (which
-    sums the repeated entries), a chunk of nonzeros at a time (_chunks)."""
-    n, width, total = way[0].shape[1], out.shape[1], out.reshape(-1)
+    sums the repeated entries), over all the nonzeros at once."""
+    (rows, cols), part = np.divmod(nonzeros[0], way[0].shape[1]), nonzeros[1]
+    width, total = out.shape[1], out.reshape(-1)
     total.fill(0.0)
-    for rows, cols, part in _chunks(nonzeros, n):
-        for into, weights in zip(*row_way):
-            at = np.take(into, rows)
-            at *= width
-            weight = np.take(weights, rows)
-            weight *= part
-            for then, scale in zip(*way):
-                index = np.take(then, cols)
-                index += at
-                value = np.take(scale, cols)
-                value *= weight
-                np.add.at(total, index, value)
-
-
-def _chunks(nonzeros: tuple, n: int):
-    """The `nonzeros` (DenseOperator's listing) of an n x n matrix as (rows, cols,
-    values), at most max(n^2 / _SCATTER_SHARE, _SCATTER_FLOOR) at a time."""
-    flat, values = nonzeros
-    chunk = max(n * n // _SCATTER_SHARE, _SCATTER_FLOOR)
-    for lo in range(0, flat.size, chunk):
-        yield (*np.divmod(flat[lo:lo + chunk], n), values[lo:lo + chunk])
+    for into, weights in zip(*row_way):
+        at = np.take(into, rows)
+        at *= width
+        weight = np.take(weights, rows)
+        weight *= part
+        for then, scale in zip(*way):
+            index = np.take(then, cols)
+            index += at
+            value = np.take(scale, cols)
+            value *= weight
+            np.add.at(total, index, value)
 
 
 def _reversal_eigens(rotated: np.ndarray, m: int, spare: np.ndarray) -> tuple[np.ndarray, tuple]:

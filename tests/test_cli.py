@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from walklab import ConfigurationError, torus_spec
+from walklab import ConfigurationError, build_graph, torus_spec
 from walklab.cli import load_config, main, parse_vertex
 
 from helpers import json_numbers_close
@@ -437,13 +437,31 @@ def test_config_can_supply_t_max(tmp_path):
 
 
 def test_parse_vertex_errors():
+    graph = build_graph(torus_spec(4))
     with pytest.raises(ConfigurationError):
-        parse_vertex("1,2,3", torus_spec(4))
+        parse_vertex("1,2,3", graph)
     with pytest.raises(ConfigurationError):
-        parse_vertex("a,b", torus_spec(4))
+        parse_vertex("a,b", graph)
     with pytest.raises(ConfigurationError):
-        parse_vertex("99", torus_spec(4))
-    assert parse_vertex("3,1", torus_spec(4)) == 7
+        parse_vertex("99", graph)
+    assert parse_vertex("3,1", graph) == 7
+
+
+@pytest.mark.parametrize("args,config,flag", [
+    (["predict", "--family", "hypercube", "--degree", "5", "--dims", "3"], None, "--dims"),
+    (["predict", "--family", "torus", "--side", "8", "--degree", "5"], None, "--degree"),
+    (["predict", "--family", "complete", "--n", "16", "--side", "4"], None, "--side"),
+    (["spectrum", "--side", "4", "--n", "16"], None, "--n"),
+    (["sweep", "--family", "hypercube", "--degree", "5", "--sides", "4,5"], None, "--degree"),
+    (["run"], 'family = "complete"\nn = 8\ndims = 2\nt_max = 3\n', "--dims"),
+    (["sweep"], "side = 8\nsides = [8, 16]\n", "--side"),
+], ids=["dims-off-torus", "degree-off-hypercube", "side-off-torus", "n-off-complete",
+        "size-next-to-sides", "config-dims-off-torus", "config-size-next-to-sides"])
+def test_a_shape_flag_the_family_does_not_read_exits_2(tmp_path, capsys, args, config, flag):
+    if config is not None:
+        args = [*args, "--config", str(_config(tmp_path, config))]
+    assert run_cli(args + ["--out", os.devnull]) == 2
+    assert f"{flag} does not apply" in capsys.readouterr().err
 
 
 def test_flat_toml_errors(tmp_path):

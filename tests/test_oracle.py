@@ -707,17 +707,39 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     hypercube d=7, 2.18 at the complete graph N=32 and, by its one mirror,
     2.39 at dirac L=22; by the reflection alone, without a mirror, 3.01 at
     unmarked dirac L=22 and at 2D L=16 with two marked vertices).  The peak
-    is the eigensolve of the blocks; the scatter of U's nonzeros into them
-    peaks earlier, at 0.04-0.06 dim^2 (0.12 at the hypercube, 0.14 at the
-    complete graph) past the eigenvector buffer's 2, with no mask of a
-    dense U's nonzeros (that mask put it at 0.13-0.17), and the real
-    lift's batches add little past the buffer and the blocks'
-    eigenvectors.  See traced_peak for what it counts."""
+    is the eigensolve of the blocks.  The involution check, over the whole
+    listing, peaks at 0.02-0.05 dim^2 (0.19 at the complete graph) before
+    the eigenvector buffer's 2 is taken, and the scatter of U's nonzeros
+    into the blocks at 0.04-0.06 (0.12 at the hypercube, 0.11 at the
+    complete graph) past it; the real lift's batches add little past the
+    buffer and the blocks' eigenvectors.  See traced_peak for what it
+    counts."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
     assert 0.85 * walklab.oracle.DIMENSION_CAP <= op.dim <= walklab.oracle.DIMENSION_CAP
     assert bool(op.symmetries) == (len(marked) == 1)
     assert traced_peak(lambda: dense_eigens(op)) <= 4.5 * op.dim ** 2 * 8
+
+
+@pytest.mark.parametrize("spec", arenas("dense_cap"), ids=GraphSpec.label)
+def test_dense_eigens_refuses_before_it_allocates(spec):
+    """One nonzero of U moved by 1e-9 breaks S U S = U^T (or P U P = U)
+    there, and dense_eigens refuses it before it takes its 2 dim^2
+    eigenvector buffer: its traced peak is the involution check's, 0.02-0.05
+    dim^2 float64s (0.19 at the complete graph, with numpy 2.4)."""
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(0,)))
+    flat, values = op.nonzeros
+    values = values.copy()
+    values[values.size // 2] += 1e-9
+    moved = walklab.oracle.DenseOperator(op.dim, (flat, values), op.reflection, op.symmetries,
+                                         op.flips)
+
+    def refuse():
+        with pytest.raises(ArithmeticError):
+            dense_eigens(moved)
+
+    assert traced_peak(refuse) < 0.5 * op.dim ** 2 * 8
 
 
 @pytest.mark.parametrize("spec,marked", [
