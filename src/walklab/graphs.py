@@ -246,14 +246,56 @@ class Graph:
             maps = [index ^ (((flipped >> b) ^ (flipped >> b + 1)) & 1) * (3 << b)
                     for b in range(0, self.spec.dims[0] - 1, 2)]
         else:
-            others = index[index != vertex]
-            bits = max(k for k in range(others.size.bit_length())
-                       if 3 * (others.size >> k << k) >= 2 * others.size)
-            label = np.arange(others.size >> bits << bits)
+            runs, bits = self._label_runs(vertex)
+            label = np.arange(runs.size)
             maps = [index.copy() for _ in range(bits)]
             for bit, g in enumerate(maps):
-                g[others[label]] = others[label ^ (1 << bit)]
+                g[runs] = runs[label ^ (1 << bit)]
         return tuple(g for g in maps if np.any(g != index))
+
+    def swap(self, vertex: int) -> np.ndarray | None:
+        """One involutive automorphism g[v] of the arena that fixes `vertex`,
+        commutes, lifted, with the step and maps each of `mirrors(vertex)`
+        onto one of them under conjugation, exchanging the first two: the
+        dense oracle pairs the blocks it exchanges.  None where there is none.
+
+        torus       axes 0 and 1 exchanged through `vertex` (flip-flop and
+                    moving tori of two or more axes and side >= 3)
+        hypercube   x -> w ^ tau(x ^ w), tau exchanging bits 0 and 2, and 1
+                    and 3: the mirrors' first two bit pairs (degree >= 4)
+        complete    label bits 0 and 1 exchanged inside the mirrors' whole
+                    runs of 2^k labels (k >= 2)
+        dirac       none: past its one mirror, no signed permutation of a
+                    coin swap and signs times a dihedral map through the
+                    vertex commutes with its U' (all searched at L = 6)"""
+        (vertex,) = self._vertices((vertex,), "vertices")
+        spec, index = self.spec, np.arange(self.n, dtype=np.int64)
+        if spec.family == "torus":
+            if spec.shift == "dirac" or len(spec.dims) < 2 or spec.dims[0] < 3:
+                return None
+            coords, (w0, w1) = self.coordinates(), self.vertex_coords(vertex)[:2]
+            coords[:2] = coords[1] + w0 - w1, coords[0] + w1 - w0
+            return self.vertex_index(coords)
+        if spec.family == "hypercube":
+            if spec.dims[0] < 4:
+                return None
+            flipped = index ^ vertex
+            return vertex ^ (flipped & ~0b1111 | (flipped & 0b11) << 2 | (flipped >> 2) & 0b11)
+        runs, bits = self._label_runs(vertex)
+        if bits < 2:
+            return None
+        label, g = np.arange(runs.size), index.copy()
+        g[runs] = runs[label & ~0b11 | (label & 1) << 1 | (label >> 1) & 1]
+        return g
+
+    def _label_runs(self, vertex: int) -> tuple[np.ndarray, int]:
+        """The complete graph's vertices other than `vertex` in whole runs
+        of 2^k, in index order (a vertex's label is its place here), and k:
+        the most for which whole runs hold two thirds of the others."""
+        others = np.flatnonzero(np.arange(self.n) != vertex)
+        bits = max(k for k in range(others.size.bit_length())
+                   if 3 * (others.size >> k << k) >= 2 * others.size)
+        return others[:others.size >> bits << bits], bits
 
     def reflect(self, total, axes=None) -> np.ndarray:
         """The torus vertex map v -> total - v on `axes` (every axis if None),

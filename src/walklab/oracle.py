@@ -9,20 +9,27 @@ spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix, with only coin_dim nonzeros in each column, and DenseOperator
 holds it as that sorted nonzero listing alone, never as an n x n array.
 Every pass reads the listing whole: evolve_dense powers U' through each
-row's nonzeros, dense_eigens checks its involutions on them (each image
-found by binary search) before it allocates, then scatters them into
-U''s blocks in the involutions' eigenbasis, and unitarity_defect forms
-U'^T U' only inside each group of columns that share a row, scattered
-from the listing, where the rest of the product is exact zeros.  U' is
-eigendecomposed through its symmetric part U' + U'^T by numpy.linalg.eigh
-(LAPACK syevd, on numpy's own BLAS: walklab loads no second one), whose
-real eigenvectors its skew part U' - U'^T pairs into complex ones (see
-dense_eigens; a matrix that is not normal raises).
+row's nonzeros, dense_eigens checks its involutions on them (each
+image's value read through one sort of the images) before it allocates,
+then scatters them into U''s blocks in the involutions' eigenbasis, and
+unitarity_defect forms U'^T U' only inside each group of columns that
+share a row, scattered from the listing, where the rest of the product
+is exact zeros.  U' is eigendecomposed through its symmetric part
+U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's own BLAS:
+walklab loads no second one), whose real eigenvectors its skew part
+U' - U'^T pairs into complex ones (see dense_eigens; a matrix that is
+not normal raises).
 Involutions split the eigensolve, and U' enters their joint eigenbasis
-one nonzero at a time.  With one marked vertex, the arena's commuting
-reflections through it (Graph.mirrors), lifted to the basis states
-(Graph.lift), generate a group G = Z_2^k of symmetries of U', and U'
-splits into one block per character of G.  A signed permutation time
+one nonzero at a time.  Each symmetry normalizes the ones before it: it
+commutes with them, or maps each onto one of them under conjugation.
+With one marked vertex, the arena's commuting reflections through it
+(Graph.mirrors), lifted to the basis states (Graph.lift), generate a
+group G = Z_2^k of symmetries of U', and U' splits into one block per
+character of G.  The arena's swap through the vertex (Graph.swap), which
+exchanges two of the reflections, then halves each block whose character
+it fixes and exchanges the others in pairs: one block of each pair is
+solved, and the other's eigenvectors are the solved ones read through
+the swap, copied a few rows at a time.  A signed permutation time
 reversal S, S U' S = U'^T, then splits each block in two (every relation
 is checked entry by entry on U''s nonzeros): S is the shift itself, the
 shift after the direction reversal on the moving torus
@@ -75,9 +82,12 @@ class DenseOperator:
     e_reflection[j] elsewhere (an involution, S M S = M^T: the shift
     itself, the shift after the direction reversal on the moving torus,
     C' T C' on the dirac walk; see dense_unitary); and as `symmetries`
-    commuting involutive index permutations that commute with M and S,
-    generators of a group Z_2^k (dense_unitary's are Graph.mirrors through
-    the one marked vertex, lifted to the basis states by Graph.lift).
+    involutive index permutations that commute with M and S, each of which
+    normalizes the ones before it: it commutes with them, or maps each of
+    them onto one of them under conjugation (dense_unitary's are
+    Graph.mirrors through the one marked vertex, which commute and generate
+    a group Z_2^k, then Graph.swap, which exchanges two of them, each
+    lifted to the basis states by Graph.lift).
 
     An operator checks itself when it is built: complex values raise
     TypeError, real values of another dtype are taken as float64 (and the
@@ -88,8 +98,9 @@ class DenseOperator:
     that are not one per index or hold an exact zero, a reflection or
     symmetry that is no involutive permutation (any integer array-like,
     taken as an array), flips that are not one bool per index or differ on
-    a 2-cycle of S or under a symmetry, flips without a reflection, or two
-    involutions that do not commute, raise ValueError.  dense_eigens
+    a 2-cycle of S or under a symmetry, flips without a reflection, a
+    symmetry that does not commute with S, or one that does not normalize
+    the symmetries before it, raise ValueError.  dense_eigens
     checks, on M's nonzeros, that S is a time reversal of M and each
     symmetry a symmetry of it."""
 
@@ -126,10 +137,12 @@ class DenseOperator:
         if s is not None and not np.array_equal(flips[s], flips):
             raise ValueError("the reflection's flips must agree on each of its 2-cycles")
         for i, g in enumerate(self.symmetries):
-            if not all(np.array_equal(g[h], h[g]) for h in self.symmetries[:i]) \
+            before = self.symmetries[:i]
+            if not all(any(np.array_equal(g[h[g]], e) for e in before) for h in before) \
                     or s is not None and not (np.array_equal(s[g], g[s])
                                               and np.array_equal(flips[g], flips)):
-                raise ValueError("the reflection and the symmetries must commute")
+                raise ValueError("the reflection and the symmetries must commute, but for "
+                                 "a symmetry that maps each one before it onto one of them")
 
     def unitarity_defect(self) -> float:
         """max |M^T M - I|, with M^T M formed only inside each group of
@@ -188,8 +201,9 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
         first = _butterfly(_shifted_coin(graph, marked, _half_move(graph, (0, 1))), dim, 1.0)
         nonzeros = _butterfly(first, dim, 0.5, _half_move(graph, (2, 3)))
         reflection, flips = _dirac_reversal(graph, marked)
-    mirrors = graph.mirrors(marked[0]) if len(marked) == 1 else ()
-    return DenseOperator(dim, nonzeros, reflection, [graph.lift(g) for g in mirrors], flips)
+    maps = (*graph.mirrors(marked[0]), graph.swap(marked[0])) if len(marked) == 1 else ()
+    return DenseOperator(dim, nonzeros, reflection,
+                         [graph.lift(g) for g in maps if g is not None], flips)
 
 
 def _dirac_reversal(graph: Graph, marked: tuple[int, ...]) -> tuple:
@@ -284,61 +298,82 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     basis.
 
     The solve runs through the operator's involutions.  Each of its
-    `symmetries` (commuting involutive index permutations, generators of a
-    group G) must commute with U, and its `reflection` (the signed
+    `symmetries` (involutive index permutations, each normalizing the ones
+    before it) must commute with U, and its `reflection` (the signed
     involutive permutation S of `reflection` and `flips`, which commutes
     with them) must be a time reversal of U, S U S = U^T: all are checked
     on every nonzero of U, which sees every entry, else ArithmeticError
     (_check_involutions), before the eigenvector buffer is taken; an
     operator without a reflection raises ValueError.  U splits into one
-    block per character of G, each formed straight in S's eigenbasis from
-    U's nonzeros in the rows at G's orbit representatives (_split_maps,
-    _rotated_blocks), where each eigenvector of the +1 half and its image
-    under the skew part make a pair of U's eigenvectors (_reversal_eigens;
-    either half may be empty).  All phases of all blocks are merged by
-    |phase| before any eigenvector is formed, and the lift reads each
-    half's map backward in real arithmetic: an original row has at most
-    one coordinate in each half of a block, so an eigenvector's real part
+    block per joint eigenspace of the symmetries that split it, each
+    formed straight in S's eigenbasis from U's nonzeros in the rows at its
+    coordinates' least indices (_split_maps, _rotated_blocks), where each
+    eigenvector of the +1 half and its image under the skew part make a
+    pair of U's eigenvectors (_reversal_eigens; either half may be empty).
+    Of two blocks that a symmetry exchanges, one is solved and the other
+    copied (_copy): the same phases, and the solved eigenvectors read
+    through the symmetry.  All phases of all blocks are merged by |phase|
+    before any eigenvector is formed, and the lift reads each half's map
+    backward in real arithmetic: an original row has at most one
+    coordinate in each half of a block, so an eigenvector's real part
     comes from its x alone and its imaginary part from its y alone, each
     by one weighted gather into the original rows (_lift).
     """
     if op.reflection is None:
         raise ValueError("dense_eigens solves through a time reversal S of U (S U S = U^T), "
                          "and this operator has no reflection")
-    _check_involutions(op)  # its temporaries are freed before the buffer is taken
+    # the check's and the split's temporaries are freed before the buffer is
+    # taken: small blocks freed past it could part its freed place from the
+    # heap's top, and a later, larger buffer would grow the heap
+    _check_involutions(op)
+    maps = _split_maps(op)
     vectors, buffer = _eigenvector_buffer(op.dim)  # the first large allocation
     first, second = buffer
-    phases, found, start = [], [], 0
-    for rotated, m, ways in _rotated_blocks(op, second):
+    phases, found, starts = [], [], [0]
+    blocks, copies = _rotated_blocks(op, maps, second)
+    for rotated, m, ways in blocks:
         block_phases, eigens = _reversal_eigens(rotated, m, _carve(first, rotated.shape)[0])
         phases.append(block_phases)
-        found.append((start, eigens, ways))
-        start += rotated.shape[0]
+        found.append((eigens, ways))
+        starts.append(starts[-1] + rotated.shape[0])
+    phases += [phases[block] for block, _ in copies]
     phases, columns = _sorted_columns(np.concatenate(phases))
-    for start, eigens, ways in found:
+    for start, (eigens, ways) in zip(starts, found):
         _lift(vectors.T, columns[start:], *eigens, *ways)
+    start = starts[-1]
+    for block, gather in copies:
+        size = starts[block + 1] - starts[block]
+        _copy(vectors.T, columns[starts[block]:starts[block + 1]], columns[start:start + size],
+              gather)
+        start += size
     return phases, vectors
 
 
-def _rotated_blocks(op: DenseOperator, buffer: np.ndarray) -> list[tuple]:
-    """U's blocks in the joint eigenbasis of its involutions, each as
-    (matrix, m, ways): the block, carved from `buffer`, whose first m
-    coordinates are S's +1 half, and per half of S the map that built it,
-    (into, weight), views of _split_maps': index i enters coordinate
-    into[i] with weight weight[i].  The scatter (_scatter) reads both
+def _rotated_blocks(op: DenseOperator, maps: tuple,
+                    buffer: np.ndarray) -> tuple[list[tuple], list]:
+    """U's blocks in the joint eigenbasis of its involutions, given by
+    `maps` (_split_maps'), each as (matrix, m, ways): the block, carved from
+    `buffer`, whose first m coordinates are S's +1 half, and per half of S
+    the map that built it, (into, weight), views of the maps': index i
+    enters coordinate into[i] with weight weight[i]; and the maps' copies,
+    the blocks that are not solved.  The scatter (_scatter) reads both
     halves' maps as one map's two slots, and the lift reads each backward
-    (_lift).  The scatter reads U's nonzeros in the rows at orbit
-    representatives alone (dense_eigens has checked the involutions on
-    them), and their copy is dropped before any eigensolve."""
-    sizes, into, weights, reads = _split_maps(op)
-    nonzeros = tuple(part[(reads > 0)[op.nonzeros[0] // op.dim]] for part in op.nonzeros)
+    (_lift).  The scatter reads U's nonzeros in the rows the block reads
+    alone (dense_eigens has checked the involutions on them), and the
+    nonzeros it gathers are dropped before any eigensolve."""
+    sizes, into, weights, reads, copies = maps
+    rows = op.nonzeros[0] // op.dim
+    read = (reads > 0).any(axis=0)[rows]
+    nonzeros, rows = tuple(part[read] for part in op.nonzeros), rows[read]
     rotated = []
     for block, out in enumerate(_carve(buffer, *((size, size) for size in sizes.sum(axis=0)))):
         targets = np.maximum(into[:, block] + [[0], [sizes[0, block]]], 0)
-        _scatter(nonzeros, (targets, weights[:, block] * reads), (targets, weights[:, block]), out)
+        own = tuple(part[(reads[block] > 0)[rows]] for part in nonzeros)
+        _scatter(own, (targets, weights[:, block] * reads[block]), (targets, weights[:, block]),
+                 out)
         rotated.append((out, sizes[0, block], [(into[half, block], weights[half, block])
                                                for half in (0, 1)]))
-    return rotated
+    return rotated, copies
 
 
 def _check_involutions(op: DenseOperator) -> None:
@@ -346,31 +381,40 @@ def _check_involutions(op: DenseOperator) -> None:
     commutes with U and its reflection S is a time reversal of U, else
     ArithmeticError: P U P = U where |U[P r, P c] - U[r, c]| and S U S =
     U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where `flips`) is
-    at most _INVARIANCE_TOL at every nonzero (r, c), each image found in
-    the whole listing by binary search (0 where U has none).  P and S are
-    signed permutations, so an entry that breaks either relation is a
-    nonzero of U or the image of one: the check sees every entry."""
+    at most _INVARIANCE_TOL at every nonzero (r, c); a deviation that is
+    not finite (a NaN or an inf in U) is refused too.  The images of the
+    nonzeros are sorted once: where they are U's pattern itself, each
+    image's value is read through the sort, and otherwise each image is
+    found in the whole listing by binary search (0 where U has none).  P
+    and S are signed permutations, so an entry that breaks either relation
+    is a nonzero of U or the image of one: the check sees every entry."""
     flat, values = op.nonzeros
     rows, cols = np.divmod(flat, op.dim)
     key, found = np.empty_like(flat), np.empty_like(values)
     deviations = []
-    for image, first, second, flips in [*((p, rows, cols, None) for p in op.symmetries),
-                                        (op.reflection, cols, rows, op.flips)]:
-        np.take(image, first, out=key)
-        key *= op.dim
-        key += np.take(image, second)
-        at = np.searchsorted(flat, key)
-        np.take(values, at, out=found, mode="clip")
-        found *= np.take(flat, at, mode="clip") == key
-        if flips is not None:
-            found *= np.where(flips[first] != flips[second], -1.0, 1.0)
-        found -= values
-        deviations.append(_max_abs(found))
-    leak, defect = max(deviations[:-1], default=0.0), deviations[-1]
-    if leak > _INVARIANCE_TOL:
+    # an inf in U gives a NaN (inf - inf, inf * 0), which is refused below
+    with np.errstate(invalid="ignore"):
+        for image, first, second, flips in [*((p, rows, cols, None) for p in op.symmetries),
+                                            (op.reflection, cols, rows, op.flips)]:
+            np.take(image, first, out=key)
+            key *= op.dim
+            key += np.take(image, second)
+            order = np.argsort(key, kind="stable")  # the images are distinct
+            if np.array_equal(np.take(key, order), flat):  # the involution keeps U's pattern
+                found[order] = values
+            else:
+                at = np.searchsorted(flat, key)
+                np.take(values, at, out=found, mode="clip")
+                found *= np.take(flat, at, mode="clip") == key
+            if flips is not None:
+                found *= np.where(flips[first] != flips[second], -1.0, 1.0)
+            found -= values
+            deviations.append(_max_abs(found))
+    leak, defect = np.max(deviations[:-1], initial=0.0), deviations[-1]
+    if not leak <= _INVARIANCE_TOL:
         raise ArithmeticError(f"U does not commute with the symmetry P: P U P - U reaches "
                               f"{leak:.3e}")
-    if defect > _INVARIANCE_TOL:
+    if not defect <= _INVARIANCE_TOL:
         raise ArithmeticError(f"the reflection S is no time reversal of U (U does not commute "
                               f"with S up to transposition): S U S - U^T reaches {defect:.3e}")
 
@@ -400,60 +444,108 @@ def _involution(perm: np.ndarray | None, n: int, name: str,
 
 def _split_maps(op: DenseOperator) -> tuple:
     """The joint eigenbasis of the operator's symmetries g_1 .. g_k and
-    then of its reflection S, as (sizes, into, weights, reads), the first
-    three per half h (0: S's +1 half, 1: its -1 half) of block b.  U has one block
-    per character chi of the group G the symmetries generate that has a
-    vector, in the order of c = sum of 2^(l-1) over the l with
-    chi(g_l) = -1.  A half has sizes[h, b] coordinates, and index i enters
-    coordinate into[h, b, i] with weight weights[h, b, i] (-1 and 0 where
-    it enters none).
+    then of its reflection S, as (sizes, into, weights, reads, copies), the
+    first three per half h (0: S's +1 half, 1: its -1 half) of each block b
+    that dense_eigens solves.  A half has sizes[h, b] coordinates, and index
+    i enters coordinate into[h, b, i] with weight weights[h, b, i] (-1 and 0
+    where it enters none).  copies lists the blocks that are not solved, in
+    turn, each as (b, gather): its eigenvectors are block b's, v[gather].
 
-    Each involution in turn splits every block into its +1 half and its -1
-    half, and drops the empty ones (S keeps them).  A coordinate is known
-    by the least index it holds, whose weight is positive; the involution
-    commutes with those before, so it maps a coordinate to the one that
-    holds that index's image, negated where the image's weight is negative
-    or the involution is signed there.  A 2-cycle of coordinates p < q
-    gives (e_p + e_q)/sqrt(2) to the +1 half and (e_p - e_q)/sqrt(2) to
-    the -1 half (e_q's signs swapped where it is negated), a fixed one goes
-    to the half of its sign, and a half lists its coordinates by their
-    least index.  An index's weight is +-2^(-j/2) in every block, j =
-    log2 of its orbit's size under G, plus one where S moves the orbit:
-    2^(-j//2) times _INV_SQRT2 if j is odd.
+    Each involution in turn splits every block that it maps onto itself,
+    coordinate onto +- coordinate (_maps_onto), into its +1 half and its -1
+    half, and drops the empty ones (S keeps them).  One that commutes with
+    the symmetries before it (and S) splits every block.  One that only
+    normalizes them, as the swap does, maps each block onto one that holds
+    the conjugated character: of two blocks it exchanges, the later is
+    dropped and copied from the earlier through the involution, as are the
+    later's own copies, and a block it neither splits nor pairs stays whole.
+    So with commuting symmetries U has one block per character chi of the
+    group they generate that has a vector, in the order of c = sum of
+    2^(l-1) over the l with chi(g_l) = -1, and each later involution puts
+    its +1 halves and the whole blocks before its -1 halves.  A coordinate
+    is known by the least index it holds, whose weight is positive; in a
+    block it splits, the involution maps a coordinate to the one that holds
+    that index's image, negated where the image's weight is negative or the
+    involution is signed there.  A 2-cycle of coordinates p < q gives
+    (e_p + e_q)/sqrt(2) to the +1 half and (e_p - e_q)/sqrt(2) to the -1
+    half (e_q's signs swapped where it is negated), a fixed one goes to the
+    half of its sign, and a half lists its coordinates by their least
+    index.  An index's weight in a block is +-2^(-j/2), j the number of
+    2-cycles that merged its coordinate: 2^(-j//2) times _INV_SQRT2 if j is
+    odd.
 
-    U commutes with G, so a block's row at the coordinate of an orbit O is
-    |O| times the weight at any index of O times that row of U R: the
-    scatter reads each orbit's row at its least index alone, scaled by
-    reads = |O| there (0 at every other row)."""
+    U commutes with the symmetries, so a block's row at a coordinate that
+    holds the index set O before S is |O| times the weight at any index of
+    O times that row of U R: the scatter reads each such row at its least
+    index alone, scaled by reads[b] = |O| there (0 at every other row)."""
     n, k = op.dim, len(op.symmetries)
     index = np.arange(n)
-    # per block and index: the least index of its coordinate (-1: none), its weight's sign
-    lead, negated = index[None], np.zeros((1, n), dtype=bool)
-    least, halved = index.copy(), np.zeros(n, dtype=np.int64)  # G's orbits so far, log2 |O|
+    # per block and index: the least index of its coordinate (-1: none), its
+    # weight's sign and how many 2-cycles merged its coordinate; per block,
+    # the gathers that copy it
+    lead, negated = np.arange(n)[None], np.zeros((1, n), dtype=bool)
+    merges, copies = np.zeros((1, n), np.int8), [[]]
     involutions = [*((g, np.zeros(n, dtype=bool)) for g in op.symmetries),
                    (op.reflection, op.flips)]
     for level, (image, flipped) in enumerate(involutions):
+        blocks = np.arange(len(lead))
+        whole = np.zeros(blocks.size, dtype=bool)  # a commuting involution splits every block
         if level == k:
-            orbit = halved.copy()
-        halved += least[image] != least
-        if level < k:
-            np.minimum(least, least[image], out=least)
+            reads = np.where(lead == index, np.ldexp(1.0, merges), 0.0)
+        elif not all(np.array_equal(image[g], g[image]) for g in op.symmetries[:level]):
+            whole = ~_maps_onto(lead, negated, image, blocks, blocks)
+            b, c = (blocks[whole][part] for part in np.triu_indices(np.count_nonzero(whole), 1))
+            count = np.count_nonzero(lead == index, axis=1)  # coordinates per block
+            pairs = (count[b] == count[c]) & _maps_onto(lead, negated, image, b, c)
+            for b, c in zip(b[pairs], c[pairs]):  # it exchanges b and c: c is dropped
+                lead[c] = -1
+                copies[b] = [*copies[b], image, *(image[gather] for gather in copies[c])]
         inside, at = lead >= 0, np.maximum(lead, 0)
-        partner, minus = (np.take_along_axis(part, image[at], axis=1) for part in (lead, negated))
+        place = image[at]  # of each coordinate's image, in the flat blocks
+        place += blocks[:, None] * n
+        partner, minus = lead.take(place), negated.take(place)
         minus ^= flipped[at]  # the involution negates the coordinate
-        merged, later = np.minimum(at, partner), partner < at
-        lead = np.concatenate([np.where(inside & ((partner != at) | ~minus), merged, -1),
-                               np.where(inside & ((partner != at) | minus), merged, -1)])
-        negated = np.concatenate([negated ^ (later & minus), negated ^ (later & ~minus)])
+        merged, later, moved = np.minimum(at, partner), partner < at, partner != at
+        split = ~whole[:, None]
+        moved &= split
+        plus = np.where(inside & (moved | ~minus), merged, -1)
+        plus[whole] = lead[whole]
+        lead = np.concatenate([plus, np.where(inside & (moved | minus) & split, merged, -1)])
+        negated = np.concatenate([negated ^ (later & minus & split), negated ^ (later & ~minus)])
+        merges += moved
+        merges = np.concatenate([merges, merges])
         if level < k:
-            lead, negated = (part[(lead >= 0).any(axis=1)] for part in (lead, negated))
+            kept = (lead >= 0).any(axis=1)
+            lead, negated, merges = lead[kept], negated[kept], merges[kept]
+            copies = [copied for copied, keep in zip(copies * 2, kept) if keep]
     held = lead == index
-    into = np.take_along_axis(np.cumsum(held, axis=1) - 1, np.maximum(lead, 0), axis=1)
+    at = np.maximum(lead, 0)
+    at += np.arange(len(lead))[:, None] * n
+    into = (np.cumsum(held, axis=1) - 1).take(at)
     into[lead < 0] = -1
-    magnitude = np.ldexp(np.where(halved % 2, _INV_SQRT2, 1.0), -(halved // 2))
-    weights = np.where(lead < 0, 0.0, np.where(negated, -magnitude, magnitude))
+    j = np.arange(merges.max() + 1)
+    weights = np.ldexp(np.where(j % 2, _INV_SQRT2, 1.0), -(j // 2)).take(merges)
+    np.negative(weights, out=weights, where=negated)
+    weights[lead < 0] = 0.0
     return (held.sum(axis=1).reshape(2, -1), into.reshape(2, -1, n), weights.reshape(2, -1, n),
-            np.where(least == index, np.exp2(orbit), 0.0))
+            reads, [(b, gather) for b, gathers in enumerate(copies) for gather in gathers])
+
+
+def _maps_onto(lead: np.ndarray, negated: np.ndarray, image: np.ndarray,
+               targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Per pair p, whether the involution `image` maps each coordinate of
+    block sources[p] into one coordinate of block targets[p] (blocks as
+    _split_maps holds them), onto it where the two blocks have as many
+    coordinates: every index of the source and no other has its image in
+    the target, and the images of one coordinate's indices lie in one
+    coordinate there, with the signs they have relative to one another in
+    the source."""
+    held, at = lead[sources] >= 0, np.maximum(lead[sources], 0)
+    at += np.arange(len(at))[:, None] * lead.shape[1]
+    moved, sign = (part.take(targets, axis=0).take(image, axis=1) for part in (lead, negated))
+    landed = moved.take(at) == moved
+    alike = sign.take(at) ^ sign == negated[sources]
+    return np.where(held, (moved >= 0) & landed & alike, moved < 0).all(axis=1)
 
 
 def _column_groups(n: int, nonzeros: tuple) -> list[np.ndarray]:
@@ -692,6 +784,18 @@ def _lift(eigenrows: np.ndarray, columns: np.ndarray, xs: np.ndarray, ys: np.nda
             part = vectors[lo:lo + _LIFT_COLUMNS]
             eigenrows[columns[start + lo:start + lo + len(part)]] = _gathered(part, 1.0, way)
         start += len(vectors)
+
+
+def _copy(eigenrows: np.ndarray, sources: np.ndarray, targets: np.ndarray,
+          gather: np.ndarray) -> None:
+    """Write eigenvector sources[j] of `eigenrows` (row j is eigenvector j),
+    its entries read through `gather`, into row targets[j]: a copied block's
+    eigenvectors from its solved one's.  _LIFT_COLUMNS / 2 complex rows at a
+    time, so that each of the two temporaries holds _LIFT_COLUMNS rows of
+    dim float64s, as each of the lift's does."""
+    for lo in range(0, len(sources), _LIFT_COLUMNS // 2):
+        part = slice(lo, lo + _LIFT_COLUMNS // 2)
+        eigenrows[targets[part]] = np.take(eigenrows[sources[part]], gather, axis=1)
 
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:

@@ -110,6 +110,10 @@ ARENA_SETS = {
     # arenas whose mirror swaps some 2-cycles of the shift itself: the 3D
     # torus of side 3 and complete graphs of odd and even order
     "mirror_swaps": (torus_spec(3, 3), complete_spec(5), complete_spec(8)),
+    # the smallest arenas with a swap (Graph.swap) in each family and shift
+    # that has one, and the first with more mirrors than the two it exchanges
+    "swap": (torus_spec(3), torus_spec(3, shift="moving"), torus_spec(3, 3), hypercube_spec(4),
+             hypercube_spec(6), complete_spec(5), complete_spec(9)),
     # reads at vertex subsets: the arenas of `small`, then a hypercube and a
     # complete graph of more than a thousand amplitudes
     "subsets": (*_one_per_family(4, 3, 4, 8, 16), hypercube_spec(10), complete_spec(40)),
@@ -336,58 +340,97 @@ def matvec_history(matrix: np.ndarray, vector: np.ndarray, steps: int) -> np.nda
     return out
 
 
-def character_basis(op) -> list[tuple[np.ndarray, int]]:
-    """Per block of dense_eigens(op), in its order, (rotation, m): the
-    block's dense orthonormal basis, an n x size matrix whose first m
+def character_basis(op) -> list[tuple[np.ndarray, int, int | None]]:
+    """Per block of dense_eigens(op), in its order, (rotation, m, source):
+    the block's dense orthonormal basis, an n x size matrix whose first m
     columns are S's +1 half, built from the definition of the split rather
-    than by chaining its butterflies.  The reference for the oracle's maps.
+    than by chaining its butterflies, and None for a block that dense_eigens
+    solves, or the solved block that one it copies is copied from.  The
+    reference for the oracle's maps.
 
-    The group G of op.symmetries is listed element by element (word w
-    holds g_l where bit l - 1 is set).  For each character chi of G, in the
-    order of c = sum of 2^(l-1) over the l with chi(g_l) = -1, each orbit
-    with least index r gives b = sum over w of chi(w) e_(g^w r), normalized,
-    unless that sum is zero (chi is not trivial on r's stabilizer).  The
-    signed reflection S maps each b to +-b' of the same character; in the
-    order of r, a b with S b = +-b gives b to the half of its sign, and a
-    b before its partner gives (b + S b)/sqrt(2) to the +1 half and
-    (b - S b)/sqrt(2) to the -1 half.  Each entry is then set to the exact
-    +-2^(-j/2) it rounds: 2^(-j//2) times 1/sqrt(2) if j is odd."""
-    n = op.dim
+    The symmetries that commute (all but a last one that does not) generate
+    a group G, listed element by element (word w holds g_l where bit l - 1
+    is set).  For each character chi of G, in the order of c = sum of
+    2^(l-1) over the l with chi(g_l) = -1, each orbit with least index r
+    gives b = sum over w of chi(w) e_(g^w r), normalized, unless that sum
+    is zero (chi is not trivial on r's stabilizer).  A last symmetry, the
+    swap W, maps each g_l onto some g_pi(l) under conjugation, so it maps
+    chi's block onto the block of chi' = chi o pi.  Where chi' = chi, W
+    splits the block (_halves) and its +1 halves come before its -1 halves;
+    where chi' comes later, chi's block stays whole among the +1 halves,
+    and chi''s block is W applied to it, copied after every solved block.
+    The signed reflection S then splits each block.  Each entry is then set
+    to the exact +-2^(-j/2) it rounds: 2^(-j//2) times 1/sqrt(2) if j is
+    odd."""
+    n, mirrors, swaps = op.dim, [], list(op.symmetries)
+    while swaps and all(np.array_equal(swaps[0][g], g[swaps[0]]) for g in mirrors):
+        mirrors.append(swaps.pop(0))
+    assert len(swaps) <= 1, "the reference splits by one swap at most"
+    if swaps:  # W g_l W = g_pi(l)
+        (swap,) = swaps
+        pi = [next(j for j, h in enumerate(mirrors) if np.array_equal(swap[g[swap]], h))
+              for g in mirrors]
     elements = [np.arange(n)]
-    for g in op.symmetries:
+    for g in mirrors:
         elements += [g[e] for e in elements]
     images = np.array(elements)
-    least = images.min(axis=0)
-    starts = np.flatnonzero(least == np.arange(n))  # each orbit's least index
+    starts = np.flatnonzero(images.min(axis=0) == np.arange(n))  # each orbit's least index
     words = np.arange(len(elements))
-    sign = np.where(op.flips, -1.0, 1.0)
-    blocks = []
+    plus, minus = [], []  # (columns, whether W copies them)
     for c in words:
         chars = np.array([(-1.0) ** bin(c & w).count("1") for w in words])
         q = np.zeros((n, starts.size))
         np.add.at(q, (images[:, starts], np.arange(starts.size)), chars[:, None])
-        held = np.any(q, axis=0)
-        if not held.any():
+        q = q[:, np.any(q, axis=0)]
+        if not q.size:
             continue
-        q, r = q[:, held], starts[held]
         q /= np.linalg.norm(q, axis=0)
-        sq = np.empty_like(q)
-        sq[op.reflection] = sign[:, None] * q
-        # the column that holds S r, whose least index is least[S r]
-        column, partner = np.arange(r.size), np.searchsorted(r, least[op.reflection[r]])
-        lead = column < partner
-        still = (partner == column) * sign[r] * q[r, column] * q[op.reflection[r], column]
-        paired = np.where(lead, 1.0, 0.0) * sq
-        scale = np.where(lead, np.sqrt(2.0), 1.0)
-        rotation = np.hstack([((q + paired) / scale)[:, lead | (still > 0)],
-                              ((q - paired) / scale)[:, lead | (still < 0)]])
+        if not swaps:
+            plus.append((q, False))
+            continue
+        image = sum(((c >> pi[bit]) & 1) << bit for bit in range(len(mirrors)))
+        if image == c:
+            halves = _halves(q, swap, np.ones(n))
+            plus.append((halves[0], False))
+            minus.append((halves[1], False))
+        elif c < image:
+            plus.append((q, True))
+    sign = np.where(op.flips, -1.0, 1.0)
+    blocks, copies = [], []
+    for q, copied in (block for block in plus + minus if block[0].shape[1]):
+        halves = _halves(q, op.reflection, sign)
+        rotation = np.hstack(halves)
         rows, cols = np.nonzero(rotation)
         value = rotation[rows, cols]
         j = np.round(-2.0 * np.log2(np.abs(value))).astype(int)
         rotation[rows, cols] = np.copysign(
             np.ldexp(np.where(j % 2, 1.0 / np.sqrt(2.0), 1.0), -(j // 2)), value)
-        blocks.append((rotation, np.count_nonzero(lead | (still > 0))))
-    return blocks
+        if copied:
+            copies.append((rotation[swap], halves[0].shape[1], len(blocks)))
+        blocks.append((rotation, halves[0].shape[1], None))
+    return blocks + copies
+
+
+def _halves(q, image, sign):
+    """The +1 half and the -1 half of the span of the columns of q (each on
+    its own rows, its least row positive), which the signed permutation
+    e_i -> sign[i] e_image[i] maps each onto + or - one of them, in the
+    order of the columns' least rows: a pair of columns p before r gives
+    (q_p + P q_p)/sqrt(2) and (q_p - P q_p)/sqrt(2), and a column mapped
+    onto +- itself goes to the half of its sign."""
+    column = np.arange(q.shape[1])
+    holder = np.full(len(q), -1)
+    holder[np.nonzero(q)[0]] = np.nonzero(q)[1]  # the column with an entry in each row
+    at = image[np.argmax(q != 0, axis=0)]  # the image of each column's least row
+    partner = holder[at]
+    moved = np.empty_like(q)
+    moved[image] = sign[:, None] * q
+    first = column < partner
+    still = (partner == column) * moved[at, column] * q[at, column]
+    paired = np.where(first, 1.0, 0.0) * moved
+    scale = np.where(first, np.sqrt(2.0), 1.0)
+    return (((q + paired) / scale)[:, first | (still > 0)],
+            ((q - paired) / scale)[:, first | (still < 0)])
 
 
 def _halves_back(rotation, m):
@@ -412,19 +455,25 @@ def complex_lift_eigens(op) -> tuple[np.ndarray, np.ndarray]:
     pair and x or y alone for a still vector, a batch at a time, into the
     original rows through the block's dense basis (character_basis): each
     row sums the complex coordinate of its entry in the +1 half and that
-    of its entry in the -1 half, each times the entry.  The reference for
-    the oracle's real-arithmetic lift, which forms the real and imaginary
-    parts apart from its own maps."""
+    of its entry in the -1 half, each times the entry.  A copied block's
+    eigens are its source's, lifted through its own basis.  The reference
+    for the oracle's real-arithmetic lift, which forms the real and
+    imaginary parts apart from its own maps, and for its copies."""
     oracle = walklab.oracle
     vectors, (first, second) = oracle._eigenvector_buffer(op.dim)
     phases, found, start = [], [], 0
-    for (rotated, m, _), (rotation, _) in zip(oracle._rotated_blocks(op, second),
-                                              character_basis(op)):
+    blocks, _ = oracle._rotated_blocks(op, oracle._split_maps(op), second)
+    basis = character_basis(op)
+    for (rotated, m, _), (rotation, _, _) in zip(blocks, basis):
         block_phases, eigens = oracle._reversal_eigens(rotated, m,
                                                        oracle._carve(first, rotated.shape)[0])
         phases.append(block_phases)
         found.append((start, eigens, m, _halves_back(rotation, m)))
         start += rotated.shape[0]
+    for rotation, m, source in basis[len(blocks):]:  # a copied block: its source's eigens
+        phases.append(phases[source])
+        found.append((start, found[source][1], m, _halves_back(rotation, m)))
+        start += rotation.shape[1]
     phases, columns = oracle._sorted_columns(np.concatenate(phases))
     eigenrows = vectors.T  # row j is eigenvector j
     for start, eigens, m, ((plus, plus_weight), (minus, minus_weight)) in found:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import (ConfigurationError, GraphSpec, build_graph, complete_spec,
+from walklab import (ConfigurationError, GraphSpec, build_graph, complete_spec, dense_unitary,
                      hypercube_spec, torus_spec)
 
 from helpers import arenas, translate
@@ -368,6 +368,72 @@ def test_mirror_maps_of_each_family():
     for bit, mirror in enumerate(mirrors):
         assert [others.index(mirror[v]) for v in others] == [
             label ^ (1 << bit) if label < 24 else label for label in range(31)]
+
+
+def _has_swap(spec, mirrors):
+    """Whether Graph.swap has a map for the arena: flip-flop and moving tori
+    of two or more axes and side >= 3, hypercubes of degree >= 4, and
+    complete graphs whose mirrors are two or more."""
+    if spec.family == "torus":
+        return spec.shift != "dirac" and len(spec.dims) >= 2 and spec.dims[0] >= 3
+    return spec.dims[0] >= 4 if spec.family == "hypercube" else len(mirrors) >= 2
+
+
+@pytest.mark.parametrize("case", [(spec, where) for name in ("parity", "edge", "swap")
+                                  for spec in arenas(name) for where in ("first", "last")],
+                         ids=_mirror_id)
+def test_swap_is_an_automorphism_that_exchanges_the_first_two_mirrors(case):
+    # Graph.swap is an involutive automorphism that fixes its vertex and
+    # maps the mirrors through it onto one another under conjugation, the
+    # first two exchanged; lifted, it commutes with a permutation shift and
+    # with the dense oracle's time reversal.  None for the dirac walk, 1D
+    # tori, tori of side 2, hypercubes of degree < 4 and complete graphs
+    # with fewer than two mirrors
+    spec, where = case
+    g = build_graph(spec)
+    vertex = 0 if where == "first" else g.n - 1
+    swap, mirrors, index = g.swap(vertex), g.mirrors(vertex), np.arange(g.n)
+    assert (swap is not None) == _has_swap(spec, mirrors)
+    if swap is None:
+        return
+    assert swap[vertex] == vertex and np.any(swap != index)
+    assert np.array_equal(swap[swap], index)
+    for v in range(g.n):  # every edge goes to an edge
+        assert np.array_equal(np.sort(swap[g.neighbors(v)]), g.neighbors(int(swap[v])))
+    onto = [next(i for i, other in enumerate(mirrors) if np.array_equal(swap[mirror[swap]], other))
+            for mirror in mirrors]
+    assert onto == [1, 0, *range(2, len(mirrors))]
+    lift = g.lift(swap)
+    move = g.shift_permutation()
+    assert np.array_equal(move[lift], lift[move])
+    reflection = dense_unitary(g, (vertex,)).reflection
+    assert np.array_equal(reflection[lift], lift[reflection])
+
+
+def test_swap_maps_of_each_family():
+    torus = build_graph(torus_spec(5, 3))  # axes 0 and 1 exchanged through (1, 2, 3)
+    swap = torus.swap(torus.vertex_index((1, 2, 3)))
+    for u in range(torus.n):
+        x, y, z = torus.vertex_coords(u)
+        assert torus.vertex_coords(int(swap[u])) == ((y - 1) % 5, (x + 1) % 5, z)
+    cube = build_graph(hypercube_spec(5))  # bits 0 and 2, 1 and 3 of x ^ w exchange
+    swap = cube.swap(0b00110)
+    for flipped, image in ((0b00001, 0b00100), (0b00010, 0b01000), (0b10011, 0b11100),
+                           (0b10000, 0b10000), (0b01111, 0b01111)):
+        assert swap[0b00110 ^ flipped] == 0b00110 ^ image
+    # N = 6 at vertex 2: labels 0..3 are vertices 0, 1, 3, 4; bits 0 and 1
+    # exchange labels 1 and 2, vertices 1 and 3; label 4, vertex 5, stays
+    assert build_graph(complete_spec(6)).swap(2).tolist() == [0, 3, 2, 1, 4, 5]
+    # N = 32 at vertex 5: the 31 others hold three runs of 8, and label 24 stays
+    others = [v for v in range(32) if v != 5]
+    swap = build_graph(complete_spec(32)).swap(5)
+    assert [others.index(swap[v]) for v in others] == [
+        label & ~3 | (label & 1) << 1 | (label >> 1) & 1 if label < 24 else label
+        for label in range(31)]
+    # N = 3 and 4: the others hold one run of 2 (k = 1), one mirror and no swap
+    for n in (3, 4):
+        complete = build_graph(complete_spec(n))
+        assert len(complete.mirrors(0)) == 1 and complete.swap(0) is None
 
 
 @pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)

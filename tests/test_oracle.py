@@ -702,14 +702,15 @@ def test_block_eigens_with_the_identity_as_reflection():
 ])
 def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     """numpy's peak allocation in dense_eigens stays at or below 4.5 dim^2
-    float64s near the dimension cap (with numpy 2.4, split by the mirrors and
-    then the reflection: 2.25 dim^2 at 2D L=16 and moving L=16, 2.24 at the
-    hypercube d=7, 2.18 at the complete graph N=32 and, by its one mirror,
-    2.39 at dirac L=22; by the reflection alone, without a mirror, 3.01 at
-    unmarked dirac L=22 and at 2D L=16 with two marked vertices).  The peak
-    is the eigensolve of the blocks.  The involution check, over the whole
-    listing, peaks at 0.02-0.05 dim^2 (0.19 at the complete graph) before
-    the eigenvector buffer's 2 is taken, and the scatter of U's nonzeros
+    float64s near the dimension cap (with numpy 2.4, split by the mirrors,
+    the swap and then the reflection: 2.19 dim^2 at 2D L=16, moving L=16 and
+    the hypercube d=7 (2.24-2.25 by the mirrors alone), 2.17 at the complete
+    graph N=32 and, by its one mirror, 2.40 at dirac L=22; by the reflection
+    alone, without a mirror, 3.01 at unmarked dirac L=22 and at 2D L=16 with
+    two marked vertices).  The peak is the eigensolve of the blocks.  The
+    involution check, over the whole listing, peaks at 0.02-0.05 dim^2 (0.19
+    at the complete graph) and the split's maps are formed before the
+    eigenvector buffer's 2 is taken, and the scatter of U's nonzeros
     into the blocks at 0.04-0.06 (0.12 at the hypercube, 0.11 at the
     complete graph) past it; the real lift's batches add little past the
     buffer and the blocks' eigenvectors.  See traced_peak for what it
@@ -782,8 +783,9 @@ def test_dense_unitary_allocation_peak_at_the_dimension_cap(spec, bound):
     assert traced_peak(lambda: dense_unitary(g, coin)) <= bound * dim ** 2 * 8
 
 
-# one marked vertex: the arena's mirrors through it split the eigensolve
-# (on two vertices, and on a torus of side 2, each is the identity)
+# one marked vertex: the arena's mirrors through it, and its swap where it
+# has one, split the eigensolve (on two vertices, and on a torus of side 2,
+# each mirror is the identity)
 MIRRORED = [spec for spec in arenas("parity") if spec.n_vertices > 2]
 
 
@@ -793,14 +795,23 @@ def test_lifted_mirror_commutes_with_the_walk(spec, where):
     g = build_graph(spec)
     vertex = {"first": 0, "middle": g.n // 2, "last": g.n - 1}[where]
     op = dense_unitary(g, default_coin(g, marked=(vertex,)))
-    assert op.symmetries and len(op.symmetries) == len(g.mirrors(vertex))
+    swap = g.swap(vertex)
+    mirrors = op.symmetries[:len(g.mirrors(vertex))]
+    assert mirrors and len(op.symmetries) == len(mirrors) + (swap is not None)
     for p in op.symmetries:
         assert np.any(p != np.arange(op.dim))
         assert np.array_equal(p[p], np.arange(op.dim))
         assert np.array_equal(dense(op)[p][:, p], dense(op))  # exactly
-        assert all(np.array_equal(p[other], other[p]) for other in op.symmetries)
         if op.reflection is not None:
             assert np.array_equal(op.reflection[p], p[op.reflection])
+    for p in mirrors:
+        assert all(np.array_equal(p[other], other[p]) for other in mirrors)
+    if swap is not None:  # the swap exchanges the first two mirrors and keeps the others
+        w = op.symmetries[-1]
+        assert np.array_equal(w, g.lift(swap))
+        onto = [next(i for i, q in enumerate(mirrors) if np.array_equal(w[p[w]], q))
+                for p in mirrors]
+        assert onto == [1, 0, *range(2, len(mirrors))]
 
 
 @pytest.mark.parametrize("spec", MIRRORED, ids=GraphSpec.label)
@@ -941,6 +952,32 @@ def test_dense_operator_checks_its_symmetries_when_built():
         DenseOperator(op.dim, (op.nonzeros[0], op.nonzeros[1].astype(np.complex128)))
 
 
+def _axis_swap(g, vertex, axes):
+    """The lift of the torus map that exchanges two axes through `vertex`."""
+    coords, centre = g.coordinates(), np.array(g.vertex_coords(vertex))
+    a, b = axes
+    coords[[a, b]] = coords[b] + centre[a] - centre[b], coords[a] + centre[b] - centre[a]
+    return g.lift(g.vertex_index(coords))
+
+
+def test_dense_operator_takes_a_symmetry_that_normalizes_those_before_it():
+    # the xy swap maps each axis reflection onto one under conjugation; the
+    # yz swap after it maps the xy swap onto the xz swap, which is none of
+    # the symmetries before it, and is refused
+    g = build_graph(torus_spec(4, 3))
+    op = dense_unitary(g, default_coin(g, marked=(5,)))
+    *mirrors, xy = op.symmetries
+    assert np.array_equal(xy, _axis_swap(g, 5, (0, 1)))
+    assert not np.array_equal(xy[mirrors[0]], mirrors[0][xy])  # it does not commute
+    DenseOperator = walklab.oracle.DenseOperator
+    assert len(DenseOperator(op.dim, op.nonzeros, op.reflection, [*mirrors, xy]).symmetries) == 4
+    yz = _axis_swap(g, 5, (1, 2))
+    with pytest.raises(ValueError, match="must commute"):
+        DenseOperator(op.dim, op.nonzeros, op.reflection, [*mirrors, xy, yz])
+    with pytest.raises(ValueError, match="must commute"):  # nor before the mirrors
+        DenseOperator(op.dim, op.nonzeros, op.reflection, [xy, *mirrors])
+
+
 def test_dense_operator_checks_its_flips_when_built():
     g = build_graph(torus_spec(4, shift="dirac"))
     op = dense_unitary(g, (1,))
@@ -1048,27 +1085,90 @@ def test_no_symmetry_unless_one_vertex_is_marked(marked):
 
 
 def test_every_oracle_benchmark_arena_takes_the_mirror_split():
+    # every mirror, and the swap past them (none on the dirac walk), moves
+    # a third of the basis states or more
     for spec in arenas("oracle"):
         g = build_graph(spec)
         for vertex in (0, 7, g.n - 1):
-            mirrors = dense_unitary(g, default_coin(g, marked=(vertex,))).symmetries
-            assert len(mirrors) == {"torus": 1 if spec.shift == "dirac" else len(spec.dims),
-                                    "hypercube": 3, "complete": 3}[spec.family]
-            for p in mirrors:
+            symmetries = dense_unitary(g, default_coin(g, marked=(vertex,))).symmetries
+            assert len(symmetries) == {"torus": 1 if spec.shift == "dirac" else len(spec.dims) + 1,
+                                       "hypercube": 4, "complete": 4}[spec.family]
+            for p in symmetries:
                 assert np.count_nonzero(p != np.arange(p.size)) >= p.size // 3
 
 
-# per oracle arena, marked at vertex 3 (or 0: the same), the blocks of the
-# split, its largest eigh half and the sum of the halves' cubes, eigh's flop
-# count up to a constant.  Split by one mirror, the largest halves were 272,
-# 156, 242, 225, 228 and 273, and the sums 67.9M, 12.2M, 56.7M, 28.1M,
-# 45.0M and 67.5M; the dirac walk has no second reflection
-SPLIT_SIZES = {"torus(16x16,flip_flop,grover)": (4, 144, 17_170_432),
-               "torus(12x12,moving,grover)": (4, 84, 3_110_400),
-               "torus(22x22,dirac,dirac2)": (2, 242, 56_689_952),
-               "torus(5x5x5,flip_flop,grover)": (8, 81, 2_015_250),
-               "hypercube(7,flip_flop,grover)": (8, 135, 7_074_944),
-               "complete(32,swap,grover)": (8, 108, 4_722_688)}
+@pytest.mark.parametrize("spec", [*arenas("oracle", shift=("flip_flop", "moving", "swap")),
+                                  *arenas("swap")], ids=GraphSpec.label)
+def test_a_copied_block_is_its_source_through_the_swap(spec):
+    # dense_eigens solves one block of each pair the swap W exchanges and
+    # writes the other's phases as the same array, and its eigenvectors as
+    # the solved ones read through W: equal bit for bit
+    oracle = walklab.oracle
+    g = build_graph(spec)
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    phases, vectors = dense_eigens(op)
+    maps = oracle._split_maps(op)
+    blocks, copies = oracle._rotated_blocks(op, maps, np.empty((op.dim, op.dim)))
+    assert copies and all(np.array_equal(gather, op.symmetries[-1]) for _, gather in copies)
+    found = [oracle._reversal_eigens(rotated, m, np.empty_like(rotated))[0]
+             for rotated, m, _ in blocks]
+    found += [found[block] for block, _ in copies]
+    # the sorted column of each block position, as dense_eigens sorts them
+    columns = np.argsort(np.argsort(np.abs(np.concatenate(found)), kind="stable"))
+    starts = np.cumsum([0, *map(len, found)])
+    for (block, gather), start in zip(copies, starts[len(blocks):]):
+        source = columns[starts[block]:starts[block + 1]]
+        target = columns[start:start + len(found[block])]
+        assert np.array_equal(phases[target], phases[source])
+        assert np.array_equal(vectors[:, target], vectors[gather][:, source])
+
+
+def test_a_symmetry_after_the_swap_splits_the_blocks_it_maps_onto_themselves():
+    # a mirror after the swap commutes with it and splits every block, the
+    # solved one of each pair included, whose copy is copied half by half;
+    # the 2D torus's anti-diagonal reflection through the vertex, W times
+    # the point reflection, maps each axis mirror onto the other and W onto
+    # itself: it splits the blocks that W splits (acting on each as +-1)
+    # and maps the solved block of the pair onto the copied one, which it
+    # leaves whole; on the 4D torus a second swap, of axes 2 and 3, pairs
+    # blocks that the first swap copies, so a block is copied through
+    # either swap and through both.  Each way the phases are the unsplit
+    # solve's, by S alone
+    cube = build_graph(torus_spec(3, 3))
+    op = dense_unitary(cube, default_coin(cube, marked=(5,)))
+    first, second, third, swap = op.symmetries
+    square = build_graph(torus_spec(5))
+    flat = dense_unitary(square, default_coin(square, marked=(7,)))
+    across = flat.symmetries[-1][flat.symmetries[0][flat.symmetries[1]]]
+    tesseract = build_graph(torus_spec(3, 4))
+    four = dense_unitary(tesseract, default_coin(tesseract, marked=(5,)))
+    for base, symmetries, counts in (
+            (op, [first, second, swap, third], (10, 2)),
+            (flat, [*flat.symmetries, across], (5, 1)),  # the anti-diagonal splits no more
+            (four, [*four.symmetries, _axis_swap(tesseract, 5, (2, 3))], (24, 11))):
+        split = walklab.oracle.DenseOperator(base.dim, base.nonzeros, base.reflection, symmetries)
+        sizes, *_, copies = walklab.oracle._split_maps(split)
+        assert sizes.sum() + sum(sizes[:, block].sum() for block, _ in copies) == base.dim
+        assert (sizes.shape[1], len(copies)) == counts
+        phases, vectors = dense_eigens(split)
+        whole = _eigens(dense(base), base.reflection, flips=base.flips)[0]
+        assert np.max(np.abs(_fold(phases) - _fold(whole))) < 1e-12
+        _assert_eigensystem(dense(base), phases, vectors)
+
+
+# per oracle arena, marked at vertex 3 (or 0: the same), the blocks dense_eigens
+# solves, their largest eigh half and the sum of the halves' cubes, eigh's
+# flop count up to a constant, and the blocks it copies.  Split by one mirror,
+# the largest halves were 272, 156, 242, 225, 228 and 273, and the sums 67.9M,
+# 12.2M, 56.7M, 28.1M, 45.0M and 67.5M; by every mirror and no swap, 144, 84,
+# 242, 81, 135 and 108, and 17.2M, 3.1M, 56.7M, 2.0M, 7.1M and 4.7M.  The
+# dirac walk has no second reflection and no swap
+SPLIT_SIZES = {"torus(16x16,flip_flop,grover)": (5, 128, 6_389_760, 1),
+               "torus(12x12,moving,grover)": (5, 72, 1_150_848, 1),
+               "torus(22x22,dirac,dirac2)": (2, 242, 56_689_952, 0),
+               "torus(5x5x5,flip_flop,grover)": (10, 54, 728_485, 2),
+               "hypercube(7,flip_flop,grover)": (10, 78, 2_242_392, 2),
+               "complete(32,swap,grover)": (10, 96, 2_897_200, 2)}
 
 
 @pytest.mark.parametrize("spec", arenas("oracle"), ids=GraphSpec.label)
@@ -1076,10 +1176,10 @@ def test_the_split_sizes_of_each_oracle_arena(spec):
     g = build_graph(spec)
     for vertex in (3, 0):
         op = dense_unitary(g, default_coin(g, marked=(vertex,)))
-        halves = walklab.oracle._split_maps(op)[0]  # (2, blocks)
-        assert halves.sum() == op.dim
-        assert (halves.shape[1], halves.max(), np.sum(halves.astype(np.int64) ** 3)) \
-            == SPLIT_SIZES[spec.label()]
+        halves, *_, copies = walklab.oracle._split_maps(op)  # (2, solved blocks)
+        assert halves.sum() + sum(halves[:, block].sum() for block, _ in copies) == op.dim
+        assert (halves.shape[1], halves.max(), np.sum(halves.astype(np.int64) ** 3),
+                len(copies)) == SPLIT_SIZES[spec.label()]
 
 
 def test_exactly_two_phases_inside_arc():
@@ -1204,8 +1304,11 @@ def test_evolve_dense_never_reaches_blas(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec,marked", [
-    # the mirrors split first; dirac's reflection is signed on the marked rows
+    # the mirrors and the swap split first; dirac's reflection is signed on
+    # the marked rows
     *(pytest.param(spec, (0,), id=spec.label()) for spec in arenas("dense_cap")),
+    # the smallest arenas with a swap, the 3D torus among them
+    *(pytest.param(spec, (1,), id=spec.label()) for spec in arenas("swap")),
     # no mirror: the reflection alone
     pytest.param(torus_spec(22, shift="dirac"), (), id="dirac(22)-unmarked"),
     pytest.param(torus_spec(16), (0, 1), id="torus(16x16)-two-marked"),
@@ -1214,18 +1317,24 @@ def test_scattered_blocks_match_the_dense_rotation(spec, marked):
     # each block, scattered from U's nonzeros in the rows at orbit
     # representatives, is R^T U R for the dense character basis R of
     # helpers.character_basis, which is orthonormal and leaves no entry of
-    # R^T U R outside the blocks
+    # R^T U R outside the blocks; a block the swap W copies has the basis
+    # W R of its source's, and so its source's block
     oracle = walklab.oracle
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=marked))
-    blocks = oracle._rotated_blocks(op, np.empty((op.dim, op.dim)))
+    maps = oracle._split_maps(op)
+    blocks, copies = oracle._rotated_blocks(op, maps, np.empty((op.dim, op.dim)))
     basis = character_basis(op)
-    assert [(b.shape[0], m) for b, m, _ in blocks] == [(r.shape[1], m) for r, m in basis]
-    whole = scipy.sparse.csr_array(np.hstack([rotation for rotation, _ in basis]))
+    assert [(b.shape[0], m) for b, m, _ in blocks] \
+        == [(r.shape[1], m) for r, m, _ in basis[:len(blocks)]]
+    assert [(source, True) for _, _, source in basis[len(blocks):]] \
+        == [(block, np.array_equal(gather, op.symmetries[-1])) for block, gather in copies]
+    assert bool(copies) == (len(marked) == 1 and g.swap(marked[0]) is not None)
+    whole = scipy.sparse.csr_array(np.hstack([rotation for rotation, _, _ in basis]))
     assert np.max(np.abs((whole.T @ whole).toarray() - np.eye(op.dim))) <= 1e-15
     full = (whole.T @ (scipy.sparse.csr_array(dense(op)) @ whole)).toarray()
     start = 0
-    for rotated, _, _ in blocks:
+    for rotated in [b for b, _, _ in blocks] + [blocks[block][0] for block, _ in copies]:
         span = slice(start, start + len(rotated))
         assert np.max(np.abs(rotated - full[span, span])) <= 1e-15
         full[span, span] = 0.0
@@ -1319,6 +1428,26 @@ def test_involution_check_reads_an_absent_image_as_zero(delta):
             oracle._check_involutions(moved)
     else:
         oracle._check_involutions(moved)
+
+
+@pytest.mark.parametrize("pattern", ["kept", "broken"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_involution_check_refuses_a_value_that_is_not_finite(value, pattern):
+    # a NaN deviation is never above the tolerance, so the check asks
+    # whether each is within it; eigh never sees the operator.  With a new
+    # entry at a zero, the involutions no longer keep U's pattern, and each
+    # image is looked up (an inf read for an absent image becomes a NaN)
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(1,)))
+    matrix = dense(op)
+    matrix.reshape(-1)[op.nonzeros[0][0]] = value
+    if pattern == "broken":
+        matrix[0, int(np.flatnonzero(matrix[0] == 0)[0])] = 0.5
+    bad = _operator(matrix, op.reflection, op.symmetries, op.flips)  # taken as it stands
+    with pytest.raises(ArithmeticError, match="does not commute with the symmetry P"):
+        dense_eigens(bad)
+    with pytest.raises(ArithmeticError, match="no time reversal"):  # S alone
+        dense_eigens(walklab.oracle.DenseOperator(op.dim, bad.nonzeros, op.reflection))
 
 
 # engine functions that step a state; the oracle builds U' without them
