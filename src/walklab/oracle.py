@@ -8,6 +8,8 @@ without stepping a state through the engine and without the closed-form
 spectra of `spectral`.  Every walk here is real, so U' is a float64
 matrix, with only coin_dim nonzeros in each column, and DenseOperator
 holds it as that sorted nonzero listing alone, never as an n x n array.
+So only dense_eigens, whose complex eigenvectors make the one n x n array
+here, is capped (DIMENSION_CAP); the listing's routes are not.
 Every pass reads the listing whole: evolve_dense powers U' through each
 row's nonzeros, dense_eigens checks its involutions on them (each
 image's value read through one sort of the images) before it allocates,
@@ -29,12 +31,13 @@ character of G.  The arena's swap through the vertex (Graph.swap), which
 exchanges two of the reflections, then halves each block whose character
 it fixes and exchanges the others in pairs: one block of each pair is
 solved, and the other's eigenvectors are the solved ones read through
-the swap, copied a few rows at a time.  A signed permutation time
-reversal S, S U' S = U'^T, then splits each block in two (every relation
-is checked entry by entry on U''s nonzeros): S is the shift itself, the
-shift after the direction reversal on the moving torus
-(`Graph.reverse_moves`, the one owner of which move undoes which), and
-on the dirac walk the point reflection T of each coin row
+the swap, which the lift reads through the solved block's maps gathered
+by the swap: it writes every eigenvector, solved or copied.  A signed
+permutation time reversal S, S U' S = U'^T, then splits each block in
+two (every relation is checked entry by entry on U''s nonzeros): S is
+the shift itself, the shift after the direction reversal on the moving
+torus (`Graph.reverse_moves`, the one owner of which move undoes which),
+and on the dirac walk the point reflection T of each coin row
 (`Graph.reflect`) between two copies of the marking C' (dense_unitary).
 In S's eigenbasis U' + U'^T is two half-size blocks and U' - U'^T only
 maps each half into the other, so each eigenvector of the +1 half and
@@ -184,11 +187,6 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
     has no point symmetry it has none, and the reflection is None.
     """
     dim = graph.coin_dim * graph.n
-    if dim > DIMENSION_CAP:
-        raise ValueError(
-            f"dense oracle capped at dimension {DIMENSION_CAP}; "
-            f"requested coin_dim*N = {dim}"
-        )
     marked = graph.marked_set(marked)
     flips = None
     if graph.spec.shift != "dirac":
@@ -297,6 +295,10 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     that is not normal raises ArithmeticError instead of returning a wrong
     basis.
 
+    Only this n x n complex eigenvector array grows with dim^2, so an
+    operator past DIMENSION_CAP raises ValueError here, before anything is
+    allocated.
+
     The solve runs through the operator's involutions.  Each of its
     `symmetries` (involutive index permutations, each normalizing the ones
     before it) must commute with U, and its `reflection` (the signed
@@ -311,14 +313,19 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     eigenvector of the +1 half and its image under the skew part make a
     pair of U's eigenvectors (_reversal_eigens; either half may be empty).
     Of two blocks that a symmetry exchanges, one is solved and the other
-    copied (_copy): the same phases, and the solved eigenvectors read
-    through the symmetry.  All phases of all blocks are merged by |phase|
-    before any eigenvector is formed, and the lift reads each half's map
-    backward in real arithmetic: an original row has at most one
-    coordinate in each half of a block, so an eigenvector's real part
-    comes from its x alone and its imaginary part from its y alone, each
-    by one weighted gather into the original rows (_lift).
+    copied: the same phases, and the solved eigenvectors read through the
+    symmetry, which the lift forms from the solved block's eigenvectors
+    through its two maps read through the symmetry's gather, (into[gather],
+    weight[gather]).  All phases of all blocks are merged by |phase| before
+    any eigenvector is formed, and the lift reads each half's map backward
+    in real arithmetic: an original row has at most one coordinate in each
+    half of a block, so an eigenvector's real part comes from its x alone
+    and its imaginary part from its y alone, each by one weighted gather
+    into the original rows (_lift).
     """
+    if op.dim > DIMENSION_CAP:
+        raise ValueError(f"dense_eigens is capped at dimension {DIMENSION_CAP}: its complex "
+                         f"eigenvector array would be {op.dim} x {op.dim}")
     if op.reflection is None:
         raise ValueError("dense_eigens solves through a time reversal S of U (S U S = U^T), "
                          "and this operator has no reflection")
@@ -329,23 +336,20 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     maps = _split_maps(op)
     vectors, buffer = _eigenvector_buffer(op.dim)  # the first large allocation
     first, second = buffer
-    phases, found, starts = [], [], [0]
+    phases, found = [], []
     blocks, copies = _rotated_blocks(op, maps, second)
     for rotated, m, ways in blocks:
         block_phases, eigens = _reversal_eigens(rotated, m, _carve(first, rotated.shape)[0])
         phases.append(block_phases)
         found.append((eigens, ways))
-        starts.append(starts[-1] + rotated.shape[0])
     phases += [phases[block] for block, _ in copies]
+    ends = np.cumsum([len(part) for part in phases[:-1]])
     phases, columns = _sorted_columns(np.concatenate(phases))
-    for start, (eigens, ways) in zip(starts, found):
-        _lift(vectors.T, columns[start:], *eigens, *ways)
-    start = starts[-1]
-    for block, gather in copies:
-        size = starts[block + 1] - starts[block]
-        _copy(vectors.T, columns[starts[block]:starts[block + 1]], columns[start:start + size],
-              gather)
-        start += size
+    # each solved block through its own maps, then each copy through its solved block's
+    lifts = [*((block, slice(None)) for block in range(len(found))), *copies]
+    for at, (block, gather) in zip(np.split(columns, ends), lifts):
+        eigens, ways = found[block]
+        _lift(vectors.T, at, *eigens, *((into[gather], weight[gather]) for into, weight in ways))
     return phases, vectors
 
 
@@ -730,6 +734,8 @@ def _pair_near_still(plus: tuple, minus: tuple) -> None:
                       for a in (np.einsum("ij,ij->i", v, v) for v in (ys, azs)))
     for i, j in ((np.flatnonzero(near_x & (plus_eigs * sign > 0)),
                   np.flatnonzero(near_z & (minus_eigs * sign > 0))) for sign in (1, -1)):
+        if not i.size + j.size:  # nothing to re-pair on this side
+            continue
         # x . A z; with one group empty, the other turns by the identity
         turn_x, sines, turn_z = np.linalg.svd(ys[i] @ zs[j].T)
         xs[i], ys[i] = turn_x.T @ xs[i], turn_x.T @ ys[i]
@@ -760,7 +766,8 @@ def _gathered(vectors: np.ndarray, prescale: float, way: tuple) -> np.ndarray:
 
 def _lift(eigenrows: np.ndarray, columns: np.ndarray, xs: np.ndarray, ys: np.ndarray,
           still_x: np.ndarray, still_y: np.ndarray, x_way: tuple, y_way: tuple) -> None:
-    """Write one block's eigenvectors (_reversal_eigens), _LIFT_COLUMNS at a
+    """Write one block's eigenvectors (_reversal_eigens), or a copied
+    block's through its solved block's maps gathered, _LIFT_COLUMNS at a
     time, into their sorted rows of `eigenrows` (row j is eigenvector j;
     `columns` by the block's phase positions).  The turning pair
     (x, +-i y)/sqrt(2) takes its real part from x / sqrt(2) and its
@@ -784,18 +791,6 @@ def _lift(eigenrows: np.ndarray, columns: np.ndarray, xs: np.ndarray, ys: np.nda
             part = vectors[lo:lo + _LIFT_COLUMNS]
             eigenrows[columns[start + lo:start + lo + len(part)]] = _gathered(part, 1.0, way)
         start += len(vectors)
-
-
-def _copy(eigenrows: np.ndarray, sources: np.ndarray, targets: np.ndarray,
-          gather: np.ndarray) -> None:
-    """Write eigenvector sources[j] of `eigenrows` (row j is eigenvector j),
-    its entries read through `gather`, into row targets[j]: a copied block's
-    eigenvectors from its solved one's.  _LIFT_COLUMNS / 2 complex rows at a
-    time, so that each of the two temporaries holds _LIFT_COLUMNS rows of
-    dim float64s, as each of the lift's does."""
-    for lo in range(0, len(sources), _LIFT_COLUMNS // 2):
-        part = slice(lo, lo + _LIFT_COLUMNS // 2)
-        eigenrows[targets[part]] = np.take(eigenrows[sources[part]], gather, axis=1)
 
 
 def _carve(buffer: np.ndarray, *shapes: tuple[int, int]) -> list[np.ndarray]:

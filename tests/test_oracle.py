@@ -254,9 +254,17 @@ def test_unmarked_dirac_coin_is_the_identity():
 
 
 def test_dimension_cap():
+    # only dense_eigens' n x n eigenvector array is capped: the listing's
+    # routes run past the cap
+    from walklab import evolve_dense
     g = build_graph(torus_spec(32))  # 4 * 1024 = 4096 > 1024
+    op = dense_unitary(g, ())
+    assert op.unitarity_defect() == 0.0
+    start = uniform_state(g).vector
+    history = evolve_dense(op, start, 3)  # unmarked: the uniform state is fixed
+    assert np.max(np.abs(history - start)) < 1e-15
     with pytest.raises(ValueError, match="capped"):
-        dense_unitary(g, ())
+        dense_eigens(op)
 
 
 def _assert_eigensystem(matrix, phases, vectors, gram_tol=1e-12, recon_tol=1e-12):
@@ -387,6 +395,22 @@ def test_block_eigens_recovers_known_phases(seed, small):
     phases, vectors = _eigens(matrix, pairing, flips=flips)
     assert np.max(np.abs(_fold(phases) - expected)) < 1e-12
     _assert_eigensystem(matrix, phases, vectors)
+
+
+def test_near_still_pairing_runs_its_svd_only_where_a_vector_is_near_still(monkeypatch):
+    # no block of the oracle arenas, marked at vertex 0, has a vector near
+    # still, so no side of any block needs the cross block's SVD; a small
+    # angle does
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args: calls.append(args) or svd(*args))
+    for spec in arenas("oracle"):
+        g = build_graph(spec)
+        dense_eigens(dense_unitary(g, default_coin(g, marked=(0,))))
+    assert calls == []
+    matrix, _, (pairing, flips) = _orthogonal_with_known_phases(0, 1e-4)
+    _eigens(matrix, pairing, flips=flips)
+    assert calls
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -722,25 +746,35 @@ def test_dense_eigens_allocation_peak_at_the_dimension_cap(spec, marked):
     assert traced_peak(lambda: dense_eigens(op)) <= 4.5 * op.dim ** 2 * 8
 
 
-@pytest.mark.parametrize("spec", arenas("dense_cap"), ids=GraphSpec.label)
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(spec, id=spec.label()) for spec in arenas("dense_cap")),
+    # past the cap
+    pytest.param(torus_spec(32), id=torus_spec(32).label()),
+])
 def test_dense_eigens_refuses_before_it_allocates(spec):
     """One nonzero of U moved by 1e-9 breaks S U S = U^T (or P U P = U)
     there, and dense_eigens refuses it before it takes its 2 dim^2
     eigenvector buffer: its traced peak is the involution check's, 0.02-0.05
-    dim^2 float64s (0.19 at the complete graph, with numpy 2.4)."""
+    dim^2 float64s (0.19 at the complete graph, with numpy 2.4).  Past the
+    cap (2D L=32, 4096 dims) it refuses before the check, with a traced
+    peak of about 1 KiB."""
     g = build_graph(spec)
     op = dense_unitary(g, default_coin(g, marked=(0,)))
-    flat, values = op.nonzeros
-    values = values.copy()
-    values[values.size // 2] += 1e-9
-    moved = walklab.oracle.DenseOperator(op.dim, (flat, values), op.reflection, op.symmetries,
-                                         op.flips)
+    if op.dim > walklab.oracle.DIMENSION_CAP:
+        refused, bound = pytest.raises(ValueError, match="capped"), 16 * 1024
+    else:
+        flat, values = op.nonzeros
+        values = values.copy()
+        values[values.size // 2] += 1e-9
+        op = walklab.oracle.DenseOperator(op.dim, (flat, values), op.reflection, op.symmetries,
+                                          op.flips)
+        refused, bound = pytest.raises(ArithmeticError), 0.5 * op.dim ** 2 * 8
 
     def refuse():
-        with pytest.raises(ArithmeticError):
-            dense_eigens(moved)
+        with refused:
+            dense_eigens(op)
 
-    assert traced_peak(refuse) < 0.5 * op.dim ** 2 * 8
+    assert traced_peak(refuse) < bound
 
 
 @pytest.mark.parametrize("spec,marked", [
@@ -1219,6 +1253,39 @@ def test_compare_traces_flip_flop_vs_dense_and_negative_control():
     gm = build_graph(torus_spec(4, shift="moving"))
     moving = run_walk(gm, default_coin(gm, marked=(0,)), 50)
     assert np.max(np.abs(trace.p_marked - moving.p_marked)) > 1e-3
+
+
+@pytest.mark.parametrize("spec,steps", [
+    pytest.param(torus_spec(64), 300, id="torus(64x64)"),
+    pytest.param(torus_spec(16, 3), 200, id="torus(16x16x16)"),
+])
+def test_evolve_dense_matches_run_walk_past_the_cap(spec, steps):
+    # c02's comparison from the uniform start, at 16,384 and 24,576 dims:
+    # the cap binds dense_eigens alone
+    from walklab import evolve_dense
+    g = build_graph(spec)
+    coin = default_coin(g, marked=(3,))
+    op = dense_unitary(g, coin)
+    assert op.dim > 10 * walklab.oracle.DIMENSION_CAP
+    at_marked = evolve_dense(op, uniform_state(g).vector, steps).reshape(
+        steps + 1, g.coin_dim, g.n)[:, :, 3]
+    dense_p = np.sum(np.square(at_marked), axis=1)
+    assert np.max(np.abs(run_walk(g, coin, steps).p_marked - dense_p)) < 1e-12
+
+
+def test_evolve_dense_matches_step_from_an_asymmetric_start_past_the_cap():
+    # a random complex start and two marked vertices have no point symmetry,
+    # so a shift that moved each amplitude the wrong way would show here
+    from walklab import evolve_dense
+    g = build_graph(torus_spec(64))
+    coin = default_coin(g, marked=(3, 11))
+    state = random_state(g, seed=5)
+    history = evolve_dense(dense_unitary(g, coin), state.vector.copy(), 100)
+    worst = 0.0
+    for t in range(100):
+        step(state, coin)
+        worst = max(worst, float(np.max(np.abs(state.vector - history[t + 1]))))
+    assert worst < 1e-12
 
 
 def test_evolve_dense_keeps_a_real_history_for_a_real_start():
