@@ -244,6 +244,9 @@ def cmd_sweep(args):
         raise ConfigurationError("sweep needs --sides (torus sides, hypercube degrees "
                                  "or complete-graph orders)")
     specs = [build_spec(args, size) for size in args.sides]
+    for i, size in enumerate(args.sides):
+        if size in args.sides[:i]:
+            raise ConfigurationError(f"sweep sizes must be distinct, and {size} is given twice")
     points = sorted(map(sweep_point, specs), key=lambda r: r.n_vertices)
     # a row without a prediction (the moving shift) leaves the key out
     rows = [{key: value for key, value in asdict(row).items() if value is not None}
@@ -258,7 +261,7 @@ def cmd_two_marked(args):
     graph = build_graph(spec)
     v1, v2 = parse_vertex(args.v1, graph), parse_vertex(args.v2, graph)
     t_max = args.t_max if args.t_max is not None else 1000
-    result = run_two_marked(spec, v1, v2, t_max)
+    result = run_two_marked(graph, v1, v2, t_max)
     yield {
         "config": _walk_config(spec, (v1, v2), marking=spec.marking, t_max=t_max),
         "symmetry_residual": result.symmetry_residual,

@@ -22,17 +22,16 @@ walklab loads no second one), whose real eigenvectors its skew part
 U' - U'^T pairs into complex ones (see dense_eigens; a matrix that is
 not normal raises).
 Involutions split the eigensolve, and U' enters their joint eigenbasis
-one nonzero at a time.  Each symmetry normalizes the ones before it: it
-commutes with them, or maps each onto one of them under conjugation.
-With one marked vertex, the arena's commuting reflections through it
-(Graph.mirrors), lifted to the basis states (Graph.lift), generate a
-group G = Z_2^k of symmetries of U', and U' splits into one block per
-character of G.  The arena's swap through the vertex (Graph.swap), which
-exchanges two of the reflections, then halves each block whose character
-it fixes and exchanges the others in pairs: one block of each pair is
-solved, and the other's eigenvectors are the solved ones read through
-the swap, which the lift reads through the solved block's maps gathered
-by the swap: it writes every eigenvector, solved or copied.  A signed
+one nonzero at a time.  With one marked vertex, the arena's commuting
+reflections through it (Graph.mirrors), lifted to the basis states
+(Graph.lift), generate a group G = Z_2^k of symmetries of U', and U'
+splits into one block per character of G.  The arena's swap through the
+vertex (Graph.swap), the last symmetry, exchanges the first two
+reflections: it halves each block whose character bits 0 and 1 agree
+and exchanges the others in pairs, (1, 0) with (0, 1).  The first of
+each pair is solved, and the other's eigenvectors are the solved ones
+read through the swap, which the lift reads through the solved block's
+maps gathered by the swap: it writes every eigenvector.  A signed
 permutation time reversal S, S U' S = U'^T, then splits each block in
 two (every relation is checked entry by entry on U''s nonzeros): S is
 the shift itself, the shift after the direction reversal on the moving
@@ -85,12 +84,12 @@ class DenseOperator:
     e_reflection[j] elsewhere (an involution, S M S = M^T: the shift
     itself, the shift after the direction reversal on the moving torus,
     C' T C' on the dirac walk; see dense_unitary); and as `symmetries`
-    involutive index permutations that commute with M and S, each of which
-    normalizes the ones before it: it commutes with them, or maps each of
-    them onto one of them under conjugation (dense_unitary's are
-    Graph.mirrors through the one marked vertex, which commute and generate
-    a group Z_2^k, then Graph.swap, which exchanges two of them, each
-    lifted to the basis states by Graph.lift).
+    involutive index permutations that commute with M and S and with one
+    another, but for the last, which may instead exchange the first two
+    under conjugation and commute with the rest (dense_unitary's are
+    Graph.mirrors through the one marked vertex, which generate a group
+    Z_2^k, then Graph.swap, which exchanges the first two, each lifted to
+    the basis states by Graph.lift).
 
     An operator checks itself when it is built: complex values raise
     TypeError, real values of another dtype are taken as float64 (and the
@@ -102,10 +101,10 @@ class DenseOperator:
     symmetry that is no involutive permutation (any integer array-like,
     taken as an array), flips that are not one bool per index or differ on
     a 2-cycle of S or under a symmetry, flips without a reflection, a
-    symmetry that does not commute with S, or one that does not normalize
-    the symmetries before it, raise ValueError.  dense_eigens
-    checks, on M's nonzeros, that S is a time reversal of M and each
-    symmetry a symmetry of it."""
+    symmetry that does not commute with S, or one that does not commute
+    with the symmetries before it (the last but for that exchange), raise
+    ValueError.  dense_eigens checks, on M's nonzeros, that S is a time
+    reversal of M and each symmetry a symmetry of it."""
 
     dim: int
     nonzeros: tuple
@@ -139,13 +138,17 @@ class DenseOperator:
         self.flips = None if s is None else flips
         if s is not None and not np.array_equal(flips[s], flips):
             raise ValueError("the reflection's flips must agree on each of its 2-cycles")
+        last = len(self.symmetries) - 1
         for i, g in enumerate(self.symmetries):
             before = self.symmetries[:i]
-            if not all(any(np.array_equal(g[h[g]], e) for e in before) for h in before) \
+            images = [g[h[g]] for h in before]  # each one before, conjugated by g
+            exchanged = images[1::-1] + images[2:]  # the first two swapped back
+            if not (all(map(np.array_equal, images, before))
+                    or i == last and all(map(np.array_equal, exchanged, before))) \
                     or s is not None and not (np.array_equal(s[g], g[s])
                                               and np.array_equal(flips[g], flips)):
                 raise ValueError("the reflection and the symmetries must commute, but for "
-                                 "a symmetry that maps each one before it onto one of them")
+                                 "the last symmetry, which may exchange the first two")
 
     def unitarity_defect(self) -> float:
         """max |M^T M - I|, with M^T M formed only inside each group of
@@ -300,22 +303,22 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     allocated.
 
     The solve runs through the operator's involutions.  Each of its
-    `symmetries` (involutive index permutations, each normalizing the ones
-    before it) must commute with U, and its `reflection` (the signed
-    involutive permutation S of `reflection` and `flips`, which commutes
-    with them) must be a time reversal of U, S U S = U^T: all are checked
-    on every nonzero of U, which sees every entry, else ArithmeticError
-    (_check_involutions), before the eigenvector buffer is taken; an
-    operator without a reflection raises ValueError.  U splits into one
-    block per joint eigenspace of the symmetries that split it, each
-    formed straight in S's eigenbasis from U's nonzeros in the rows at its
-    coordinates' least indices (_split_maps, _rotated_blocks), where each
+    `symmetries` (involutive index permutations: commuting mirrors, then
+    perhaps a swap of the first two) must commute with U, and its
+    `reflection` (the signed involutive permutation S of `reflection` and
+    `flips`, which commutes with them) must be a time reversal of U,
+    S U S = U^T: all are checked on every nonzero of U, which sees every
+    entry, else ArithmeticError (_check_involutions), before the
+    eigenvector buffer is taken; an operator without a reflection raises
+    ValueError.  U splits into one block per joint eigenspace of the
+    involutions, each formed straight in S's eigenbasis from U's nonzeros
+    in the rows at its coordinates' least indices (_split_maps, _rotated_blocks), where each
     eigenvector of the +1 half and its image under the skew part make a
     pair of U's eigenvectors (_reversal_eigens; either half may be empty).
-    Of two blocks that a symmetry exchanges, one is solved and the other
+    Of two blocks that the swap exchanges, one is solved and the other
     copied: the same phases, and the solved eigenvectors read through the
-    symmetry, which the lift forms from the solved block's eigenvectors
-    through its two maps read through the symmetry's gather, (into[gather],
+    swap, which the lift forms from the solved block's eigenvectors
+    through its two maps read through the swap's gather, (into[gather],
     weight[gather]).  All phases of all blocks are merged by |phase| before
     any eigenvector is formed, and the lift reads each half's map backward
     in real arithmetic: an original row has at most one coordinate in each
@@ -455,20 +458,20 @@ def _split_maps(op: DenseOperator) -> tuple:
     where it enters none).  copies lists the blocks that are not solved, in
     turn, each as (b, gather): its eigenvectors are block b's, v[gather].
 
-    Each involution in turn splits every block that it maps onto itself,
-    coordinate onto +- coordinate (_maps_onto), into its +1 half and its -1
-    half, and drops the empty ones (S keeps them).  One that commutes with
-    the symmetries before it (and S) splits every block.  One that only
-    normalizes them, as the swap does, maps each block onto one that holds
-    the conjugated character: of two blocks it exchanges, the later is
-    dropped and copied from the earlier through the involution, as are the
-    later's own copies, and a block it neither splits nor pairs stays whole.
-    So with commuting symmetries U has one block per character chi of the
-    group they generate that has a vector, in the order of c = sum of
-    2^(l-1) over the l with chi(g_l) = -1, and each later involution puts
-    its +1 halves and the whole blocks before its -1 halves.  A coordinate
-    is known by the least index it holds, whose weight is positive; in a
-    block it splits, the involution maps a coordinate to the one that holds
+    Each involution in turn splits every block that it maps onto itself
+    into its +1 half and its -1 half, and drops the empty ones (S keeps
+    them).  A mirror, which commutes with the involutions before it,
+    splits every block, so the mirrors leave one block per character chi
+    of the group they generate that has a vector, in the order of its bits
+    c = sum of 2^(l-1) over the l with chi(g_l) = -1.  The swap, the last
+    symmetry, exchanges g_1 and g_2, so it maps block c onto the block of
+    c with bits 0 and 1 exchanged: it splits the blocks whose two bits
+    agree, and of each pair it exchanges, the block whose bits 0 and 1
+    read (1, 0) is kept whole and the later one, (0, 1), is dropped and
+    copied from it through the swap.  The swap and S put their +1 halves
+    and the whole blocks before their -1 halves.  A coordinate is known by
+    the least index it holds, whose weight is positive; in a block it
+    splits, the involution maps a coordinate to the one that holds
     that index's image, negated where the image's weight is negative or the
     involution is signed there.  A 2-cycle of coordinates p < q gives
     (e_p + e_q)/sqrt(2) to the +1 half and (e_p - e_q)/sqrt(2) to the -1
@@ -486,27 +489,23 @@ def _split_maps(op: DenseOperator) -> tuple:
     index = np.arange(n)
     # per block and index: the least index of its coordinate (-1: none), its
     # weight's sign and how many 2-cycles merged its coordinate; per block,
-    # the gathers that copy it
+    # its character's bits and whether the swap copies it
     lead, negated = np.arange(n)[None], np.zeros((1, n), dtype=bool)
-    merges, copies = np.zeros((1, n), np.int8), [[]]
+    merges, chars, copied = np.zeros((1, n), np.int8), np.zeros(1, np.intp), np.zeros(1, bool)
     involutions = [*((g, np.zeros(n, dtype=bool)) for g in op.symmetries),
                    (op.reflection, op.flips)]
     for level, (image, flipped) in enumerate(involutions):
-        blocks = np.arange(len(lead))
-        whole = np.zeros(blocks.size, dtype=bool)  # a commuting involution splits every block
+        whole = np.zeros(len(lead), dtype=bool)  # a commuting involution splits every block
         if level == k:
             reads = np.where(lead == index, np.ldexp(1.0, merges), 0.0)
-        elif not all(np.array_equal(image[g], g[image]) for g in op.symmetries[:level]):
-            whole = ~_maps_onto(lead, negated, image, blocks, blocks)
-            b, c = (blocks[whole][part] for part in np.triu_indices(np.count_nonzero(whole), 1))
-            count = np.count_nonzero(lead == index, axis=1)  # coordinates per block
-            pairs = (count[b] == count[c]) & _maps_onto(lead, negated, image, b, c)
-            for b, c in zip(b[pairs], c[pairs]):  # it exchanges b and c: c is dropped
-                lead[c] = -1
-                copies[b] = [*copies[b], image, *(image[gather] for gather in copies[c])]
+        elif not np.array_equal(image[op.symmetries[0]], op.symmetries[0][image]):
+            low = chars & 3  # the swap exchanges bits 0 and 1
+            whole = (low == 1) | (low == 2)
+            lead[low == 2] = -1  # the copy of the block of low == 1
+            copied = low == 1
         inside, at = lead >= 0, np.maximum(lead, 0)
         place = image[at]  # of each coordinate's image, in the flat blocks
-        place += blocks[:, None] * n
+        place += np.arange(len(lead))[:, None] * n
         partner, minus = lead.take(place), negated.take(place)
         minus ^= flipped[at]  # the involution negates the coordinate
         merged, later, moved = np.minimum(at, partner), partner < at, partner != at
@@ -521,7 +520,8 @@ def _split_maps(op: DenseOperator) -> tuple:
         if level < k:
             kept = (lead >= 0).any(axis=1)
             lead, negated, merges = lead[kept], negated[kept], merges[kept]
-            copies = [copied for copied, keep in zip(copies * 2, kept) if keep]
+            chars = np.concatenate([chars, chars | 1 << level])[kept]
+            copied = np.concatenate([copied, np.zeros_like(copied)])[kept]
     held = lead == index
     at = np.maximum(lead, 0)
     at += np.arange(len(lead))[:, None] * n
@@ -532,24 +532,7 @@ def _split_maps(op: DenseOperator) -> tuple:
     np.negative(weights, out=weights, where=negated)
     weights[lead < 0] = 0.0
     return (held.sum(axis=1).reshape(2, -1), into.reshape(2, -1, n), weights.reshape(2, -1, n),
-            reads, [(b, gather) for b, gathers in enumerate(copies) for gather in gathers])
-
-
-def _maps_onto(lead: np.ndarray, negated: np.ndarray, image: np.ndarray,
-               targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Per pair p, whether the involution `image` maps each coordinate of
-    block sources[p] into one coordinate of block targets[p] (blocks as
-    _split_maps holds them), onto it where the two blocks have as many
-    coordinates: every index of the source and no other has its image in
-    the target, and the images of one coordinate's indices lie in one
-    coordinate there, with the signs they have relative to one another in
-    the source."""
-    held, at = lead[sources] >= 0, np.maximum(lead[sources], 0)
-    at += np.arange(len(at))[:, None] * lead.shape[1]
-    moved, sign = (part.take(targets, axis=0).take(image, axis=1) for part in (lead, negated))
-    landed = moved.take(at) == moved
-    alike = sign.take(at) ^ sign == negated[sources]
-    return np.where(held, (moved >= 0) & landed & alike, moved < 0).all(axis=1)
+            reads, [(b, op.symmetries[-1]) for b in np.flatnonzero(copied).tolist()])
 
 
 def _column_groups(n: int, nonzeros: tuple) -> list[np.ndarray]:

@@ -212,7 +212,7 @@ def _flip_symmetric_pair(state: WalkState, v1: int, v2: int) -> None:
     amps[:, v2] -= 2.0 * comp / math.sqrt(2 * d)
 
 
-def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedResult:
+def run_two_marked(graph: Graph, v1: int, v2: int, t_max: int) -> TwoMarkedResult:
     """Two-marked walk with its symmetry and reduction diagnostics.
 
     Tracks (a) invariance of the evolved state under the v1 <-> v2 grid
@@ -221,10 +221,9 @@ def run_two_marked(spec: GraphSpec, v1: int, v2: int, t_max: int) -> TwoMarkedRe
     between the two-marked-coin walk and the walk whose marking is the
     single reflection about the symmetrized state (|s,v1> + |s,v2>)/sqrt(2).
     """
-    if spec.family != "torus" or spec.shift != "flip_flop":
+    if graph.spec.family != "torus" or graph.spec.shift != "flip_flop":
         raise ConfigurationError("two-marked analysis runs on flip-flop tori")
     _check_count("t_max", t_max)
-    graph = build_graph(spec)
     marked = graph.marked_set((v1, v2))
     mirror = graph.lift(graph.reflect(np.add(graph.vertex_coords(v1), graph.vertex_coords(v2))))
 
@@ -299,12 +298,14 @@ def sweep_point(spec: GraphSpec) -> SweepRow:
 
 
 def fit_exponent(rows: list[SweepRow]) -> float | None:
-    """Least-squares slope of log2(t_star) vs log2(N), smallest size dropped
-    (finite-size transients distort it).  None when underdetermined or when
+    """Least-squares slope of log2(t_star) vs log2(N), the rows of the
+    smallest N dropped (finite-size transients distort it).  None when
+    fewer than two distinct N are left (the fit is underdetermined), or when
     some peak sits at t = 0 (a stalled walk has no scaling law to fit)."""
-    if len(rows) < 3:
+    rows = sorted(rows, key=lambda r: r.n_vertices)
+    rows = [r for r in rows if r.n_vertices > rows[0].n_vertices]
+    if len({r.n_vertices for r in rows}) < 2:
         return None
-    rows = sorted(rows, key=lambda r: r.n_vertices)[1:]
     peaks = [r.t_star for r in rows]
     if any(t < 1 for t in peaks):
         return None

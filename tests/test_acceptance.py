@@ -277,14 +277,14 @@ def test_c12_two_marked():
     started = time.time()
     g = build_graph(torus_spec(16))
     v2 = g.vertex_index((5, 7))
-    result = run_two_marked(torus_spec(16), 0, v2, 1000)
+    result = run_two_marked(g, 0, v2, 1000)
     assert result.symmetry_residual < 1e-10
     assert result.reflection_form_deviation < 1e-10
 
     # the pair rotates at its own (higher) rate; give the window headroom
     report = predict(torus_spec(16))
     window = 3 * report.peak_steps
-    pair_peak = find_peak(run_two_marked(torus_spec(16), 0, v2, window).trace)
+    pair_peak = find_peak(run_two_marked(g, 0, v2, window).trace)
     single = sweep_point(torus_spec(16))
     ratio = pair_peak.p_star / single.p_star
     assert 0.5 <= ratio <= 2.0

@@ -676,3 +676,10 @@ def test_sides_with_an_empty_item_are_refused(capsys, sides):
         run_cli(["sweep", "--sides", sides, "--out", os.devnull])
     assert exit_info.value.code == 2
     assert f"expected comma-separated integers, got {sides!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sides", ["8,8,8", "8,16,8"])
+def test_a_repeated_sweep_size_is_refused(capsys, sides):
+    # a size given twice would fit the exponent to one N twice over
+    assert run_cli(["sweep", "--sides", sides, "--out", os.devnull]) == 2
+    assert "sweep sizes must be distinct, and 8 is given twice" in capsys.readouterr().err

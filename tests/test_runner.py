@@ -221,7 +221,7 @@ def test_amplify_rejects_an_empty_marked_set():
 def test_two_marked_symmetry_and_reduction(side):
     # on side 2 the two senses of an axis share a target, and the lift keeps the label
     graph = build_graph(torus_spec(side))
-    res = run_two_marked(torus_spec(side), 0, graph.vertex_index((3, 5)), 200)
+    res = run_two_marked(graph, 0, graph.vertex_index((3, 5)), 200)
     assert res.symmetry_residual < 1e-10
     assert res.reflection_form_deviation < 1e-10
     assert res.trace.p_marked[0] == pytest.approx(2 / graph.n, abs=1e-12)
@@ -229,12 +229,12 @@ def test_two_marked_symmetry_and_reduction(side):
 
 def test_two_marked_rejects_same_vertex():
     with pytest.raises(ConfigurationError):
-        run_two_marked(torus_spec(8), 3, 3, 10)
+        run_two_marked(build_graph(torus_spec(8)), 3, 3, 10)
 
 
 def test_two_marked_rejects_other_shifts():
     with pytest.raises(ConfigurationError, match="two-marked analysis runs on flip-flop tori"):
-        run_two_marked(torus_spec(4, shift="moving"), 0, 5, 3)
+        run_two_marked(build_graph(torus_spec(4, shift="moving")), 0, 5, 3)
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -254,6 +254,14 @@ def test_fit_exponent_drops_smallest_by_default():
     without = np.polyfit(np.log2([r.n_vertices for r in rows]),
                          np.log2([r.t_star for r in rows]), 1)[0]
     assert with_drop != pytest.approx(without)
+
+
+def test_fit_exponent_needs_two_distinct_sizes_past_the_smallest():
+    # the rows of the smallest N are dropped; one N left gives no slope,
+    # where a fit would be rank-deficient
+    small, large = sweep_point(torus_spec(4)), sweep_point(torus_spec(8))
+    for rows in ([small] * 3, [small, large, large], [small, small, large], []):
+        assert fit_exponent(rows) is None
 
 
 def test_moving_sweep_stays_flat():
@@ -402,6 +410,6 @@ def test_a_count_that_is_no_integer_is_refused(value):
     g = build_graph(torus_spec(4))
     for entry in (lambda: run_walk(g, (1,), value), lambda: amplify(g, (1,), value, 1),
                   lambda: amplify(g, (1,), 2, value),
-                  lambda: run_two_marked(torus_spec(4), 0, 5, value)):
+                  lambda: run_two_marked(g, 0, 5, value)):
         with pytest.raises(ConfigurationError, match=re.escape(repr(value))):
             entry()
