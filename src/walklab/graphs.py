@@ -7,7 +7,8 @@ directions come in axis pairs (axis 0 +, axis 0 -, axis 1 +, ...);
 hypercube direction i flips bit i; on the complete graph the direction
 register names the target vertex.  This module alone spells the arena's
 geometry: the step set (`GraphSpec.steps`), the point reflections
-(`Graph.reflect`) and which move undoes which (`Graph.reverse_moves`).
+(`Graph.reflect`), which move undoes which (`Graph.reverse_moves`) and
+which maps fix the marked set (`Graph.symmetries`).
 """
 
 from __future__ import annotations
@@ -223,79 +224,59 @@ class Graph:
         around = self.closed_neighborhood((vertex,))
         return around[around != vertex]
 
-    def mirrors(self, vertex: int) -> tuple[np.ndarray, ...]:
-        """Commuting involutive automorphisms g[v] of the arena, none the
-        identity, that fix `vertex` and, lifted, commute with the step:
-        generators of the group Z_2^k by which the dense oracle splits U'.
+    def symmetries(self, marked) -> tuple[np.ndarray, ...]:
+        """Involutive automorphisms g[v] of the arena that fix the marked set
+        (`marked_set`) and, lifted, commute with the step: the chain by which
+        the dense oracle splits U'.  For one marked vertex w, its mirrors,
+        commuting and none the identity, which generate Z_2^k; then, where
+        there are two or more mirrors for it to exchange, the swap, which maps
+        each mirror onto one of them under conjugation, the first two
+        exchanged.  () for any other marked set.
 
-        torus       each axis reflected through `vertex`; dirac: the last
-                    alone, as no other commutes with its step
-        hypercube   x -> w ^ pi_i(x ^ w), pi_i swapping bits 2i and 2i + 1
-        complete    the labels 0, 1, ... of the other vertices, in index
-                    order, XORed with 2^i, i < k, in each whole run of 2^k;
-                    k the most whose runs hold two thirds of them
+        torus       mirrors: each axis reflected through w (dirac: the last
+                    alone, as no other commutes with its step); swap: axes 0
+                    and 1 exchanged through w
+        hypercube   x -> w ^ pi(x ^ w); mirrors: pi swapping bits 2i and
+                    2i + 1; swap: pi exchanging bits 0 and 2, and 1 and 3
+        complete    the other vertices labelled 0, 1, ... in index order, in
+                    whole runs of 2^k, k the most whose runs hold two thirds
+                    of them; mirrors: label bit i < k flipped; swap: label
+                    bits 0 and 1 exchanged
+        The dirac walk's one mirror has no swap, and none would commute with
+        its U': no signed permutation of a coin swap and signs times a
+        dihedral map through w does (all searched at L = 6).
         """
-        (vertex,) = self._vertices((vertex,), "vertices")
-        family, index = self.spec.family, np.arange(self.n, dtype=np.int64)
-        if family == "torus":
-            centre = 2 * np.array(self.vertex_coords(vertex))
-            axes = [-1] if self.spec.shift == "dirac" else range(len(centre))
-            maps = [self.reflect(centre[axis], axes=(axis,)) for axis in axes]
-        elif family == "hypercube":
+        marked = self.marked_set(marked)
+        if len(marked) != 1:
+            return ()
+        (vertex,), index = marked, np.arange(self.n, dtype=np.int64)
+        if self.spec.family == "torus":
+            w = np.array(self.vertex_coords(vertex))
+            axes = [-1] if self.spec.shift == "dirac" else range(w.size)
+            mirrors = [self.reflect(2 * w[axis], axes=(axis,)) for axis in axes]
+            coords = self.coordinates()  # axes 0 and 1 exchanged; 1D: axis 0 kept
+            coords[:2] = coords[1::-1] + (w[:2] - w[1::-1])[:, None]
+            swap = self.vertex_index(coords)
+        elif self.spec.family == "hypercube":
             flipped = index ^ vertex  # bits b and b + 1 of x ^ w swap where they differ
-            maps = [index ^ (((flipped >> b) ^ (flipped >> b + 1)) & 1) * (3 << b)
-                    for b in range(0, self.spec.dims[0] - 1, 2)]
+            mirrors = [index ^ (((flipped >> b) ^ (flipped >> b + 1)) & 1) * (3 << b)
+                       for b in range(0, self.spec.dims[0] - 1, 2)]
+            swap = vertex ^ (flipped & ~0b1111 | (flipped & 0b11) << 2 | (flipped >> 2) & 0b11)
         else:
-            runs, bits = self._label_runs(vertex)
-            label = np.arange(runs.size)
-            maps = [index.copy() for _ in range(bits)]
-            for bit, g in enumerate(maps):
-                g[runs] = runs[label ^ (1 << bit)]
-        return tuple(g for g in maps if np.any(g != index))
-
-    def swap(self, vertex: int) -> np.ndarray | None:
-        """One involutive automorphism g[v] of the arena that fixes `vertex`,
-        commutes, lifted, with the step and maps each of `mirrors(vertex)`
-        onto one of them under conjugation, exchanging the first two: the
-        dense oracle pairs the blocks it exchanges.  None where there is none.
-
-        torus       axes 0 and 1 exchanged through `vertex` (flip-flop and
-                    moving tori of two or more axes and side >= 3)
-        hypercube   x -> w ^ tau(x ^ w), tau exchanging bits 0 and 2, and 1
-                    and 3: the mirrors' first two bit pairs (degree >= 4)
-        complete    label bits 0 and 1 exchanged inside the mirrors' whole
-                    runs of 2^k labels (k >= 2)
-        dirac       none: past its one mirror, no signed permutation of a
-                    coin swap and signs times a dihedral map through the
-                    vertex commutes with its U' (all searched at L = 6)"""
-        (vertex,) = self._vertices((vertex,), "vertices")
-        spec, index = self.spec, np.arange(self.n, dtype=np.int64)
-        if spec.family == "torus":
-            if spec.shift == "dirac" or len(spec.dims) < 2 or spec.dims[0] < 3:
-                return None
-            coords, (w0, w1) = self.coordinates(), self.vertex_coords(vertex)[:2]
-            coords[:2] = coords[1] + w0 - w1, coords[0] + w1 - w0
-            return self.vertex_index(coords)
-        if spec.family == "hypercube":
-            if spec.dims[0] < 4:
-                return None
-            flipped = index ^ vertex
-            return vertex ^ (flipped & ~0b1111 | (flipped & 0b11) << 2 | (flipped >> 2) & 0b11)
-        runs, bits = self._label_runs(vertex)
-        if bits < 2:
-            return None
-        label, g = np.arange(runs.size), index.copy()
-        g[runs] = runs[label & ~0b11 | (label & 1) << 1 | (label >> 1) & 1]
-        return g
-
-    def _label_runs(self, vertex: int) -> tuple[np.ndarray, int]:
-        """The complete graph's vertices other than `vertex` in whole runs
-        of 2^k, in index order (a vertex's label is its place here), and k:
-        the most for which whole runs hold two thirds of the others."""
-        others = np.flatnonzero(np.arange(self.n) != vertex)
-        bits = max(k for k in range(others.size.bit_length())
-                   if 3 * (others.size >> k << k) >= 2 * others.size)
-        return others[:others.size >> bits << bits], bits
+            others = np.flatnonzero(index != vertex)
+            bits = max(k for k in range(others.size.bit_length())
+                       if 3 * (others.size >> k << k) >= 2 * others.size)
+            runs = others[:others.size >> bits << bits]
+            mirrors, swap = [index.copy() for _ in range(bits)], index.copy()
+            for bit, g in enumerate(mirrors):  # axis 1: the labels' bit `bit`
+                pairs = runs.reshape(-1, 2, 1 << bit)
+                g[pairs] = pairs[:, ::-1]
+            quads = runs[:runs.size >> 2 << 2].reshape(-1, 4)  # all runs where k >= 2
+            swap[quads] = quads[:, [0, 2, 1, 3]]
+        mirrors = [g for g in mirrors if np.any(g != index)]
+        # the one rule for the swap: it follows only where it has two mirrors
+        # to exchange (elsewhere the map built above need be no automorphism)
+        return (*mirrors, swap) if len(mirrors) >= 2 else tuple(mirrors)
 
     def reflect(self, total, axes=None) -> np.ndarray:
         """The torus vertex map v -> total - v on `axes` (every axis if None),

@@ -22,14 +22,13 @@ walklab loads no second one), whose real eigenvectors its skew part
 U' - U'^T pairs into complex ones (see dense_eigens; a matrix that is
 not normal raises).
 Involutions split the eigensolve, and U' enters their joint eigenbasis
-one nonzero at a time.  With one marked vertex, the arena's commuting
-reflections through it (Graph.mirrors), lifted to the basis states
-(Graph.lift), generate a group G = Z_2^k of symmetries of U', and U'
-splits into one block per character of G.  The arena's swap through the
-vertex (Graph.swap), the last symmetry, exchanges the first two
-reflections: it halves each block whose character bits 0 and 1 agree
-and exchanges the others in pairs, (1, 0) with (0, 1).  The first of
-each pair is solved, and the other's eigenvectors are the solved ones
+one nonzero at a time: the arena's maps that fix the marked set
+(Graph.symmetries), lifted (Graph.lift).  With one marked vertex, its
+commuting mirrors generate a group G = Z_2^k, and U' splits into one
+block per character of G.  The swap, the last symmetry, exchanges the
+first two mirrors: it halves each block whose character bits 0 and 1
+agree and exchanges the others in pairs, (1, 0) with (0, 1).  The first
+of each pair is solved, and the other's eigenvectors are the solved ones
 read through the swap, which the lift reads through the solved block's
 maps gathered by the swap: it writes every eigenvector.  A signed
 permutation time reversal S, S U' S = U'^T, then splits each block in
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, is_integer
+from .graphs import ConfigurationError, Graph, is_integer
 
 DIMENSION_CAP = 1024
 # each 2-cycle of an involution puts this weight on its two indices in its eigenbasis
@@ -87,9 +86,7 @@ class DenseOperator:
     involutive index permutations that commute with M and S and with one
     another, but for the last, which may instead exchange the first two
     under conjugation and commute with the rest (dense_unitary's are
-    Graph.mirrors through the one marked vertex, which generate a group
-    Z_2^k, then Graph.swap, which exchanges the first two, each lifted to
-    the basis states by Graph.lift).
+    Graph.symmetries of its marked set, lifted by Graph.lift).
 
     An operator checks itself when it is built: complex values raise
     TypeError, real values of another dtype are taken as float64 (and the
@@ -187,7 +184,8 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
     permutation shift here is an involution, its own time reversal, kept
     as `reflection`: DenseOperator refuses one that is not.  The dirac
     walk's time reversal is signed (_dirac_reversal); where the marked set
-    has no point symmetry it has none, and the reflection is None.
+    has no point symmetry it has none, and the reflection is None.  The
+    symmetries are Graph.symmetries of the marked set, lifted (Graph.lift).
     """
     dim = graph.coin_dim * graph.n
     marked = graph.marked_set(marked)
@@ -202,9 +200,8 @@ def dense_unitary(graph: Graph, marked) -> DenseOperator:
         first = _butterfly(_shifted_coin(graph, marked, _half_move(graph, (0, 1))), dim, 1.0)
         nonzeros = _butterfly(first, dim, 0.5, _half_move(graph, (2, 3)))
         reflection, flips = _dirac_reversal(graph, marked)
-    maps = (*graph.mirrors(marked[0]), graph.swap(marked[0])) if len(marked) == 1 else ()
     return DenseOperator(dim, nonzeros, reflection,
-                         [graph.lift(g) for g in maps if g is not None], flips)
+                         [graph.lift(g) for g in graph.symmetries(marked)], flips)
 
 
 def _dirac_reversal(graph: Graph, marked: tuple[int, ...]) -> tuple:
@@ -802,7 +799,10 @@ def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarra
     the (steps+1, dim) history, float64 for a real start and complex for a
     complex one.  Each step gathers the state at every row's nonzero
     columns (_row_slots) and sums each row with one np.einsum: no BLAS
-    call, so the history's bits do not depend on the thread count."""
+    call, so the history's bits do not depend on the thread count; steps
+    that are no non-negative integer raise ConfigurationError."""
+    if not is_integer(steps) or steps < 0:
+        raise ConfigurationError(f"steps must be a non-negative integer, got {steps!r}")
     out = np.empty((steps + 1, op.dim), dtype=np.result_type(vector, op.nonzeros[1]))
     out[0] = vector
     columns, weights = _row_slots(op, out.dtype)

@@ -110,7 +110,7 @@ ARENA_SETS = {
     # arenas whose mirror swaps some 2-cycles of the shift itself: the 3D
     # torus of side 3 and complete graphs of odd and even order
     "mirror_swaps": (torus_spec(3, 3), complete_spec(5), complete_spec(8)),
-    # the smallest arenas with a swap (Graph.swap) in each family and shift
+    # the smallest arenas with a swap (Graph.symmetries) in each family and shift
     # that has one, and the first with more mirrors than the two it exchanges
     "swap": (torus_spec(3), torus_spec(3, shift="moving"), torus_spec(3, 3), hypercube_spec(4),
              hypercube_spec(6), complete_spec(5), complete_spec(9)),

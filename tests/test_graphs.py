@@ -137,13 +137,15 @@ def test_torus_shift_commutes_with_translations(side, ndim, shift, data):
 
 def test_out_of_range_indices():
     # one vertex check for every lookup: a bool or a float is no vertex, even
-    # where it equals one
+    # where it equals one, and a marked set repeats no vertex
     g = build_graph(torus_spec(4))
     for vertex in (-1, 16, True, 2.0):
         with pytest.raises(ConfigurationError):
             g.neighbors(vertex)
         with pytest.raises(ConfigurationError):
-            g.mirrors(vertex)
+            g.symmetries((vertex,))
+    with pytest.raises(ConfigurationError, match="distinct"):
+        g.symmetries((3, 3))
 
 
 def test_vertex_indexing_first_coordinate_fastest():
@@ -273,7 +275,8 @@ def test_arena_fixes_the_marking():
 def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
     g = build_graph(spec)
     vertices = sorted({0, 3 % g.n, g.n - 1})
-    maps = [(mirror, vertex, vertex) for vertex in vertices for mirror in g.mirrors(vertex)]
+    maps = [(mirror, vertex, vertex) for vertex in vertices
+            for mirror in g.symmetries((vertex,))]
     if spec.family == "torus":  # the point reflection through (u + w)/2 swaps u and w
         maps += [(g.reflect(np.add(g.vertex_coords(u), g.vertex_coords(w))), u, w)
                  for u in vertices for w in vertices]
@@ -287,7 +290,7 @@ def test_mirror_is_an_involutive_automorphism_fixing_its_vertex(spec):
 @pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)
 def test_lift_sends_each_direction_to_the_image_of_its_target(spec):
     g = build_graph(spec)
-    (mirror, *_) = g.mirrors(3 % g.n) or (np.arange(g.n),)
+    (mirror, *_) = g.symmetries((3 % g.n,)) or (np.arange(g.n),)
     lift = g.lift(mirror).reshape(g.coin_dim, g.n)
     targets = g.shift_targets()[:g.coin_dim]
     assert np.array_equal(np.sort(lift.ravel()), np.arange(g.coin_dim * g.n))
@@ -307,13 +310,15 @@ def _mirror_id(case):
                                   for spec in arenas(name) for where in ("first", "last")],
                          ids=_mirror_id)
 def test_mirrors_are_commuting_reflections_through_the_vertex(case):
-    # each of Graph.mirrors is an involutive automorphism that fixes its
-    # vertex and is no identity; they commute pairwise and, lifted, with a
-    # permutation shift (the oracle checks every shift's U' against them)
+    # each mirror of Graph.symmetries is an involutive automorphism that
+    # fixes its vertex and is no identity; they commute pairwise and, lifted,
+    # with a permutation shift (the oracle checks every shift's U' against
+    # them)
     spec, where = case
     g = build_graph(spec)
     vertex = 0 if where == "first" else g.n - 1
-    mirrors = g.mirrors(vertex)
+    chain = g.symmetries((vertex,))
+    mirrors = chain[:-1] if len(chain) >= 3 else chain  # a swap follows two or more mirrors
     lifts = [g.lift(mirror) for mirror in mirrors]
     for mirror, lift in zip(mirrors, lifts):
         assert mirror[vertex] == vertex and np.any(mirror != np.arange(g.n))
@@ -349,51 +354,49 @@ def test_mirror_maps_of_each_family():
     vertex = torus.vertex_index((1, 2, 3))
     for u in range(torus.n):
         x, y, z = torus.vertex_coords(u)
-        assert [mirror[u] for mirror in torus.mirrors(vertex)] == [
+        assert [mirror[u] for mirror in torus.symmetries((vertex,))[:3]] == [
             torus.vertex_index(c) for c in ((2 - x, y, z), (x, 4 - y, z), (x, y, 6 - z))]
     dirac = build_graph(torus_spec(5, shift="dirac"))  # its last axis alone
-    assert np.array_equal(*dirac.mirrors(7), dirac.reflect(2 * 1, axes=(-1,)))
+    assert np.array_equal(*dirac.symmetries((7,)), dirac.reflect(2 * 1, axes=(-1,)))
     cube = build_graph(hypercube_spec(5))  # bits (0 1), then (2 3), swap; bit 4 stays
-    low, high = cube.mirrors(0b00110)
+    low, high, _ = cube.symmetries((0b00110,))
     assert low[0b00110 ^ 0b00001] == 0b00110 ^ 0b00010 and high[0b00110 ^ 0b00001] == 0b00111
     assert high[0b00110 ^ 0b10100] == 0b00110 ^ 0b11000 and low[0b00110 ^ 0b10100] == 0b10010
     # N = 6: the others 0, 1, 3, 4, 5 are labels 0..4, and one whole run of 4
     # holds two thirds of them (k = 2); label 4, vertex 5, stays
-    assert [m.tolist() for m in build_graph(complete_spec(6)).mirrors(2)] == [
+    assert [m.tolist() for m in build_graph(complete_spec(6)).symmetries((2,))[:2]] == [
         [1, 0, 2, 4, 3, 5], [3, 4, 2, 0, 1, 5]]
     # N = 32: the 31 others hold three runs of 8 (k = 3), not one of 16
     others = [v for v in range(32) if v != 5]
-    mirrors = build_graph(complete_spec(32)).mirrors(5)
+    *mirrors, _ = build_graph(complete_spec(32)).symmetries((5,))
     assert len(mirrors) == 3
     for bit, mirror in enumerate(mirrors):
         assert [others.index(mirror[v]) for v in others] == [
             label ^ (1 << bit) if label < 24 else label for label in range(31)]
 
 
-def _has_swap(spec, mirrors):
-    """Whether Graph.swap has a map for the arena: flip-flop and moving tori
-    of two or more axes and side >= 3, hypercubes of degree >= 4, and
-    complete graphs whose mirrors are two or more."""
-    if spec.family == "torus":
-        return spec.shift != "dirac" and len(spec.dims) >= 2 and spec.dims[0] >= 3
-    return spec.dims[0] >= 4 if spec.family == "hypercube" else len(mirrors) >= 2
-
-
 @pytest.mark.parametrize("case", [(spec, where) for name in ("parity", "edge", "swap")
                                   for spec in arenas(name) for where in ("first", "last")],
                          ids=_mirror_id)
 def test_swap_is_an_automorphism_that_exchanges_the_first_two_mirrors(case):
-    # Graph.swap is an involutive automorphism that fixes its vertex and
-    # maps the mirrors through it onto one another under conjugation, the
-    # first two exchanged; lifted, it commutes with a permutation shift and
-    # with the dense oracle's time reversal.  None for the dirac walk, 1D
-    # tori, tori of side 2, hypercubes of degree < 4 and complete graphs
-    # with fewer than two mirrors
+    # the swap of Graph.symmetries is an involutive automorphism that fixes
+    # its vertex and maps the mirrors through it onto one another under
+    # conjugation, the first two exchanged; lifted, it commutes with a
+    # permutation shift and with the dense oracle's time reversal.  One rule
+    # says where there is one: a swap, the last map of the chain and the one
+    # that does not commute with the first, follows only two or more mirrors,
+    # so a chain holds 0, 1 or at least 3 maps.  No marked vertex, or two,
+    # have no chain
     spec, where = case
     g = build_graph(spec)
     vertex = 0 if where == "first" else g.n - 1
-    swap, mirrors, index = g.swap(vertex), g.mirrors(vertex), np.arange(g.n)
-    assert (swap is not None) == _has_swap(spec, mirrors)
+    assert g.symmetries(()) == () == g.symmetries((vertex, (vertex + 1) % g.n))
+    chain, index = g.symmetries((vertex,)), np.arange(g.n)
+    assert len(chain) != 2
+    swap = chain[-1] if len(chain) > 1 and not np.array_equal(chain[0][chain[-1]],
+                                                              chain[-1][chain[0]]) else None
+    mirrors = chain[:len(chain) - (swap is not None)]
+    assert (swap is not None) == (len(mirrors) >= 2)
     if swap is None:
         return
     assert swap[vertex] == vertex and np.any(swap != index)
@@ -412,28 +415,27 @@ def test_swap_is_an_automorphism_that_exchanges_the_first_two_mirrors(case):
 
 def test_swap_maps_of_each_family():
     torus = build_graph(torus_spec(5, 3))  # axes 0 and 1 exchanged through (1, 2, 3)
-    swap = torus.swap(torus.vertex_index((1, 2, 3)))
+    *_, swap = torus.symmetries((torus.vertex_index((1, 2, 3)),))
     for u in range(torus.n):
         x, y, z = torus.vertex_coords(u)
         assert torus.vertex_coords(int(swap[u])) == ((y - 1) % 5, (x + 1) % 5, z)
     cube = build_graph(hypercube_spec(5))  # bits 0 and 2, 1 and 3 of x ^ w exchange
-    swap = cube.swap(0b00110)
+    *_, swap = cube.symmetries((0b00110,))
     for flipped, image in ((0b00001, 0b00100), (0b00010, 0b01000), (0b10011, 0b11100),
                            (0b10000, 0b10000), (0b01111, 0b01111)):
         assert swap[0b00110 ^ flipped] == 0b00110 ^ image
     # N = 6 at vertex 2: labels 0..3 are vertices 0, 1, 3, 4; bits 0 and 1
     # exchange labels 1 and 2, vertices 1 and 3; label 4, vertex 5, stays
-    assert build_graph(complete_spec(6)).swap(2).tolist() == [0, 3, 2, 1, 4, 5]
+    assert build_graph(complete_spec(6)).symmetries((2,))[-1].tolist() == [0, 3, 2, 1, 4, 5]
     # N = 32 at vertex 5: the 31 others hold three runs of 8, and label 24 stays
     others = [v for v in range(32) if v != 5]
-    swap = build_graph(complete_spec(32)).swap(5)
+    *_, swap = build_graph(complete_spec(32)).symmetries((5,))
     assert [others.index(swap[v]) for v in others] == [
         label & ~3 | (label & 1) << 1 | (label >> 1) & 1 if label < 24 else label
         for label in range(31)]
     # N = 3 and 4: the others hold one run of 2 (k = 1), one mirror and no swap
     for n in (3, 4):
-        complete = build_graph(complete_spec(n))
-        assert len(complete.mirrors(0)) == 1 and complete.swap(0) is None
+        assert len(build_graph(complete_spec(n)).symmetries((0,))) == 1
 
 
 @pytest.mark.parametrize("spec", arenas("parity"), ids=GraphSpec.label)

@@ -829,9 +829,10 @@ def test_lifted_mirror_commutes_with_the_walk(spec, where):
     g = build_graph(spec)
     vertex = {"first": 0, "middle": g.n // 2, "last": g.n - 1}[where]
     op = dense_unitary(g, default_coin(g, marked=(vertex,)))
-    swap = g.swap(vertex)
-    mirrors = op.symmetries[:len(g.mirrors(vertex))]
-    assert mirrors and len(op.symmetries) == len(mirrors) + (swap is not None)
+    chain = g.symmetries((vertex,))
+    swap = chain[-1] if len(chain) >= 3 else None  # a swap follows two or more mirrors
+    mirrors = op.symmetries[:len(chain) - (swap is not None)]
+    assert mirrors and len(op.symmetries) == len(chain)
     for p in op.symmetries:
         assert np.any(p != np.arange(op.dim))
         assert np.array_equal(p[p], np.arange(op.dim))
@@ -1290,6 +1291,21 @@ def test_evolve_dense_keeps_a_real_history_for_a_real_start():
     assert not np.any(cplx.imag)
 
 
+@pytest.mark.parametrize("steps", [True, 2.0, -1, "3", None])
+def test_evolve_dense_takes_only_a_non_negative_integer_step_count(steps):
+    # every step count passes graphs.is_integer: a bool is no count, and a
+    # float or a negative count is refused with its value, not an IndexError
+    # or a TypeError from inside the loop
+    from walklab import ConfigurationError, evolve_dense
+    g = build_graph(torus_spec(4))
+    op = dense_unitary(g, default_coin(g, marked=(0,)))
+    start = uniform_state(g).vector
+    with pytest.raises(ConfigurationError, match=re.escape(repr(steps))):
+        evolve_dense(op, start, steps)
+    for count in (0, np.int64(2)):
+        assert evolve_dense(op, start, count).shape == (count + 1, op.dim)
+
+
 def _assert_steps_match_matvec(matrix, history):
     """Each step of `history` is the dense product of `matrix` with the one
     before, to 1e-15 on every entry."""
@@ -1384,7 +1400,7 @@ def test_scattered_blocks_match_the_dense_rotation(spec, marked):
         == [(r.shape[1], m) for r, m, _ in basis[:len(blocks)]]
     assert [(source, True) for _, _, source in basis[len(blocks):]] \
         == [(block, np.array_equal(gather, op.symmetries[-1])) for block, gather in copies]
-    assert bool(copies) == (len(marked) == 1 and g.swap(marked[0]) is not None)
+    assert bool(copies) == (len(g.symmetries(marked)) >= 3)  # a swap follows two mirrors
     whole = scipy.sparse.csr_array(np.hstack([rotation for rotation, _, _ in basis]))
     assert np.max(np.abs((whole.T @ whole).toarray() - np.eye(op.dim))) <= 1e-15
     full = (whole.T @ (scipy.sparse.csr_array(dense(op)) @ whole)).toarray()

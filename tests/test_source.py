@@ -478,7 +478,7 @@ def _axis_reflections(source):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graphs.py"],
                          ids=lambda path: path.stem)
 def test_only_graphs_reflects_axes_through_a_vertex(path):
-    # Graph.mirrors lists the reflections through the marked vertex that
+    # Graph.symmetries lists the reflections through the marked vertex that
     # split the dense oracle; an axis reflection built elsewhere is a second
     # list of them
     lines = sorted(_axis_reflections(path.read_text(encoding="utf-8")))
