@@ -430,17 +430,15 @@ def flip_marked_vertices(state: WalkState, marked) -> WalkState:
 
 
 def vertex_probabilities(state: WalkState, vertices=None) -> np.ndarray:
-    """p(v) summed over the coin register, for every vertex or for `vertices`.
+    """p(v) summed over the coin register, for every vertex or for `vertices`,
+    which pass the graph's one vertex rule (`Graph._vertices`) whether or
+    not the state owes its shift: an entry that is no vertex raises
+    ConfigurationError.
 
     A state that owes its shift is read through it at `vertices`, without
-    paying it (`_owed_index`).
+    paying it (`_vertex_index`).
     """
-    if vertices is not None and state._owed:
-        a = state._amps[_owed_index(state, vertices)]
-    else:
-        a = state.amps
-        if vertices is not None:
-            a = a[:, vertices]  # take would copy a transposed state whole first
+    a = state.amps if vertices is None else state._amps[_vertex_index(state, vertices)]
     squares = a.real * a.real
     if np.iscomplexobj(a):
         squares += a.imag * a.imag
@@ -449,19 +447,26 @@ def vertex_probabilities(state: WalkState, vertices=None) -> np.ndarray:
     return np.add.accumulate(squares, axis=0)[-1]
 
 
-def _owed_index(state: WalkState, vertices) -> tuple[np.ndarray, np.ndarray]:
-    """The index into the array of a state that owes its flip-flop shift
-    that reads amps[:, vertices]: direction c's entry at w sits at
-    (label(c), target_c(w)).  A run reads the same vertices every step and
-    the shift table costs tens of microseconds a call, so the state keeps
-    the index of the last vertex set it was read at, keyed by its contents,
-    while its table is no larger than one vertex row."""
-    vertices = np.asarray(vertices, dtype=np.int64)
-    key = vertices.tobytes()
-    if state._index is not None and state._index[0] == key:
-        return state._index[1]
-    graph = state.graph
-    index = graph.shift_labels(), graph.shift_targets(vertices)
+def _vertex_index(state: WalkState, vertices) -> tuple:
+    """The index into the state's array as it stands that reads
+    amps[:, vertices], for `vertices` that pass `Graph._vertices`: (:,
+    vertices) on a settled state, and (label(c), target_c(w)) on one that
+    owes its flip-flop shift, where direction c's entry at w sits.  A run
+    reads the same vertices every step, and the check and the shift table
+    cost microseconds a call, so the state keeps the last vertex set it
+    was read at, keyed by the bytes of its int64 array, with its owed
+    index once one is taken, while coin_dim * len(vertices) <= N (no kept
+    index is larger than one vertex row): an int64 array with the kept
+    bytes is not checked again."""
+    graph, kept = state.graph, state._index
+    if not (isinstance(vertices, np.ndarray) and vertices.dtype == np.int64
+            and vertices.ndim == 1 and kept is not None and kept[0] == vertices.tobytes()):
+        vertices = np.array(graph._vertices(vertices, "vertices"), dtype=np.int64)
+        if kept is None or kept[0] != vertices.tobytes():
+            kept = vertices.tobytes(), None
+    if state._owed and kept[1] is None:
+        kept = kept[0], (graph.shift_labels(), graph.shift_targets(vertices))
     if graph.coin_dim * vertices.size <= graph.n:
-        state._index = key, index
-    return index
+        state._index = kept
+    # an index, not np.take: take would copy a transposed state whole first
+    return kept[1] if state._owed else (slice(None), vertices)

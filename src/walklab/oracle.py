@@ -11,16 +11,16 @@ holds it as that sorted nonzero listing alone, never as an n x n array.
 So only dense_eigens, whose complex eigenvectors make the one n x n array
 here, is capped (DIMENSION_CAP); the listing's routes are not.
 Every pass reads the listing whole: evolve_dense powers U' through each
-row's nonzeros, dense_eigens checks its involutions on them (each
-image's value read through one sort of the images) before it allocates,
-then scatters them into U''s blocks in the involutions' eigenbasis, and
-unitarity_defect forms U'^T U' only inside each group of columns that
-share a row, scattered from the listing, where the rest of the product
-is exact zeros.  U' is eigendecomposed through its symmetric part
-U' + U'^T by numpy.linalg.eigh (LAPACK syevd, on numpy's own BLAS:
-walklab loads no second one), whose real eigenvectors its skew part
-U' - U'^T pairs into complex ones (see dense_eigens; a matrix that is
-not normal raises).
+row's nonzeros, dense_eigens checks its involutions on them (each must
+map them onto themselves, so one sort of the images reads every image's
+value) before it allocates, then scatters them into U''s blocks in the
+involutions' eigenbasis, and unitarity_defect forms U'^T U' only inside
+each group of columns that share a row, scattered from the listing,
+where the rest of the product is exact zeros.  U' is eigendecomposed
+through its symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd,
+on numpy's own BLAS: walklab loads no second one), whose real
+eigenvectors its skew part U' - U'^T pairs into complex ones (see
+dense_eigens; a matrix that is not normal raises).
 Involutions split the eigensolve, and U' enters their joint eigenbasis
 one nonzero at a time: the arena's maps that fix the marked set
 (Graph.symmetries), lifted (Graph.lift).  With one marked vertex, its
@@ -100,8 +100,9 @@ class DenseOperator:
     a 2-cycle of S or under a symmetry, flips without a reflection, a
     symmetry that does not commute with S, or one that does not commute
     with the symmetries before it (the last but for that exchange), raise
-    ValueError.  dense_eigens checks, on M's nonzeros, that S is a time
-    reversal of M and each symmetry a symmetry of it."""
+    ValueError.  dense_eigens checks, on M's nonzeros, that S and each
+    symmetry map them onto themselves, S as a time reversal of M and each
+    symmetry as a symmetry of it."""
 
     dim: int
     nonzeros: tuple
@@ -383,13 +384,13 @@ def _rotated_blocks(op: DenseOperator, maps: tuple,
 def _check_involutions(op: DenseOperator) -> None:
     """Check, on U's nonzeros, that each of the operator's symmetries P
     commutes with U and its reflection S is a time reversal of U, else
-    ArithmeticError: P U P = U where |U[P r, P c] - U[r, c]| and S U S =
-    U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where `flips`) is
-    at most _INVARIANCE_TOL at every nonzero (r, c); a deviation that is
-    not finite (a NaN or an inf in U) is refused too.  The images of the
-    nonzeros are sorted once: where they are U's pattern itself, each
-    image's value is read through the sort, and otherwise each image is
-    found in the whole listing by binary search (0 where U has none).  P
+    ArithmeticError.  Each must map U's nonzeros onto U's nonzeros: the
+    images' one sort must give the listing, and each image's value is read
+    through it; one that moves a nonzero onto a zero of U deviates by inf,
+    whatever the entry's size.  Then P U P = U where |U[P r, P c] - U[r, c]|
+    and S U S = U^T where |s_r s_c U[S c, S r] - U[r, c]| (s = -1 where
+    `flips`) is at most _INVARIANCE_TOL at every nonzero (r, c); a
+    deviation that is not finite (a NaN or an inf in U) is refused too.  P
     and S are signed permutations, so an entry that breaks either relation
     is a nonzero of U or the image of one: the check sees every entry."""
     flat, values = op.nonzeros
@@ -404,12 +405,10 @@ def _check_involutions(op: DenseOperator) -> None:
             key *= op.dim
             key += np.take(image, second)
             order = np.argsort(key, kind="stable")  # the images are distinct
-            if np.array_equal(np.take(key, order), flat):  # the involution keeps U's pattern
-                found[order] = values
-            else:
-                at = np.searchsorted(flat, key)
-                np.take(values, at, out=found, mode="clip")
-                found *= np.take(flat, at, mode="clip") == key
+            if not np.array_equal(np.take(key, order), flat):  # a nonzero moved onto a zero
+                deviations.append(np.inf)
+                continue
+            found[order] = values
             if flips is not None:
                 found *= np.where(flips[first] != flips[second], -1.0, 1.0)
             found -= values
@@ -800,9 +799,12 @@ def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarra
     complex one.  Each step gathers the state at every row's nonzero
     columns (_row_slots) and sums each row with one np.einsum: no BLAS
     call, so the history's bits do not depend on the thread count; steps
-    that are no non-negative integer raise ConfigurationError."""
+    that are no non-negative integer raise ConfigurationError, and a start
+    vector of another shape than (dim,) ValueError."""
     if not is_integer(steps) or steps < 0:
         raise ConfigurationError(f"steps must be a non-negative integer, got {steps!r}")
+    if np.shape(vector) != (op.dim,):
+        raise ValueError(f"the start vector must have shape {(op.dim,)}, not {np.shape(vector)}")
     out = np.empty((steps + 1, op.dim), dtype=np.result_type(vector, op.nonzeros[1]))
     out[0] = vector
     columns, weights = _row_slots(op, out.dtype)

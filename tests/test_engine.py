@@ -12,7 +12,7 @@ from walklab import (ConfigurationError, GraphSpec, WalkState, amplify, apply_co
                      apply_shift, build_graph, complete_spec, default_coin,
                      dense_unitary, evolve_dense, reflect_about, run_walk, step, torus_spec,
                      uniform_state, vertex_probabilities)
-from walklab.engine import _apply, _owed_index, _pay_shift, squared_norm
+from walklab.engine import _apply, _pay_shift, _vertex_index, squared_norm
 
 from helpers import (arenas, load_state, marked_coin_state, neighborhood_probability,
                      random_state, save_state, translate)
@@ -550,7 +550,9 @@ def test_vertex_probabilities_of_an_owing_state_match_the_settled_state(spec):
     # the state keeps the index of the last vertex set it was read at, if
     # its table is no larger than a vertex row; the reads that alternate
     # between two orders of one set show that it follows the vertices, not
-    # their count
+    # their count.  Both paths take the vertices through the graph's one
+    # vertex rule: a negative, an out-of-range, a float or a bool entry is
+    # refused whether or not the state owes its shift
     subsets = [[0], [g.n - 1, 0], np.arange(g.n)[::2], np.arange(g.n),
                [g.n - 1, 0], [0, g.n - 1], [g.n - 1, 0], [0]]
     for start in _start_states(g, seed=14):
@@ -563,9 +565,13 @@ def test_vertex_probabilities_of_an_owing_state_match_the_settled_state(spec):
             expected = vertex_probabilities(settled, vs).tobytes()
             assert vertex_probabilities(owing, vs).tobytes() == expected
             # kept while coin_dim * len(vs) <= N, keyed by the vertices' contents
-            kept = _owed_index(owing, np.array(vs)) is _owed_index(owing, list(vs))
+            kept = _vertex_index(owing, np.array(vs)) is _vertex_index(owing, list(vs))
             assert kept == (g.coin_dim * len(vs) <= g.n)
             assert owing._amps is array and owing._owed  # read through the shift, not settled
+        for bad in ([-1], [g.n], [2.0], [True, False], np.array([2.0]), np.array([g.n])):
+            for state in (settled, owing):
+                with pytest.raises(ConfigurationError, match="vertex|vertices"):
+                    vertex_probabilities(state, bad)
         assert (vertex_probabilities(owing).tobytes()
                 == vertex_probabilities(settled).tobytes())
 

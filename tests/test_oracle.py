@@ -212,9 +212,19 @@ def test_dense_unitary_lists_the_zero_filled_build_bit_for_bit(spec, marked):
     # the listing is built with no n x n array; the zero-filled dense build
     # it replaced (helpers.zero_filled_unitary), listed, is its reference
     g = build_graph(spec)
-    flat, values = dense_unitary(g, default_coin(g, marked=marked)).nonzeros
+    op = dense_unitary(g, default_coin(g, marked=marked))
+    flat, values = op.nonzeros
     reference = listed(zero_filled_unitary(g, marked))
     assert np.array_equal(flat, reference[0]) and np.array_equal(values, reference[1])
+    # each symmetry P, and the reflection S, maps the listing's positions
+    # onto themselves, (r, c) to (P r, P c) and to (S c, S r): the one rule
+    # that _check_involutions reads the images by
+    rows, cols = np.divmod(flat, op.dim)
+    images = [p[rows] * op.dim + p[cols] for p in op.symmetries]
+    if op.reflection is not None:
+        images.append(op.reflection[cols] * op.dim + op.reflection[rows])
+    for image in images:
+        assert np.array_equal(np.sort(image), flat)
 
 
 def test_dense_unitary_does_not_call_the_engine(monkeypatch):
@@ -1304,6 +1314,12 @@ def test_evolve_dense_takes_only_a_non_negative_integer_step_count(steps):
         evolve_dense(op, start, steps)
     for count in (0, np.int64(2)):
         assert evolve_dense(op, start, count).shape == (count + 1, op.dim)
+    # a start of another shape than (dim,) is refused with its shape, not
+    # broadcast into the history
+    for wrong in (np.array([1.0]), 0.5, np.ones((2, op.dim)), start[:-1], start[:, None]):
+        shape = re.escape(f"must have shape {(op.dim,)}, not {np.shape(wrong)}")
+        with pytest.raises(ValueError, match=shape):
+            evolve_dense(op, wrong, 2)
 
 
 def _assert_steps_match_matvec(matrix, history):
@@ -1482,8 +1498,9 @@ def test_involution_check_is_entrywise_at_its_tolerance(broken, message, delta):
 @pytest.mark.parametrize("delta", [1e-11, 1e-9])
 def test_involution_check_reads_an_absent_image_as_zero(delta):
     # a new entry of U at a zero whose images under P and S are zeros too:
-    # neither image is in the listing, each reads 0, so both relations break
-    # by delta there, and the check refuses past _INVARIANCE_TOL only
+    # P and S then move a nonzero of U onto a zero of U, so they no longer
+    # map U's nonzeros onto themselves, and the check refuses the entry
+    # whatever its size, P first
     oracle = walklab.oracle
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
@@ -1494,10 +1511,7 @@ def test_involution_check_reads_an_absent_image_as_zero(delta):
             & ((p[rows] != rows) | (p[cols] != cols)) & ((s[cols] != rows) | (s[rows] != cols)))
     matrix[rows[free][0], cols[free][0]] = delta
     moved = _operator(matrix, s, [p])
-    if delta > oracle._INVARIANCE_TOL:
-        with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
-            oracle._check_involutions(moved)
-    else:
+    with pytest.raises(ArithmeticError, match="does not commute with the symmetry"):
         oracle._check_involutions(moved)
 
 
@@ -1506,8 +1520,8 @@ def test_involution_check_reads_an_absent_image_as_zero(delta):
 def test_involution_check_refuses_a_value_that_is_not_finite(value, pattern):
     # a NaN deviation is never above the tolerance, so the check asks
     # whether each is within it; eigh never sees the operator.  With a new
-    # entry at a zero, the involutions no longer keep U's pattern, and each
-    # image is looked up (an inf read for an absent image becomes a NaN)
+    # entry at a zero, the involutions no longer map U's nonzeros onto
+    # themselves, which is refused whatever the values
     g = build_graph(torus_spec(4))
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     matrix = dense(op)
