@@ -25,12 +25,12 @@ stands.
 Every permutation shift that moves amplitudes, the moving shift each
 step and a flip-flop shift when it is paid, is paid by `_pay_shift`:
 row label(c) becomes row c read through the move that undoes c's
-(`Graph.reverse_moves`), one row permutation (`_move_rows`) in which a
-row pair trades places through a scratch row.  `_through` reads a row
-through a move: a hypercube row through a strided view with its bit
-flipped (`_runs`), so the owed coin copies nothing, and a torus row by
-its plan (`_build_plans`), built from `Graph.shift_targets` at the first
-step and held by the state.  Away from the faces a torus move is a flat
+(`Graph.reverse_moves`), one row permutation in which a row pair trades
+places through a scratch row.  `_through` reads a row through a move: a
+hypercube row through a strided view with its bit flipped (`_runs`), so
+the owed coin copies nothing, and a torus row by its plan
+(`_build_plans`), built from `Graph.shift_targets` at the first step and
+held by the state.  Away from the faces a torus move is a flat
 offset, target(v) = v + k, so one ufunc over two contiguous views does
 most of the row; the few vertices where it wraps are read through two
 small index arrays, written after the flat op from values taken before
@@ -69,7 +69,7 @@ class WalkState:
     __slots__ = ("graph", "_amps", "_owed", "_rows", "_plans", "_index", "_row_map")
 
     def __init__(self, graph: Graph, amps: np.ndarray):
-        if amps.shape != (graph.coin_dim, graph.n):
+        if np.shape(amps) != (graph.coin_dim, graph.n):
             raise ValueError(f"amplitude array must have shape {(graph.coin_dim, graph.n)}")
         self.graph = graph
         dtype = np.complex128 if np.iscomplexobj(amps) else np.float64
@@ -195,9 +195,12 @@ def _coin_through_shift(state: WalkState, marked: list[int]) -> None:
     colsum = state._scratch_rows()[0]
     d = state.graph.coin_dim
     labels = state._shift_map()[0]
-    for c in range(d):
-        # np.sum starts from 0: -0.0 + 0 = 0.0
-        _through(state, np.add, colsum, c, buf[labels[c]], colsum if c else 0.0)
+    # np.sum starts from 0.0, this sum from a copy: they differ only where
+    # every term is -0.0, and then so is every entry the sum is taken from,
+    # and -0.0 - -0.0 = 0.0 - -0.0 = 0.0
+    _through(state, None, colsum, 0, buf[labels[0]])
+    for c in range(1, d):
+        _through(state, np.add, colsum, c, buf[labels[c]], colsum)
     colsum *= 2.0 / d
     colsum[marked] = 0.0  # every flip-flop arena marks by -I
     for c in range(d):
@@ -207,10 +210,10 @@ def _coin_through_shift(state: WalkState, marked: list[int]) -> None:
 def _through(state: WalkState, ufunc, out: np.ndarray, c: int, row: np.ndarray,
              other=None) -> None:
     """out[v] = ufunc(row[target_c(v)], other[v]) over a whole row, `other` a
-    row (`out` itself, for an update in place) or a scalar, and with no
-    ufunc out[v] = row[target_c(v)]: through the direction's move plan on a
-    torus, through a view of `row` with bit c flipped on the hypercube
-    (`_runs`), walked in the views' index order."""
+    row (`out` itself, for an update in place), and with no ufunc out[v] =
+    row[target_c(v)]: through the direction's move plan on a torus, through
+    a view of `row` with bit c flipped on the hypercube (`_runs`), walked in
+    the views' index order."""
     if state.graph.spec.family != "hypercube":
         _apply(state._move_plans()[c], ufunc, out, (row,), other)
     elif ufunc is None:
@@ -219,14 +222,12 @@ def _through(state: WalkState, ufunc, out: np.ndarray, c: int, row: np.ndarray,
         ufunc(_runs(row, c)[:, ::-1], _runs(other, c), out=_runs(out, c), order="C")
 
 
-def _runs(row, c: int):
+def _runs(row: np.ndarray, c: int) -> np.ndarray:
     """A hypercube row as its (2^(d-1-c), 2, 2^c) runs of 2^c amplitudes,
-    so that flipping axis 1 flips bit c, a scalar as itself.  Runs of at
-    most 32 bytes (four float64 amplitudes, two complex128) are transposed,
-    the long axis last, so that a ufunc told order="C" moves along the row,
-    not along the short runs."""
-    if not isinstance(row, np.ndarray):
-        return row
+    so that flipping axis 1 flips bit c.  Runs of at most 32 bytes (four
+    float64 amplitudes, two complex128) are transposed, the long axis last,
+    so that a ufunc told order="C" moves along the row, not along the short
+    runs."""
     runs = row.reshape(-1, 2, 1 << c)
     return runs.T if row.itemsize << c <= 32 else runs
 
@@ -249,15 +250,14 @@ class _Plan(NamedTuple):
 def _apply(plan: _Plan, ufunc, out: np.ndarray, rows, other=None) -> None:
     """out[v] = ufunc(rows[0][t_0(v)], rows[1][t_1(v)], ..., other[v]) over a
     whole row; `other` is an unmoved row (`out` itself, for an update in
-    place), a scalar or absent, and with no ufunc out[v] = rows[0][t_0(v)].
+    place) or absent, and with no ufunc out[v] = rows[0][t_0(v)].
 
     The flat ops write `out` and so may write `other`: `other` is read at
     the wrap vertices before them, and the wrap entries are written after
     them over what they left there, so every entry gets the bits of one
     elementwise op.
     """
-    in_place = isinstance(other, np.ndarray)
-    if in_place and plan.wrap.size:
+    if other is not None and plan.wrap.size:
         kept = other[plan.wrap]
     for span, reads in plan.parts:
         flat = [row[s] for row, s in zip(rows, reads)]
@@ -265,12 +265,12 @@ def _apply(plan: _Plan, ufunc, out: np.ndarray, rows, other=None) -> None:
             out[span] = flat[0]
             continue
         if other is not None:
-            flat.append(other[span] if in_place else other)
+            flat.append(other[span])
         ufunc(*flat, out=out[span])
     if plan.wrap.size:
         edge = [row[t] for row, t in zip(rows, plan.ends)]
         if other is not None:
-            edge.append(kept if in_place else other)
+            edge.append(kept)
         out[plan.wrap] = edge[0] if ufunc is None else ufunc(*edge)
 
 
@@ -359,26 +359,21 @@ def apply_shift(state: WalkState) -> WalkState:
 def _pay_shift(state: WalkState) -> None:
     """Pay the moving shift, or the flip-flop shift a state owes, in place,
     and clear the owed mark: row label(c) becomes row c read through the
-    move that undoes c's, by the row map the state holds (`_shift_map`).
-    A moving row so arrives from its reverse direction's side, and a
-    flip-flop row c is row label(c) read through move c."""
-    _move_rows(state, *state._shift_map())
-    state._owed = False
-
-
-def _move_rows(state: WalkState, sources, moves) -> None:
-    """Row c becomes row sources[c] read through move moves[c] (`_through`),
-    in place, for `sources` that pair rows or keep them: a row pair trades
-    places through the first scratch row, and a row that is its own source
-    is copied into that row and read back."""
+    move that undoes c's, by the row map the state holds (`_shift_map`), so
+    a moving row arrives from its reverse direction's side and a flip-flop
+    row c is row label(c) read through move c.  A row pair trades places
+    through the first scratch row; a row that is its own label is copied
+    there and read back."""
     buf, row = state._amps, state._scratch_rows()[0]
-    for c, source in enumerate(sources):
-        if source < c:
+    labels, moves = state._shift_map()
+    for c, label in enumerate(labels):
+        if label < c:
             continue  # moved with its pair
         np.copyto(row, buf[c])
-        if source != c:
-            _through(state, None, buf[c], moves[c], buf[source])
-        _through(state, None, buf[source], moves[source], row)
+        if label != c:
+            _through(state, None, buf[c], moves[c], buf[label])
+        _through(state, None, buf[label], moves[label], row)
+    state._owed = False
 
 
 def _dirac_step(state: WalkState) -> None:

@@ -90,19 +90,18 @@ class DenseOperator:
 
     An operator checks itself when it is built: complex values raise
     TypeError, real values of another dtype are taken as float64 (and the
-    flat indices as intp), an unsigned identity reflection is kept as None
-    (flips with it: all False if not given) and an identity symmetry is
-    dropped, and a dim that is no positive integer, flat indices that are
-    not one-dimensional integers strictly ascending in [0, dim^2), values
-    that are not one per index or hold an exact zero, a reflection or
-    symmetry that is no involutive permutation (any integer array-like,
-    taken as an array), flips that are not one bool per index or differ on
-    a 2-cycle of S or under a symmetry, flips without a reflection, a
-    symmetry that does not commute with S, or one that does not commute
-    with the symmetries before it (the last but for that exchange), raise
-    ValueError.  dense_eigens checks, on M's nonzeros, that S and each
-    symmetry map them onto themselves, S as a time reversal of M and each
-    symmetry as a symmetry of it."""
+    flat indices as intp), flips are all False if not given (None without
+    a reflection) and an identity symmetry is dropped, and a dim that is no
+    positive integer, flat indices that are not one-dimensional integers
+    strictly ascending in [0, dim^2), values that are not one per index or
+    hold an exact zero, a reflection or symmetry that is no involutive
+    permutation (any integer array-like, taken as an array), flips that are
+    not one bool per index or differ on a 2-cycle of S or under a symmetry,
+    flips without a reflection, a symmetry that does not commute with S, or
+    one that does not commute with the symmetries before it (the last but
+    for that exchange), raise ValueError.  dense_eigens checks, on M's
+    nonzeros, that S and each symmetry map them onto themselves, S as a
+    time reversal of M and each symmetry as a symmetry of it."""
 
     dim: int
     nonzeros: tuple
@@ -130,9 +129,9 @@ class DenseOperator:
             raise ValueError("flips must be one flag per index, each a bool")
         if self.reflection is None and flips.any():
             raise ValueError("flips sign a reflection, and there is none")
-        s = self.reflection = _involution(self.reflection, self.dim, "reflection", flips.any())
+        s = self.reflection = _involution(self.reflection, self.dim, "reflection")
         found = (_involution(g, self.dim, "symmetry") for g in self.symmetries)
-        self.symmetries = tuple(g for g in found if g is not None)
+        self.symmetries = tuple(g for g in found if not np.array_equal(g, np.arange(self.dim)))
         self.flips = None if s is None else flips
         if s is not None and not np.array_equal(flips[s], flips):
             raise ValueError("the reflection's flips must agree on each of its 2-cycles")
@@ -430,11 +429,9 @@ def _symmetric_eigh(matrix: np.ndarray, out: np.ndarray) -> tuple:
     return sym_eigs, np.asfortranarray(basis)
 
 
-def _involution(perm: np.ndarray | None, n: int, name: str,
-               signed: bool = False) -> np.ndarray | None:
+def _involution(perm: np.ndarray | None, n: int, name: str) -> np.ndarray | None:
     """`perm`, as an array, if it is an integer array-like that is an
-    involutive permutation of range(n) and is not the identity or is
-    `signed`; None if it is None or the unsigned identity; else
+    involutive permutation of range(n); None if it is None; else
     ValueError."""
     if perm is None:
         return None
@@ -442,7 +439,7 @@ def _involution(perm: np.ndarray | None, n: int, name: str,
     if perm.dtype.kind not in "iu" or perm.shape != (n,) \
             or not np.array_equal(np.sort(perm), index) or not np.array_equal(perm[perm], index):
         raise ValueError(f"{name} must be an involutive permutation of the indices")
-    return None if not signed and np.array_equal(perm, index) else perm
+    return perm
 
 
 def _split_maps(op: DenseOperator) -> tuple:

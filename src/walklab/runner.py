@@ -176,20 +176,17 @@ def amplify(graph: Graph, marked, walk_length: int, rounds: int) -> AmplifyResul
         raise ConfigurationError("amplification needs a marked set")
     _check_count("walk_length", walk_length)
     _check_count("rounds", rounds)
-    ledger = CostLedger(graph.n)
     state = evolve(uniform_state(graph), marked, walk_length)
     walked = state.copy()
-    ledger.step_count += walk_length
 
     success = np.empty(rounds + 1)
     success[0] = vertex_probabilities(state, marked).sum()
     for r in range(rounds):
         flip_marked_vertices(state, marked)
         reflect_about(state, walked)
-        ledger.step_count += 2 * walk_length
-        ledger.amplification_rounds += 1
         success[r + 1] = vertex_probabilities(state, marked).sum()
     overshoot = bool(rounds > 0 and success[-1] < success[-2] - 1e-12)
+    ledger = CostLedger(graph.n, walk_length * (2 * rounds + 1), rounds)
     return AmplifyResult(success, ledger, overshoot)
 
 

@@ -36,8 +36,15 @@ def test_uniform_state_values():
 
 def test_state_of_the_wrong_shape_rejected():
     g = build_graph(torus_spec(4))
-    with pytest.raises(ValueError, match=r"amplitude array must have shape \(4, 16\)"):
-        WalkState(g, np.zeros((3, g.n)))
+    for amps in (np.zeros((3, g.n)), 0.5, [0.0] * (4 * g.n)):
+        with pytest.raises(ValueError, match=r"amplitude array must have shape \(4, 16\)"):
+            WalkState(g, amps)
+    # an array-like of the right shape builds the state its array does
+    rows = [[0.25 * c + v for v in range(g.n)] for c in range(4)]
+    for amps in (rows, [[complex(a, 1.0) for a in row] for row in rows]):
+        built = WalkState(g, amps)
+        assert built.amps.tobytes() == WalkState(g, np.array(amps)).amps.tobytes()
+        assert built.amps.dtype == np.array(amps).dtype
 
 
 @pytest.mark.parametrize("spec", arenas("small"))
@@ -509,8 +516,8 @@ def test_owed_steps_match_coin_and_settle(spec):
 @pytest.mark.parametrize("spec", arenas("edge", shift="flip_flop"), ids=GraphSpec.label)
 def test_owed_coin_on_columns_of_negative_zeros(spec):
     # no step leaves a -0.0 in an owing buffer, so set one up: the owed
-    # coin's column sums start from 0.0 as np.sum's do, and a column of -0.0
-    # comes out +0.0 on both routes
+    # coin's column sums start from a copy of the first term, np.sum's from
+    # 0.0, and a column of -0.0 comes out +0.0 on both routes
     g = build_graph(spec)
     coin = default_coin(g, marked=(1,))
     real, cplx = _start_states(g, seed=15)  # psi with a column of -0.0 at every third vertex

@@ -719,13 +719,21 @@ def test_block_eigens_refuses_a_reflection_that_is_not_an_involution():
 
 
 def test_block_eigens_with_the_identity_as_reflection():
-    # the identity splits nothing: the operator keeps None, and an operator
-    # without a time reversal is refused
+    # the operator keeps S = I, a time reversal of a symmetric U alone: the
+    # check refuses any other U, and a symmetric orthogonal U, whose phases
+    # are 0 and pi, solves through it with its -1 half empty
     matrix = _orthogonal_with_known_phases(0)[0]
     op = _operator(matrix, np.arange(len(matrix)))
-    assert op.reflection is None and op.flips is None
-    with pytest.raises(ValueError, match="time reversal"):
+    assert np.array_equal(op.reflection, np.arange(len(matrix))) and not op.flips.any()
+    with pytest.raises(ArithmeticError, match="no time reversal"):
         dense_eigens(op)
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(9, 9)))[0]
+    reflection = (q * ([1.0] * 4 + [-1.0] * 5)) @ q.T  # Q diag(1, 1, 1, 1, -1, ...) Q^T
+    for symmetric, stills in ((np.eye(4)[[1, 0, 3, 2]], 2), ((reflection + reflection.T) / 2, 4)):
+        phases, vectors = _eigens(symmetric, np.arange(len(symmetric)))
+        expected = [0.0] * stills + [np.pi] * (len(phases) - stills)
+        assert np.max(np.abs(_fold(phases) - expected)) <= 1e-12
+        assert np.max(np.abs(symmetric @ vectors - vectors * np.exp(1j * phases))) <= 1e-12
 
 
 @pytest.mark.parametrize("spec,marked", [
@@ -984,8 +992,11 @@ def test_dense_operator_checks_its_symmetries_when_built():
     op = dense_unitary(g, default_coin(g, marked=(1,)))
     identity = np.arange(op.dim)
     DenseOperator = walklab.oracle.DenseOperator
+    # the identity reflection is kept, and the identity symmetry dropped
     built = DenseOperator(op.dim, op.nonzeros, identity, [identity, *op.symmetries])
-    assert built.reflection is None and len(built.symmetries) == len(op.symmetries)
+    assert np.array_equal(built.reflection, identity) and not built.flips.any()
+    assert len(built.symmetries) == len(op.symmetries)
+    assert all(map(np.array_equal, built.symmetries, op.symmetries))
     for involutions in ((np.roll(identity, 1), ()), (None, [np.roll(identity, 1)])):
         with pytest.raises(ValueError, match="involutive"):
             DenseOperator(op.dim, op.nonzeros, *involutions)
