@@ -36,6 +36,13 @@ def is_integer(value) -> bool:
     return not isinstance(value, bool)
 
 
+def check_count(name: str, value) -> None:
+    """The one rule for step and round counts: ConfigurationError naming
+    `name` and the value unless it is a non-negative integer (is_integer)."""
+    if not is_integer(value) or value < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def _integers(values, name: str) -> tuple[int, ...]:
     """`values` as a tuple of ints if each `is_integer`, else ConfigurationError."""
     items = tuple(values) if np.iterable(values) else None

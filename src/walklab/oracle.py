@@ -20,7 +20,13 @@ where the rest of the product is exact zeros.  U' is eigendecomposed
 through its symmetric part U' + U'^T by numpy.linalg.eigh (LAPACK syevd,
 on numpy's own BLAS: walklab loads no second one), whose real
 eigenvectors its skew part U' - U'^T pairs into complex ones (see
-dense_eigens; a matrix that is not normal raises).
+dense_eigens; a matrix that is not normal raises).  dense_eigens and
+unitarity_defect make every BLAS and LAPACK call here, and each runs
+with numpy's OpenBLAS pinned to one thread, its count restored on
+every exit (_one_blas_thread): their bits do not depend on the thread
+count.  Where no OpenBLAS thread-count symbol sits next to numpy (numpy
+built on another BLAS), the pin does nothing, and the bits may follow
+that BLAS's threads.
 Involutions split the eigensolve, and U' enters their joint eigenbasis
 one nonzero at a time: the arena's maps that fix the marked set
 (Graph.symmetries), lifted (Graph.lift).  With one marked vertex, its
@@ -50,11 +56,15 @@ checks the marked set (Graph.marked_set).
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .graphs import ConfigurationError, Graph, is_integer
+from .graphs import Graph, check_count, is_integer
 
 DIMENSION_CAP = 1024
 # each 2-cycle of an involution puts this weight on its two indices in its eigenbasis
@@ -71,6 +81,71 @@ _INVARIANCE_TOL = 1e-10
 # the lift takes this many still eigenvectors, or turning pairs, at a time:
 # it bounds the lift's temporaries, which hold at most 4 dim float64s each
 _LIFT_COLUMNS = 32
+# the (get, set) thread-count calls of numpy's OpenBLAS, by their names in
+# the scipy-openblas builds numpy 2 bundles, then in older OpenBLAS builds
+_THREAD_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
+# the thread count is the process's: one pinned body runs at a time
+_PIN_LOCK = threading.RLock()
+# which case _one_blas_thread found on its first use (the set call's name,
+# or why it pins nothing), and the (get, set) calls where it found them
+_pin_case: str | None = None
+_pin_calls: tuple | None = None
+
+
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy's wheel bundles next to its package
+    (numpy.libs/ on Linux and Windows, numpy/.dylibs/ on macOS), or None
+    where there is none."""
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        with suppress(OSError):
+            return ctypes.CDLL(str(path))
+    return None
+
+
+def _blas_thread_calls() -> tuple | None:
+    """(get, set) of the thread count of numpy's OpenBLAS, looked up on the
+    first call and kept, or None where there is no library or no symbol;
+    _pin_case says which case ran."""
+    global _pin_case, _pin_calls
+    if _pin_case is None:
+        library = _numpy_openblas()
+        names = next((pair for pair in _THREAD_CALLS
+                      if all(hasattr(library, name) for name in pair)), None)
+        if names is None:
+            _pin_case = ("no OpenBLAS library next to numpy" if library is None
+                         else "no OpenBLAS thread-count symbol")
+        else:
+            get, put = (getattr(library, name) for name in names)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            _pin_case, _pin_calls = names[1], (get, put)
+    return _pin_calls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, and restore the
+    count it had on every exit, a raise included; where _blas_thread_calls
+    finds no calls, run it as it is.  One thread leaves no sum split by the
+    thread count, and a small eigh no wait for the pool (one thread was as
+    fast or faster up to 256-wide blocks).  Bodies take turns under
+    _PIN_LOCK, and a nested one restores the 1 it found."""
+    with _PIN_LOCK:
+        calls = _blas_thread_calls()
+        if calls is None:
+            yield
+            return
+        get, put = calls
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
 
 
 @dataclass
@@ -147,6 +222,7 @@ class DenseOperator:
                 raise ValueError("the reflection and the symmetries must commute, but for "
                                  "the last symmetry, which may exchange the first two")
 
+    @_one_blas_thread()
     def unitarity_defect(self) -> float:
         """max |M^T M - I|, with M^T M formed only inside each group of
         columns that share a row (_column_groups): an entry between two
@@ -154,7 +230,8 @@ class DenseOperator:
         product.  Groups of one shape take one batched product; a zero
         column is a group of no rows, whose diagonal entry 0 gives 1.  The
         groups' maxima meet in np.max, so a NaN or an inf in M gives a
-        defect that is not finite."""
+        defect that is not finite.  It runs on one BLAS thread
+        (_one_blas_thread), so its bits do not depend on the thread count."""
         maxima = []
         for blocks in _column_groups(self.dim, self.nonzeros):
             gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
@@ -282,6 +359,7 @@ def _butterfly(nonzeros: tuple, dim: int, scale: float, move: np.ndarray | None 
     return np.concatenate([keys, keys + half * dim])[keep], values[keep]
 
 
+@_one_blas_thread()
 def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases, sorted by |phase| (stably), and an orthonormal eigenbasis
     of the operator's real orthogonal matrix U.
@@ -294,6 +372,9 @@ def dense_eigens(op: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     skew part pairs its real eigenvectors into complex ones.  A matrix
     that is not normal raises ArithmeticError instead of returning a wrong
     basis.
+
+    It runs on one BLAS thread (_one_blas_thread), so its bits do not
+    depend on the thread count.
 
     Only this n x n complex eigenvector array grows with dim^2, so an
     operator past DIMENSION_CAP raises ValueError here, before anything is
@@ -798,8 +879,7 @@ def evolve_dense(op: DenseOperator, vector: np.ndarray, steps: int) -> np.ndarra
     call, so the history's bits do not depend on the thread count; steps
     that are no non-negative integer raise ConfigurationError, and a start
     vector of another shape than (dim,) ValueError."""
-    if not is_integer(steps) or steps < 0:
-        raise ConfigurationError(f"steps must be a non-negative integer, got {steps!r}")
+    check_count("steps", steps)
     if np.shape(vector) != (op.dim,):
         raise ValueError(f"the start vector must have shape {(op.dim,)}, not {np.shape(vector)}")
     out = np.empty((steps + 1, op.dim), dtype=np.result_type(vector, op.nonzeros[1]))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import (WalkState, flip_marked_vertices, reflect_about, squared_norm, step,
                      uniform_state, vertex_probabilities)
-from .graphs import ConfigurationError, Graph, GraphSpec, build_graph, is_integer
+from .graphs import ConfigurationError, Graph, GraphSpec, build_graph, check_count
 from .search import PredictionReport, predict
 from .spectral import NoSearchStructure
 
@@ -51,11 +51,6 @@ class PeakInfo:
     p_star: float
     t_star_marked: int
     p_star_marked: float
-
-
-def _check_count(name: str, value: int) -> None:
-    if not is_integer(value) or value < 0:
-        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def evolve(state: WalkState, marked: tuple[int, ...], steps: int, observe=None) -> WalkState:
@@ -104,7 +99,7 @@ class _Watch:
 def run_walk(graph: Graph, marked, t_max: int) -> RunTrace:
     """Evolve t_max steps recording marked and neighborhood probability."""
     marked = graph.marked_set(marked)
-    _check_count("t_max", t_max)
+    check_count("t_max", t_max)
     watch = _Watch(graph, marked, t_max)
     evolve(uniform_state(graph), marked, t_max, watch)
     return watch.trace()
@@ -174,8 +169,8 @@ def amplify(graph: Graph, marked, walk_length: int, rounds: int) -> AmplifyResul
     marked = graph.marked_set(marked)
     if not marked:
         raise ConfigurationError("amplification needs a marked set")
-    _check_count("walk_length", walk_length)
-    _check_count("rounds", rounds)
+    check_count("walk_length", walk_length)
+    check_count("rounds", rounds)
     state = evolve(uniform_state(graph), marked, walk_length)
     walked = state.copy()
 
@@ -220,7 +215,7 @@ def run_two_marked(graph: Graph, v1: int, v2: int, t_max: int) -> TwoMarkedResul
     """
     if graph.spec.family != "torus" or graph.spec.shift != "flip_flop":
         raise ConfigurationError("two-marked analysis runs on flip-flop tori")
-    _check_count("t_max", t_max)
+    check_count("t_max", t_max)
     marked = graph.marked_set((v1, v2))
     mirror = graph.lift(graph.reflect(np.add(graph.vertex_coords(v1), graph.vertex_coords(v2))))
 

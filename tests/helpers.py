@@ -5,6 +5,7 @@
 - dense principal-pair extraction, a step-built reference unitary, a
   complex-Schur reference eigensolver, and the dense matrix-vector product
   and character basis the oracle's nonzero passes are checked against;
+- the digests of the oracle's eigensolve, which equal bits give equal;
 - the dense matrix of an oracle operator and the listing of a dense
   matrix, and the zero-filled dense build of U' the listing's build is
   checked against bit for bit;
@@ -21,6 +22,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -329,6 +331,18 @@ def principal_dense_data(spec: GraphSpec, marked: int = 0) -> dict:
             "start_overlap": start, "good_overlap": good}
 
 
+def oracle_digests(specs, marked=(3,)) -> dict[str, tuple[str, str]]:
+    """Per arena label, the sha256 hex digests of dense_eigens' phases and
+    of its eigenvectors (each array's bytes, in C order) for the walk
+    marking `marked`."""
+    digests = {}
+    for spec in specs:
+        phases, vectors = dense_eigens(dense_unitary(build_graph(spec), marked))
+        digests[spec.label()] = tuple(hashlib.sha256(part.tobytes()).hexdigest()
+                                      for part in (phases, vectors))
+    return digests
+
+
 def matvec_history(matrix: np.ndarray, vector: np.ndarray, steps: int) -> np.ndarray:
     """The (steps+1, dim) history of `vector` under `matrix`, one dense
     matrix-vector product per step: the reference for oracle.evolve_dense,
@@ -449,6 +463,7 @@ def _halves_back(rotation, m):
 _LIFT_COLUMNS = 32
 
 
+@walklab.oracle._one_blas_thread()
 def complex_lift_eigens(op) -> tuple[np.ndarray, np.ndarray]:
     """dense_eigens(op) with each block's eigenvectors lifted as complex
     vectors on the block's coordinates, (x, +-i y)/sqrt(2) for a turning
@@ -458,7 +473,8 @@ def complex_lift_eigens(op) -> tuple[np.ndarray, np.ndarray]:
     of its entry in the -1 half, each times the entry.  A copied block's
     eigens are its source's, lifted through its own basis.  The reference
     for the oracle's real-arithmetic lift, which forms the real and
-    imaginary parts apart from its own maps, and for its copies."""
+    imaginary parts apart from its own maps, and for its copies.  It
+    solves the blocks on one BLAS thread, as dense_eigens does."""
     oracle = walklab.oracle
     vectors, (first, second) = oracle._eigenvector_buffer(op.dim)
     phases, found, start = [], [], 0

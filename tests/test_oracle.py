@@ -3,7 +3,10 @@
 import ast
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 import types
 from pathlib import Path
@@ -1399,6 +1402,92 @@ def test_evolve_dense_never_reaches_blas(spec, monkeypatch):
         assert np.array_equal(evolve_dense(op, vector, 12), history)
     oracle = walklab.oracle
     assert _matmul_operators(oracle.evolve_dense, oracle._row_slots) == []
+
+
+_THREADS_CHILD = """
+import json
+from helpers import oracle_digests
+from walklab import build_graph, dense_unitary, torus_spec
+
+spec = torus_spec(22, shift="dirac")
+defect = dense_unitary(build_graph(spec), (3,)).unitarity_defect()
+print(json.dumps([oracle_digests([spec], (3,)), defect.hex()]))
+"""
+
+
+def test_oracle_bits_do_not_depend_on_blas_threads():
+    # the dirac L=22 solve is the oracle arena whose eigh bits once followed
+    # the OpenBLAS thread count; each child pins one thread around its BLAS calls
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    children = [subprocess.Popen([sys.executable, "-c", _THREADS_CHILD], stdout=subprocess.PIPE,
+                                 env=dict(os.environ, PYTHONPATH=path,
+                                          OPENBLAS_NUM_THREADS=threads))
+                for threads in ("1", "2")]  # side by side
+    outputs = [child.communicate(timeout=120)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert outputs[0] == outputs[1]
+
+
+def test_the_blas_pin_restores_the_thread_count():
+    # dense_eigens and unitarity_defect run on one thread and give back the
+    # count they found, after a return and after a refusal inside the pin
+    oracle = walklab.oracle
+    calls = oracle._blas_thread_calls()
+    if calls is None:
+        pytest.skip(f"numpy's BLAS has no thread-count call: {oracle._pin_case}")
+    get, put = calls
+    g = build_graph(torus_spec(8))
+    op = dense_unitary(g, (3,))
+    # the identity is no time reversal of U, which is not symmetric
+    no_reversal = oracle.DenseOperator(op.dim, op.nonzeros, np.arange(op.dim))
+    seen = []
+
+    def spy(function):
+        def counted(*args):
+            seen.append(get())
+            return function(*args)
+        return counted
+
+    original = get()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_symmetric_eigh", "_column_groups"):
+                patch.setattr(oracle, name, spy(getattr(oracle, name)))
+            put(2)
+            before = get()
+            dense_eigens(op)
+            assert get() == before
+            op.unitarity_defect()
+            assert get() == before
+            with pytest.raises(ArithmeticError, match="no time reversal"):
+                dense_eigens(no_reversal)
+            assert get() == before
+    finally:
+        put(original)
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("library,case", [
+    (None, "no OpenBLAS library next to numpy"),
+    (types.SimpleNamespace(), "no OpenBLAS thread-count symbol"),
+], ids=["no-library", "no-symbol"])
+def test_dense_eigens_solves_without_the_blas_pin(library, case, monkeypatch):
+    # where the lookup finds nothing the pin does nothing, says why, and
+    # the solve is the pinned one's to rounding
+    g = build_graph(torus_spec(8))
+    op = dense_unitary(g, (3,))
+    pinned, _ = dense_eigens(op)
+    monkeypatch.setattr(walklab.oracle, "_numpy_openblas", lambda: library)
+    monkeypatch.setattr(walklab.oracle, "_pin_case", None)
+    monkeypatch.setattr(walklab.oracle, "_pin_calls", None)
+    phases, vectors = dense_eigens(op)
+    assert walklab.oracle._pin_case == case
+    assert walklab.oracle._blas_thread_calls() is None
+    np.testing.assert_allclose(phases, pinned, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense(op) @ vectors, vectors * np.exp(1j * phases),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec,marked", [
